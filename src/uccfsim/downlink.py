@@ -2,9 +2,12 @@
 MMSE, the common amplification gain, and artificial-noise secrecy.
 
 Subcarrier-level functions work on an (M, K) channel matrix (one complex
-gain per AP-UE pair); the OFDM-level precoder works on the stacked
-(M*N, N) per-UE channel blocks.  Distributed precoders are computed per AP
-from that AP's local channels only; multi-antenna APs appear as an
+gain per AP-UE pair).  OFDM-level precoders are stored per UE as (M*N, N)
+matrices over the stacked AP outputs; that layout is storage only.
+Subcarriers do not couple, so the OFDM precoder solves N independent M x M
+systems as one batch, and the OFDM SINR reads each received subcarrier
+straight from the precoder columns.  Distributed precoders are computed
+per AP from that AP's local channels only; multi-antenna APs appear as an
 (M, U, K) channel tensor.
 """
 
@@ -43,15 +46,6 @@ def receive_mmse_weights(channels, noise_var):
     return np.linalg.solve(R, h)
 
 
-def stacked_dl_channel(freq, k) -> np.ndarray:
-    """Stacked diagonal channel block of UE k, shape (M*N, N)."""
-    M, _, N = freq.shape
-    H = np.zeros((M * N, N), dtype=complex)
-    for m in range(M):
-        H[m * N + np.arange(N), np.arange(N)] = freq[m, k]
-    return H
-
-
 def tmmse_central_ofdm(freq, subcarrier_sets, noise_var, delta, assoc=None):
     """OFDM-symbol-level MMSE precoding matrices, one (M*N, N) per UE.
 
@@ -66,16 +60,21 @@ def tmmse_central_ofdm(freq, subcarrier_sets, noise_var, delta, assoc=None):
     if assoc is not None:
         freq = freq * assoc.zeta()[:, :, None]
     delta = np.asarray(delta, dtype=float)
-    bracket = noise_var * np.eye(M * N, dtype=complex)
-    blocks = []
+    mask = np.zeros((N, K))
     for l in range(K):
-        H = stacked_dl_channel(freq, l)
-        mask = np.zeros(N)
-        mask[np.asarray(subcarrier_sets[l], dtype=int)] = 1.0
-        blocks.append(H)
-        bracket += (H.conj() * mask) @ H.T
-    return [np.linalg.solve(bracket, blocks[k].conj()) * np.sqrt(delta[k])
-            for k in range(K)]
+        mask[np.asarray(subcarrier_sets[l], dtype=int), l] = 1.0
+    # per subcarrier: (noise * I + sum_{l on n} h_ln* h_ln^T) P_n = H_n*
+    H = freq.transpose(2, 0, 1)                          # (N, M, K)
+    bracket = ((H.conj() * mask[:, None, :]) @ H.transpose(0, 2, 1)
+               + noise_var * np.eye(M))
+    X = np.linalg.solve(bracket, H.conj())               # (N, M, K)
+    diag = np.arange(N)
+    out = []
+    for k in range(K):
+        P = np.zeros((M, N, N), dtype=complex)
+        P[:, diag, diag] = X[:, :, k].T * np.sqrt(delta[k])
+        out.append(P.reshape(M * N, N))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -137,26 +136,24 @@ def dl_sinr_subcarrier(channels, precoders, a0, noise_var) -> np.ndarray:
 def dl_sinr_ofdm(freq, precoders, subcarrier_sets, a0, noise_var):
     """Per-UE arrays of per-symbol SINR for the OFDM-level transmission."""
     freq = np.asarray(freq, dtype=complex)
-    K = freq.shape[1]
+    M, K, N = freq.shape
     sets = [np.asarray(s, dtype=int) for s in subcarrier_sets]
+    # every transmitted stream (l, j in S_l) as an (M, N) AP-output column
+    streams = np.concatenate([np.asarray(P)[:, s]
+                              for P, s in zip(precoders, sets)], axis=1)
+    streams = streams.reshape(M, N, -1)
     out = []
-    for k in range(K):
-        Hk = stacked_dl_channel(freq, k)
-        sinrs = np.empty(len(sets[k]))
-        for i, n in enumerate(sets[k]):
-            row = Hk[:, n]                         # received row at subcarrier n
-            desired = np.abs(row @ precoders[k][:, n]) ** 2
-            interf = 0.0
-            for j in sets[k]:
-                if j != n:
-                    interf += np.abs(row @ precoders[k][:, j]) ** 2
-            for l in range(K):
-                if l == k:
-                    continue
-                for j in sets[l]:
-                    interf += np.abs(row @ precoders[l][:, j]) ** 2
-            sinrs[i] = desired / (interf + noise_var / a0**2)
-        out.append(sinrs)
+    first = 0
+    for k, s in enumerate(sets):
+        # UE k hears subcarrier n through sum_m h_mkn * stream[m, n]
+        gain = np.abs(np.einsum("mi,mis->is", freq[:, k, s],
+                                streams[:, s, :])) ** 2  # (N_k, streams)
+        rows = np.arange(len(s))
+        own = first + rows
+        desired = gain[rows, own]
+        gain[rows, own] = 0.0
+        out.append(desired / (gain.sum(axis=1) + noise_var / a0**2))
+        first += len(s)
     return out
 
 

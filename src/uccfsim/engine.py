@@ -304,10 +304,10 @@ def _detect_uplink(scenario, scene, assoc, gains, rng):
         out["ser"] = list(ser_counts / ser_draws)
         out["apmp_iterations"] = float(np.mean(iters))
         # analytic MMSE SINR reported as the rate proxy for APMP trials
+        sinrs = uplink.uplink_sinr_all(scene)
         for k in range(K):
             if len(scene.subcarriers[k]):
-                out["analytic"][k] = np.asarray(
-                    uplink.uplink_sinr_all(scene)[k])
+                out["analytic"][k] = np.asarray(sinrs[k])
     else:
         raise ValueError(f"unknown detector {name!r}")
 

@@ -6,11 +6,19 @@ are stored per UE as (M*N, N_k) matrices over the stacked observation
 y = [y_1; ...; y_M]; local detectors simply leave the rows of APs they do
 not use at zero, so every detector can be evaluated against the same
 physical scene (interference from unmodeled UEs stays present).
+
+The stacked (M*N, .) layout is storage only.  Each link has one complex
+gain per subcarrier and subcarriers do not couple, so the stacked
+covariance is N independent M x M blocks; the SINR evaluator and the
+per-subcarrier detector solve those blocks as one (N, M, M) batch.  The
+dense (M*N, M*N) covariance is built once per scene and kept for the
+global MMSE weights and the weight-output SINR.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +62,13 @@ class UplinkScene:
     def num_subcarriers(self) -> int:
         return self.freq.shape[2]
 
+    @cached_property
+    def _covariance(self) -> np.ndarray:
+        # the scene is treated as immutable, so one build serves every caller
+        R = _stacked_covariance(self, range(self.num_aps))
+        R.setflags(write=False)
+        return R
+
 
 def equal_power_scene(freq, subcarriers, gamma_u, budget=1.0) -> UplinkScene:
     """Scene with each UE's budget split evenly over its subcarriers."""
@@ -77,10 +92,8 @@ def stacked_channel(scene: UplinkScene, k: int, aps=None) -> np.ndarray:
     return B
 
 
-def scene_covariance(scene: UplinkScene, aps=None) -> np.ndarray:
-    """Autocorrelation of the stacked observation over the chosen APs."""
-    aps = range(scene.num_aps) if aps is None else list(aps)
-    n = len(list(aps)) * scene.num_subcarriers
+def _stacked_covariance(scene: UplinkScene, aps) -> np.ndarray:
+    n = len(aps) * scene.num_subcarriers
     R = (1.0 / scene.gamma_u) * np.eye(n, dtype=complex)
     for l in range(scene.num_ues):
         B = stacked_channel(scene, l, aps)
@@ -88,36 +101,60 @@ def scene_covariance(scene: UplinkScene, aps=None) -> np.ndarray:
     return R
 
 
+def scene_covariance(scene: UplinkScene, aps=None) -> np.ndarray:
+    """Autocorrelation of the stacked observation over the chosen APs.
+
+    Over all APs (``aps=None``) the matrix is built once per scene and
+    returned read-only.
+    """
+    if aps is None:
+        return scene._covariance
+    return _stacked_covariance(scene, list(aps))
+
+
+def _power_grid(scene: UplinkScene) -> np.ndarray:
+    """Power coefficients eta_kn as a (K, N) grid, zero where unassigned."""
+    eta = np.zeros((scene.num_ues, scene.num_subcarriers))
+    for k, (sub, p) in enumerate(zip(scene.subcarriers, scene.power)):
+        eta[k, sub] = p
+    return eta
+
+
+def subcarrier_covariances(scene: UplinkScene) -> np.ndarray:
+    """Per-subcarrier covariances R_n = I / gamma_u + sum_l eta_ln h_ln h_ln^H.
+
+    Shape (N, M, M): the diagonal blocks of :func:`scene_covariance`.
+    """
+    H = scene.freq.transpose(2, 0, 1)                    # (N, M, K)
+    R = (H * _power_grid(scene).T[:, None, :]) @ H.conj().transpose(0, 2, 1)
+    return R + (1.0 / scene.gamma_u) * np.eye(scene.num_aps)
+
+
 def gmmse_weights(scene: UplinkScene):
-    """Global MMSE weights per UE, solved jointly on the (MN, MN) system."""
+    """Global MMSE weights per UE, solved jointly on the (MN, MN) system
+    with every UE's right-hand side in one factorization."""
+    # Kept dense: weight_output_sinr's w^H R w - eta |w^H b|^2 cancels at
+    # high SINR, so reported SINRs there depend on the last bits of W.
     R = scene_covariance(scene)
-    out = []
-    for k in range(scene.num_ues):
-        B = stacked_channel(scene, k)
-        out.append(np.linalg.solve(R, B * np.sqrt(scene.power[k])))
-    return out
+    rhs = [stacked_channel(scene, k) * np.sqrt(scene.power[k])
+           for k in range(scene.num_ues)]
+    X = np.linalg.solve(R, np.hstack(rhs))
+    cuts = np.cumsum([B.shape[1] for B in rhs])[:-1]
+    return np.split(X, cuts, axis=1)
 
 
 def gmmse_per_subcarrier(scene: UplinkScene):
     """N parallel M-dimensional MMSE solves; equals the joint solution
     when subcarriers do not interfere (diagonal per-link channels)."""
-    M, K, N = scene.freq.shape
-    eta = np.zeros((K, N))
-    for k, (sub, p) in enumerate(zip(scene.subcarriers, scene.power)):
-        eta[k, sub] = p
-    out = [np.zeros((M * N, len(scene.subcarriers[k])), dtype=complex)
-           for k in range(K)]
-    for n in range(N):
-        active = np.flatnonzero(eta[:, n] > 0)
-        if active.size == 0:
-            continue
-        H = scene.freq[:, active, n]                      # (M, |active|)
-        Rn = (H * eta[active, n]) @ H.conj().T \
-            + (1.0 / scene.gamma_u) * np.eye(M, dtype=complex)
-        W = np.linalg.solve(Rn, H * np.sqrt(eta[active, n]))
-        for col, k in enumerate(active):
-            i = int(np.flatnonzero(scene.subcarriers[k] == n)[0])
-            out[k][np.arange(M) * N + n, i] = W[:, col]
+    M, _, N = scene.freq.shape
+    H = scene.freq.transpose(2, 0, 1)                    # (N, M, K)
+    rhs = H * np.sqrt(_power_grid(scene).T)[:, None, :]
+    X = np.linalg.solve(subcarrier_covariances(scene), rhs)
+    out = []
+    for k, sub in enumerate(scene.subcarriers):
+        W = np.zeros((M, N, len(sub)), dtype=complex)
+        W[:, sub, np.arange(len(sub))] = X[sub, :, k].T
+        out.append(W.reshape(M * N, len(sub)))
     return out
 
 
@@ -130,27 +167,26 @@ def solve_flop_estimate(num_aps: int, num_subcarriers: int, joint: bool) -> floa
 
 def uplink_sinr(scene: UplinkScene, k: int, i: int) -> float:
     """Closed-form MMSE output SINR of UE k's i-th symbol."""
-    R = scene_covariance(scene)
-    b = stacked_channel(scene, k)[:, i]
-    eta = scene.power[k][i]
-    Rki = R - eta * np.outer(b, b.conj())
-    return float(np.real(eta * b.conj() @ np.linalg.solve(Rki, b)))
+    return float(uplink_sinr_all(scene)[k][i])
 
 
 def uplink_sinr_all(scene: UplinkScene):
-    """Per-UE arrays of closed-form MMSE symbol SINRs."""
-    R = scene_covariance(scene)
-    out = []
-    for k in range(scene.num_ues):
-        B = stacked_channel(scene, k)
-        sinrs = np.empty(B.shape[1])
-        for i in range(B.shape[1]):
-            b = B[:, i]
-            eta = scene.power[k][i]
-            Rki = R - eta * np.outer(b, b.conj())
-            sinrs[i] = np.real(eta * b.conj() @ np.linalg.solve(Rki, b))
-        out.append(sinrs)
-    return out
+    """Per-UE arrays of closed-form MMSE symbol SINRs.
+
+    Symbol s of UE k on subcarrier n with power eta has SINR
+    Re(eta b^H x), where (R_n - eta b b^H) x = b and b = h_kn; all symbols
+    are solved in one (S, M, M) batch.
+    """
+    ue = np.concatenate([np.full(len(s), k)
+                         for k, s in enumerate(scene.subcarriers)])
+    sub = np.concatenate(scene.subcarriers)
+    eta = np.concatenate(scene.power)
+    b = scene.freq[:, ue, sub].T                         # (S, M)
+    own = eta[:, None, None] * (b[:, :, None] * b.conj()[:, None, :])
+    x = np.linalg.solve(subcarrier_covariances(scene)[sub] - own,
+                        b[:, :, None])[:, :, 0]
+    sinrs = np.real(eta * np.einsum("sm,sm->s", b.conj(), x))
+    return np.split(sinrs, np.cumsum([len(s) for s in scene.subcarriers])[:-1])
 
 
 def sum_rate(sinrs) -> float:

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import uccfsim
 from uccfsim.cli import main
 
 SCENARIO = {
@@ -116,10 +119,15 @@ class TestSweep:
 
 class TestEntryPoint:
     def test_module_invocation(self, scenario_file):
+        # the child imports the same uccfsim as this process, however
+        # that one was found
+        src = str(Path(uccfsim.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "uccfsim.cli", "validate",
              str(scenario_file)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ,
+                                                 "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "scenario ok" in proc.stdout
 

@@ -9,9 +9,10 @@ from uccfsim.downlink import (artificial_noise_direction, compute_a0,
                               expected_ap_powers_subcarrier, normalize_columns,
                               receive_downlink, receive_mmse_weights,
                               received_power_split, secrecy_transmit,
-                              stacked_dl_channel, tmmse_central_ofdm,
-                              tmmse_central_subcarrier)
+                              tmmse_central_ofdm, tmmse_central_subcarrier)
 from uccfsim.topology import AssociationMap
+
+from dense_oracles import stacked_dl_channel
 
 
 def random_channels(rng, M, K):
