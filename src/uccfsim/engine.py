@@ -83,6 +83,19 @@ def scenario_hash(scenario) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+# the numeric fields validate_scenario compares against bounds
+NUMERIC_FIELDS = ("topology.num_aps", "topology.num_ues",
+                  "topology.max_ue_power", "topology.max_ap_power",
+                  "topology.noise_variance", "channel.shadowing_std_db",
+                  "channel.num_taps", "ofdm.num_subcarriers",
+                  "association.radius", "downlink.p_max",
+                  "training.num_symbols", "training.pilot_power")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_scenario(scenario) -> list:
     """Structured list of config problems; empty means runnable."""
     errors = []
@@ -94,6 +107,19 @@ def validate_scenario(scenario) -> list:
 
     need(isinstance(sc.get("trials"), int) and sc["trials"] >= 1,
          "trials must be an integer >= 1")
+    checked = len(errors)
+    for path in NUMERIC_FIELDS:
+        section, key = path.split(".")
+        value = sc.get(section, {}).get(key, 0)
+        need(_is_number(value), f"{path} must be a number, not {value!r}")
+    demands = sc.get("allocation", {}).get("demands", 0)
+    if not isinstance(demands, int):
+        need(isinstance(demands, list)
+             and all(isinstance(d, int) for d in demands),
+             "allocation.demands must be an integer or a list of integers")
+    if len(errors) > checked:
+        # the bounds below cannot be compared against non-numbers
+        return errors
     topo = sc.get("topology", {})
     need(topo.get("num_aps", 0) >= 1, "topology.num_aps must be >= 1")
     need(topo.get("num_ues", 0) >= 1, "topology.num_ues must be >= 1")
@@ -134,7 +160,8 @@ def validate_scenario(scenario) -> list:
         need(dl.get("p_max", 0) > 0, "downlink.p_max must be positive")
         rho = dl.get("secrecy_rho")
         if rho is not None:
-            need(0.0 <= rho <= 1.0, "downlink.secrecy_rho must lie in [0, 1]")
+            need(_is_number(rho) and 0.0 <= rho <= 1.0,
+                 "downlink.secrecy_rho must be a number in [0, 1]")
     tr = sc.get("training", {})
     if tr.get("enabled"):
         need(tr.get("num_symbols", 0) >= 1,
@@ -206,6 +233,7 @@ def _detect_uplink(scenario, scene, assoc, gains, rng):
         out["rates"] = np.zeros(K)
         return out
 
+    weights = None
     if name in ("gmmse", "gmmse_per_subcarrier", "lmmse_sliced",
                 "lmmse_reduced"):
         if name == "gmmse":
@@ -216,72 +244,25 @@ def _detect_uplink(scenario, scene, assoc, gains, rng):
             weights = uplink.lmmse_column_sliced(scene, assoc)
         else:
             weights = [uplink.lmmse_reduced(scene, assoc, k)
-                       if assoc.ap_sets[k] and len(scene.subcarriers[k])
-                       else np.zeros((scene.num_aps * scene.num_subcarriers,
-                                      len(scene.subcarriers[k])))
-                       for k in range(K)]
-        for k in range(K):
-            if len(scene.subcarriers[k]) and np.any(weights[k]):
-                out["analytic"][k] = uplink.weight_output_sinr(
-                    scene, k, weights[k])
-        if draws > 0:
-            indices, y = uplink.simulate_uplink(scene, draws, rng, points_name)
-            for k in range(K):
-                if not len(scene.subcarriers[k]) or not np.any(weights[k]):
-                    continue
-                z = y @ weights[k].conj()
-                amp = np.sqrt(scene.power[k]) * np.einsum(
-                    "ni,ni->i", weights[k].conj(),
-                    uplink.stacked_channel(scene, k))
-                err = z - pts[indices[k]] * amp
-                emp = np.abs(amp) ** 2 / np.mean(np.abs(err) ** 2, axis=0)
-                out["empirical"][k] = float(np.mean(emp))
-                scale = np.where(np.abs(amp) > 0, amp, 1.0)
-                decided = nearest_point(z / scale, pts)
-                out["ser"][k] = symbol_error_rate(decided, indices[k])
+                       if assoc.ap_sets[k] else None for k in range(K)]
+        weights = [W if W is not None and len(scene.subcarriers[k])
+                   and np.any(W) else None for k, W in enumerate(weights)]
+        for k, W in enumerate(weights):
+            if W is not None:
+                out["analytic"][k] = uplink.weight_output_sinr(scene, k, W)
 
     elif name.startswith("local_"):
         mode = {"local_equal": "equal", "local_mrc": "mrc",
                 "local_ls_linear": "large_scale_linear",
                 "local_ls_sqrt": "large_scale_sqrt"}[name]
+        weights = [None] * K
         for k in range(K):
             if not assoc.ap_sets[k] or not len(scene.subcarriers[k]):
                 continue
-            if mode in ("equal", "mrc"):
-                lambdas = uplink.combining_lambdas(scene, assoc, k, mode)
-            else:
-                g = np.array([gains[m, k] for m in assoc.ap_sets[k]])
-                if mode == "large_scale_sqrt":
-                    g = np.sqrt(g)
-                w = g / g.sum()
-                lambdas = {m: np.full(len(scene.subcarriers[k]), wi,
-                                      dtype=complex)
-                           for m, wi in zip(assoc.ap_sets[k], w)}
+            lambdas = uplink.combining_lambdas(scene, assoc, k, mode,
+                                               gains=gains[:, k])
+            weights[k] = uplink.combined_weights(scene, k, lambdas)
             out["analytic"][k] = uplink.combined_sinr(scene, assoc, k, lambdas)
-        if draws > 0:
-            indices, y = uplink.simulate_uplink(scene, draws, rng, points_name)
-            M, N = scene.num_aps, scene.num_subcarriers
-            for k in range(K):
-                if not assoc.ap_sets[k] or not len(scene.subcarriers[k]):
-                    continue
-                stats = (uplink.local_combining_stats(scene, assoc, k)
-                         if mode == "mrc" else None)
-                gk = {m: gains[m, k] for m in assoc.ap_sets[k]}
-                z = np.empty((draws, len(scene.subcarriers[k])), dtype=complex)
-                for u in range(draws):
-                    zm = {m: uplink.local_ap_estimate(
-                              scene, assoc, y[u, m * N:(m + 1) * N], m, k)
-                          for m in assoc.ap_sets[k]}
-                    kw = ({"stats": stats} if mode == "mrc"
-                          else {"gains": gk} if mode.startswith("large") else {})
-                    z[u] = uplink.cpu_combine(zm, mode, **kw)
-                x = pts[indices[k]]
-                amp = np.mean(z * x.conj(), axis=0)
-                err = z - amp * x
-                emp = np.abs(amp) ** 2 / np.mean(np.abs(err) ** 2, axis=0)
-                out["empirical"][k] = float(np.mean(emp))
-                decided = nearest_point(z / np.where(np.abs(amp) > 0, amp, 1.0), pts)
-                out["ser"][k] = symbol_error_rate(decided, indices[k])
 
     elif name == "apmp":
         acfg = cfg["apmp"]
@@ -310,6 +291,26 @@ def _detect_uplink(scenario, scene, assoc, gains, rng):
                 out["analytic"][k] = np.asarray(sinrs[k])
     else:
         raise ValueError(f"unknown detector {name!r}")
+
+    if weights is not None and draws > 0:
+        indices, y = uplink.simulate_uplink(scene, draws, rng, points_name)
+        for k, W in enumerate(weights):
+            if W is None:
+                continue
+            z = y @ W.conj()
+            x = pts[indices[k]]
+            if name.startswith("local_"):
+                # the CPU of a local detector measures its output amplitude
+                amp = np.mean(z * x.conj(), axis=0)
+            else:
+                amp = np.sqrt(scene.power[k]) * np.einsum(
+                    "ni,ni->i", W.conj(), uplink.stacked_channel(scene, k))
+            err = z - x * amp
+            emp = np.abs(amp) ** 2 / np.mean(np.abs(err) ** 2, axis=0)
+            out["empirical"][k] = float(np.mean(emp))
+            decided = nearest_point(z / np.where(np.abs(amp) > 0, amp, 1.0),
+                                    pts)
+            out["ser"][k] = symbol_error_rate(decided, indices[k])
 
     out["rates"] = np.array([
         float(np.nansum(np.log2(1.0 + np.nan_to_num(out["analytic"][k]))))
@@ -431,12 +432,13 @@ def run_trial(scenario, trial: int) -> list:
 
     wall = time.perf_counter() - t0
     sum_rate = float(np.sum(det["rates"]))
+    digest = scenario_hash(scenario)
     records = []
     for k in range(topo.num_ues):
         analytic = det["analytic"][k]
         records.append({
             "scenario": scenario["name"],
-            "hash": scenario_hash(scenario),
+            "hash": digest,
             "seed": scenario["seed"],
             "trial": trial,
             "ue": k,
@@ -483,10 +485,10 @@ def run_scenario(scenario=None, workers: int = 1) -> dict:
 def aggregate(records) -> dict:
     """Mean and 95% confidence interval of the headline metrics."""
     out = {}
-    trials = sorted({r["trial"] for r in records})
-    per_trial_sum = [next(r["sum_rate"] for r in records if r["trial"] == t)
-                     for t in trials]
-    out["sum_rate"] = _mean_ci(per_trial_sum)
+    per_trial_sum = {}
+    for r in records:
+        per_trial_sum.setdefault(r["trial"], r["sum_rate"])
+    out["sum_rate"] = _mean_ci([per_trial_sum[t] for t in sorted(per_trial_sum)])
     for key in ("rate", "ser", "sinr_analytic", "sinr_empirical", "nmse",
                 "dl_rate"):
         vals = [r[key] for r in records if np.isfinite(r[key])]
@@ -501,7 +503,7 @@ def _mean_ci(values) -> dict:
     values = np.asarray(values, dtype=float)
     mean = float(values.mean())
     if values.size > 1:
-        half = 1.96 * values.std(ddof=1) / np.sqrt(values.size)
+        half = float(1.96 * values.std(ddof=1) / np.sqrt(values.size))
     else:
         half = 0.0
     return {"mean": mean, "ci_lo": mean - half, "ci_hi": mean + half,

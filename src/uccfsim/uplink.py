@@ -9,10 +9,19 @@ physical scene (interference from unmodeled UEs stays present).
 
 The stacked (M*N, .) layout is storage only.  Each link has one complex
 gain per subcarrier and subcarriers do not couple, so the stacked
-covariance is N independent M x M blocks; the SINR evaluator and the
-per-subcarrier detector solve those blocks as one (N, M, M) batch.  The
-dense (M*N, M*N) covariance is built once per scene and kept for the
-global MMSE weights and the weight-output SINR.
+covariance is N independent M x M blocks R_n.  The SINR evaluator and the
+per-subcarrier, column-sliced and reduced MMSE detectors solve those
+blocks as (N, M, M) batches, the reduced one restricted to the associated
+APs.  A local detector only sees the diagonals [R_n]_mm, so local
+detection followed by CPU fusion is one stacked weight per UE, evaluated
+per subcarrier in closed form.
+
+Two paths stay dense: ``gmmse_weights`` solves the (M*N, M*N) covariance,
+built once per scene, and ``weight_output_sinr`` evaluates
+w^H R w - eta |w^H b|^2 on it.  That difference cancels at high SINR, so
+the SINRs it reports depend on the last bits of W and R, and the
+benchmark's reference outputs pin those bits; both move to the batched
+core together with a cancellation-free SINR.
 """
 
 from __future__ import annotations
@@ -65,7 +74,11 @@ class UplinkScene:
     @cached_property
     def _covariance(self) -> np.ndarray:
         # the scene is treated as immutable, so one build serves every caller
-        R = _stacked_covariance(self, range(self.num_aps))
+        R = (1.0 / self.gamma_u) * np.eye(self.num_aps * self.num_subcarriers,
+                                          dtype=complex)
+        for l in range(self.num_ues):
+            B = stacked_channel(self, l)
+            R += (B * self.power[l]) @ B.conj().T
         R.setflags(write=False)
         return R
 
@@ -77,39 +90,25 @@ def equal_power_scene(freq, subcarriers, gamma_u, budget=1.0) -> UplinkScene:
                        gamma_u=gamma_u)
 
 
-def stacked_channel(scene: UplinkScene, k: int, aps=None) -> np.ndarray:
-    """Channel-times-mapping block H_k Phi_k over the chosen APs.
-
-    Shape (len(aps)*N, N_k); row blocks follow the order of ``aps``
-    (default: all APs).
-    """
-    N = scene.num_subcarriers
-    aps = range(scene.num_aps) if aps is None else list(aps)
+def _stacked(scene: UplinkScene, k: int, V) -> np.ndarray:
+    """Per-AP coefficients V (M, N_k) of UE k's symbols in the stacked
+    (M*N, N_k) layout: symbol i occupies its own subcarrier only."""
+    M, N = scene.num_aps, scene.num_subcarriers
     sub = scene.subcarriers[k]
-    B = np.zeros((len(list(aps)) * N, len(sub)), dtype=complex)
-    for row, m in enumerate(aps):
-        B[row * N + sub, np.arange(len(sub))] = scene.freq[m, k, sub]
-    return B
+    W = np.zeros((M, N, len(sub)), dtype=complex)
+    W[:, sub, np.arange(len(sub))] = V
+    return W.reshape(M * N, len(sub))
 
 
-def _stacked_covariance(scene: UplinkScene, aps) -> np.ndarray:
-    n = len(aps) * scene.num_subcarriers
-    R = (1.0 / scene.gamma_u) * np.eye(n, dtype=complex)
-    for l in range(scene.num_ues):
-        B = stacked_channel(scene, l, aps)
-        R += (B * scene.power[l]) @ B.conj().T
-    return R
+def stacked_channel(scene: UplinkScene, k: int) -> np.ndarray:
+    """Channel-times-mapping block H_k Phi_k, shape (M*N, N_k)."""
+    return _stacked(scene, k, scene.freq[:, k, scene.subcarriers[k]])
 
 
-def scene_covariance(scene: UplinkScene, aps=None) -> np.ndarray:
-    """Autocorrelation of the stacked observation over the chosen APs.
-
-    Over all APs (``aps=None``) the matrix is built once per scene and
-    returned read-only.
-    """
-    if aps is None:
-        return scene._covariance
-    return _stacked_covariance(scene, list(aps))
+def scene_covariance(scene: UplinkScene) -> np.ndarray:
+    """Autocorrelation of the stacked observation, built once per scene
+    and returned read-only."""
+    return scene._covariance
 
 
 def _power_grid(scene: UplinkScene) -> np.ndarray:
@@ -143,19 +142,21 @@ def gmmse_weights(scene: UplinkScene):
     return np.split(X, cuts, axis=1)
 
 
+def _subcarrier_mmse(scene: UplinkScene, zeta=1.0):
+    """Weights R_n^-1 (zeta_k * h_kn) sqrt(eta_kn) of every UE, in one
+    (N, M, M) solve; an association ``zeta`` (M, K) restricts the
+    right-hand sides to each UE's APs."""
+    H = scene.freq.transpose(2, 0, 1)                    # (N, M, K)
+    rhs = H * zeta * np.sqrt(_power_grid(scene).T)[:, None, :]
+    X = np.linalg.solve(subcarrier_covariances(scene), rhs)
+    return [_stacked(scene, k, X[sub, :, k].T)
+            for k, sub in enumerate(scene.subcarriers)]
+
+
 def gmmse_per_subcarrier(scene: UplinkScene):
     """N parallel M-dimensional MMSE solves; equals the joint solution
     when subcarriers do not interfere (diagonal per-link channels)."""
-    M, _, N = scene.freq.shape
-    H = scene.freq.transpose(2, 0, 1)                    # (N, M, K)
-    rhs = H * np.sqrt(_power_grid(scene).T)[:, None, :]
-    X = np.linalg.solve(subcarrier_covariances(scene), rhs)
-    out = []
-    for k, sub in enumerate(scene.subcarriers):
-        W = np.zeros((M, N, len(sub)), dtype=complex)
-        W[:, sub, np.arange(len(sub))] = X[sub, :, k].T
-        out.append(W.reshape(M * N, len(sub)))
-    return out
+    return _subcarrier_mmse(scene)
 
 
 def solve_flop_estimate(num_aps: int, num_subcarriers: int, joint: bool) -> float:
@@ -200,39 +201,30 @@ def uplink_sum_rate(scene: UplinkScene) -> float:
 
 def lmmse_column_sliced(scene: UplinkScene, assoc):
     """Approximate weights using only the R_y^-1 column blocks of the
-    associated APs; with full association this reconstructs the GMMSE."""
-    M, N = scene.num_aps, scene.num_subcarriers
-    Rinv = np.linalg.inv(scene_covariance(scene))
-    out = []
-    for k in range(scene.num_ues):
-        sub = scene.subcarriers[k]
-        W = np.zeros((M * N, len(sub)), dtype=complex)
-        for m in assoc.ap_sets[k]:
-            Qm = Rinv[:, m * N:(m + 1) * N]
-            local = np.zeros((N, len(sub)), dtype=complex)
-            local[sub, np.arange(len(sub))] = (scene.freq[m, k, sub]
-                                               * np.sqrt(scene.power[k]))
-            W += Qm @ local
-        out.append(W)
-    return out
+    associated APs; with full association this reconstructs the GMMSE.
+
+    Those column blocks applied to b are R_y^-1 P_A b, with P_A zeroing the
+    entries of unassociated APs, so each UE is solved per subcarrier.
+    """
+    return _subcarrier_mmse(scene, assoc.zeta())
 
 
 def lmmse_reduced(scene: UplinkScene, assoc, k: int) -> np.ndarray:
     """GMMSE restricted to the observations of UE k's associated APs.
 
-    Returns full-size (M*N, N_k) weights with zero rows at excluded APs.
+    Each of UE k's subcarriers solves R_n restricted to those APs, all in
+    one batch.  Returns full-size (M*N, N_k) weights with zero rows at
+    excluded APs.
     """
-    aps = list(assoc.ap_sets[k])
-    if not aps:
+    aps = np.asarray(assoc.ap_sets[k], dtype=int)
+    if not aps.size:
         raise ValueError("unassociated UE")
-    R = scene_covariance(scene, aps)
-    B = stacked_channel(scene, k, aps)
-    W_sub = np.linalg.solve(R, B * np.sqrt(scene.power[k]))
-    N = scene.num_subcarriers
-    W = np.zeros((scene.num_aps * N, B.shape[1]), dtype=complex)
-    for row, m in enumerate(aps):
-        W[m * N:(m + 1) * N] = W_sub[row * N:(row + 1) * N]
-    return W
+    sub = scene.subcarriers[k]
+    R = subcarrier_covariances(scene)[np.ix_(sub, aps, aps)]
+    b = scene.freq[aps][:, k, sub] * np.sqrt(scene.power[k])    # (|A|, N_k)
+    V = np.zeros((scene.num_aps, len(sub)), dtype=complex)
+    V[aps] = np.linalg.solve(R, b.T[:, :, None])[:, :, 0].T
+    return _stacked(scene, k, V)
 
 
 def weight_output_sinr(scene: UplinkScene, k: int, W: np.ndarray) -> np.ndarray:
@@ -251,17 +243,23 @@ def weight_output_sinr(scene: UplinkScene, k: int, W: np.ndarray) -> np.ndarray:
     return sinrs
 
 
+def _local_terms(scene: UplinkScene, k: int):
+    """AP-local model of UE k's symbols, each (M, N_k): the channel
+    b = sqrt(eta) h, the diagonal d = [R_n]_mm an AP sees, and the
+    interference-plus-noise r of d, summed without the own term."""
+    sub = scene.subcarriers[k]
+    load = np.abs(scene.freq[:, :, sub]) ** 2 * _power_grid(scene)[:, sub]
+    d = load.sum(axis=1) + 1.0 / scene.gamma_u
+    load[:, k] = 0.0
+    r = load.sum(axis=1) + 1.0 / scene.gamma_u
+    return scene.freq[:, k, sub] * np.sqrt(scene.power[k]), d, r
+
+
 def local_ap_weights(scene: UplinkScene, m: int, k: int) -> np.ndarray:
     """Per-AP MMSE weights (N, N_k) from AP m's own observation model."""
+    b, d, _ = _local_terms(scene, k)
     N = scene.num_subcarriers
-    diag = np.full(N, 1.0 / scene.gamma_u)
-    for l in range(scene.num_ues):
-        sub = scene.subcarriers[l]
-        diag[sub] += np.abs(scene.freq[m, l, sub]) ** 2 * scene.power[l]
-    sub = scene.subcarriers[k]
-    B = np.zeros((N, len(sub)), dtype=complex)
-    B[sub, np.arange(len(sub))] = scene.freq[m, k, sub] * np.sqrt(scene.power[k])
-    return B / diag[:, None]
+    return _stacked(scene, k, b / d)[m * N:(m + 1) * N]
 
 
 def local_ap_estimate(scene: UplinkScene, assoc, y_m: np.ndarray,
@@ -276,29 +274,13 @@ def local_combining_stats(scene: UplinkScene, assoc, k: int):
     """Per-AP (A_mk, C_mk) of the decomposition z_mk = A_mk x_k + noise.
 
     A_mk is the signal gain matrix and C_mk the interference-plus-noise
-    covariance of AP m's local estimate; both are exact scene statistics.
+    covariance of AP m's local estimate; both are exact scene statistics,
+    diagonal because the local weights are.
     """
-    N = scene.num_subcarriers
-    stats = {}
-    for m in assoc.ap_sets[k]:
-        W = local_ap_weights(scene, m, k)
-        Bk = _local_block(scene, m, k)
-        A = W.conj().T @ Bk
-        Rm = (1.0 / scene.gamma_u) * np.eye(N, dtype=complex)
-        for l in range(scene.num_ues):
-            Bl = _local_block(scene, m, l)
-            Rm += Bl @ Bl.conj().T
-        C = W.conj().T @ (Rm - Bk @ Bk.conj().T) @ W
-        stats[m] = (A, C)
-    return stats
-
-
-def _local_block(scene, m, l):
-    N = scene.num_subcarriers
-    sub = scene.subcarriers[l]
-    B = np.zeros((N, len(sub)), dtype=complex)
-    B[sub, np.arange(len(sub))] = scene.freq[m, l, sub] * np.sqrt(scene.power[l])
-    return B
+    b, d, r = _local_terms(scene, k)
+    w = b / d
+    return {m: (np.diag(w[m].conj() * b[m]), np.diag(np.abs(w[m]) ** 2 * r[m]))
+            for m in assoc.ap_sets[k]}
 
 
 def sample_combining_stats(scene: UplinkScene, assoc, k: int,
@@ -347,14 +329,36 @@ def cpu_combine(estimates: dict, mode: str, gains=None, stats=None) -> np.ndarra
             z += np.linalg.solve(C, A.conj().T @ np.asarray(estimates[m]))
         return z / count
     if mode in ("large_scale_linear", "large_scale_sqrt"):
-        if gains is None:
-            raise ValueError("large-scale combining needs per-AP gains")
-        g = np.array([gains[m] for m in aps], dtype=float)
-        if mode == "large_scale_sqrt":
-            g = np.sqrt(g)
-        w = g / g.sum()
-        return sum(wi * np.asarray(estimates[m]) for wi, m in zip(w, aps))
+        shares = _large_scale_shares(gains, aps, mode)
+        return sum(s * np.asarray(estimates[m]) for s, m in zip(shares, aps))
     raise ValueError(f"unknown combining mode {mode!r}")
+
+
+def _large_scale_shares(gains, aps, mode: str) -> np.ndarray:
+    """Fusion weights of the APs, proportional to their large-scale gains
+    (``large_scale_linear``) or to the square roots (``large_scale_sqrt``)."""
+    if gains is None:
+        raise ValueError("large-scale combining needs per-AP gains")
+    g = np.array([gains[m] for m in aps], dtype=float)
+    if mode == "large_scale_sqrt":
+        g = np.sqrt(g)
+    return g / g.sum()
+
+
+def _fused(scene: UplinkScene, k: int, lambdas: dict) -> np.ndarray:
+    """Per-AP coefficients (M, N_k) of local detection fused with the
+    diagonal ``lambdas``: conj(lambda_m) w_m, zero at the other APs."""
+    b, d, _ = _local_terms(scene, k)
+    V = np.zeros_like(b)
+    for m, lam in lambdas.items():
+        V[m] = np.conj(lam) * b[m] / d[m]
+    return V
+
+
+def combined_weights(scene: UplinkScene, k: int, lambdas: dict) -> np.ndarray:
+    """Stacked (M*N, N_k) weights W with W^H y equal to the CPU's fusion
+    sum_m lambda_m z_mk of the local estimates."""
+    return _stacked(scene, k, _fused(scene, k, lambdas))
 
 
 def combined_sinr(scene: UplinkScene, assoc, k: int, lambdas: dict) -> np.ndarray:
@@ -362,48 +366,35 @@ def combined_sinr(scene: UplinkScene, assoc, k: int, lambdas: dict) -> np.ndarra
 
     ``lambdas`` maps AP -> (N_k,) per-symbol weights.  Interference is
     correlated across APs (same transmitted symbols), which the variance
-    below accounts for exactly.
+    below accounts for exactly: on symbol i's subcarrier n the fused
+    weight v passes UE l with gain v^H h_ln sqrt(eta_ln).
     """
-    aps = sorted(lambdas)
-    weights = {m: local_ap_weights(scene, m, k) for m in aps}
-    nk = len(scene.subcarriers[k])
-    sinrs = np.empty(nk)
-    for i in range(nk):
-        amp = 0.0 + 0j
-        for m in aps:
-            w = weights[m][:, i]
-            amp += lambdas[m][i] * (w.conj() @ _local_block(scene, m, k)[:, i])
-        var = 0.0
-        for l in range(scene.num_ues):
-            for j in range(len(scene.subcarriers[l])):
-                if l == k and j == i:
-                    continue
-                coef = sum(lambdas[m][i] * (weights[m][:, i].conj()
-                                            @ _local_block(scene, m, l)[:, j])
-                           for m in aps)
-                var += np.abs(coef) ** 2
-        var += sum(np.abs(lambdas[m][i]) ** 2
-                   * np.linalg.norm(weights[m][:, i]) ** 2 for m in aps) / scene.gamma_u
-        sinrs[i] = np.abs(amp) ** 2 / var
-    return sinrs
+    sub = scene.subcarriers[k]
+    v = _fused(scene, k, lambdas)
+    g = np.einsum("mi,mli->il", v.conj(),
+                  scene.freq[:, :, sub] * np.sqrt(_power_grid(scene)[:, sub]))
+    signal = np.abs(g[:, k]) ** 2
+    g[:, k] = 0.0            # zeroed, not subtracted: nothing cancels
+    noise = np.sum(np.abs(v) ** 2, axis=0) / scene.gamma_u
+    return signal / (np.sum(np.abs(g) ** 2, axis=1) + noise)
 
 
-def combining_lambdas(scene: UplinkScene, assoc, k: int, mode: str) -> dict:
-    """Per-AP diagonal combining weights for the analytic SINR evaluation."""
+def combining_lambdas(scene: UplinkScene, assoc, k: int, mode: str,
+                      gains=None) -> dict:
+    """Per-AP diagonal combining weights {m: (N_k,)} of the CPU fusion
+    modes; the large-scale modes need per-AP ``gains`` indexed by AP."""
     aps = list(assoc.ap_sets[k])
     nk = len(scene.subcarriers[k])
     count = len(aps)
     if mode == "equal":
         return {m: np.ones(nk, dtype=complex) / count for m in aps}
     if mode == "mrc":
-        stats = local_combining_stats(scene, assoc, k)
-        out = {}
-        for m in aps:
-            A, C = stats[m]
-            out[m] = np.diag(np.linalg.solve(C, A.conj().T)) / count
-        return out
+        # conj(A_mk) / C_mk per symbol, with A = |b|^2 / d, C = |b|^2 r / d^2
+        _, d, r = _local_terms(scene, k)
+        return {m: (d[m] / r[m]).astype(complex) / count for m in aps}
     if mode in ("large_scale_linear", "large_scale_sqrt"):
-        raise ValueError("large-scale modes need gains; use cpu_combine")
+        shares = _large_scale_shares(gains, aps, mode)
+        return {m: np.full(nk, s, dtype=complex) for m, s in zip(aps, shares)}
     raise ValueError(f"unknown combining mode {mode!r}")
 
 

@@ -15,9 +15,13 @@ import pytest
 import dense_oracles as dense
 from uccfsim.downlink import dl_sinr_ofdm, tmmse_central_ofdm
 from uccfsim.topology import AssociationMap
-from uccfsim.uplink import (UplinkScene, gmmse_weights, scene_covariance,
-                            stacked_channel, subcarrier_covariances,
-                            uplink_sinr, uplink_sinr_all)
+from uccfsim.uplink import (UplinkScene, combined_sinr, combined_weights,
+                            combining_lambdas, gmmse_weights,
+                            lmmse_column_sliced, lmmse_reduced,
+                            local_ap_weights, local_combining_stats,
+                            scene_covariance, stacked_channel,
+                            subcarrier_covariances, uplink_sinr,
+                            uplink_sinr_all)
 
 EPS = np.finfo(float).eps
 SAFETY = 8.0
@@ -132,11 +136,7 @@ def test_scene_covariance_is_built_once_and_read_only():
     np.testing.assert_array_equal(again, snapshot)
     # the cached matrix is the same arithmetic as an explicit build
     np.testing.assert_array_equal(
-        again, scene_covariance(scene, aps=range(scene.num_aps)))
-    # a subset build is independent of the cache and writable
-    sub = scene_covariance(scene, aps=[0, 2])
-    sub[0, 0] = 5.0
-    np.testing.assert_array_equal(scene_covariance(scene), snapshot)
+        again, dense.stacked_covariance(scene, range(scene.num_aps)))
 
 
 def precoder_tolerance(freq, sets, noise_var, assoc):
@@ -240,3 +240,172 @@ def test_dl_sinr_ofdm_matches_dense(M, K, N, gamma_u, shared, empty_ue,
         for g, w, b in zip(got, want, bounds):
             assert g.shape == w.shape
             assert np.all(np.abs(g - w) <= b * np.abs(w))
+
+
+# ---------------------------------------------------------------------------
+# association-restricted MMSE and local detection with CPU fusion
+
+@pytest.mark.parametrize("M,K,N,gamma_u,shared,empty_ue", CASES)
+def test_lmmse_column_sliced_matches_dense_inverse(M, K, N, gamma_u, shared,
+                                                   empty_ue):
+    rng = np.random.default_rng([41, M, K, N])
+    for _ in range(3):
+        scene = random_scene(rng, M, K, N, gamma_u, shared, empty_ue)
+        assoc = random_assoc(rng, M, K)
+        # the dense inverse and the batched solve each err by n * cond * eps
+        tol = SAFETY * M * N * np.linalg.cond(scene_covariance(scene)) * EPS
+        got = lmmse_column_sliced(scene, assoc)
+        want = dense.lmmse_column_sliced(scene, assoc)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.all(g[w == 0] == 0)
+            assert np.linalg.norm(g - w) <= tol * np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("M,K,N,gamma_u,shared,empty_ue", CASES)
+def test_lmmse_reduced_matches_dense_restricted_solve(M, K, N, gamma_u, shared,
+                                                      empty_ue):
+    rng = np.random.default_rng([42, M, K, N])
+    for _ in range(3):
+        scene = random_scene(rng, M, K, N, gamma_u, shared, empty_ue)
+        assoc = random_assoc(rng, M, K)
+        for k in range(K):
+            R = dense.stacked_covariance(scene, assoc.ap_sets[k])
+            tol = SAFETY * R.shape[0] * np.linalg.cond(R) * EPS
+            got = lmmse_reduced(scene, assoc, k)
+            want = dense.lmmse_reduced(scene, assoc, k)
+            assert got.shape == want.shape
+            # rows of unassociated APs stay exactly zero
+            assert np.all(got[want == 0] == 0)
+            assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("M,K,N,gamma_u,shared,empty_ue", CASES)
+def test_local_ap_weights_match_per_ap_model(M, K, N, gamma_u, shared,
+                                             empty_ue):
+    rng = np.random.default_rng([43, M, K, N])
+    scene = random_scene(rng, M, K, N, gamma_u, shared, empty_ue)
+    # a quotient by a sum of K + 1 positive terms, rounded by at most
+    # (K + 1) eps relative on each side
+    rtol = SAFETY * (K + 1) * EPS
+    for m in range(M):
+        for k in range(K):
+            got = local_ap_weights(scene, m, k)
+            want = dense.local_ap_weights(scene, m, k)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= rtol * np.abs(want))
+
+
+@pytest.mark.parametrize("M,K,N,gamma_u,shared,empty_ue", CASES)
+def test_local_stats_and_mrc_match_matrix_forms(M, K, N, gamma_u, shared,
+                                                empty_ue):
+    rng = np.random.default_rng([44, M, K, N])
+    rtol = SAFETY * (K + 1) * EPS
+    for _ in range(3):
+        scene = random_scene(rng, M, K, N, gamma_u, shared, empty_ue)
+        assoc = random_assoc(rng, M, K)
+        for k in range(K):
+            got = local_combining_stats(scene, assoc, k)
+            want = dense.local_combining_stats(scene, assoc, k)
+            lam = combining_lambdas(scene, assoc, k, "mrc")
+            lam_want = dense.mrc_lambdas(scene, assoc, k)
+            assert sorted(got) == sorted(want) == sorted(lam)
+            for m, (A, C) in want.items():
+                Ag, Cg = got[m]
+                assert Ag.shape == Cg.shape == A.shape
+                assert np.count_nonzero(Ag - np.diag(np.diag(Ag))) == 0
+                assert np.count_nonzero(Cg - np.diag(np.diag(Cg))) == 0
+                a, c = np.diag(A), np.diag(C)
+                # the matrix form subtracts the own term from [R_n]_mm,
+                # which amplifies its rounding by [R_n]_mm / C = |A / C|
+                amplify = np.abs(a / c)
+                assert np.all(np.abs(np.diag(Ag) - a) <= rtol * np.abs(a))
+                assert np.all(np.abs(np.diag(Cg) - c)
+                              <= rtol * amplify * np.abs(c))
+                assert np.all(np.abs(lam[m] - lam_want[m])
+                              <= rtol * amplify * np.abs(lam_want[m]))
+
+
+def fused_oracle_weights(scene, k, lambdas):
+    """Stacked conj(lambda_m) W_m from the per-AP oracle weights."""
+    N = scene.num_subcarriers
+    W = np.zeros((scene.num_aps * N, len(scene.subcarriers[k])), dtype=complex)
+    for m, lam in lambdas.items():
+        W[m * N:(m + 1) * N] = np.conj(lam) * dense.local_ap_weights(scene, m, k)
+    return W
+
+
+def all_lambdas(rng, scene, assoc, k):
+    """Every fusion mode's weights plus arbitrary complex per-AP weights."""
+    gains = rng.uniform(0.1, 1.0, scene.num_aps)
+    out = [combining_lambdas(scene, assoc, k, mode, gains=gains)
+           for mode in ("equal", "mrc", "large_scale_linear",
+                        "large_scale_sqrt")]
+    nk = len(scene.subcarriers[k])
+    out.append({m: rng.standard_normal(nk) + 1j * rng.standard_normal(nk)
+                for m in assoc.ap_sets[k]})
+    return out
+
+
+def combined_sinr_tolerance(scene, k, lambdas):
+    """Rounding bound of the fused gains and of their sums.
+
+    Each gain W^H b is a sum of at most M products whose factors the two
+    sides round differently by at most (K + 1) eps (the local diagonal),
+    so its squared magnitude carries a relative error of at most
+    2 (M + K + 1) eps (sum |W||b|)^2 / |W^H b|^2.  The bound adds those
+    over the desired term, every interfering symbol and the noise term,
+    plus one rounding per summed symbol, and doubles the total because
+    both sides round.
+    """
+    M, K, N = scene.freq.shape
+    W = fused_oracle_weights(scene, k, lambdas)
+    i = np.arange(W.shape[1])
+    exact, upper = [], []
+    for l in range(K):
+        B = stacked_channel(scene, l) * np.sqrt(scene.power[l])
+        exact.append(np.abs(W.conj().T @ B) ** 2)
+        upper.append((np.abs(W).T @ np.abs(B)) ** 2)
+    desired, desired_up = exact[k][i, i], upper[k][i, i]
+    exact[k][i, i] = upper[k][i, i] = 0.0
+    denom = (sum(e.sum(axis=1) for e in exact)
+             + np.sum(np.abs(W) ** 2, axis=0) / scene.gamma_u)
+    count = sum(len(s) for s in scene.subcarriers) + 1
+    return (4 * (M + K + 1) * EPS
+            * (desired_up / desired + sum(u.sum(axis=1) for u in upper) / denom
+               + 1.0)
+            + 2 * count * EPS)
+
+
+@pytest.mark.parametrize("M,K,N,gamma_u,shared,empty_ue", CASES)
+def test_combined_sinr_matches_symbol_loop(M, K, N, gamma_u, shared,
+                                           empty_ue):
+    rng = np.random.default_rng([45, M, K, N])
+    for _ in range(3):
+        scene = random_scene(rng, M, K, N, gamma_u, shared, empty_ue)
+        assoc = random_assoc(rng, M, K)
+        for k in range(K):
+            for lambdas in all_lambdas(rng, scene, assoc, k):
+                got = combined_sinr(scene, assoc, k, lambdas)
+                want = dense.combined_sinr(scene, k, lambdas)
+                bound = combined_sinr_tolerance(scene, k, lambdas)
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= bound * want)
+
+
+@pytest.mark.parametrize("M,K,N,gamma_u,shared,empty_ue", CASES)
+def test_combined_weights_equal_per_draw_fusion(M, K, N, gamma_u, shared,
+                                                empty_ue):
+    rng = np.random.default_rng([46, M, K, N])
+    scene = random_scene(rng, M, K, N, gamma_u, shared, empty_ue)
+    assoc = random_assoc(rng, M, K)
+    y = rng.standard_normal((20, M * N)) + 1j * rng.standard_normal((20, M * N))
+    for k in range(K):
+        for lambdas in all_lambdas(rng, scene, assoc, k):
+            got = y @ combined_weights(scene, k, lambdas).conj()
+            want = dense.fused_estimates(scene, k, lambdas, y)
+            # at most M products per entry, each factor off by (K + 1) eps
+            scale = np.abs(y) @ np.abs(fused_oracle_weights(scene, k, lambdas))
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want)
+                          <= SAFETY * (M + K + 1) * EPS * scale)

@@ -38,6 +38,13 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "trials" in err and "detector" in err
 
+    def test_non_numeric_value_is_reported(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"topology": {"num_aps": "4"}}))
+        assert main(["validate", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "topology.num_aps must be a number" in err
+
     def test_missing_file_is_an_error(self):
         with pytest.raises(SystemExit, match="cannot read"):
             main(["validate", "/nonexistent/path.json"])

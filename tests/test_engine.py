@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uccfsim.engine import (merge_scenario, results_to_csv,
+from uccfsim.engine import (DETECTORS, merge_scenario, results_to_csv,
                             results_to_table, run_scenario, scenario_hash,
                             set_by_path, sweep, sweep_to_plot_data,
                             trial_rng, validate_scenario)
@@ -31,6 +31,20 @@ class TestValidation:
     def test_demand_overflow_caught(self):
         bad = merge_scenario({**SMALL, "allocation": {"demands": 3}})
         assert any("demands" in e for e in validate_scenario(bad))
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"topology": {"num_aps": "4"}}, "topology.num_aps"),
+        ({"ofdm": {"num_subcarriers": None}}, "ofdm.num_subcarriers"),
+        ({"topology": {"noise_variance": True}}, "topology.noise_variance"),
+        ({"allocation": {"demands": ["2", 2]}}, "allocation.demands"),
+        ({"downlink": {"enabled": True, "secrecy_rho": "0.5"}},
+         "downlink.secrecy_rho"),
+    ])
+    def test_non_numeric_value_is_a_diagnostic(self, overrides, field):
+        errors = validate_scenario(merge_scenario(overrides))
+        assert any(e.startswith(field) for e in errors)
+        with pytest.raises(ValueError, match="invalid scenario"):
+            run_scenario(overrides)
 
     def test_secrecy_rho_range(self):
         bad = merge_scenario({**SMALL,
@@ -143,6 +157,28 @@ class TestPipelineOutputs:
             res = run_scenario(cfg)
             assert all(np.isfinite(rec["dl_sinr"]) for rec in res["records"])
 
+    @pytest.mark.parametrize("detector", DETECTORS)
+    def test_every_detector_gives_finite_rates_and_measured_sinr(self,
+                                                                 detector):
+        draws = 20 if detector == "apmp" else 2000
+        res = run_scenario({**SMALL, "trials": 3,
+                            "association": {"method": "large_scale",
+                                            "max_aps": 2},
+                            "uplink": {"detector": detector,
+                                       "symbol_draws": draws}})
+        for rec in res["records"]:
+            assert np.isfinite(rec["rate"])
+            assert rec["audit_pass"]
+            if detector in ("apmp", "none"):
+                continue
+            # the residual power is a mean of `draws` samples of |e|^2, whose
+            # relative spread is at most 1/sqrt(draws) (the complex Gaussian
+            # value; constant-modulus interference spreads less), so the
+            # measured SINR stays within five standard deviations
+            assert np.isfinite(rec["sinr_analytic"])
+            assert rec["sinr_empirical"] == pytest.approx(
+                rec["sinr_analytic"], rel=5 / np.sqrt(draws))
+
     def test_apmp_detector_records_iterations(self):
         cfg = {**SMALL, "trials": 1,
                "uplink": {"detector": "apmp", "symbol_draws": 10,
@@ -246,6 +282,12 @@ class TestAggregation:
         ratio = half_width(small) / half_width(large)
         # sqrt(10) ~ 3.2 expected; allow generous sampling slack
         assert 1.8 < ratio < 6.0
+
+    def test_aggregate_holds_builtin_numbers(self):
+        res = run_scenario({**SMALL, "trials": 3})
+        for stat in res["aggregate"].values():
+            values = stat.values() if isinstance(stat, dict) else [stat]
+            assert all(type(v) in (float, int) for v in values)
 
     def test_audit_fraction_is_one(self):
         res = run_scenario({**SMALL, "trials": 5})
