@@ -176,6 +176,7 @@ class AllocationPlan:
     ul_power: list = None                   # per-UE eta_kn arrays
     dl_power: np.ndarray = None             # per-(UE, subcarrier) Delta
     a0: float = None
+    dl_sinrs: list = None                   # per-UE symbol SINRs at dl_power
     objective: float = 0.0
     min_rates: np.ndarray = None
     feasibility: dict = field(default_factory=dict)
@@ -312,70 +313,61 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
                                expected_ap_element_powers, tmmse_central_ofdm)
         if noise_var is None:
             raise ValueError("downlink allocation needs noise_var")
-        total_symbols = int(sum(len(s) for s in subs))
+        # every transmitted symbol as a (UE, subcarrier) index pair
+        counts = np.array([len(s) for s in subs])
+        ks, ns = np.repeat(np.arange(K), counts), np.concatenate(subs)
         delta = np.zeros((K, N))
-        for k in range(K):
-            if len(subs[k]):
-                delta[k, subs[k]] = 1.0 / max(total_symbols, 1)
+        delta[ks, ns] = 1.0 / max(len(ns), 1)
 
         def build(delta_now):
             precoders = tmmse_central_ofdm(freq, subs, noise_var, delta_now,
                                            assoc=assoc)
-            elem = expected_ap_element_powers(precoders, subs)
+            elem = expected_ap_element_powers(precoders)
             if elem.sum() == 0:
-                return precoders, 0.0, [np.zeros(len(s)) for s in subs]
+                return 0.0, [np.zeros(len(s)) for s in subs]
             a0 = compute_a0(
                 elem.sum(axis=1), p_max,
                 element_powers=elem if p_max_element is not None else None,
                 element_max=p_max_element)
-            return precoders, a0, dl_sinr_ofdm(freq, precoders, subs, a0,
-                                               noise_var)
+            return a0, dl_sinr_ofdm(freq, precoders, subs, a0, noise_var)
 
         if objective == "sum_rate":
-            precoders, a0, sinrs = build(delta)
+            a0, sinrs = build(delta)
             for _ in range(max(refine_iterations, 0)):
-                flat_gain, keys = [], []
-                for k in range(K):
-                    for i, n in enumerate(subs[k]):
-                        flat_gain.append(sinrs[k][i] / max(delta[k, n], 1e-300))
-                        keys.append((k, n))
-                if not keys:
+                if not len(ns):
                     break
-                levels = allocate_power_waterfill(np.asarray(flat_gain), 1.0)
+                flat_gain = (np.concatenate(sinrs)
+                             / np.maximum(delta[ks, ns], 1e-300))
                 delta = np.zeros((K, N))
-                for (k, n), p in zip(keys, levels):
-                    delta[k, n] = p
-                precoders, a0, sinrs = build(delta)
+                delta[ks, ns] = allocate_power_waterfill(flat_gain, 1.0)
+                a0, sinrs = build(delta)
         elif objective == "max_min":
             served = [k for k in range(K) if len(subs[k])]
 
-            def evaluator(p):
+            def spread(p):
+                """UE powers split evenly over their symbols, within budget."""
                 d = np.zeros((K, N))
-                for k in served:
-                    d[k, subs[k]] = p[k] / len(subs[k])
-                total = d.sum()
-                if total > 1.0:
-                    d /= total
-                _, _, sinrs_now = build(d)
+                d[ks, ns] = p[ks] / counts[ks]
+                return d / d.sum() if d.sum() > 1.0 else d
+
+            def evaluator(p):
+                _, sinrs_now = build(spread(p))
                 out = np.full(K, np.inf)
                 for k in served:
-                    out[k] = np.min(sinrs_now[k]) if len(sinrs_now[k]) else 0.0
+                    out[k] = np.min(sinrs_now[k])
                 return out
 
             if served:
                 result = maxmin_power_control(evaluator, np.ones(K), maxmin_tol)
-                delta = np.zeros((K, N))
-                for k in served:
-                    delta[k, subs[k]] = result.powers[k] / len(subs[k])
-                if delta.sum() > 1.0:
-                    delta /= delta.sum()
-            precoders, a0, sinrs = build(delta)
+                delta = spread(result.powers)
+            a0, sinrs = build(delta)
         else:
             raise ValueError(f"unknown objective {objective!r}")
 
         rates = np.array([np.sum(np.log2(1.0 + np.asarray(g))) for g in sinrs])
         plan = AllocationPlan(assoc=assoc, subcarriers=subs, dl_power=delta,
-                              a0=a0, objective=float(rates.sum()),
+                              a0=a0, dl_sinrs=sinrs,
+                              objective=float(rates.sum()),
                               min_rates=min_rates)
         if objective == "max_min":
             plan.objective = float(min((np.min(g) for g in sinrs

@@ -58,6 +58,8 @@ def load_scenario(path: str, args) -> dict:
         overrides = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SystemExit(f"error: scenario file is not valid JSON: {exc}")
+    if not isinstance(overrides, dict):
+        raise SystemExit("error: scenario file must hold a JSON object")
     scenario = merge_scenario(overrides)
     if getattr(args, "seed", None) is not None:
         scenario["seed"] = args.seed
@@ -92,23 +94,15 @@ def parse_values(raw: str) -> list:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-
-    if args.command == "validate":
-        scenario = load_scenario(args.scenario, args)
-        errors = validate_scenario(scenario)
-        if errors:
-            for err in errors:
-                print(f"error: {err}", file=sys.stderr)
-            return 1
-        print("scenario ok")
-        return 0
-
     scenario = load_scenario(args.scenario, args)
     errors = validate_scenario(scenario)
     if errors:
         for err in errors:
             print(f"error: {err}", file=sys.stderr)
         return 1
+    if args.command == "validate":
+        print("scenario ok")
+        return 0
 
     if args.command == "run":
         result = run_scenario(scenario, workers=args.workers)

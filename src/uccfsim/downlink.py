@@ -2,13 +2,12 @@
 MMSE, the common amplification gain, and artificial-noise secrecy.
 
 Subcarrier-level functions work on an (M, K) channel matrix (one complex
-gain per AP-UE pair).  OFDM-level precoders are stored per UE as (M*N, N)
-matrices over the stacked AP outputs; that layout is storage only.
-Subcarriers do not couple, so the OFDM precoder solves N independent M x M
-systems as one batch, and the OFDM SINR reads each received subcarrier
-straight from the precoder columns.  Distributed precoders are computed
-per AP from that AP's local channels only; multi-antenna APs appear as an
-(M, U, K) channel tensor.
+gain per AP-UE pair).  Subcarriers do not couple, so an OFDM-level
+precoder is one (N, M, K) array: slice n is the subcarrier-level precoder
+of subcarrier n, solved for all N in one batch, and a UE's column is zero
+on every subcarrier it does not transmit on.  Distributed precoders are
+computed per AP from that AP's local channels only; multi-antenna APs
+appear as an (M, U, K) channel tensor.
 """
 
 from __future__ import annotations
@@ -47,11 +46,11 @@ def receive_mmse_weights(channels, noise_var):
 
 
 def tmmse_central_ofdm(freq, subcarrier_sets, noise_var, delta, assoc=None):
-    """OFDM-symbol-level MMSE precoding matrices, one (M*N, N) per UE.
+    """OFDM-symbol-level MMSE precoders, shape (N, M, K).
 
-    ``delta`` is (K, N); only the columns of a UE's assigned subcarriers
-    are ever transmitted.  Collapses to the subcarrier-level precoder at
-    N = 1.
+    ``delta`` is (K, N).  Slice n holds every UE's precoder on subcarrier
+    n; a UE's column is zero on subcarriers outside its set.  Collapses to
+    the subcarrier-level precoder at N = 1.
     """
     if noise_var <= 0:
         raise ValueError("noise variance must be positive")
@@ -68,13 +67,7 @@ def tmmse_central_ofdm(freq, subcarrier_sets, noise_var, delta, assoc=None):
     bracket = ((H.conj() * mask[:, None, :]) @ H.transpose(0, 2, 1)
                + noise_var * np.eye(M))
     X = np.linalg.solve(bracket, H.conj())               # (N, M, K)
-    diag = np.arange(N)
-    out = []
-    for k in range(K):
-        P = np.zeros((M, N, N), dtype=complex)
-        P[:, diag, diag] = X[:, :, k].T * np.sqrt(delta[k])
-        out.append(P.reshape(M * N, N))
-    return out
+    return X * (mask * np.sqrt(delta).T)[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -85,16 +78,11 @@ def expected_ap_powers_subcarrier(precoders) -> np.ndarray:
     return np.sum(np.abs(np.asarray(precoders)) ** 2, axis=1)
 
 
-def expected_ap_element_powers(precoders, subcarrier_sets) -> np.ndarray:
+def expected_ap_element_powers(precoders) -> np.ndarray:
     """Expected unamplified power of each OFDM output element, (M, N)."""
-    MN, N = precoders[0].shape
-    M = MN // N
-    out = np.zeros((M, N))
-    for k, P in enumerate(precoders):
-        for n in np.asarray(subcarrier_sets[k], dtype=int):
-            col = P[:, n].reshape(M, N)      # AP-major stacking
-            out[:, n] += np.abs(col[:, n]) ** 2
-    return out
+    powers = np.abs(np.asarray(precoders)) ** 2
+    # row-major, so that per-AP totals over N reduce pairwise
+    return np.ascontiguousarray(powers.sum(axis=2).T)
 
 
 def compute_a0(total_powers, p_max, element_powers=None, element_max=None) -> float:
@@ -136,25 +124,14 @@ def dl_sinr_subcarrier(channels, precoders, a0, noise_var) -> np.ndarray:
 def dl_sinr_ofdm(freq, precoders, subcarrier_sets, a0, noise_var):
     """Per-UE arrays of per-symbol SINR for the OFDM-level transmission."""
     freq = np.asarray(freq, dtype=complex)
-    M, K, N = freq.shape
-    sets = [np.asarray(s, dtype=int) for s in subcarrier_sets]
-    # every transmitted stream (l, j in S_l) as an (M, N) AP-output column
-    streams = np.concatenate([np.asarray(P)[:, s]
-                              for P, s in zip(precoders, sets)], axis=1)
-    streams = streams.reshape(M, N, -1)
-    out = []
-    first = 0
-    for k, s in enumerate(sets):
-        # UE k hears subcarrier n through sum_m h_mkn * stream[m, n]
-        gain = np.abs(np.einsum("mi,mis->is", freq[:, k, s],
-                                streams[:, s, :])) ** 2  # (N_k, streams)
-        rows = np.arange(len(s))
-        own = first + rows
-        desired = gain[rows, own]
-        gain[rows, own] = 0.0
-        out.append(desired / (gain.sum(axis=1) + noise_var / a0**2))
-        first += len(s)
-    return out
+    K = freq.shape[1]
+    # gain[n, k, l]: UE k hears stream l on subcarrier n through h_kn^T p_ln
+    gain = np.abs(np.einsum("mkn,nml->nkl", freq, precoders)) ** 2
+    desired = np.diagonal(gain, axis1=1, axis2=2).copy()
+    gain[:, np.arange(K), np.arange(K)] = 0.0
+    sinr = desired / (gain.sum(axis=2) + noise_var / a0**2)        # (N, K)
+    return [sinr[np.asarray(s, dtype=int), k]
+            for k, s in enumerate(subcarrier_sets)]
 
 
 def dl_sum_rate(sinrs) -> float:

@@ -91,13 +91,50 @@ NUMERIC_FIELDS = ("topology.num_aps", "topology.num_ues",
                   "association.radius", "downlink.p_max",
                   "training.num_symbols", "training.pilot_power")
 
+# the fields that name one of a fixed set of choices
+CHOICES = {"topology.layout": ("uniform", "grid"),
+           "channel.pathloss": ("double_slope", "triple_slope"),
+           "association.method": ("distance", "large_scale"),
+           "allocation.objective": ("sum_rate", "max_min"),
+           "allocation.mode": ("exclusive", "shared"),
+           "uplink.detector": DETECTORS,
+           "uplink.constellation": tuple(CONSTELLATIONS)}
+
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _check_keys(node, defaults, prefix, errors) -> bool:
+    """Report unknown keys and non-object sections under their dotted
+    paths; True when every section is an object."""
+    sections_ok = True
+    for key, value in node.items():
+        path = f"{prefix}{key}"
+        if key not in defaults:
+            import difflib
+            close = difflib.get_close_matches(str(key), list(defaults), n=1)
+            hint = f"; did you mean {prefix}{close[0]}?" if close else ""
+            errors.append(f"{path} is not a known key{hint}")
+        elif isinstance(defaults[key], dict):
+            if isinstance(value, dict):
+                sections_ok &= _check_keys(value, defaults[key], path + ".",
+                                           errors)
+            else:
+                errors.append(f"{path} must be an object, not {value!r}")
+                sections_ok = False
+    return sections_ok
+
+
 def validate_scenario(scenario) -> list:
-    """Structured list of config problems; empty means runnable."""
+    """Structured list of config problems; empty means runnable.
+
+    Every message starts with the dotted path of the offending field.
+    """
     errors = []
     sc = scenario
 
@@ -105,8 +142,18 @@ def validate_scenario(scenario) -> list:
         if not cond:
             errors.append(msg)
 
+    if not _check_keys(sc, DEFAULT_SCENARIO, "", errors):
+        # the checks below read fields inside every section
+        return errors
     need(isinstance(sc.get("trials"), int) and sc["trials"] >= 1,
          "trials must be an integer >= 1")
+    need(_is_count(sc.get("seed", 0)), "seed must be an integer >= 0")
+    need(_is_count(sc.get("uplink", {}).get("symbol_draws", 0)),
+         "uplink.symbol_draws must be an integer >= 0")
+    for path, names in CHOICES.items():
+        section, key = path.split(".")
+        if sc.get(section, {}).get(key) not in names:
+            errors.append(f"{path} must be one of {names}")
     checked = len(errors)
     for path in NUMERIC_FIELDS:
         section, key = path.split(".")
@@ -126,33 +173,24 @@ def validate_scenario(scenario) -> list:
     for key in ("max_ue_power", "max_ap_power", "noise_variance"):
         need(topo.get(key, 0) > 0, f"topology.{key} must be positive")
     ch = sc.get("channel", {})
-    need(ch.get("pathloss") in ("double_slope", "triple_slope"),
-         "channel.pathloss must be double_slope or triple_slope")
     need(ch.get("shadowing_std_db", 0) >= 0,
          "channel.shadowing_std_db must be nonnegative")
     N = sc.get("ofdm", {}).get("num_subcarriers", 0)
     need(N >= 1, "ofdm.num_subcarriers must be >= 1")
     need(ch.get("num_taps", 1) <= N, "channel.num_taps must not exceed N")
     assoc = sc.get("association", {})
-    need(assoc.get("method") in ("distance", "large_scale"),
-         "association.method must be distance or large_scale")
     if assoc.get("method") == "distance":
         need(assoc.get("radius", 0) > 0, "association.radius must be positive")
     else:
         need(assoc.get("max_aps") or assoc.get("min_gain") is not None,
              "association needs max_aps and/or min_gain")
-    al = sc.get("allocation", {})
-    need(al.get("objective") in ("sum_rate", "max_min"),
-         "allocation.objective must be sum_rate or max_min")
-    demands = al.get("demands", 0)
+    demands = sc.get("allocation", {}).get("demands", 0)
     if isinstance(demands, int):
         total = demands * topo.get("num_ues", 0)
     else:
         total = sum(demands)
-    if al.get("mode", "exclusive") == "exclusive":
-        need(total <= N, "allocation.demands exceed the subcarriers")
-    need(sc.get("uplink", {}).get("detector") in DETECTORS,
-         f"uplink.detector must be one of {DETECTORS}")
+    # checked in both modes: one shared component may hold every UE
+    need(total <= N, "allocation.demands exceed the subcarriers")
     dl = sc.get("downlink", {})
     if dl.get("enabled"):
         need(dl.get("precoder") in PRECODERS,
@@ -318,7 +356,7 @@ def _detect_uplink(scenario, scene, assoc, gains, rng):
     return out
 
 
-def _run_downlink(scenario, real, assoc, plan, rng):
+def _run_downlink(scenario, real, assoc, components, rng):
     cfg = scenario["downlink"]
     noise_var = scenario["topology"]["noise_variance"]
     K = real.gains.shape[1]
@@ -331,13 +369,8 @@ def _run_downlink(scenario, real, assoc, plan, rng):
             noise_var=noise_var, p_max=cfg["p_max"],
             p_max_element=cfg["p_max_element"],
             min_rates=scenario["allocation"]["min_rates"],
-            mode=scenario["allocation"]["mode"])
-        precoders = downlink.tmmse_central_ofdm(
-            real.freq, dl_plan.subcarriers, noise_var, dl_plan.dl_power,
-            assoc=assoc)
-        sinrs = downlink.dl_sinr_ofdm(real.freq, precoders,
-                                      dl_plan.subcarriers, dl_plan.a0,
-                                      noise_var)
+            mode=scenario["allocation"]["mode"], components=components)
+        sinrs = dl_plan.dl_sinrs
         for k in range(K):
             result["dl_sinr"][k] = (float(np.mean(sinrs[k]))
                                     if len(sinrs[k]) else 0.0)
@@ -402,6 +435,9 @@ def run_trial(scenario, trial: int) -> list:
     if scenario["training"]["enabled"]:
         hf, nmse = _estimate_channels(scenario, real, assoc, rng)
 
+    components = (topology.build_factor_graph(assoc).components
+                  if scenario["allocation"]["mode"] == "shared" else None)
+
     # plan with the global evaluator regardless of detector, so that
     # detector comparisons on a shared seed run identical allocations
     gamma_u = topo.max_ue_power / topo.noise_variance
@@ -410,7 +446,7 @@ def run_trial(scenario, trial: int) -> list:
         objective=scenario["allocation"]["objective"], direction="ul",
         gamma_u=gamma_u, detector="gmmse",
         min_rates=scenario["allocation"]["min_rates"],
-        mode=scenario["allocation"]["mode"],
+        mode=scenario["allocation"]["mode"], components=components,
         refine_iterations=scenario["allocation"]["refine_iterations"])
 
     scene = uplink.UplinkScene(freq=hf, subcarriers=plan.subcarriers,
@@ -421,7 +457,7 @@ def run_trial(scenario, trial: int) -> list:
           "dl_sinr": np.full(topo.num_ues, np.nan), "leakage": np.nan}
     audit_pass = plan.audit.get("pass", False)
     if scenario["downlink"]["enabled"]:
-        dl = _run_downlink(scenario, real, assoc, plan, rng)
+        dl = _run_downlink(scenario, real, assoc, components, rng)
         if "plan" in dl:
             audit_pass = audit_pass and dl["plan"].audit.get("pass", False)
 

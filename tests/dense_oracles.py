@@ -40,6 +40,22 @@ def stacked_dl_channel(freq, k) -> np.ndarray:
     return H
 
 
+def stacked_precoders(precoders) -> list:
+    """Per-subcarrier (N, M, K) precoders as one (M*N, N) matrix per UE.
+
+    Column n of UE k's matrix carries its precoder on subcarrier n in the
+    AP-major rows m*N + n; every other entry is zero.
+    """
+    P = np.asarray(precoders)
+    N, M, K = P.shape
+    out = []
+    for k in range(K):
+        S = np.zeros((M, N, N), dtype=complex)
+        S[:, np.arange(N), np.arange(N)] = P[:, :, k].T
+        out.append(S.reshape(M * N, N))
+    return out
+
+
 def tmmse_central_ofdm(freq, subcarrier_sets, noise_var, delta, assoc=None):
     """OFDM MMSE precoders, one (M*N, N) per UE, from the stacked bracket."""
     freq = np.asarray(freq, dtype=complex)

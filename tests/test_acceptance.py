@@ -115,7 +115,7 @@ def test_criterion_2_reductions():
         P_ofdm = tmmse_central_ofdm(h, [[0], [0]], noise, delta)
         P_flat = tmmse_central_subcarrier(h[:, :, 0], noise, delta[:, 0])
         for k in range(2):
-            assert np.allclose(P_ofdm[k][:, 0], P_flat[:, k], atol=1e-12)
+            assert np.allclose(P_ofdm[0, :, k], P_flat[:, k], atol=1e-12)
 
 
 @criterion(3, "oracle equivalence")

@@ -253,8 +253,28 @@ class TestPipeline:
                                       tmmse_central_ofdm)
         P = tmmse_central_ofdm(freq, plan.subcarriers, 0.1, plan.dl_power,
                                assoc=assoc)
-        elem = expected_ap_element_powers(P, plan.subcarriers)
+        elem = expected_ap_element_powers(P)
         assert np.all(plan.a0**2 * elem.sum(axis=1) <= 1.0 + 1e-9)
+
+    @pytest.mark.parametrize("objective,element_max", [
+        ("sum_rate", None), ("sum_rate", 0.2), ("max_min", None)])
+    def test_dl_plan_keeps_the_sinrs_of_its_final_precoders(self, objective,
+                                                            element_max):
+        from uccfsim.downlink import dl_sinr_ofdm, tmmse_central_ofdm
+        rng = np.random.default_rng(12)
+        freq = (rng.standard_normal((3, 3, 6))
+                + 1j * rng.standard_normal((3, 3, 6)))
+        assoc = AssociationMap.from_ap_sets([[0, 1], [1, 2], [0, 2]],
+                                            num_aps=3)
+        plan = successive_optimize(freq, assoc, demands=2, direction="dl",
+                                   noise_var=0.1, objective=objective,
+                                   p_max_element=element_max)
+        P = tmmse_central_ofdm(freq, plan.subcarriers, 0.1, plan.dl_power,
+                               assoc=assoc)
+        fresh = dl_sinr_ofdm(freq, P, plan.subcarriers, plan.a0, 0.1)
+        assert len(plan.dl_sinrs) == len(fresh) == 3
+        for kept, again in zip(plan.dl_sinrs, fresh):
+            np.testing.assert_array_equal(kept, again)
 
     def test_dl_maxmin_runs_and_audits(self):
         rng = np.random.default_rng(10)

@@ -174,11 +174,32 @@ def test_tmmse_central_ofdm_matches_dense(M, K, N, gamma_u, shared, empty_ue,
         got = tmmse_central_ofdm(freq, sets, noise_var, delta, assoc=assoc)
         want = dense.tmmse_central_ofdm(freq, sets, noise_var, delta,
                                         assoc=assoc)
-        for g, w in zip(got, want):
+        assert got.shape == (N, M, K)
+        for g, w, s in zip(dense.stacked_precoders(got), want, sets):
             assert g.shape == w.shape == (M * N, N)
             # the stacked layout keeps its exact zeros off the diagonal
             assert np.all(g[w == 0] == 0)
+            # only the assigned subcarriers' columns are transmitted
+            g, w = g[:, s], w[:, s]
             assert np.linalg.norm(g - w) <= tol * np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("M,K,N,gamma_u,shared,empty_ue", CASES)
+def test_tmmse_central_ofdm_is_zero_off_the_assignment(M, K, N, gamma_u,
+                                                       shared, empty_ue):
+    rng = np.random.default_rng([22, M, K, N])
+    for _ in range(3):
+        freq = (rng.standard_normal((M, K, N))
+                + 1j * rng.standard_normal((M, K, N)))
+        sets = random_sets(rng, K, N, shared, empty_ue)
+        # a power on every subcarrier, so the mask alone must zero the rest
+        delta = rng.uniform(0.05, 1.0, (K, N))
+        P = tmmse_central_ofdm(freq, sets, 1.0 / gamma_u, delta,
+                               assoc=random_assoc(rng, M, K))
+        for k, s in enumerate(sets):
+            off = np.setdiff1d(np.arange(N), s)
+            assert np.all(P[off, :, k] == 0)
+            assert np.all(np.any(P[s, :, k] != 0, axis=1))
 
 
 def dl_sinr_tolerance(freq, precoders, sets, a0, noise_var):
@@ -229,14 +250,17 @@ def test_dl_sinr_ofdm_matches_dense(M, K, N, gamma_u, shared, empty_ue,
                 freq, sets, noise_var, rng.uniform(0.05, 1.0, (K, N)),
                 assoc=random_assoc(rng, M, K))
         else:
-            # no block structure at all: every AP output mixes every stream
-            precoders = [rng.standard_normal((M * N, N))
-                         + 1j * rng.standard_normal((M * N, N))
-                         for _ in range(K)]
+            # arbitrary per-subcarrier precoders, masked to the assignment
+            mask = np.zeros((N, 1, K))
+            for k, s in enumerate(sets):
+                mask[s, 0, k] = 1.0
+            precoders = mask * (rng.standard_normal((N, M, K))
+                                + 1j * rng.standard_normal((N, M, K)))
+        stacked = dense.stacked_precoders(precoders)
         a0 = float(rng.uniform(0.5, 2.0))
         got = dl_sinr_ofdm(freq, precoders, sets, a0, noise_var)
-        want = dense.dl_sinr_ofdm(freq, precoders, sets, a0, noise_var)
-        bounds = dl_sinr_tolerance(freq, precoders, sets, a0, noise_var)
+        want = dense.dl_sinr_ofdm(freq, stacked, sets, a0, noise_var)
+        bounds = dl_sinr_tolerance(freq, stacked, sets, a0, noise_var)
         for g, w, b in zip(got, want, bounds):
             assert g.shape == w.shape
             assert np.all(np.abs(g - w) <= b * np.abs(w))

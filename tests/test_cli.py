@@ -45,6 +45,21 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "topology.num_aps must be a number" in err
 
+    def test_typo_gets_a_hint_not_a_traceback(self, tmp_path, capsys):
+        bad = tmp_path / "typo.json"
+        bad.write_text(json.dumps({"uplink": {"detectr": "gmmse"}}))
+        assert main(["validate", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "uplink.detectr is not a known key" in err
+        assert "did you mean uplink.detector?" in err
+        assert "Traceback" not in err
+
+    def test_non_object_file_is_an_error(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(SystemExit, match="must hold a JSON object"):
+            main(["validate", str(path)])
+
     def test_missing_file_is_an_error(self):
         with pytest.raises(SystemExit, match="cannot read"):
             main(["validate", "/nonexistent/path.json"])

@@ -12,7 +12,7 @@ from uccfsim.downlink import (artificial_noise_direction, compute_a0,
                               tmmse_central_ofdm, tmmse_central_subcarrier)
 from uccfsim.topology import AssociationMap
 
-from dense_oracles import stacked_dl_channel
+from dense_oracles import stacked_dl_channel, stacked_precoders
 
 
 def random_channels(rng, M, K):
@@ -67,7 +67,7 @@ class TestCentralOfdm:
         P_ofdm = tmmse_central_ofdm(h[:, :, None], [[0], [0]], 0.2,
                                     np.array([[0.3], [0.7]]))
         for k in range(2):
-            assert np.allclose(P_ofdm[k][:, 0], P_flat[:, k], atol=1e-12)
+            assert np.allclose(P_ofdm[0, :, k], P_flat[:, k], atol=1e-12)
 
     def test_blockwise_matches_per_subcarrier_solves(self):
         rng = np.random.default_rng(4)
@@ -79,7 +79,7 @@ class TestCentralOfdm:
         for n in range(N):
             flat = tmmse_central_subcarrier(freq[:, :, n], 0.4, delta[:, n])
             for k in range(K):
-                got = P[k][:, n].reshape(M, N)[:, n]
+                got = P[n, :, k]
                 assert np.allclose(got, flat[:, k], atol=1e-10)
 
     def test_defining_identity(self):
@@ -95,10 +95,11 @@ class TestCentralOfdm:
             mask = np.zeros(N)
             mask[sets[l]] = 1.0
             bracket += (H.conj() * mask) @ H.T
-        for k in range(K):
+        for k, Pk in enumerate(stacked_precoders(P)):
             H = stacked_dl_channel(freq, k)
-            rhs = H.conj() * np.sqrt(delta[k])
-            assert np.linalg.norm(bracket @ P[k] - rhs) / np.linalg.norm(rhs) < 1e-11
+            rhs = (H.conj() * np.sqrt(delta[k]))[:, sets[k]]
+            lhs = bracket @ Pk[:, sets[k]]
+            assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-11
 
 
 class TestAmplificationGain:
@@ -336,13 +337,13 @@ class TestElementPowers:
         sets = [[0, 2], [1]]
         delta = np.full((K, N), 0.2)
         P = tmmse_central_ofdm(freq, sets, 0.3, delta)
-        elem = expected_ap_element_powers(P, sets)
+        elem = expected_ap_element_powers(P)
         # direct accumulation over transmitted columns
         expect = np.zeros((M, N))
         for k, s in enumerate(sets):
             for n in s:
                 for m in range(M):
-                    expect[m, n] += np.abs(P[k][m * N + n, n]) ** 2
+                    expect[m, n] += np.abs(P[n, m, k]) ** 2
         assert np.allclose(elem, expect)
         a0 = compute_a0(elem.sum(axis=1), 1.0, element_powers=elem,
                         element_max=0.5)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from uccfsim import alloc, engine
 from uccfsim.engine import (DETECTORS, merge_scenario, results_to_csv,
                             results_to_table, run_scenario, scenario_hash,
                             set_by_path, sweep, sweep_to_plot_data,
@@ -43,6 +44,42 @@ class TestValidation:
     def test_non_numeric_value_is_a_diagnostic(self, overrides, field):
         errors = validate_scenario(merge_scenario(overrides))
         assert any(e.startswith(field) for e in errors)
+        with pytest.raises(ValueError, match="invalid scenario"):
+            run_scenario(overrides)
+
+    @pytest.mark.parametrize("overrides,field,hint", [
+        ({"topology": "x"}, "topology", "must be an object"),
+        ({"uplink": {"apmp": 3}}, "uplink.apmp", "must be an object"),
+        ({"topologyy": {"num_aps": 4}}, "topologyy", "did you mean topology?"),
+        ({"uplink": {"detectr": "gmmse"}}, "uplink.detectr",
+         "did you mean uplink.detector?"),
+        ({"uplink": {"apmp": {"dampng": 0.1}}}, "uplink.apmp.dampng",
+         "did you mean uplink.apmp.damping?"),
+        ({"uplink": {"constellation": "bogus"}}, "uplink.constellation",
+         "must be one of"),
+        ({"uplink": {"symbol_draws": "abc"}}, "uplink.symbol_draws",
+         "integer >= 0"),
+        ({"uplink": {"symbol_draws": -1}}, "uplink.symbol_draws",
+         "integer >= 0"),
+        ({"seed": -3}, "seed", "integer >= 0"),
+        ({"seed": 1.5}, "seed", "integer >= 0"),
+        ({"topology": {"layout": "hex"}}, "topology.layout", "must be one of"),
+        ({"allocation": {"mode": "both"}}, "allocation.mode",
+         "must be one of"),
+        ({"uplink": {"constellation": ["qpsk"]}}, "uplink.constellation",
+         "must be one of"),
+        ({"allocation": {"mode": "shared", "demands": 5}},
+         "allocation.demands", "exceed"),
+    ])
+    def test_malformed_scenario_is_a_diagnostic(self, overrides, field, hint,
+                                                monkeypatch):
+        errors = validate_scenario(merge_scenario(overrides))
+        assert any(e.startswith(field) and hint in e for e in errors), errors
+
+        def no_trial(*args):
+            raise AssertionError("a trial ran on an invalid scenario")
+
+        monkeypatch.setattr(engine, "run_trial", no_trial)
         with pytest.raises(ValueError, match="invalid scenario"):
             run_scenario(overrides)
 
@@ -178,6 +215,24 @@ class TestPipelineOutputs:
             assert np.isfinite(rec["sinr_analytic"])
             assert rec["sinr_empirical"] == pytest.approx(
                 rec["sinr_analytic"], rel=5 / np.sqrt(draws))
+
+    def test_shared_mode_runs_and_plans_per_component(self, monkeypatch):
+        seen = []
+        optimize = alloc.successive_optimize
+
+        def spy(*args, **kwargs):
+            seen.append((kwargs.get("direction"), kwargs["components"]))
+            return optimize(*args, **kwargs)
+
+        monkeypatch.setattr(alloc, "successive_optimize", spy)
+        res = run_scenario({**SMALL, "trials": 4,
+                            "allocation": {"mode": "shared", "demands": 2},
+                            "downlink": {"enabled": True}})
+        assert [d for d, _ in seen] == ["ul", "dl"] * 4
+        assert all(c for _, c in seen)
+        for rec in res["records"]:
+            assert rec["audit_pass"]
+            assert np.isfinite(rec["rate"]) and np.isfinite(rec["dl_rate"])
 
     def test_apmp_detector_records_iterations(self):
         cfg = {**SMALL, "trials": 1,
