@@ -1,18 +1,24 @@
 """AP message-passing detection on the AP-UE factor graph.
 
-Each AP holds a local Gaussian likelihood over the symbols of its
-associated UEs (per subcarrier, subcarriers do not couple).  APs exchange
-per-UE, per-symbol extrinsic log-likelihood vectors with the adjacent APs
-that monitor the same UE, under a flooding schedule: every round, each AP
-re-marginalizes its local likelihood against the latest messages from the
-other APs, excluding its own previous contribution.  On cycle-free graphs
-the resulting beliefs are the exact posterior marginals.
+Each AP holds a local Gaussian likelihood over the symbols of its associated
+UEs, one factor per (AP, subcarrier): subcarriers do not couple.  Under a
+flooding schedule, every round each factor re-marginalizes its likelihood
+against the latest messages the other APs sent about its co-monitored
+symbols, excluding its own AP's contribution (Kschischang, Frey & Loeliger,
+IEEE Trans. IT 2001).  On cycle-free graphs the beliefs are the exact
+posterior marginals.
+
+The graph is an :class:`EdgeIndex`, built once per (scene, association,
+constellation): AP-major edges, a padded table of each edge's siblings
+(same symbol, other APs) for the extrinsic priors, and the factors grouped
+by degree d with their Q**d joint tables.  Messages are one (edges, Q)
+array; a round is one log-sum-exp over the joint table per participant
+position of each degree group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -34,10 +40,15 @@ class ApmpConfig:
     record_trace: bool = False   # keep per-round belief snapshots
 
     def __post_init__(self):
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
+        if (not isinstance(self.max_iterations, (int, np.integer))
+                or self.max_iterations < 0):
+            raise ValueError("max_iterations must be an integer >= 0")
         if not 0.0 <= self.damping < 1.0:
             raise ValueError("damping must lie in [0, 1)")
+        if not self.tol >= 0.0:
+            raise ValueError("tol must be >= 0")
+        if not self.llr_clamp > 0.0:
+            raise ValueError("llr_clamp must be > 0")
 
 
 @dataclass
@@ -51,106 +62,123 @@ class ApmpResult:
     undetected: frozenset = frozenset()
 
 
-class _Layout:
-    """Precomputed slot/participant bookkeeping for one scene."""
+def _slot_of(scene) -> list:
+    """Per UE: subcarrier -> slot index."""
+    return [{int(n): i for i, n in enumerate(s)} for s in scene.subcarriers]
 
-    def __init__(self, scene, assoc):
-        self.scene = scene
-        self.assoc = assoc
-        M, N = scene.num_aps, scene.num_subcarriers
-        self.slot_of = []
-        for k in range(scene.num_ues):
-            table = {int(n): i for i, n in enumerate(scene.subcarriers[k])}
-            self.slot_of.append(table)
-        self.participants = {}
-        for m in range(M):
-            for n in range(N):
-                who = [k for k in assoc.ue_sets[m] if n in self.slot_of[k]]
+
+def _joint_table(Q, d) -> np.ndarray:
+    """Every combination of d symbol indices, (Q**d, d), last one fastest."""
+    return np.indices((Q,) * d).reshape(d, -1).T
+
+
+def _joint_means(amp, pts, table) -> np.ndarray:
+    """Noise-free receptions sum_j amp[:, j] * pts[table[:, j]], (F, C)."""
+    mean = amp[:, :1] * pts[table[:, 0]]
+    for j in range(1, table.shape[1]):
+        mean = mean + amp[:, j:j + 1] * pts[table[:, j]]
+    return mean
+
+
+def _marginalize(joint, p):
+    """Log-marginal (F, Q) of position p of an (F, Q, ..., Q) log table."""
+    a = np.moveaxis(joint, 1 + p, 1).reshape(joint.shape[:2] + (-1,))
+    peak = a.max(axis=2, keepdims=True)
+    return (peak + np.log(np.exp(a - peak).sum(axis=2, keepdims=True)))[..., 0]
+
+
+def _normalize(v, clamp):
+    return (v - v[:, :1]).clip(-clamp, clamp)
+
+
+class EdgeIndex:
+    """The factor graph of one (scene, association, constellation).
+
+    Edge e joins factor (AP m, subcarrier n) to slot i of UE k; edges run
+    AP-major, then by subcarrier, then by UE, and ``edge[(m, k, i)]`` is e.
+    ``slots`` lists the (UE, slot) symbols, UE-major, and ``slot[e]`` is the
+    row of edge e's symbol in it.
+    """
+
+    def __init__(self, scene, assoc, points="bpsk"):
+        self.pts = constellation(points)
+        self.gamma_u = scene.gamma_u
+        Q, K = len(self.pts), scene.num_ues
+        slot_of = _slot_of(scene)
+        edges, factors = [], []
+        for m in range(scene.num_aps):
+            for n in range(scene.num_subcarriers):
+                who = [k for k in assoc.ue_sets[m] if n in slot_of[k]]
                 if who:
-                    self.participants[(m, n)] = who
-        self.edges = [(m, k, i)
-                      for (m, n), who in self.participants.items()
-                      for k in who
-                      for i in [self.slot_of[k][n]]]
+                    factors.append((len(edges), len(who)))
+                    edges += [(m, k, slot_of[k][n]) for k in who]
+        E = len(edges)
+        self.edge = {key: e for e, key in enumerate(edges)}
+        self.slots = sorted({(k, i) for _, k, i in edges})
+        row = {s: r for r, s in enumerate(self.slots)}
+        self.slot = np.array([row[(k, i)] for _, k, i in edges], dtype=int)
+        # edges are AP-major, so a symbol's first edge is its lowest-index AP
+        self.designated = np.unique(self.slot, return_index=True)[1]
+        bounds = np.searchsorted([k for k, _ in self.slots], np.arange(K + 1))
+        self.ue_rows = [slice(lo, hi) if hi > lo else None
+                        for lo, hi in zip(bounds, bounds[1:])]
+        self.undetected = frozenset(k for k in range(K) if not assoc.ap_sets[k])
 
-    def amplitude(self, m, k, n):
-        i = self.slot_of[k][n]
-        return np.sqrt(self.scene.power[k][i]) * self.scene.freq[m, k, n]
+        # sibling edges in ascending AP order, padded with E (a zero row)
+        sibs = [[self.edge[(j, k, i)] for j in assoc.ap_sets[k] if j != m]
+                for m, k, i in edges]
+        width = max(map(len, sibs), default=0)
+        self.siblings = np.array([s + [E] * (width - len(s)) for s in sibs],
+                                 dtype=int).reshape(E, width)
+
+        m_e, k_e, _ = np.array(edges, dtype=int).reshape(E, 3).T
+        n_e = np.array([scene.subcarriers[k][i] for _, k, i in edges], dtype=int)
+        power = np.array([scene.power[k][i] for _, k, i in edges], dtype=float)
+        amp = np.sqrt(power) * scene.freq[m_e, k_e, n_e]
+        self.groups = []
+        for d in sorted({deg for _, deg in factors}):
+            if Q ** d > _LOCAL_GUARD:
+                raise ValueError("local marginalization too large")
+            first = np.array([e for e, deg in factors if deg == d])
+            grp = first[:, None] + np.arange(d)
+            table = _joint_table(Q, d)
+            # (F, d) participant edges, each factor's y entry, joint means
+            self.groups.append((grp, (m_e[first], n_e[first]),
+                                _joint_means(amp[grp], self.pts, table), table))
 
 
-def _normalize(vec, clamp):
-    v = vec - vec[0]
-    return np.clip(v, -clamp, clamp)
+def message_round(index, y, messages, config: ApmpConfig) -> np.ndarray:
+    """One flooding round: every factor's message along every edge, (E, Q).
 
-
-def _logsumexp(a, axis=0):
-    peak = np.max(a, axis=axis, keepdims=True)
-    return (peak + np.log(np.sum(np.exp(a - peak), axis=axis,
-                                 keepdims=True))).squeeze(axis)
-
-
-def _fn_messages_at(layout, m, n, y_mn, priors, pts, gamma_u, clamp):
-    """Messages from AP m about every UE it monitors on subcarrier n.
-
-    ``priors`` maps (ue, slot) -> incoming log-prob vector used for the
-    co-monitored UEs during marginalization.
+    ``messages`` is the previous round's (E, Q) array, or None for the
+    intrinsic (uniform-prior) round.  A factor's message about a symbol
+    never reads what its own AP received about that symbol, only the other
+    APs' messages about the co-monitored symbols.
     """
-    who = layout.participants[(m, n)]
-    Q = len(pts)
-    if Q ** len(who) > _LOCAL_GUARD:
-        raise ValueError("local marginalization too large")
-    coefs = np.array([layout.amplitude(m, k, n) for k in who])
-    out = {}
-    for pos, k in enumerate(who):
-        others = [j for j in range(len(who)) if j != pos]
-        msg = np.empty(Q)
-        if not others:
-            msg = -gamma_u * np.abs(y_mn - coefs[pos] * pts) ** 2
-        else:
-            combos = np.array(list(product(range(Q), repeat=len(others))))
-            partial = (pts[combos] * coefs[others]).sum(axis=1)
-            slots = [layout.slot_of[who[j]][n] for j in others]
-            prior = np.zeros(len(combos))
-            for col, j in enumerate(others):
-                prior = prior + priors[(who[j], slots[col])][combos[:, col]]
-            for q in range(Q):
-                ll = -gamma_u * np.abs(y_mn - partial - coefs[pos] * pts[q]) ** 2
-                msg[q] = _logsumexp(ll + prior)
-        out[(k, layout.slot_of[k][n])] = _normalize(msg, clamp)
+    E, Q = len(index.slot), len(index.pts)
+    out = np.empty((E, Q))
+    prior = None
+    for edges, at, mean, table in index.groups:
+        F, d = edges.shape
+        ll = -index.gamma_u * np.abs(y[at][:, None] - mean) ** 2
+        if d == 1:
+            out[edges[:, 0]] = _normalize(ll, config.llr_clamp)
+            continue
+        if prior is None:
+            # row E, which the padding points at, stays zero
+            prior = np.zeros((E + 1, Q))
+            if messages is not None:
+                prior[:E] = messages
+                prior = prior[index.siblings].sum(axis=1)
+        for p in range(d):
+            joint = ll + sum(prior[edges[:, j]][:, table[:, j]]
+                             for j in range(d) if j != p)
+            out[edges[:, p]] = _normalize(_marginalize(
+                joint.reshape((F,) + (Q,) * d), p), config.llr_clamp)
+    if messages is not None and config.damping > 0:
+        out = _normalize((1 - config.damping) * out
+                         + config.damping * messages, config.llr_clamp)
     return out
-
-
-def message_round(scene, assoc, y, messages, config: ApmpConfig,
-                  layout=None) -> dict:
-    """One flooding round: recompute every AP-to-peers message.
-
-    ``messages`` maps (ap, ue, slot) -> log-prob vector from the previous
-    round (an empty dict yields the intrinsic messages).  The message an AP
-    emits about a UE never reads what that same AP previously received
-    about that UE, only the co-monitored UEs' aggregated priors.
-    """
-    layout = layout or _Layout(scene, assoc)
-    pts = constellation(config.points)
-    Q = len(pts)
-    zero = np.zeros(Q)
-    new = {}
-    for (m, n), who in layout.participants.items():
-        priors = {}
-        for k in who:
-            i = layout.slot_of[k][n]
-            agg = np.zeros(Q)
-            for j in assoc.ap_sets[k]:
-                if j != m:
-                    agg = agg + messages.get((j, k, i), zero)
-            priors[(k, i)] = agg
-        local = _fn_messages_at(layout, m, n, y[m, n], priors, pts,
-                                scene.gamma_u, config.llr_clamp)
-        for (k, i), msg in local.items():
-            if config.damping > 0 and (m, k, i) in messages:
-                msg = ((1 - config.damping) * msg
-                       + config.damping * messages[(m, k, i)])
-            new[(m, k, i)] = _normalize(msg, config.llr_clamp)
-    return new
 
 
 def intrinsic_llr(scene, assoc, m, y_m, config: ApmpConfig = ApmpConfig()):
@@ -159,88 +187,59 @@ def intrinsic_llr(scene, assoc, m, y_m, config: ApmpConfig = ApmpConfig()):
     Returns {(ue, slot): normalized log-prob vector} for every symbol AP m
     monitors in its own observation y_m (length N).
     """
-    layout = _Layout(scene, assoc)
-    pts = constellation(config.points)
-    out = {}
-    for (ap, n), who in layout.participants.items():
-        if ap != m:
-            continue
-        priors = {(k, layout.slot_of[k][n]): np.zeros(len(pts)) for k in who}
-        out.update(_fn_messages_at(layout, m, n, y_m[n], priors, pts,
-                                   scene.gamma_u, config.llr_clamp))
-    return out
+    index = EdgeIndex(scene, assoc, config.points)
+    y = np.zeros((scene.num_aps, scene.num_subcarriers), dtype=complex)
+    y[m] = y_m
+    msgs = message_round(index, y, None, config)
+    return {(k, i): msgs[e] for (ap, k, i), e in index.edge.items() if ap == m}
 
 
-def _beliefs(assoc, layout, messages, Q):
-    """Designated-AP beliefs: the sum of all per-AP messages about a slot."""
-    beliefs = {}
-    for (m, k, i), msg in messages.items():
-        key = (k, i)
-        beliefs[key] = beliefs.get(key, np.zeros(Q)) + msg
-    return beliefs
+def _beliefs(index, messages):
+    """Per symbol, the sum of every AP's message about it, in edge order."""
+    belief = np.zeros((len(index.slots), messages.shape[1]))
+    np.add.at(belief, index.slot, messages)
+    return belief
 
 
-def apmp_detect(scene, assoc, y, config: ApmpConfig = ApmpConfig()) -> ApmpResult:
+def apmp_detect(scene, assoc, y, config: ApmpConfig = ApmpConfig(),
+                index: EdgeIndex | None = None) -> ApmpResult:
     """Run flooding message passing and decide every UE's symbols.
 
     ``y`` is the (M, N) per-AP, per-subcarrier observation.  Decisions for
     UE k are taken at its lowest-index associated AP; UEs with no
-    association are reported in ``undetected``.
+    association are reported in ``undetected``.  ``index`` is the scene's
+    :class:`EdgeIndex` for ``config.points``, built here when not given.
     """
-    layout = _Layout(scene, assoc)
-    pts = constellation(config.points)
-    Q = len(pts)
-    undetected = frozenset(k for k in range(scene.num_ues)
-                           if not assoc.ap_sets[k])
-
-    messages = message_round(scene, assoc, y, {}, config, layout)
-    trace = []
-    belief_trace = []
-    iterations = 0
-    converged = config.max_iterations == 0
+    if index is None:
+        index = EdgeIndex(scene, assoc, config.points)
+    messages = message_round(index, y, None, config)
+    belief = _beliefs(index, messages)
+    trace, belief_trace = [], []
     if config.record_trace:
-        belief_trace.append(_beliefs(assoc, layout, messages, Q))
-    if config.max_iterations > 0:
-        prev_belief = _beliefs(assoc, layout, messages, Q)
-        for it in range(1, config.max_iterations + 1):
-            messages = message_round(scene, assoc, y, messages, config, layout)
-            belief = _beliefs(assoc, layout, messages, Q)
-            delta = max((np.max(np.abs(belief[key] - prev_belief[key]))
-                         for key in belief), default=0.0)
-            trace.append(delta)
-            if config.record_trace:
-                belief_trace.append(belief)
-            iterations = it
-            prev_belief = belief
-            if delta < config.tol:
-                converged = True
-                break
+        belief_trace.append(dict(zip(index.slots, belief)))
+    iterations, converged = 0, config.max_iterations == 0
+    for it in range(1, config.max_iterations + 1):
+        messages = message_round(index, y, messages, config)
+        new = _beliefs(index, messages)
+        delta = np.max(np.abs(new - belief)) if new.size else 0.0
+        trace.append(delta)
+        if config.record_trace:
+            belief_trace.append(dict(zip(index.slots, new)))
+        iterations, belief = it, new
+        if delta < config.tol:
+            converged = True
+            break
 
-    decisions, marginals = [], []
-    for k in range(scene.num_ues):
-        if k in undetected or not scene.subcarriers[k].size:
-            decisions.append(None)
-            marginals.append(None)
-            continue
-        designated = min(assoc.ap_sets[k])
-        nk = len(scene.subcarriers[k])
-        dec = np.empty(nk, dtype=int)
-        marg = np.empty((nk, Q))
-        for i in range(nk):
-            total = messages[(designated, k, i)].copy()
-            if config.max_iterations > 0:
-                for j in assoc.ap_sets[k]:
-                    if j != designated:
-                        total = total + messages[(j, k, i)]
-            p = np.exp(total - total.max())
-            marg[i] = p / p.sum()
-            dec[i] = int(np.argmax(total))
-        decisions.append(dec)
-        marginals.append(marg)
-    return ApmpResult(decisions=decisions, marginals=marginals,
-                      iterations=iterations, converged=converged,
-                      trace=trace, belief_trace=belief_trace,
-                      undetected=undetected)
+    # without an exchange round, each UE is decided at its designated AP
+    total = belief if config.max_iterations > 0 else messages[index.designated]
+    decided = np.argmax(total, axis=1)
+    p = np.exp(total - total.max(axis=1, keepdims=True))
+    marginals = p / p.sum(axis=1, keepdims=True)
+    return ApmpResult(
+        decisions=[None if r is None else decided[r] for r in index.ue_rows],
+        marginals=[None if r is None else marginals[r] for r in index.ue_rows],
+        iterations=iterations, converged=converged, trace=trace,
+        belief_trace=belief_trace, undetected=index.undetected)
 
 
 def map_oracle(scene, assoc, component, y, points="bpsk"):
@@ -254,29 +253,28 @@ def map_oracle(scene, assoc, component, y, points="bpsk"):
     aps, ues = component
     pts = constellation(points)
     Q = len(pts)
-    layout = _Layout(scene, assoc)
+    slot_of = _slot_of(scene)
     out = {}
     for n in range(scene.num_subcarriers):
-        active = sorted(k for k in ues if n in layout.slot_of[k])
+        active = sorted(k for k in ues if n in slot_of[k])
         if not active:
             continue
         if Q ** len(active) > _ORACLE_GUARD:
             raise ValueError("oracle state space too large")
-        combos = np.array(list(product(range(Q), repeat=len(active))))
+        combos = _joint_table(Q, len(active))
         loglik = np.zeros(len(combos))
         for m in sorted(aps):
-            who = layout.participants.get((m, n))
+            who = [k for k in assoc.ue_sets[m] if n in slot_of[k]]
             if not who:
                 continue
+            amp = np.array([[np.sqrt(scene.power[k][slot_of[k][n]])
+                             * scene.freq[m, k, n] for k in who]])
             cols = [active.index(k) for k in who]
-            coefs = np.array([layout.amplitude(m, k, n) for k in who])
-            mean = (pts[combos[:, cols]] * coefs).sum(axis=1)
+            mean = _joint_means(amp, pts, combos[:, cols])[0]
             loglik = loglik - scene.gamma_u * np.abs(y[m, n] - mean) ** 2
+        joint = loglik.reshape((1,) + (Q,) * len(active))
         for col, k in enumerate(active):
-            post = np.full(Q, -np.inf)
-            for q in range(Q):
-                sel = combos[:, col] == q
-                post[q] = _logsumexp(loglik[sel])
+            post = _marginalize(joint, col)[0]
             p = np.exp(post - post.max())
-            out[(k, layout.slot_of[k][n])] = p / p.sum()
+            out[(k, slot_of[k][n])] = p / p.sum()
     return out

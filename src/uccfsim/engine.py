@@ -83,14 +83,6 @@ def scenario_hash(scenario) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-# the numeric fields validate_scenario compares against bounds
-NUMERIC_FIELDS = ("topology.num_aps", "topology.num_ues",
-                  "topology.max_ue_power", "topology.max_ap_power",
-                  "topology.noise_variance", "channel.shadowing_std_db",
-                  "channel.num_taps", "ofdm.num_subcarriers",
-                  "association.radius", "downlink.p_max",
-                  "training.num_symbols", "training.pilot_power")
-
 # the fields that name one of a fixed set of choices
 CHOICES = {"topology.layout": ("uniform", "grid"),
            "channel.pathloss": ("double_slope", "triple_slope"),
@@ -109,25 +101,47 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 
-def _check_keys(node, defaults, prefix, errors) -> bool:
-    """Report unknown keys and non-object sections under their dotted
-    paths; True when every section is an object."""
-    sections_ok = True
+# leaves checked by more than the default's type: a choice against its
+# names, a count as a nonnegative integer; demands and min_rates may be
+# per-UE lists, and max_aps may be null (min_gain alone stops association)
+OWN_CHECKS = (*CHOICES, "trials", "seed", "uplink.symbol_draws",
+              "uplink.apmp.max_iterations", "allocation.demands",
+              "allocation.min_rates", "association.max_aps")
+
+
+def _check_schema(node, defaults, prefix, errors) -> bool:
+    """Report unknown keys, non-object sections and leaves not of their
+    default's type (number, bool or string) under their dotted paths; True
+    when every section is an object and every leaf of its type."""
+    typed = True
     for key, value in node.items():
         path = f"{prefix}{key}"
+        default = defaults.get(key)
         if key not in defaults:
             import difflib
             close = difflib.get_close_matches(str(key), list(defaults), n=1)
             hint = f"; did you mean {prefix}{close[0]}?" if close else ""
             errors.append(f"{path} is not a known key{hint}")
-        elif isinstance(defaults[key], dict):
+        elif isinstance(default, dict):
             if isinstance(value, dict):
-                sections_ok &= _check_keys(value, defaults[key], path + ".",
-                                           errors)
+                typed &= _check_schema(value, default, path + ".", errors)
             else:
                 errors.append(f"{path} must be an object, not {value!r}")
-                sections_ok = False
-    return sections_ok
+                typed = False
+        elif default is None or path in OWN_CHECKS:
+            continue
+        elif isinstance(default, bool):
+            if not isinstance(value, bool):
+                errors.append(f"{path} must be a boolean, not {value!r}")
+                typed = False
+        elif isinstance(default, str):
+            if not isinstance(value, str):
+                errors.append(f"{path} must be a string, not {value!r}")
+                typed = False
+        elif not _is_number(value):
+            errors.append(f"{path} must be a number, not {value!r}")
+            typed = False
+    return typed
 
 
 def validate_scenario(scenario) -> list:
@@ -142,8 +156,9 @@ def validate_scenario(scenario) -> list:
         if not cond:
             errors.append(msg)
 
-    if not _check_keys(sc, DEFAULT_SCENARIO, "", errors):
-        # the checks below read fields inside every section
+    if not _check_schema(sc, DEFAULT_SCENARIO, "", errors):
+        # the checks below read fields inside every section and compare
+        # numbers against bounds
         return errors
     need(isinstance(sc.get("trials"), int) and sc["trials"] >= 1,
          "trials must be an integer >= 1")
@@ -154,19 +169,29 @@ def validate_scenario(scenario) -> list:
         section, key = path.split(".")
         if sc.get(section, {}).get(key) not in names:
             errors.append(f"{path} must be one of {names}")
-    checked = len(errors)
-    for path in NUMERIC_FIELDS:
-        section, key = path.split(".")
-        value = sc.get(section, {}).get(key, 0)
-        need(_is_number(value), f"{path} must be a number, not {value!r}")
     demands = sc.get("allocation", {}).get("demands", 0)
-    if not isinstance(demands, int):
-        need(isinstance(demands, list)
-             and all(isinstance(d, int) for d in demands),
-             "allocation.demands must be an integer or a list of integers")
-    if len(errors) > checked:
-        # the bounds below cannot be compared against non-numbers
+    if not isinstance(demands, int) and not (
+            isinstance(demands, list)
+            and all(isinstance(d, int) for d in demands)):
+        errors.append(
+            "allocation.demands must be an integer or a list of integers")
+        # the demand total below cannot be formed
         return errors
+    min_rates = sc.get("allocation", {}).get("min_rates", 0.0)
+    need(_is_number(min_rates) or (isinstance(min_rates, list)
+                                   and all(map(_is_number, min_rates))),
+         "allocation.min_rates must be a number or a list of numbers")
+    max_aps = sc.get("association", {}).get("max_aps")
+    need(max_aps is None or _is_number(max_aps),
+         "association.max_aps must be a number or null")
+    acfg = sc.get("uplink", {}).get("apmp", {})
+    need(_is_count(acfg.get("max_iterations", 0)),
+         "uplink.apmp.max_iterations must be an integer >= 0")
+    need(0.0 <= acfg.get("damping", 0.0) < 1.0,
+         "uplink.apmp.damping must be a number in [0, 1)")
+    need(acfg.get("tol", 0.0) >= 0.0, "uplink.apmp.tol must be a number >= 0")
+    need(acfg.get("llr_clamp", 1.0) > 0.0,
+         "uplink.apmp.llr_clamp must be a number > 0")
     topo = sc.get("topology", {})
     need(topo.get("num_aps", 0) >= 1, "topology.num_aps must be >= 1")
     need(topo.get("num_ues", 0) >= 1, "topology.num_ues must be >= 1")
@@ -310,18 +335,20 @@ def _detect_uplink(scenario, scene, assoc, gains, rng):
                                  llr_clamp=acfg["llr_clamp"])
         ser_counts = np.zeros(K)
         ser_draws = max(draws, 1)
-        iters = []
         M, N = scene.num_aps, scene.num_subcarriers
         indices, ys = uplink.simulate_uplink(scene, ser_draws, rng, points_name)
-        for u in range(ser_draws):
-            res = apmp.apmp_detect(scene, assoc, ys[u].reshape(M, N), config)
-            iters.append(res.iterations)
-            for k in range(K):
-                if res.decisions[k] is None:
-                    continue
-                ser_counts[k] += np.mean(res.decisions[k] != indices[k][u])
+        index = apmp.EdgeIndex(scene, assoc, points_name)
+        results = [apmp.apmp_detect(scene, assoc, y.reshape(M, N), config,
+                                    index) for y in ys]
+        for k in range(K):
+            if results[0].decisions[k] is None:
+                continue
+            wrong = np.array([r.decisions[k] for r in results]) != indices[k]
+            # per-draw SERs summed in draw order: the CSV pins this rounding
+            ser_counts[k] = sum(np.mean(wrong, axis=1))
         out["ser"] = list(ser_counts / ser_draws)
-        out["apmp_iterations"] = float(np.mean(iters))
+        out["apmp_iterations"] = float(np.mean([r.iterations
+                                                for r in results]))
         # analytic MMSE SINR reported as the rate proxy for APMP trials
         sinrs = uplink.uplink_sinr_all(scene)
         for k in range(K):

@@ -6,12 +6,20 @@ they make no use of the block-diagonal structure, so agreement with them
 checks the batched kernels independently.  The local-detection oracles
 build each AP's model matrices and loop over symbols, interferers and
 draws instead of using the diagonal closed forms.
+
+The APMP oracle is the dict-keyed message passing the edge-index
+implementation replaced: messages keyed by (ap, ue, slot), one factor and
+one participant at a time, with ``itertools.product`` enumerations.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
+from uccfsim.apmp import ApmpConfig, ApmpResult
+from uccfsim.modulation import constellation
 from uccfsim.uplink import UplinkScene, scene_covariance, stacked_channel
 
 
@@ -222,3 +230,157 @@ def fused_estimates(scene: UplinkScene, k: int, lambdas: dict,
             z[u] += lam * (local_ap_weights(scene, m, k).conj().T
                            @ y[u, m * N:(m + 1) * N])
     return z
+
+
+class ApmpLayout:
+    """Slot/participant bookkeeping of one scene for the APMP oracle."""
+
+    def __init__(self, scene, assoc):
+        self.scene = scene
+        self.assoc = assoc
+        M, N = scene.num_aps, scene.num_subcarriers
+        self.slot_of = []
+        for k in range(scene.num_ues):
+            table = {int(n): i for i, n in enumerate(scene.subcarriers[k])}
+            self.slot_of.append(table)
+        self.participants = {}
+        for m in range(M):
+            for n in range(N):
+                who = [k for k in assoc.ue_sets[m] if n in self.slot_of[k]]
+                if who:
+                    self.participants[(m, n)] = who
+
+    def amplitude(self, m, k, n):
+        i = self.slot_of[k][n]
+        return np.sqrt(self.scene.power[k][i]) * self.scene.freq[m, k, n]
+
+
+def _apmp_normalize(vec, clamp):
+    v = vec - vec[0]
+    return np.clip(v, -clamp, clamp)
+
+
+def _logsumexp(a, axis=0):
+    peak = np.max(a, axis=axis, keepdims=True)
+    return (peak + np.log(np.sum(np.exp(a - peak), axis=axis,
+                                 keepdims=True))).squeeze(axis)
+
+
+def apmp_factor_messages(layout, m, n, y_mn, priors, pts, gamma_u, clamp):
+    """Messages from AP m about every UE it monitors on subcarrier n;
+    ``priors`` maps (ue, slot) -> the aggregated incoming log-prob vector."""
+    who = layout.participants[(m, n)]
+    Q = len(pts)
+    coefs = np.array([layout.amplitude(m, k, n) for k in who])
+    out = {}
+    for pos, k in enumerate(who):
+        others = [j for j in range(len(who)) if j != pos]
+        msg = np.empty(Q)
+        if not others:
+            msg = -gamma_u * np.abs(y_mn - coefs[pos] * pts) ** 2
+        else:
+            combos = np.array(list(product(range(Q), repeat=len(others))))
+            partial = (pts[combos] * coefs[others]).sum(axis=1)
+            slots = [layout.slot_of[who[j]][n] for j in others]
+            prior = np.zeros(len(combos))
+            for col, j in enumerate(others):
+                prior = prior + priors[(who[j], slots[col])][combos[:, col]]
+            for q in range(Q):
+                ll = -gamma_u * np.abs(y_mn - partial - coefs[pos] * pts[q]) ** 2
+                msg[q] = _logsumexp(ll + prior)
+        out[(k, layout.slot_of[k][n])] = _apmp_normalize(msg, clamp)
+    return out
+
+
+def apmp_message_round(scene, assoc, y, messages, config: ApmpConfig,
+                       layout=None) -> dict:
+    """One flooding round on dict messages keyed (ap, ue, slot); an empty
+    dict yields the intrinsic messages."""
+    layout = layout or ApmpLayout(scene, assoc)
+    pts = constellation(config.points)
+    Q = len(pts)
+    zero = np.zeros(Q)
+    new = {}
+    for (m, n), who in layout.participants.items():
+        priors = {}
+        for k in who:
+            i = layout.slot_of[k][n]
+            agg = np.zeros(Q)
+            for j in assoc.ap_sets[k]:
+                if j != m:
+                    agg = agg + messages.get((j, k, i), zero)
+            priors[(k, i)] = agg
+        local = apmp_factor_messages(layout, m, n, y[m, n], priors, pts,
+                                     scene.gamma_u, config.llr_clamp)
+        for (k, i), msg in local.items():
+            if config.damping > 0 and (m, k, i) in messages:
+                msg = ((1 - config.damping) * msg
+                       + config.damping * messages[(m, k, i)])
+            new[(m, k, i)] = _apmp_normalize(msg, config.llr_clamp)
+    return new
+
+
+def _apmp_beliefs(messages, Q):
+    beliefs = {}
+    for (m, k, i), msg in messages.items():
+        key = (k, i)
+        beliefs[key] = beliefs.get(key, np.zeros(Q)) + msg
+    return beliefs
+
+
+def apmp_detect(scene, assoc, y, config: ApmpConfig = ApmpConfig()) -> ApmpResult:
+    """Flooding message passing and decisions on dict messages."""
+    layout = ApmpLayout(scene, assoc)
+    Q = len(constellation(config.points))
+    undetected = frozenset(k for k in range(scene.num_ues)
+                           if not assoc.ap_sets[k])
+
+    messages = apmp_message_round(scene, assoc, y, {}, config, layout)
+    trace = []
+    belief_trace = []
+    iterations = 0
+    converged = config.max_iterations == 0
+    if config.record_trace:
+        belief_trace.append(_apmp_beliefs(messages, Q))
+    if config.max_iterations > 0:
+        prev_belief = _apmp_beliefs(messages, Q)
+        for it in range(1, config.max_iterations + 1):
+            messages = apmp_message_round(scene, assoc, y, messages, config,
+                                          layout)
+            belief = _apmp_beliefs(messages, Q)
+            delta = max((np.max(np.abs(belief[key] - prev_belief[key]))
+                         for key in belief), default=0.0)
+            trace.append(delta)
+            if config.record_trace:
+                belief_trace.append(belief)
+            iterations = it
+            prev_belief = belief
+            if delta < config.tol:
+                converged = True
+                break
+
+    decisions, marginals = [], []
+    for k in range(scene.num_ues):
+        if k in undetected or not scene.subcarriers[k].size:
+            decisions.append(None)
+            marginals.append(None)
+            continue
+        designated = min(assoc.ap_sets[k])
+        nk = len(scene.subcarriers[k])
+        dec = np.empty(nk, dtype=int)
+        marg = np.empty((nk, Q))
+        for i in range(nk):
+            total = messages[(designated, k, i)].copy()
+            if config.max_iterations > 0:
+                for j in assoc.ap_sets[k]:
+                    if j != designated:
+                        total = total + messages[(j, k, i)]
+            p = np.exp(total - total.max())
+            marg[i] = p / p.sum()
+            dec[i] = int(np.argmax(total))
+        decisions.append(dec)
+        marginals.append(marg)
+    return ApmpResult(decisions=decisions, marginals=marginals,
+                      iterations=iterations, converged=converged,
+                      trace=trace, belief_trace=belief_trace,
+                      undetected=undetected)

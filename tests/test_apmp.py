@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
-from uccfsim.apmp import (ApmpConfig, apmp_detect, intrinsic_llr, map_oracle,
-                          message_round)
+import dense_oracles
+from uccfsim.apmp import (ApmpConfig, EdgeIndex, apmp_detect, intrinsic_llr,
+                          map_oracle, message_round)
 from uccfsim.modulation import CONSTELLATIONS
 from uccfsim.topology import AssociationMap, build_factor_graph
 from uccfsim.uplink import UplinkScene, equal_power_scene
 
 EXACT = ApmpConfig(max_iterations=40, tol=1e-13, llr_clamp=1e9)
+
+# Where a factor has degree > 1 the edge-index round adds the same float64
+# terms as the dict-keyed oracle in another order (the joint mean
+# sum_j c_j x_j against y - partial - c_p x_p), so marginals, which lie in
+# [0, 1], may differ by a few ulps; 1e-13 is about 450 ulps of 1.0.
+MARGINAL_BOUND = 1e-13
 
 
 def random_bipartite_tree(num_aps, num_ues, rng):
@@ -57,8 +64,58 @@ def transmit(scene, indices, rng, points="bpsk"):
     return y
 
 
+def random_loopy(num_aps, num_ues, rng):
+    """Every UE on a random nonempty AP subset: two UEs sharing two APs
+    close a cycle."""
+    return AssociationMap.from_ap_sets(
+        [rng.choice(num_aps, size=int(rng.integers(1, num_aps + 1)),
+                    replace=False) for _ in range(num_ues)], num_aps)
+
+
+def random_case(assoc, rng, points, N=1):
+    Q = len(CONSTELLATIONS[points])
+    scene = scene_on_association(assoc, rng, N=N,
+                                 gamma_u=float(rng.uniform(0.5, 5.0)))
+    idx = [rng.integers(Q, size=N) for _ in range(assoc.num_ues)]
+    return scene, transmit(scene, idx, rng, points)
+
+
+def assert_matches_oracle(scene, assoc, y, cfg, bit_identical=False):
+    """Same decisions, iterations and convergence as the dict-keyed
+    oracle; marginals and belief snapshots within the rounding bound."""
+    got = apmp_detect(scene, assoc, y, cfg)
+    want = dense_oracles.apmp_detect(scene, assoc, y, cfg)
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert got.undetected == want.undetected
+    assert len(got.trace) == len(want.trace)
+    for a, b in zip(got.decisions, want.decisions):
+        assert (a is None and b is None) or np.array_equal(a, b)
+    pairs = [(a, b) for a, b in zip(got.marginals, want.marginals)
+             if a is not None or b is not None]
+    pairs += [(a[key], b[key]) for a, b in zip(got.belief_trace,
+                                                want.belief_trace)
+              for key in b]
+    for a, b in pairs:
+        if bit_identical:
+            assert np.array_equal(a, b)
+        else:
+            # belief snapshots are LLR sums: the bound scales with them
+            assert np.max(np.abs(a - b)) <= MARGINAL_BOUND * max(
+                1.0, np.max(np.abs(b)))
+    assert all(a.keys() == b.keys()
+               for a, b in zip(got.belief_trace, want.belief_trace))
+
+
 def llr_vector(marginal):
     return np.log(marginal) - np.log(marginal[0])
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"llr_clamp": 0.0}, {"llr_clamp": -1.0}, {"tol": -1e-3},
+    {"max_iterations": 2.5}, {"max_iterations": -1}, {"damping": 1.0}])
+def test_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        ApmpConfig(**kwargs)
 
 
 class TestIntrinsic:
@@ -189,16 +246,18 @@ class TestDetect:
         idx = [np.array([int(rng.integers(2))]) for _ in range(3)]
         y = transmit(scene, idx, rng)
         cfg = ApmpConfig(max_iterations=5, llr_clamp=1e9)
-        r1 = message_round(scene, assoc, y, {}, cfg)
+        index = EdgeIndex(scene, assoc, cfg.points)
+        e = index.edge
+        r1 = message_round(index, y, None, cfg)
         # perturb what AP 0 received from AP 1 about the shared UE
-        perturbed = {k: v.copy() for k, v in r1.items()}
-        perturbed[(1, 0, 0)] = perturbed[(1, 0, 0)] + np.array([0.0, 2.0])
-        out = message_round(scene, assoc, y, r1, cfg)
-        out_p = message_round(scene, assoc, y, perturbed, cfg)
+        perturbed = r1.copy()
+        perturbed[e[(1, 0, 0)]] = perturbed[e[(1, 0, 0)]] + np.array([0.0, 2.0])
+        out = message_round(index, y, r1, cfg)
+        out_p = message_round(index, y, perturbed, cfg)
         # AP 0's same-round message about UE 0 must not move
-        assert np.allclose(out[(0, 0, 0)], out_p[(0, 0, 0)], atol=1e-12)
+        assert np.allclose(out[e[(0, 0, 0)]], out_p[e[(0, 0, 0)]], atol=1e-12)
         # but its message about its private UE 1 legitimately does
-        assert np.max(np.abs(out[(0, 1, 0)] - out_p[(0, 1, 0)])) > 1e-6
+        assert np.max(np.abs(out[e[(0, 1, 0)]] - out_p[e[(0, 1, 0)]])) > 1e-6
 
     def test_deterministic_given_inputs(self):
         rng = np.random.default_rng(7)
@@ -359,3 +418,74 @@ class TestDegenerateGraphs:
         assert res.undetected == {1}
         assert res.decisions[0] is not None
         assert res.decisions[1] is None
+
+
+class TestAgainstDictOracle:
+    """The edge-index rounds against the dict-keyed message passing they
+    replaced (``dense_oracles.apmp_detect``)."""
+
+    @pytest.mark.parametrize("points", ["bpsk", "qpsk"])
+    def test_random_trees(self, points):
+        rng = np.random.default_rng(50)
+        for _ in range(100):
+            assoc = random_bipartite_tree(int(rng.integers(2, 6)),
+                                          int(rng.integers(1, 5)), rng)
+            scene, y = random_case(assoc, rng, points,
+                                   N=int(rng.integers(1, 3)))
+            cfg = ApmpConfig(max_iterations=int(rng.integers(0, 15)),
+                             tol=float(rng.choice([1e-4, 1e-13])),
+                             points=points,
+                             llr_clamp=float(rng.choice([50.0, 1e9])))
+            assert_matches_oracle(scene, assoc, y, cfg)
+
+    @pytest.mark.parametrize("points", ["bpsk", "qpsk"])
+    def test_loopy_damped(self, points):
+        rng = np.random.default_rng(51)
+        for _ in range(100):
+            assoc = random_loopy(int(rng.integers(2, 5)),
+                                 int(rng.integers(2, 5)), rng)
+            scene, y = random_case(assoc, rng, points,
+                                   N=int(rng.integers(1, 3)))
+            cfg = ApmpConfig(max_iterations=int(rng.integers(1, 15)),
+                             damping=float(rng.choice([0.0, 0.1, 0.5])),
+                             points=points)
+            assert_matches_oracle(scene, assoc, y, cfg)
+
+    def test_zero_iterations_and_trace(self):
+        rng = np.random.default_rng(52)
+        for it in (0, 0, 3, 8):
+            assoc = random_loopy(3, 3, rng)
+            scene, y = random_case(assoc, rng, "bpsk", N=2)
+            cfg = ApmpConfig(max_iterations=it, tol=0.0, damping=0.2,
+                             record_trace=True)
+            assert_matches_oracle(scene, assoc, y, cfg)
+
+    @pytest.mark.parametrize("points", ["bpsk", "qpsk"])
+    def test_exclusive_subcarriers_are_bit_identical(self, points):
+        # one UE per subcarrier: every factor has degree 1
+        rng = np.random.default_rng(53)
+        for _ in range(40):
+            M, K = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            assoc = random_loopy(M, K, rng)
+            Q = len(CONSTELLATIONS[points])
+            freq = (rng.standard_normal((M, K, 2 * K))
+                    + 1j * rng.standard_normal((M, K, 2 * K))) / np.sqrt(2)
+            scene = UplinkScene(freq=freq,
+                                subcarriers=[[2 * k, 2 * k + 1] for k in range(K)],
+                                power=[[0.5, 0.5]] * K, gamma_u=3.0)
+            y = transmit(scene, [rng.integers(Q, size=2) for _ in range(K)],
+                         rng, points)
+            cfg = ApmpConfig(max_iterations=int(rng.integers(0, 10)),
+                             damping=float(rng.choice([0.0, 0.3])),
+                             points=points, record_trace=True)
+            assert_matches_oracle(scene, assoc, y, cfg, bit_identical=True)
+
+    def test_empty_and_disconnected_graphs(self):
+        rng = np.random.default_rng(54)
+        for ap_sets in ([[], []], [[0], []], [[], [1]], [[0, 1], [], [1]]):
+            assoc = AssociationMap.from_ap_sets(ap_sets, num_aps=2)
+            scene, y = random_case(assoc, rng, "bpsk")
+            for it in (0, 4):
+                assert_matches_oracle(scene, assoc, y,
+                                      ApmpConfig(max_iterations=it,
+                                                 record_trace=True))

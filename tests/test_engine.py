@@ -70,6 +70,25 @@ class TestValidation:
          "must be one of"),
         ({"allocation": {"mode": "shared", "demands": 5}},
          "allocation.demands", "exceed"),
+        ({"uplink": {"apmp": {"damping": 1.5}}}, "uplink.apmp.damping",
+         "in [0, 1)"),
+        ({"uplink": {"apmp": {"max_iterations": 2.5}}},
+         "uplink.apmp.max_iterations", "integer >= 0"),
+        ({"uplink": {"apmp": {"damping": "x"}}}, "uplink.apmp.damping",
+         "must be a number"),
+        ({"uplink": {"apmp": {"tol": "x"}}}, "uplink.apmp.tol",
+         "must be a number"),
+        ({"uplink": {"apmp": {"llr_clamp": -1}}}, "uplink.apmp.llr_clamp",
+         "> 0"),
+        ({"channel": {"a": "x"}}, "channel.a", "must be a number"),
+        ({"training": {"enabled": 1}}, "training.enabled",
+         "must be a boolean"),
+        ({"downlink": {"precoder": 3}}, "downlink.precoder",
+         "must be a string"),
+        ({"allocation": {"min_rates": "0"}}, "allocation.min_rates",
+         "must be a number or a list"),
+        ({"association": {"max_aps": "2"}}, "association.max_aps",
+         "must be a number or null"),
     ])
     def test_malformed_scenario_is_a_diagnostic(self, overrides, field, hint,
                                                 monkeypatch):
@@ -82,6 +101,14 @@ class TestValidation:
         monkeypatch.setattr(engine, "run_trial", no_trial)
         with pytest.raises(ValueError, match="invalid scenario"):
             run_scenario(overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        {"allocation": {"min_rates": [0.0, 0.1]}},
+        {"association": {"method": "large_scale", "max_aps": None,
+                         "min_gain": 1e-12}},
+    ])
+    def test_list_and_null_leaves_stay_valid(self, overrides):
+        assert validate_scenario(merge_scenario(overrides)) == []
 
     def test_secrecy_rho_range(self):
         bad = merge_scenario({**SMALL,
