@@ -48,8 +48,8 @@ for power in (1e-2, 1e0, 1e2, 1e4):
     obs = simulate_pilot_rx(plan_p, real, assoc, noise_var, rng=5,
                             interference_var=0.0)
     priors = {k: tap_prior(real.gains[0, k], 2) for k in range(2)}
-    est = mmse_estimate(obs[0], plan_p, 0, priors, mode="mui_suppress",
-                        coestimated=[0, 1])
+    est = mmse_estimate(obs[0], plan_p, [0, 1], priors,
+                        mode="mui_suppress")[0]
     truth = np.sqrt(real.gains[0, 0]) * real.taps[0, 0]
     nmse = np.sum(np.abs(est - truth) ** 2) / np.sum(np.abs(truth) ** 2)
     print(f"  pilot power {power:8.2g}  ->  AP0/UE0 NMSE {nmse:.3e}")

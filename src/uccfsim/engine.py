@@ -287,8 +287,7 @@ def _detect_uplink(scenario, scene, assoc, gains, rng):
     draws = int(cfg["symbol_draws"])
     points_name = cfg["constellation"]
     pts = CONSTELLATIONS[points_name]
-    out = {"analytic": [np.full(len(scene.subcarriers[k]), np.nan)
-                        for k in range(K)],
+    out = {"analytic": [np.empty(0)] * K,
            "empirical": [np.nan] * K, "ser": [np.nan] * K,
            "apmp_iterations": np.nan}
 
@@ -378,8 +377,8 @@ def _detect_uplink(scenario, scene, assoc, gains, rng):
             out["ser"][k] = symbol_error_rate(decided, indices[k])
 
     out["rates"] = np.array([
-        float(np.nansum(np.log2(1.0 + np.nan_to_num(out["analytic"][k]))))
-        for k in range(K)])
+        float(np.sum(np.log2(1.0 + s))) if np.all(np.isfinite(s)) else np.nan
+        for s in out["analytic"]])
     return out
 
 
@@ -482,7 +481,8 @@ def run_trial(scenario, trial: int) -> list:
 
     dl = {"dl_rate": np.full(topo.num_ues, np.nan),
           "dl_sinr": np.full(topo.num_ues, np.nan), "leakage": np.nan}
-    audit_pass = plan.audit.get("pass", False)
+    audit_pass = (plan.audit.get("pass", False)
+                  and bool(np.all(np.isfinite(det["rates"]))))
     if scenario["downlink"]["enabled"]:
         dl = _run_downlink(scenario, real, assoc, components, rng)
         if "plan" in dl:

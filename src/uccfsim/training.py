@@ -2,9 +2,11 @@
 
 UEs send unit-modulus pilot blocks over their assigned subcarriers for
 ``num_symbols`` OFDM symbols.  Each AP sees the superposition of its
-associated UEs through the frequency-domain observation model and estimates
-the time-domain CIR taps with an unbiased (diagonally renormalized) MMSE
-estimator, with or without explicit multiuser-interference suppression.
+associated UEs through the frequency-domain observation model.  Estimation
+runs per AP observation: one call estimates the time-domain CIR taps of
+every UE the AP serves with an unbiased (diagonally renormalized) MMSE
+estimator.  With multiuser-interference suppression all of them share one
+bracket and one inverse; without it each UE gets its own.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# relative diagonal jitter guarding the estimator's matrix inversions
+# relative eigenvalue floor: _guarded_inverse truncates below _JITTER*trace/n
 _JITTER = 1e-12
 
 
@@ -91,13 +93,9 @@ def build_observation_matrix(plan: PilotPlan, ue: int) -> np.ndarray:
     """
     N, tau_p = plan.num_subcarriers, plan.num_symbols
     L = plan.num_taps[ue]
-    sub = plan.subcarrier_sets[ue]
-    F_L = _dft_columns(N, L)
-    A = np.zeros((N * tau_p, L), dtype=complex)
-    for i in range(tau_p):
-        scattered = np.zeros(N, dtype=complex)
-        scattered[sub] = plan.pilot_blocks[ue][:, i]
-        A[i * N:(i + 1) * N] = scattered[:, None] * F_L
+    scattered = np.zeros((tau_p, N, 1), dtype=complex)
+    scattered[:, plan.subcarrier_sets[ue], 0] = plan.pilot_blocks[ue].T
+    A = (scattered * _dft_columns(N, L)).reshape(N * tau_p, L)
     return np.sqrt(plan.pilot_power[ue]) * A
 
 
@@ -204,60 +202,58 @@ def _guarded_inverse(bracket):
     return (V * inv) @ V.conj().T
 
 
-def mmse_estimate(obs: PilotObservation, plan: PilotPlan, ue: int, priors,
-                  mode="single", coestimated=(), sample_autocorr=None):
-    """Unbiased MMSE estimate of UE ``ue``'s CIR taps from one AP observation.
+def mmse_estimate(obs: PilotObservation, plan: PilotPlan, ues, priors,
+                  mode="single", sample_autocorr=None) -> dict:
+    """Unbiased MMSE estimates {k: taps} of UEs ``ues`` from one AP observation.
 
     ``priors`` maps UE index -> diagonal tap covariance.  In ``single`` mode
-    the bracket uses only this UE's statistics (near-orthogonal pilots); in
-    ``mui_suppress`` mode it sums over ``coestimated`` UEs as well; passing
-    an (N, N) ``sample_autocorr`` replaces the bracket with its per-symbol
-    block-diagonal expansion.  A per-tap diagonal renormalization makes the
-    estimator unbiased.
+    each UE's bracket holds only its own statistics (near-orthogonal
+    pilots); in ``mui_suppress`` mode one bracket over all of ``ues`` serves
+    them all; an (N, N) ``sample_autocorr`` replaces the bracket with its
+    per-symbol block-diagonal expansion.  A per-tap diagonal renormalization
+    makes the estimator unbiased.
     """
-    a = obs.forward_gain
-    A = a * build_observation_matrix(plan, ue)
-    Q = np.asarray(priors[ue], dtype=complex)
-    level = (obs.noise_var + obs.interference_var) * a * np.conj(a)
-    n = A.shape[0]
-
-    if sample_autocorr is not None:
-        bracket = np.kron(np.eye(plan.num_symbols), np.asarray(sample_autocorr))
-    elif mode == "single":
-        bracket = A @ Q @ A.conj().T + level * np.eye(n)
-    elif mode == "mui_suppress":
-        others = set(coestimated) | {ue}
-        bracket = level * np.eye(n).astype(complex)
-        for l in sorted(others):
-            Al = a * build_observation_matrix(plan, l)
-            bracket += Al @ np.asarray(priors[l], dtype=complex) @ Al.conj().T
-    else:
+    if mode not in ("single", "mui_suppress"):
         raise ValueError(f"unknown mode {mode!r}")
-
-    G = Q.conj().T @ A.conj().T @ _guarded_inverse(bracket)
-    c = np.diag(G @ A)
-    if np.any(np.abs(c) < 1e-300):
-        raise ValueError("ill-conditioned training: degenerate prior")
-    return (G @ obs.vec) / c
+    a = obs.forward_gain
+    A = {k: a * build_observation_matrix(plan, k) for k in ues}
+    Q = {k: np.asarray(priors[k], dtype=complex) for k in ues}
+    level = (obs.noise_var + obs.interference_var) * a * np.conj(a)
+    joint = mode == "mui_suppress" or sample_autocorr is not None
+    out = {}
+    for group in [sorted(ues)] if joint and len(ues) else [[k] for k in ues]:
+        if sample_autocorr is not None:
+            bracket = np.kron(np.eye(plan.num_symbols),
+                              np.asarray(sample_autocorr))
+        else:
+            bracket = level * np.eye(obs.matrix.size).astype(complex)
+            for l in group:
+                bracket += A[l] @ Q[l] @ A[l].conj().T
+        inverse = _guarded_inverse(bracket)
+        for k in group:
+            G = Q[k].conj().T @ A[k].conj().T @ inverse
+            c = np.diag(G @ A[k])
+            if np.any(np.abs(c) < 1e-300):
+                raise ValueError("ill-conditioned training: degenerate prior")
+            out[k] = (G @ obs.vec) / c
+    return out
 
 
 def estimate_all(observations, plan: PilotPlan, assoc, channels,
-                 mode="single", decay=0.0, priors=None):
-    """Estimate every associated link; returns dict (ap, ue) -> tap vector.
+                 mode="single", decay=0.0):
+    """Estimate every associated link, one call per AP; returns dict
+    (ap, ue) -> tap vector.
 
-    Default priors are the genie ones: the generator's true PDP scaled by
-    the realized large-scale gain of each link.
+    The priors are the genie ones: the generator's true PDP scaled by the
+    realized large-scale gain of each link.
     """
     out = {}
     for m, obs in enumerate(observations):
-        if priors is None:
-            local = {k: tap_prior(channels.gains[m, k], plan.num_taps[k], decay)
-                     for k in assoc.ue_sets[m]}
-        else:
-            local = {k: priors[(m, k)] for k in assoc.ue_sets[m]}
-        for k in assoc.ue_sets[m]:
-            out[(m, k)] = mmse_estimate(obs, plan, k, local, mode=mode,
-                                        coestimated=assoc.ue_sets[m])
+        ues = assoc.ue_sets[m]
+        priors = {k: tap_prior(channels.gains[m, k], plan.num_taps[k], decay)
+                  for k in ues}
+        for k, taps in mmse_estimate(obs, plan, ues, priors, mode).items():
+            out[(m, k)] = taps
     return out
 
 

@@ -228,7 +228,8 @@ def lmmse_reduced(scene: UplinkScene, assoc, k: int) -> np.ndarray:
 
 
 def weight_output_sinr(scene: UplinkScene, k: int, W: np.ndarray) -> np.ndarray:
-    """Analytic output SINR of arbitrary stacked weights for UE k."""
+    """Analytic output SINR of arbitrary stacked weights for UE k; a symbol
+    whose signal is zero (zero power or zero weights) has SINR 0."""
     R = scene_covariance(scene)
     B = stacked_channel(scene, k)
     sinrs = np.empty(B.shape[1])
@@ -239,7 +240,7 @@ def weight_output_sinr(scene: UplinkScene, k: int, W: np.ndarray) -> np.ndarray:
         signal = eta * np.abs(w.conj() @ b) ** 2
         total = np.real(w.conj() @ R @ w)
         denom = total - signal
-        sinrs[i] = signal / denom if denom > 0 else np.inf
+        sinrs[i] = signal / denom if denom > 0 else np.inf if signal else 0.0
     return sinrs
 
 
@@ -367,7 +368,8 @@ def combined_sinr(scene: UplinkScene, assoc, k: int, lambdas: dict) -> np.ndarra
     ``lambdas`` maps AP -> (N_k,) per-symbol weights.  Interference is
     correlated across APs (same transmitted symbols), which the variance
     below accounts for exactly: on symbol i's subcarrier n the fused
-    weight v passes UE l with gain v^H h_ln sqrt(eta_ln).
+    weight v passes UE l with gain v^H h_ln sqrt(eta_ln).  A symbol whose
+    signal is zero has SINR 0.
     """
     sub = scene.subcarriers[k]
     v = _fused(scene, k, lambdas)
@@ -376,7 +378,8 @@ def combined_sinr(scene: UplinkScene, assoc, k: int, lambdas: dict) -> np.ndarra
     signal = np.abs(g[:, k]) ** 2
     g[:, k] = 0.0            # zeroed, not subtracted: nothing cancels
     noise = np.sum(np.abs(v) ** 2, axis=0) / scene.gamma_u
-    return signal / (np.sum(np.abs(g) ** 2, axis=1) + noise)
+    return np.divide(signal, np.sum(np.abs(g) ** 2, axis=1) + noise,
+                     out=np.zeros_like(signal), where=signal > 0)
 
 
 def combining_lambdas(scene: UplinkScene, assoc, k: int, mode: str,

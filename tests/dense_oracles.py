@@ -10,6 +10,10 @@ draws instead of using the diagonal closed forms.
 The APMP oracle is the dict-keyed message passing the edge-index
 implementation replaced: messages keyed by (ap, ue, slot), one factor and
 one participant at a time, with ``itertools.product`` enumerations.
+
+The channel-estimation oracle is the per-link estimator the per-AP one
+replaced: each (AP, UE) link builds its own observation matrices, bracket
+and guarded inverse, with the other UEs of the AP named in ``coestimated``.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import numpy as np
 
 from uccfsim.apmp import ApmpConfig, ApmpResult
 from uccfsim.modulation import constellation
+from uccfsim.training import (PilotObservation, PilotPlan, _dft_columns,
+                              _guarded_inverse)
 from uccfsim.uplink import UplinkScene, scene_covariance, stacked_channel
 
 
@@ -384,3 +390,48 @@ def apmp_detect(scene, assoc, y, config: ApmpConfig = ApmpConfig()) -> ApmpResul
                       iterations=iterations, converged=converged,
                       trace=trace, belief_trace=belief_trace,
                       undetected=undetected)
+
+
+def observation_matrix(plan: PilotPlan, ue: int) -> np.ndarray:
+    """UE ``ue``'s (N * tau_p, L_k) observation matrix, one symbol block at
+    a time."""
+    N, tau_p = plan.num_subcarriers, plan.num_symbols
+    L = plan.num_taps[ue]
+    sub = plan.subcarrier_sets[ue]
+    F_L = _dft_columns(N, L)
+    A = np.zeros((N * tau_p, L), dtype=complex)
+    for i in range(tau_p):
+        scattered = np.zeros(N, dtype=complex)
+        scattered[sub] = plan.pilot_blocks[ue][:, i]
+        A[i * N:(i + 1) * N] = scattered[:, None] * F_L
+    return np.sqrt(plan.pilot_power[ue]) * A
+
+
+def mmse_estimate(obs: PilotObservation, plan: PilotPlan, ue: int, priors,
+                  mode="single", coestimated=(), sample_autocorr=None):
+    """Unbiased MMSE estimate of UE ``ue``'s taps, rebuilding the bracket
+    and its inverse for this one link."""
+    a = obs.forward_gain
+    A = a * observation_matrix(plan, ue)
+    Q = np.asarray(priors[ue], dtype=complex)
+    level = (obs.noise_var + obs.interference_var) * a * np.conj(a)
+    n = A.shape[0]
+
+    if sample_autocorr is not None:
+        bracket = np.kron(np.eye(plan.num_symbols), np.asarray(sample_autocorr))
+    elif mode == "single":
+        bracket = A @ Q @ A.conj().T + level * np.eye(n)
+    elif mode == "mui_suppress":
+        others = set(coestimated) | {ue}
+        bracket = level * np.eye(n).astype(complex)
+        for l in sorted(others):
+            Al = a * observation_matrix(plan, l)
+            bracket += Al @ np.asarray(priors[l], dtype=complex) @ Al.conj().T
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+    G = Q.conj().T @ A.conj().T @ _guarded_inverse(bracket)
+    c = np.diag(G @ A)
+    if np.any(np.abs(c) < 1e-300):
+        raise ValueError("ill-conditioned training: degenerate prior")
+    return (G @ obs.vec) / c

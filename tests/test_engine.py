@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uccfsim import alloc, engine
+from uccfsim import alloc, engine, uplink
 from uccfsim.engine import (DETECTORS, merge_scenario, results_to_csv,
                             results_to_table, run_scenario, scenario_hash,
                             set_by_path, sweep, sweep_to_plot_data,
@@ -260,6 +260,45 @@ class TestPipelineOutputs:
         for rec in res["records"]:
             assert rec["audit_pass"]
             assert np.isfinite(rec["rate"]) and np.isfinite(rec["dl_rate"])
+
+    def test_zero_power_symbols_add_no_rate(self, monkeypatch):
+        # at this SNR water-filling leaves some symbols at power 0; their
+        # SINR is 0, so they add nothing to the rate (0/0 once read as inf
+        # and added about 1024 bits/s/Hz)
+        seen = []
+        evaluate = uplink.weight_output_sinr
+
+        def spy(*args):
+            seen.append(evaluate(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(uplink, "weight_output_sinr", spy)
+        res = run_scenario({"topology": {"noise_variance": 1e-8,
+                                         "area_size": 1000.0},
+                            "association": {"radius": 2000.0},
+                            "allocation": {"demands": 4},
+                            "seed": 2, "trials": 40})
+        assert any(np.any(sinrs == 0) for sinrs in seen)
+        for rec in res["records"]:
+            assert 0 <= rec["rate"] < 100
+            assert np.isfinite(rec["sinr_analytic"])
+            assert rec["audit_pass"]
+
+    def test_non_finite_sinr_gives_nan_rate_and_fails_audit(self,
+                                                             monkeypatch):
+        evaluate = uplink.weight_output_sinr
+
+        def broken(scene, k, W):
+            sinrs = evaluate(scene, k, W)
+            if k == 0:
+                sinrs[0] = np.inf
+            return sinrs
+
+        monkeypatch.setattr(uplink, "weight_output_sinr", broken)
+        res = run_scenario({**SMALL, "trials": 1})
+        rates = {rec["ue"]: rec["rate"] for rec in res["records"]}
+        assert np.isnan(rates[0]) and np.isfinite(rates[1])
+        assert not any(rec["audit_pass"] for rec in res["records"])
 
     def test_apmp_detector_records_iterations(self):
         cfg = {**SMALL, "trials": 1,

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import dense_oracles
+from uccfsim import training
 from uccfsim.channel import ChannelRealization, subcarrier_gains
 from uccfsim.topology import AssociationMap
 from uccfsim.training import (PilotObservation, build_observation_matrix,
@@ -120,7 +122,7 @@ class TestMmseEstimate:
         obs = simulate_pilot_rx(plan, ch, assoc, noise_var=0.0, rng=0,
                                 interference_var=0.0)
         priors = {0: tap_prior(0.8, 3)}
-        est = mmse_estimate(obs[0], plan, 0, priors)
+        est = mmse_estimate(obs[0], plan, [0], priors)[0]
         assert np.allclose(est, np.sqrt(0.8) * ch.taps[0, 0], atol=1e-8)
 
     def test_zero_prior_raises(self):
@@ -128,7 +130,7 @@ class TestMmseEstimate:
         obs = PilotObservation(matrix=np.ones((8, 1), dtype=complex),
                                noise_var=0.1, interference_var=0.0)
         with pytest.raises(ValueError, match="ill-conditioned"):
-            mmse_estimate(obs, plan, 0, {0: np.zeros((2, 2))})
+            mmse_estimate(obs, plan, [0], {0: np.zeros((2, 2))})
 
     def test_unbiased_at_fixed_channel(self):
         plan = make_pilot_plan(1, 8, 2, 2, pilot_power=1.0)
@@ -142,7 +144,7 @@ class TestMmseEstimate:
         for i in range(draws.shape[0]):
             obs = simulate_pilot_rx(plan, ch, assoc, noise_var=noise_var,
                                     rng=rng, interference_var=0.0)
-            draws[i] = mmse_estimate(obs[0], plan, 0, priors)
+            draws[i] = mmse_estimate(obs[0], plan, [0], priors)[0]
         true = ch.taps[0, 0]
         # per-tap estimator noise std, then a 3-sigma band on the mean
         std = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
@@ -164,9 +166,10 @@ class TestMmseEstimate:
             priors = {k: tap_prior(1.0, 2) for k in range(2)}
             for k in range(2):
                 truth = np.sqrt(ch.gains[0, k]) * ch.taps[0, k]
-                e_s = mmse_estimate(obs[0], plan, k, priors, mode="single")
-                e_m = mmse_estimate(obs[0], plan, k, priors,
-                                    mode="mui_suppress", coestimated=[0, 1])
+                e_s = mmse_estimate(obs[0], plan, [k], priors,
+                                    mode="single")[k]
+                e_m = mmse_estimate(obs[0], plan, [0, 1], priors,
+                                    mode="mui_suppress")[k]
                 err_single += np.sum(np.abs(e_s - truth) ** 2)
                 err_mui += np.sum(np.abs(e_m - truth) ** 2)
         assert err_mui < err_single
@@ -182,8 +185,8 @@ class TestMmseEstimate:
             obs = simulate_pilot_rx(plan, ch, assoc, noise_var=nv, rng=rng,
                                     interference_var=0.0)
             priors = {k: tap_prior(1.0, 2) for k in range(2)}
-            est = mmse_estimate(obs[0], plan, 0, priors, mode="mui_suppress",
-                                coestimated=[0, 1])
+            est = mmse_estimate(obs[0], plan, [0, 1], priors,
+                                mode="mui_suppress")[0]
             errs.append(np.linalg.norm(est - np.sqrt(1.0) * ch.taps[0, 0]))
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] < 1e-4
@@ -199,6 +202,86 @@ class TestMmseEstimate:
         est = estimate_all(obs, plan, assoc, ch, mode="mui_suppress")
         hf = estimated_subcarrier_gains(est, ch, assoc)
         assert np.allclose(hf, ch.freq, atol=1e-7)
+
+
+class TestAgainstPerLinkOracle:
+    """The per-AP estimator against the per-link one it replaced
+    (``dense_oracles.mmse_estimate``): every estimate must be bit-equal."""
+
+    @staticmethod
+    def scene(roots, seed):
+        # AP 0 serves no UE, AP 1 one UE, AP 2 all three
+        rng = np.random.default_rng(seed)
+        sets = [np.arange(8), np.sort(rng.choice(8, size=5, replace=False)),
+                np.arange(8)]
+        plan = make_pilot_plan(3, 8, 2, num_taps=[2, 3, 2],
+                               pilot_power=[1.0, 0.6, 1.4],
+                               subcarrier_sets=sets, roots=roots)
+        taps = (rng.standard_normal((3, 3, 3))
+                + 1j * rng.standard_normal((3, 3, 3)))
+        ch = make_channels(rng.uniform(0.2, 2.0, (3, 3)), taps, 8)
+        assoc = AssociationMap.from_ap_sets([[2], [1, 2], [2]], num_aps=3)
+        obs = simulate_pilot_rx(plan, ch, assoc, noise_var=0.05, rng=rng)
+        return plan, ch, assoc, obs, rng
+
+    @pytest.mark.parametrize("roots", [[0, 3, 5], [0, 0, 3], [1, 1, 1]])
+    @pytest.mark.parametrize("mode", ["single", "mui_suppress"])
+    @pytest.mark.parametrize("gain", [1.0, 0.3 - 1.1j])
+    def test_bit_equal_per_ap(self, roots, mode, gain):
+        plan, ch, assoc, obs, rng = self.scene(roots, seed=sum(roots) + 40)
+        for k in range(plan.num_ues):
+            assert np.array_equal(build_observation_matrix(plan, k),
+                                  dense_oracles.observation_matrix(plan, k))
+        for m, ues in enumerate(assoc.ue_sets):
+            fwd = cpu_forward(obs[m], gain) if gain != 1.0 else obs[m]
+            priors = {k: tap_prior(ch.gains[m, k], plan.num_taps[k], 0.3)
+                      for k in ues}
+            noise = (rng.standard_normal((8, 40))
+                     + 1j * rng.standard_normal((8, 40)))
+            R = sample_autocorrelation(fwd.matrix, extra=noise)
+            for kw in ({}, {"sample_autocorr": R}):
+                got = mmse_estimate(fwd, plan, ues, priors, mode=mode, **kw)
+                assert list(got) == list(ues)
+                for k in ues:
+                    want = dense_oracles.mmse_estimate(
+                        fwd, plan, k, priors, mode=mode, coestimated=ues, **kw)
+                    assert np.array_equal(got[k], want)
+
+    @pytest.mark.parametrize("mode", ["single", "mui_suppress"])
+    def test_estimate_all_bit_equal_and_link_ordered(self, mode):
+        plan, ch, assoc, obs, _ = self.scene([0, 0, 3], seed=9)
+        got = estimate_all(obs, plan, assoc, ch, mode=mode, decay=0.2)
+        links = [(m, k) for m, ues in enumerate(assoc.ue_sets) for k in ues]
+        assert list(got) == links
+        for m, k in links:
+            priors = {l: tap_prior(ch.gains[m, l], plan.num_taps[l], 0.2)
+                      for l in assoc.ue_sets[m]}
+            want = dense_oracles.mmse_estimate(obs[m], plan, k, priors,
+                                               mode=mode,
+                                               coestimated=assoc.ue_sets[m])
+            assert np.array_equal(got[(m, k)], want)
+
+    def test_no_ues_no_estimates(self):
+        plan, _, _, obs, _ = self.scene([0, 3, 5], seed=2)
+        assert mmse_estimate(obs[0], plan, [], {}, mode="mui_suppress") == {}
+
+    def test_one_inverse_per_ap_when_suppressing(self, monkeypatch):
+        plan, ch, assoc, obs, _ = self.scene([0, 3, 5], seed=5)
+        calls = []
+        real = training._guarded_inverse
+
+        def spy(bracket):
+            calls.append(bracket)
+            return real(bracket)
+
+        monkeypatch.setattr(training, "_guarded_inverse", spy)
+        counts = {}
+        for mode in ("mui_suppress", "single"):
+            calls.clear()
+            estimate_all(obs, plan, assoc, ch, mode=mode)
+            counts[mode] = len(calls)
+        # two APs serve UEs, over four links
+        assert counts == {"mui_suppress": 2, "single": 4}
 
 
 class TestAutocorrelation:
@@ -244,8 +327,9 @@ class TestAutocorrelation:
         priors = {0: tap_prior(1.0, 2)}
         A = build_observation_matrix(plan, 0)
         R = A @ priors[0] @ A.conj().T + 0.01 * np.eye(8)
-        exact = mmse_estimate(obs[0], plan, 0, priors, mode="single")
-        replaced = mmse_estimate(obs[0], plan, 0, priors, sample_autocorr=R)
+        exact = mmse_estimate(obs[0], plan, [0], priors, mode="single")[0]
+        replaced = mmse_estimate(obs[0], plan, [0], priors,
+                                 sample_autocorr=R)[0]
         assert np.allclose(exact, replaced, atol=1e-10)
 
     def test_sample_bracket_from_fresh_draws_approaches_model(self):
@@ -268,8 +352,9 @@ class TestAutocorrelation:
         ch = make_channels([[1.0]], taps, 8)
         obs = simulate_pilot_rx(plan, ch, assoc, noise_var=0.01, rng=rng,
                                 interference_var=0.0)
-        exact = mmse_estimate(obs[0], plan, 0, priors, mode="single")
-        replaced = mmse_estimate(obs[0], plan, 0, priors, sample_autocorr=R)
+        exact = mmse_estimate(obs[0], plan, [0], priors, mode="single")[0]
+        replaced = mmse_estimate(obs[0], plan, [0], priors,
+                                 sample_autocorr=R)[0]
         assert np.linalg.norm(replaced - exact) / np.linalg.norm(exact) < 0.15
 
 
@@ -289,8 +374,8 @@ class TestCpuForward:
         obs = simulate_pilot_rx(plan, ch, assoc, noise_var=0.2, rng=1,
                                 interference_var=0.0)[0]
         priors = {0: tap_prior(1.0, 2)}
-        direct = mmse_estimate(obs, plan, 0, priors)
-        relayed = mmse_estimate(cpu_forward(obs, 2.0), plan, 0, priors)
+        direct = mmse_estimate(obs, plan, [0], priors)[0]
+        relayed = mmse_estimate(cpu_forward(obs, 2.0), plan, [0], priors)[0]
         assert np.allclose(direct, relayed, atol=1e-10)
 
     def test_zero_gain_rejected(self):

@@ -119,6 +119,21 @@ class TestSinr:
             b = [uplink_sinr(scene, k, i) for i in range(len(a))]
             assert np.allclose(a, b, rtol=1e-9)
 
+    def test_zero_power_symbol_has_zero_sinr(self):
+        # a water-filled symbol can get power 0: its SINR is 0 in every
+        # evaluator, not 0/0
+        rng = np.random.default_rng(8)
+        freq = (rng.standard_normal((2, 1, 2))
+                + 1j * rng.standard_normal((2, 1, 2)))
+        scene = UplinkScene(freq=freq, subcarriers=[[0, 1]],
+                            power=[[0.7, 0.0]], gamma_u=20.0)
+        lambdas = combining_lambdas(scene, full_assoc(2, 1), 0, "equal")
+        for sinrs in (uplink_sinr_all(scene)[0],
+                      weight_output_sinr(scene, 0, gmmse_weights(scene)[0]),
+                      combined_sinr(scene, full_assoc(2, 1), 0, lambdas)):
+            assert sinrs[0] > 0
+            assert sinrs[1] == 0.0
+
     def test_monotone_in_own_power(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
@@ -137,7 +152,8 @@ class TestSumRate:
 
     def test_zero_power_gives_zero(self):
         rng = np.random.default_rng(8)
-        freq = rng.standard_normal((2, 1, 2)) + 1j * rng.standard_normal((2, 1, 2))
+        freq = (rng.standard_normal((2, 1, 2))
+                + 1j * rng.standard_normal((2, 1, 2)))
         scene = UplinkScene(freq=freq, subcarriers=[[0, 1]],
                             power=[[0.0, 0.0]], gamma_u=10.0)
         assert uplink_sum_rate(scene) == pytest.approx(0.0)
