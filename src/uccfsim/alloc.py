@@ -184,8 +184,8 @@ class AllocationPlan:
 
 
 def audit_plan(plan: AllocationPlan, num_subcarriers: int,
-               mode="exclusive", components=None) -> dict:
-    """Constraint audit: budgets, binary/exclusive assignment, rate floors."""
+               mode="exclusive", components=None, checks=None) -> dict:
+    """Constraint audit: budgets, assignment, rate floors, named ``checks``."""
     report = {}
     K = len(plan.subcarriers)
     in_range = all(np.all((s >= 0) & (s < num_subcarriers))
@@ -213,6 +213,7 @@ def audit_plan(plan: AllocationPlan, num_subcarriers: int,
         report["a0_positive"] = bool(plan.a0 > 0)
     if plan.min_rates is not None and plan.feasibility:
         report["min_rates_reported"] = True
+    report.update(checks or {})
     report["pass"] = all(v for k, v in report.items() if isinstance(v, bool))
     return report
 
@@ -244,6 +245,11 @@ def ul_rates(freq, gamma_u, assoc, subcarriers, powers, detector="gmmse"):
     return rates, sinrs
 
 
+def _all_positive(g) -> bool:
+    """Whether every entry of the array ``g`` is positive and finite."""
+    return bool(not g.size or 0 < g.min() <= g.max() < np.inf)
+
+
 def successive_optimize(freq, assoc, demands, objective="sum_rate",
                         direction="ul", gamma_u=None, noise_var=None,
                         p_max=1.0, p_max_element=None, detector="gmmse",
@@ -257,7 +263,6 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
     """
     freq = np.asarray(freq, dtype=complex)
     M, K, N = freq.shape
-    refine_iterations = min(int(refine_iterations), 10)
     demands = np.broadcast_to(np.asarray(demands, dtype=int), (K,)).copy()
     demands[[not assoc.ap_sets[k] for k in range(K)]] = 0
     metric = subcarrier_metric(freq, assoc)
@@ -267,45 +272,55 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
     if direction == "ul":
         if gamma_u is None:
             raise ValueError("uplink allocation needs gamma_u")
+        healthy, seen = True, None
+
+        def evaluate(powers):
+            # in exact arithmetic a symbol's SINR is positive, or 0 when it
+            # has no power or a channel that the detector does not see
+            # (through every AP for gmmse, the associated ones otherwise)
+            nonlocal healthy, seen
+            rates, sinrs = ul_rates(freq, gamma_u, assoc, subs, powers,
+                                    detector)
+            g = np.concatenate(sinrs)
+            if healthy and not _all_positive(g):
+                if seen is None:
+                    ue = np.repeat(np.arange(K), [len(s) for s in subs])
+                    seen = np.any((freq[:, ue, np.concatenate(subs)] != 0) & (
+                        detector == "gmmse" or assoc.zeta()[:, ue] > 0), axis=0)
+                healthy = _all_positive(g[seen & (np.concatenate(powers) > 0)])
+            return rates, sinrs
+
         powers = [np.full(len(s), 1.0 / max(len(s), 1)) for s in subs]
         if objective == "sum_rate":
             for _ in range(max(refine_iterations, 1)):
-                _, sinrs = ul_rates(freq, gamma_u, assoc, subs, powers, detector)
-                new_powers = []
-                for k in range(K):
-                    if len(subs[k]) == 0:
-                        new_powers.append(np.zeros(0))
-                        continue
-                    per_unit = np.asarray(sinrs[k]) / np.maximum(powers[k], 1e-300)
-                    new_powers.append(allocate_power_waterfill(per_unit, 1.0))
-                powers = new_powers
-            rates, sinrs = ul_rates(freq, gamma_u, assoc, subs, powers, detector)
+                _, sinrs = evaluate(powers)
+                powers = [allocate_power_waterfill(g / np.maximum(p, 1e-300),
+                                                   1.0) if len(p) else p
+                          for p, g in zip(powers, sinrs)]
+            rates, sinrs = evaluate(powers)
             objective_value = float(rates.sum())
         elif objective == "max_min":
             splits = [np.full(len(s), 1.0 / max(len(s), 1)) for s in subs]
-            served = [k for k in range(K) if len(subs[k])]
 
             def evaluator(p):
-                pw = [p[k] * splits[k] for k in range(K)]
-                _, sinrs = ul_rates(freq, gamma_u, assoc, subs, pw, detector)
-                out = np.full(K, np.inf)
-                for k in served:
-                    out[k] = np.min(sinrs[k])
-                return out
+                _, sinrs = evaluate([p[k] * splits[k] for k in range(K)])
+                return np.array([np.min(g) if len(g) else np.inf
+                                 for g in sinrs])
 
-            if served:
+            if any(map(len, subs)):
                 result = maxmin_power_control(evaluator, np.ones(K), maxmin_tol)
                 powers = [result.powers[k] * splits[k] for k in range(K)]
                 objective_value = float(result.target)
             else:
                 powers, objective_value = [np.zeros(0)] * K, 0.0
-            rates, sinrs = ul_rates(freq, gamma_u, assoc, subs, powers, detector)
+            rates, sinrs = evaluate(powers)
         else:
             raise ValueError(f"unknown objective {objective!r}")
         plan = AllocationPlan(assoc=assoc, subcarriers=subs, ul_power=powers,
                               objective=objective_value, min_rates=min_rates)
         plan.feasibility = check_feasibility(rates, min_rates)
-        plan.audit = audit_plan(plan, N, mode, components)
+        plan.audit = audit_plan(plan, N, mode, components,
+                                {"ul_sinrs_positive": healthy})
         return plan
 
     if direction == "dl":
@@ -342,8 +357,6 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
                 delta[ks, ns] = allocate_power_waterfill(flat_gain, 1.0)
                 a0, sinrs = build(delta)
         elif objective == "max_min":
-            served = [k for k in range(K) if len(subs[k])]
-
             def spread(p):
                 """UE powers split evenly over their symbols, within budget."""
                 d = np.zeros((K, N))
@@ -351,13 +364,10 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
                 return d / d.sum() if d.sum() > 1.0 else d
 
             def evaluator(p):
-                _, sinrs_now = build(spread(p))
-                out = np.full(K, np.inf)
-                for k in served:
-                    out[k] = np.min(sinrs_now[k])
-                return out
+                return np.array([np.min(g) if len(g) else np.inf
+                                 for g in build(spread(p))[1]])
 
-            if served:
+            if any(map(len, subs)):
                 result = maxmin_power_control(evaluator, np.ones(K), maxmin_tol)
                 delta = spread(result.powers)
             a0, sinrs = build(delta)

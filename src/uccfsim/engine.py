@@ -13,8 +13,11 @@ import csv
 import hashlib
 import io
 import json
+import math
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +57,93 @@ DEFAULT_SCENARIO = {
 DETECTORS = ("gmmse", "gmmse_per_subcarrier", "lmmse_sliced", "lmmse_reduced",
              "local_equal", "local_mrc", "local_ls_linear", "local_ls_sqrt",
              "apmp", "none")
-PRECODERS = ("tmmse_ofdm", "dist_mf", "dist_tzf", "dist_regmmse")
+
+
+@dataclass(frozen=True)
+class Rule:
+    """The valid values of one scenario leaf: a finite int or float of
+    ``kind`` (an int for int, never a bool) from ``lo`` to ``hi``, with the
+    interval's ``ends`` open or closed; a bool; or a str, one of ``names``
+    if given. ``null`` admits None too, ``per_ue`` a list of numbers."""
+    kind: type
+    lo: float = -math.inf
+    hi: float = math.inf
+    ends: str = "[]"
+    null: bool = False
+    per_ue: bool = False
+    names: tuple = ()
+
+    def _scalar(self, v) -> bool:
+        if self.kind in (bool, str):
+            return type(v) is self.kind and v in (self.names or (v,))
+        return (type(v) in (int, self.kind) and abs(v) <= sys.float_info.max
+                and (self.lo < v if self.ends[0] == "(" else self.lo <= v)
+                and (v < self.hi if self.ends[1] == ")" else v <= self.hi))
+
+    def accepts(self, v) -> bool:
+        return ((self.null and v is None) or self._scalar(v)
+                or (self.per_ue and isinstance(v, list)
+                    and all(map(self._scalar, v))))
+
+    @property
+    def spec(self) -> str:
+        """The end of the diagnostic '<path> must be <spec>'."""
+        if self.kind in (bool, str):
+            return ("a boolean" if self.kind is bool else "a string") + (
+                f" and must be one of {self.names}" if self.names else "")
+        kinds = ("a number" + " or null" * self.null
+                 + " or a list of numbers" * self.per_ue)
+        bound = (f"in {self.ends[0]}{self.lo:g}, {self.hi:g}{self.ends[1]}"
+                 if self.hi < math.inf else
+                 f"{'>' if self.ends[0] == '(' else '>='} {self.lo:g}")
+        return f"{kinds} (integer {bound})" if self.kind is int \
+            else f"{kinds} {bound}"
+
+
+# every leaf of DEFAULT_SCENARIO by dotted path, with the bounds that the
+# model constructors enforce (DoubleSlope, TripleSlope, pdp_profile,
+# NetworkTopology, ApmpConfig, compute_a0, dist_regmmse_precode)
+RULES = {
+    "name": Rule(str),
+    **dict.fromkeys(("seed", "training.coherence_symbols",
+                     "uplink.symbol_draws", "uplink.apmp.max_iterations"),
+                    Rule(int, 0)),
+    **dict.fromkeys(("trials", "topology.num_aps", "topology.num_ues",
+                     "channel.num_taps", "ofdm.num_subcarriers",
+                     "training.num_symbols", "downlink.ap_antennas"),
+                    Rule(int, 1)),
+    **dict.fromkeys(("topology.area_size", "topology.ap_height",
+                     "topology.ue_height", "topology.carrier_freq_mhz",
+                     "topology.max_ue_power", "topology.max_ap_power",
+                     "topology.noise_variance", "channel.d_break",
+                     "channel.d0", "channel.d1", "association.radius",
+                     "training.pilot_power", "uplink.apmp.llr_clamp",
+                     "downlink.p_max"), Rule(float, 0, ends="(]")),
+    **dict.fromkeys(("channel.shadowing_std_db", "channel.pdp_decay",
+                     "uplink.apmp.tol"), Rule(float, 0)),
+    **dict.fromkeys(("training.enabled", "training.mui_suppression",
+                     "downlink.enabled"), Rule(bool)),
+    "topology.layout": Rule(str, names=("uniform", "grid")),
+    "channel.pathloss": Rule(str, names=("double_slope", "triple_slope")),
+    "channel.a": Rule(float, 1.5, 3.0), "channel.b": Rule(float, 2.0, 6.0),
+    "association.method": Rule(str, names=("distance", "large_scale")),
+    "association.max_aps": Rule(int, 1, null=True),
+    "association.min_gain": Rule(float, 0, null=True),
+    "allocation.objective": Rule(str, names=("sum_rate", "max_min")),
+    "allocation.demands": Rule(int, 0, per_ue=True),
+    "allocation.min_rates": Rule(float, 0, per_ue=True),
+    "allocation.mode": Rule(str, names=("exclusive", "shared")),
+    "allocation.refine_iterations": Rule(int, 0, 10),
+    "uplink.detector": Rule(str, names=DETECTORS),
+    "uplink.constellation": Rule(str, names=tuple(CONSTELLATIONS)),
+    "uplink.apmp.damping": Rule(float, 0.0, 1.0, ends="[)"),
+    "downlink.p_max_element": Rule(float, 0, ends="(]", null=True),
+    "downlink.precoder": Rule(str, names=("tmmse_ofdm", "dist_mf",
+                                          "dist_tzf", "dist_regmmse")),
+    "downlink.reg": Rule(float, 0, null=True),
+    "downlink.secrecy_rho": Rule(float, 0.0, 1.0, null=True),
+}
+
 
 # wall_time stays in the records but out of the CSV: the export must be
 # bit-identical for identical (scenario, seed)
@@ -83,155 +172,63 @@ def scenario_hash(scenario) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-# the fields that name one of a fixed set of choices
-CHOICES = {"topology.layout": ("uniform", "grid"),
-           "channel.pathloss": ("double_slope", "triple_slope"),
-           "association.method": ("distance", "large_scale"),
-           "allocation.objective": ("sum_rate", "max_min"),
-           "allocation.mode": ("exclusive", "shared"),
-           "uplink.detector": DETECTORS,
-           "uplink.constellation": tuple(CONSTELLATIONS)}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 0
-
-
-# leaves checked by more than the default's type: a choice against its
-# names, a count as a nonnegative integer; demands and min_rates may be
-# per-UE lists, and max_aps may be null (min_gain alone stops association)
-OWN_CHECKS = (*CHOICES, "trials", "seed", "uplink.symbol_draws",
-              "uplink.apmp.max_iterations", "allocation.demands",
-              "allocation.min_rates", "association.max_aps")
-
-
-def _check_schema(node, defaults, prefix, errors) -> bool:
-    """Report unknown keys, non-object sections and leaves not of their
-    default's type (number, bool or string) under their dotted paths; True
-    when every section is an object and every leaf of its type."""
-    typed = True
+def _walk(node, defaults, prefix, errors):
+    """Report unknown keys, non-object sections and leaves outside their
+    rule, each under its dotted path."""
     for key, value in node.items():
         path = f"{prefix}{key}"
-        default = defaults.get(key)
         if key not in defaults:
             import difflib
             close = difflib.get_close_matches(str(key), list(defaults), n=1)
             hint = f"; did you mean {prefix}{close[0]}?" if close else ""
             errors.append(f"{path} is not a known key{hint}")
-        elif isinstance(default, dict):
-            if isinstance(value, dict):
-                typed &= _check_schema(value, default, path + ".", errors)
-            else:
-                errors.append(f"{path} must be an object, not {value!r}")
-                typed = False
-        elif default is None or path in OWN_CHECKS:
-            continue
-        elif isinstance(default, bool):
-            if not isinstance(value, bool):
-                errors.append(f"{path} must be a boolean, not {value!r}")
-                typed = False
-        elif isinstance(default, str):
-            if not isinstance(value, str):
-                errors.append(f"{path} must be a string, not {value!r}")
-                typed = False
-        elif not _is_number(value):
-            errors.append(f"{path} must be a number, not {value!r}")
-            typed = False
-    return typed
+        elif not isinstance(defaults[key], dict):
+            if not RULES[path].accepts(value):
+                errors.append(f"{path} must be {RULES[path].spec}, "
+                              f"not {value!r}")
+        elif isinstance(value, dict):
+            _walk(value, defaults[key], path + ".", errors)
+        else:
+            errors.append(f"{path} must be an object, not {value!r}")
 
 
 def validate_scenario(scenario) -> list:
     """Structured list of config problems; empty means runnable.
 
-    Every message starts with the dotted path of the offending field.
+    Every leaf is checked against its rule, in disabled sections too, and
+    every message starts with the dotted path of the offending field.
     """
     errors = []
-    sc = scenario
-
-    def need(cond, msg):
-        if not cond:
-            errors.append(msg)
-
-    if not _check_schema(sc, DEFAULT_SCENARIO, "", errors):
-        # the checks below read fields inside every section and compare
-        # numbers against bounds
+    _walk(scenario, DEFAULT_SCENARIO, "", errors)
+    if errors:
+        # the checks below span fields, each of which must be of its kind
         return errors
-    need(isinstance(sc.get("trials"), int) and sc["trials"] >= 1,
-         "trials must be an integer >= 1")
-    need(_is_count(sc.get("seed", 0)), "seed must be an integer >= 0")
-    need(_is_count(sc.get("uplink", {}).get("symbol_draws", 0)),
-         "uplink.symbol_draws must be an integer >= 0")
-    for path, names in CHOICES.items():
-        section, key = path.split(".")
-        if sc.get(section, {}).get(key) not in names:
-            errors.append(f"{path} must be one of {names}")
-    demands = sc.get("allocation", {}).get("demands", 0)
-    if not isinstance(demands, int) and not (
-            isinstance(demands, list)
-            and all(isinstance(d, int) for d in demands)):
-        errors.append(
-            "allocation.demands must be an integer or a list of integers")
-        # the demand total below cannot be formed
-        return errors
-    min_rates = sc.get("allocation", {}).get("min_rates", 0.0)
-    need(_is_number(min_rates) or (isinstance(min_rates, list)
-                                   and all(map(_is_number, min_rates))),
-         "allocation.min_rates must be a number or a list of numbers")
-    max_aps = sc.get("association", {}).get("max_aps")
-    need(max_aps is None or _is_number(max_aps),
-         "association.max_aps must be a number or null")
-    acfg = sc.get("uplink", {}).get("apmp", {})
-    need(_is_count(acfg.get("max_iterations", 0)),
-         "uplink.apmp.max_iterations must be an integer >= 0")
-    need(0.0 <= acfg.get("damping", 0.0) < 1.0,
-         "uplink.apmp.damping must be a number in [0, 1)")
-    need(acfg.get("tol", 0.0) >= 0.0, "uplink.apmp.tol must be a number >= 0")
-    need(acfg.get("llr_clamp", 1.0) > 0.0,
-         "uplink.apmp.llr_clamp must be a number > 0")
-    topo = sc.get("topology", {})
-    need(topo.get("num_aps", 0) >= 1, "topology.num_aps must be >= 1")
-    need(topo.get("num_ues", 0) >= 1, "topology.num_ues must be >= 1")
-    for key in ("max_ue_power", "max_ap_power", "noise_variance"):
-        need(topo.get(key, 0) > 0, f"topology.{key} must be positive")
-    ch = sc.get("channel", {})
-    need(ch.get("shadowing_std_db", 0) >= 0,
-         "channel.shadowing_std_db must be nonnegative")
-    N = sc.get("ofdm", {}).get("num_subcarriers", 0)
-    need(N >= 1, "ofdm.num_subcarriers must be >= 1")
-    need(ch.get("num_taps", 1) <= N, "channel.num_taps must not exceed N")
-    assoc = sc.get("association", {})
-    if assoc.get("method") == "distance":
-        need(assoc.get("radius", 0) > 0, "association.radius must be positive")
-    else:
-        need(assoc.get("max_aps") or assoc.get("min_gain") is not None,
-             "association needs max_aps and/or min_gain")
-    demands = sc.get("allocation", {}).get("demands", 0)
-    if isinstance(demands, int):
-        total = demands * topo.get("num_ues", 0)
-    else:
-        total = sum(demands)
-    # checked in both modes: one shared component may hold every UE
-    need(total <= N, "allocation.demands exceed the subcarriers")
-    dl = sc.get("downlink", {})
-    if dl.get("enabled"):
-        need(dl.get("precoder") in PRECODERS,
-             f"downlink.precoder must be one of {PRECODERS}")
-        need(dl.get("p_max", 0) > 0, "downlink.p_max must be positive")
-        rho = dl.get("secrecy_rho")
-        if rho is not None:
-            need(_is_number(rho) and 0.0 <= rho <= 1.0,
-                 "downlink.secrecy_rho must be a number in [0, 1]")
-    tr = sc.get("training", {})
-    if tr.get("enabled"):
-        need(tr.get("num_symbols", 0) >= 1,
-             "training.num_symbols must be >= 1")
-        need(tr.get("pilot_power", 0) > 0,
-             "training.pilot_power must be positive")
-    return errors
+    sc = merge_scenario(scenario)
+    K, N = sc["topology"]["num_ues"], sc["ofdm"]["num_subcarriers"]
+    ch, cfg, dl = sc["channel"], sc["allocation"], sc["downlink"]
+    assoc = sc["association"]
+    per_ue = [key for key in ("demands", "min_rates")
+              if isinstance(cfg[key], list)]
+    zero_forcing = dl["precoder"] == "dist_tzf" or (
+        dl["precoder"] == "dist_regmmse" and dl["reg"] == 0)
+    checks = {
+        "channel.num_taps must not exceed N": ch["num_taps"] <= N,
+        "channel.d0 must be below channel.d1 for triple_slope":
+            ch["pathloss"] != "triple_slope" or ch["d0"] < ch["d1"],
+        **{f"allocation.{key} must list one value for each of the {K} UEs":
+           len(cfg[key]) == K for key in per_ue},
+        # checked in both modes: one shared component may hold every UE
+        "allocation.demands exceed the subcarriers":
+            (sum(cfg["demands"]) if "demands" in per_ue
+             else cfg["demands"] * K) <= N,
+        "association needs max_aps and/or min_gain":
+            assoc["method"] == "distance" or assoc["max_aps"] is not None
+            or assoc["min_gain"] is not None,
+        # an AP may serve every UE, and zero forcing needs an antenna each
+        "downlink.ap_antennas must be at least topology.num_ues for zero "
+        "forcing": not zero_forcing or dl["ap_antennas"] >= K,
+    }
+    return [message for message, ok in checks.items() if not ok]
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
@@ -376,9 +373,10 @@ def _detect_uplink(scenario, scene, assoc, gains, rng):
                                     pts)
             out["ser"][k] = symbol_error_rate(decided, indices[k])
 
-    out["rates"] = np.array([
-        float(np.sum(np.log2(1.0 + s))) if np.all(np.isfinite(s)) else np.nan
-        for s in out["analytic"]])
+    # a negative or non-finite SINR is a numerical failure, not a rate
+    out["rates"] = np.array([float(np.sum(np.log2(1.0 + s)))
+                             if np.all((s >= 0) & (s < np.inf)) else np.nan
+                             for s in out["analytic"]])
     return out
 
 
@@ -574,19 +572,15 @@ def _mean_ci(values) -> dict:
 
 
 def set_by_path(scenario: dict, path: str, value):
-    """Set a nested scenario field addressed as 'section.key'."""
-    keys = path.split(".")
-    node = scenario
-    for key in keys[:-1]:
-        if not isinstance(node, dict) or key not in node:
-            raise ValueError(f"bad parameter path {path!r}; sections: "
-                             + ", ".join(sorted(scenario)))
-        node = node[key]
-    if not isinstance(node, dict) or keys[-1] not in node:
-        valid = sorted(node) if isinstance(node, dict) else []
+    """Set the scenario leaf addressed by a dotted path, a key of RULES."""
+    if path not in RULES:
         raise ValueError(f"bad parameter path {path!r}; valid leaves: "
-                         + ", ".join(valid))
-    node[keys[-1]] = value
+                         + ", ".join(RULES))
+    *sections, key = path.split(".")
+    node = scenario
+    for section in sections:
+        node = node[section]
+    node[key] = value
 
 
 def sweep(scenario, path: str, values, workers: int = 1,

@@ -195,12 +195,6 @@ class FactorGraph:
     ap_adjacency: dict = field(default_factory=dict)
     idle_aps: frozenset = frozenset() # no associated UEs; switchable off
 
-    def component_of_ue(self, k):
-        for comp in self.components:
-            if k in comp[1]:
-                return comp
-        return None
-
 
 def build_factor_graph(assoc: AssociationMap) -> FactorGraph:
     """Build the AP-UE factor graph and its connected components.

@@ -318,6 +318,22 @@ class TestAudit:
         assert not rep["ul_budgets_ok"]
         assert not rep["pass"]
 
+    @pytest.mark.parametrize("objective", ["sum_rate", "max_min"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonpositive_uplink_sinr_fails_the_audit(self, objective):
+        # one AP, one UE: the exact SINR of a symbol at power eta is
+        # eta * gamma_u * |h|^2 > 0, but at gamma_u = 1e23 the evaluated
+        # SINR loses every digit and comes out zero or negative
+        freq = np.full((1, 1, 2), -0.019 + 0.549j)
+        assoc = AssociationMap.from_ap_sets([[0]], num_aps=1)
+        healthy = successive_optimize(freq, assoc, 2, objective,
+                                      gamma_u=1e3)
+        assert healthy.audit["ul_sinrs_positive"] and healthy.audit["pass"]
+        collapsed = successive_optimize(freq, assoc, 2, objective,
+                                        gamma_u=1e23)
+        assert not collapsed.audit["ul_sinrs_positive"]
+        assert not collapsed.audit["pass"]
+
     def test_metric_counts_only_associated_aps(self):
         freq = np.ones((2, 1, 3), dtype=complex)
         assoc = AssociationMap.from_ap_sets([[1]], num_aps=2)

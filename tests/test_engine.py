@@ -117,6 +117,22 @@ class TestValidation:
         assert any("secrecy_rho" in e for e in validate_scenario(bad))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_high_snr_sinr_collapse_fails_the_audit():
+    """One AP 5 m from one UE at noise 1e-24: the evaluated uplink SINRs
+    lose every digit, water-filling drops the symbols and the UE reports
+    rate 0. No such record may pass the audit."""
+    res = run_scenario({"seed": 0, "trials": 20,
+                        "topology": {"num_aps": 1, "num_ues": 1,
+                                     "area_size": 5, "noise_variance": 1e-24},
+                        "channel": {"shadowing_std_db": 0},
+                        "allocation": {"demands": 2},
+                        "uplink": {"detector": "gmmse"}})
+    zero = [r for r in res["records"] if r["rate"] == 0]
+    assert zero
+    assert not any(r["audit_pass"] for r in zero)
+
+
 class TestDeterminism:
     def test_same_seed_bit_identical_csv(self):
         a = results_to_csv(run_scenario(SMALL))
