@@ -4,7 +4,7 @@
 # Run: python demos/08_full_simulation.py
 
 from uccfsim.engine import (results_to_csv, results_to_table, run_scenario,
-                            sweep, sweep_to_plot_data)
+                            run_trial, sweep, sweep_to_plot_data)
 
 scenario = {
     "name": "demo",
@@ -19,7 +19,7 @@ scenario = {
 }
 
 print("=== single scenario ===")
-result = run_scenario(scenario, workers=2)
+result = run_scenario(scenario)
 print(results_to_table(result))
 
 print("\nfirst CSV rows (fixed schema, 9 significant digits):")
@@ -27,13 +27,18 @@ for line in results_to_csv(result).splitlines()[:3]:
     print(" ", line)
 
 print("\n=== determinism ===")
-again = run_scenario(scenario, workers=1)
-print("bit-identical CSV with a different worker count:",
+again = run_scenario(scenario)
+print("bit-identical CSV on a second run:",
       results_to_csv(result) == results_to_csv(again))
+# a trial's draws depend only on (seed, trial): trial 7 alone is trial 7
+alone = results_to_csv({"records": run_trial(result["scenario"], 7)})
+batch = results_to_csv({"records": [r for r in result["records"]
+                                    if r["trial"] == 7]})
+print("trial 7 run alone matches trial 7 in the batch:", alone == batch)
 
 print("\n=== noise sweep with common random numbers ===")
 points = sweep(scenario, "topology.noise_variance",
-               [1e-11, 1e-12, 1e-13], workers=2)
+               [1e-11, 1e-12, 1e-13])
 print(f"{'noise var':>12} {'sum-rate':>10} {'95% CI':>24}")
 for x, mean, lo, hi in sweep_to_plot_data(points, "sum_rate"):
     print(f"{x:12.0e} {mean:10.3f}     [{lo:9.3f}, {hi:9.3f}]")

@@ -339,7 +339,7 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
                                            assoc=assoc)
             elem = expected_ap_element_powers(precoders)
             if elem.sum() == 0:
-                return 0.0, [np.zeros(len(s)) for s in subs]
+                return None, [np.zeros(len(s)) for s in subs]
             a0 = compute_a0(
                 elem.sum(axis=1), p_max,
                 element_powers=elem if p_max_element is not None else None,

@@ -23,8 +23,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("scenario", help="scenario JSON file")
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--trials", type=int, help="override the trial count")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker threads (results are identical)")
         p.add_argument("--out", help="output directory (default: stdout)")
         p.add_argument("--format", choices=("csv", "table", "plot"),
                        default="table")
@@ -105,7 +103,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "run":
-        result = run_scenario(scenario, workers=args.workers)
+        result = run_scenario(scenario)
         if args.format == "csv":
             emit("results.csv", results_to_csv(result), args.out)
         elif args.format == "plot":
@@ -120,7 +118,7 @@ def main(argv=None) -> int:
     if args.command == "sweep":
         values = parse_values(args.values)
         try:
-            points = sweep(scenario, args.param, values, workers=args.workers,
+            points = sweep(scenario, args.param, values,
                            common_random=not args.independent_seeds)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)

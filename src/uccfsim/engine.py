@@ -1,10 +1,11 @@
 """Scenario configuration, Monte-Carlo orchestration, and result export.
 
 A scenario is a plain nested dict (JSON on disk).  Every trial draws its
-own RNG stream from (master seed, trial index), so results are bit-identical
-no matter how many workers run the trials.  Each trial produces one record
-per UE with analytic and measured link metrics plus a constraint audit of
-the emitted allocation plan.
+own RNG stream from (master seed, trial index), so a trial's draws depend
+only on (seed, trial), never on which other trials run.  Trials run in one
+loop in trial order.  Each trial produces one record per UE with analytic
+and measured link metrics plus a constraint audit of the emitted
+allocation plan.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,7 +232,7 @@ def validate_scenario(scenario) -> list:
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
-    """Counter-split stream: worker layout can never change the draws."""
+    """Counter-split stream: a trial's draws depend only on (seed, trial)."""
     return np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(trial,)))
 
@@ -367,7 +367,10 @@ def _detect_uplink(scenario, scene, assoc, gains, rng):
                 amp = np.sqrt(scene.power[k]) * np.einsum(
                     "ni,ni->i", W.conj(), uplink.stacked_channel(scene, k))
             err = z - x * amp
-            emp = np.abs(amp) ** 2 / np.mean(np.abs(err) ** 2, axis=0)
+            # a symbol sent with zero power has empirical SINR 0, not 0/0
+            signal = np.abs(amp) ** 2
+            emp = np.divide(signal, np.mean(np.abs(err) ** 2, axis=0),
+                            out=np.zeros_like(signal), where=signal > 0)
             out["empirical"][k] = float(np.mean(emp))
             decided = nearest_point(z / np.where(np.abs(amp) > 0, amp, 1.0),
                                     pts)
@@ -526,19 +529,15 @@ def run_trial(scenario, trial: int) -> list:
 
 
 def run_scenario(scenario=None, workers: int = 1) -> dict:
-    """Run all trials and aggregate; raises ValueError on invalid config."""
+    """Run all trials in trial order and aggregate; raises ValueError on
+    invalid config. ``workers`` has no effect: it stays only for callers
+    that still pass a worker count positionally."""
     scenario = merge_scenario(scenario)
     errors = validate_scenario(scenario)
     if errors:
         raise ValueError("invalid scenario: " + "; ".join(errors))
-    trials = range(scenario["trials"])
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(lambda t: run_trial(scenario, t), trials))
-    else:
-        per_trial = [run_trial(scenario, t) for t in trials]
-    records = [rec for block in per_trial for rec in block]
-    records.sort(key=lambda r: (r["trial"], r["ue"]))
+    records = [rec for t in range(scenario["trials"])
+               for rec in run_trial(scenario, t)]
     return {"scenario": scenario, "records": records,
             "aggregate": aggregate(records)}
 
@@ -583,8 +582,7 @@ def set_by_path(scenario: dict, path: str, value):
     node[key] = value
 
 
-def sweep(scenario, path: str, values, workers: int = 1,
-          common_random: bool = True) -> list:
+def sweep(scenario, path: str, values, common_random: bool = True) -> list:
     """Independent runs per parameter value.
 
     With ``common_random`` every point reuses the master seed (paired
@@ -597,7 +595,7 @@ def sweep(scenario, path: str, values, workers: int = 1,
         set_by_path(point, path, value)
         if not common_random:
             point["seed"] = int(scenario["seed"]) + 7919 * (i + 1)
-        out.append({"value": value, "result": run_scenario(point, workers)})
+        out.append({"value": value, "result": run_scenario(point)})
     return out
 
 

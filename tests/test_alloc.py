@@ -276,6 +276,19 @@ class TestPipeline:
         for kept, again in zip(plan.dl_sinrs, fresh):
             np.testing.assert_array_equal(kept, again)
 
+    @pytest.mark.parametrize("objective", ["sum_rate", "max_min"])
+    def test_dl_plan_for_disconnected_ues_sends_nothing_and_passes(
+            self, objective):
+        rng = np.random.default_rng(13)
+        freq = (rng.standard_normal((2, 2, 4))
+                + 1j * rng.standard_normal((2, 2, 4)))
+        assoc = AssociationMap.from_ap_sets([[], []], num_aps=2)
+        plan = successive_optimize(freq, assoc, demands=2, direction="dl",
+                                   noise_var=0.1, objective=objective)
+        assert plan.a0 is None
+        assert "a0_positive" not in plan.audit
+        assert plan.audit["pass"]
+
     def test_dl_maxmin_runs_and_audits(self):
         rng = np.random.default_rng(10)
         freq = (rng.standard_normal((2, 2, 2))

@@ -97,16 +97,6 @@ class TestRun:
         assert (out_a / "results.csv").read_text() == \
             (out_b / "results.csv").read_text()
 
-    def test_workers_flag_changes_nothing(self, scenario_file, tmp_path):
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        main(["run", str(scenario_file), "--format", "csv", "--out",
-              str(out_a), "--workers", "1"])
-        main(["run", str(scenario_file), "--format", "csv", "--out",
-              str(out_b), "--workers", "3"])
-        assert (out_a / "results.csv").read_text() == \
-            (out_b / "results.csv").read_text()
-
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**SCENARIO, "trials": 0}))
