@@ -8,10 +8,11 @@ import numpy as np
 
 from uccfsim.downlink import (artificial_noise_direction, compute_a0,
                               dist_regmmse_precode, distributed_directions,
-                              dl_sinr_subcarrier, dl_sum_rate,
+                              dl_sinr_subcarrier,
                               expected_ap_powers_subcarrier, normalize_columns,
                               receive_downlink, received_power_split,
                               secrecy_transmit, tmmse_central_subcarrier)
+from uccfsim.modulation import sum_rate
 from uccfsim.topology import AssociationMap
 
 rng = np.random.default_rng(9)
@@ -27,7 +28,7 @@ sinr = dl_sinr_subcarrier(h, P, a0, noise)
 print(f"common amplification gain A0 = {a0:.4f} "
       "(largest gain meeting every AP power cap)")
 print("per-UE SINR:", np.round(sinr, 3), " sum-rate",
-      round(dl_sum_rate([sinr]), 3), "bits/s/Hz")
+      round(sum_rate([sinr]), 3), "bits/s/Hz")
 scaled = a0**2 * expected_ap_powers_subcarrier(P)
 print("per-AP expected power after amplification:", np.round(scaled, 4))
 

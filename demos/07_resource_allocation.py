@@ -36,7 +36,7 @@ print(f"  sum-rate {plan.objective:.3f} bits/s/Hz; audit pass: "
 print("\n=== max-min pipeline (UL) ===")
 plan_mm = successive_optimize(real.freq, assoc, demands=2, gamma_u=gamma_u,
                               objective="max_min")
-print(f"  achieved common SINR floor {plan_mm.objective:.3f}")
+print(f"  achieved SINR floor (smallest symbol SINR) {plan_mm.objective:.3f}")
 print(f"  per-UE budgets used: "
       f"{[round(float(p.sum()), 3) for p in plan_mm.ul_power]}")
 

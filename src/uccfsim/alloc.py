@@ -2,8 +2,16 @@
 
 The joint problem is combinatorial, so the pipeline optimizes the three
 stages in order and treats interference as fixed inside the power stage.
-Every emitted plan carries a constraint audit so downstream consumers can
-verify the power budgets, binary assignments, and minimum rates directly.
+
+One power stage serves both directions on the flat list of transmitted
+symbols; a direction supplies its budget groups (one per UE on the uplink,
+one shared on the downlink) and its evaluator from symbol powers to per-UE
+rates and symbol SINRs.  Each group starts from an equal split.  Sum-rate
+then runs ``refine_iterations`` water-filling passes (0 keeps equal
+power); max-min bisects a common SINR target, and its objective is the
+smallest symbol SINR the plan achieves.  Every emitted plan carries a
+constraint audit so downstream consumers can verify the power budgets,
+binary assignments, and minimum rates directly.
 """
 
 from __future__ import annotations
@@ -11,6 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .modulation import ue_rates
+
+# fixed-point power updates per max-min feasibility test
+MAX_FIXED_POINT = 60
 
 
 def subcarrier_metric(freq, assoc) -> np.ndarray:
@@ -110,8 +123,7 @@ class MaxMinResult:
     noise_limited: bool           # the floor binds at a UE's zero-interference bound
 
 
-def maxmin_power_control(evaluator, budgets, tol=1e-3,
-                         max_fixed_point=60) -> MaxMinResult:
+def maxmin_power_control(evaluator, budgets, tol=1e-3) -> MaxMinResult:
     """Bisection on a common SINR target with per-UE power budgets.
 
     ``evaluator(powers) -> per-UE SINR array``; it must be monotone
@@ -123,13 +135,11 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3,
 
     def feasible(target):
         p = budgets * 1e-6
-        for _ in range(max_fixed_point):
+        for _ in range(MAX_FIXED_POINT):
             g = np.maximum(evaluator(p), 1e-300)
-            p_next = np.minimum(p * target / g, budgets)
-            if np.allclose(p_next, p, rtol=1e-9, atol=1e-15):
-                p = p_next
+            p, p_last = np.minimum(p * target / g, budgets), p
+            if np.allclose(p, p_last, rtol=1e-9, atol=1e-15):
                 break
-            p = p_next
         g = evaluator(p)
         return np.all(g >= target * (1 - 1e-6)), p
 
@@ -241,8 +251,7 @@ def ul_rates(freq, gamma_u, assoc, subcarriers, powers, detector="gmmse"):
                 sinrs.append(np.zeros(len(subcarriers[k])))
     else:
         raise ValueError(f"unknown detector {detector!r}")
-    rates = np.array([np.sum(np.log2(1.0 + g)) for g in sinrs])
-    return rates, sinrs
+    return ue_rates(sinrs), sinrs
 
 
 def _all_positive(g) -> bool:
@@ -254,7 +263,7 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
                         direction="ul", gamma_u=None, noise_var=None,
                         p_max=1.0, p_max_element=None, detector="gmmse",
                         min_rates=0.0, mode="exclusive", components=None,
-                        refine_iterations=1, maxmin_tol=1e-3) -> AllocationPlan:
+                        refine_iterations=1) -> AllocationPlan:
     """Association -> greedy subcarriers -> power, stage by stage.
 
     The association is taken as given (computed by the topology module);
@@ -268,122 +277,98 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
     metric = subcarrier_metric(freq, assoc)
     subs = allocate_subcarriers_greedy(metric, demands, mode, components)
     min_rates = np.broadcast_to(np.asarray(min_rates, dtype=float), (K,))
+    # every transmitted symbol as a (UE, subcarrier) index pair
+    counts = np.array([len(s) for s in subs])
+    ks, ns = np.repeat(np.arange(K), counts), np.concatenate(subs)
+    # each evaluation records its plan fields; the plan keeps the last
+    fields, checks = {}, {}
 
     if direction == "ul":
         if gamma_u is None:
             raise ValueError("uplink allocation needs gamma_u")
-        healthy, seen = True, None
+        budget_of = np.arange(K)
+        checks["ul_sinrs_positive"], seen = True, None
 
-        def evaluate(powers):
+        def evaluate(x):
             # in exact arithmetic a symbol's SINR is positive, or 0 when it
             # has no power or a channel that the detector does not see
             # (through every AP for gmmse, the associated ones otherwise)
-            nonlocal healthy, seen
-            rates, sinrs = ul_rates(freq, gamma_u, assoc, subs, powers,
-                                    detector)
+            nonlocal seen
+            fields["ul_power"] = [x[g] for g in groups]
+            rates, sinrs = ul_rates(freq, gamma_u, assoc, subs,
+                                    fields["ul_power"], detector)
             g = np.concatenate(sinrs)
-            if healthy and not _all_positive(g):
+            if checks["ul_sinrs_positive"] and not _all_positive(g):
                 if seen is None:
-                    ue = np.repeat(np.arange(K), [len(s) for s in subs])
-                    seen = np.any((freq[:, ue, np.concatenate(subs)] != 0) & (
-                        detector == "gmmse" or assoc.zeta()[:, ue] > 0), axis=0)
-                healthy = _all_positive(g[seen & (np.concatenate(powers) > 0)])
+                    seen = np.any((freq[:, ks, ns] != 0) & (
+                        detector == "gmmse" or assoc.zeta()[:, ks] > 0), axis=0)
+                checks["ul_sinrs_positive"] = _all_positive(g[seen & (x > 0)])
             return rates, sinrs
 
-        powers = [np.full(len(s), 1.0 / max(len(s), 1)) for s in subs]
-        if objective == "sum_rate":
-            for _ in range(max(refine_iterations, 1)):
-                _, sinrs = evaluate(powers)
-                powers = [allocate_power_waterfill(g / np.maximum(p, 1e-300),
-                                                   1.0) if len(p) else p
-                          for p, g in zip(powers, sinrs)]
-            rates, sinrs = evaluate(powers)
-            objective_value = float(rates.sum())
-        elif objective == "max_min":
-            splits = [np.full(len(s), 1.0 / max(len(s), 1)) for s in subs]
-
-            def evaluator(p):
-                _, sinrs = evaluate([p[k] * splits[k] for k in range(K)])
-                return np.array([np.min(g) if len(g) else np.inf
-                                 for g in sinrs])
-
-            if any(map(len, subs)):
-                result = maxmin_power_control(evaluator, np.ones(K), maxmin_tol)
-                powers = [result.powers[k] * splits[k] for k in range(K)]
-                objective_value = float(result.target)
-            else:
-                powers, objective_value = [np.zeros(0)] * K, 0.0
-            rates, sinrs = evaluate(powers)
-        else:
-            raise ValueError(f"unknown objective {objective!r}")
-        plan = AllocationPlan(assoc=assoc, subcarriers=subs, ul_power=powers,
-                              objective=objective_value, min_rates=min_rates)
-        plan.feasibility = check_feasibility(rates, min_rates)
-        plan.audit = audit_plan(plan, N, mode, components,
-                                {"ul_sinrs_positive": healthy})
-        return plan
-
-    if direction == "dl":
+    elif direction == "dl":
         from .downlink import (compute_a0, dl_sinr_ofdm,
                                expected_ap_element_powers, tmmse_central_ofdm)
         if noise_var is None:
             raise ValueError("downlink allocation needs noise_var")
-        # every transmitted symbol as a (UE, subcarrier) index pair
-        counts = np.array([len(s) for s in subs])
-        ks, ns = np.repeat(np.arange(K), counts), np.concatenate(subs)
-        delta = np.zeros((K, N))
-        delta[ks, ns] = 1.0 / max(len(ns), 1)
+        budget_of = np.zeros(K, dtype=int)
 
-        def build(delta_now):
-            precoders = tmmse_central_ofdm(freq, subs, noise_var, delta_now,
+        def evaluate(x):
+            fields["dl_power"] = delta = np.zeros((K, N))
+            delta[ks, ns] = x
+            precoders = tmmse_central_ofdm(freq, subs, noise_var, delta,
                                            assoc=assoc)
             elem = expected_ap_element_powers(precoders)
-            if elem.sum() == 0:
-                return None, [np.zeros(len(s)) for s in subs]
-            a0 = compute_a0(
+            fields["a0"] = None if elem.sum() == 0 else compute_a0(
                 elem.sum(axis=1), p_max,
                 element_powers=elem if p_max_element is not None else None,
                 element_max=p_max_element)
-            return a0, dl_sinr_ofdm(freq, precoders, subs, a0, noise_var)
+            fields["dl_sinrs"] = (
+                [np.zeros(len(s)) for s in subs] if fields["a0"] is None else
+                dl_sinr_ofdm(freq, precoders, subs, fields["a0"], noise_var))
+            return ue_rates(fields["dl_sinrs"]), fields["dl_sinrs"]
 
-        if objective == "sum_rate":
-            a0, sinrs = build(delta)
-            for _ in range(max(refine_iterations, 0)):
-                if not len(ns):
-                    break
-                flat_gain = (np.concatenate(sinrs)
-                             / np.maximum(delta[ks, ns], 1e-300))
-                delta = np.zeros((K, N))
-                delta[ks, ns] = allocate_power_waterfill(flat_gain, 1.0)
-                a0, sinrs = build(delta)
-        elif objective == "max_min":
-            def spread(p):
-                """UE powers split evenly over their symbols, within budget."""
-                d = np.zeros((K, N))
-                d[ks, ns] = p[ks] / counts[ks]
-                return d / d.sum() if d.sum() > 1.0 else d
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
 
-            def evaluator(p):
-                return np.array([np.min(g) if len(g) else np.inf
-                                 for g in build(spread(p))[1]])
+    # each budget group's symbols; every group has a budget of 1
+    groups = [np.flatnonzero(budget_of[ks] == b)
+              for b in range(budget_of.max() + 1)]
+    x = np.empty(len(ns))
+    for g in groups:
+        x[g] = 1.0 / max(len(g), 1)
+    if objective == "sum_rate":
+        rates, sinrs = evaluate(x)
+        for _ in range(refine_iterations):
+            unit = np.concatenate(sinrs) / np.maximum(x, 1e-300)
+            x = x.copy()
+            for g in groups:
+                if len(g):
+                    x[g] = allocate_power_waterfill(unit[g], 1.0)
+            rates, sinrs = evaluate(x)
+    elif objective == "max_min":
+        share = 1.0 / counts[ks]
 
-            if any(map(len, subs)):
-                result = maxmin_power_control(evaluator, np.ones(K), maxmin_tol)
-                delta = spread(result.powers)
-            a0, sinrs = build(delta)
-        else:
-            raise ValueError(f"unknown objective {objective!r}")
+        def spread(p):
+            """UE powers split evenly over their symbols, each budget
+            group scaled back onto its budget if over it."""
+            total = np.bincount(budget_of, weights=p * (counts > 0))
+            return p[ks] * share / np.maximum(total, 1.0)[budget_of[ks]]
 
-        rates = np.array([np.sum(np.log2(1.0 + np.asarray(g))) for g in sinrs])
-        plan = AllocationPlan(assoc=assoc, subcarriers=subs, dl_power=delta,
-                              a0=a0, dl_sinrs=sinrs,
-                              objective=float(rates.sum()),
-                              min_rates=min_rates)
-        if objective == "max_min":
-            plan.objective = float(min((np.min(g) for g in sinrs
-                                        if len(g)), default=0.0))
-        plan.feasibility = check_feasibility(rates, min_rates)
-        plan.audit = audit_plan(plan, N, mode, components)
-        return plan
+        def evaluator(p):
+            return np.array([np.min(g) if len(g) else np.inf
+                             for g in evaluate(spread(p))[1]])
 
-    raise ValueError(f"unknown direction {direction!r}")
+        if len(ns):
+            x = spread(maxmin_power_control(evaluator, np.ones(K)).powers)
+        rates, sinrs = evaluate(x)
+    else:
+        raise ValueError(f"unknown objective {objective!r}")
+
+    achieved = np.concatenate(sinrs)
+    plan = AllocationPlan(
+        assoc=assoc, subcarriers=subs, min_rates=min_rates, **fields,
+        objective=float(rates.sum() if objective == "sum_rate"
+                        else achieved.min() if achieved.size else 0.0))
+    plan.feasibility = check_feasibility(rates, min_rates)
+    plan.audit = audit_plan(plan, N, mode, components, checks)
+    return plan

@@ -134,11 +134,6 @@ def dl_sinr_ofdm(freq, precoders, subcarrier_sets, a0, noise_var):
             for k, s in enumerate(subcarrier_sets)]
 
 
-def dl_sum_rate(sinrs) -> float:
-    """Sum of log2(1 + SINR) over UEs (and symbols where applicable)."""
-    return float(sum(np.sum(np.log2(1.0 + np.asarray(g))) for g in sinrs))
-
-
 # ---------------------------------------------------------------------------
 # distributed precoding (per-AP local channels, optionally multi-antenna)
 

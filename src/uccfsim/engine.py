@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import alloc, apmp, channel, downlink, topology, training, uplink
-from .modulation import CONSTELLATIONS, nearest_point, symbol_error_rate
+from .modulation import (CONSTELLATIONS, nearest_point, symbol_error_rate,
+                         ue_rates)
 
 DEFAULT_SCENARIO = {
     "name": "scenario",
@@ -360,26 +361,27 @@ def _detect_uplink(scenario, scene, assoc, gains, rng):
                 continue
             z = y @ W.conj()
             x = pts[indices[k]]
-            if name.startswith("local_"):
-                # the CPU of a local detector measures its output amplitude
+            measured = name.startswith("local_")
+            if measured:
+                # the CPU of a local detector measures its output amplitude;
+                # from one draw that fits the draw exactly and leaves no
+                # error to measure, so the empirical SINR stays NaN
                 amp = np.mean(z * x.conj(), axis=0)
             else:
                 amp = np.sqrt(scene.power[k]) * np.einsum(
                     "ni,ni->i", W.conj(), uplink.stacked_channel(scene, k))
-            err = z - x * amp
             # a symbol sent with zero power has empirical SINR 0, not 0/0
             signal = np.abs(amp) ** 2
-            emp = np.divide(signal, np.mean(np.abs(err) ** 2, axis=0),
-                            out=np.zeros_like(signal), where=signal > 0)
-            out["empirical"][k] = float(np.mean(emp))
+            if draws > 1 or not measured:
+                emp = np.divide(signal, np.mean(np.abs(z - x * amp) ** 2,
+                                                axis=0),
+                                out=np.zeros_like(signal), where=signal > 0)
+                out["empirical"][k] = float(np.mean(emp))
             decided = nearest_point(z / np.where(np.abs(amp) > 0, amp, 1.0),
                                     pts)
             out["ser"][k] = symbol_error_rate(decided, indices[k])
 
-    # a negative or non-finite SINR is a numerical failure, not a rate
-    out["rates"] = np.array([float(np.sum(np.log2(1.0 + s)))
-                             if np.all((s >= 0) & (s < np.inf)) else np.nan
-                             for s in out["analytic"]])
+    out["rates"] = ue_rates(out["analytic"])
     return out
 
 
@@ -396,12 +398,12 @@ def _run_downlink(scenario, real, assoc, components, rng):
             noise_var=noise_var, p_max=cfg["p_max"],
             p_max_element=cfg["p_max_element"],
             min_rates=scenario["allocation"]["min_rates"],
-            mode=scenario["allocation"]["mode"], components=components)
+            mode=scenario["allocation"]["mode"], components=components,
+            refine_iterations=scenario["allocation"]["refine_iterations"])
         sinrs = dl_plan.dl_sinrs
-        for k in range(K):
-            result["dl_sinr"][k] = (float(np.mean(sinrs[k]))
-                                    if len(sinrs[k]) else 0.0)
-            result["dl_rate"][k] = float(np.sum(np.log2(1 + np.asarray(sinrs[k]))))
+        result["dl_sinr"] = np.array([np.mean(s) if len(s) else 0.0
+                                      for s in sinrs])
+        result["dl_rate"] = ue_rates(sinrs)
         result["plan"] = dl_plan
         rho = cfg["secrecy_rho"]
         if rho is not None:

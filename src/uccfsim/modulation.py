@@ -1,4 +1,4 @@
-"""Unit-power symbol constellations and hard-decision helpers."""
+"""Unit-power symbol constellations, hard-decision helpers and link rates."""
 
 from __future__ import annotations
 
@@ -52,3 +52,17 @@ def bit_error_rate(decided_idx, true_idx, name: str) -> float:
         return 0.0
     errors = sum(np.mean((diff >> b) & 1) for b in range(nbits))
     return float(errors / nbits)
+
+
+def ue_rates(sinrs) -> np.ndarray:
+    """Per-UE rates, the sum over a UE's symbols of log2(1 + SINR) in
+    bits/s/Hz.  A negative or non-finite SINR is a numerical failure, not a
+    rate, so its UE gets NaN."""
+    rates = np.array([np.log2(1.0 + s).sum() if not s.size or s.min() >= 0
+                      else np.nan for s in map(np.asarray, sinrs)])
+    return np.where(np.isfinite(rates), rates, np.nan)
+
+
+def sum_rate(sinrs) -> float:
+    """Sum over UEs and symbols of log2(1 + SINR), bits/s/Hz."""
+    return float(np.sum(ue_rates(sinrs)))

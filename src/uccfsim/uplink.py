@@ -31,7 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .modulation import constellation, nearest_point, random_symbol_indices
+from .modulation import (constellation, nearest_point, random_symbol_indices,
+                         sum_rate)
 
 
 @dataclass(frozen=True)
@@ -188,11 +189,6 @@ def uplink_sinr_all(scene: UplinkScene):
                         b[:, :, None])[:, :, 0]
     sinrs = np.real(eta * np.einsum("sm,sm->s", b.conj(), x))
     return np.split(sinrs, np.cumsum([len(s) for s in scene.subcarriers])[:-1])
-
-
-def sum_rate(sinrs) -> float:
-    """Sum over UEs and symbols of log2(1 + SINR), bits/s/Hz."""
-    return float(sum(np.sum(np.log2(1.0 + np.asarray(g))) for g in sinrs))
 
 
 def uplink_sum_rate(scene: UplinkScene) -> float:

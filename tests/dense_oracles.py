@@ -22,6 +22,12 @@ from itertools import product
 
 import numpy as np
 
+from uccfsim import downlink
+from uccfsim.alloc import (AllocationPlan, _all_positive,
+                           allocate_power_waterfill,
+                           allocate_subcarriers_greedy, audit_plan,
+                           check_feasibility, maxmin_power_control,
+                           subcarrier_metric, ul_rates)
 from uccfsim.apmp import ApmpConfig, ApmpResult
 from uccfsim.modulation import constellation
 from uccfsim.training import (PilotObservation, PilotPlan, _dft_columns,
@@ -435,3 +441,128 @@ def mmse_estimate(obs: PilotObservation, plan: PilotPlan, ue: int, priors,
     if np.any(np.abs(c) < 1e-300):
         raise ValueError("ill-conditioned training: degenerate prior")
     return (G @ obs.vec) / c
+
+
+# ---------------------------------------------------------------------------
+# successive allocation, one power stage per direction
+
+def successive_optimize(freq, assoc, demands, objective="sum_rate",
+                        direction="ul", gamma_u=None, noise_var=None,
+                        p_max=1.0, p_max_element=None, detector="gmmse",
+                        min_rates=0.0, mode="exclusive", components=None,
+                        refine_iterations=1) -> AllocationPlan:
+    """Association -> greedy subcarriers -> power, with separate uplink
+    and downlink power stages.
+
+    The uplink water-fills at least once even at ``refine_iterations`` 0
+    and reports the bisection's target as its max-min objective; the
+    downlink spreads max-min powers as p_k / N_k.
+    """
+    freq = np.asarray(freq, dtype=complex)
+    M, K, N = freq.shape
+    demands = np.broadcast_to(np.asarray(demands, dtype=int), (K,)).copy()
+    demands[[not assoc.ap_sets[k] for k in range(K)]] = 0
+    metric = subcarrier_metric(freq, assoc)
+    subs = allocate_subcarriers_greedy(metric, demands, mode, components)
+    min_rates = np.broadcast_to(np.asarray(min_rates, dtype=float), (K,))
+
+    if direction == "ul":
+        healthy, seen = True, None
+
+        def evaluate(powers):
+            nonlocal healthy, seen
+            rates, sinrs = ul_rates(freq, gamma_u, assoc, subs, powers,
+                                    detector)
+            g = np.concatenate(sinrs)
+            if healthy and not _all_positive(g):
+                if seen is None:
+                    ue = np.repeat(np.arange(K), [len(s) for s in subs])
+                    seen = np.any((freq[:, ue, np.concatenate(subs)] != 0) & (
+                        detector == "gmmse" or assoc.zeta()[:, ue] > 0), axis=0)
+                healthy = _all_positive(g[seen & (np.concatenate(powers) > 0)])
+            return rates, sinrs
+
+        powers = [np.full(len(s), 1.0 / max(len(s), 1)) for s in subs]
+        if objective == "sum_rate":
+            for _ in range(max(refine_iterations, 1)):
+                _, sinrs = evaluate(powers)
+                powers = [allocate_power_waterfill(g / np.maximum(p, 1e-300),
+                                                   1.0) if len(p) else p
+                          for p, g in zip(powers, sinrs)]
+            rates, sinrs = evaluate(powers)
+            objective_value = float(rates.sum())
+        else:
+            splits = [np.full(len(s), 1.0 / max(len(s), 1)) for s in subs]
+
+            def evaluator(p):
+                _, sinrs = evaluate([p[k] * splits[k] for k in range(K)])
+                return np.array([np.min(g) if len(g) else np.inf
+                                 for g in sinrs])
+
+            if any(map(len, subs)):
+                result = maxmin_power_control(evaluator, np.ones(K))
+                powers = [result.powers[k] * splits[k] for k in range(K)]
+                objective_value = float(result.target)
+            else:
+                powers, objective_value = [np.zeros(0)] * K, 0.0
+            rates, sinrs = evaluate(powers)
+        plan = AllocationPlan(assoc=assoc, subcarriers=subs, ul_power=powers,
+                              objective=objective_value, min_rates=min_rates)
+        plan.feasibility = check_feasibility(rates, min_rates)
+        plan.audit = audit_plan(plan, N, mode, components,
+                                {"ul_sinrs_positive": healthy})
+        return plan
+
+    counts = np.array([len(s) for s in subs])
+    ks, ns = np.repeat(np.arange(K), counts), np.concatenate(subs)
+    delta = np.zeros((K, N))
+    delta[ks, ns] = 1.0 / max(len(ns), 1)
+
+    def build(delta_now):
+        precoders = downlink.tmmse_central_ofdm(freq, subs, noise_var,
+                                                delta_now, assoc=assoc)
+        elem = downlink.expected_ap_element_powers(precoders)
+        if elem.sum() == 0:
+            return None, [np.zeros(len(s)) for s in subs]
+        a0 = downlink.compute_a0(
+            elem.sum(axis=1), p_max,
+            element_powers=elem if p_max_element is not None else None,
+            element_max=p_max_element)
+        return a0, downlink.dl_sinr_ofdm(freq, precoders, subs, a0, noise_var)
+
+    if objective == "sum_rate":
+        a0, sinrs = build(delta)
+        for _ in range(max(refine_iterations, 0)):
+            if not len(ns):
+                break
+            flat_gain = (np.concatenate(sinrs)
+                         / np.maximum(delta[ks, ns], 1e-300))
+            delta = np.zeros((K, N))
+            delta[ks, ns] = allocate_power_waterfill(flat_gain, 1.0)
+            a0, sinrs = build(delta)
+    else:
+        def spread(p):
+            d = np.zeros((K, N))
+            d[ks, ns] = p[ks] / counts[ks]
+            return d / d.sum() if d.sum() > 1.0 else d
+
+        def evaluator(p):
+            return np.array([np.min(g) if len(g) else np.inf
+                             for g in build(spread(p))[1]])
+
+        if any(map(len, subs)):
+            result = maxmin_power_control(evaluator, np.ones(K))
+            delta = spread(result.powers)
+        a0, sinrs = build(delta)
+
+    rates = np.array([np.sum(np.log2(1.0 + np.asarray(g))) for g in sinrs])
+    plan = AllocationPlan(assoc=assoc, subcarriers=subs, dl_power=delta,
+                          a0=a0, dl_sinrs=sinrs,
+                          objective=float(rates.sum()),
+                          min_rates=min_rates)
+    if objective == "max_min":
+        plan.objective = float(min((np.min(g) for g in sinrs
+                                    if len(g)), default=0.0))
+    plan.feasibility = check_feasibility(rates, min_rates)
+    plan.audit = audit_plan(plan, N, mode, components)
+    return plan

@@ -9,6 +9,8 @@ from uccfsim.alloc import (AllocationPlan, allocate_power_waterfill,
                            subcarrier_metric, successive_optimize, ul_rates)
 from uccfsim.topology import AssociationMap, build_factor_graph
 
+import dense_oracles as oracle
+
 
 class TestGreedySubcarriers:
     def test_single_ue_takes_everything(self):
@@ -313,6 +315,120 @@ class TestPipeline:
         assert p1.objective == p2.objective
 
 
+def random_allocation_scene(rng):
+    """A small random scene and the keyword arguments of one optimizer call:
+    some UEs disconnected, exclusive or shared mode, 1 to 3 refinement
+    passes, with or without an element power cap and rate floors."""
+    M, K, N = rng.integers(1, 5), rng.integers(1, 4), rng.integers(2, 7)
+    freq = (rng.standard_normal((M, K, N))
+            + 1j * rng.standard_normal((M, K, N))) / np.sqrt(2)
+    ap_sets = [sorted(rng.choice(M, size=rng.integers(
+        0 if rng.random() < 0.15 else 1, M + 1), replace=False).tolist())
+        for _ in range(K)]
+    assoc = AssociationMap.from_ap_sets(
+        ap_sets, num_aps=M,
+        disconnected=[k for k in range(K) if not ap_sets[k]])
+    mode = "shared" if rng.random() < 0.5 else "exclusive"
+    kwargs = dict(
+        demands=rng.integers(0, N // K + 1, size=K), mode=mode,
+        components=(build_factor_graph(assoc).components
+                    if mode == "shared" else None),
+        refine_iterations=int(rng.integers(1, 4)),
+        p_max_element=None if rng.random() < 0.5 else rng.uniform(0.05, 1.0),
+        min_rates=0.0 if rng.random() < 0.5 else rng.uniform(0, 3, size=K),
+        gamma_u=10 ** rng.uniform(0, 2), noise_var=10 ** rng.uniform(-2, 0))
+    return freq, assoc, kwargs
+
+
+def same_arrays(a, b):
+    return len(a) == len(b) and all(map(np.array_equal, a, b))
+
+
+class TestSinglePowerStage:
+    """The one power stage against the two-branch oracle it replaced."""
+
+    @pytest.mark.parametrize("direction,objective", [
+        ("ul", "sum_rate"), ("ul", "max_min"), ("dl", "sum_rate")])
+    def test_matches_the_two_branch_oracle_bit_for_bit(self, direction,
+                                                       objective):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            freq, assoc, kwargs = random_allocation_scene(rng)
+            new = successive_optimize(freq, assoc, objective=objective,
+                                      direction=direction, **kwargs)
+            old = oracle.successive_optimize(freq, assoc, objective=objective,
+                                             direction=direction, **kwargs)
+            assert same_arrays(new.subcarriers, old.subcarriers)
+            assert new.audit == old.audit
+            if direction == "ul":
+                assert same_arrays(new.ul_power, old.ul_power)
+            else:
+                assert np.array_equal(new.dl_power, old.dl_power)
+                assert new.a0 == old.a0
+                assert same_arrays(new.dl_sinrs, old.dl_sinrs)
+            if objective == "sum_rate":
+                assert new.objective == old.objective
+
+    def test_dl_maxmin_spread_differs_from_the_oracle_only_in_rounding(self):
+        # the spread is p_k * (1 / N_k) as on the uplink, where the oracle
+        # divides p_k / N_k, and the budget is checked on the sum of the UE
+        # powers instead of the sum of the spread symbol powers
+        rng = np.random.default_rng(2025)
+        for _ in range(40):
+            freq, assoc, kwargs = random_allocation_scene(rng)
+            new = successive_optimize(freq, assoc, objective="max_min",
+                                      direction="dl", **kwargs)
+            old = oracle.successive_optimize(freq, assoc, objective="max_min",
+                                             direction="dl", **kwargs)
+            assert same_arrays(new.subcarriers, old.subcarriers)
+            assert new.audit == old.audit
+            np.testing.assert_allclose(new.dl_power, old.dl_power,
+                                       rtol=1e-12, atol=1e-15)
+            assert new.objective == pytest.approx(old.objective, rel=1e-9)
+
+    def test_zero_refinement_keeps_the_equal_split_in_both_directions(self):
+        rng = np.random.default_rng(14)
+        freq = (rng.standard_normal((3, 2, 6))
+                + 1j * rng.standard_normal((3, 2, 6)))
+        assoc = AssociationMap.from_ap_sets([[0, 1], [1, 2]], num_aps=3)
+        ul = successive_optimize(freq, assoc, demands=[2, 3], gamma_u=10.0,
+                                 refine_iterations=0)
+        assert same_arrays(ul.ul_power, [np.full(2, 1 / 2), np.full(3, 1 / 3)])
+        dl = successive_optimize(freq, assoc, demands=[2, 3], direction="dl",
+                                 noise_var=0.1, refine_iterations=0)
+        grid = np.zeros((2, 6))
+        for k, s in enumerate(dl.subcarriers):
+            grid[k, s] = 1 / 5
+        assert np.array_equal(dl.dl_power, grid)
+        # the oracle's uplink water-filled once anyway
+        old = oracle.successive_optimize(freq, assoc, demands=[2, 3],
+                                         gamma_u=10.0, refine_iterations=0)
+        once = successive_optimize(freq, assoc, demands=[2, 3], gamma_u=10.0,
+                                   refine_iterations=1)
+        assert same_arrays(old.ul_power, once.ul_power)
+        assert not same_arrays(old.ul_power, ul.ul_power)
+
+    def test_maxmin_objective_is_the_smallest_achieved_symbol_sinr(self):
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            freq, assoc, kwargs = random_allocation_scene(rng)
+            ul = successive_optimize(freq, assoc, objective="max_min",
+                                     **kwargs)
+            _, sinrs = ul_rates(freq, kwargs["gamma_u"], assoc,
+                                ul.subcarriers, ul.ul_power)
+            achieved = np.concatenate(sinrs)
+            assert ul.objective == (achieved.min() if achieved.size else 0.0)
+            # the oracle reported the bisection's target, which every UE
+            # meets up to the feasibility test's 1e-6
+            old = oracle.successive_optimize(freq, assoc, objective="max_min",
+                                             **kwargs)
+            assert ul.objective >= old.objective * (1 - 1e-6)
+            dl = successive_optimize(freq, assoc, objective="max_min",
+                                     direction="dl", **kwargs)
+            achieved = np.concatenate(dl.dl_sinrs)
+            assert dl.objective == (achieved.min() if achieved.size else 0.0)
+
+
 class TestAudit:
     def test_duplicate_subcarriers_fail_exclusive_audit(self):
         assoc = AssociationMap.from_ap_sets([[0], [0]], num_aps=1)
@@ -332,7 +448,7 @@ class TestAudit:
         assert not rep["pass"]
 
     @pytest.mark.parametrize("objective", ["sum_rate", "max_min"])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonpositive_uplink_sinr_fails_the_audit(self, objective):
         # one AP, one UE: the exact SINR of a symbol at power eta is
         # eta * gamma_u * |h|^2 > 0, but at gamma_u = 1e23 the evaluated

@@ -4,12 +4,13 @@ import pytest
 from uccfsim.downlink import (artificial_noise_direction, compute_a0,
                               dist_regmmse_precode, dist_transmit,
                               dist_tzf_precode, distributed_directions,
-                              dl_sinr_ofdm, dl_sinr_subcarrier, dl_sum_rate,
+                              dl_sinr_ofdm, dl_sinr_subcarrier,
                               expected_ap_element_powers,
                               expected_ap_powers_subcarrier, normalize_columns,
                               receive_downlink, receive_mmse_weights,
                               received_power_split, secrecy_transmit,
                               tmmse_central_ofdm, tmmse_central_subcarrier)
+from uccfsim.modulation import sum_rate
 from uccfsim.topology import AssociationMap
 
 from dense_oracles import stacked_dl_channel, stacked_precoders
@@ -177,8 +178,8 @@ class TestDlSinr:
             assert abs(measured - g[k]) / g[k] < 0.05
 
     def test_sum_rate_values(self):
-        assert dl_sum_rate([np.array([3.0])]) == pytest.approx(2.0)
-        assert dl_sum_rate([np.array([0.0]), np.array([0.0])]) == 0.0
+        assert sum_rate([np.array([3.0])]) == pytest.approx(2.0)
+        assert sum_rate([np.array([0.0]), np.array([0.0])]) == 0.0
 
     def test_ofdm_equals_subcarrier_rate_for_single_symbol_ues(self):
         rng = np.random.default_rng(10)
@@ -190,8 +191,8 @@ class TestDlSinr:
         flat = tmmse_central_subcarrier(freq[:, :, 0], 0.2, delta[:, 0])
         g_ofdm = dl_sinr_ofdm(freq, P, sets, 1.5, 0.2)
         g_flat = dl_sinr_subcarrier(freq[:, :, 0], flat, 1.5, 0.2)
-        assert dl_sum_rate(g_ofdm) == pytest.approx(
-            dl_sum_rate([np.array([g]) for g in g_flat]), rel=1e-10)
+        assert sum_rate(g_ofdm) == pytest.approx(
+            sum_rate([np.array([g]) for g in g_flat]), rel=1e-10)
 
 
 class TestDistributed:

@@ -117,7 +117,7 @@ class TestValidation:
         assert any("secrecy_rho" in e for e in validate_scenario(bad))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_high_snr_sinr_collapse_fails_the_audit():
     """One AP 5 m from one UE at noise 1e-24: the evaluated uplink SINRs
     lose every digit, water-filling drops the symbols and the UE reports
@@ -156,6 +156,25 @@ def test_zero_power_symbols_have_empirical_sinr_zero_not_nan():
     assert all(np.isfinite(r["sinr_analytic"]) for r in ue1)
     assert all(np.isfinite(r["sinr_empirical"]) and r["sinr_empirical"] >= 0
                for r in ue1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("detector", ["local_equal", "local_mrc"])
+def test_one_draw_leaves_local_detectors_without_empirical_sinr(detector):
+    """A local detector measures its amplitude from the draws; from one draw
+    that amplitude fits the draw exactly and leaves no error to measure, so
+    the empirical SINR is NaN, not inf or ~1e31."""
+    res = run_scenario({"trials": 3, "topology": {"num_aps": 1, "num_ues": 1},
+                        "ofdm": {"num_subcarriers": 1},
+                        "channel": {"num_taps": 1},
+                        "allocation": {"demands": 1},
+                        "uplink": {"detector": detector, "symbol_draws": 1,
+                                   "constellation": "bpsk"}})
+    assert len(res["records"]) == 3
+    for rec in res["records"]:
+        assert np.isnan(rec["sinr_empirical"])
+        assert np.isfinite(rec["sinr_analytic"]) and np.isfinite(rec["ser"])
+        assert rec["audit_pass"]
 
 
 class TestDeterminism:
@@ -311,6 +330,20 @@ class TestPipelineOutputs:
         for rec in res["records"]:
             assert rec["audit_pass"]
             assert np.isfinite(rec["rate"]) and np.isfinite(rec["dl_rate"])
+
+    def test_refine_iterations_reach_both_directions(self, monkeypatch):
+        seen = []
+        optimize = alloc.successive_optimize
+
+        def spy(*args, **kwargs):
+            seen.append((kwargs["direction"], kwargs["refine_iterations"]))
+            return optimize(*args, **kwargs)
+
+        monkeypatch.setattr(alloc, "successive_optimize", spy)
+        run_scenario({**SMALL, "trials": 2,
+                      "allocation": {"demands": 2, "refine_iterations": 3},
+                      "downlink": {"enabled": True}})
+        assert seen == [("ul", 3), ("dl", 3)] * 2
 
     def test_zero_power_symbols_add_no_rate(self, monkeypatch):
         # at this SNR water-filling leaves some symbols at power 0; their

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from uccfsim.modulation import (CONSTELLATIONS, bit_error_rate, constellation,
-                                nearest_point, random_symbol_indices,
-                                symbol_error_rate)
+                                nearest_point, random_symbol_indices, sum_rate,
+                                symbol_error_rate, ue_rates)
 
 
 class TestConstellations:
@@ -48,3 +48,21 @@ class TestDecisions:
         b = random_symbol_indices(pts, (3, 4), np.random.default_rng(2))
         assert np.array_equal(a, b)
         assert a.max() < 4 and a.min() >= 0
+
+
+class TestRates:
+    def test_valid_sinrs_give_the_log2_sum_per_ue(self):
+        rng = np.random.default_rng(3)
+        sinrs = [rng.uniform(0, 50, size=n) for n in (3, 1, 0)]
+        rates = ue_rates(sinrs)
+        for rate, g in zip(rates, sinrs):
+            assert rate == np.sum(np.log2(1.0 + g))
+        assert rates[2] == 0.0
+        assert sum_rate(sinrs) == pytest.approx(rates.sum())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [-0.5, -4.0, np.inf, np.nan])
+    def test_a_negative_or_nonfinite_sinr_gives_nan_quietly(self, bad):
+        rates = ue_rates([np.array([1.0, bad]), np.array([3.0])])
+        assert np.isnan(rates[0])
+        assert rates[1] == 2.0

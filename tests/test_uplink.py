@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from uccfsim.modulation import sum_rate
 from uccfsim.topology import AssociationMap
 from uccfsim.uplink import (UplinkScene, combined_sinr, combining_lambdas,
                             cpu_combine, empirical_output_sinr,
@@ -9,7 +10,7 @@ from uccfsim.uplink import (UplinkScene, combined_sinr, combining_lambdas,
                             local_ap_estimate, local_ap_weights,
                             local_combining_stats, sample_scene_covariance,
                             scene_covariance, simulate_uplink,
-                            solve_flop_estimate, stacked_channel, sum_rate,
+                            solve_flop_estimate, stacked_channel,
                             uplink_sinr, uplink_sinr_all, uplink_sum_rate,
                             weight_output_sinr)
 
