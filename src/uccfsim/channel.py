@@ -189,11 +189,22 @@ def realize_channels(topology, model: LargeScaleModel, num_subcarriers: int,
         raise ValueError("CIR longer than symbol")
 
     gains = sample_large_scale(d, model, rng)
-    taps = np.zeros((M, K, lmax), dtype=complex)
-    for m in range(M):
-        for k in range(K):
-            L = taps_mk[m, k]
-            taps[m, k, :L] = sample_small_scale(L, rng, decay)
+    # row L of both tables describes a link with L taps; table lookups and
+    # Python's sum stand in for integer comparisons and reductions, whose
+    # first use in a process maps another 128 kB of numpy code each
+    profile = np.zeros((lmax + 1, lmax))
+    filled = np.zeros((lmax + 1, lmax), dtype=bool)
+    lengths = taps_mk.ravel()
+    for L in set(lengths.tolist()):
+        profile[L, :L] = np.sqrt(pdp_profile(L, decay) / 2.0)
+        filled[L, :L] = True
+    # one draw for every link, laid out as sample_small_scale would read it
+    # per link in row-major (m, k) order: L real parts, then L imaginary
+    # parts, each zero-padded to lmax
+    z = np.zeros((M * K, 2, lmax))
+    z[np.broadcast_to(filled[lengths][:, None], z.shape)] = rng.standard_normal(
+        2 * sum(lengths.tolist()))
+    taps = (profile[lengths] * (z[:, 0] + 1j * z[:, 1])).reshape(M, K, lmax)
     freq = subcarrier_gains(taps, gains[..., None], num_subcarriers)
     return ChannelRealization(gains=gains, taps=taps, freq=freq,
                               num_taps=np.array(taps_mk))

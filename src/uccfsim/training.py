@@ -5,17 +5,28 @@ UEs send unit-modulus pilot blocks over their assigned subcarriers for
 associated UEs through the frequency-domain observation model.  Estimation
 runs per AP observation: one call estimates the time-domain CIR taps of
 every UE the AP serves with an unbiased (diagonally renormalized) MMSE
-estimator.  With multiuser-interference suppression all of them share one
-bracket and one inverse; without it each UE gets its own.
+estimator.  With multiuser-interference suppression all of them form one
+estimation group; without it each UE is its own group.
+
+A group's estimator is solved in its Gram form: with the stacked
+observation matrix A (N tau_p x sum L) and the diagonal prior Q = diag(s^2),
+Q A^H (A Q A^H + sigma^2 I)^-1 = diag(s) (B^H B + sigma^2 I)^-1 B^H with
+B = A diag(s), so the inverse is sum L x sum L instead of N tau_p x N tau_p.
+Both sides equal diag(s) B^+ in the noiseless, rank-deficient limit, which
+eigenvalue truncation in the small system keeps exact.  A sample
+autocorrelation has no such low-rank structure and keeps its
+N tau_p-sized inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-# relative eigenvalue floor: _guarded_inverse truncates below _JITTER*trace/n
+# relative eigenvalue floor: _guarded_inverse truncates below _JITTER*trace/n,
+# with n = sum L for the Gram system (trace/n is its mean eigenvalue)
 _JITTER = 1e-12
 
 
@@ -42,6 +53,15 @@ class PilotPlan:
     @property
     def num_ues(self) -> int:
         return len(self.pilot_blocks)
+
+    @cached_property
+    def observation_matrices(self) -> tuple:
+        """Every UE's observation matrix, built once per plan, read-only."""
+        mats = tuple(build_observation_matrix(self, k)
+                     for k in range(self.num_ues))
+        for A in mats:
+            A.flags.writeable = False
+        return mats
 
 
 def make_pilot_plan(num_ues, num_subcarriers, num_symbols, num_taps,
@@ -185,7 +205,7 @@ def sample_autocorrelation(Y, extra=None) -> np.ndarray:
 
 
 def _guarded_inverse(bracket):
-    """Hermitian inverse with eigenvalues below 1e-12 * trace/N truncated.
+    """Hermitian inverse with eigenvalues below 1e-12 * trace/n truncated.
 
     Truncation (rather than plain diagonal jitter) keeps the noiseless,
     rank-deficient case exact instead of amplifying rounding noise in the
@@ -202,41 +222,61 @@ def _guarded_inverse(bracket):
     return (V * inv) @ V.conj().T
 
 
+def _prior_diagonal(prior, ue, num_taps) -> np.ndarray:
+    """The diagonal of UE ``ue``'s tap prior; anything else is refused."""
+    Q = np.asarray(prior)
+    if Q.shape == (num_taps, num_taps):
+        d = np.diagonal(Q)
+        if (np.count_nonzero(Q) == np.count_nonzero(d)
+                and not np.any(d.imag) and d.real.min() >= 0):
+            return d.real
+    raise ValueError(f"prior of UE {ue} must be a nonnegative diagonal "
+                     f"{num_taps}x{num_taps} matrix")
+
+
 def mmse_estimate(obs: PilotObservation, plan: PilotPlan, ues, priors,
                   mode="single", sample_autocorr=None) -> dict:
     """Unbiased MMSE estimates {k: taps} of UEs ``ues`` from one AP observation.
 
-    ``priors`` maps UE index -> diagonal tap covariance.  In ``single`` mode
-    each UE's bracket holds only its own statistics (near-orthogonal
-    pilots); in ``mui_suppress`` mode one bracket over all of ``ues`` serves
-    them all; an (N, N) ``sample_autocorr`` replaces the bracket with its
-    per-symbol block-diagonal expansion.  A per-tap diagonal renormalization
-    makes the estimator unbiased.
+    ``priors`` maps UE index -> diagonal tap covariance (a non-diagonal or
+    negative one raises ValueError).  In ``single`` mode each UE is its own
+    estimation group (near-orthogonal pilots); in ``mui_suppress`` mode all
+    of ``ues`` form one group.  A group stacks its observation matrices
+    into A and its prior standard deviations into s, sets B = A diag(s),
+    and solves the sum L x sum L Gram system
+    G = diag(s) (B^H B + level I)^+ B^H; each UE reads its own rows of G.
+    An (N, N) ``sample_autocorr`` instead makes one group whose bracket is
+    the per-symbol block-diagonal expansion of it, G = Q A^H bracket^+.
+    A per-tap diagonal renormalization c = diag(G_k A_k) makes the
+    estimator unbiased.
     """
     if mode not in ("single", "mui_suppress"):
         raise ValueError(f"unknown mode {mode!r}")
+    q = {k: _prior_diagonal(priors[k], k, plan.num_taps[k]) for k in ues}
     a = obs.forward_gain
-    A = {k: a * build_observation_matrix(plan, k) for k in ues}
-    Q = {k: np.asarray(priors[k], dtype=complex) for k in ues}
-    level = (obs.noise_var + obs.interference_var) * a * np.conj(a)
+    level = (obs.noise_var + obs.interference_var) * (a * np.conj(a)).real
     joint = mode == "mui_suppress" or sample_autocorr is not None
     out = {}
     for group in [sorted(ues)] if joint and len(ues) else [[k] for k in ues]:
+        A = a * np.hstack([plan.observation_matrices[k] for k in group])
+        qg = np.concatenate([q[k] for k in group])
         if sample_autocorr is not None:
             bracket = np.kron(np.eye(plan.num_symbols),
                               np.asarray(sample_autocorr))
+            G = qg[:, None] * (A.conj().T @ _guarded_inverse(bracket))
         else:
-            bracket = level * np.eye(obs.matrix.size).astype(complex)
-            for l in group:
-                bracket += A[l] @ Q[l] @ A[l].conj().T
-        inverse = _guarded_inverse(bracket)
-        for k in group:
-            G = Q[k].conj().T @ A[k].conj().T @ inverse
-            c = np.diag(G @ A[k])
-            if np.any(np.abs(c) < 1e-300):
-                raise ValueError("ill-conditioned training: degenerate prior")
-            out[k] = (G @ obs.vec) / c
-    return out
+            s = np.sqrt(qg)
+            B = A * s
+            small = B.conj().T @ B + level * np.eye(len(s))
+            G = s[:, None] * (_guarded_inverse(small) @ B.conj().T)
+        c = np.einsum("ij,ji->i", G, A)
+        if np.any(np.abs(c) < 1e-300):
+            raise ValueError("ill-conditioned training: degenerate prior")
+        est = (G @ obs.vec) / c
+        offsets = np.cumsum([0] + [plan.num_taps[k] for k in group])
+        for k, lo, hi in zip(group, offsets[:-1], offsets[1:]):
+            out[k] = est[lo:hi]
+    return {k: out[k] for k in ues}
 
 
 def estimate_all(observations, plan: PilotPlan, assoc, channels,
@@ -247,10 +287,11 @@ def estimate_all(observations, plan: PilotPlan, assoc, channels,
     The priors are the genie ones: the generator's true PDP scaled by the
     realized large-scale gain of each link.
     """
+    unit = {L: tap_prior(1.0, L, decay) for L in set(plan.num_taps)}
     out = {}
     for m, obs in enumerate(observations):
         ues = assoc.ue_sets[m]
-        priors = {k: tap_prior(channels.gains[m, k], plan.num_taps[k], decay)
+        priors = {k: channels.gains[m, k] * unit[plan.num_taps[k]]
                   for k in ues}
         for k, taps in mmse_estimate(obs, plan, ues, priors, mode).items():
             out[(m, k)] = taps

@@ -11,9 +11,13 @@ The APMP oracle is the dict-keyed message passing the edge-index
 implementation replaced: messages keyed by (ap, ue, slot), one factor and
 one participant at a time, with ``itertools.product`` enumerations.
 
-The channel-estimation oracle is the per-link estimator the per-AP one
-replaced: each (AP, UE) link builds its own observation matrices, bracket
-and guarded inverse, with the other UEs of the AP named in ``coestimated``.
+The channel-estimation oracles solve the estimator in its bracket form,
+Q A^H (A Q A^H + sigma^2 I)^-1, with an N tau_p-sized guarded inverse:
+``mmse_estimate`` once per (AP, UE) link, building its own observation
+matrices with the other UEs of the AP named in ``coestimated``, and
+``bracket_mmse_estimate`` once per AP observation, as the library did
+before it moved to the sum L-sized Gram form.  ``realize_channels`` draws
+the small-scale taps one link at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from uccfsim.alloc import (AllocationPlan, _all_positive,
                            check_feasibility, maxmin_power_control,
                            subcarrier_metric, ul_rates)
 from uccfsim.apmp import ApmpConfig, ApmpResult
+from uccfsim.channel import (ChannelRealization, sample_large_scale,
+                             sample_small_scale, subcarrier_gains)
 from uccfsim.modulation import constellation
 from uccfsim.training import (PilotObservation, PilotPlan, _dft_columns,
                               _guarded_inverse)
@@ -441,6 +447,60 @@ def mmse_estimate(obs: PilotObservation, plan: PilotPlan, ue: int, priors,
     if np.any(np.abs(c) < 1e-300):
         raise ValueError("ill-conditioned training: degenerate prior")
     return (G @ obs.vec) / c
+
+
+def bracket_mmse_estimate(obs: PilotObservation, plan: PilotPlan, ues,
+                          priors, mode="single", sample_autocorr=None) -> dict:
+    """Unbiased MMSE estimates {k: taps} of UEs ``ues`` from one AP
+    observation, through the N tau_p-sized bracket: one bracket and one
+    guarded inverse per estimation group."""
+    if mode not in ("single", "mui_suppress"):
+        raise ValueError(f"unknown mode {mode!r}")
+    a = obs.forward_gain
+    A = {k: a * observation_matrix(plan, k) for k in ues}
+    Q = {k: np.asarray(priors[k], dtype=complex) for k in ues}
+    level = (obs.noise_var + obs.interference_var) * a * np.conj(a)
+    joint = mode == "mui_suppress" or sample_autocorr is not None
+    out = {}
+    for group in [sorted(ues)] if joint and len(ues) else [[k] for k in ues]:
+        if sample_autocorr is not None:
+            bracket = np.kron(np.eye(plan.num_symbols),
+                              np.asarray(sample_autocorr))
+        else:
+            bracket = level * np.eye(obs.matrix.size).astype(complex)
+            for l in group:
+                bracket += A[l] @ Q[l] @ A[l].conj().T
+        inverse = _guarded_inverse(bracket)
+        for k in group:
+            G = Q[k].conj().T @ A[k].conj().T @ inverse
+            c = np.diag(G @ A[k])
+            if np.any(np.abs(c) < 1e-300):
+                raise ValueError("ill-conditioned training: degenerate prior")
+            out[k] = (G @ obs.vec) / c
+    return out
+
+
+def realize_channels(topology, model, num_subcarriers: int, num_taps=2,
+                     rng=None, decay: float = 0.0) -> ChannelRealization:
+    """Channel realization drawing each link's taps in its own call, in
+    row-major (AP, UE) order."""
+    rng = np.random.default_rng(rng)
+    d = topology.distances()
+    M, K = d.shape
+    taps_mk = np.broadcast_to(np.asarray(num_taps, dtype=int), (M, K))
+    lmax = int(taps_mk.max())
+    if lmax > num_subcarriers:
+        raise ValueError("CIR longer than symbol")
+
+    gains = sample_large_scale(d, model, rng)
+    taps = np.zeros((M, K, lmax), dtype=complex)
+    for m in range(M):
+        for k in range(K):
+            L = taps_mk[m, k]
+            taps[m, k, :L] = sample_small_scale(L, rng, decay)
+    freq = subcarrier_gains(taps, gains[..., None], num_subcarriers)
+    return ChannelRealization(gains=gains, taps=taps, freq=freq,
+                              num_taps=np.array(taps_mk))
 
 
 # ---------------------------------------------------------------------------

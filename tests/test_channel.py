@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import dense_oracles
+from uccfsim import channel
 from uccfsim.channel import (XI, DoubleSlope, LargeScaleModel, TripleSlope,
                              pathloss_double_slope, pathloss_triple_slope,
                              pdp_profile, realize_channels, sample_large_scale,
@@ -168,6 +170,27 @@ class TestRealization:
         m, k = 1, 0
         expect = np.fft.fft(np.sqrt(real.gains[m, k]) * real.taps[m, k], n=16)
         assert np.allclose(real.freq[m, k], expect)
+
+    @pytest.mark.parametrize("num_taps", [3, [[1, 3, 2], [4, 1, 1]]])
+    def test_one_draw_matches_per_link_draws(self, num_taps, monkeypatch):
+        topo = generate_topology(2, 3, rng=6)
+        model = LargeScaleModel(TripleSlope(), shadowing_std_db=3.0)
+        rng, oracle_rng = np.random.default_rng(41), np.random.default_rng(41)
+        want = dense_oracles.realize_channels(topo, model, 8, num_taps,
+                                              oracle_rng, decay=0.4)
+        profiles = []
+        real_profile = channel.pdp_profile
+
+        def spy(L, decay=0.0):
+            profiles.append(L)
+            return real_profile(L, decay)
+
+        monkeypatch.setattr(channel, "pdp_profile", spy)
+        got = realize_channels(topo, model, 8, num_taps, rng, decay=0.4)
+        assert sorted(profiles) == sorted(set(np.ravel(num_taps)))
+        for field in ("gains", "taps", "freq", "num_taps"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert rng.standard_normal() == oracle_rng.standard_normal()
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

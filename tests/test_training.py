@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dense_oracles
 from uccfsim import training
@@ -25,6 +27,39 @@ def naive_observation_matrix(plan, ue):
                     pilot = plan.pilot_blocks[ue][sub.index(n), i]
                     A[i * N + n, l] = pilot * np.exp(-2j * np.pi * n * l / N)
     return np.sqrt(plan.pilot_power[ue]) * A
+
+
+EPS = np.finfo(float).eps
+# a backward-stable Hermitian solve of size n loses about n * cond * eps;
+# the systems in these tests have n <= 16
+COND_FACTOR = 1e3
+
+
+def solve_cond(matrix):
+    """Condition number of a Hermitian system over the eigenvalues that
+    ``_guarded_inverse`` keeps."""
+    lam = np.linalg.eigvalsh(matrix)
+    kept = lam[lam > training._JITTER * lam.sum() / len(lam)]
+    return kept.max() / kept.min()
+
+
+def estimation_cond(obs, plan, group, priors, sample_autocorr=None):
+    """The larger condition number of a group's N tau_p bracket and its
+    sum L Gram system (or of the sample-autocorrelation bracket)."""
+    if sample_autocorr is not None:
+        return solve_cond(np.kron(np.eye(plan.num_symbols), sample_autocorr))
+    a = obs.forward_gain
+    A = a * np.hstack([build_observation_matrix(plan, k) for k in group])
+    s = np.sqrt(np.concatenate([np.diag(priors[k]).real for k in group]))
+    level = (obs.noise_var + obs.interference_var) * abs(a) ** 2
+    B = A * s
+    return max(solve_cond(B @ B.conj().T + level * np.eye(len(B))),
+               solve_cond(B.conj().T @ B + level * np.eye(len(s))))
+
+
+def assert_within_cond(got, want, cond):
+    err = np.linalg.norm(got - want)
+    assert err <= COND_FACTOR * cond * EPS * np.linalg.norm(want), (err, cond)
 
 
 def make_channels(gains, taps, num_subcarriers):
@@ -151,8 +186,11 @@ class TestMmseEstimate:
         assert np.all(np.abs(draws.mean(axis=0) - true) < 3 * (std + 1e-12))
 
     def test_mui_mode_beats_single_on_shared_pilots(self):
-        # identical roots on the same band: contaminated pilots
-        plan = make_pilot_plan(2, 8, 2, 2, roots=[0, 0])
+        # one root on partly overlapping bands (UE 0 on subcarriers 0-5,
+        # UE 1 on 2-7): contaminated pilots that suppression can separate
+        overlap = [np.arange(0, 6), np.arange(2, 8)]
+        plan = make_pilot_plan(2, 8, 2, 2, roots=[0, 0],
+                               subcarrier_sets=overlap)
         assoc = AssociationMap.from_ap_sets([[0], [0]], num_aps=1)
         rng = np.random.default_rng(11)
         err_single, err_mui = 0.0, 0.0
@@ -173,6 +211,75 @@ class TestMmseEstimate:
                 err_single += np.sum(np.abs(e_s - truth) ** 2)
                 err_mui += np.sum(np.abs(e_m - truth) ** 2)
         assert err_mui < err_single
+        assert err_mui < 0.5 * err_single
+
+    def test_modes_agree_on_identical_observation_matrices(self):
+        # identical roots on the same band: only h_0 + h_1 is observable,
+        # and after unbiasing both modes return it for each UE
+        plan = make_pilot_plan(2, 8, 2, 2, roots=[0, 0])
+        assoc = AssociationMap.from_ap_sets([[0], [0]], num_aps=1)
+        rng = np.random.default_rng(11)
+        taps = (rng.standard_normal((1, 2, 2))
+                + 1j * rng.standard_normal((1, 2, 2))) / 2.0
+        ch = make_channels([[1.0, 1.0]], taps, 8)
+        obs = simulate_pilot_rx(plan, ch, assoc, noise_var=0.05, rng=rng,
+                                interference_var=0.0)[0]
+        priors = {k: tap_prior(1.0, 2) for k in range(2)}
+        joint = mmse_estimate(obs, plan, [0, 1], priors, mode="mui_suppress")
+        cond = estimation_cond(obs, plan, [0, 1], priors)
+        for k in range(2):
+            alone = mmse_estimate(obs, plan, [k], priors, mode="single")[k]
+            assert_within_cond(joint[k], alone, cond)
+
+    @pytest.mark.parametrize("power", [1.0, 1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("mode", ["single", "mui_suppress"])
+    def test_orthogonal_pilots_give_the_matched_filter(self, mode, power):
+        # roots 0 and 3 over two symbols make the UEs' observation matrices
+        # orthogonal, so the unbiased estimate is A_k^H y / diag(A_k^H A_k)
+        plan = make_pilot_plan(2, 8, 2, 2, pilot_power=power, roots=[0, 3])
+        rng = np.random.default_rng(17)
+        taps = (rng.standard_normal((1, 2, 2))
+                + 1j * rng.standard_normal((1, 2, 2))) / 2.0
+        # gains of an AP tens of metres away, against noise 1e-9: the
+        # bracket's noise eigenvalues stay above the truncation floor
+        ch = make_channels([[1e-4, 5e-5]], taps, 8)
+        assoc = AssociationMap.from_ap_sets([[0], [0]], num_aps=1)
+        obs = simulate_pilot_rx(plan, ch, assoc, noise_var=1e-9, rng=rng,
+                                interference_var=0.0)[0]
+        priors = {k: tap_prior(ch.gains[0, k], 2) for k in range(2)}
+        got = mmse_estimate(obs, plan, [0, 1], priors, mode=mode)
+        for k in range(2):
+            A = build_observation_matrix(plan, k)
+            exact = A.conj().T @ obs.vec / np.sum(np.abs(A) ** 2, axis=0)
+            err = np.linalg.norm(got[k] - exact) / np.linalg.norm(exact)
+            assert err <= 1e-12
+
+    def test_non_diagonal_prior_raises(self):
+        plan = make_pilot_plan(1, 8, 1, 2)
+        obs = PilotObservation(matrix=np.ones((8, 1), dtype=complex),
+                               noise_var=0.1, interference_var=0.0)
+        prior = np.array([[0.5, 0.1], [0.1, 0.5]])
+        with pytest.raises(ValueError, match="diagonal"):
+            mmse_estimate(obs, plan, [0], {0: prior})
+
+    def test_noiseless_contamination_is_the_pseudo_inverse_solution(self):
+        # noiseless and rank-deficient: G = diag(s) B^+ with B = A diag(s)
+        plan = make_pilot_plan(2, 8, 2, 2, roots=[0, 0])
+        rng = np.random.default_rng(19)
+        taps = (rng.standard_normal((1, 2, 2))
+                + 1j * rng.standard_normal((1, 2, 2)))
+        ch = make_channels([[1.0, 0.5]], taps, 8)
+        assoc = AssociationMap.from_ap_sets([[0], [0]], num_aps=1)
+        obs = simulate_pilot_rx(plan, ch, assoc, noise_var=0.0, rng=0,
+                                interference_var=0.0)[0]
+        priors = {k: tap_prior(ch.gains[0, k], 2, 0.3) for k in range(2)}
+        got = mmse_estimate(obs, plan, [0, 1], priors, mode="mui_suppress")
+        A = np.hstack([build_observation_matrix(plan, k) for k in range(2)])
+        s = np.sqrt(np.concatenate([np.diag(priors[k]) for k in range(2)]))
+        G = s[:, None] * np.linalg.pinv(A * s)
+        want = (G @ obs.vec) / np.einsum("ij,ji->i", G, A)
+        assert np.allclose(np.concatenate([got[0], got[1]]), want,
+                           rtol=1e-10, atol=0)
 
     def test_error_vanishes_with_noise(self):
         plan = make_pilot_plan(2, 16, 2, 2, roots=[0, 3])
@@ -205,8 +312,12 @@ class TestMmseEstimate:
 
 
 class TestAgainstPerLinkOracle:
-    """The per-AP estimator against the per-link one it replaced
-    (``dense_oracles.mmse_estimate``): every estimate must be bit-equal."""
+    """The Gram-form estimator against the two bracket-form oracles: the
+    per-link ``dense_oracles.mmse_estimate`` and the per-AP
+    ``dense_oracles.bracket_mmse_estimate``, which agree bit for bit.
+    Observation matrices are bit-equal; estimates agree within a
+    cond * eps bound, since at high pilot SNR the N tau_p bracket is the
+    worse-conditioned side."""
 
     @staticmethod
     def scene(roots, seed):
@@ -230,8 +341,9 @@ class TestAgainstPerLinkOracle:
     def test_bit_equal_per_ap(self, roots, mode, gain):
         plan, ch, assoc, obs, rng = self.scene(roots, seed=sum(roots) + 40)
         for k in range(plan.num_ues):
-            assert np.array_equal(build_observation_matrix(plan, k),
-                                  dense_oracles.observation_matrix(plan, k))
+            want = dense_oracles.observation_matrix(plan, k)
+            assert np.array_equal(build_observation_matrix(plan, k), want)
+            assert np.array_equal(plan.observation_matrices[k], want)
         for m, ues in enumerate(assoc.ue_sets):
             fwd = cpu_forward(obs[m], gain) if gain != 1.0 else obs[m]
             priors = {k: tap_prior(ch.gains[m, k], plan.num_taps[k], 0.3)
@@ -242,10 +354,16 @@ class TestAgainstPerLinkOracle:
             for kw in ({}, {"sample_autocorr": R}):
                 got = mmse_estimate(fwd, plan, ues, priors, mode=mode, **kw)
                 assert list(got) == list(ues)
+                per_ap = dense_oracles.bracket_mmse_estimate(
+                    fwd, plan, ues, priors, mode=mode, **kw)
+                joint = mode == "mui_suppress" or kw
                 for k in ues:
-                    want = dense_oracles.mmse_estimate(
+                    per_link = dense_oracles.mmse_estimate(
                         fwd, plan, k, priors, mode=mode, coestimated=ues, **kw)
-                    assert np.array_equal(got[k], want)
+                    assert np.array_equal(per_ap[k], per_link)
+                    cond = estimation_cond(fwd, plan, ues if joint else [k],
+                                           priors, **kw)
+                    assert_within_cond(got[k], per_link, cond)
 
     @pytest.mark.parametrize("mode", ["single", "mui_suppress"])
     def test_estimate_all_bit_equal_and_link_ordered(self, mode):
@@ -254,12 +372,29 @@ class TestAgainstPerLinkOracle:
         links = [(m, k) for m, ues in enumerate(assoc.ue_sets) for k in ues]
         assert list(got) == links
         for m, k in links:
+            ues = assoc.ue_sets[m]
             priors = {l: tap_prior(ch.gains[m, l], plan.num_taps[l], 0.2)
-                      for l in assoc.ue_sets[m]}
-            want = dense_oracles.mmse_estimate(obs[m], plan, k, priors,
-                                               mode=mode,
-                                               coestimated=assoc.ue_sets[m])
-            assert np.array_equal(got[(m, k)], want)
+                      for l in ues}
+            want = dense_oracles.bracket_mmse_estimate(obs[m], plan, ues,
+                                                       priors, mode=mode)
+            group = ues if mode == "mui_suppress" else [k]
+            cond = estimation_cond(obs[m], plan, group, priors)
+            assert_within_cond(got[(m, k)], want[k], cond)
+
+    def test_observation_matrices_built_once_per_ue(self, monkeypatch):
+        plan, ch, assoc, obs, _ = self.scene([0, 3, 5], seed=5)
+        calls = []
+        real = training.build_observation_matrix
+
+        def spy(plan, ue):
+            calls.append(ue)
+            return real(plan, ue)
+
+        monkeypatch.setattr(training, "build_observation_matrix", spy)
+        for mode in ("mui_suppress", "single"):
+            estimate_all(obs, plan, assoc, ch, mode=mode)
+        assert sorted(calls) == [0, 1, 2]
+        assert not plan.observation_matrices[0].flags.writeable
 
     def test_no_ues_no_estimates(self):
         plan, _, _, obs, _ = self.scene([0, 3, 5], seed=2)
@@ -282,6 +417,55 @@ class TestAgainstPerLinkOracle:
             counts[mode] = len(calls)
         # two APs serve UEs, over four links
         assert counts == {"mui_suppress": 2, "single": 4}
+
+
+@st.composite
+def estimation_cases(draw):
+    """One AP observation of a random pilot plan, drawn with its priors."""
+    N = draw(st.sampled_from([4, 8]))
+    K = draw(st.integers(1, 3))
+    sets = [sorted(draw(st.lists(st.integers(0, N - 1), min_size=2,
+                                 max_size=N, unique=True)))
+            for _ in range(K)]
+    num_taps = [draw(st.integers(1, min(3, len(sub)))) for sub in sets]
+    roots = ([draw(st.integers(0, 7))] * K if draw(st.booleans())
+             else draw(st.lists(st.integers(0, 7), min_size=K, max_size=K,
+                                unique=True)))
+    plan = make_pilot_plan(K, N, draw(st.integers(1, 2)), num_taps,
+                           pilot_power=draw(st.floats(0.1, 100.0)),
+                           subcarrier_sets=sets, roots=roots)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gains = rng.uniform(0.2, 2.0, (1, K))
+    taps = (rng.standard_normal((1, K, max(num_taps)))
+            + 1j * rng.standard_normal((1, K, max(num_taps))))
+    for k, L in enumerate(num_taps):
+        taps[0, k, L:] = 0.0
+    ch = make_channels(gains, taps, N)
+    assoc = AssociationMap.from_ap_sets([[0]] * K, num_aps=1)
+    obs = simulate_pilot_rx(plan, ch, assoc, rng=rng, interference_var=0.0,
+                            noise_var=draw(st.sampled_from([0.0, 1e-3, 1.0])))
+    gain = draw(st.sampled_from([1.0, 0.3 - 1.1j]))
+    obs = cpu_forward(obs[0], gain) if gain != 1.0 else obs[0]
+    decay = draw(st.floats(0.0, 1.0))
+    priors = {k: tap_prior(gains[0, k], L, decay)
+              for k, L in enumerate(num_taps)}
+    return plan, obs, priors
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=estimation_cases(),
+       mode=st.sampled_from(["single", "mui_suppress"]))
+def test_gram_form_matches_the_bracket_oracle(case, mode):
+    plan, obs, priors = case
+    ues = list(range(plan.num_ues))
+    got = mmse_estimate(obs, plan, ues, priors, mode=mode)
+    want = dense_oracles.bracket_mmse_estimate(obs, plan, ues, priors,
+                                               mode=mode)
+    for k in ues:
+        group = ues if mode == "mui_suppress" else [k]
+        assert_within_cond(got[k], want[k],
+                           estimation_cond(obs, plan, group, priors))
 
 
 class TestAutocorrelation:
