@@ -5,13 +5,24 @@ stages in order and treats interference as fixed inside the power stage.
 
 One power stage serves both directions on the flat list of transmitted
 symbols; a direction supplies its budget groups (one per UE on the uplink,
-one shared on the downlink) and its evaluator from symbol powers to per-UE
-rates and symbol SINRs.  Each group starts from an equal split.  Sum-rate
+one shared on the downlink) and its evaluator from flat symbol powers to
+flat symbol SINRs.  Each group starts from an equal split.  Sum-rate
 then runs ``refine_iterations`` water-filling passes (0 keeps equal
 power); max-min bisects a common SINR target, and its objective is the
-smallest symbol SINR the plan achieves.  Every emitted plan carries a
-constraint audit so downstream consumers can verify the power budgets,
-binary assignments, and minimum rates directly.
+smallest symbol SINR the plan achieves.  Per-UE rates are computed once,
+for the emitted powers.  Every emitted plan carries a constraint audit so
+downstream consumers can verify the power budgets, binary assignments,
+and minimum rates directly.
+
+Within a plan the channels and the subcarrier assignment are fixed, so
+the evaluators keep what depends on them alone: the downlink solves its
+precoder bracket once per plan and rescales it per evaluation, and the
+max-min uplink evaluates the global MMSE SINR on one
+:class:`~uccfsim.uplink.SinrSkeleton`.  Max-min power control runs Yates'
+fixed-point iteration inside the bisection and never evaluates the same
+powers twice in a row; the closing evaluation of the chosen powers reuses
+the last one when they match.  Sum-rate evaluations and the ``reduced``
+detector build a scene per evaluation through :func:`ul_sinrs`.
 """
 
 from __future__ import annotations
@@ -21,6 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modulation import ue_rates
+from .uplink import (SinrSkeleton, UplinkScene, lmmse_reduced,
+                     uplink_sinr_all, weight_output_sinr)
 
 # fixed-point power updates per max-min feasibility test
 MAX_FIXED_POINT = 60
@@ -128,20 +141,26 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3) -> MaxMinResult:
 
     ``evaluator(powers) -> per-UE SINR array``; it must be monotone
     increasing in a UE's own power and decreasing in the others', which
-    holds for the MMSE detectors and precoders used here.
+    holds for the MMSE detectors and precoders used here.  It must also be
+    deterministic: the SINRs of powers already evaluated are reused, and
+    the same powers are never evaluated twice in a row.
     """
     budgets = np.asarray(budgets, dtype=float)
     K = budgets.size
 
     def feasible(target):
+        """Yates' fixed point towards ``target``: (met, powers, SINRs)."""
         p = budgets * 1e-6
         for _ in range(MAX_FIXED_POINT):
-            g = np.maximum(evaluator(p), 1e-300)
-            p, p_last = np.minimum(p * target / g, budgets), p
-            if np.allclose(p, p_last, rtol=1e-9, atol=1e-15):
+            g = evaluator(p)
+            p, p_last = np.minimum(p * target / np.maximum(g, 1e-300),
+                                   budgets), p
+            # np.allclose(p, p_last, rtol=1e-9, atol=1e-15) for finite budgets
+            if np.all(np.abs(p - p_last) <= 1e-15 + 1e-9 * np.abs(p_last)):
                 break
-        g = evaluator(p)
-        return np.all(g >= target * (1 - 1e-6)), p
+        if not np.array_equal(p, p_last):
+            g = evaluator(p)
+        return np.all(g >= target * (1 - 1e-6)), p, g
 
     # interference-free upper bound per UE caps any common target
     alone = np.empty(K)
@@ -150,21 +169,20 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3) -> MaxMinResult:
         solo[k] = budgets[k]
         alone[k] = evaluator(solo)[k]
     hi = float(alone.min())
-    ok_hi, p_hi = feasible(hi)
+    ok_hi, p_hi, g_hi = feasible(hi)
     if ok_hi:
-        g = evaluator(p_hi)
-        return MaxMinResult(powers=p_hi, target=hi, achieved=g,
+        return MaxMinResult(powers=p_hi, target=hi, achieved=g_hi,
                             noise_limited=True)
-    lo, p_best = 0.0, np.zeros(K)
+    lo, p_best, g_best = 0.0, np.zeros(K), None
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        ok, p = feasible(mid)
+        ok, p, g = feasible(mid)
         if ok:
-            lo, p_best = mid, p
+            lo, p_best, g_best = mid, p, g
         else:
             hi = mid
-    g = evaluator(p_best) if p_best.any() else np.zeros(K)
-    return MaxMinResult(powers=p_best, target=lo, achieved=g,
+    return MaxMinResult(powers=p_best, target=lo,
+                        achieved=g_best if p_best.any() else np.zeros(K),
                         noise_limited=False)
 
 
@@ -229,13 +247,18 @@ def audit_plan(plan: AllocationPlan, num_subcarriers: int,
 
 
 def ul_rates(freq, gamma_u, assoc, subcarriers, powers, detector="gmmse"):
-    """Per-UE rates and symbol SINRs for a candidate UL plan.
+    """Per-UE rates and symbol SINRs for a candidate UL plan (see
+    :func:`ul_sinrs`)."""
+    sinrs = ul_sinrs(freq, gamma_u, assoc, subcarriers, powers, detector)
+    return ue_rates(sinrs), sinrs
+
+
+def ul_sinrs(freq, gamma_u, assoc, subcarriers, powers, detector="gmmse"):
+    """Per-UE symbol SINRs for a candidate UL plan.
 
     ``detector`` picks the SINR model: the closed-form global MMSE or the
     reduced local MMSE tied to the association.
     """
-    from .uplink import (UplinkScene, lmmse_reduced, uplink_sinr_all,
-                         weight_output_sinr)
     scene = UplinkScene(freq=freq, subcarriers=subcarriers, power=powers,
                         gamma_u=gamma_u)
     K = scene.num_ues
@@ -251,7 +274,7 @@ def ul_rates(freq, gamma_u, assoc, subcarriers, powers, detector="gmmse"):
                 sinrs.append(np.zeros(len(subcarriers[k])))
     else:
         raise ValueError(f"unknown detector {detector!r}")
-    return ue_rates(sinrs), sinrs
+    return sinrs
 
 
 def _all_positive(g) -> bool:
@@ -280,7 +303,9 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
     # every transmitted symbol as a (UE, subcarrier) index pair
     counts = np.array([len(s) for s in subs])
     ks, ns = np.repeat(np.arange(K), counts), np.concatenate(subs)
-    # each evaluation records its plan fields; the plan keeps the last
+    cuts = np.cumsum(counts)[:-1]
+    # an evaluation maps flat symbol powers to flat symbol SINRs; a
+    # downlink one also records its plan fields, and the plan keeps the last
     fields, checks = {}, {}
 
     if direction == "ul":
@@ -288,35 +313,41 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
             raise ValueError("uplink allocation needs gamma_u")
         budget_of = np.arange(K)
         checks["ul_sinrs_positive"], seen = True, None
+        if detector == "gmmse" and objective == "max_min":
+            # max-min evaluates one plan many times: build its skeleton once
+            symbol_sinrs = SinrSkeleton(freq, subs, gamma_u).sinrs
+        else:
+            def symbol_sinrs(x):
+                return np.concatenate(ul_sinrs(freq, gamma_u, assoc, subs,
+                                               np.split(x, cuts), detector))
 
-        def evaluate(x):
+        def evaluate_direction(x):
             # in exact arithmetic a symbol's SINR is positive, or 0 when it
             # has no power or a channel that the detector does not see
             # (through every AP for gmmse, the associated ones otherwise)
             nonlocal seen
-            fields["ul_power"] = [x[g] for g in groups]
-            rates, sinrs = ul_rates(freq, gamma_u, assoc, subs,
-                                    fields["ul_power"], detector)
-            g = np.concatenate(sinrs)
+            g = symbol_sinrs(x)
             if checks["ul_sinrs_positive"] and not _all_positive(g):
                 if seen is None:
                     seen = np.any((freq[:, ks, ns] != 0) & (
                         detector == "gmmse" or assoc.zeta()[:, ks] > 0), axis=0)
                 checks["ul_sinrs_positive"] = _all_positive(g[seen & (x > 0)])
-            return rates, sinrs
+            return g
 
     elif direction == "dl":
         from .downlink import (compute_a0, dl_sinr_ofdm,
-                               expected_ap_element_powers, tmmse_central_ofdm)
+                               expected_ap_element_powers, tmmse_bracket_solve,
+                               tmmse_scale)
         if noise_var is None:
             raise ValueError("downlink allocation needs noise_var")
         budget_of = np.zeros(K, dtype=int)
+        # the precoders' bracket solve depends on the assignment only
+        unscaled = tmmse_bracket_solve(freq, subs, noise_var, assoc=assoc)
 
-        def evaluate(x):
+        def evaluate_direction(x):
             fields["dl_power"] = delta = np.zeros((K, N))
             delta[ks, ns] = x
-            precoders = tmmse_central_ofdm(freq, subs, noise_var, delta,
-                                           assoc=assoc)
+            precoders = tmmse_scale(*unscaled, delta)
             elem = expected_ap_element_powers(precoders)
             fields["a0"] = None if elem.sum() == 0 else compute_a0(
                 elem.sum(axis=1), p_max,
@@ -325,10 +356,20 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
             fields["dl_sinrs"] = (
                 [np.zeros(len(s)) for s in subs] if fields["a0"] is None else
                 dl_sinr_ofdm(freq, precoders, subs, fields["a0"], noise_var))
-            return ue_rates(fields["dl_sinrs"]), fields["dl_sinrs"]
+            return np.concatenate(fields["dl_sinrs"])
 
     else:
         raise ValueError(f"unknown direction {direction!r}")
+
+    last = None
+
+    def evaluate(x):
+        """Symbol SINRs at powers ``x``; equal powers in a row reuse the
+        previous evaluation."""
+        nonlocal last
+        if last is None or not np.array_equal(x, last[0]):
+            last = x, evaluate_direction(x)
+        return last[1]
 
     # each budget group's symbols; every group has a budget of 1
     groups = [np.flatnonzero(budget_of[ks] == b)
@@ -337,14 +378,14 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
     for g in groups:
         x[g] = 1.0 / max(len(g), 1)
     if objective == "sum_rate":
-        rates, sinrs = evaluate(x)
+        achieved = evaluate(x)
         for _ in range(refine_iterations):
-            unit = np.concatenate(sinrs) / np.maximum(x, 1e-300)
+            unit = achieved / np.maximum(x, 1e-300)
             x = x.copy()
             for g in groups:
                 if len(g):
                     x[g] = allocate_power_waterfill(unit[g], 1.0)
-            rates, sinrs = evaluate(x)
+            achieved = evaluate(x)
     elif objective == "max_min":
         share = 1.0 / counts[ks]
 
@@ -354,17 +395,24 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
             total = np.bincount(budget_of, weights=p * (counts > 0))
             return p[ks] * share / np.maximum(total, 1.0)[budget_of[ks]]
 
+        live = counts > 0
+        starts = np.r_[0, cuts][live]
+
         def evaluator(p):
-            return np.array([np.min(g) if len(g) else np.inf
-                             for g in evaluate(spread(p))[1]])
+            """Each UE's smallest symbol SINR; inf for a UE without any."""
+            mins = np.full(K, np.inf)
+            mins[live] = np.minimum.reduceat(evaluate(spread(p)), starts)
+            return mins
 
         if len(ns):
             x = spread(maxmin_power_control(evaluator, np.ones(K)).powers)
-        rates, sinrs = evaluate(x)
+        achieved = evaluate(x)
     else:
         raise ValueError(f"unknown objective {objective!r}")
 
-    achieved = np.concatenate(sinrs)
+    if direction == "ul":
+        fields["ul_power"] = [x[g] for g in groups]
+    rates = ue_rates(np.split(achieved, cuts))
     plan = AllocationPlan(
         assoc=assoc, subcarriers=subs, min_rates=min_rates, **fields,
         objective=float(rates.sum() if objective == "sum_rate"

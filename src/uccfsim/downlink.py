@@ -5,7 +5,10 @@ Subcarrier-level functions work on an (M, K) channel matrix (one complex
 gain per AP-UE pair).  Subcarriers do not couple, so an OFDM-level
 precoder is one (N, M, K) array: slice n is the subcarrier-level precoder
 of subcarrier n, solved for all N in one batch, and a UE's column is zero
-on every subcarrier it does not transmit on.  Distributed precoders are
+on every subcarrier it does not transmit on.  The centralized MMSE bracket
+depends on the assignment but not on the powers, so its solve
+(:func:`tmmse_bracket_solve`) and the power scaling (:func:`tmmse_scale`)
+are separate steps that a power loop can run once and many times.  Distributed precoders are
 computed per AP from that AP's local channels only; multi-antenna APs
 appear as an (M, U, K) channel tensor.
 """
@@ -52,13 +55,23 @@ def tmmse_central_ofdm(freq, subcarrier_sets, noise_var, delta, assoc=None):
     n; a UE's column is zero on subcarriers outside its set.  Collapses to
     the subcarrier-level precoder at N = 1.
     """
+    return tmmse_scale(*tmmse_bracket_solve(freq, subcarrier_sets, noise_var,
+                                            assoc), delta)
+
+
+def tmmse_bracket_solve(freq, subcarrier_sets, noise_var, assoc=None):
+    """The power-independent part of :func:`tmmse_central_ofdm`.
+
+    Returns X = bracket_n^-1 H_n^* per subcarrier, (N, M, K), and the
+    (N, K) assignment mask; the bracket depends on which UEs use a
+    subcarrier, not on their powers.
+    """
     if noise_var <= 0:
         raise ValueError("noise variance must be positive")
     freq = np.asarray(freq, dtype=complex)
     M, K, N = freq.shape
     if assoc is not None:
         freq = freq * assoc.zeta()[:, :, None]
-    delta = np.asarray(delta, dtype=float)
     mask = np.zeros((N, K))
     for l in range(K):
         mask[np.asarray(subcarrier_sets[l], dtype=int), l] = 1.0
@@ -66,7 +79,13 @@ def tmmse_central_ofdm(freq, subcarrier_sets, noise_var, delta, assoc=None):
     H = freq.transpose(2, 0, 1)                          # (N, M, K)
     bracket = ((H.conj() * mask[:, None, :]) @ H.transpose(0, 2, 1)
                + noise_var * np.eye(M))
-    X = np.linalg.solve(bracket, H.conj())               # (N, M, K)
+    return np.linalg.solve(bracket, H.conj()), mask
+
+
+def tmmse_scale(X, mask, delta):
+    """Precoders from :func:`tmmse_bracket_solve`'s (X, mask): column k of
+    slice n is X scaled by sqrt(delta_kn) on the UE's subcarriers."""
+    delta = np.asarray(delta, dtype=float)
     return X * (mask * np.sqrt(delta).T)[:, None, :]
 
 

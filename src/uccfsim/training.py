@@ -13,7 +13,9 @@ observation matrix A (N tau_p x sum L) and the diagonal prior Q = diag(s^2),
 Q A^H (A Q A^H + sigma^2 I)^-1 = diag(s) (B^H B + sigma^2 I)^-1 B^H with
 B = A diag(s), so the inverse is sum L x sum L instead of N tau_p x N tau_p.
 Both sides equal diag(s) B^+ in the noiseless, rank-deficient limit, which
-eigenvalue truncation in the small system keeps exact.  A sample
+eigenvalue truncation in the small system keeps exact.  When a group has
+more taps than pilot observations (sum L > N tau_p) the bracket is the
+smaller system, and the group solves it instead.  A sample
 autocorrelation has no such low-rank structure and keeps its
 N tau_p-sized inverse.
 """
@@ -245,8 +247,10 @@ def mmse_estimate(obs: PilotObservation, plan: PilotPlan, ues, priors,
     into A and its prior standard deviations into s, sets B = A diag(s),
     and solves the sum L x sum L Gram system
     G = diag(s) (B^H B + level I)^+ B^H; each UE reads its own rows of G.
-    An (N, N) ``sample_autocorr`` instead makes one group whose bracket is
-    the per-symbol block-diagonal expansion of it, G = Q A^H bracket^+.
+    A group with sum L > N tau_p solves the equal, smaller bracket form
+    G = Q A^H (A Q A^H + level I)^+ instead.  An (N, N) ``sample_autocorr``
+    makes one group whose bracket is the per-symbol block-diagonal
+    expansion of it, G = Q A^H bracket^+.
     A per-tap diagonal renormalization c = diag(G_k A_k) makes the
     estimator unbiased.
     """
@@ -263,6 +267,10 @@ def mmse_estimate(obs: PilotObservation, plan: PilotPlan, ues, priors,
         if sample_autocorr is not None:
             bracket = np.kron(np.eye(plan.num_symbols),
                               np.asarray(sample_autocorr))
+            G = qg[:, None] * (A.conj().T @ _guarded_inverse(bracket))
+        elif len(qg) > len(A):
+            # more taps than pilot observations: the bracket is smaller
+            bracket = (A * qg) @ A.conj().T + level * np.eye(len(A))
             G = qg[:, None] * (A.conj().T @ _guarded_inverse(bracket))
         else:
             s = np.sqrt(qg)

@@ -16,6 +16,12 @@ APs.  A local detector only sees the diagonals [R_n]_mm, so local
 detection followed by CPU fusion is one stacked weight per UE, evaluated
 per subcarrier in closed form.
 
+The closed-form MMSE SINR has one implementation, :class:`SinrSkeleton`.
+It keeps everything that does not depend on the powers (symbol indices,
+channels, their outer products) for one plan, so that a power-control
+loop pays per evaluation only for R_n, one (S, M, M) solve and the
+products; ``uplink_sinr_all`` builds one for a single scene.
+
 Two paths stay dense: ``gmmse_weights`` solves the (M*N, M*N) covariance,
 built once per scene, and ``weight_output_sinr`` evaluates
 w^H R w - eta |w^H b|^2 on it.  That difference cancels at high SINR, so
@@ -172,23 +178,73 @@ def uplink_sinr(scene: UplinkScene, k: int, i: int) -> float:
     return float(uplink_sinr_all(scene)[k][i])
 
 
-def uplink_sinr_all(scene: UplinkScene):
-    """Per-UE arrays of closed-form MMSE symbol SINRs.
+class SinrSkeleton:
+    """The power-independent part of the closed-form MMSE SINRs of a plan.
 
-    Symbol s of UE k on subcarrier n with power eta has SINR
-    Re(eta b^H x), where (R_n - eta b b^H) x = b and b = h_kn; all symbols
-    are solved in one (S, M, M) batch.
+    Built once from the channels, the subcarrier assignment and gamma_u,
+    it holds the flat symbol indices, each symbol's channel b = h_kn and
+    its outer product b b^H, and the per-subcarrier channel view.
+    :meth:`sinrs` then evaluates the SINRs of any symbol powers, so a
+    power-control loop on one plan pays only the power-dependent work.
     """
-    ue = np.concatenate([np.full(len(s), k)
-                         for k, s in enumerate(scene.subcarriers)])
-    sub = np.concatenate(scene.subcarriers)
+
+    def __init__(self, freq, subcarriers, gamma_u):
+        if gamma_u <= 0:
+            raise ValueError("gamma_u must be positive")
+        freq = np.asarray(freq, dtype=complex)
+        subs = [np.asarray(s, dtype=int) for s in subcarriers]
+        counts = [len(s) for s in subs]
+        self.num_ues = len(subs)
+        self.ue = np.repeat(np.arange(self.num_ues), counts)    # (S,)
+        self.sub = np.concatenate(subs)                         # (S,)
+        self.cuts = np.cumsum(counts)[:-1]
+        self.b = freq[:, self.ue, self.sub].T                   # (S, M)
+        self.b_conj = self.b.conj()
+        self.outer = self.b[:, :, None] * self.b_conj[:, None, :]
+        self.H = freq.transpose(2, 0, 1)                        # (N, M, K)
+        self.H_herm = self.H.conj().transpose(0, 2, 1)
+        self.noise = (1.0 / gamma_u) * np.eye(freq.shape[0])
+        self.grid_shape = freq.shape[1:]
+
+    def split(self, flat):
+        """Per-UE arrays of a flat per-symbol array."""
+        return np.split(flat, self.cuts)
+
+    def sinrs(self, eta) -> np.ndarray:
+        """Flat symbol SINRs at the flat symbol powers ``eta``, which must
+        pass the power checks of :class:`UplinkScene`: no negative power and
+        every UE within its unit budget."""
+        eta = np.asarray(eta, dtype=float)
+        if eta.shape != self.ue.shape:
+            raise ValueError("power vector does not match subcarriers")
+        K = self.num_ues
+        over = np.bincount(self.ue, eta, K) > 1.0 + 1e-9
+        if over.any() or (eta < 0).any():
+            # the first offending UE, as the per-UE checks would find it
+            k = int(np.argmax(over | (np.bincount(self.ue, eta < 0, K) > 0)))
+            raise ValueError(f"UE {k}: power budget exceeded" if over[k]
+                             else f"UE {k}: negative power")
+        return self._closed_form(eta)
+
+    def _closed_form(self, eta):
+        """Symbol s of UE k on subcarrier n with power eta has SINR
+        Re(eta b^H x), where (R_n - eta b b^H) x = b and b = h_kn; all
+        symbols are solved in one (S, M, M) batch."""
+        grid = np.zeros(self.grid_shape)
+        grid[self.ue, self.sub] = eta
+        R = (self.H * grid.T[:, None, :]) @ self.H_herm + self.noise
+        x = np.linalg.solve(R[self.sub] - eta[:, None, None] * self.outer,
+                            self.b[:, :, None])[:, :, 0]
+        return np.real(eta * np.einsum("sm,sm->s", self.b_conj, x))
+
+
+def uplink_sinr_all(scene: UplinkScene):
+    """Per-UE arrays of closed-form MMSE symbol SINRs (see
+    :class:`SinrSkeleton`)."""
+    skeleton = SinrSkeleton(scene.freq, scene.subcarriers, scene.gamma_u)
+    # the scene has checked its powers
     eta = np.concatenate(scene.power)
-    b = scene.freq[:, ue, sub].T                         # (S, M)
-    own = eta[:, None, None] * (b[:, :, None] * b.conj()[:, None, :])
-    x = np.linalg.solve(subcarrier_covariances(scene)[sub] - own,
-                        b[:, :, None])[:, :, 0]
-    sinrs = np.real(eta * np.einsum("sm,sm->s", b.conj(), x))
-    return np.split(sinrs, np.cumsum([len(s) for s in scene.subcarriers])[:-1])
+    return skeleton.split(skeleton._closed_form(eta))
 
 
 def uplink_sum_rate(scene: UplinkScene) -> float:

@@ -18,6 +18,12 @@ matrices with the other UEs of the AP named in ``coestimated``, and
 ``bracket_mmse_estimate`` once per AP observation, as the library did
 before it moved to the sum L-sized Gram form.  ``realize_channels`` draws
 the small-scale taps one link at a time.
+
+Two oracles are not dense but pin bit-identical refactors:
+``batched_uplink_sinr_all`` rebuilds every power-independent array of the
+closed-form uplink SINR on each call, as the library did before it kept
+them in a per-plan skeleton, and ``maxmin_power_control`` evaluates the
+same powers again after its fixed point and before returning.
 """
 
 from __future__ import annotations
@@ -27,18 +33,18 @@ from itertools import product
 import numpy as np
 
 from uccfsim import downlink
-from uccfsim.alloc import (AllocationPlan, _all_positive,
-                           allocate_power_waterfill,
+from uccfsim.alloc import (MAX_FIXED_POINT, AllocationPlan, MaxMinResult,
+                           _all_positive, allocate_power_waterfill,
                            allocate_subcarriers_greedy, audit_plan,
-                           check_feasibility, maxmin_power_control,
-                           subcarrier_metric, ul_rates)
+                           check_feasibility, subcarrier_metric, ul_rates)
 from uccfsim.apmp import ApmpConfig, ApmpResult
 from uccfsim.channel import (ChannelRealization, sample_large_scale,
                              sample_small_scale, subcarrier_gains)
 from uccfsim.modulation import constellation
 from uccfsim.training import (PilotObservation, PilotPlan, _dft_columns,
                               _guarded_inverse)
-from uccfsim.uplink import UplinkScene, scene_covariance, stacked_channel
+from uccfsim.uplink import (UplinkScene, scene_covariance, stacked_channel,
+                            subcarrier_covariances)
 
 
 def uplink_sinr_all(scene: UplinkScene):
@@ -55,6 +61,21 @@ def uplink_sinr_all(scene: UplinkScene):
             sinrs[i] = np.real(eta * b.conj() @ np.linalg.solve(Rki, b))
         out.append(sinrs)
     return out
+
+
+def batched_uplink_sinr_all(scene: UplinkScene):
+    """Per-UE closed-form MMSE symbol SINRs in one (S, M, M) solve, every
+    index and outer product rebuilt from the scene on each call."""
+    ue = np.concatenate([np.full(len(s), k)
+                         for k, s in enumerate(scene.subcarriers)])
+    sub = np.concatenate(scene.subcarriers)
+    eta = np.concatenate(scene.power)
+    b = scene.freq[:, ue, sub].T                         # (S, M)
+    own = eta[:, None, None] * (b[:, :, None] * b.conj()[:, None, :])
+    x = np.linalg.solve(subcarrier_covariances(scene)[sub] - own,
+                        b[:, :, None])[:, :, 0]
+    sinrs = np.real(eta * np.einsum("sm,sm->s", b.conj(), x))
+    return np.split(sinrs, np.cumsum([len(s) for s in scene.subcarriers])[:-1])
 
 
 def stacked_dl_channel(freq, k) -> np.ndarray:
@@ -505,6 +526,46 @@ def realize_channels(topology, model, num_subcarriers: int, num_taps=2,
 
 # ---------------------------------------------------------------------------
 # successive allocation, one power stage per direction
+
+def maxmin_power_control(evaluator, budgets, tol=1e-3) -> MaxMinResult:
+    """Max-min bisection that evaluates the fixed point's last powers once
+    more, and the returned powers once more again."""
+    budgets = np.asarray(budgets, dtype=float)
+    K = budgets.size
+
+    def feasible(target):
+        p = budgets * 1e-6
+        for _ in range(MAX_FIXED_POINT):
+            g = np.maximum(evaluator(p), 1e-300)
+            p, p_last = np.minimum(p * target / g, budgets), p
+            if np.allclose(p, p_last, rtol=1e-9, atol=1e-15):
+                break
+        g = evaluator(p)
+        return np.all(g >= target * (1 - 1e-6)), p
+
+    alone = np.empty(K)
+    for k in range(K):
+        solo = np.zeros(K)
+        solo[k] = budgets[k]
+        alone[k] = evaluator(solo)[k]
+    hi = float(alone.min())
+    ok_hi, p_hi = feasible(hi)
+    if ok_hi:
+        g = evaluator(p_hi)
+        return MaxMinResult(powers=p_hi, target=hi, achieved=g,
+                            noise_limited=True)
+    lo, p_best = 0.0, np.zeros(K)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        ok, p = feasible(mid)
+        if ok:
+            lo, p_best = mid, p
+        else:
+            hi = mid
+    g = evaluator(p_best) if p_best.any() else np.zeros(K)
+    return MaxMinResult(powers=p_best, target=lo, achieved=g,
+                        noise_limited=False)
+
 
 def successive_optimize(freq, assoc, demands, objective="sum_rate",
                         direction="ul", gamma_u=None, noise_var=None,

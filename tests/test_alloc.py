@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from uccfsim import alloc, downlink
 from uccfsim.alloc import (AllocationPlan, allocate_power_waterfill,
                            allocate_subcarriers_greedy, audit_plan,
                            check_feasibility, maxmin_power_control,
@@ -152,6 +153,33 @@ class TestMaxMin:
         res = maxmin_power_control(ev, budgets=np.ones(3), tol=1e-4)
         if not res.noise_limited:
             assert np.ptp(res.achieved) < 0.05 * res.target
+
+    @pytest.mark.parametrize("gains,noise,tol", [
+        ([1.0, 1.0], 0.5, 1e-4), ([2.0], 0.4, 1e-5),
+        (np.random.default_rng(3).uniform(0.5, 2.0, size=3), 0.7, 1e-3),
+        ([1.0, 3.0, 0.7], 1.0, 1e-4), ([1.0, 3.0, 0.7], 0.01, 1e-3)])
+    def test_equals_the_oracle_and_never_repeats_an_evaluation(self, gains,
+                                                                noise, tol):
+        ev = self.scalar_evaluator(gains, noise)
+
+        def recording(calls):
+            def evaluator(p):
+                calls.append(np.array(p))
+                return ev(p)
+            return evaluator
+
+        new_calls, old_calls = [], []
+        new = maxmin_power_control(recording(new_calls), np.ones(len(gains)),
+                                   tol=tol)
+        old = oracle.maxmin_power_control(recording(old_calls),
+                                          np.ones(len(gains)), tol=tol)
+        assert np.array_equal(new.powers, old.powers)
+        assert new.target == old.target
+        assert np.array_equal(new.achieved, old.achieved)
+        assert new.noise_limited == old.noise_limited
+        assert not any(np.array_equal(a, b)
+                       for a, b in zip(new_calls, new_calls[1:]))
+        assert len(new_calls) < len(old_calls)
 
 
 class TestFeasibility:
@@ -313,6 +341,60 @@ class TestPipeline:
         assert all(np.array_equal(a, b)
                    for a, b in zip(p1.ul_power, p2.ul_power))
         assert p1.objective == p2.objective
+
+
+class TestPlanSkeletons:
+    """Power-independent work is done once per plan."""
+
+    def test_maxmin_builds_one_skeleton_and_repeats_no_evaluation(
+            self, monkeypatch):
+        built, evaluated = [], []
+
+        class Recording(alloc.SinrSkeleton):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+            def sinrs(self, eta):
+                evaluated.append(np.array(eta))
+                return super().sinrs(eta)
+
+        monkeypatch.setattr(alloc, "SinrSkeleton", Recording)
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            freq, assoc, kwargs = random_allocation_scene(rng)
+            built.clear()
+            evaluated.clear()
+            plan = successive_optimize(freq, assoc, objective="max_min",
+                                       **kwargs)
+            assert len(built) == 1
+            assert evaluated
+            assert not any(np.array_equal(a, b)
+                           for a, b in zip(evaluated, evaluated[1:]))
+            # the plan keeps the powers of the last evaluation
+            assert np.array_equal(np.concatenate(plan.ul_power),
+                                  evaluated[-1])
+
+    @pytest.mark.parametrize("objective", ["sum_rate", "max_min"])
+    def test_dl_plan_solves_the_precoder_bracket_once(self, objective,
+                                                      monkeypatch):
+        solves = []
+        real = downlink.tmmse_bracket_solve
+
+        def recording(*args, **kwargs):
+            solves.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(downlink, "tmmse_bracket_solve", recording)
+        rng = np.random.default_rng(17)
+        freq = (rng.standard_normal((3, 3, 6))
+                + 1j * rng.standard_normal((3, 3, 6)))
+        assoc = AssociationMap.from_ap_sets([[0, 1], [1, 2], [0, 2]],
+                                            num_aps=3)
+        successive_optimize(freq, assoc, demands=2, direction="dl",
+                            noise_var=0.1, objective=objective,
+                            refine_iterations=3)
+        assert len(solves) == 1
 
 
 def random_allocation_scene(rng):

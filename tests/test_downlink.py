@@ -9,7 +9,8 @@ from uccfsim.downlink import (artificial_noise_direction, compute_a0,
                               expected_ap_powers_subcarrier, normalize_columns,
                               receive_downlink, receive_mmse_weights,
                               received_power_split, secrecy_transmit,
-                              tmmse_central_ofdm, tmmse_central_subcarrier)
+                              tmmse_bracket_solve, tmmse_central_ofdm,
+                              tmmse_central_subcarrier, tmmse_scale)
 from uccfsim.modulation import sum_rate
 from uccfsim.topology import AssociationMap
 
@@ -101,6 +102,24 @@ class TestCentralOfdm:
             rhs = (H.conj() * np.sqrt(delta[k]))[:, sets[k]]
             lhs = bracket @ Pk[:, sets[k]]
             assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-11
+
+    def test_one_bracket_solve_serves_every_power_split(self):
+        # the bracket depends on the assignment, not on delta: one solve,
+        # scaled per delta, gives the precoders bit for bit
+        rng = np.random.default_rng(6)
+        M, K, N = 3, 3, 5
+        freq = (rng.standard_normal((M, K, N))
+                + 1j * rng.standard_normal((M, K, N)))
+        sets = [[0, 1, 4], [1, 2], []]
+        assoc = AssociationMap.from_ap_sets([[0, 1], [1, 2], [2]], num_aps=3)
+        for zeta in (None, assoc):
+            X, mask = tmmse_bracket_solve(freq, sets, 0.3, assoc=zeta)
+            for _ in range(5):
+                delta = rng.uniform(0.0, 0.2, size=(K, N))
+                delta[rng.random((K, N)) < 0.2] = 0.0
+                np.testing.assert_array_equal(
+                    tmmse_scale(X, mask, delta),
+                    tmmse_central_ofdm(freq, sets, 0.3, delta, assoc=zeta))
 
 
 class TestAmplificationGain:

@@ -419,6 +419,41 @@ class TestAgainstPerLinkOracle:
         assert counts == {"mui_suppress": 2, "single": 4}
 
 
+def test_more_taps_than_pilot_observations_solve_the_bracket(monkeypatch):
+    # N 4, tau_p 2 and three UEs with 3 taps each: a joint group has
+    # sum L = 9 taps but only N tau_p = 8 observations
+    plan = make_pilot_plan(3, 4, 2, 3, pilot_power=2.0)
+    rng = np.random.default_rng(21)
+    gains = rng.uniform(0.2, 2.0, (1, 3))
+    taps = rng.standard_normal((1, 3, 3)) + 1j * rng.standard_normal((1, 3, 3))
+    ch = make_channels(gains, taps, 4)
+    assoc = AssociationMap.from_ap_sets([[0]] * 3, num_aps=1)
+    priors = {k: tap_prior(gains[0, k], 3, 0.5) for k in range(3)}
+    sizes = []
+    real = training._guarded_inverse
+
+    def recording(matrix):
+        sizes.append(len(matrix))
+        return real(matrix)
+
+    for noise_var in (1e-3, 1.0):
+        obs = simulate_pilot_rx(plan, ch, assoc, noise_var, rng,
+                                interference_var=0.0)[0]
+        for mode in ("single", "mui_suppress"):
+            sizes.clear()
+            monkeypatch.setattr(training, "_guarded_inverse", recording)
+            got = mmse_estimate(obs, plan, [0, 1, 2], priors, mode=mode)
+            monkeypatch.undo()
+            # one 3 x 3 Gram system per UE alone, the 8 x 8 bracket jointly
+            assert sizes == ([3, 3, 3] if mode == "single" else [8])
+            want = dense_oracles.bracket_mmse_estimate(obs, plan, [0, 1, 2],
+                                                       priors, mode=mode)
+            for k in range(3):
+                group = [0, 1, 2] if mode == "mui_suppress" else [k]
+                assert_within_cond(got[k], want[k],
+                                   estimation_cond(obs, plan, group, priors))
+
+
 @st.composite
 def estimation_cases(draw):
     """One AP observation of a random pilot plan, drawn with its priors."""

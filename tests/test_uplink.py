@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dense_oracles
 from uccfsim.modulation import sum_rate
 from uccfsim.topology import AssociationMap
-from uccfsim.uplink import (UplinkScene, combined_sinr, combining_lambdas,
+from uccfsim.uplink import (SinrSkeleton, UplinkScene, combined_sinr,
+                            combining_lambdas,
                             cpu_combine, empirical_output_sinr,
                             equal_power_scene, gmmse_per_subcarrier,
                             gmmse_weights, lmmse_column_sliced, lmmse_reduced,
@@ -145,6 +149,85 @@ class TestSinr:
             hi = UplinkScene(freq=freq, subcarriers=[[0], [0]],
                              power=[[0.9], [0.6]], gamma_u=25.0)
             assert uplink_sinr(hi, 0, 0) >= uplink_sinr(lo, 0, 0) - 1e-12
+
+
+@st.composite
+def skeleton_cases(draw):
+    """A random plan with three symbol-power vectors on it: shared or
+    exclusive subcarriers, maybe a UE without any, zero-power symbols and
+    gamma_u up to 1e23."""
+    M, K, N = (draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+               draw(st.integers(1, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    freq = rng.standard_normal((M, K, N)) + 1j * rng.standard_normal((M, K, N))
+    if draw(st.booleans()):
+        subs = [np.sort(rng.choice(N, size=rng.integers(1, N + 1),
+                                   replace=False)) for _ in range(K)]
+    else:
+        owner = rng.integers(0, K, N)
+        subs = [np.flatnonzero(owner == k) for k in range(K)]
+    if draw(st.booleans()):
+        subs[draw(st.integers(0, K - 1))] = np.array([], dtype=int)
+    gamma_u = 10.0 ** draw(st.sampled_from([0.0, 2.0, 8.0, 16.0, 23.0]))
+    powers = []
+    for _ in range(3):
+        p = [rng.uniform(0.0, 1.0, len(s)) * (rng.random(len(s)) > 0.25)
+             for s in subs]
+        powers.append([q / max(q.sum(), 1.0) for q in p])
+    return freq, subs, gamma_u, powers
+
+
+class TestSinrSkeleton:
+    @settings(max_examples=150, deadline=None)
+    @given(case=skeleton_cases())
+    def test_bit_identical_to_the_batched_oracle(self, case):
+        # one skeleton serves every power vector of its plan
+        freq, subs, gamma_u, powers = case
+        skeleton = SinrSkeleton(freq, subs, gamma_u)
+        for power in powers:
+            scene = UplinkScene(freq=freq, subcarriers=subs, power=power,
+                                gamma_u=gamma_u)
+            try:
+                want = dense_oracles.batched_uplink_sinr_all(scene)
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    skeleton.sinrs(np.concatenate(power))
+                continue
+            for got in (skeleton.split(skeleton.sinrs(np.concatenate(power))),
+                        uplink_sinr_all(scene)):
+                assert len(got) == len(want) == len(subs)
+                assert all(np.array_equal(g, w, equal_nan=True)
+                           for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("flat,message", [
+        ([0.6, 0.5, 0.5, 0.5], "UE 0: power budget exceeded"),
+        ([0.5, 0.5, 0.6, 0.5], "UE 2: power budget exceeded"),
+        ([0.2, -0.1, 0.9, 0.2], "UE 0: negative power"),
+        ([0.5, 0.5, 0.9, -1e-300], "UE 2: negative power"),
+        ([0.5, 0.5, 2.0, -0.1], "UE 2: power budget exceeded"),
+        ([0.5, -0.5, 2.0, 0.1], "UE 0: negative power"),
+    ])
+    def test_bad_powers_raise_through_the_evaluator(self, flat, message):
+        rng = np.random.default_rng(9)
+        freq = (rng.standard_normal((2, 3, 4))
+                + 1j * rng.standard_normal((2, 3, 4)))
+        subs = [[0, 1], [], [2, 3]]
+        skeleton = SinrSkeleton(freq, subs, 10.0)
+        with pytest.raises(ValueError, match=message):
+            skeleton.sinrs(np.array(flat))
+        # the scene's per-UE checks name the same UE
+        with pytest.raises(ValueError, match=message):
+            UplinkScene(freq=freq, subcarriers=subs, gamma_u=10.0,
+                        power=[flat[:2], [], flat[2:]])
+
+    def test_bad_plans_raise(self):
+        freq = np.ones((1, 2, 2), dtype=complex)
+        with pytest.raises(ValueError, match="gamma_u"):
+            SinrSkeleton(freq, [[0], [1]], 0.0)
+        skeleton = SinrSkeleton(freq, [[0], [1]], 1.0)
+        with pytest.raises(ValueError, match="does not match"):
+            skeleton.sinrs(np.array([0.5, 0.5, 0.5]))
+        assert np.all(skeleton.sinrs(np.array([0.5, 0.0])) >= 0)
 
 
 class TestSumRate:
