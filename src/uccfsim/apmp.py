@@ -14,6 +14,12 @@ constellation): AP-major edges, a padded table of each edge's siblings
 by degree d with their Q**d joint tables.  Messages are one (edges, Q)
 array; a round is one log-sum-exp over the joint table per participant
 position of each degree group.
+
+Observations may carry a leading draw axis: y of shape (D, M, N) runs D
+independent detections in one loop, with (D, edges, Q) messages and
+(D, symbols, Q) beliefs.  Each draw stops at its own convergence round;
+converged draws are masked out of later rounds, so every draw gets the
+decisions and iteration count of a single-observation call.
 """
 
 from __future__ import annotations
@@ -53,12 +59,18 @@ class ApmpConfig:
 
 @dataclass
 class ApmpResult:
-    decisions: list              # per UE: (N_k,) symbol indices, or None
-    marginals: list              # per UE: (N_k, Q) posteriors, or None
-    iterations: int
-    converged: bool
+    """A (D, M, N) stack of draws puts a leading draw axis on every
+    per-symbol array; ``iterations`` and ``converged`` stay scalars."""
+    decisions: list              # per UE: (N_k,) / (D, N_k) indices, or None
+    marginals: list              # per UE: (N_k, Q) / (D, N_k, Q), or None
+    iterations: int              # rounds run: the most any draw ran
+    converged: bool              # True when every draw converged
+    draw_iterations: np.ndarray = None  # (D,) rounds each draw ran (D = 1
+    #                                     for one (M, N) observation)
     trace: list = field(default_factory=list)   # per-round max belief change
-    belief_trace: list = field(default_factory=list)  # per-round snapshots
+    #                                             over the draws still running
+    belief_trace: list = field(default_factory=list)  # per-round snapshots,
+    #                                   {(ue, slot): (Q,) / (D, Q) belief}
     undetected: frozenset = frozenset()
 
 
@@ -80,15 +92,17 @@ def _joint_means(amp, pts, table) -> np.ndarray:
     return mean
 
 
-def _marginalize(joint, p):
-    """Log-marginal (F, Q) of position p of an (F, Q, ..., Q) log table."""
-    a = np.moveaxis(joint, 1 + p, 1).reshape(joint.shape[:2] + (-1,))
-    peak = a.max(axis=2, keepdims=True)
-    return (peak + np.log(np.exp(a - peak).sum(axis=2, keepdims=True)))[..., 0]
+def _marginalize(joint, p, d):
+    """Log-marginal (..., Q) of position p of a (..., Q, ..., Q) log table
+    with d symbol axes."""
+    a = np.moveaxis(joint, p - d, -d)
+    a = a.reshape(a.shape[:a.ndim - d + 1] + (-1,))
+    peak = a.max(axis=-1, keepdims=True)
+    return (peak + np.log(np.exp(a - peak).sum(axis=-1, keepdims=True)))[..., 0]
 
 
 def _normalize(v, clamp):
-    return (v - v[:, :1]).clip(-clamp, clamp)
+    return (v - v[..., :1]).clip(-clamp, clamp)
 
 
 class EdgeIndex:
@@ -148,33 +162,37 @@ class EdgeIndex:
 
 
 def message_round(index, y, messages, config: ApmpConfig) -> np.ndarray:
-    """One flooding round: every factor's message along every edge, (E, Q).
+    """One flooding round: every factor's message along every edge.
 
-    ``messages`` is the previous round's (E, Q) array, or None for the
-    intrinsic (uniform-prior) round.  A factor's message about a symbol
-    never reads what its own AP received about that symbol, only the other
-    APs' messages about the co-monitored symbols.
+    ``y`` is one (M, N) observation or a (D, M, N) stack of them, and the
+    result is (E, Q) or (D, E, Q) to match.  ``messages`` is the previous
+    round's array of that shape, or None for the intrinsic (uniform-prior)
+    round.  A factor's message about a symbol never reads what its own AP
+    received about that symbol, only the other APs' messages about the
+    co-monitored symbols.
     """
+    lead = y.shape[:-2]
     E, Q = len(index.slot), len(index.pts)
-    out = np.empty((E, Q))
+    out = np.empty(lead + (E, Q))
     prior = None
-    for edges, at, mean, table in index.groups:
+    for edges, (m, n), mean, table in index.groups:
         F, d = edges.shape
-        ll = -index.gamma_u * np.abs(y[at][:, None] - mean) ** 2
+        ll = -index.gamma_u * np.abs(y[..., m, n, None] - mean) ** 2
         if d == 1:
-            out[edges[:, 0]] = _normalize(ll, config.llr_clamp)
+            out[..., edges[:, 0], :] = _normalize(ll, config.llr_clamp)
             continue
         if prior is None:
             # row E, which the padding points at, stays zero
-            prior = np.zeros((E + 1, Q))
+            prior = np.zeros(lead + (E + 1, Q))
             if messages is not None:
-                prior[:E] = messages
-                prior = prior[index.siblings].sum(axis=1)
+                prior[..., :E, :] = messages
+                prior = prior[..., index.siblings, :].sum(axis=-2)
         for p in range(d):
-            joint = ll + sum(prior[edges[:, j]][:, table[:, j]]
+            joint = ll + sum(prior[..., edges[:, j], :][..., table[:, j]]
                              for j in range(d) if j != p)
-            out[edges[:, p]] = _normalize(_marginalize(
-                joint.reshape((F,) + (Q,) * d), p), config.llr_clamp)
+            out[..., edges[:, p], :] = _normalize(_marginalize(
+                joint.reshape(lead + (F,) + (Q,) * d), p, d),
+                config.llr_clamp)
     if messages is not None and config.damping > 0:
         out = _normalize((1 - config.damping) * out
                          + config.damping * messages, config.llr_clamp)
@@ -195,9 +213,10 @@ def intrinsic_llr(scene, assoc, m, y_m, config: ApmpConfig = ApmpConfig()):
 
 
 def _beliefs(index, messages):
-    """Per symbol, the sum of every AP's message about it, in edge order."""
-    belief = np.zeros((len(index.slots), messages.shape[1]))
-    np.add.at(belief, index.slot, messages)
+    """Per symbol, the sum of every AP's message about it, in edge order:
+    (D, E, Q) messages give (D, symbols, Q) beliefs."""
+    belief = np.zeros((len(messages), len(index.slots), messages.shape[-1]))
+    np.add.at(belief, (slice(None), index.slot), messages)
     return belief
 
 
@@ -205,41 +224,67 @@ def apmp_detect(scene, assoc, y, config: ApmpConfig = ApmpConfig(),
                 index: EdgeIndex | None = None) -> ApmpResult:
     """Run flooding message passing and decide every UE's symbols.
 
-    ``y`` is the (M, N) per-AP, per-subcarrier observation.  Decisions for
-    UE k are taken at its lowest-index associated AP; UEs with no
-    association are reported in ``undetected``.  ``index`` is the scene's
-    :class:`EdgeIndex` for ``config.points``, built here when not given.
+    ``y`` is the (M, N) per-AP, per-subcarrier observation, or a (D, M, N)
+    stack of D observations detected together; each draw runs until it
+    converges or ``config.max_iterations`` rounds have passed, exactly as
+    it would alone.  Decisions for UE k are taken at its lowest-index
+    associated AP; UEs with no association are reported in ``undetected``.
+    ``index`` is the scene's :class:`EdgeIndex` for ``config.points``,
+    built here when not given.
     """
     if index is None:
         index = EdgeIndex(scene, assoc, config.points)
-    messages = message_round(index, y, None, config)
+    y = np.asarray(y)
+    single = y.ndim == 2
+    ys = y[None] if single else y
+    D = len(ys)
+
+    def draws(a):
+        """Drop the draw axis again for a single observation."""
+        return a[0] if single else a
+
+    def snapshot(belief):
+        return dict(zip(index.slots, np.moveaxis(draws(belief), -2, 0).copy()))
+
+    messages = message_round(index, ys, None, config)
     belief = _beliefs(index, messages)
     trace, belief_trace = [], []
     if config.record_trace:
-        belief_trace.append(dict(zip(index.slots, belief)))
-    iterations, converged = 0, config.max_iterations == 0
+        belief_trace.append(snapshot(belief))
+    rounds = np.zeros(D, dtype=int)
+    converged = np.full(D, config.max_iterations == 0)
+    active = np.arange(D)
     for it in range(1, config.max_iterations + 1):
-        messages = message_round(index, y, messages, config)
-        new = _beliefs(index, messages)
-        delta = np.max(np.abs(new - belief)) if new.size else 0.0
-        trace.append(delta)
-        if config.record_trace:
-            belief_trace.append(dict(zip(index.slots, new)))
-        iterations, belief = it, new
-        if delta < config.tol:
-            converged = True
+        if not active.size:
             break
+        new_messages = message_round(index, ys[active], messages[active],
+                                     config)
+        new = _beliefs(index, new_messages)
+        delta = np.abs(new - belief[active]).max(axis=(1, 2), initial=0.0)
+        trace.append(delta.max())
+        messages[active] = new_messages
+        belief[active] = new
+        rounds[active] = it
+        if config.record_trace:
+            belief_trace.append(snapshot(belief))
+        done = delta < config.tol
+        converged[active[done]] = True
+        active = active[~done]
 
     # without an exchange round, each UE is decided at its designated AP
-    total = belief if config.max_iterations > 0 else messages[index.designated]
-    decided = np.argmax(total, axis=1)
-    p = np.exp(total - total.max(axis=1, keepdims=True))
-    marginals = p / p.sum(axis=1, keepdims=True)
+    total = (belief if config.max_iterations > 0
+             else messages[:, index.designated])
+    decided = draws(np.argmax(total, axis=-1))
+    p = np.exp(total - total.max(axis=-1, keepdims=True))
+    marginals = draws(p / p.sum(axis=-1, keepdims=True))
     return ApmpResult(
-        decisions=[None if r is None else decided[r] for r in index.ue_rows],
-        marginals=[None if r is None else marginals[r] for r in index.ue_rows],
-        iterations=iterations, converged=converged, trace=trace,
-        belief_trace=belief_trace, undetected=index.undetected)
+        decisions=[None if r is None else decided[..., r]
+                   for r in index.ue_rows],
+        marginals=[None if r is None else marginals[..., r, :]
+                   for r in index.ue_rows],
+        iterations=int(rounds.max(initial=0)),
+        converged=bool(converged.all()), draw_iterations=rounds,
+        trace=trace, belief_trace=belief_trace, undetected=index.undetected)
 
 
 def map_oracle(scene, assoc, component, y, points="bpsk"):
@@ -274,7 +319,7 @@ def map_oracle(scene, assoc, component, y, points="bpsk"):
             loglik = loglik - scene.gamma_u * np.abs(y[m, n] - mean) ** 2
         joint = loglik.reshape((1,) + (Q,) * len(active))
         for col, k in enumerate(active):
-            post = _marginalize(joint, col)[0]
+            post = _marginalize(joint, col, len(active))[0]
             p = np.exp(post - post.max())
             out[(k, slot_of[k][n])] = p / p.sum()
     return out

@@ -330,22 +330,17 @@ def _detect_uplink(scenario, scene, assoc, gains, rng):
                                  tol=acfg["tol"], damping=acfg["damping"],
                                  points=points_name,
                                  llr_clamp=acfg["llr_clamp"])
-        ser_counts = np.zeros(K)
         ser_draws = max(draws, 1)
         M, N = scene.num_aps, scene.num_subcarriers
         indices, ys = uplink.simulate_uplink(scene, ser_draws, rng, points_name)
-        index = apmp.EdgeIndex(scene, assoc, points_name)
-        results = [apmp.apmp_detect(scene, assoc, y.reshape(M, N), config,
-                                    index) for y in ys]
-        for k in range(K):
-            if results[0].decisions[k] is None:
-                continue
-            wrong = np.array([r.decisions[k] for r in results]) != indices[k]
-            # per-draw SERs summed in draw order: the CSV pins this rounding
-            ser_counts[k] = sum(np.mean(wrong, axis=1))
-        out["ser"] = list(ser_counts / ser_draws)
-        out["apmp_iterations"] = float(np.mean([r.iterations
-                                                for r in results]))
+        res = apmp.apmp_detect(scene, assoc, ys.reshape(ser_draws, M, N),
+                               config, apmp.EdgeIndex(scene, assoc, points_name))
+        # per-draw SERs summed in draw order: the CSV pins this rounding;
+        # a UE with no detected symbol keeps SER NaN
+        out["ser"] = [np.nan if d is None else
+                      sum(np.mean(d != indices[k], axis=1)) / ser_draws
+                      for k, d in enumerate(res.decisions)]
+        out["apmp_iterations"] = float(np.mean(res.draw_iterations))
         # analytic MMSE SINR reported as the rate proxy for APMP trials
         sinrs = uplink.uplink_sinr_all(scene)
         for k in range(K):

@@ -10,6 +10,9 @@ draws instead of using the diagonal closed forms.
 The APMP oracle is the dict-keyed message passing the edge-index
 implementation replaced: messages keyed by (ap, ue, slot), one factor and
 one participant at a time, with ``itertools.product`` enumerations.
+``apmp_draw_loop`` is the engine's APMP symbol error count as it was
+before detection took every draw in one call: one single-observation
+``apmp_detect`` per draw.
 
 The channel-estimation oracles solve the estimator in its bracket form,
 Q A^H (A Q A^H + sigma^2 I)^-1, with an N tau_p-sized guarded inverse:
@@ -32,7 +35,7 @@ from itertools import product
 
 import numpy as np
 
-from uccfsim import downlink
+from uccfsim import apmp, downlink
 from uccfsim.alloc import (MAX_FIXED_POINT, AllocationPlan, MaxMinResult,
                            _all_positive, allocate_power_waterfill,
                            allocate_subcarriers_greedy, audit_plan,
@@ -687,3 +690,20 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
     plan.feasibility = check_feasibility(rates, min_rates)
     plan.audit = audit_plan(plan, N, mode, components)
     return plan
+
+
+def apmp_draw_loop(scene, assoc, ys, indices, config: ApmpConfig, index):
+    """Per-UE SER and mean iteration count over (D, M*N) draws ``ys``,
+    detecting one draw per ``apmp_detect`` call; a UE with no detected
+    symbol has SER NaN."""
+    M, N = scene.num_aps, scene.num_subcarriers
+    results = [apmp.apmp_detect(scene, assoc, y.reshape(M, N), config,
+                                index) for y in ys]
+    ser = np.full(scene.num_ues, np.nan)
+    for k in range(scene.num_ues):
+        if results[0].decisions[k] is None:
+            continue
+        wrong = np.array([r.decisions[k] for r in results]) != indices[k]
+        # per-draw SERs summed in draw order
+        ser[k] = sum(np.mean(wrong, axis=1)) / len(ys)
+    return list(ser), float(np.mean([r.iterations for r in results]))

@@ -489,3 +489,108 @@ class TestAgainstDictOracle:
                 assert_matches_oracle(scene, assoc, y,
                                       ApmpConfig(max_iterations=it,
                                                  record_trace=True))
+
+
+def assert_batch_matches_singles(scene, assoc, ys, cfg):
+    """A (D, M, N) stack detected at once gives every draw the decisions,
+    iteration count and marginals of a single-observation call."""
+    got = apmp_detect(scene, assoc, ys, cfg)
+    singles = [apmp_detect(scene, assoc, y, cfg) for y in ys]
+    rounds = [r.iterations for r in singles]
+    assert got.draw_iterations.tolist() == rounds
+    assert got.iterations == max(rounds, default=0)
+    assert got.converged == all(r.converged for r in singles)
+    assert isinstance(got.iterations, int) and isinstance(got.converged, bool)
+    assert got.undetected == singles[0].undetected
+    for k in range(scene.num_ues):
+        if singles[0].decisions[k] is None:
+            assert got.decisions[k] is None and got.marginals[k] is None
+            continue
+        assert got.decisions[k].shape == (len(ys),) + singles[0].decisions[k].shape
+        assert got.marginals[k].shape == (len(ys),) + singles[0].marginals[k].shape
+        for d, r in enumerate(singles):
+            assert np.array_equal(got.decisions[k][d], r.decisions[k])
+            assert np.max(np.abs(got.marginals[k][d] - r.marginals[k])) \
+                <= MARGINAL_BOUND
+    return got.draw_iterations
+
+
+class TestDrawBatch:
+    """apmp_detect on a (D, M, N) stack against D single calls."""
+
+    @pytest.mark.parametrize("points", ["bpsk", "qpsk"])
+    @pytest.mark.parametrize("graph", ["tree", "loopy"])
+    def test_stack_equals_single_calls(self, points, graph):
+        rng = np.random.default_rng(60)
+        Q = len(CONSTELLATIONS[points])
+        spread = False
+        for _ in range(40):
+            M, K = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            assoc = (random_bipartite_tree(M, K, rng) if graph == "tree"
+                     else random_loopy(M, K, rng))
+            N = int(rng.integers(1, 3))
+            scene = scene_on_association(assoc, rng, N=N,
+                                         gamma_u=float(rng.uniform(0.5, 5.0)))
+            ys = np.stack([transmit(scene, [rng.integers(Q, size=N)
+                                            for _ in range(K)], rng, points)
+                           for _ in range(6)])
+            cfg = ApmpConfig(max_iterations=int(rng.integers(0, 12)),
+                             tol=float(rng.choice([1e-1, 1e-3, 1e-6])),
+                             damping=float(rng.choice([0.0, 0.3])),
+                             points=points)
+            rounds = assert_batch_matches_singles(scene, assoc, ys, cfg)
+            spread |= len(set(rounds.tolist())) > 1
+        # some draws stopped while others of their stack ran on
+        assert spread
+
+    def test_zero_iterations(self):
+        rng = np.random.default_rng(61)
+        assoc = random_loopy(3, 3, rng)
+        scene = scene_on_association(assoc, rng, N=2)
+        ys = np.stack([transmit(scene, [rng.integers(2, size=2)
+                                        for _ in range(3)], rng)
+                       for _ in range(4)])
+        rounds = assert_batch_matches_singles(
+            scene, assoc, ys, ApmpConfig(max_iterations=0, damping=0.3))
+        assert rounds.tolist() == [0] * 4
+
+    def test_empty_and_disconnected_graphs(self):
+        rng = np.random.default_rng(62)
+        for ap_sets in ([[], []], [[0], []], [[], [1]], [[0, 1], [], [1]]):
+            assoc = AssociationMap.from_ap_sets(ap_sets, num_aps=2)
+            scene = scene_on_association(assoc, rng)
+            ys = np.stack([transmit(scene, [rng.integers(2, size=1)
+                                            for _ in ap_sets], rng)
+                           for _ in range(3)])
+            for it in (0, 4):
+                assert_batch_matches_singles(scene, assoc, ys,
+                                             ApmpConfig(max_iterations=it))
+
+    def test_single_observation_keeps_its_shapes(self):
+        rng = np.random.default_rng(63)
+        assoc = random_loopy(3, 2, rng)
+        scene, y = random_case(assoc, rng, "qpsk", N=2)
+        res = apmp_detect(scene, assoc, y, ApmpConfig(points="qpsk",
+                                                      record_trace=True))
+        assert [d.shape for d in res.decisions] == [(2,), (2,)]
+        assert [p.shape for p in res.marginals] == [(2, 4), (2, 4)]
+        assert res.draw_iterations.tolist() == [res.iterations]
+        assert all(v.shape == (4,) for snap in res.belief_trace
+                   for v in snap.values())
+
+    def test_batch_trace_snapshots_hold_every_draw(self):
+        rng = np.random.default_rng(64)
+        assoc = AssociationMap.from_ap_sets([[0, 1], [0, 1]], num_aps=2)
+        scene = scene_on_association(assoc, rng, gamma_u=2.0)
+        ys = np.stack([transmit(scene, [rng.integers(2, size=1)
+                                        for _ in range(2)], rng)
+                       for _ in range(3)])
+        cfg = ApmpConfig(max_iterations=5, tol=0.0, record_trace=True)
+        res = apmp_detect(scene, assoc, ys, cfg)
+        assert len(res.belief_trace) == res.iterations + 1
+        for r, y in enumerate(ys):
+            alone = apmp_detect(scene, assoc, y, cfg)
+            for snap, want in zip(res.belief_trace, alone.belief_trace):
+                for key, value in want.items():
+                    assert snap[key].shape == (3, 2)
+                    assert np.array_equal(snap[key][r], value)

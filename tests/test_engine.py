@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from uccfsim import alloc, engine, uplink
+import dense_oracles
+from uccfsim import alloc, apmp, engine, uplink
 from uccfsim.engine import (DETECTORS, merge_scenario, results_to_csv,
                             results_to_table, run_scenario, run_trial,
                             scenario_hash, set_by_path, sweep,
@@ -391,6 +392,57 @@ class TestPipelineOutputs:
         res = run_scenario(cfg)
         assert np.isfinite(res["records"][0]["apmp_iterations"])
         assert np.isfinite(res["records"][0]["ser"])
+
+    @pytest.mark.parametrize("max_iterations", [0, 8])
+    def test_apmp_trial_equals_one_detection_per_draw(self, monkeypatch,
+                                                      max_iterations):
+        """A trial detects its draws in one batched ``apmp_detect`` call;
+        its SER and mean iteration count equal a loop of one call per
+        draw."""
+        calls, drawn = [], []
+        detect, simulate = apmp.apmp_detect, uplink.simulate_uplink
+
+        def spy_detect(*args):
+            calls.append(args)
+            return detect(*args)
+
+        def spy_simulate(*args):
+            drawn.append(simulate(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(apmp, "apmp_detect", spy_detect)
+        monkeypatch.setattr(uplink, "simulate_uplink", spy_simulate)
+        scenario = merge_scenario({
+            **SMALL, "topology": {"num_aps": 4, "num_ues": 3},
+            "ofdm": {"num_subcarriers": 8},
+            "uplink": {"detector": "apmp", "symbol_draws": 12,
+                       "apmp": {"damping": 0.3,
+                                "max_iterations": max_iterations}}})
+        trials = [run_trial(scenario, t) for t in range(6)]
+        monkeypatch.undo()
+        assert len(calls) == len(drawn) == len(trials)
+        for records, (scene, assoc, ys, config, index), (indices, y) \
+                in zip(trials, calls, drawn):
+            assert ys.shape == (12, scene.num_aps, scene.num_subcarriers)
+            ser, iterations = dense_oracles.apmp_draw_loop(
+                scene, assoc, y, indices, config, index)
+            np.testing.assert_array_equal([r["ser"] for r in records], ser)
+            assert all(r["apmp_iterations"] == iterations for r in records)
+
+    @pytest.mark.parametrize("overrides", [
+        {"allocation": {"demands": [2, 0]}},
+        {"association": {"method": "large_scale", "min_gain": 1e9}}])
+    def test_apmp_leaves_ser_nan_without_detected_symbols(self, overrides):
+        """A UE with no subcarriers or no association has no SER under
+        ``apmp``, as under every other detector."""
+        def ser(detector):
+            res = run_scenario({**overrides, "trials": 2,
+                                "uplink": {"detector": detector,
+                                           "symbol_draws": 5}})
+            return np.isnan([r["ser"] for r in res["records"]])
+
+        assert ser("apmp").any()
+        np.testing.assert_array_equal(ser("apmp"), ser("gmmse"))
 
 
 class TestExport:
