@@ -56,6 +56,6 @@ print(f"  powers {np.round(res.powers, 4)} (weak UE gets the most)")
 print("\n=== downlink pipeline with the amplification gain ===")
 plan_dl = successive_optimize(real.freq, assoc, demands=2, direction="dl",
                               noise_var=topo.noise_variance,
-                              p_max=topo.max_ap_power)
+                              p_max=1.0)
 print(f"  sum Delta = {plan_dl.dl_power.sum():.4f} (budget 1), "
       f"A0 = {plan_dl.a0:.4g}, audit pass: {plan_dl.audit['pass']}")

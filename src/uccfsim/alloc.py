@@ -15,8 +15,9 @@ downstream consumers can verify the power budgets, binary assignments,
 and minimum rates directly.
 
 Within a plan the channels and the subcarrier assignment are fixed, so
-the evaluators keep what depends on them alone: the downlink solves its
-precoder bracket once per plan and rescales it per evaluation, and the
+the evaluators keep what depends on them alone: the downlink computes
+its unscaled precoders (MMSE bracket solve or distributed directions)
+once per plan and rescales them per evaluation under one A0, and the
 max-min uplink evaluates the global MMSE SINR on one
 :class:`~uccfsim.uplink.SinrSkeleton`.  Max-min power control runs Yates'
 fixed-point iteration inside the bisection and never evaluates the same
@@ -285,13 +286,15 @@ def _all_positive(g) -> bool:
 def successive_optimize(freq, assoc, demands, objective="sum_rate",
                         direction="ul", gamma_u=None, noise_var=None,
                         p_max=1.0, p_max_element=None, detector="gmmse",
-                        min_rates=0.0, mode="exclusive", components=None,
+                        precoder="tmmse_ofdm", reg=None, min_rates=0.0,
+                        mode="exclusive", components=None,
                         refine_iterations=1) -> AllocationPlan:
     """Association -> greedy subcarriers -> power, stage by stage.
 
     The association is taken as given (computed by the topology module);
     disconnected UEs receive no resources and surface through the
-    feasibility report rather than as errors.
+    feasibility report rather than as errors.  ``dist_regmmse``'s ``reg``
+    defaults to ``noise_var``.
     """
     freq = np.asarray(freq, dtype=complex)
     M, K, N = freq.shape
@@ -335,14 +338,21 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
             return g
 
     elif direction == "dl":
-        from .downlink import (compute_a0, dl_sinr_ofdm,
-                               expected_ap_element_powers, tmmse_bracket_solve,
-                               tmmse_scale)
+        from .downlink import (compute_a0, distributed_ofdm_directions,
+                               dl_sinr_ofdm, expected_ap_element_powers,
+                               tmmse_bracket_solve, tmmse_scale)
         if noise_var is None:
             raise ValueError("downlink allocation needs noise_var")
         budget_of = np.zeros(K, dtype=int)
-        # the precoders' bracket solve depends on the assignment only
-        unscaled = tmmse_bracket_solve(freq, subs, noise_var, assoc=assoc)
+        # the unscaled precoders depend on the assignment only
+        if precoder == "tmmse_ofdm":
+            unscaled = tmmse_bracket_solve(freq, subs, noise_var, assoc=assoc)
+        elif precoder in ("dist_mf", "dist_tzf", "dist_regmmse"):
+            unscaled = distributed_ofdm_directions(
+                freq, subs, assoc, precoder.removeprefix("dist_"),
+                noise_var if reg is None else reg)
+        else:
+            raise ValueError(f"unknown precoder {precoder!r}")
 
         def evaluate_direction(x):
             fields["dl_power"] = delta = np.zeros((K, N))

@@ -43,6 +43,7 @@ def pathloss_triple_slope(d, d0, d1, f_mhz, h_ap, h_ue):
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ValueError("nonpositive distance")
+    d, d0, d1 = d / 1e3, d0 / 1e3, d1 / 1e3     # meters in, the formula's km
     lp = triple_slope_offset_db(f_mhz, h_ap, h_ue)
     far = -lp - 35.0 * np.log10(d)
     mid = -lp - 10.0 * np.log10(d1**1.5 * d**2)

@@ -8,9 +8,11 @@ of subcarrier n, solved for all N in one batch, and a UE's column is zero
 on every subcarrier it does not transmit on.  The centralized MMSE bracket
 depends on the assignment but not on the powers, so its solve
 (:func:`tmmse_bracket_solve`) and the power scaling (:func:`tmmse_scale`)
-are separate steps that a power loop can run once and many times.  Distributed precoders are
-computed per AP from that AP's local channels only; multi-antenna APs
-appear as an (M, U, K) channel tensor.
+are separate steps that a power loop can run once and many times.
+Distributed precoders use each AP's local channels only (multi-antenna
+APs as an (M, U, K) tensor); :func:`distributed_ofdm_directions` puts
+them in the bracket solve's (X, mask) form, so all precoders share one
+power scaling, amplification gain and SINR.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+
+from .topology import AssociationMap
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +76,7 @@ def tmmse_bracket_solve(freq, subcarrier_sets, noise_var, assoc=None):
     M, K, N = freq.shape
     if assoc is not None:
         freq = freq * assoc.zeta()[:, :, None]
-    mask = np.zeros((N, K))
-    for l in range(K):
-        mask[np.asarray(subcarrier_sets[l], dtype=int), l] = 1.0
+    mask = _assignment_mask(subcarrier_sets, N)
     # per subcarrier: (noise * I + sum_{l on n} h_ln* h_ln^T) P_n = H_n*
     H = freq.transpose(2, 0, 1)                          # (N, M, K)
     bracket = ((H.conj() * mask[:, None, :]) @ H.transpose(0, 2, 1)
@@ -82,9 +84,18 @@ def tmmse_bracket_solve(freq, subcarrier_sets, noise_var, assoc=None):
     return np.linalg.solve(bracket, H.conj()), mask
 
 
+def _assignment_mask(subcarrier_sets, num_subcarriers) -> np.ndarray:
+    """(N, K) mask: entry (n, k) is 1 where UE k transmits on subcarrier n."""
+    mask = np.zeros((num_subcarriers, len(subcarrier_sets)))
+    for k, s in enumerate(subcarrier_sets):
+        mask[np.asarray(s, dtype=int), k] = 1.0
+    return mask
+
+
 def tmmse_scale(X, mask, delta):
-    """Precoders from :func:`tmmse_bracket_solve`'s (X, mask): column k of
-    slice n is X scaled by sqrt(delta_kn) on the UE's subcarriers."""
+    """Precoders from the (X, mask) of :func:`tmmse_bracket_solve` or
+    :func:`distributed_ofdm_directions`: column k of slice n is X scaled
+    by sqrt(delta_kn) on the UE's subcarriers."""
     delta = np.asarray(delta, dtype=float)
     return X * (mask * np.sqrt(delta).T)[:, None, :]
 
@@ -239,6 +250,23 @@ def distributed_directions(channels, assoc, method="mf", reg=None,
             P = normalize_columns(P)
         dirs[m][:, served] = P
     return dirs
+
+
+def distributed_ofdm_directions(freq, subcarrier_sets, assoc, method="mf",
+                                reg=None):
+    """Unscaled distributed precoders as :func:`tmmse_bracket_solve`'s
+    (X, mask): X[n] is :func:`distributed_directions` on subcarrier n, each
+    AP serving those of its UEs that transmit on n."""
+    freq = np.asarray(freq, dtype=complex)
+    M, K, N = freq.shape
+    mask = _assignment_mask(subcarrier_sets, N)
+    X = np.zeros((N, M, K), dtype=complex)
+    for n in np.flatnonzero(mask.any(axis=1)):
+        on_n = AssociationMap.from_ap_sets(
+            [aps if mask[n, k] else () for k, aps in enumerate(assoc.ap_sets)],
+            M)
+        X[n] = distributed_directions(freq[:, :, n], on_n, method, reg)[:, 0]
+    return X, mask
 
 
 def dist_transmit(dirs, powers, symbols) -> np.ndarray:

@@ -32,7 +32,7 @@ DEFAULT_SCENARIO = {
     "topology": {
         "num_aps": 4, "num_ues": 2, "area_size": 250.0, "layout": "uniform",
         "ap_height": 15.0, "ue_height": 1.65, "carrier_freq_mhz": 1900.0,
-        "max_ue_power": 0.1, "max_ap_power": 1.0, "noise_variance": 1e-12,
+        "max_ue_power": 0.1, "noise_variance": 1e-12,
     },
     "channel": {
         "pathloss": "double_slope", "a": 2.0, "b": 2.0, "d_break": 100.0,
@@ -51,8 +51,7 @@ DEFAULT_SCENARIO = {
                "apmp": {"max_iterations": 8, "damping": 0.0, "tol": 1e-4,
                         "llr_clamp": 50.0}},
     "downlink": {"enabled": False, "p_max": 1.0, "p_max_element": None,
-                 "precoder": "tmmse_ofdm", "reg": None, "ap_antennas": 1,
-                 "secrecy_rho": None},
+                 "precoder": "tmmse_ofdm", "reg": None, "secrecy_rho": None},
 }
 
 DETECTORS = ("gmmse", "gmmse_per_subcarrier", "lmmse_sliced", "lmmse_reduced",
@@ -111,15 +110,15 @@ RULES = {
                     Rule(int, 0)),
     **dict.fromkeys(("trials", "topology.num_aps", "topology.num_ues",
                      "channel.num_taps", "ofdm.num_subcarriers",
-                     "training.num_symbols", "downlink.ap_antennas"),
+                     "training.num_symbols"),
                     Rule(int, 1)),
     **dict.fromkeys(("topology.area_size", "topology.ap_height",
                      "topology.ue_height", "topology.carrier_freq_mhz",
-                     "topology.max_ue_power", "topology.max_ap_power",
-                     "topology.noise_variance", "channel.d_break",
-                     "channel.d0", "channel.d1", "association.radius",
-                     "training.pilot_power", "uplink.apmp.llr_clamp",
-                     "downlink.p_max"), Rule(float, 0, ends="(]")),
+                     "topology.max_ue_power", "topology.noise_variance",
+                     "channel.d_break", "channel.d0", "channel.d1",
+                     "association.radius", "training.pilot_power",
+                     "uplink.apmp.llr_clamp", "downlink.p_max"),
+                    Rule(float, 0, ends="(]")),
     **dict.fromkeys(("channel.shadowing_std_db", "channel.pdp_decay",
                      "uplink.apmp.tol"), Rule(float, 0)),
     **dict.fromkeys(("training.enabled", "training.mui_suppression",
@@ -206,12 +205,10 @@ def validate_scenario(scenario) -> list:
         return errors
     sc = merge_scenario(scenario)
     K, N = sc["topology"]["num_ues"], sc["ofdm"]["num_subcarriers"]
-    ch, cfg, dl = sc["channel"], sc["allocation"], sc["downlink"]
+    ch, cfg = sc["channel"], sc["allocation"]
     assoc = sc["association"]
     per_ue = [key for key in ("demands", "min_rates")
               if isinstance(cfg[key], list)]
-    zero_forcing = dl["precoder"] == "dist_tzf" or (
-        dl["precoder"] == "dist_regmmse" and dl["reg"] == 0)
     checks = {
         "channel.num_taps must not exceed N": ch["num_taps"] <= N,
         "channel.d0 must be below channel.d1 for triple_slope":
@@ -225,9 +222,6 @@ def validate_scenario(scenario) -> list:
         "association needs max_aps and/or min_gain":
             assoc["method"] == "distance" or assoc["max_aps"] is not None
             or assoc["min_gain"] is not None,
-        # an AP may serve every UE, and zero forcing needs an antenna each
-        "downlink.ap_antennas must be at least topology.num_ues for zero "
-        "forcing": not zero_forcing or dl["ap_antennas"] >= K,
     }
     return [message for message, ok in checks.items() if not ok]
 
@@ -238,11 +232,14 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=master_seed, spawn_key=(trial,)))
 
 
-def _build_channel_model(cfg) -> channel.LargeScaleModel:
+def _build_channel_model(scenario) -> channel.LargeScaleModel:
+    cfg, topo = scenario["channel"], scenario["topology"]
     if cfg["pathloss"] == "double_slope":
         variant = channel.DoubleSlope(cfg["a"], cfg["b"], cfg["d_break"])
     else:
-        variant = channel.TripleSlope(cfg["d0"], cfg["d1"])
+        variant = channel.TripleSlope(cfg["d0"], cfg["d1"],
+                                      topo["carrier_freq_mhz"],
+                                      topo["ap_height"], topo["ue_height"])
     return channel.LargeScaleModel(variant, cfg["shadowing_std_db"])
 
 
@@ -381,57 +378,26 @@ def _detect_uplink(scenario, scene, assoc, gains, rng):
 
 
 def _run_downlink(scenario, real, assoc, components, rng):
-    cfg = scenario["downlink"]
-    noise_var = scenario["topology"]["noise_variance"]
-    K = real.gains.shape[1]
-    result = {"dl_rate": np.full(K, np.nan), "dl_sinr": np.full(K, np.nan),
-              "leakage": np.nan}
-    if cfg["precoder"] == "tmmse_ofdm":
-        dl_plan = alloc.successive_optimize(
-            real.freq, assoc, scenario["allocation"]["demands"],
-            objective=scenario["allocation"]["objective"], direction="dl",
-            noise_var=noise_var, p_max=cfg["p_max"],
-            p_max_element=cfg["p_max_element"],
-            min_rates=scenario["allocation"]["min_rates"],
-            mode=scenario["allocation"]["mode"], components=components,
-            refine_iterations=scenario["allocation"]["refine_iterations"])
-        sinrs = dl_plan.dl_sinrs
-        result["dl_sinr"] = np.array([np.mean(s) if len(s) else 0.0
-                                      for s in sinrs])
-        result["dl_rate"] = ue_rates(sinrs)
-        result["plan"] = dl_plan
-        rho = cfg["secrecy_rho"]
-        if rho is not None:
-            h0 = real.freq[:, :, 0]
-            M = h0.shape[0]
-            if M > K:
-                p_i = downlink.artificial_noise_direction(h0, rng)
-                result["leakage"] = float(np.max(np.abs(h0.T @ p_i)))
-        return result
-    # distributed precoding: subcarrier-0 snapshot, equal per-AP power split
+    """The downlink plan of the configured precoder, its per-UE rates and
+    mean symbol SINRs, and the subcarrier-0 artificial-noise leakage."""
+    cfg, alloc_cfg = scenario["downlink"], scenario["allocation"]
+    plan = alloc.successive_optimize(
+        real.freq, assoc, alloc_cfg["demands"],
+        objective=alloc_cfg["objective"], direction="dl",
+        noise_var=scenario["topology"]["noise_variance"], p_max=cfg["p_max"],
+        p_max_element=cfg["p_max_element"], precoder=cfg["precoder"],
+        reg=cfg["reg"], min_rates=alloc_cfg["min_rates"],
+        mode=alloc_cfg["mode"], components=components,
+        refine_iterations=alloc_cfg["refine_iterations"])
+    leakage = np.nan
     h0 = real.freq[:, :, 0]
-    U = int(cfg["ap_antennas"])
-    if U > 1:
-        h = (rng.standard_normal((h0.shape[0], U, K))
-             + 1j * rng.standard_normal((h0.shape[0], U, K))) / np.sqrt(2)
-        h *= np.sqrt(real.gains)[:, None, :]
-    else:
-        h = h0[:, None, :]
-    method = {"dist_mf": "mf", "dist_tzf": "tzf",
-              "dist_regmmse": "regmmse"}[cfg["precoder"]]
-    reg = cfg["reg"] if cfg["reg"] is not None else noise_var
-    dirs = downlink.distributed_directions(h, assoc, method=method, reg=reg)
-    powers = np.zeros((h.shape[0], K))
-    for m in range(h.shape[0]):
-        served = assoc.ue_sets[m]
-        if served:
-            powers[m, list(served)] = cfg["p_max"] / len(served)
-    for k in range(K):
-        split = downlink.received_power_split(h, assoc, dirs, powers, k)
-        denom = split["co_associated"] + split["cross_ap"] + noise_var
-        result["dl_sinr"][k] = split["desired"] / denom
-        result["dl_rate"][k] = float(np.log2(1 + result["dl_sinr"][k]))
-    return result
+    if cfg["secrecy_rho"] is not None and h0.shape[0] > h0.shape[1]:
+        p_i = downlink.artificial_noise_direction(h0, rng)
+        leakage = float(np.max(np.abs(h0.T @ p_i)))
+    return {"dl_rate": ue_rates(plan.dl_sinrs),
+            "dl_sinr": np.array([np.mean(s) if len(s) else 0.0
+                                 for s in plan.dl_sinrs]),
+            "leakage": leakage, "plan": plan}
 
 
 def run_trial(scenario, trial: int) -> list:
@@ -441,13 +407,9 @@ def run_trial(scenario, trial: int) -> list:
     topo_cfg = scenario["topology"]
     topo = topology.generate_topology(
         topo_cfg["num_aps"], topo_cfg["num_ues"], topo_cfg["area_size"],
-        topo_cfg["layout"], rng,
-        ap_height=topo_cfg["ap_height"], ue_height=topo_cfg["ue_height"],
-        carrier_freq_mhz=topo_cfg["carrier_freq_mhz"],
-        max_ue_power=topo_cfg["max_ue_power"],
-        max_ap_power=topo_cfg["max_ap_power"],
+        topo_cfg["layout"], rng, max_ue_power=topo_cfg["max_ue_power"],
         noise_variance=topo_cfg["noise_variance"])
-    model = _build_channel_model(scenario["channel"])
+    model = _build_channel_model(scenario)
     N = scenario["ofdm"]["num_subcarriers"]
     real = channel.realize_channels(topo, model, N,
                                     scenario["channel"]["num_taps"], rng,
@@ -483,8 +445,7 @@ def run_trial(scenario, trial: int) -> list:
                   and bool(np.all(np.isfinite(det["rates"]))))
     if scenario["downlink"]["enabled"]:
         dl = _run_downlink(scenario, real, assoc, components, rng)
-        if "plan" in dl:
-            audit_pass = audit_pass and dl["plan"].audit.get("pass", False)
+        audit_pass = audit_pass and dl["plan"].audit.get("pass", False)
 
     overhead = 0.0
     tr = scenario["training"]

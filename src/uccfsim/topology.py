@@ -19,11 +19,7 @@ class NetworkTopology:
 
     ap_positions: np.ndarray          # (M, 2) meters
     ue_positions: np.ndarray          # (K, 2) meters
-    ap_height: float = 15.0           # meters
-    ue_height: float = 1.65           # meters
-    carrier_freq_mhz: float = 1900.0
     max_ue_power: float = 0.1         # watts
-    max_ap_power: float = 1.0         # watts per AP
     noise_variance: float = 1e-12     # watts
 
     def __post_init__(self):
@@ -37,7 +33,7 @@ class NetworkTopology:
             raise ValueError("positions must be 2-D coordinates")
         if not (np.all(np.isfinite(ap)) and np.all(np.isfinite(ue))):
             raise ValueError("positions must be finite")
-        for name in ("max_ue_power", "max_ap_power", "noise_variance"):
+        for name in ("max_ue_power", "noise_variance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 

@@ -57,6 +57,12 @@ class TestTripleSlope:
         got = triple_slope_offset_db(1900.0, 15.0, 1.65)
         assert got == pytest.approx(OFFSET_1900_15_165, rel=1e-12)
 
+    def test_distances_are_meters_and_the_formula_km(self):
+        # 100 m lies beyond d1 = 50 m: -L - 35 log10(0.1 km)
+        got = pathloss_triple_slope(100.0, d0=10.0, d1=50.0, f_mhz=1900.0,
+                                    h_ap=15.0, h_ue=1.65)
+        assert got == pytest.approx(-OFFSET_1900_15_165 + 35.0, rel=1e-12)
+
     def test_bad_breakpoints(self):
         with pytest.raises(ValueError):
             pathloss_triple_slope(20.0, d0=50.0, d1=10.0, f_mhz=1900.0,

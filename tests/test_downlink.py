@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from uccfsim.alloc import allocate_subcarriers_greedy, subcarrier_metric
 from uccfsim.downlink import (artificial_noise_direction, compute_a0,
                               dist_regmmse_precode, dist_transmit,
                               dist_tzf_precode, distributed_directions,
+                              distributed_ofdm_directions,
                               dl_sinr_ofdm, dl_sinr_subcarrier,
                               expected_ap_element_powers,
                               expected_ap_powers_subcarrier, normalize_columns,
@@ -302,6 +304,82 @@ class TestDistributed:
         expect = np.array([(np.sqrt(0.4) + np.sqrt(0.9)) * x[0],
                            (np.sqrt(0.6) + np.sqrt(0.1)) * x[1]])
         assert np.allclose(y, expect, atol=1e-10)
+
+
+def random_plan(rng, M, K, N, demand, max_aps=2):
+    """OFDM channels, an association and a greedy exclusive assignment."""
+    freq = (rng.standard_normal((M, K, N))
+            + 1j * rng.standard_normal((M, K, N))) / np.sqrt(2)
+    assoc = AssociationMap.from_ap_sets(
+        [rng.choice(M, size=rng.integers(1, max_aps + 1), replace=False)
+         for _ in range(K)], num_aps=M)
+    subs = allocate_subcarriers_greedy(subcarrier_metric(freq, assoc), demand)
+    return freq, assoc, subs
+
+
+class TestDistributedOfdm:
+    def test_slices_are_the_subcarrier_directions(self):
+        rng = np.random.default_rng(31)
+        freq, assoc, subs = random_plan(rng, 5, 3, 8, 2)
+        for method in ("mf", "tzf", "regmmse"):
+            X, mask = distributed_ofdm_directions(freq, subs, assoc, method,
+                                                  reg=0.1)
+            _, want_mask = tmmse_bracket_solve(freq, subs, 1.0, assoc)
+            assert np.array_equal(mask, want_mask)
+            for n in range(8):
+                on_n = [k for k in range(3) if mask[n, k]]
+                want = np.zeros((5, 3), dtype=complex)
+                if on_n:
+                    sub_assoc = AssociationMap.from_ap_sets(
+                        [assoc.ap_sets[k] if k in on_n else ()
+                         for k in range(3)], num_aps=5)
+                    want = distributed_directions(freq[:, :, n], sub_assoc,
+                                                  method, reg=0.1)[:, 0]
+                assert np.array_equal(X[n], want)
+                # a UE's column is zero off its subcarriers and its APs
+                assert np.all(X[n][:, mask[n] == 0] == 0)
+                assert np.all(X[n][assoc.zeta() == 0] == 0)
+
+    def test_large_reg_regmmse_gives_mf_directions(self):
+        """Every UE on every subcarrier, so APs serve several UEs at once;
+        each link's regularized direction is a positive multiple of MF."""
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            freq, assoc, _ = random_plan(rng, 4, 3, 6, 0, max_aps=3)
+            subs = [np.arange(6)] * 3
+            mf, mask = distributed_ofdm_directions(freq, subs, assoc, "mf")
+            big = 1e8 * np.max(np.abs(freq)) ** 2
+            reg, _ = distributed_ofdm_directions(freq, subs, assoc, "regmmse",
+                                                 reg=big)
+            served = mf != 0
+            assert np.array_equal(served, reg != 0)
+            ratio = reg[served] / mf[served]
+            assert np.all(ratio.real > 0)
+            assert np.max(np.abs(ratio.imag / ratio.real)) < 1e-9
+
+    def test_tzf_gives_unit_gain_per_ap_and_no_interference(self):
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            freq, assoc, subs = random_plan(rng, 6, 4, 8, 2, max_aps=3)
+            X, mask = distributed_ofdm_directions(freq, subs, assoc, "tzf")
+            # effective[n, k, l]: UE k hears stream l through h_kn^T x_ln
+            effective = np.einsum("mkn,nml->nkl", freq, X)
+            for k, s in enumerate(subs):
+                for n in s:
+                    # each serving AP contributes a unit gain
+                    gains = freq[:, k, n] * X[n, :, k]
+                    assert np.allclose(gains[list(assoc.ap_sets[k])], 1.0,
+                                       rtol=0, atol=1e-12)
+                    assert effective[n, k, k] == pytest.approx(
+                        len(assoc.ap_sets[k]), abs=1e-12)
+                    others = np.delete(effective[n, k], k)
+                    assert np.all(others == 0)
+            delta = mask.T / mask.sum()
+            P = tmmse_scale(X, mask, delta)
+            sinrs = dl_sinr_ofdm(freq, P, subs, 1.0, 0.5)
+            for k, s in enumerate(subs):
+                want = len(assoc.ap_sets[k]) ** 2 * delta[k, s] / 0.5
+                assert np.allclose(sinrs[k], want, rtol=1e-12)
 
 
 class TestSecrecy:

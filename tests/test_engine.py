@@ -7,6 +7,7 @@ from uccfsim.engine import (DETECTORS, merge_scenario, results_to_csv,
                             results_to_table, run_scenario, run_trial,
                             scenario_hash, set_by_path, sweep,
                             sweep_to_plot_data, trial_rng, validate_scenario)
+from uccfsim.modulation import ue_rates
 
 SMALL = {
     "name": "small", "trials": 2, "seed": 5,
@@ -143,11 +144,20 @@ def test_downlink_plan_that_sends_nothing_passes_the_audit():
     assert all(r["audit_pass"] for r in res["records"])
 
 
+def test_triple_slope_default_scenario_has_usable_rates():
+    """Distances in meters reach the triple-slope formula in km; in meters
+    they added 105 dB of loss and every rate was below 1e-7."""
+    res = run_scenario({"channel": {"pathloss": "triple_slope"}})
+    assert all(r["rate"] > 1.0 for r in res["records"])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_zero_power_symbols_have_empirical_sinr_zero_not_nan():
-    """Water-filling gives some of UE 1's symbols zero power; their
-    measured amplitude and error are both 0, so the SINR is 0, not 0/0."""
+    """Water-filling gives some of UE 1's symbols zero power (3 of 4 on
+    every trial at this noise level); their measured amplitude and error
+    are both 0, so the SINR is 0, not 0/0."""
     res = run_scenario({"trials": 5, "seed": 0,
+                        "topology": {"noise_variance": 10**-1.5},
                         "uplink": {"detector": "local_equal",
                                    "symbol_draws": 2},
                         "allocation": {"demands": [0, 4]},
@@ -284,13 +294,41 @@ class TestPipelineOutputs:
             assert rec["secrecy_leakage"] < 1e-10
 
     def test_distributed_precoders_run(self):
-        for precoder, antennas in (("dist_mf", 1), ("dist_tzf", 4),
-                                   ("dist_regmmse", 4)):
+        for precoder in ("dist_mf", "dist_tzf", "dist_regmmse"):
             cfg = {**SMALL, "trials": 1,
-                   "downlink": {"enabled": True, "precoder": precoder,
-                                "ap_antennas": antennas}}
+                   "downlink": {"enabled": True, "precoder": precoder}}
             res = run_scenario(cfg)
             assert all(np.isfinite(rec["dl_sinr"]) for rec in res["records"])
+
+    @pytest.mark.parametrize("objective", ["sum_rate", "max_min"])
+    @pytest.mark.parametrize("precoder", ["dist_mf", "dist_tzf",
+                                          "dist_regmmse"])
+    def test_distributed_precoders_report_their_downlink_plan(
+            self, precoder, objective, monkeypatch):
+        plans = []
+        optimize = alloc.successive_optimize
+
+        def spy(*args, **kwargs):
+            plan = optimize(*args, **kwargs)
+            if kwargs["direction"] == "dl":
+                assert kwargs["precoder"] == precoder
+                plans.append(plan)
+            return plan
+
+        monkeypatch.setattr(alloc, "successive_optimize", spy)
+        res = run_scenario({**SMALL, "trials": 3,
+                            "topology": {"num_aps": 8, "num_ues": 4},
+                            "ofdm": {"num_subcarriers": 8},
+                            "allocation": {"objective": objective},
+                            "downlink": {"enabled": True,
+                                         "precoder": precoder}})
+        assert len(plans) == 3
+        for t, plan in enumerate(plans):
+            recs = [r for r in res["records"] if r["trial"] == t]
+            assert plan.audit["pass"] and plan.a0 > 0
+            assert [r["dl_rate"] for r in recs] == \
+                ue_rates(plan.dl_sinrs).tolist()
+            assert all(r["audit_pass"] for r in recs)
 
     @pytest.mark.parametrize("detector", DETECTORS)
     def test_every_detector_gives_finite_rates_and_measured_sinr(self,

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from uccfsim import engine
 from uccfsim.engine import (DEFAULT_SCENARIO, RULES, merge_scenario,
-                            run_scenario, run_trial, validate_scenario)
+                            results_to_csv, run_scenario, run_trial,
+                            validate_scenario)
 
 
 def leaf_paths(node, prefix=""):
@@ -45,13 +46,12 @@ SIZES = {"topology.num_aps": (1, 4), "topology.num_ues": (1, 2),
          "ofdm.num_subcarriers": (1, 8), "trials": (1, 3),
          "seed": (0, 2**32), "training.num_symbols": (1, 3),
          "training.coherence_symbols": (0, 50),
-         "uplink.symbol_draws": (0, 3), "uplink.apmp.max_iterations": (0, 8),
-         "downlink.ap_antennas": (1, 3)}
+         "uplink.symbol_draws": (0, 3), "uplink.apmp.max_iterations": (0, 8)}
 SPREADS = {"channel.shadowing_std_db": 8.0, "channel.pdp_decay": 2.0,
            "uplink.apmp.tol": 1e-2, "allocation.min_rates": 5.0,
            "association.min_gain": 1e-9, "downlink.reg": 1e-9}
 TIED = {"channel.num_taps", "channel.d0", "channel.d1", "allocation.demands",
-        "association.max_aps"}       # and ap_antennas under zero forcing
+        "association.max_aps"}
 
 
 def inside(path):
@@ -106,10 +106,6 @@ def scenarios(draw):
     needs_max = sc["association"]["min_gain"] is None
     sc["association"]["max_aps"] = draw(
         st.integers(1, 4) if needs_max else st.none() | st.integers(1, 4))
-    dl = sc["downlink"]
-    if dl["precoder"] == "dist_tzf" or (dl["precoder"] == "dist_regmmse"
-                                        and dl["reg"] == 0):
-        dl["ap_antennas"] = draw(st.integers(K, 3))
     return sc
 
 
@@ -167,3 +163,100 @@ def test_a_leaf_outside_its_rule_is_a_diagnostic(sc, path, data):
     with mock.patch.object(engine, "run_trial", no_trial):
         with pytest.raises(ValueError, match="invalid scenario"):
             run_scenario(sc)
+
+
+# Every leaf is live: each row names a small context scenario and an
+# in-rule value, other than the context's, that changes the CSV outside
+# its hash column.
+TRIPLE = {"channel": {"pathloss": "triple_slope"}}
+LARGE_SCALE = {"association": {"method": "large_scale", "max_aps": 4}}
+TRAINING = {"training": {"enabled": True}}
+# low enough an SNR for QPSK and BPSK decisions to err
+NOISY = {"topology": {"noise_variance": 1e-5},
+         "uplink": {"symbol_draws": 20}}
+APMP = {"uplink": {"detector": "apmp", "symbol_draws": 20}}
+DOWNLINK = {"downlink": {"enabled": True, "secrecy_rho": None}}
+SHARED = {"topology": {"num_aps": 16, "num_ues": 8, "area_size": 800.0},
+          "ofdm": {"num_subcarriers": 16}, "association": {"radius": 150.0}}
+LIVE = {
+    "name": ({}, "other"), "seed": ({}, 1), "trials": ({}, 2),
+    "topology.num_aps": ({}, 3), "topology.num_ues": ({}, 3),
+    "topology.area_size": ({}, 400.0), "topology.layout": ({}, "grid"),
+    "topology.ap_height": (TRIPLE, 30.0), "topology.ue_height": (TRIPLE, 3.0),
+    "topology.carrier_freq_mhz": (TRIPLE, 2400.0),
+    "topology.max_ue_power": ({}, 0.2),
+    "topology.noise_variance": ({}, 1e-11),
+    "channel.pathloss": ({}, "triple_slope"), "channel.a": ({}, 2.5),
+    "channel.b": ({}, 3.0), "channel.d_break": ({}, 50.0),
+    "channel.d0": ({**TRIPLE, "topology": {"area_size": 100.0}}, 30.0), "channel.d1": (TRIPLE, 80.0),
+    "channel.shadowing_std_db": ({}, 8.0), "channel.num_taps": ({}, 3),
+    "channel.pdp_decay": ({}, 1.0), "ofdm.num_subcarriers": ({}, 16),
+    "association.method": ({}, "large_scale"),
+    "association.radius": ({}, 60.0),
+    "association.max_aps": (LARGE_SCALE, 1),
+    "association.min_gain": (LARGE_SCALE, 1e-4),
+    "training.enabled": ({}, True), "training.num_symbols": (TRAINING, 1),
+    "training.pilot_power": (TRAINING, 0.01),
+    "training.mui_suppression": (TRAINING, False),
+    "training.coherence_symbols": (TRAINING, 10),
+    "allocation.objective": ({}, "max_min"), "allocation.demands": ({}, 1),
+    "allocation.mode": (SHARED, "shared"),
+    "allocation.refine_iterations": ({}, 0),
+    "uplink.detector": ({}, "local_mrc"), "uplink.symbol_draws": ({}, 10),
+    "uplink.constellation": (NOISY, "bpsk"),
+    "uplink.apmp.max_iterations": (APMP, 0),
+    "uplink.apmp.tol": (APMP, 0.0),
+    "uplink.apmp.llr_clamp": ({"uplink": {**APMP["uplink"],
+                                          "apmp": {"llr_clamp": 50.0}}}, 1e6),
+    "downlink.enabled": ({}, True), "downlink.p_max": (DOWNLINK, 0.5),
+    "downlink.p_max_element": (DOWNLINK, 0.01),
+    "downlink.precoder": (DOWNLINK, "dist_mf"),
+    "downlink.reg": ({"downlink": {"enabled": True,
+                                   "precoder": "dist_regmmse"}}, 1e-9),
+    "downlink.secrecy_rho": (DOWNLINK, 0.5),
+}
+# leaves that validate but cannot reach the CSV, and why
+DEAD = {
+    "uplink.apmp.damping": "every factor the engine builds has degree 1, "
+                           "so damping mixes equal messages",
+    "allocation.min_rates": "the plan's feasibility is computed and then "
+                            "dropped before the records",
+}
+
+
+def csv_without_hash(scenario):
+    rows = [line.split(",") for line in results_to_csv(
+        run_scenario(scenario)).splitlines()]
+    col = rows[0].index("hash")
+    return [row[:col] + row[col + 1:] for row in rows]
+
+
+def test_live_and_dead_leaves_cover_the_rules():
+    assert set(LIVE) | set(DEAD) == set(RULES)
+    assert not set(LIVE) & set(DEAD)
+
+
+@pytest.mark.parametrize("path", sorted(LIVE))
+def test_every_live_leaf_moves_the_csv(path):
+    context, value = LIVE[path]
+    base = merge_scenario({"trials": 3, **context})
+    assert get_leaf(base, path) != value
+    other = merge_scenario(base)
+    set_leaf(other, path, value)
+    assert validate_scenario(other) == []
+    assert csv_without_hash(other) != csv_without_hash(base)
+
+
+@pytest.mark.parametrize("path", ["topology.ap_height", "topology.ue_height",
+                                  "topology.carrier_freq_mhz"])
+def test_radio_knobs_act_through_the_triple_slope_only(path):
+    def rates(pathloss, value=None):
+        scenario = merge_scenario({"trials": 3,
+                                   "channel": {"pathloss": pathloss}})
+        if value is not None:
+            set_leaf(scenario, path, value)
+        return [r["rate"] for r in run_scenario(scenario)["records"]]
+
+    moved = 2 * get_leaf(DEFAULT_SCENARIO, path)
+    assert rates("triple_slope", moved) != rates("triple_slope")
+    assert rates("double_slope", moved) == rates("double_slope")
