@@ -400,8 +400,9 @@ def _run_downlink(scenario, real, assoc, components, rng):
             "leakage": leakage, "plan": plan}
 
 
-def run_trial(scenario, trial: int) -> list:
-    """One full pipeline pass; returns one record dict per UE."""
+def run_trial(scenario, trial: int, digest=None) -> list:
+    """One full pipeline pass; returns one record dict per UE.  ``digest``
+    is the scenario's hash when the caller already has it."""
     rng = trial_rng(scenario["seed"], trial)
     t0 = time.perf_counter()
     topo_cfg = scenario["topology"]
@@ -454,7 +455,7 @@ def run_trial(scenario, trial: int) -> list:
 
     wall = time.perf_counter() - t0
     sum_rate = float(np.sum(det["rates"]))
-    digest = scenario_hash(scenario)
+    digest = digest or scenario_hash(scenario)
     records = []
     for k in range(topo.num_ues):
         analytic = det["analytic"][k]
@@ -494,8 +495,9 @@ def run_scenario(scenario=None, workers: int = 1) -> dict:
     errors = validate_scenario(scenario)
     if errors:
         raise ValueError("invalid scenario: " + "; ".join(errors))
+    digest = scenario_hash(scenario)
     records = [rec for t in range(scenario["trials"])
-               for rec in run_trial(scenario, t)]
+               for rec in run_trial(scenario, t, digest)]
     return {"scenario": scenario, "records": records,
             "aggregate": aggregate(records)}
 

@@ -323,11 +323,17 @@ def estimated_subcarrier_gains(estimates, channels, assoc) -> np.ndarray:
 
     Mirrors the tap-to-frequency map of the generator so that, in the
     noiseless limit, estimated and true subcarrier gains coincide on the
-    associated links.
+    associated links.  All links go through one FFT, their taps zero-padded
+    to the longest estimate.
     """
     from .channel import subcarrier_gains as taps_to_freq
     M, K, N = channels.freq.shape
     hf = np.zeros((M, K, N), dtype=complex)
-    for (m, k), taps in estimates.items():
-        hf[m, k] = taps_to_freq(taps, 1.0, N)   # estimate already carries sqrt(g)
+    if estimates:
+        taps = np.zeros((len(estimates), max(map(len, estimates.values()))),
+                        dtype=complex)
+        for row, est in zip(taps, estimates.values()):
+            row[:len(est)] = est
+        m, k = np.array(list(estimates)).T
+        hf[m, k] = taps_to_freq(taps, 1.0, N)   # estimates carry sqrt(g)
     return hf

@@ -27,7 +27,9 @@ built once per scene, and ``weight_output_sinr`` evaluates
 w^H R w - eta |w^H b|^2 on it.  That difference cancels at high SINR, so
 the SINRs it reports depend on the last bits of W and R, and the
 benchmark's reference outputs pin those bits; both move to the batched
-core together with a cancellation-free SINR.
+core together with a cancellation-free SINR.  R is built on each UE's
+own rows m*N + n, over the full column range, which keeps the bits of the
+full stacked products; restricting the columns as well rounds differently.
 """
 
 from __future__ import annotations
@@ -80,12 +82,16 @@ class UplinkScene:
 
     @cached_property
     def _covariance(self) -> np.ndarray:
-        # the scene is treated as immutable, so one build serves every caller
-        R = (1.0 / self.gamma_u) * np.eye(self.num_aps * self.num_subcarriers,
-                                          dtype=complex)
-        for l in range(self.num_ues):
+        # the scene is treated as immutable, so one build serves every caller.
+        # UE l adds only its nonzero rows m*N + n; the columns stay full,
+        # since a narrower product rounds differently (see module docstring)
+        M, N = self.num_aps, self.num_subcarriers
+        R = np.zeros((M * N, M * N), dtype=complex)
+        np.fill_diagonal(R, 1.0 / self.gamma_u)
+        for l, sub in enumerate(self.subcarriers):
+            rows = (np.arange(M)[:, None] * N + sub).ravel()
             B = stacked_channel(self, l)
-            R += (B * self.power[l]) @ B.conj().T
+            R[rows] += (B[rows] * self.power[l]) @ B.conj().T
         R.setflags(write=False)
         return R
 

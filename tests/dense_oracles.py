@@ -22,11 +22,16 @@ matrices with the other UEs of the AP named in ``coestimated``, and
 before it moved to the sum L-sized Gram form.  ``realize_channels`` draws
 the small-scale taps one link at a time.
 
-Two oracles are not dense but pin bit-identical refactors:
+Three oracles are not dense but pin bit-identical refactors:
 ``batched_uplink_sinr_all`` rebuilds every power-independent array of the
 closed-form uplink SINR on each call, as the library did before it kept
-them in a per-plan skeleton, and ``maxmin_power_control`` evaluates the
-same powers again after its fixed point and before returning.
+them in a per-plan skeleton, ``maxmin_power_control`` evaluates the
+same powers again after its fixed point and before returning, and
+``estimated_subcarrier_gains`` takes one FFT per estimated link.
+
+``stacked_covariance`` adds every UE's full (M*N) x (M*N) outer products,
+zero rows included, as the library did before it built only each UE's
+own rows.
 """
 
 from __future__ import annotations
@@ -525,6 +530,16 @@ def realize_channels(topology, model, num_subcarriers: int, num_taps=2,
     freq = subcarrier_gains(taps, gains[..., None], num_subcarriers)
     return ChannelRealization(gains=gains, taps=taps, freq=freq,
                               num_taps=np.array(taps_mk))
+
+
+def estimated_subcarrier_gains(estimates, channels) -> np.ndarray:
+    """Per-subcarrier gains of estimated taps, one FFT per (AP, UE) link;
+    links without an estimate stay zero."""
+    M, K, N = channels.freq.shape
+    hf = np.zeros((M, K, N), dtype=complex)
+    for (m, k), taps in estimates.items():
+        hf[m, k] = subcarrier_gains(taps, 1.0, N)
+    return hf
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ condition number and SAFETY = 8 for the two solves and the final products.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dense_oracles as dense
 from uccfsim.downlink import dl_sinr_ofdm, tmmse_central_ofdm
@@ -125,6 +127,13 @@ def test_gmmse_multi_rhs_equals_per_ue_solves():
                 atol=atol_scale * np.abs(want).max(initial=0.0))
 
 
+def assert_covariance_bit_equal(scene):
+    """The row-wise build against the full stacked products: same bits."""
+    np.testing.assert_array_equal(
+        scene_covariance(scene),
+        dense.stacked_covariance(scene, range(scene.num_aps)))
+
+
 def test_scene_covariance_is_built_once_and_read_only():
     rng = np.random.default_rng(12)
     scene = random_scene(rng, 3, 2, 4, 100.0)
@@ -135,8 +144,24 @@ def test_scene_covariance_is_built_once_and_read_only():
     again = scene_covariance(scene)
     np.testing.assert_array_equal(again, snapshot)
     # the cached matrix is the same arithmetic as an explicit build
-    np.testing.assert_array_equal(
-        again, dense.stacked_covariance(scene, range(scene.num_aps)))
+    assert_covariance_bit_equal(scene)
+    for case in CASES:
+        assert_covariance_bit_equal(random_scene(rng, *case))
+
+
+@settings(max_examples=120, deadline=None)
+@given(M=st.integers(1, 6), K=st.integers(1, 5), N=st.integers(1, 9),
+       log_gamma=st.floats(0.0, 12.0), shared=st.booleans(),
+       empty=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(M=3, K=4, N=5, log_gamma=2.0, shared=True, empty=True, seed=0)
+@example(M=4, K=3, N=1, log_gamma=2.0, shared=False, empty=False, seed=1)
+@example(M=5, K=1, N=6, log_gamma=8.0, shared=True, empty=False, seed=2)
+def test_scene_covariance_bit_equal_to_stacked_products(M, K, N, log_gamma,
+                                                       shared, empty, seed):
+    rng = np.random.default_rng(seed)
+    scene = random_scene(rng, M, K, N, 10.0 ** log_gamma, shared,
+                         empty_ue=int(rng.integers(K)) if empty else None)
+    assert_covariance_bit_equal(scene)
 
 
 def precoder_tolerance(freq, sets, noise_var, assoc):

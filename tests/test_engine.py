@@ -210,6 +210,20 @@ class TestDeterminism:
             np.testing.assert_equal(fields(batch),
                                     fields(run_trial(result["scenario"], t)))
 
+    def test_scenario_is_hashed_once_per_run(self, monkeypatch):
+        calls = []
+        real = engine.scenario_hash
+
+        def spy(scenario):
+            calls.append(scenario["seed"])
+            return real(scenario)
+
+        monkeypatch.setattr(engine, "scenario_hash", spy)
+        result = run_scenario({**SMALL, "trials": 3})
+        assert calls == [SMALL["seed"]]
+        assert {r["hash"] for r in result["records"]} == {
+            real(result["scenario"])}
+
     def test_different_seeds_differ(self):
         a = run_scenario(SMALL)
         b = run_scenario({**SMALL, "seed": 6})

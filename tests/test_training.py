@@ -381,6 +381,41 @@ class TestAgainstPerLinkOracle:
             cond = estimation_cond(obs[m], plan, group, priors)
             assert_within_cond(got[(m, k)], want[k], cond)
 
+    @pytest.mark.parametrize("mode", ["single", "mui_suppress"])
+    def test_subcarrier_gains_bit_equal_per_link_fft(self, mode):
+        # UEs 0 and 2 carry 2 taps and UE 1 carries 3
+        plan, ch, assoc, obs, _ = self.scene([0, 3, 5], seed=13)
+        est = estimate_all(obs, plan, assoc, ch, mode=mode)
+        assert sorted({len(t) for t in est.values()}) == [2, 3]
+        want = dense_oracles.estimated_subcarrier_gains(est, ch)
+        assert np.array_equal(estimated_subcarrier_gains(est, ch, assoc),
+                              want)
+        assert not want[0].any()            # AP 0 estimates no link
+
+    def test_subcarrier_gains_of_random_tap_counts(self):
+        rng = np.random.default_rng(31)
+        for M, K, N in [(3, 4, 8), (5, 2, 1), (2, 6, 64)]:
+            ch = make_channels(np.ones((M, K)), np.zeros((M, K, 1)), N)
+            est = {}
+            for m, k in zip(*np.nonzero(rng.random((M, K)) < 0.7)):
+                L = rng.integers(1, N + 1)
+                est[(int(m), int(k))] = (rng.standard_normal(L) + 1j
+                                         * rng.standard_normal(L))
+            assert np.array_equal(
+                estimated_subcarrier_gains(est, ch, None),
+                dense_oracles.estimated_subcarrier_gains(est, ch))
+        est[(0, 0)] = np.ones(N + 1)
+        with pytest.raises(ValueError, match="longer than symbol"):
+            estimated_subcarrier_gains(est, ch, None)
+
+    def test_subcarrier_gains_of_no_estimates_are_zero(self):
+        _, ch, assoc, _, _ = self.scene([0, 3, 5], seed=2)
+        hf = estimated_subcarrier_gains({}, ch, assoc)
+        assert np.array_equal(hf, dense_oracles.estimated_subcarrier_gains(
+            {}, ch))
+        assert hf.shape == ch.freq.shape and hf.dtype == complex
+        assert not hf.any()
+
     def test_observation_matrices_built_once_per_ue(self, monkeypatch):
         plan, ch, assoc, obs, _ = self.scene([0, 3, 5], seed=5)
         calls = []
