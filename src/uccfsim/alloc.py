@@ -10,9 +10,11 @@ flat symbol SINRs.  Each group starts from an equal split.  Sum-rate
 then runs ``refine_iterations`` water-filling passes (0 keeps equal
 power); max-min bisects a common SINR target, and its objective is the
 smallest symbol SINR the plan achieves.  Per-UE rates are computed once,
-for the emitted powers.  Every emitted plan carries a constraint audit so
-downstream consumers can verify the power budgets, binary assignments,
-and minimum rates directly.
+for the emitted powers, and the plan keeps the symbol SINRs behind them
+(``ul_sinrs`` or ``dl_sinrs``), so a consumer such as the APMP rate proxy
+need not evaluate them again.  Every emitted plan carries a constraint
+audit so downstream consumers can verify the power budgets, binary
+assignments, and minimum rates directly.
 
 Within a plan the channels and the subcarrier assignment are fixed, so
 the evaluators keep what depends on them alone: the downlink computes
@@ -203,6 +205,7 @@ class AllocationPlan:
     assoc: object
     subcarriers: list                       # per-UE index arrays
     ul_power: list = None                   # per-UE eta_kn arrays
+    ul_sinrs: list = None                   # per-UE symbol SINRs at ul_power
     dl_power: np.ndarray = None             # per-(UE, subcarrier) Delta
     a0: float = None
     dl_sinrs: list = None                   # per-UE symbol SINRs at dl_power
@@ -420,9 +423,11 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
     else:
         raise ValueError(f"unknown objective {objective!r}")
 
+    sinrs = np.split(achieved, cuts)
     if direction == "ul":
         fields["ul_power"] = [x[g] for g in groups]
-    rates = ue_rates(np.split(achieved, cuts))
+        fields["ul_sinrs"] = sinrs
+    rates = ue_rates(sinrs)
     plan = AllocationPlan(
         assoc=assoc, subcarriers=subs, min_rates=min_rates, **fields,
         objective=float(rates.sum() if objective == "sum_rate"

@@ -9,11 +9,10 @@ IEEE Trans. IT 2001).  On cycle-free graphs the beliefs are the exact
 posterior marginals.
 
 The graph is an :class:`EdgeIndex`, built once per (scene, association,
-constellation): AP-major edges, a padded table of each edge's siblings
-(same symbol, other APs) for the extrinsic priors, and the factors grouped
+constellation) by array operations: AP-major edges and the factors grouped
 by degree d with their Q**d joint tables.  Messages are one (edges, Q)
 array; a round is one log-sum-exp over the joint table per participant
-position of each degree group.
+position of each degree group, which for d > 1 reads the edges' siblings.
 
 Observations may carry a leading draw axis: y of shape (D, M, N) runs D
 independent detections in one loop, with (D, edges, Q) messages and
@@ -25,6 +24,7 @@ decisions and iteration count of a single-observation call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,11 +74,6 @@ class ApmpResult:
     undetected: frozenset = frozenset()
 
 
-def _slot_of(scene) -> list:
-    """Per UE: subcarrier -> slot index."""
-    return [{int(n): i for i, n in enumerate(s)} for s in scene.subcarriers]
-
-
 def _joint_table(Q, d) -> np.ndarray:
     """Every combination of d symbol indices, (Q**d, d), last one fastest."""
     return np.indices((Q,) * d).reshape(d, -1).T
@@ -109,56 +104,61 @@ class EdgeIndex:
     """The factor graph of one (scene, association, constellation).
 
     Edge e joins factor (AP m, subcarrier n) to slot i of UE k; edges run
-    AP-major, then by subcarrier, then by UE, and ``edge[(m, k, i)]`` is e.
-    ``slots`` lists the (UE, slot) symbols, UE-major, and ``slot[e]`` is the
-    row of edge e's symbol in it.
+    AP-major, then by subcarrier, then by UE, and ``edge[(m, k, i)]`` is e
+    (built on first use, as ``siblings`` is).  ``ap[e]`` is m, and
+    ``slot[e]`` is the row of (k, i) in ``slots``, the symbols UE-major.
     """
 
     def __init__(self, scene, assoc, points="bpsk"):
-        self.pts = constellation(points)
-        self.gamma_u = scene.gamma_u
-        Q, K = len(self.pts), scene.num_ues
-        slot_of = _slot_of(scene)
-        edges, factors = [], []
-        for m in range(scene.num_aps):
-            for n in range(scene.num_subcarriers):
-                who = [k for k in assoc.ue_sets[m] if n in slot_of[k]]
-                if who:
-                    factors.append((len(edges), len(who)))
-                    edges += [(m, k, slot_of[k][n]) for k in who]
-        E = len(edges)
-        self.edge = {key: e for e, key in enumerate(edges)}
-        self.slots = sorted({(k, i) for _, k, i in edges})
-        row = {s: r for r, s in enumerate(self.slots)}
-        self.slot = np.array([row[(k, i)] for _, k, i in edges], dtype=int)
+        self.pts, self.gamma_u = constellation(points), scene.gamma_u
+        Q, (M, K, N) = len(self.pts), scene.freq.shape
+        # the symbols that some AP receives, UE-major, are the rows of slots
+        counts = [len(s) if aps else 0
+                  for s, aps in zip(scene.subcarriers, assoc.ap_sets)]
+        self.slots = [(k, i) for k, c in enumerate(counts) for i in range(c)]
+        ue = np.repeat(np.arange(K), counts)
+        sub = np.concatenate([s[:c] for s, c in zip(scene.subcarriers, counts)])
+        row = np.full((K, N), -1)           # (K, N) symbol rows, -1 if none
+        row[ue, sub] = np.arange(len(ue))
+        incidence = (assoc.zeta() > 0)[:, None, :] & (row.T >= 0)  # (M, N, K)
+        self.ap, n_e, k_e = np.nonzero(incidence)
+        self.slot = row[k_e, n_e]
         # edges are AP-major, so a symbol's first edge is its lowest-index AP
         self.designated = np.unique(self.slot, return_index=True)[1]
-        bounds = np.searchsorted([k for k, _ in self.slots], np.arange(K + 1))
-        self.ue_rows = [slice(lo, hi) if hi > lo else None
-                        for lo, hi in zip(bounds, bounds[1:])]
+        self.ue_rows = [slice(hi - c, hi) if c else None
+                        for c, hi in zip(counts, np.cumsum(counts).tolist())]
         self.undetected = frozenset(k for k in range(K) if not assoc.ap_sets[k])
-
-        # sibling edges in ascending AP order, padded with E (a zero row)
-        sibs = [[self.edge[(j, k, i)] for j in assoc.ap_sets[k] if j != m]
-                for m, k, i in edges]
-        width = max(map(len, sibs), default=0)
-        self.siblings = np.array([s + [E] * (width - len(s)) for s in sibs],
-                                 dtype=int).reshape(E, width)
-
-        m_e, k_e, _ = np.array(edges, dtype=int).reshape(E, 3).T
-        n_e = np.array([scene.subcarriers[k][i] for _, k, i in edges], dtype=int)
-        power = np.array([scene.power[k][i] for _, k, i in edges], dtype=float)
-        amp = np.sqrt(power) * scene.freq[m_e, k_e, n_e]
+        power = np.concatenate([p[:c] for p, c in zip(scene.power, counts)])
+        amp = np.sqrt(power[self.slot]) * scene.freq[self.ap, k_e, n_e]
+        degree = incidence.sum(axis=2)                      # (M, N)
+        first = (np.cumsum(degree) - degree.ravel()).reshape(M, N)
         self.groups = []
-        for d in sorted({deg for _, deg in factors}):
+        for d in sorted(set(degree.ravel().tolist()) - {0}):
             if Q ** d > _LOCAL_GUARD:
                 raise ValueError("local marginalization too large")
-            first = np.array([e for e, deg in factors if deg == d])
-            grp = first[:, None] + np.arange(d)
+            m, n = np.nonzero(degree == d)
+            grp = first[m, n][:, None] + np.arange(d)
             table = _joint_table(Q, d)
             # (F, d) participant edges, each factor's y entry, joint means
-            self.groups.append((grp, (m_e[first], n_e[first]),
+            self.groups.append((grp, (m, n),
                                 _joint_means(amp[grp], self.pts, table), table))
+
+    @cached_property
+    def edge(self) -> dict:
+        return {(m,) + self.slots[r]: e for e, (m, r)
+                in enumerate(zip(self.ap.tolist(), self.slot.tolist()))}
+
+    @cached_property
+    def siblings(self) -> np.ndarray:
+        # the other APs' edges of each edge's symbol, padded with E (a zero
+        # row); edge numbers grow with the AP, so a sorted row is in AP order
+        E = len(self.slot)
+        at = np.full((len(self.slots), self.ap.max(initial=0) + 1), E)
+        at[self.slot, self.ap] = np.arange(E)
+        sibs = at[self.slot]
+        sibs[np.arange(E), self.ap] = E
+        sibs.sort(axis=1)
+        return sibs[:, :np.bincount(self.slot).max(initial=1) - 1]
 
 
 def message_round(index, y, messages, config: ApmpConfig) -> np.ndarray:
@@ -298,7 +298,7 @@ def map_oracle(scene, assoc, component, y, points="bpsk"):
     aps, ues = component
     pts = constellation(points)
     Q = len(pts)
-    slot_of = _slot_of(scene)
+    slot_of = [{int(n): i for i, n in enumerate(s)} for s in scene.subcarriers]
     out = {}
     for n in range(scene.num_subcarriers):
         active = sorted(k for k in ues if n in slot_of[k])

@@ -302,26 +302,28 @@ def receive_downlink(channels, signals, noise_var=0.0, rng=None) -> np.ndarray:
 def received_power_split(channels, assoc, dirs, powers, k) -> dict:
     """Desired / co-associated / cross-AP mean received powers at UE k.
 
-    Expectation over unit-power independent symbols; used to check the
-    interference structure of the distributed precoders.
+    Expectation over unit-power independent symbols.  Stream l reaches UE k
+    with the coherent amplitude sum_m sqrt(P_ml) h_mk^T dir_ml over its
+    serving APs, which is what :func:`receive_downlink` of
+    :func:`dist_transmit` adds up when, as :func:`distributed_directions`
+    makes them, the directions vanish off the association.  A stream
+    l != k is co-associated when it shares an AP with UE k and cross-AP
+    otherwise.  Used to check the interference structure of the
+    distributed precoders.
     """
     h = np.asarray(channels, dtype=complex)
     if h.ndim == 2:
         h = h[:, None, :]
-    M, U, K = h.shape
-    desired = 0.0 + 0j
-    co, cross = 0.0, 0.0
-    for m in range(M):
-        for l in assoc.ue_sets[m]:
-            amp = np.sqrt(powers[m, l]) * (h[m, :, k] @ dirs[m, :, l])
-            if l == k:
-                desired += amp
-            elif m in assoc.ap_sets[k]:
-                co += np.abs(amp) ** 2
-            else:
-                cross += np.abs(amp) ** 2
-    return {"desired_amplitude": desired, "desired": np.abs(desired) ** 2,
-            "co_associated": float(co), "cross_ap": float(cross)}
+    amp = np.zeros(len(assoc.ap_sets), dtype=complex)
+    for m, l in zip(*np.nonzero(assoc.zeta())):
+        amp[l] += np.sqrt(powers[m, l]) * (h[m, :, k] @ dirs[m, :, l])
+    power = np.abs(amp) ** 2
+    others = np.arange(len(amp)) != k
+    mine = set(assoc.ap_sets[k])
+    co = others & [not mine.isdisjoint(aps) for aps in assoc.ap_sets]
+    return {"desired_amplitude": amp[k], "desired": power[k],
+            "co_associated": float(power[co].sum()),
+            "cross_ap": float(power[others & ~co].sum())}
 
 
 def apply_ap_impairments(signals, phase_std, gain_std, rng) -> np.ndarray:

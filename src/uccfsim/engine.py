@@ -263,7 +263,7 @@ def _estimate_channels(scenario, real, assoc, rng):
     mode = "mui_suppress" if cfg["mui_suppression"] else "single"
     estimates = training.estimate_all(obs, plan, assoc, real, mode=mode,
                                       decay=scenario["channel"]["pdp_decay"])
-    hf = training.estimated_subcarrier_gains(estimates, real, assoc)
+    hf = training.estimated_subcarrier_gains(estimates, real)
     err = num = 0.0
     for (m, k), est in estimates.items():
         truth = np.sqrt(real.gains[m, k]) * real.taps[m, k, :len(est)]
@@ -273,9 +273,11 @@ def _estimate_channels(scenario, real, assoc, rng):
     return hf, nmse
 
 
-def _detect_uplink(scenario, scene, assoc, gains, rng):
+def _detect_uplink(scenario, scene, assoc, gains, plan_sinrs, rng):
     """Analytic/empirical SINR, per-UE rates, and SER for the configured
-    detector; rates always come from the analytic symbol SINRs."""
+    detector; rates always come from the analytic symbol SINRs.
+    ``plan_sinrs`` are the allocation's closed-form MMSE symbol SINRs at
+    the scene's powers, which APMP reports as its rate proxy."""
     cfg = scenario["uplink"]
     name = cfg["detector"]
     K = scene.num_ues
@@ -338,11 +340,10 @@ def _detect_uplink(scenario, scene, assoc, gains, rng):
                       sum(np.mean(d != indices[k], axis=1)) / ser_draws
                       for k, d in enumerate(res.decisions)]
         out["apmp_iterations"] = float(np.mean(res.draw_iterations))
-        # analytic MMSE SINR reported as the rate proxy for APMP trials
-        sinrs = uplink.uplink_sinr_all(scene)
+        # the plan's analytic MMSE SINRs are the rate proxy for APMP trials
         for k in range(K):
             if len(scene.subcarriers[k]):
-                out["analytic"][k] = np.asarray(sinrs[k])
+                out["analytic"][k] = plan_sinrs[k]
     else:
         raise ValueError(f"unknown detector {name!r}")
 
@@ -438,7 +439,8 @@ def run_trial(scenario, trial: int, digest=None) -> list:
 
     scene = uplink.UplinkScene(freq=hf, subcarriers=plan.subcarriers,
                                power=plan.ul_power, gamma_u=gamma_u)
-    det = _detect_uplink(scenario, scene, assoc, real.gains, rng)
+    det = _detect_uplink(scenario, scene, assoc, real.gains, plan.ul_sinrs,
+                         rng)
 
     dl = {"dl_rate": np.full(topo.num_ues, np.nan),
           "dl_sinr": np.full(topo.num_ues, np.nan), "leakage": np.nan}

@@ -318,7 +318,7 @@ def estimates_to_csv(estimates, channels) -> str:
     return "\n".join(lines) + "\n"
 
 
-def estimated_subcarrier_gains(estimates, channels, assoc) -> np.ndarray:
+def estimated_subcarrier_gains(estimates, channels) -> np.ndarray:
     """Per-subcarrier gains from estimated taps; unestimated links are zero.
 
     Mirrors the tap-to-frequency map of the generator so that, in the

@@ -12,7 +12,9 @@ implementation replaced: messages keyed by (ap, ue, slot), one factor and
 one participant at a time, with ``itertools.product`` enumerations.
 ``apmp_draw_loop`` is the engine's APMP symbol error count as it was
 before detection took every draw in one call: one single-observation
-``apmp_detect`` per draw.
+``apmp_detect`` per draw.  ``EdgeIndex`` builds the edge index with a
+Python loop over APs, subcarriers and UEs, as the library did before it
+read the graph off the incidence array.
 
 The channel-estimation oracles solve the estimator in its bracket form,
 Q A^H (A Q A^H + sigma^2 I)^-1, with an N tau_p-sized guarded inverse:
@@ -432,6 +434,57 @@ def apmp_detect(scene, assoc, y, config: ApmpConfig = ApmpConfig()) -> ApmpResul
                       trace=trace, belief_trace=belief_trace,
                       undetected=undetected)
 
+
+
+class EdgeIndex:
+    """``apmp.EdgeIndex`` built as it was before it read the graph off the
+    incidence array: an M x N x K Python loop, per-edge tuples, the
+    (m, k, i) -> e dict and each edge's sibling list, all built eagerly."""
+
+    def __init__(self, scene, assoc, points="bpsk"):
+        self.pts = constellation(points)
+        self.gamma_u = scene.gamma_u
+        Q, K = len(self.pts), scene.num_ues
+        slot_of = [{int(n): i for i, n in enumerate(s)}
+                   for s in scene.subcarriers]
+        edges, factors = [], []
+        for m in range(scene.num_aps):
+            for n in range(scene.num_subcarriers):
+                who = [k for k in assoc.ue_sets[m] if n in slot_of[k]]
+                if who:
+                    factors.append((len(edges), len(who)))
+                    edges += [(m, k, slot_of[k][n]) for k in who]
+        E = len(edges)
+        self.edge = {key: e for e, key in enumerate(edges)}
+        self.slots = sorted({(k, i) for _, k, i in edges})
+        row = {s: r for r, s in enumerate(self.slots)}
+        self.slot = np.array([row[(k, i)] for _, k, i in edges], dtype=int)
+        self.designated = np.unique(self.slot, return_index=True)[1]
+        bounds = np.searchsorted([k for k, _ in self.slots], np.arange(K + 1))
+        self.ue_rows = [slice(lo, hi) if hi > lo else None
+                        for lo, hi in zip(bounds, bounds[1:])]
+        self.undetected = frozenset(k for k in range(K) if not assoc.ap_sets[k])
+
+        sibs = [[self.edge[(j, k, i)] for j in assoc.ap_sets[k] if j != m]
+                for m, k, i in edges]
+        width = max(map(len, sibs), default=0)
+        self.siblings = np.array([s + [E] * (width - len(s)) for s in sibs],
+                                 dtype=int).reshape(E, width)
+
+        m_e, k_e, _ = np.array(edges, dtype=int).reshape(E, 3).T
+        n_e = np.array([scene.subcarriers[k][i] for _, k, i in edges], dtype=int)
+        power = np.array([scene.power[k][i] for _, k, i in edges], dtype=float)
+        amp = np.sqrt(power) * scene.freq[m_e, k_e, n_e]
+        self.groups = []
+        for d in sorted({deg for _, deg in factors}):
+            if Q ** d > apmp._LOCAL_GUARD:
+                raise ValueError("local marginalization too large")
+            first = np.array([e for e, deg in factors if deg == d])
+            grp = first[:, None] + np.arange(d)
+            table = apmp._joint_table(Q, d)
+            self.groups.append((grp, (m_e[first], n_e[first]),
+                                apmp._joint_means(amp[grp], self.pts, table),
+                                table))
 
 def observation_matrix(plan: PilotPlan, ue: int) -> np.ndarray:
     """UE ``ue``'s (N * tau_p, L_k) observation matrix, one symbol block at

@@ -9,6 +9,7 @@ from uccfsim.alloc import (AllocationPlan, allocate_power_waterfill,
                            check_feasibility, maxmin_power_control,
                            subcarrier_metric, successive_optimize, ul_rates)
 from uccfsim.topology import AssociationMap, build_factor_graph
+from uccfsim.uplink import UplinkScene, uplink_sinr_all
 
 import dense_oracles as oracle
 
@@ -424,6 +425,23 @@ def random_allocation_scene(rng):
 
 def same_arrays(a, b):
     return len(a) == len(b) and all(map(np.array_equal, a, b))
+
+
+@pytest.mark.parametrize("objective", ["sum_rate", "max_min"])
+def test_plan_ul_sinrs_are_the_closed_form_at_its_powers(objective):
+    """``plan.ul_sinrs`` is what ``uplink_sinr_all`` gives on the plan's
+    scene, bit for bit, so a consumer need not evaluate it again."""
+    rng = np.random.default_rng(2025)
+    empty = 0
+    for _ in range(150):
+        freq, assoc, kwargs = random_allocation_scene(rng)
+        plan = successive_optimize(freq, assoc, objective=objective,
+                                   direction="ul", **kwargs)
+        scene = UplinkScene(freq=freq, subcarriers=plan.subcarriers,
+                            power=plan.ul_power, gamma_u=kwargs["gamma_u"])
+        assert same_arrays(plan.ul_sinrs, uplink_sinr_all(scene))
+        empty += sum(not len(s) for s in plan.subcarriers)
+    assert empty          # UEs without subcarriers were covered
 
 
 class TestSinglePowerStage:

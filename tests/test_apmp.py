@@ -491,6 +491,101 @@ class TestAgainstDictOracle:
                                                  record_trace=True))
 
 
+def random_assignment(assoc, rng, N):
+    """Random channels, each UE on a random (possibly empty) sorted subset
+    of N subcarriers with random powers: UEs sharing an AP and a
+    subcarrier make factors of degree > 1."""
+    M, K = assoc.num_aps, assoc.num_ues
+    subs = [np.sort(rng.choice(N, size=int(rng.integers(0, N + 1)),
+                               replace=False)) for _ in range(K)]
+    freq = (rng.standard_normal((M, K, N))
+            + 1j * rng.standard_normal((M, K, N))) / np.sqrt(2)
+    return UplinkScene(freq=freq, subcarriers=subs,
+                       power=[rng.random(len(s)) / len(s) if len(s) else []
+                              for s in subs],
+                       gamma_u=float(rng.uniform(0.5, 5.0)))
+
+
+def assert_same_index(scene, assoc, points):
+    """The array-built index equals the dict-built one bit for bit: edge
+    order and lookups, symbol rows, designated edges, per-UE rows, the
+    undetected UEs, sibling table and every degree group.  Returns the
+    largest factor degree."""
+    got = EdgeIndex(scene, assoc, points)
+    want = dense_oracles.EdgeIndex(scene, assoc, points)
+    assert got.edge == want.edge
+    assert got.slots == want.slots
+    assert got.ue_rows == want.ue_rows
+    assert got.undetected == want.undetected
+    arrays = [(got.slot, want.slot), (got.designated, want.designated),
+              (got.siblings, want.siblings)]
+    assert len(got.groups) == len(want.groups)
+    for (edges, (m, n), mean, table), (edges0, (m0, n0), mean0, table0) \
+            in zip(got.groups, want.groups):
+        arrays += [(edges, edges0), (m, m0), (n, n0), (mean, mean0),
+                   (table, table0)]
+    for a, b in arrays:
+        assert a.shape == b.shape and np.array_equal(a, b)
+    return max((edges.shape[1] for edges, *_ in got.groups), default=0)
+
+
+class TestIndexAgainstDictBuild:
+    """The edge index read off the incidence array against the dict-built
+    index it replaced (``dense_oracles.EdgeIndex``)."""
+
+    @pytest.mark.parametrize("points", ["bpsk", "qpsk"])
+    def test_random_trees(self, points):
+        rng = np.random.default_rng(60)
+        for _ in range(100):
+            assoc = random_bipartite_tree(int(rng.integers(2, 6)),
+                                          int(rng.integers(1, 5)), rng)
+            assert_same_index(random_assignment(assoc, rng,
+                                                int(rng.integers(1, 5))),
+                              assoc, points)
+
+    @pytest.mark.parametrize("points", ["bpsk", "qpsk"])
+    def test_loopy_graphs_with_shared_factors(self, points):
+        rng = np.random.default_rng(61)
+        degrees = set()
+        for _ in range(100):
+            assoc = random_loopy(int(rng.integers(2, 5)),
+                                 int(rng.integers(2, 5)), rng)
+            degrees.add(assert_same_index(
+                random_assignment(assoc, rng, int(rng.integers(1, 5))),
+                assoc, points))
+        assert max(degrees) >= 3
+
+    def test_undetected_ues(self):
+        rng = np.random.default_rng(62)
+        for _ in range(100):
+            M, K = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            # every UE on a random, possibly empty, AP subset
+            assoc = AssociationMap.from_ap_sets(
+                [np.flatnonzero(rng.random(M) < 0.4) for _ in range(K)], M)
+            assert_same_index(random_assignment(assoc, rng,
+                                                int(rng.integers(1, 4))),
+                              assoc, "bpsk")
+
+    def test_empty_graphs(self):
+        rng = np.random.default_rng(63)
+        for ap_sets in ([[], []], [[0], []], [[], [1]], [[0, 1], [], [1]]):
+            assoc = AssociationMap.from_ap_sets(ap_sets, num_aps=2)
+            assert_same_index(random_assignment(assoc, rng, 2), assoc, "qpsk")
+        # associated UEs without subcarriers give no edge either
+        assoc = AssociationMap.from_ap_sets([[0, 1], [1]], num_aps=2)
+        scene = UplinkScene(freq=np.ones((2, 2, 3)), subcarriers=[[], []],
+                            power=[[], []], gamma_u=1.0)
+        assert assert_same_index(scene, assoc, "bpsk") == 0
+        assert EdgeIndex(scene, assoc).siblings.shape == (0, 0)
+
+    def test_local_guard_applies_to_both(self):
+        assoc = AssociationMap.from_ap_sets([[0]] * 5, num_aps=1)
+        scene = equal_power_scene(np.ones((1, 5, 1)), [np.arange(1)] * 5, 1.0)
+        for build in (EdgeIndex, dense_oracles.EdgeIndex):
+            with pytest.raises(ValueError, match="local marginalization"):
+                build(scene, assoc, "qpsk")
+
+
 def assert_batch_matches_singles(scene, assoc, ys, cfg):
     """A (D, M, N) stack detected at once gives every draw the decisions,
     iteration count and marginals of a single-observation call."""

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,32 @@ class TestDistributed:
         split = received_power_split(h, assoc, dirs, powers, 0)
         assert split["co_associated"] < 1e-20 * split["desired"]
         assert split["cross_ap"] > 1e-8
+
+    @pytest.mark.parametrize("method", ["mf", "tzf"])
+    def test_power_split_adds_up_to_the_mean_received_power(self, method):
+        # stream 0 is served by both APs: its two copies add coherently
+        rng = np.random.default_rng(16)
+        h = (rng.standard_normal((2, 2, 3)) + 1j * rng.standard_normal((2, 2, 3)))
+        assoc = AssociationMap.from_ap_sets([[0, 1], [0], [1]], num_aps=2)
+        dirs = distributed_directions(h, assoc, method=method)
+        powers = np.array([[0.3, 0.7, 0.0], [0.6, 0.0, 0.4]])
+        # every BPSK symbol vector, equally likely: E|y_k|^2 exactly, and
+        # stream l's received amplitude E[y_k x_l]
+        x = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+        y = np.array([receive_downlink(h, dist_transmit(dirs, powers, s))
+                      for s in x])
+        for k, shared in ((0, [1, 2]), (1, [0]), (2, [0])):
+            split = received_power_split(h, assoc, dirs, powers, k)
+            stream = np.abs(y[:, k] @ x / len(x)) ** 2
+            total = split["desired"] + split["co_associated"] + split["cross_ap"]
+            assert total == pytest.approx(np.mean(np.abs(y[:, k]) ** 2),
+                                          rel=1e-12)
+            assert split["desired"] == pytest.approx(stream[k], rel=1e-12)
+            assert split["co_associated"] == pytest.approx(
+                stream[shared].sum(), rel=1e-12, abs=1e-30)
+            assert split["cross_ap"] == pytest.approx(
+                stream.sum() - stream[k] - stream[shared].sum(), rel=1e-9,
+                abs=1e-12)
 
     def test_tzf_reception_matches_structure(self):
         # co-associated-only scene: y_k = sum over serving APs of sqrt(P) x

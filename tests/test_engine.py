@@ -481,6 +481,41 @@ class TestPipelineOutputs:
             np.testing.assert_array_equal([r["ser"] for r in records], ser)
             assert all(r["apmp_iterations"] == iterations for r in records)
 
+    def test_apmp_rate_proxy_comes_from_the_plan(self, monkeypatch):
+        """An APMP trial evaluates the closed-form SINRs only inside the
+        allocation (twice at ``refine_iterations`` 1), and its analytic
+        SINRs are those of the last evaluation, at the emitted powers."""
+        scenes, planning = [], []
+        sinr_all, optimize = uplink.uplink_sinr_all, alloc.successive_optimize
+
+        def spy_sinrs(scene):
+            assert planning, "uplink_sinr_all called outside the allocation"
+            scenes.append(scene)
+            return sinr_all(scene)
+
+        def spy_optimize(*args, **kwargs):
+            planning.append(True)
+            try:
+                return optimize(*args, **kwargs)
+            finally:
+                planning.pop()
+
+        for module in (uplink, alloc):
+            monkeypatch.setattr(module, "uplink_sinr_all", spy_sinrs)
+        monkeypatch.setattr(alloc, "successive_optimize", spy_optimize)
+        scenario = merge_scenario({
+            **SMALL, "uplink": {"detector": "apmp", "symbol_draws": 4},
+            "allocation": {"demands": [2, 0], "refine_iterations": 1}})
+        for trial in range(4):
+            scenes.clear()
+            records = run_trial(scenario, trial)
+            assert len(scenes) == 2
+            want = sinr_all(scenes[-1])
+            assert records[0]["sinr_analytic"] == np.mean(want[0])
+            assert records[0]["rate"] == ue_rates(want)[0]
+            assert np.isnan(records[1]["sinr_analytic"])
+            assert records[1]["rate"] == 0.0
+
     @pytest.mark.parametrize("overrides", [
         {"allocation": {"demands": [2, 0]}},
         {"association": {"method": "large_scale", "min_gain": 1e9}}])

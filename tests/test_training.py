@@ -307,7 +307,7 @@ class TestMmseEstimate:
         obs = simulate_pilot_rx(plan, ch, assoc, noise_var=0.0, rng=0,
                                 interference_var=0.0)
         est = estimate_all(obs, plan, assoc, ch, mode="mui_suppress")
-        hf = estimated_subcarrier_gains(est, ch, assoc)
+        hf = estimated_subcarrier_gains(est, ch)
         assert np.allclose(hf, ch.freq, atol=1e-7)
 
 
@@ -388,7 +388,7 @@ class TestAgainstPerLinkOracle:
         est = estimate_all(obs, plan, assoc, ch, mode=mode)
         assert sorted({len(t) for t in est.values()}) == [2, 3]
         want = dense_oracles.estimated_subcarrier_gains(est, ch)
-        assert np.array_equal(estimated_subcarrier_gains(est, ch, assoc),
+        assert np.array_equal(estimated_subcarrier_gains(est, ch),
                               want)
         assert not want[0].any()            # AP 0 estimates no link
 
@@ -402,15 +402,15 @@ class TestAgainstPerLinkOracle:
                 est[(int(m), int(k))] = (rng.standard_normal(L) + 1j
                                          * rng.standard_normal(L))
             assert np.array_equal(
-                estimated_subcarrier_gains(est, ch, None),
+                estimated_subcarrier_gains(est, ch),
                 dense_oracles.estimated_subcarrier_gains(est, ch))
         est[(0, 0)] = np.ones(N + 1)
         with pytest.raises(ValueError, match="longer than symbol"):
-            estimated_subcarrier_gains(est, ch, None)
+            estimated_subcarrier_gains(est, ch)
 
     def test_subcarrier_gains_of_no_estimates_are_zero(self):
-        _, ch, assoc, _, _ = self.scene([0, 3, 5], seed=2)
-        hf = estimated_subcarrier_gains({}, ch, assoc)
+        _, ch, _, _, _ = self.scene([0, 3, 5], seed=2)
+        hf = estimated_subcarrier_gains({}, ch)
         assert np.array_equal(hf, dense_oracles.estimated_subcarrier_gains(
             {}, ch))
         assert hf.shape == ch.freq.shape and hf.dtype == complex
