@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import alloc, apmp, channel, downlink, topology, training, uplink
-from .modulation import (CONSTELLATIONS, nearest_point, symbol_error_rate,
-                         ue_rates)
+from .modulation import CONSTELLATIONS, symbol_error_rate, ue_rates
 
 DEFAULT_SCENARIO = {
     "name": "scenario",
@@ -276,14 +275,18 @@ def _estimate_channels(scenario, real, assoc, rng):
 def _detect_uplink(scenario, scene, assoc, gains, plan_sinrs, rng):
     """Analytic/empirical SINR, per-UE rates, and SER for the configured
     detector; rates always come from the analytic symbol SINRs.
-    ``plan_sinrs`` are the allocation's closed-form MMSE symbol SINRs at
-    the scene's powers, which APMP reports as its rate proxy."""
+
+    Every linear detector gives one stacked weight per UE with subcarriers
+    (local detection with CPU fusion as its fused weight); with symbol
+    draws, ``uplink.measure_output`` measures each weight's output and
+    decides its symbols.  A UE whose signal is zero reports SINR 0, not
+    NaN.  ``plan_sinrs`` are the allocation's closed-form MMSE symbol
+    SINRs at the scene's powers, which APMP reports as its rate proxy."""
     cfg = scenario["uplink"]
     name = cfg["detector"]
     K = scene.num_ues
     draws = int(cfg["symbol_draws"])
     points_name = cfg["constellation"]
-    pts = CONSTELLATIONS[points_name]
     out = {"analytic": [np.empty(0)] * K,
            "empirical": [np.nan] * K, "ser": [np.nan] * K,
            "apmp_iterations": np.nan}
@@ -305,7 +308,7 @@ def _detect_uplink(scenario, scene, assoc, gains, plan_sinrs, rng):
             weights = [uplink.lmmse_reduced(scene, assoc, k)
                        if assoc.ap_sets[k] else None for k in range(K)]
         weights = [W if W is not None and len(scene.subcarriers[k])
-                   and np.any(W) else None for k, W in enumerate(weights)]
+                   else None for k, W in enumerate(weights)]
         for k, W in enumerate(weights):
             if W is not None:
                 out["analytic"][k] = uplink.weight_output_sinr(scene, k, W)
@@ -352,26 +355,10 @@ def _detect_uplink(scenario, scene, assoc, gains, plan_sinrs, rng):
         for k, W in enumerate(weights):
             if W is None:
                 continue
-            z = y @ W.conj()
-            x = pts[indices[k]]
-            measured = name.startswith("local_")
-            if measured:
-                # the CPU of a local detector measures its output amplitude;
-                # from one draw that fits the draw exactly and leaves no
-                # error to measure, so the empirical SINR stays NaN
-                amp = np.mean(z * x.conj(), axis=0)
-            else:
-                amp = np.sqrt(scene.power[k]) * np.einsum(
-                    "ni,ni->i", W.conj(), uplink.stacked_channel(scene, k))
-            # a symbol sent with zero power has empirical SINR 0, not 0/0
-            signal = np.abs(amp) ** 2
-            if draws > 1 or not measured:
-                emp = np.divide(signal, np.mean(np.abs(z - x * amp) ** 2,
-                                                axis=0),
-                                out=np.zeros_like(signal), where=signal > 0)
-                out["empirical"][k] = float(np.mean(emp))
-            decided = nearest_point(z / np.where(np.abs(amp) > 0, amp, 1.0),
-                                    pts)
+            sinrs, decided = uplink.measure_output(
+                scene, k, W, y, indices[k], points_name,
+                measured=name.startswith("local_"))
+            out["empirical"][k] = float(np.mean(sinrs))
             out["ser"][k] = symbol_error_rate(decided, indices[k])
 
     out["rates"] = ue_rates(out["analytic"])

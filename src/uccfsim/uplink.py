@@ -12,9 +12,15 @@ gain per subcarrier and subcarriers do not couple, so the stacked
 covariance is N independent M x M blocks R_n.  The SINR evaluator and the
 per-subcarrier, column-sliced and reduced MMSE detectors solve those
 blocks as (N, M, M) batches, the reduced one restricted to the associated
-APs.  A local detector only sees the diagonals [R_n]_mm, so local
-detection followed by CPU fusion is one stacked weight per UE, evaluated
-per subcarrier in closed form.
+APs.  A local detector only sees the diagonals [R_n]_mm, so local MMSE
+at each AP followed by CPU fusion is one stacked weight per UE:
+``combining_lambdas`` gives the fusion weights of a mode, and
+``combined_weights`` and ``combined_sinr`` the fused weight and its SINR,
+evaluated per subcarrier in closed form.
+
+Symbol draws come from ``simulate_uplink``, and ``measure_output`` is the
+one path from any detector's weights to its output amplitude, empirical
+SINR and hard decisions.
 
 The closed-form MMSE SINR has one implementation, :class:`SinrSkeleton`.
 It keeps everything that does not depend on the powers (symbol indices,
@@ -39,8 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .modulation import (constellation, nearest_point, random_symbol_indices,
-                         sum_rate)
+from .modulation import constellation, nearest_point, random_symbol_indices
 
 
 @dataclass(frozen=True)
@@ -179,11 +184,6 @@ def solve_flop_estimate(num_aps: int, num_subcarriers: int, joint: bool) -> floa
     return float(num_subcarriers * num_aps**3)
 
 
-def uplink_sinr(scene: UplinkScene, k: int, i: int) -> float:
-    """Closed-form MMSE output SINR of UE k's i-th symbol."""
-    return float(uplink_sinr_all(scene)[k][i])
-
-
 class SinrSkeleton:
     """The power-independent part of the closed-form MMSE SINRs of a plan.
 
@@ -253,10 +253,6 @@ def uplink_sinr_all(scene: UplinkScene):
     return skeleton.split(skeleton._closed_form(eta))
 
 
-def uplink_sum_rate(scene: UplinkScene) -> float:
-    return sum_rate(uplink_sinr_all(scene))
-
-
 def lmmse_column_sliced(scene: UplinkScene, assoc):
     """Approximate weights using only the R_y^-1 column blocks of the
     associated APs; with full association this reconstructs the GMMSE.
@@ -314,96 +310,6 @@ def _local_terms(scene: UplinkScene, k: int):
     return scene.freq[:, k, sub] * np.sqrt(scene.power[k]), d, r
 
 
-def local_ap_weights(scene: UplinkScene, m: int, k: int) -> np.ndarray:
-    """Per-AP MMSE weights (N, N_k) from AP m's own observation model."""
-    b, d, _ = _local_terms(scene, k)
-    N = scene.num_subcarriers
-    return _stacked(scene, k, b / d)[m * N:(m + 1) * N]
-
-
-def local_ap_estimate(scene: UplinkScene, assoc, y_m: np.ndarray,
-                      m: int, k: int) -> np.ndarray:
-    """Local soft symbol estimate z_mk = W_mk^H y_m at an associated AP."""
-    if m not in assoc.ap_sets[k]:
-        raise ValueError(f"AP {m} is not associated with UE {k}")
-    return local_ap_weights(scene, m, k).conj().T @ y_m
-
-
-def local_combining_stats(scene: UplinkScene, assoc, k: int):
-    """Per-AP (A_mk, C_mk) of the decomposition z_mk = A_mk x_k + noise.
-
-    A_mk is the signal gain matrix and C_mk the interference-plus-noise
-    covariance of AP m's local estimate; both are exact scene statistics,
-    diagonal because the local weights are.
-    """
-    b, d, r = _local_terms(scene, k)
-    w = b / d
-    return {m: (np.diag(w[m].conj() * b[m]), np.diag(np.abs(w[m]) ** 2 * r[m]))
-            for m in assoc.ap_sets[k]}
-
-
-def sample_combining_stats(scene: UplinkScene, assoc, k: int,
-                           num_draws: int, rng, points="qpsk"):
-    """Per-AP (A_mk, C_mk) estimated from simulated piloted draws.
-
-    Realism counterpart of :func:`local_combining_stats`: the CPU measures
-    the signal gains and residual covariances instead of reading them off
-    the scene.  Approaches the analytic statistics as draws grow.
-    """
-    indices, y = simulate_uplink(scene, num_draws, rng, points)
-    pts = constellation(points)
-    N = scene.num_subcarriers
-    x = pts[indices[k]]                              # (draws, N_k)
-    stats = {}
-    for m in assoc.ap_sets[k]:
-        W = local_ap_weights(scene, m, k)
-        z = y[:, m * N:(m + 1) * N] @ W.conj()       # (draws, N_k)
-        A = np.diag(np.mean(z * x.conj(), axis=0))   # unit-power symbols
-        resid = z - x @ A.T
-        C = resid.T @ resid.conj() / num_draws
-        stats[m] = (A, C)
-    return stats
-
-
-def cpu_combine(estimates: dict, mode: str, gains=None, stats=None) -> np.ndarray:
-    """Fuse per-AP local estimates {m: z_mk} into one decision vector.
-
-    Modes: ``equal`` (no side knowledge), ``mrc`` (needs ``stats`` from
-    :func:`local_combining_stats`), ``large_scale_linear`` and
-    ``large_scale_sqrt`` (need per-AP ``gains``).
-    """
-    if not estimates:
-        raise ValueError("no associated APs to combine")
-    aps = sorted(estimates)
-    count = len(aps)
-    first = np.asarray(estimates[aps[0]])
-    if mode == "equal":
-        return sum(np.asarray(estimates[m]) for m in aps) / count
-    if mode == "mrc":
-        if stats is None:
-            raise ValueError("mrc combining needs per-AP (A, C) statistics")
-        z = np.zeros_like(first, dtype=complex)
-        for m in aps:
-            A, C = stats[m]
-            z += np.linalg.solve(C, A.conj().T @ np.asarray(estimates[m]))
-        return z / count
-    if mode in ("large_scale_linear", "large_scale_sqrt"):
-        shares = _large_scale_shares(gains, aps, mode)
-        return sum(s * np.asarray(estimates[m]) for s, m in zip(shares, aps))
-    raise ValueError(f"unknown combining mode {mode!r}")
-
-
-def _large_scale_shares(gains, aps, mode: str) -> np.ndarray:
-    """Fusion weights of the APs, proportional to their large-scale gains
-    (``large_scale_linear``) or to the square roots (``large_scale_sqrt``)."""
-    if gains is None:
-        raise ValueError("large-scale combining needs per-AP gains")
-    g = np.array([gains[m] for m in aps], dtype=float)
-    if mode == "large_scale_sqrt":
-        g = np.sqrt(g)
-    return g / g.sum()
-
-
 def _fused(scene: UplinkScene, k: int, lambdas: dict) -> np.ndarray:
     """Per-AP coefficients (M, N_k) of local detection fused with the
     diagonal ``lambdas``: conj(lambda_m) w_m, zero at the other APs."""
@@ -454,8 +360,14 @@ def combining_lambdas(scene: UplinkScene, assoc, k: int, mode: str,
         _, d, r = _local_terms(scene, k)
         return {m: (d[m] / r[m]).astype(complex) / count for m in aps}
     if mode in ("large_scale_linear", "large_scale_sqrt"):
-        shares = _large_scale_shares(gains, aps, mode)
-        return {m: np.full(nk, s, dtype=complex) for m, s in zip(aps, shares)}
+        # shares proportional to the gains, or to their square roots
+        if gains is None:
+            raise ValueError("large-scale combining needs per-AP gains")
+        g = np.array([gains[m] for m in aps], dtype=float)
+        if mode == "large_scale_sqrt":
+            g = np.sqrt(g)
+        return {m: np.full(nk, s, dtype=complex)
+                for m, s in zip(aps, g / g.sum())}
     raise ValueError(f"unknown combining mode {mode!r}")
 
 
@@ -480,27 +392,32 @@ def simulate_uplink(scene: UplinkScene, num_draws: int, rng,
     return indices, y
 
 
-def empirical_output_sinr(scene: UplinkScene, k: int, W: np.ndarray,
-                          num_draws: int, rng, points="qpsk") -> np.ndarray:
-    """Measured per-symbol SINR at the detector output over symbol draws."""
-    indices, y = simulate_uplink(scene, num_draws, rng, points)
+def measure_output(scene: UplinkScene, k: int, W: np.ndarray, y: np.ndarray,
+                   sent: np.ndarray, points="qpsk", measured: bool = False):
+    """Empirical per-symbol SINRs and hard decisions of UE k's output
+    z = W^H y over draws y (draws, M*N) that sent the point indices
+    ``sent`` (draws, N_k).
+
+    The output amplitude is w^H b sqrt(eta), or, when ``measured``, the
+    one a local detector's CPU fits to the draws, mean(z x^*).  A symbol
+    with amplitude zero has SINR 0, not 0/0, and is decided on z itself.
+    A fitted amplitude matches a single draw exactly and leaves no error
+    to measure, so from one draw the measured SINRs are NaN.  Returns
+    (SINRs (N_k,), decided point indices (draws, N_k)).
+    """
     pts = constellation(points)
-    z = y @ W.conj()                                    # (draws, N_k)
-    amp = np.sqrt(scene.power[k]) * np.einsum(
-        "ni,ni->i", W.conj(), stacked_channel(scene, k))
-    desired = pts[indices[k]] * amp
-    err = z - desired
-    return (np.abs(amp) ** 2) / np.mean(np.abs(err) ** 2, axis=0)
-
-
-def sample_scene_covariance(scene: UplinkScene, num_draws: int, rng,
-                            points="qpsk") -> np.ndarray:
-    """Sample estimate of the stacked-observation autocorrelation."""
-    _, y = simulate_uplink(scene, num_draws, rng, points)
-    return y.T @ y.conj() / num_draws
-
-
-def detect_symbols(weights, y, points="qpsk"):
-    """Hard decisions per UE from stacked observations y (draws, M*N)."""
-    pts = constellation(points)
-    return [nearest_point(y @ W.conj(), pts) for W in weights]
+    x = pts[sent]
+    z = y @ W.conj()
+    if measured:
+        amp = np.mean(z * x.conj(), axis=0)
+    else:
+        amp = np.sqrt(scene.power[k]) * np.einsum(
+            "ni,ni->i", W.conj(), stacked_channel(scene, k))
+    signal = np.abs(amp) ** 2
+    if measured and len(y) == 1:
+        sinrs = np.full(signal.shape, np.nan)
+    else:
+        sinrs = np.divide(signal, np.mean(np.abs(z - x * amp) ** 2, axis=0),
+                          out=np.zeros_like(signal), where=signal > 0)
+    decided = nearest_point(z / np.where(np.abs(amp) > 0, amp, 1.0), pts)
+    return sinrs, decided

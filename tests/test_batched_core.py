@@ -20,10 +20,8 @@ from uccfsim.topology import AssociationMap
 from uccfsim.uplink import (UplinkScene, combined_sinr, combined_weights,
                             combining_lambdas, gmmse_weights,
                             lmmse_column_sliced, lmmse_reduced,
-                            local_ap_weights, local_combining_stats,
                             scene_covariance, stacked_channel,
-                            subcarrier_covariances, uplink_sinr,
-                            uplink_sinr_all)
+                            subcarrier_covariances, uplink_sinr_all)
 
 EPS = np.finfo(float).eps
 SAFETY = 8.0
@@ -89,8 +87,6 @@ def test_uplink_sinr_all_matches_dense(M, K, N, gamma_u, shared, empty_ue):
         for k, (g, w) in enumerate(zip(got, want)):
             assert g.shape == w.shape == (len(scene.subcarriers[k]),)
             np.testing.assert_allclose(g, w, rtol=rtol, atol=0)
-            for i in range(len(g)):
-                assert uplink_sinr(scene, k, i) == g[i]
 
 
 @pytest.mark.parametrize("M,K,N,gamma_u,shared,empty_ue", CASES)
@@ -329,6 +325,12 @@ def test_lmmse_reduced_matches_dense_restricted_solve(M, K, N, gamma_u, shared,
             assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
 
+def single_ap_lambdas(scene, m, k):
+    """Unit fusion weights at AP m alone: the fused weight is AP m's local
+    MMSE weight and the fused output its local estimate."""
+    return {m: np.ones(len(scene.subcarriers[k]), dtype=complex)}
+
+
 @pytest.mark.parametrize("M,K,N,gamma_u,shared,empty_ue", CASES)
 def test_local_ap_weights_match_per_ap_model(M, K, N, gamma_u, shared,
                                              empty_ue):
@@ -339,40 +341,46 @@ def test_local_ap_weights_match_per_ap_model(M, K, N, gamma_u, shared,
     rtol = SAFETY * (K + 1) * EPS
     for m in range(M):
         for k in range(K):
-            got = local_ap_weights(scene, m, k)
+            got = combined_weights(scene, k, single_ap_lambdas(scene, m, k))
             want = dense.local_ap_weights(scene, m, k)
-            assert got.shape == want.shape
+            assert got.shape == (M * N, want.shape[1])
+            assert np.all(np.delete(got.reshape(M, N, -1), m, axis=0) == 0)
+            got = got[m * N:(m + 1) * N]
             assert np.all(np.abs(got - want) <= rtol * np.abs(want))
 
 
 @pytest.mark.parametrize("M,K,N,gamma_u,shared,empty_ue", CASES)
 def test_local_stats_and_mrc_match_matrix_forms(M, K, N, gamma_u, shared,
                                                 empty_ue):
+    # the local statistics (A_mk, C_mk) enter the fusion through the MRC
+    # weights conj(A) / C and through each AP's own SINR |A|^2 / C, the
+    # SINR of the fused weight at that AP alone
     rng = np.random.default_rng([44, M, K, N])
     rtol = SAFETY * (K + 1) * EPS
     for _ in range(3):
         scene = random_scene(rng, M, K, N, gamma_u, shared, empty_ue)
         assoc = random_assoc(rng, M, K)
         for k in range(K):
-            got = local_combining_stats(scene, assoc, k)
             want = dense.local_combining_stats(scene, assoc, k)
             lam = combining_lambdas(scene, assoc, k, "mrc")
             lam_want = dense.mrc_lambdas(scene, assoc, k)
-            assert sorted(got) == sorted(want) == sorted(lam)
+            assert sorted(lam) == sorted(want)
             for m, (A, C) in want.items():
-                Ag, Cg = got[m]
-                assert Ag.shape == Cg.shape == A.shape
-                assert np.count_nonzero(Ag - np.diag(np.diag(Ag))) == 0
-                assert np.count_nonzero(Cg - np.diag(np.diag(Cg))) == 0
                 a, c = np.diag(A), np.diag(C)
                 # the matrix form subtracts the own term from [R_n]_mm,
                 # which amplifies its rounding by [R_n]_mm / C = |A / C|
                 amplify = np.abs(a / c)
-                assert np.all(np.abs(np.diag(Ag) - a) <= rtol * np.abs(a))
-                assert np.all(np.abs(np.diag(Cg) - c)
-                              <= rtol * amplify * np.abs(c))
                 assert np.all(np.abs(lam[m] - lam_want[m])
                               <= rtol * amplify * np.abs(lam_want[m]))
+                alone = single_ap_lambdas(scene, m, k)
+                B = stacked_channel(scene, k) * np.sqrt(scene.power[k])
+                gain = np.einsum("ni,ni->i",
+                                 combined_weights(scene, k, alone).conj(), B)
+                assert np.all(np.abs(gain - a) <= rtol * np.abs(a))
+                sinr = combined_sinr(scene, assoc, k, alone)
+                sinr_want = np.abs(a) ** 2 / np.real(c)
+                assert np.all(np.abs(sinr - sinr_want)
+                              <= rtol * (2 + amplify) * sinr_want)
 
 
 def fused_oracle_weights(scene, k, lambdas):

@@ -135,6 +135,29 @@ def test_high_snr_sinr_collapse_fails_the_audit():
     assert not any(r["audit_pass"] for r in zero)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("detector", [d for d in DETECTORS if d != "none"])
+def test_zero_power_ue_reports_zero_sinr_in_every_family(detector):
+    """The probe above with symbol draws: water-filling leaves the UE its
+    subcarriers at zero power.  Every detector reports SINR 0 (not NaN)
+    and still measures its decisions; the audit fails."""
+    res = run_scenario({"seed": 0, "trials": 5,
+                        "topology": {"num_aps": 1, "num_ues": 1,
+                                     "area_size": 5, "noise_variance": 1e-24},
+                        "channel": {"shadowing_std_db": 0},
+                        "allocation": {"demands": 2},
+                        "uplink": {"detector": detector, "symbol_draws": 5}})
+    zero = [r for r in res["records"] if r["rate"] == 0]
+    assert zero
+    for r in zero:
+        assert r["sinr_analytic"] == 0.0
+        # APMP measures no output SINR; the linear detectors measure 0
+        if detector != "apmp":
+            assert r["sinr_empirical"] == 0.0
+        assert 0.0 <= r["ser"] <= 1.0
+        assert not r["audit_pass"]
+
+
 def test_downlink_plan_that_sends_nothing_passes_the_audit():
     """No UE demands a subcarrier, so the downlink transmits nothing and
     has no power gain a0 to check; no constraint is violated."""
