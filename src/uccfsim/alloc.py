@@ -13,8 +13,8 @@ smallest symbol SINR the plan achieves.  Per-UE rates are computed once,
 for the emitted powers, and the plan keeps the symbol SINRs behind them
 (``ul_sinrs`` or ``dl_sinrs``), so a consumer such as the APMP rate proxy
 need not evaluate them again.  Every emitted plan carries a constraint
-audit so downstream consumers can verify the power budgets, binary
-assignments, and minimum rates directly.
+audit so downstream consumers can verify the power budgets and the binary
+assignments directly.
 
 Within a plan the channels and the subcarrier assignment are fixed, so
 the evaluators keep what depends on them alone: the downlink computes
@@ -146,7 +146,11 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3) -> MaxMinResult:
     increasing in a UE's own power and decreasing in the others', which
     holds for the MMSE detectors and precoders used here.  It must also be
     deterministic: the SINRs of powers already evaluated are reused, and
-    the same powers are never evaluated twice in a row.
+    the same powers are never evaluated twice in a row.  A UE's SINR alone
+    at its full budget bounds every common target.  When that bound is not
+    positive, no target is, and the full budgets are returned; a negative
+    or NaN bound is a numerical failure of the evaluator, which the
+    caller's checks flag.
     """
     budgets = np.asarray(budgets, dtype=float)
     K = budgets.size
@@ -172,6 +176,9 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3) -> MaxMinResult:
         solo[k] = budgets[k]
         alone[k] = evaluator(solo)[k]
     hi = float(alone.min())
+    if not hi > 0:
+        return MaxMinResult(powers=budgets, target=hi,
+                            achieved=evaluator(budgets), noise_limited=False)
     ok_hi, p_hi, g_hi = feasible(hi)
     if ok_hi:
         return MaxMinResult(powers=p_hi, target=hi, achieved=g_hi,
@@ -189,15 +196,6 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3) -> MaxMinResult:
                         noise_limited=False)
 
 
-def check_feasibility(rates, min_rates) -> dict:
-    """Per-UE minimum-rate check; reports violations, never raises."""
-    rates = np.asarray(rates, dtype=float)
-    min_rates = np.broadcast_to(np.asarray(min_rates, dtype=float), rates.shape)
-    ok = rates >= min_rates - 1e-12
-    return {"per_ue_ok": ok, "feasible": bool(np.all(ok)),
-            "violations": [int(k) for k in np.flatnonzero(~ok)]}
-
-
 @dataclass
 class AllocationPlan:
     """Association, subcarrier, and power decisions plus their audit."""
@@ -210,14 +208,12 @@ class AllocationPlan:
     a0: float = None
     dl_sinrs: list = None                   # per-UE symbol SINRs at dl_power
     objective: float = 0.0
-    min_rates: np.ndarray = None
-    feasibility: dict = field(default_factory=dict)
     audit: dict = field(default_factory=dict)
 
 
 def audit_plan(plan: AllocationPlan, num_subcarriers: int,
                mode="exclusive", components=None, checks=None) -> dict:
-    """Constraint audit: budgets, assignment, rate floors, named ``checks``."""
+    """Constraint audit: budgets, assignment and the named ``checks``."""
     report = {}
     K = len(plan.subcarriers)
     in_range = all(np.all((s >= 0) & (s < num_subcarriers))
@@ -243,8 +239,6 @@ def audit_plan(plan: AllocationPlan, num_subcarriers: int,
                                       and np.all(np.asarray(plan.dl_power) >= 0))
     if plan.a0 is not None:
         report["a0_positive"] = bool(plan.a0 > 0)
-    if plan.min_rates is not None and plan.feasibility:
-        report["min_rates_reported"] = True
     report.update(checks or {})
     report["pass"] = all(v for k, v in report.items() if isinstance(v, bool))
     return report
@@ -289,15 +283,14 @@ def _all_positive(g) -> bool:
 def successive_optimize(freq, assoc, demands, objective="sum_rate",
                         direction="ul", gamma_u=None, noise_var=None,
                         p_max=1.0, p_max_element=None, detector="gmmse",
-                        precoder="tmmse_ofdm", reg=None, min_rates=0.0,
-                        mode="exclusive", components=None,
+                        precoder="tmmse_ofdm", reg=None, mode="exclusive",
+                        components=None,
                         refine_iterations=1) -> AllocationPlan:
     """Association -> greedy subcarriers -> power, stage by stage.
 
     The association is taken as given (computed by the topology module);
-    disconnected UEs receive no resources and surface through the
-    feasibility report rather than as errors.  ``dist_regmmse``'s ``reg``
-    defaults to ``noise_var``.
+    a UE without an AP receives no resources and gets rate 0.
+    ``dist_regmmse``'s ``reg`` defaults to ``noise_var``.
     """
     freq = np.asarray(freq, dtype=complex)
     M, K, N = freq.shape
@@ -305,7 +298,6 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
     demands[[not assoc.ap_sets[k] for k in range(K)]] = 0
     metric = subcarrier_metric(freq, assoc)
     subs = allocate_subcarriers_greedy(metric, demands, mode, components)
-    min_rates = np.broadcast_to(np.asarray(min_rates, dtype=float), (K,))
     # every transmitted symbol as a (UE, subcarrier) index pair
     counts = np.array([len(s) for s in subs])
     ks, ns = np.repeat(np.arange(K), counts), np.concatenate(subs)
@@ -427,11 +419,9 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
     if direction == "ul":
         fields["ul_power"] = [x[g] for g in groups]
         fields["ul_sinrs"] = sinrs
-    rates = ue_rates(sinrs)
     plan = AllocationPlan(
-        assoc=assoc, subcarriers=subs, min_rates=min_rates, **fields,
-        objective=float(rates.sum() if objective == "sum_rate"
+        assoc=assoc, subcarriers=subs, **fields,
+        objective=float(ue_rates(sinrs).sum() if objective == "sum_rate"
                         else achieved.min() if achieved.size else 0.0))
-    plan.feasibility = check_feasibility(rates, min_rates)
     plan.audit = audit_plan(plan, N, mode, components, checks)
     return plan

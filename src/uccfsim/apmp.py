@@ -199,19 +199,6 @@ def message_round(index, y, messages, config: ApmpConfig) -> np.ndarray:
     return out
 
 
-def intrinsic_llr(scene, assoc, m, y_m, config: ApmpConfig = ApmpConfig()):
-    """Uniform-prior (intrinsic) log-likelihood vectors at a single AP.
-
-    Returns {(ue, slot): normalized log-prob vector} for every symbol AP m
-    monitors in its own observation y_m (length N).
-    """
-    index = EdgeIndex(scene, assoc, config.points)
-    y = np.zeros((scene.num_aps, scene.num_subcarriers), dtype=complex)
-    y[m] = y_m
-    msgs = message_round(index, y, None, config)
-    return {(k, i): msgs[e] for (ap, k, i), e in index.edge.items() if ap == m}
-
-
 def _beliefs(index, messages):
     """Per symbol, the sum of every AP's message about it, in edge order:
     (D, E, Q) messages give (D, symbols, Q) beliefs."""

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scale factor between natural log and dB in the lognormal density
-XI = 10.0 / np.log(10.0)
-
 
 def pathloss_double_slope(d, a=2.0, b=2.0, d_break=100.0):
     """Mean dB gain -10*log10(d^a * (1 + d/d_break)^b) at distance d meters."""
@@ -96,17 +93,6 @@ class LargeScaleModel:
             raise ValueError("shadowing std must be nonnegative")
 
 
-def shadowing_pdf(x, mean_db, std_db):
-    """Lognormal density of the linear gain with dB-domain mean and std."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    z = 10.0 * np.log10(x[pos]) - mean_db
-    out[pos] = (XI / (np.sqrt(2 * np.pi) * std_db * x[pos])
-                * np.exp(-z**2 / (2 * std_db**2)))
-    return out
-
-
 def sample_large_scale(d, model: LargeScaleModel, rng) -> np.ndarray:
     """Draw linear power gains: 10*log10(g) ~ Normal(mean_db(d), std^2)."""
     rng = np.random.default_rng(rng)
@@ -160,19 +146,6 @@ class ChannelRealization:
     @property
     def num_subcarriers(self) -> int:
         return self.freq.shape[-1]
-
-
-def save_realization(path, realization: ChannelRealization):
-    """Dump a realization to a compressed binary snapshot for replay."""
-    np.savez_compressed(path, gains=realization.gains, taps=realization.taps,
-                        freq=realization.freq, num_taps=realization.num_taps)
-
-
-def load_realization(path) -> ChannelRealization:
-    """Reload a snapshot written by :func:`save_realization`."""
-    data = np.load(path)
-    return ChannelRealization(gains=data["gains"], taps=data["taps"],
-                              freq=data["freq"], num_taps=data["num_taps"])
 
 
 def realize_channels(topology, model: LargeScaleModel, num_subcarriers: int,

@@ -45,13 +45,6 @@ def tmmse_central_subcarrier(channels, noise_var, delta, assoc=None):
     return np.linalg.solve(R, h.conj()) * np.sqrt(delta)
 
 
-def receive_mmse_weights(channels, noise_var):
-    """Receive-side MMSE weights of the dual uplink, shape (M, K)."""
-    h = np.asarray(channels, dtype=complex)
-    R = h @ h.conj().T + noise_var * np.eye(h.shape[0])
-    return np.linalg.solve(R, h)
-
-
 def tmmse_central_ofdm(freq, subcarrier_sets, noise_var, delta, assoc=None):
     """OFDM-symbol-level MMSE precoders, shape (N, M, K).
 
@@ -269,19 +262,6 @@ def distributed_ofdm_directions(freq, subcarrier_sets, assoc, method="mf",
     return X, mask
 
 
-def dist_transmit(dirs, powers, symbols) -> np.ndarray:
-    """Per-AP signals s_m = sum_k sqrt(P_mk) dir_mk x_k, shape (M, U).
-
-    ``powers`` is (M, K); zero-direction links are skipped so unserved or
-    dead links simply contribute nothing.
-    """
-    dirs = np.asarray(dirs, dtype=complex)
-    M, U, K = dirs.shape
-    powers = np.asarray(powers, dtype=float)
-    x = np.asarray(symbols, dtype=complex)
-    return np.einsum("muk,mk,k->mu", dirs, np.sqrt(powers), x)
-
-
 def receive_downlink(channels, signals, noise_var=0.0, rng=None) -> np.ndarray:
     """Per-UE received samples y_k = sum_m h_mk^T s_m (+ noise), shape (K,)."""
     h = np.asarray(channels, dtype=complex)
@@ -302,14 +282,15 @@ def receive_downlink(channels, signals, noise_var=0.0, rng=None) -> np.ndarray:
 def received_power_split(channels, assoc, dirs, powers, k) -> dict:
     """Desired / co-associated / cross-AP mean received powers at UE k.
 
-    Expectation over unit-power independent symbols.  Stream l reaches UE k
-    with the coherent amplitude sum_m sqrt(P_ml) h_mk^T dir_ml over its
-    serving APs, which is what :func:`receive_downlink` of
-    :func:`dist_transmit` adds up when, as :func:`distributed_directions`
-    makes them, the directions vanish off the association.  A stream
-    l != k is co-associated when it shares an AP with UE k and cross-AP
-    otherwise.  Used to check the interference structure of the
-    distributed precoders.
+    ``powers`` is (M, K), the per-AP power of each stream.  Expectation
+    over unit-power independent symbols.  Stream l reaches UE k with the
+    coherent amplitude sum_m sqrt(P_ml) h_mk^T dir_ml over its serving APs,
+    which is what :func:`receive_downlink` adds up for the per-AP signals
+    s_m = sum_l sqrt(P_ml) dir_ml x_l when, as
+    :func:`distributed_directions` makes them, the directions vanish off
+    the association.  A stream l != k is co-associated when it shares an
+    AP with UE k and cross-AP otherwise.  Used to check the interference
+    structure of the distributed precoders.
     """
     h = np.asarray(channels, dtype=complex)
     if h.ndim == 2:
@@ -324,21 +305,6 @@ def received_power_split(channels, assoc, dirs, powers, k) -> dict:
     return {"desired_amplitude": amp[k], "desired": power[k],
             "co_associated": float(power[co].sum()),
             "cross_ap": float(power[others & ~co].sum())}
-
-
-def apply_ap_impairments(signals, phase_std, gain_std, rng) -> np.ndarray:
-    """Per-AP oscillator/amplifier errors: s_m -> e^(j theta_m) (1 + eps_m) s_m.
-
-    Distributed APs run independent hardware, so centrally computed signals
-    arrive at the UEs without perfect coherence; this models that loss.
-    """
-    rng = np.random.default_rng(rng)
-    signals = np.asarray(signals, dtype=complex)
-    M = signals.shape[0]
-    theta = phase_std * rng.standard_normal(M)
-    eps = gain_std * rng.standard_normal(M)
-    factor = np.exp(1j * theta) * (1.0 + eps)
-    return signals * factor.reshape((M,) + (1,) * (signals.ndim - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -43,14 +43,14 @@ DEFAULT_SCENARIO = {
                     "min_gain": None},
     "training": {"enabled": False, "num_symbols": 2, "pilot_power": 1.0,
                  "mui_suppression": True, "coherence_symbols": 0},
-    "allocation": {"objective": "sum_rate", "demands": 2, "min_rates": 0.0,
+    "allocation": {"objective": "sum_rate", "demands": 2,
                    "mode": "exclusive", "refine_iterations": 1},
     "uplink": {"detector": "gmmse", "symbol_draws": 0,
                "constellation": "qpsk",
                "apmp": {"max_iterations": 8, "damping": 0.0, "tol": 1e-4,
                         "llr_clamp": 50.0}},
     "downlink": {"enabled": False, "p_max": 1.0, "p_max_element": None,
-                 "precoder": "tmmse_ofdm", "reg": None, "secrecy_rho": None},
+                 "precoder": "tmmse_ofdm", "reg": None, "secrecy": False},
 }
 
 DETECTORS = ("gmmse", "gmmse_per_subcarrier", "lmmse_sliced", "lmmse_reduced",
@@ -121,7 +121,7 @@ RULES = {
     **dict.fromkeys(("channel.shadowing_std_db", "channel.pdp_decay",
                      "uplink.apmp.tol"), Rule(float, 0)),
     **dict.fromkeys(("training.enabled", "training.mui_suppression",
-                     "downlink.enabled"), Rule(bool)),
+                     "downlink.enabled", "downlink.secrecy"), Rule(bool)),
     "topology.layout": Rule(str, names=("uniform", "grid")),
     "channel.pathloss": Rule(str, names=("double_slope", "triple_slope")),
     "channel.a": Rule(float, 1.5, 3.0), "channel.b": Rule(float, 2.0, 6.0),
@@ -130,7 +130,6 @@ RULES = {
     "association.min_gain": Rule(float, 0, null=True),
     "allocation.objective": Rule(str, names=("sum_rate", "max_min")),
     "allocation.demands": Rule(int, 0, per_ue=True),
-    "allocation.min_rates": Rule(float, 0, per_ue=True),
     "allocation.mode": Rule(str, names=("exclusive", "shared")),
     "allocation.refine_iterations": Rule(int, 0, 10),
     "uplink.detector": Rule(str, names=DETECTORS),
@@ -140,7 +139,6 @@ RULES = {
     "downlink.precoder": Rule(str, names=("tmmse_ofdm", "dist_mf",
                                           "dist_tzf", "dist_regmmse")),
     "downlink.reg": Rule(float, 0, null=True),
-    "downlink.secrecy_rho": Rule(float, 0.0, 1.0, null=True),
 }
 
 
@@ -205,19 +203,17 @@ def validate_scenario(scenario) -> list:
     sc = merge_scenario(scenario)
     K, N = sc["topology"]["num_ues"], sc["ofdm"]["num_subcarriers"]
     ch, cfg = sc["channel"], sc["allocation"]
-    assoc = sc["association"]
-    per_ue = [key for key in ("demands", "min_rates")
-              if isinstance(cfg[key], list)]
+    assoc, demands = sc["association"], cfg["demands"]
+    per_ue = isinstance(demands, list)
     checks = {
         "channel.num_taps must not exceed N": ch["num_taps"] <= N,
         "channel.d0 must be below channel.d1 for triple_slope":
             ch["pathloss"] != "triple_slope" or ch["d0"] < ch["d1"],
-        **{f"allocation.{key} must list one value for each of the {K} UEs":
-           len(cfg[key]) == K for key in per_ue},
+        f"allocation.demands must list one value for each of the {K} UEs":
+            not per_ue or len(demands) == K,
         # checked in both modes: one shared component may hold every UE
         "allocation.demands exceed the subcarriers":
-            (sum(cfg["demands"]) if "demands" in per_ue
-             else cfg["demands"] * K) <= N,
+            (sum(demands) if per_ue else demands * K) <= N,
         "association needs max_aps and/or min_gain":
             assoc["method"] == "distance" or assoc["max_aps"] is not None
             or assoc["min_gain"] is not None,
@@ -298,15 +294,21 @@ def _detect_uplink(scenario, scene, assoc, gains, plan_sinrs, rng):
     weights = None
     if name in ("gmmse", "gmmse_per_subcarrier", "lmmse_sliced",
                 "lmmse_reduced"):
-        if name == "gmmse":
-            weights = uplink.gmmse_weights(scene)
-        elif name == "gmmse_per_subcarrier":
-            weights = uplink.gmmse_per_subcarrier(scene)
-        elif name == "lmmse_sliced":
-            weights = uplink.lmmse_column_sliced(scene, assoc)
-        else:
-            weights = [uplink.lmmse_reduced(scene, assoc, k)
-                       if assoc.ap_sets[k] else None for k in range(K)]
+        try:
+            if name == "gmmse":
+                weights = uplink.gmmse_weights(scene)
+            elif name == "gmmse_per_subcarrier":
+                weights = uplink.gmmse_per_subcarrier(scene)
+            elif name == "lmmse_sliced":
+                weights = uplink.lmmse_column_sliced(scene, assoc)
+            else:
+                weights = [uplink.lmmse_reduced(scene, assoc, k)
+                           if assoc.ap_sets[k] else None for k in range(K)]
+        except np.linalg.LinAlgError:
+            # a numerically singular covariance: every SINR is unknown
+            weights = [None] * K
+            out["analytic"] = [np.full(len(s), np.nan)
+                               for s in scene.subcarriers]
         weights = [W if W is not None and len(scene.subcarriers[k])
                    else None for k, W in enumerate(weights)]
         for k, W in enumerate(weights):
@@ -366,26 +368,35 @@ def _detect_uplink(scenario, scene, assoc, gains, plan_sinrs, rng):
 
 
 def _run_downlink(scenario, real, assoc, components, rng):
-    """The downlink plan of the configured precoder, its per-UE rates and
-    mean symbol SINRs, and the subcarrier-0 artificial-noise leakage."""
+    """The per-UE rates and mean symbol SINRs of the configured precoder's
+    downlink plan, whether that plan passes its audit, and the
+    subcarrier-0 artificial-noise leakage."""
     cfg, alloc_cfg = scenario["downlink"], scenario["allocation"]
-    plan = alloc.successive_optimize(
-        real.freq, assoc, alloc_cfg["demands"],
-        objective=alloc_cfg["objective"], direction="dl",
-        noise_var=scenario["topology"]["noise_variance"], p_max=cfg["p_max"],
-        p_max_element=cfg["p_max_element"], precoder=cfg["precoder"],
-        reg=cfg["reg"], min_rates=alloc_cfg["min_rates"],
-        mode=alloc_cfg["mode"], components=components,
-        refine_iterations=alloc_cfg["refine_iterations"])
-    leakage = np.nan
+    K = real.freq.shape[1]
+    try:
+        plan = alloc.successive_optimize(
+            real.freq, assoc, alloc_cfg["demands"],
+            objective=alloc_cfg["objective"], direction="dl",
+            noise_var=scenario["topology"]["noise_variance"],
+            p_max=cfg["p_max"], p_max_element=cfg["p_max_element"],
+            precoder=cfg["precoder"], reg=cfg["reg"], mode=alloc_cfg["mode"],
+            components=components,
+            refine_iterations=alloc_cfg["refine_iterations"])
+    except np.linalg.LinAlgError:
+        # a numerically singular precoder bracket: every SINR is unknown
+        dl = {"dl_rate": np.full(K, np.nan), "dl_sinr": np.full(K, np.nan),
+              "audit_pass": False}
+    else:
+        dl = {"dl_rate": ue_rates(plan.dl_sinrs),
+              "dl_sinr": np.array([np.mean(s) if len(s) else 0.0
+                                   for s in plan.dl_sinrs]),
+              "audit_pass": plan.audit.get("pass", False)}
+    dl["leakage"] = np.nan
     h0 = real.freq[:, :, 0]
-    if cfg["secrecy_rho"] is not None and h0.shape[0] > h0.shape[1]:
+    if cfg["secrecy"] and h0.shape[0] > h0.shape[1]:
         p_i = downlink.artificial_noise_direction(h0, rng)
-        leakage = float(np.max(np.abs(h0.T @ p_i)))
-    return {"dl_rate": ue_rates(plan.dl_sinrs),
-            "dl_sinr": np.array([np.mean(s) if len(s) else 0.0
-                                 for s in plan.dl_sinrs]),
-            "leakage": leakage, "plan": plan}
+        dl["leakage"] = float(np.max(np.abs(h0.T @ p_i)))
+    return dl
 
 
 def run_trial(scenario, trial: int, digest=None) -> list:
@@ -420,7 +431,6 @@ def run_trial(scenario, trial: int, digest=None) -> list:
         hf, assoc, scenario["allocation"]["demands"],
         objective=scenario["allocation"]["objective"], direction="ul",
         gamma_u=gamma_u, detector="gmmse",
-        min_rates=scenario["allocation"]["min_rates"],
         mode=scenario["allocation"]["mode"], components=components,
         refine_iterations=scenario["allocation"]["refine_iterations"])
 
@@ -435,7 +445,7 @@ def run_trial(scenario, trial: int, digest=None) -> list:
                   and bool(np.all(np.isfinite(det["rates"]))))
     if scenario["downlink"]["enabled"]:
         dl = _run_downlink(scenario, real, assoc, components, rng)
-        audit_pass = audit_pass and dl["plan"].audit.get("pass", False)
+        audit_pass = audit_pass and dl["audit_pass"]
 
     overhead = 0.0
     tr = scenario["training"]

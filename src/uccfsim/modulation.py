@@ -12,8 +12,6 @@ CONSTELLATIONS = {
     "qpsk": np.array([_S + 1j * _S, -_S + 1j * _S, _S - 1j * _S, -_S - 1j * _S]),
 }
 
-BITS_PER_SYMBOL = {"bpsk": 1, "qpsk": 2}
-
 
 def constellation(name_or_points):
     if isinstance(name_or_points, str):
@@ -42,16 +40,6 @@ def symbol_error_rate(decided_idx, true_idx) -> float:
     if decided_idx.size == 0:
         return 0.0
     return float(np.mean(decided_idx != true_idx))
-
-
-def bit_error_rate(decided_idx, true_idx, name: str) -> float:
-    """BER under the Gray labelling of the named constellation."""
-    nbits = BITS_PER_SYMBOL[name]
-    diff = np.bitwise_xor(np.asarray(decided_idx), np.asarray(true_idx))
-    if diff.size == 0:
-        return 0.0
-    errors = sum(np.mean((diff >> b) & 1) for b in range(nbits))
-    return float(errors / nbits)
 
 
 def ue_rates(sinrs) -> np.ndarray:

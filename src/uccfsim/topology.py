@@ -2,8 +2,9 @@
 
 APs and UEs live in a 2-D plane; antenna heights only matter inside the
 pathloss formulas.  Association produces per-UE AP sets and per-AP UE sets
-that stay bidirectionally consistent, and the factor graph built from an
-association decomposes the network into independent components.
+that stay bidirectionally consistent; a UE that no AP serves has an empty
+AP set.  The factor graph built from an association decomposes the
+network into independent components.
 """
 
 from __future__ import annotations
@@ -79,10 +80,9 @@ class AssociationMap:
 
     ap_sets: tuple            # ap_sets[k] = sorted tuple of APs serving UE k
     ue_sets: tuple            # ue_sets[m] = sorted tuple of UEs served by AP m
-    disconnected_ues: frozenset = frozenset()
 
     @classmethod
-    def from_ap_sets(cls, ap_sets, num_aps, disconnected=()) -> "AssociationMap":
+    def from_ap_sets(cls, ap_sets, num_aps) -> "AssociationMap":
         ue_sets = [[] for _ in range(num_aps)]
         clean = []
         for k, aps in enumerate(ap_sets):
@@ -93,8 +93,7 @@ class AssociationMap:
             for m in aps:
                 ue_sets[m].append(k)
         return cls(ap_sets=tuple(clean),
-                   ue_sets=tuple(tuple(u) for u in ue_sets),
-                   disconnected_ues=frozenset(disconnected))
+                   ue_sets=tuple(tuple(u) for u in ue_sets))
 
     @property
     def num_aps(self) -> int:
@@ -123,30 +122,22 @@ class AssociationMap:
                     raise ValueError(f"AP {m} lists UE {k} but not vice versa")
 
 
-def associate_distance(topology: NetworkTopology, radius: float,
-                       min_rate_feasible=None) -> AssociationMap:
+def associate_distance(topology: NetworkTopology,
+                       radius: float) -> AssociationMap:
     """Associate each UE with every AP within ``radius`` meters.
 
-    A UE with no AP inside the radius falls back to its nearest AP when
-    ``min_rate_feasible(k)`` holds (default: always), otherwise it is left
-    disconnected.  Nearest-AP ties break toward the lower AP index.
+    A UE with no AP inside the radius falls back to its nearest AP, ties
+    toward the lower AP index.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if min_rate_feasible is None:
-        min_rate_feasible = lambda k: True
     d = topology.distances()
-    ap_sets, disconnected = [], []
+    ap_sets = []
     for k in range(topology.num_ues):
         inside = np.flatnonzero(d[:, k] <= radius)
-        if inside.size:
-            ap_sets.append(inside.tolist())
-        elif min_rate_feasible(k):
-            ap_sets.append([int(np.argmin(d[:, k]))])
-        else:
-            ap_sets.append([])
-            disconnected.append(k)
-    return AssociationMap.from_ap_sets(ap_sets, topology.num_aps, disconnected)
+        ap_sets.append(inside.tolist() if inside.size
+                       else [int(np.argmin(d[:, k]))])
+    return AssociationMap.from_ap_sets(ap_sets, topology.num_aps)
 
 
 def associate_large_scale(gains: np.ndarray, max_count=None,
@@ -155,7 +146,8 @@ def associate_large_scale(gains: np.ndarray, max_count=None,
 
     APs are taken in descending gain order (ties to the lower AP index)
     until a stop rule fires: at most ``max_count`` APs, or gain dropping
-    below ``min_gain``.  At least one rule must be given.
+    below ``min_gain``.  At least one rule must be given.  A UE whose
+    strongest gain is below ``min_gain`` gets an empty AP set.
     """
     if max_count is None and min_gain is None:
         raise ValueError("no stop condition: give max_count and/or min_gain")
@@ -163,7 +155,7 @@ def associate_large_scale(gains: np.ndarray, max_count=None,
     if np.any(gains < 0):
         raise ValueError("gains must be nonnegative")
     num_aps, num_ues = gains.shape
-    ap_sets, disconnected = [], []
+    ap_sets = []
     for k in range(num_ues):
         # stable sort on -gain keeps the lower index first on ties
         order = np.argsort(-gains[:, k], kind="stable")
@@ -175,9 +167,7 @@ def associate_large_scale(gains: np.ndarray, max_count=None,
             if max_count is not None and len(chosen) >= max_count:
                 break
         ap_sets.append(chosen)
-        if not chosen:
-            disconnected.append(k)
-    return AssociationMap.from_ap_sets(ap_sets, num_aps, disconnected)
+    return AssociationMap.from_ap_sets(ap_sets, num_aps)
 
 
 @dataclass(frozen=True)

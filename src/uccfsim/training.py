@@ -15,9 +15,7 @@ B = A diag(s), so the inverse is sum L x sum L instead of N tau_p x N tau_p.
 Both sides equal diag(s) B^+ in the noiseless, rank-deficient limit, which
 eigenvalue truncation in the small system keeps exact.  When a group has
 more taps than pilot observations (sum L > N tau_p) the bracket is the
-smaller system, and the group solves it instead.  A sample
-autocorrelation has no such low-rank structure and keeps its
-N tau_p-sized inverse.
+smaller system, and the group solves it instead.
 """
 
 from __future__ import annotations
@@ -128,7 +126,6 @@ class PilotObservation:
     matrix: np.ndarray          # (N, tau_p)
     noise_var: float
     interference_var: float
-    forward_gain: float = 1.0   # backhaul gain applied on the way to the CPU
 
     @property
     def vec(self) -> np.ndarray:
@@ -185,27 +182,6 @@ def tap_prior(gain, num_taps, decay=0.0) -> np.ndarray:
     return gain * np.diag(pdp_profile(num_taps, decay))
 
 
-def cpu_forward(obs: PilotObservation, backhaul_gain: float) -> PilotObservation:
-    """Scale an AP observation by the AP-to-CPU channel gain."""
-    if backhaul_gain == 0:
-        raise ValueError("dead backhaul")
-    return PilotObservation(matrix=backhaul_gain * obs.matrix,
-                            noise_var=obs.noise_var,
-                            interference_var=obs.interference_var,
-                            forward_gain=backhaul_gain * obs.forward_gain)
-
-
-def sample_autocorrelation(Y, extra=None) -> np.ndarray:
-    """Sample autocorrelation Y Y^H averaged over the observed columns.
-
-    ``extra`` appends data-phase observation columns to sharpen the estimate.
-    """
-    Y = np.asarray(Y)
-    if extra is not None:
-        Y = np.concatenate([Y, np.asarray(extra)], axis=1)
-    return Y @ Y.conj().T / Y.shape[1]
-
-
 def _guarded_inverse(bracket):
     """Hermitian inverse with eigenvalues below 1e-12 * trace/n truncated.
 
@@ -237,7 +213,7 @@ def _prior_diagonal(prior, ue, num_taps) -> np.ndarray:
 
 
 def mmse_estimate(obs: PilotObservation, plan: PilotPlan, ues, priors,
-                  mode="single", sample_autocorr=None) -> dict:
+                  mode="single") -> dict:
     """Unbiased MMSE estimates {k: taps} of UEs ``ues`` from one AP observation.
 
     ``priors`` maps UE index -> diagonal tap covariance (a non-diagonal or
@@ -248,27 +224,19 @@ def mmse_estimate(obs: PilotObservation, plan: PilotPlan, ues, priors,
     and solves the sum L x sum L Gram system
     G = diag(s) (B^H B + level I)^+ B^H; each UE reads its own rows of G.
     A group with sum L > N tau_p solves the equal, smaller bracket form
-    G = Q A^H (A Q A^H + level I)^+ instead.  An (N, N) ``sample_autocorr``
-    makes one group whose bracket is the per-symbol block-diagonal
-    expansion of it, G = Q A^H bracket^+.
-    A per-tap diagonal renormalization c = diag(G_k A_k) makes the
-    estimator unbiased.
+    G = Q A^H (A Q A^H + level I)^+ instead.  A per-tap diagonal
+    renormalization c = diag(G_k A_k) makes the estimator unbiased.
     """
     if mode not in ("single", "mui_suppress"):
         raise ValueError(f"unknown mode {mode!r}")
     q = {k: _prior_diagonal(priors[k], k, plan.num_taps[k]) for k in ues}
-    a = obs.forward_gain
-    level = (obs.noise_var + obs.interference_var) * (a * np.conj(a)).real
-    joint = mode == "mui_suppress" or sample_autocorr is not None
+    level = obs.noise_var + obs.interference_var
+    joint = mode == "mui_suppress"
     out = {}
     for group in [sorted(ues)] if joint and len(ues) else [[k] for k in ues]:
-        A = a * np.hstack([plan.observation_matrices[k] for k in group])
+        A = np.hstack([plan.observation_matrices[k] for k in group])
         qg = np.concatenate([q[k] for k in group])
-        if sample_autocorr is not None:
-            bracket = np.kron(np.eye(plan.num_symbols),
-                              np.asarray(sample_autocorr))
-            G = qg[:, None] * (A.conj().T @ _guarded_inverse(bracket))
-        elif len(qg) > len(A):
+        if len(qg) > len(A):
             # more taps than pilot observations: the bracket is smaller
             bracket = (A * qg) @ A.conj().T + level * np.eye(len(A))
             G = qg[:, None] * (A.conj().T @ _guarded_inverse(bracket))
@@ -304,18 +272,6 @@ def estimate_all(observations, plan: PilotPlan, assoc, channels,
         for k, taps in mmse_estimate(obs, plan, ues, priors, mode).items():
             out[(m, k)] = taps
     return out
-
-
-def estimates_to_csv(estimates, channels) -> str:
-    """Estimated next to true taps, one row per (AP, UE, tap), for error
-    analysis outside the simulator."""
-    lines = ["ap,ue,tap,true_re,true_im,est_re,est_im,sq_error"]
-    for (m, k), est in sorted(estimates.items()):
-        truth = np.sqrt(channels.gains[m, k]) * channels.taps[m, k, :len(est)]
-        for l, (t, e) in enumerate(zip(truth, est)):
-            lines.append(f"{m},{k},{l},{t.real:.9g},{t.imag:.9g},"
-                         f"{e.real:.9g},{e.imag:.9g},{abs(e - t) ** 2:.9g}")
-    return "\n".join(lines) + "\n"
 
 
 def estimated_subcarrier_gains(estimates, channels) -> np.ndarray:

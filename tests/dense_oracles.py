@@ -33,7 +33,9 @@ same powers again after its fixed point and before returning, and
 
 ``stacked_covariance`` adds every UE's full (M*N) x (M*N) outer products,
 zero rows included, as the library did before it built only each UE's
-own rows.
+own rows.  ``dist_transmit`` forms the distributed downlink's per-AP
+signals for given symbols, whose mean received powers
+``downlink.received_power_split`` gives in closed form.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from uccfsim import apmp, downlink
 from uccfsim.alloc import (MAX_FIXED_POINT, AllocationPlan, MaxMinResult,
                            _all_positive, allocate_power_waterfill,
                            allocate_subcarriers_greedy, audit_plan,
-                           check_feasibility, subcarrier_metric, ul_rates)
+                           subcarrier_metric, ul_rates)
 from uccfsim.apmp import ApmpConfig, ApmpResult
 from uccfsim.channel import (ChannelRealization, sample_large_scale,
                              sample_small_scale, subcarrier_gains)
@@ -156,6 +158,17 @@ def dl_sinr_ofdm(freq, precoders, subcarrier_sets, a0, noise_var):
             sinrs[i] = desired / (interf + noise_var / a0**2)
         out.append(sinrs)
     return out
+
+
+def dist_transmit(dirs, powers, symbols) -> np.ndarray:
+    """Per-AP signals s_m = sum_k sqrt(P_mk) dir_mk x_k, shape (M, U), from
+    (M, U, K) directions and (M, K) powers: what
+    ``downlink.receive_downlink`` hears, sample by sample, and what
+    ``downlink.received_power_split`` takes the expectation of."""
+    dirs = np.asarray(dirs, dtype=complex)
+    powers = np.asarray(powers, dtype=float)
+    x = np.asarray(symbols, dtype=complex)
+    return np.einsum("muk,mk,k->mu", dirs, np.sqrt(powers), x)
 
 
 def _ap_rows(scene: UplinkScene, aps) -> np.ndarray:
@@ -502,24 +515,21 @@ def observation_matrix(plan: PilotPlan, ue: int) -> np.ndarray:
 
 
 def mmse_estimate(obs: PilotObservation, plan: PilotPlan, ue: int, priors,
-                  mode="single", coestimated=(), sample_autocorr=None):
+                  mode="single", coestimated=()):
     """Unbiased MMSE estimate of UE ``ue``'s taps, rebuilding the bracket
     and its inverse for this one link."""
-    a = obs.forward_gain
-    A = a * observation_matrix(plan, ue)
+    A = observation_matrix(plan, ue)
     Q = np.asarray(priors[ue], dtype=complex)
-    level = (obs.noise_var + obs.interference_var) * a * np.conj(a)
+    level = obs.noise_var + obs.interference_var
     n = A.shape[0]
 
-    if sample_autocorr is not None:
-        bracket = np.kron(np.eye(plan.num_symbols), np.asarray(sample_autocorr))
-    elif mode == "single":
+    if mode == "single":
         bracket = A @ Q @ A.conj().T + level * np.eye(n)
     elif mode == "mui_suppress":
         others = set(coestimated) | {ue}
         bracket = level * np.eye(n).astype(complex)
         for l in sorted(others):
-            Al = a * observation_matrix(plan, l)
+            Al = observation_matrix(plan, l)
             bracket += Al @ np.asarray(priors[l], dtype=complex) @ Al.conj().T
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -532,26 +542,21 @@ def mmse_estimate(obs: PilotObservation, plan: PilotPlan, ue: int, priors,
 
 
 def bracket_mmse_estimate(obs: PilotObservation, plan: PilotPlan, ues,
-                          priors, mode="single", sample_autocorr=None) -> dict:
+                          priors, mode="single") -> dict:
     """Unbiased MMSE estimates {k: taps} of UEs ``ues`` from one AP
     observation, through the N tau_p-sized bracket: one bracket and one
     guarded inverse per estimation group."""
     if mode not in ("single", "mui_suppress"):
         raise ValueError(f"unknown mode {mode!r}")
-    a = obs.forward_gain
-    A = {k: a * observation_matrix(plan, k) for k in ues}
+    A = {k: observation_matrix(plan, k) for k in ues}
     Q = {k: np.asarray(priors[k], dtype=complex) for k in ues}
-    level = (obs.noise_var + obs.interference_var) * a * np.conj(a)
-    joint = mode == "mui_suppress" or sample_autocorr is not None
+    level = obs.noise_var + obs.interference_var
+    joint = mode == "mui_suppress"
     out = {}
     for group in [sorted(ues)] if joint and len(ues) else [[k] for k in ues]:
-        if sample_autocorr is not None:
-            bracket = np.kron(np.eye(plan.num_symbols),
-                              np.asarray(sample_autocorr))
-        else:
-            bracket = level * np.eye(obs.matrix.size).astype(complex)
-            for l in group:
-                bracket += A[l] @ Q[l] @ A[l].conj().T
+        bracket = level * np.eye(obs.matrix.size).astype(complex)
+        for l in group:
+            bracket += A[l] @ Q[l] @ A[l].conj().T
         inverse = _guarded_inverse(bracket)
         for k in group:
             G = Q[k].conj().T @ A[k].conj().T @ inverse
@@ -641,7 +646,7 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3) -> MaxMinResult:
 def successive_optimize(freq, assoc, demands, objective="sum_rate",
                         direction="ul", gamma_u=None, noise_var=None,
                         p_max=1.0, p_max_element=None, detector="gmmse",
-                        min_rates=0.0, mode="exclusive", components=None,
+                        mode="exclusive", components=None,
                         refine_iterations=1) -> AllocationPlan:
     """Association -> greedy subcarriers -> power, with separate uplink
     and downlink power stages.
@@ -656,7 +661,6 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
     demands[[not assoc.ap_sets[k] for k in range(K)]] = 0
     metric = subcarrier_metric(freq, assoc)
     subs = allocate_subcarriers_greedy(metric, demands, mode, components)
-    min_rates = np.broadcast_to(np.asarray(min_rates, dtype=float), (K,))
 
     if direction == "ul":
         healthy, seen = True, None
@@ -697,10 +701,9 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
                 objective_value = float(result.target)
             else:
                 powers, objective_value = [np.zeros(0)] * K, 0.0
-            rates, sinrs = evaluate(powers)
+            evaluate(powers)        # the health check sees the final powers
         plan = AllocationPlan(assoc=assoc, subcarriers=subs, ul_power=powers,
-                              objective=objective_value, min_rates=min_rates)
-        plan.feasibility = check_feasibility(rates, min_rates)
+                              objective=objective_value)
         plan.audit = audit_plan(plan, N, mode, components,
                                 {"ul_sinrs_positive": healthy})
         return plan
@@ -750,12 +753,10 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
     rates = np.array([np.sum(np.log2(1.0 + np.asarray(g))) for g in sinrs])
     plan = AllocationPlan(assoc=assoc, subcarriers=subs, dl_power=delta,
                           a0=a0, dl_sinrs=sinrs,
-                          objective=float(rates.sum()),
-                          min_rates=min_rates)
+                          objective=float(rates.sum()))
     if objective == "max_min":
         plan.objective = float(min((np.min(g) for g in sinrs
                                     if len(g)), default=0.0))
-    plan.feasibility = check_feasibility(rates, min_rates)
     plan.audit = audit_plan(plan, N, mode, components)
     return plan
 

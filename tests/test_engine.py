@@ -40,8 +40,8 @@ class TestValidation:
         ({"ofdm": {"num_subcarriers": None}}, "ofdm.num_subcarriers"),
         ({"topology": {"noise_variance": True}}, "topology.noise_variance"),
         ({"allocation": {"demands": ["2", 2]}}, "allocation.demands"),
-        ({"downlink": {"enabled": True, "secrecy_rho": "0.5"}},
-         "downlink.secrecy_rho"),
+        ({"downlink": {"enabled": True, "secrecy": "0.5"}},
+         "downlink.secrecy"),
     ])
     def test_non_numeric_value_is_a_diagnostic(self, overrides, field):
         errors = validate_scenario(merge_scenario(overrides))
@@ -87,10 +87,12 @@ class TestValidation:
          "must be a boolean"),
         ({"downlink": {"precoder": 3}}, "downlink.precoder",
          "must be a string"),
-        ({"allocation": {"min_rates": "0"}}, "allocation.min_rates",
-         "must be a number or a list"),
+        ({"allocation": {"min_rates": 0.0}}, "allocation.min_rates",
+         "is not a known key"),
         ({"association": {"max_aps": "2"}}, "association.max_aps",
          "must be a number or null"),
+        ({"downlink": {"secrecy_rho": 0.5}}, "downlink.secrecy_rho",
+         "did you mean downlink.secrecy?"),
     ])
     def test_malformed_scenario_is_a_diagnostic(self, overrides, field, hint,
                                                 monkeypatch):
@@ -105,18 +107,21 @@ class TestValidation:
             run_scenario(overrides)
 
     @pytest.mark.parametrize("overrides", [
-        {"allocation": {"min_rates": [0.0, 0.1]}},
+        {"allocation": {"demands": [0, 3]}},
         {"association": {"method": "large_scale", "max_aps": None,
                          "min_gain": 1e-12}},
     ])
     def test_list_and_null_leaves_stay_valid(self, overrides):
         assert validate_scenario(merge_scenario(overrides)) == []
 
-    def test_secrecy_rho_range(self):
-        bad = merge_scenario({**SMALL,
-                              "downlink": {"enabled": True,
-                                           "secrecy_rho": 1.5}})
-        assert any("secrecy_rho" in e for e in validate_scenario(bad))
+    def test_secrecy_is_a_boolean(self):
+        # a split in [0, 1] and null were the values of the old secrecy_rho
+        for value in (0.5, 1, None, "true"):
+            bad = merge_scenario({**SMALL,
+                                  "downlink": {"enabled": True,
+                                               "secrecy": value}})
+            assert validate_scenario(bad) == [
+                f"downlink.secrecy must be a boolean, not {value!r}"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -133,6 +138,31 @@ def test_high_snr_sinr_collapse_fails_the_audit():
     zero = [r for r in res["records"] if r["rate"] == 0]
     assert zero
     assert not any(r["audit_pass"] for r in zero)
+
+
+@pytest.mark.parametrize("noise_variance", [1e-24, 1e-22])
+@pytest.mark.parametrize("downlink", [False, True])
+@pytest.mark.parametrize("objective", ["sum_rate", "max_min"])
+@pytest.mark.parametrize("detector", DETECTORS)
+def test_extreme_snr_trials_finish_and_fail_the_audit(detector, objective,
+                                                      downlink,
+                                                      noise_variance):
+    """At these noise levels the uplink and downlink covariances are
+    singular to working precision (a LinAlgError in their solves), and the
+    max-min bound comes out negative. Every trial still finishes, no record
+    passes its audit, and a rate whose SINRs are unknown or negative is
+    NaN, never negative or infinite."""
+    res = run_scenario({"trials": 3,
+                        "topology": {"noise_variance": noise_variance},
+                        "allocation": {"objective": objective},
+                        "uplink": {"detector": detector, "symbol_draws": 3},
+                        "downlink": {"enabled": downlink}})
+    results_to_csv(res)
+    for rec in res["records"]:
+        assert not rec["audit_pass"]
+        assert np.isnan(rec["rate"]) or 0 <= rec["rate"] < np.inf
+        if downlink:
+            assert np.isnan(rec["dl_rate"]) or 0 <= rec["dl_rate"] < np.inf
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -325,7 +355,7 @@ class TestPipelineOutputs:
 
     def test_secrecy_leakage_recorded_small(self):
         cfg = {**SMALL,
-               "downlink": {"enabled": True, "secrecy_rho": 0.7}}
+               "downlink": {"enabled": True, "secrecy": True}}
         res = run_scenario(cfg)
         for rec in res["records"]:
             assert rec["secrecy_leakage"] < 1e-10

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uccfsim.modulation import (CONSTELLATIONS, bit_error_rate, constellation,
+from uccfsim.modulation import (CONSTELLATIONS, constellation,
                                 nearest_point, random_symbol_indices, sum_rate,
                                 symbol_error_rate, ue_rates)
 
@@ -34,13 +34,6 @@ class TestDecisions:
     def test_symbol_error_rate(self):
         assert symbol_error_rate([0, 1, 1, 0], [0, 1, 0, 0]) == 0.25
         assert symbol_error_rate([], []) == 0.0
-
-    def test_gray_ber_counts_single_bit_flips(self):
-        # qpsk indices are gray-coded bit pairs: index 0 vs 1 differ in one bit
-        assert bit_error_rate([1], [0], "qpsk") == 0.5
-        # index 0 vs 3 differ in both bits
-        assert bit_error_rate([3], [0], "qpsk") == 1.0
-        assert bit_error_rate([1], [0], "bpsk") == 1.0
 
     def test_random_indices_reproducible(self):
         pts = CONSTELLATIONS["qpsk"]

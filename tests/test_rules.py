@@ -1,19 +1,31 @@
 """Property tests over the validator's rule table: every scenario drawn
 inside the rows' ranges validates and runs a trial, and pushing any one
 leaf outside its row gives a diagnostic under that leaf's path before any
-trial runs."""
+trial runs.  Nothing is unreachable: every leaf but the listed dead ones
+moves the CSV, the README's schema is the defaults, and every public
+function or class of the package has a caller outside the unit tests."""
 
+import ast
+import importlib
+import inspect
+import json
 import math
+import pkgutil
+import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import uccfsim
 from uccfsim import engine
 from uccfsim.engine import (DEFAULT_SCENARIO, RULES, merge_scenario,
                             results_to_csv, run_scenario, run_trial,
                             validate_scenario)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def leaf_paths(node, prefix=""):
@@ -48,8 +60,8 @@ SIZES = {"topology.num_aps": (1, 4), "topology.num_ues": (1, 2),
          "training.coherence_symbols": (0, 50),
          "uplink.symbol_draws": (0, 3), "uplink.apmp.max_iterations": (0, 8)}
 SPREADS = {"channel.shadowing_std_db": 8.0, "channel.pdp_decay": 2.0,
-           "uplink.apmp.tol": 1e-2, "allocation.min_rates": 5.0,
-           "association.min_gain": 1e-9, "downlink.reg": 1e-9}
+           "uplink.apmp.tol": 1e-2, "association.min_gain": 1e-9,
+           "downlink.reg": 1e-9}
 TIED = {"channel.num_taps", "channel.d0", "channel.d1", "allocation.demands",
         "association.max_aps"}
 
@@ -99,9 +111,6 @@ def scenarios(draw):
         sc["allocation"]["demands"] = draw(
             st.lists(st.integers(0, N), min_size=K, max_size=K)
             .filter(lambda d: sum(d) <= N))
-    if draw(st.booleans()):
-        sc["allocation"]["min_rates"] = draw(st.lists(
-            st.floats(0.0, 5.0), min_size=K, max_size=K))
     # the large-scale method needs a stop rule
     needs_max = sc["association"]["min_gain"] is None
     sc["association"]["max_aps"] = draw(
@@ -175,7 +184,7 @@ TRAINING = {"training": {"enabled": True}}
 NOISY = {"topology": {"noise_variance": 1e-5},
          "uplink": {"symbol_draws": 20}}
 APMP = {"uplink": {"detector": "apmp", "symbol_draws": 20}}
-DOWNLINK = {"downlink": {"enabled": True, "secrecy_rho": None}}
+DOWNLINK = {"downlink": {"enabled": True}}
 SHARED = {"topology": {"num_aps": 16, "num_ues": 8, "area_size": 800.0},
           "ofdm": {"num_subcarriers": 16}, "association": {"radius": 150.0}}
 LIVE = {
@@ -213,14 +222,21 @@ LIVE = {
     "downlink.precoder": (DOWNLINK, "dist_mf"),
     "downlink.reg": ({"downlink": {"enabled": True,
                                    "precoder": "dist_regmmse"}}, 1e-9),
-    "downlink.secrecy_rho": (DOWNLINK, 0.5),
+    "downlink.secrecy": (DOWNLINK, True),
 }
 # leaves that validate but cannot reach the CSV, and why
 DEAD = {
     "uplink.apmp.damping": "every factor the engine builds has degree 1, "
                            "so damping mixes equal messages",
-    "allocation.min_rates": "the plan's feasibility is computed and then "
-                            "dropped before the records",
+}
+# a nullable number is read for its value, not only for being set: a
+# context and two different non-null values of it that give different CSVs
+NULLABLE = {
+    "association.max_aps": ({"association": {"method": "large_scale"}}, 1, 2),
+    "association.min_gain": (LARGE_SCALE, 1e-4, 1e-6),
+    "downlink.p_max_element": (DOWNLINK, 0.01, 0.001),
+    "downlink.reg": ({"downlink": {"enabled": True,
+                                   "precoder": "dist_regmmse"}}, 1e-9, 1e-6),
 }
 
 
@@ -245,6 +261,56 @@ def test_every_live_leaf_moves_the_csv(path):
     set_leaf(other, path, value)
     assert validate_scenario(other) == []
     assert csv_without_hash(other) != csv_without_hash(base)
+
+
+@pytest.mark.parametrize("path", sorted(NULLABLE))
+def test_two_values_of_a_nullable_number_give_different_csvs(path):
+    assert set(NULLABLE) == {p for p, rule in RULES.items()
+                             if rule.null and rule.kind in (int, float)}
+    context, first, second = NULLABLE[path]
+    runs = []
+    for value in (first, second):
+        scenario = merge_scenario({"trials": 3, **context})
+        set_leaf(scenario, path, value)
+        assert validate_scenario(scenario) == []
+        runs.append(csv_without_hash(scenario))
+    assert runs[0] != runs[1]
+
+
+def test_readme_schema_is_the_default_scenario():
+    readme = (ROOT / "README.md").read_text()
+    schema = readme.split("## Scenario schema", 1)[1]
+    block = schema.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    assert json.loads(re.sub(r"//.*", "", block)) == DEFAULT_SCENARIO
+
+
+def test_every_public_name_is_used_outside_the_unit_tests():
+    """Each public function or class of every ``uccfsim`` module serves the
+    package, a demo or an acceptance criterion; reference copies that only
+    tests read belong in ``tests/dense_oracles.py`` or in their test."""
+    files = (sorted((ROOT / "src").rglob("*.py"))
+             + sorted((ROOT / "demos").glob("*.py"))
+             + [ROOT / "tests" / "test_acceptance.py"])
+    used = set()
+    for path in files:
+        # names read, attributes and imports; a definition, a docstring or
+        # a comment is not a use
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    public = []
+    for info in pkgutil.iter_modules(uccfsim.__path__):
+        module = importlib.import_module(f"uccfsim.{info.name}")
+        public += [(info.name, name) for name, obj in vars(module).items()
+                   if not name.startswith("_")
+                   and (inspect.isfunction(obj) or inspect.isclass(obj))
+                   and obj.__module__ == module.__name__]
+    assert ("uplink", "measure_output") in public
+    assert [f"{m}.{name}" for m, name in public if name not in used] == []
 
 
 @pytest.mark.parametrize("path", ["topology.ap_height", "topology.ue_height",

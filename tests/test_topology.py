@@ -27,14 +27,7 @@ class TestDistanceAssociation:
         topo = line_topology([500.0, 800.0], [0.0])
         assoc = associate_distance(topo, radius=100.0)
         assert assoc.ap_sets[0] == (0,)
-        assert not assoc.disconnected_ues
-
-    def test_disconnected_when_infeasible(self):
-        topo = line_topology([500.0], [0.0])
-        assoc = associate_distance(topo, radius=100.0,
-                                   min_rate_feasible=lambda k: False)
-        assert assoc.ap_sets[0] == ()
-        assert assoc.disconnected_ues == {0}
+        assert assoc.ue_sets == ((0,), ())
 
     def test_monotone_in_radius(self):
         rng = np.random.default_rng(3)
@@ -73,7 +66,8 @@ class TestLargeScaleAssociation:
     def test_all_below_threshold_disconnects(self):
         gains = np.array([[0.01], [0.02]])
         assoc = associate_large_scale(gains, min_gain=0.5)
-        assert assoc.disconnected_ues == {0}
+        assert assoc.ap_sets == ((),)
+        assert assoc.ue_sets == ((), ())
 
 
 class TestConsistency:

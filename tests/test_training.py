@@ -8,9 +8,8 @@ from uccfsim import training
 from uccfsim.channel import ChannelRealization, subcarrier_gains
 from uccfsim.topology import AssociationMap
 from uccfsim.training import (PilotObservation, build_observation_matrix,
-                              cpu_forward, estimate_all,
-                              estimated_subcarrier_gains, make_pilot_plan,
-                              mmse_estimate, sample_autocorrelation,
+                              estimate_all, estimated_subcarrier_gains,
+                              make_pilot_plan, mmse_estimate,
                               simulate_pilot_rx, tap_prior)
 
 
@@ -43,15 +42,12 @@ def solve_cond(matrix):
     return kept.max() / kept.min()
 
 
-def estimation_cond(obs, plan, group, priors, sample_autocorr=None):
+def estimation_cond(obs, plan, group, priors):
     """The larger condition number of a group's N tau_p bracket and its
-    sum L Gram system (or of the sample-autocorrelation bracket)."""
-    if sample_autocorr is not None:
-        return solve_cond(np.kron(np.eye(plan.num_symbols), sample_autocorr))
-    a = obs.forward_gain
-    A = a * np.hstack([build_observation_matrix(plan, k) for k in group])
+    sum L Gram system."""
+    A = np.hstack([build_observation_matrix(plan, k) for k in group])
     s = np.sqrt(np.concatenate([np.diag(priors[k]).real for k in group]))
-    level = (obs.noise_var + obs.interference_var) * abs(a) ** 2
+    level = obs.noise_var + obs.interference_var
     B = A * s
     return max(solve_cond(B @ B.conj().T + level * np.eye(len(B))),
                solve_cond(B.conj().T @ B + level * np.eye(len(s))))
@@ -60,6 +56,15 @@ def estimation_cond(obs, plan, group, priors, sample_autocorr=None):
 def assert_within_cond(got, want, cond):
     err = np.linalg.norm(got - want)
     assert err <= COND_FACTOR * cond * EPS * np.linalg.norm(want), (err, cond)
+
+
+def scaled(obs, gain):
+    """The observation received through a complex gain: its samples scale
+    by the gain and its noise and interference levels by |gain|^2."""
+    return PilotObservation(matrix=gain * obs.matrix,
+                            noise_var=abs(gain) ** 2 * obs.noise_var,
+                            interference_var=abs(gain) ** 2
+                            * obs.interference_var)
 
 
 def make_channels(gains, taps, num_subcarriers):
@@ -345,25 +350,20 @@ class TestAgainstPerLinkOracle:
             assert np.array_equal(build_observation_matrix(plan, k), want)
             assert np.array_equal(plan.observation_matrices[k], want)
         for m, ues in enumerate(assoc.ue_sets):
-            fwd = cpu_forward(obs[m], gain) if gain != 1.0 else obs[m]
+            rx = scaled(obs[m], gain) if gain != 1.0 else obs[m]
             priors = {k: tap_prior(ch.gains[m, k], plan.num_taps[k], 0.3)
                       for k in ues}
-            noise = (rng.standard_normal((8, 40))
-                     + 1j * rng.standard_normal((8, 40)))
-            R = sample_autocorrelation(fwd.matrix, extra=noise)
-            for kw in ({}, {"sample_autocorr": R}):
-                got = mmse_estimate(fwd, plan, ues, priors, mode=mode, **kw)
-                assert list(got) == list(ues)
-                per_ap = dense_oracles.bracket_mmse_estimate(
-                    fwd, plan, ues, priors, mode=mode, **kw)
-                joint = mode == "mui_suppress" or kw
-                for k in ues:
-                    per_link = dense_oracles.mmse_estimate(
-                        fwd, plan, k, priors, mode=mode, coestimated=ues, **kw)
-                    assert np.array_equal(per_ap[k], per_link)
-                    cond = estimation_cond(fwd, plan, ues if joint else [k],
-                                           priors, **kw)
-                    assert_within_cond(got[k], per_link, cond)
+            got = mmse_estimate(rx, plan, ues, priors, mode=mode)
+            assert list(got) == list(ues)
+            per_ap = dense_oracles.bracket_mmse_estimate(rx, plan, ues,
+                                                         priors, mode=mode)
+            for k in ues:
+                per_link = dense_oracles.mmse_estimate(
+                    rx, plan, k, priors, mode=mode, coestimated=ues)
+                assert np.array_equal(per_ap[k], per_link)
+                cond = estimation_cond(
+                    rx, plan, ues if mode == "mui_suppress" else [k], priors)
+                assert_within_cond(got[k], per_link, cond)
 
     @pytest.mark.parametrize("mode", ["single", "mui_suppress"])
     def test_estimate_all_bit_equal_and_link_ordered(self, mode):
@@ -515,7 +515,7 @@ def estimation_cases(draw):
     obs = simulate_pilot_rx(plan, ch, assoc, rng=rng, interference_var=0.0,
                             noise_var=draw(st.sampled_from([0.0, 1e-3, 1.0])))
     gain = draw(st.sampled_from([1.0, 0.3 - 1.1j]))
-    obs = cpu_forward(obs[0], gain) if gain != 1.0 else obs[0]
+    obs = scaled(obs[0], gain) if gain != 1.0 else obs[0]
     decay = draw(st.floats(0.0, 1.0))
     priors = {k: tap_prior(gains[0, k], L, decay)
               for k, L in enumerate(num_taps)}
@@ -536,124 +536,3 @@ def test_gram_form_matches_the_bracket_oracle(case, mode):
         group = ues if mode == "mui_suppress" else [k]
         assert_within_cond(got[k], want[k],
                            estimation_cond(obs, plan, group, priors))
-
-
-class TestAutocorrelation:
-    def test_single_column_rank_one(self):
-        y = np.array([[1.0 + 1j], [2.0 - 1j]])
-        R = sample_autocorrelation(y)
-        assert np.allclose(R, y @ y.conj().T)
-        assert np.linalg.matrix_rank(R) == 1
-
-    def test_pure_noise_approaches_scaled_identity(self):
-        rng = np.random.default_rng(8)
-        level = 0.7
-        Y = np.sqrt(level / 2) * (rng.standard_normal((4, 1000))
-                                  + 1j * rng.standard_normal((4, 1000)))
-        R = sample_autocorrelation(Y)
-        rel = np.linalg.norm(R - level * np.eye(4)) / np.linalg.norm(level * np.eye(4))
-        assert rel < 0.05
-
-    def test_hermitian_psd(self):
-        rng = np.random.default_rng(12)
-        Y = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
-        R = sample_autocorrelation(Y)
-        assert np.allclose(R, R.conj().T)
-        assert np.all(np.linalg.eigvalsh(R) > -1e-12)
-
-    def test_extra_columns_extend_average(self):
-        Y = np.ones((2, 2), dtype=complex)
-        extra = np.zeros((2, 2), dtype=complex)
-        # Y Y^H has entries 2; averaging over 4 total columns halves it
-        assert np.allclose(sample_autocorrelation(Y, extra), 0.5 * np.ones((2, 2)))
-        assert np.allclose(sample_autocorrelation(Y), np.ones((2, 2)))
-
-    def test_ensemble_bracket_equals_model_bracket(self):
-        # tau_p = 1: the per-column ensemble covariance IS the model bracket,
-        # so the replacement must reproduce the single-UE estimator exactly
-        plan = make_pilot_plan(1, 8, 1, 2)
-        rng = np.random.default_rng(31)
-        taps = (rng.standard_normal((1, 1, 2)) + 1j * rng.standard_normal((1, 1, 2)))
-        ch = make_channels([[1.0]], taps, 8)
-        assoc = AssociationMap.from_ap_sets([[0]], num_aps=1)
-        obs = simulate_pilot_rx(plan, ch, assoc, noise_var=0.01, rng=rng,
-                                interference_var=0.0)
-        priors = {0: tap_prior(1.0, 2)}
-        A = build_observation_matrix(plan, 0)
-        R = A @ priors[0] @ A.conj().T + 0.01 * np.eye(8)
-        exact = mmse_estimate(obs[0], plan, [0], priors, mode="single")[0]
-        replaced = mmse_estimate(obs[0], plan, [0], priors,
-                                 sample_autocorr=R)[0]
-        assert np.allclose(exact, replaced, atol=1e-10)
-
-    def test_sample_bracket_from_fresh_draws_approaches_model(self):
-        # averaging observations over fresh channel draws recovers the
-        # ensemble covariance, and with it a near-model estimator
-        plan = make_pilot_plan(1, 8, 1, 2)
-        rng = np.random.default_rng(33)
-        assoc = AssociationMap.from_ap_sets([[0]], num_aps=1)
-        priors = {0: tap_prior(1.0, 2)}
-        cols = []
-        for _ in range(4000):
-            taps = (rng.standard_normal((1, 1, 2))
-                    + 1j * rng.standard_normal((1, 1, 2))) / 2.0
-            ch = make_channels([[1.0]], taps, 8)
-            obs = simulate_pilot_rx(plan, ch, assoc, noise_var=0.01, rng=rng,
-                                    interference_var=0.0)
-            cols.append(obs[0].matrix)
-        R = sample_autocorrelation(np.concatenate(cols, axis=1))
-        taps = (rng.standard_normal((1, 1, 2)) + 1j * rng.standard_normal((1, 1, 2))) / 2.0
-        ch = make_channels([[1.0]], taps, 8)
-        obs = simulate_pilot_rx(plan, ch, assoc, noise_var=0.01, rng=rng,
-                                interference_var=0.0)
-        exact = mmse_estimate(obs[0], plan, [0], priors, mode="single")[0]
-        replaced = mmse_estimate(obs[0], plan, [0], priors,
-                                 sample_autocorr=R)[0]
-        assert np.linalg.norm(replaced - exact) / np.linalg.norm(exact) < 0.15
-
-
-class TestCpuForward:
-    def test_identity_gain(self):
-        obs = PilotObservation(matrix=np.ones((4, 1), dtype=complex),
-                               noise_var=0.1, interference_var=0.0)
-        fwd = cpu_forward(obs, 1.0)
-        assert np.allclose(fwd.matrix, obs.matrix)
-
-    def test_gain_compensated_estimates_match(self):
-        plan = make_pilot_plan(1, 8, 2, 2)
-        rng = np.random.default_rng(6)
-        taps = (rng.standard_normal((1, 1, 2)) + 1j * rng.standard_normal((1, 1, 2)))
-        ch = make_channels([[1.0]], taps, 8)
-        assoc = AssociationMap.from_ap_sets([[0]], num_aps=1)
-        obs = simulate_pilot_rx(plan, ch, assoc, noise_var=0.2, rng=1,
-                                interference_var=0.0)[0]
-        priors = {0: tap_prior(1.0, 2)}
-        direct = mmse_estimate(obs, plan, [0], priors)[0]
-        relayed = mmse_estimate(cpu_forward(obs, 2.0), plan, [0], priors)[0]
-        assert np.allclose(direct, relayed, atol=1e-10)
-
-    def test_zero_gain_rejected(self):
-        obs = PilotObservation(matrix=np.zeros((2, 1), dtype=complex),
-                               noise_var=0.1, interference_var=0.0)
-        with pytest.raises(ValueError, match="dead backhaul"):
-            cpu_forward(obs, 0.0)
-
-
-class TestEstimateExport:
-    def test_csv_rows_per_tap(self):
-        from uccfsim.training import estimates_to_csv
-        plan = make_pilot_plan(2, 8, 2, 2)
-        rng = np.random.default_rng(14)
-        taps = (rng.standard_normal((1, 2, 2)) + 1j * rng.standard_normal((1, 2, 2)))
-        ch = make_channels([[1.0, 0.5]], taps, 8)
-        assoc = AssociationMap.from_ap_sets([[0], [0]], num_aps=1)
-        obs = simulate_pilot_rx(plan, ch, assoc, noise_var=0.0, rng=0,
-                                interference_var=0.0)
-        est = estimate_all(obs, plan, assoc, ch, mode="mui_suppress")
-        text = estimates_to_csv(est, ch)
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("ap,ue,tap,")
-        assert len(lines) == 1 + 2 * 2      # two UEs, two taps each
-        # noiseless estimation: squared errors effectively zero
-        for line in lines[1:]:
-            assert float(line.split(",")[-1]) < 1e-12

