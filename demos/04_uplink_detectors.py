@@ -7,7 +7,7 @@
 import numpy as np
 
 from uccfsim.topology import associate_large_scale
-from uccfsim.uplink import (combined_sinr, combining_lambdas,
+from uccfsim.uplink import (SinrSkeleton, combined_sinr, combining_lambdas,
                             equal_power_scene, gmmse_per_subcarrier,
                             gmmse_weights, lmmse_column_sliced, lmmse_reduced,
                             solve_flop_estimate, uplink_sinr_all,
@@ -43,9 +43,12 @@ print(f"  column-sliced local MMSE    : {rate_of(lmmse_column_sliced(scene, asso
 reduced = [lmmse_reduced(scene, assoc, k) for k in range(K)]
 print(f"  reduced-dimension local MMSE: {rate_of(reduced):7.3f}")
 
-closed = uplink_sinr_all(scene)
+# the closed-form kernel maps flat symbol powers to flat symbol SINRs on
+# the scene's power-independent skeleton
+skeleton = SinrSkeleton(scene.freq, scene.subcarriers, scene.gamma_u)
+closed = uplink_sinr_all(skeleton, np.concatenate(scene.power))
 print("\nclosed-form MMSE symbol SINRs per UE:")
-for k, s in enumerate(closed):
+for k, s in enumerate(skeleton.split(closed)):
     print(f"  UE {k}:", np.round(s, 2))
 
 print("\n=== solve cost (flop estimate) ===")

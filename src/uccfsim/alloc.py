@@ -19,13 +19,14 @@ assignments directly.
 Within a plan the channels and the subcarrier assignment are fixed, so
 the evaluators keep what depends on them alone: the downlink computes
 its unscaled precoders (MMSE bracket solve or distributed directions)
-once per plan and rescales them per evaluation under one A0, and the
-max-min uplink evaluates the global MMSE SINR on one
-:class:`~uccfsim.uplink.SinrSkeleton`.  Max-min power control runs Yates'
-fixed-point iteration inside the bisection and never evaluates the same
-powers twice in a row; the closing evaluation of the chosen powers reuses
-the last one when they match.  Sum-rate evaluations and the ``reduced``
-detector build a scene per evaluation through :func:`ul_sinrs`.
+once per plan and rescales them per evaluation under one A0, and a global
+MMSE uplink plan, of either objective, builds one
+:class:`~uccfsim.uplink.SinrSkeleton` and evaluates every power vector on
+it through :func:`~uccfsim.uplink.uplink_sinr_all`.  Max-min power control
+runs Yates' fixed-point iteration inside the bisection and never evaluates
+the same powers twice in a row; the closing evaluation of the chosen
+powers reuses the last one when they match.  Only the ``reduced``
+detector builds a scene per evaluation, through :func:`ul_sinrs`.
 """
 
 from __future__ import annotations
@@ -107,22 +108,19 @@ def allocate_power_waterfill(snr_per_unit, budget) -> np.ndarray:
     s = np.asarray(snr_per_unit, dtype=float)
     if s.size == 0:
         raise ValueError("need at least one assigned subcarrier")
-    if np.any(s <= 0):
+    if (s <= 0).any():
         usable = s > 0
         out = np.zeros_like(s)
-        if not np.any(usable):
+        if not usable.any():
             return out
         out[usable] = allocate_power_waterfill(s[usable], budget)
         return out
     inv = 1.0 / s
     order = np.argsort(inv)
-    level = 0.0
-    active = len(s)
-    for drop in range(len(s)):
-        active = len(s) - drop
-        keep = order[:active]
-        level = (budget + inv[keep].sum()) / active
-        if level > inv[order[active - 1]]:
+    ranked = inv[order]
+    for active in range(len(s), 0, -1):
+        level = (budget + ranked[:active].sum()) / active
+        if level > ranked[active - 1]:
             break
     powers = np.maximum(level - inv, 0.0)
     powers[order[active:]] = 0.0
@@ -214,15 +212,12 @@ class AllocationPlan:
 def audit_plan(plan: AllocationPlan, num_subcarriers: int,
                mode="exclusive", components=None, checks=None) -> dict:
     """Constraint audit: budgets, assignment and the named ``checks``."""
-    report = {}
-    K = len(plan.subcarriers)
-    in_range = all(np.all((s >= 0) & (s < num_subcarriers))
-                   for s in plan.subcarriers)
-    report["subcarriers_in_range"] = bool(in_range)
+    seen = np.concatenate([np.asarray(s) for s in plan.subcarriers]) \
+        if plan.subcarriers else np.array([])
+    report = {"subcarriers_in_range":
+              bool(((seen >= 0) & (seen < num_subcarriers)).all())}
     if mode == "exclusive":
-        seen = np.concatenate([np.asarray(s) for s in plan.subcarriers]) \
-            if K else np.array([])
-        report["no_subcarrier_reuse"] = bool(len(seen) == len(set(seen.tolist())))
+        report["no_subcarrier_reuse"] = len(seen) == len(set(seen.tolist()))
     else:
         ok = True
         for comp in components or []:
@@ -231,7 +226,7 @@ def audit_plan(plan: AllocationPlan, num_subcarriers: int,
         report["no_subcarrier_reuse"] = bool(ok)
     if plan.ul_power is not None:
         report["ul_budgets_ok"] = bool(all(
-            p.sum() <= 1.0 + 1e-9 and np.all(p >= 0) for p in plan.ul_power))
+            p.sum() <= 1.0 + 1e-9 and (p >= 0).all() for p in plan.ul_power))
         report["ul_power_matches_assignment"] = bool(all(
             len(p) == len(s) for p, s in zip(plan.ul_power, plan.subcarriers)))
     if plan.dl_power is not None:
@@ -259,12 +254,13 @@ def ul_sinrs(freq, gamma_u, assoc, subcarriers, powers, detector="gmmse"):
     """
     scene = UplinkScene(freq=freq, subcarriers=subcarriers, power=powers,
                         gamma_u=gamma_u)
-    K = scene.num_ues
     if detector == "gmmse":
-        sinrs = uplink_sinr_all(scene)
+        skeleton = SinrSkeleton(scene.freq, scene.subcarriers, gamma_u)
+        sinrs = skeleton.split(uplink_sinr_all(skeleton,
+                                               np.concatenate(scene.power)))
     elif detector == "reduced":
         sinrs = []
-        for k in range(K):
+        for k in range(scene.num_ues):
             if assoc.ap_sets[k] and len(subcarriers[k]):
                 W = lmmse_reduced(scene, assoc, k)
                 sinrs.append(weight_output_sinr(scene, k, W))
@@ -310,10 +306,14 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
         if gamma_u is None:
             raise ValueError("uplink allocation needs gamma_u")
         budget_of = np.arange(K)
+        groups = np.split(np.arange(len(ns)), cuts)
         checks["ul_sinrs_positive"], seen = True, None
-        if detector == "gmmse" and objective == "max_min":
-            # max-min evaluates one plan many times: build its skeleton once
-            symbol_sinrs = SinrSkeleton(freq, subs, gamma_u).sinrs
+        if detector == "gmmse":
+            # every evaluation sees the same channels and assignment
+            skeleton = SinrSkeleton(freq, subs, gamma_u)
+
+            def symbol_sinrs(x):
+                return uplink_sinr_all(skeleton, x)
         else:
             def symbol_sinrs(x):
                 return np.concatenate(ul_sinrs(freq, gamma_u, assoc, subs,
@@ -339,6 +339,7 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
         if noise_var is None:
             raise ValueError("downlink allocation needs noise_var")
         budget_of = np.zeros(K, dtype=int)
+        groups = [np.arange(len(ns))]
         # the unscaled precoders depend on the assignment only
         if precoder == "tmmse_ofdm":
             unscaled = tmmse_bracket_solve(freq, subs, noise_var, assoc=assoc)
@@ -376,9 +377,7 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
             last = x, evaluate_direction(x)
         return last[1]
 
-    # each budget group's symbols; every group has a budget of 1
-    groups = [np.flatnonzero(budget_of[ks] == b)
-              for b in range(budget_of.max() + 1)]
+    # every budget group (its symbols' flat indices) has a budget of 1
     x = np.empty(len(ns))
     for g in groups:
         x[g] = 1.0 / max(len(g), 1)

@@ -104,9 +104,9 @@ class EdgeIndex:
     """The factor graph of one (scene, association, constellation).
 
     Edge e joins factor (AP m, subcarrier n) to slot i of UE k; edges run
-    AP-major, then by subcarrier, then by UE, and ``edge[(m, k, i)]`` is e
-    (built on first use, as ``siblings`` is).  ``ap[e]`` is m, and
-    ``slot[e]`` is the row of (k, i) in ``slots``, the symbols UE-major.
+    AP-major, then by subcarrier, then by UE.  ``ap[e]`` is m, and
+    ``slot[e]`` is the row of (k, i) in ``slots``, the symbols UE-major;
+    ``siblings`` is built on first use.
     """
 
     def __init__(self, scene, assoc, points="bpsk"):
@@ -142,11 +142,6 @@ class EdgeIndex:
             # (F, d) participant edges, each factor's y entry, joint means
             self.groups.append((grp, (m, n),
                                 _joint_means(amp[grp], self.pts, table), table))
-
-    @cached_property
-    def edge(self) -> dict:
-        return {(m,) + self.slots[r]: e for e, (m, r)
-                in enumerate(zip(self.ap.tolist(), self.slot.tolist()))}
 
     @cached_property
     def siblings(self) -> np.ndarray:

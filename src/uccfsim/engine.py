@@ -469,9 +469,9 @@ def run_trial(scenario, trial: int, digest=None) -> list:
                          if scenario["downlink"]["enabled"] else "none"),
             "rate": float(det["rates"][k]),
             "effective_rate": float(det["rates"][k] * (1.0 - overhead)),
-            "sinr_analytic": (float(np.mean(analytic))
-                              if np.size(analytic) and np.all(np.isfinite(analytic))
-                              else np.nan),
+            # a NaN rate marks SINRs that are unknown or negative
+            "sinr_analytic": (float(np.mean(analytic)) if np.size(analytic)
+                              and np.isfinite(det["rates"][k]) else np.nan),
             "sinr_empirical": float(det["empirical"][k]),
             "ser": float(det["ser"][k]),
             "nmse": float(nmse),

@@ -22,11 +22,14 @@ Symbol draws come from ``simulate_uplink``, and ``measure_output`` is the
 one path from any detector's weights to its output amplitude, empirical
 SINR and hard decisions.
 
-The closed-form MMSE SINR has one implementation, :class:`SinrSkeleton`.
-It keeps everything that does not depend on the powers (symbol indices,
-channels, their outer products) for one plan, so that a power-control
-loop pays per evaluation only for R_n, one (S, M, M) solve and the
-products; ``uplink_sinr_all`` builds one for a single scene.
+The closed-form MMSE SINR has one kernel, ``uplink_sinr_all``, from flat
+symbol powers to flat symbol SINRs.  It evaluates on a
+:class:`SinrSkeleton`, which keeps everything that does not depend on the
+powers (symbol indices, channels, their outer products) for one plan, so
+that a power-control loop pays per evaluation only for the power checks,
+R_n, one (S, M, M) solve and the products.  A single scene is one plan:
+``SinrSkeleton(scene.freq, scene.subcarriers, scene.gamma_u)`` evaluated at
+``np.concatenate(scene.power)``.
 
 Two paths stay dense: ``gmmse_weights`` solves the (M*N, M*N) covariance,
 built once per scene, and ``weight_output_sinr`` evaluates
@@ -189,9 +192,8 @@ class SinrSkeleton:
 
     Built once from the channels, the subcarrier assignment and gamma_u,
     it holds the flat symbol indices, each symbol's channel b = h_kn and
-    its outer product b b^H, and the per-subcarrier channel view.
-    :meth:`sinrs` then evaluates the SINRs of any symbol powers, so a
-    power-control loop on one plan pays only the power-dependent work.
+    its outer product b b^H, and the per-subcarrier channel view, so that
+    :func:`uplink_sinr_all` pays only the power-dependent work.
     """
 
     def __init__(self, freq, subcarriers, gamma_u):
@@ -216,41 +218,32 @@ class SinrSkeleton:
         """Per-UE arrays of a flat per-symbol array."""
         return np.split(flat, self.cuts)
 
-    def sinrs(self, eta) -> np.ndarray:
-        """Flat symbol SINRs at the flat symbol powers ``eta``, which must
-        pass the power checks of :class:`UplinkScene`: no negative power and
-        every UE within its unit budget."""
-        eta = np.asarray(eta, dtype=float)
-        if eta.shape != self.ue.shape:
-            raise ValueError("power vector does not match subcarriers")
-        K = self.num_ues
-        over = np.bincount(self.ue, eta, K) > 1.0 + 1e-9
-        if over.any() or (eta < 0).any():
-            # the first offending UE, as the per-UE checks would find it
-            k = int(np.argmax(over | (np.bincount(self.ue, eta < 0, K) > 0)))
-            raise ValueError(f"UE {k}: power budget exceeded" if over[k]
-                             else f"UE {k}: negative power")
-        return self._closed_form(eta)
 
-    def _closed_form(self, eta):
-        """Symbol s of UE k on subcarrier n with power eta has SINR
-        Re(eta b^H x), where (R_n - eta b b^H) x = b and b = h_kn; all
-        symbols are solved in one (S, M, M) batch."""
-        grid = np.zeros(self.grid_shape)
-        grid[self.ue, self.sub] = eta
-        R = (self.H * grid.T[:, None, :]) @ self.H_herm + self.noise
-        x = np.linalg.solve(R[self.sub] - eta[:, None, None] * self.outer,
-                            self.b[:, :, None])[:, :, 0]
-        return np.real(eta * np.einsum("sm,sm->s", self.b_conj, x))
+def uplink_sinr_all(skeleton: SinrSkeleton, eta) -> np.ndarray:
+    """Flat closed-form MMSE symbol SINRs at the flat symbol powers ``eta``.
 
-
-def uplink_sinr_all(scene: UplinkScene):
-    """Per-UE arrays of closed-form MMSE symbol SINRs (see
-    :class:`SinrSkeleton`)."""
-    skeleton = SinrSkeleton(scene.freq, scene.subcarriers, scene.gamma_u)
-    # the scene has checked its powers
-    eta = np.concatenate(scene.power)
-    return skeleton.split(skeleton._closed_form(eta))
+    The powers must pass the checks of :class:`UplinkScene`: no negative
+    power and every UE within its unit budget.  Symbol s of UE k on
+    subcarrier n with power eta has SINR Re(eta b^H x), where
+    (R_n - eta b b^H) x = b and b = h_kn; all symbols are solved in one
+    (S, M, M) batch.
+    """
+    eta = np.asarray(eta, dtype=float)
+    if eta.shape != skeleton.ue.shape:
+        raise ValueError("power vector does not match subcarriers")
+    K = skeleton.num_ues
+    over = np.bincount(skeleton.ue, eta, K) > 1.0 + 1e-9
+    if over.any() or (eta < 0).any():
+        # the first offending UE, as the per-UE checks would find it
+        k = int(np.argmax(over | (np.bincount(skeleton.ue, eta < 0, K) > 0)))
+        raise ValueError(f"UE {k}: power budget exceeded" if over[k]
+                         else f"UE {k}: negative power")
+    grid = np.zeros(skeleton.grid_shape)
+    grid[skeleton.ue, skeleton.sub] = eta
+    R = (skeleton.H * grid.T[:, None, :]) @ skeleton.H_herm + skeleton.noise
+    x = np.linalg.solve(R[skeleton.sub] - eta[:, None, None]
+                        * skeleton.outer, skeleton.b[:, :, None])[:, :, 0]
+    return np.real(eta * np.einsum("sm,sm->s", skeleton.b_conj, x))
 
 
 def lmmse_column_sliced(scene: UplinkScene, assoc):

@@ -31,6 +31,13 @@ them in a per-plan skeleton, ``maxmin_power_control`` evaluates the
 same powers again after its fixed point and before returning, and
 ``estimated_subcarrier_gains`` takes one FFT per estimated link.
 
+``successive_optimize`` is the allocation as it was before one power
+stage served both directions: an uplink and a downlink branch, the
+uplink evaluating every candidate on a fresh scene through ``ul_rates``,
+whose global MMSE SINRs come from ``batched_uplink_sinr_all``.  Its
+``allocate_power_waterfill`` gathers the kept inverse gains through the
+sort order on every pass, as the library did before it sorted them once.
+
 ``stacked_covariance`` adds every UE's full (M*N) x (M*N) outer products,
 zero rows included, as the library did before it built only each UE's
 own rows.  ``dist_transmit`` forms the distributed downlink's per-AP
@@ -44,15 +51,14 @@ from itertools import product
 
 import numpy as np
 
-from uccfsim import apmp, downlink
+from uccfsim import alloc, apmp, downlink
 from uccfsim.alloc import (MAX_FIXED_POINT, AllocationPlan, MaxMinResult,
-                           _all_positive, allocate_power_waterfill,
-                           allocate_subcarriers_greedy, audit_plan,
-                           subcarrier_metric, ul_rates)
+                           _all_positive, allocate_subcarriers_greedy,
+                           audit_plan, subcarrier_metric)
 from uccfsim.apmp import ApmpConfig, ApmpResult
 from uccfsim.channel import (ChannelRealization, sample_large_scale,
                              sample_small_scale, subcarrier_gains)
-from uccfsim.modulation import constellation
+from uccfsim.modulation import constellation, ue_rates
 from uccfsim.training import (PilotObservation, PilotPlan, _dft_columns,
                               _guarded_inverse)
 from uccfsim.uplink import (UplinkScene, scene_covariance, stacked_channel,
@@ -643,17 +649,60 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3) -> MaxMinResult:
                         noise_limited=False)
 
 
+def allocate_power_waterfill(snr_per_unit, budget) -> np.ndarray:
+    """Water-filling over one UE's subcarriers, the kept inverse gains
+    gathered through the sort order on every pass."""
+    if budget <= 0:
+        raise ValueError("power budget must be positive")
+    s = np.asarray(snr_per_unit, dtype=float)
+    if s.size == 0:
+        raise ValueError("need at least one assigned subcarrier")
+    if np.any(s <= 0):
+        usable = s > 0
+        out = np.zeros_like(s)
+        if not np.any(usable):
+            return out
+        out[usable] = allocate_power_waterfill(s[usable], budget)
+        return out
+    inv = 1.0 / s
+    order = np.argsort(inv)
+    level = 0.0
+    active = len(s)
+    for drop in range(len(s)):
+        active = len(s) - drop
+        keep = order[:active]
+        level = (budget + inv[keep].sum()) / active
+        if level > inv[order[active - 1]]:
+            break
+    powers = np.maximum(level - inv, 0.0)
+    powers[order[active:]] = 0.0
+    powers *= budget / powers.sum()
+    return powers
+
+
+def ul_rates(freq, gamma_u, assoc, subcarriers, powers, detector="gmmse"):
+    """Per-UE rates and symbol SINRs of a candidate uplink plan, the global
+    MMSE ones from :func:`batched_uplink_sinr_all` on a fresh scene."""
+    if detector != "gmmse":
+        return alloc.ul_rates(freq, gamma_u, assoc, subcarriers, powers,
+                              detector)
+    sinrs = batched_uplink_sinr_all(UplinkScene(
+        freq=freq, subcarriers=subcarriers, power=powers, gamma_u=gamma_u))
+    return ue_rates(sinrs), sinrs
+
+
 def successive_optimize(freq, assoc, demands, objective="sum_rate",
                         direction="ul", gamma_u=None, noise_var=None,
                         p_max=1.0, p_max_element=None, detector="gmmse",
                         mode="exclusive", components=None,
-                        refine_iterations=1) -> AllocationPlan:
+                        refine_iterations=1, min_refine=1) -> AllocationPlan:
     """Association -> greedy subcarriers -> power, with separate uplink
     and downlink power stages.
 
-    The uplink water-fills at least once even at ``refine_iterations`` 0
-    and reports the bisection's target as its max-min objective; the
-    downlink spreads max-min powers as p_k / N_k.
+    The uplink water-fills at least ``min_refine`` times, so by default
+    once even at ``refine_iterations`` 0, and reports the bisection's
+    target as its max-min objective; the downlink spreads max-min powers
+    as p_k / N_k.
     """
     freq = np.asarray(freq, dtype=complex)
     M, K, N = freq.shape
@@ -680,7 +729,7 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
 
         powers = [np.full(len(s), 1.0 / max(len(s), 1)) for s in subs]
         if objective == "sum_rate":
-            for _ in range(max(refine_iterations, 1)):
+            for _ in range(max(refine_iterations, min_refine)):
                 _, sinrs = evaluate(powers)
                 powers = [allocate_power_waterfill(g / np.maximum(p, 1e-300),
                                                    1.0) if len(p) else p

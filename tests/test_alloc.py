@@ -1,7 +1,10 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uccfsim import alloc, downlink
 from uccfsim.alloc import (AllocationPlan, allocate_power_waterfill,
@@ -10,7 +13,7 @@ from uccfsim.alloc import (AllocationPlan, allocate_power_waterfill,
                            successive_optimize, ul_rates)
 from uccfsim.modulation import ue_rates
 from uccfsim.topology import AssociationMap, build_factor_graph
-from uccfsim.uplink import UplinkScene, uplink_sinr_all
+from uccfsim.uplink import SinrSkeleton, UplinkScene, uplink_sinr_all
 
 import dense_oracles as oracle
 
@@ -101,6 +104,17 @@ class TestWaterfilling:
             if np.any(~active):
                 water = levels.mean()
                 assert np.all(1.0 / s[~active] >= water - 1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gains=st.lists(st.one_of(
+               st.floats(1e-6, 1e20), st.sampled_from([0.0, -1.0, 1.0, 2.0])),
+               min_size=1, max_size=12),
+           budget=st.floats(1e-3, 4.0))
+    def test_bit_identical_to_the_gathering_oracle(self, gains, budget):
+        # zero, negative and tied gains included
+        s = np.array(gains)
+        assert np.array_equal(allocate_power_waterfill(s, budget),
+                              oracle.allocate_power_waterfill(s, budget))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -348,17 +362,19 @@ class TestPlanSkeletons:
     def test_maxmin_builds_one_skeleton_and_repeats_no_evaluation(
             self, monkeypatch):
         built, evaluated = [], []
+        kernel = alloc.uplink_sinr_all
 
         class Recording(alloc.SinrSkeleton):
             def __init__(self, *args):
                 super().__init__(*args)
                 built.append(self)
 
-            def sinrs(self, eta):
-                evaluated.append(np.array(eta))
-                return super().sinrs(eta)
+        def recording(skeleton, eta):
+            evaluated.append(np.array(eta))
+            return kernel(skeleton, eta)
 
         monkeypatch.setattr(alloc, "SinrSkeleton", Recording)
+        monkeypatch.setattr(alloc, "uplink_sinr_all", recording)
         rng = np.random.default_rng(16)
         for _ in range(20):
             freq, assoc, kwargs = random_allocation_scene(rng)
@@ -434,9 +450,76 @@ def test_plan_ul_sinrs_are_the_closed_form_at_its_powers(objective):
                                    direction="ul", **kwargs)
         scene = UplinkScene(freq=freq, subcarriers=plan.subcarriers,
                             power=plan.ul_power, gamma_u=kwargs["gamma_u"])
-        assert same_arrays(plan.ul_sinrs, uplink_sinr_all(scene))
+        skeleton = SinrSkeleton(scene.freq, scene.subcarriers, scene.gamma_u)
+        assert same_arrays(plan.ul_sinrs, skeleton.split(uplink_sinr_all(
+            skeleton, np.concatenate(scene.power))))
         empty += sum(not len(s) for s in plan.subcarriers)
     assert empty          # UEs without subcarriers were covered
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       objective=st.sampled_from(["sum_rate", "max_min"]),
+       refine=st.integers(0, 3))
+def test_uplink_plan_on_one_skeleton_is_the_oracle_bit_for_bit(seed,
+                                                               objective,
+                                                               refine):
+    """A global MMSE uplink plan of either objective builds one skeleton,
+    no scene, and calls ``uplink_sinr_all`` once per distinct evaluation
+    of the oracle, which evaluates every candidate on a fresh scene; its
+    powers, SINRs, objective and audit are the oracle's, bit for bit.
+    The scenes cover exclusive and shared mode, zero demands and
+    disconnected UEs."""
+    freq, assoc, kwargs = random_allocation_scene(np.random.default_rng(seed))
+    kwargs["refine_iterations"] = refine
+    evaluations = []
+    oracle_rates = oracle.ul_rates
+
+    def record(*args):
+        rates, sinrs = oracle_rates(*args)
+        evaluations.append((np.concatenate(args[4]), np.concatenate(sinrs)))
+        return rates, sinrs
+
+    with mock.patch.object(oracle, "ul_rates", record):
+        old = oracle.successive_optimize(freq, assoc, objective=objective,
+                                         min_refine=0, **kwargs)
+    built, scenes, calls = [], [], []
+    kernel = alloc.uplink_sinr_all
+
+    class Skeleton(alloc.SinrSkeleton):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    class Scene(UplinkScene):
+        def __post_init__(self):
+            scenes.append(self)
+            super().__post_init__()
+
+    def recording(skeleton, eta):
+        calls.append(np.array(eta))
+        return kernel(skeleton, eta)
+
+    with mock.patch.object(alloc, "SinrSkeleton", Skeleton), \
+            mock.patch.object(alloc, "UplinkScene", Scene), \
+            mock.patch.object(alloc, "uplink_sinr_all", recording):
+        new = successive_optimize(freq, assoc, objective=objective, **kwargs)
+    assert len(built) == 1 and not scenes
+    # the oracle's evaluations with repeats in a row dropped
+    distinct = [e for i, e in enumerate(evaluations)
+                if not i or not np.array_equal(e[0], evaluations[i - 1][0])]
+    assert len(calls) == len(distinct)
+    assert all(map(np.array_equal, calls, (eta for eta, _ in distinct)))
+    # the oracle's last evaluation is at the powers it emits
+    sinrs = evaluations[-1][1]
+    assert same_arrays(new.subcarriers, old.subcarriers)
+    assert same_arrays(new.ul_power, old.ul_power)
+    assert np.array_equal(np.concatenate(new.ul_sinrs), sinrs)
+    if objective == "sum_rate":
+        assert new.objective == old.objective
+    else:
+        assert new.objective == (sinrs.min() if sinrs.size else 0.0)
+    assert new.audit == old.audit
 
 
 class TestSinglePowerStage:

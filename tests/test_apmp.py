@@ -28,7 +28,14 @@ def intrinsic_llr(scene, assoc, m, y_m, config: ApmpConfig = ApmpConfig()):
     y = np.zeros((scene.num_aps, scene.num_subcarriers), dtype=complex)
     y[m] = y_m
     msgs = message_round(index, y, None, config)
-    return {(k, i): msgs[e] for (ap, k, i), e in index.edge.items() if ap == m}
+    return {(k, i): msgs[e] for (ap, k, i), e in edge_lookup(index).items()
+            if ap == m}
+
+
+def edge_lookup(index) -> dict:
+    """The (AP m, UE k, slot i) -> edge e map of an :class:`EdgeIndex`."""
+    return {(m,) + index.slots[r]: e for e, (m, r)
+            in enumerate(zip(index.ap.tolist(), index.slot.tolist()))}
 
 
 def random_bipartite_tree(num_aps, num_ues, rng):
@@ -261,7 +268,7 @@ class TestDetect:
         y = transmit(scene, idx, rng)
         cfg = ApmpConfig(max_iterations=5, llr_clamp=1e9)
         index = EdgeIndex(scene, assoc, cfg.points)
-        e = index.edge
+        e = edge_lookup(index)
         r1 = message_round(index, y, None, cfg)
         # perturb what AP 0 received from AP 1 about the shared UE
         perturbed = r1.copy()
@@ -525,7 +532,7 @@ def assert_same_index(scene, assoc, points):
     largest factor degree."""
     got = EdgeIndex(scene, assoc, points)
     want = dense_oracles.EdgeIndex(scene, assoc, points)
-    assert got.edge == want.edge
+    assert edge_lookup(got) == want.edge
     assert got.slots == want.slots
     assert got.ue_rows == want.ue_rows
     assert got.undetected == want.undetected

@@ -165,6 +165,18 @@ def test_extreme_snr_trials_finish_and_fail_the_audit(detector, objective,
             assert np.isnan(rec["dl_rate"]) or 0 <= rec["dl_rate"] < np.inf
 
 
+def test_a_nan_rate_exports_a_nan_analytic_sinr():
+    """At noise 1e-22 some of the plan's closed-form SINRs, which ``apmp``
+    reports, come out negative, so their UE's rate is NaN.  Their mean is
+    no SINR either: it is exported as NaN, not as a number."""
+    res = run_scenario({"trials": 3, "topology": {"noise_variance": 1e-22},
+                        "uplink": {"detector": "apmp", "symbol_draws": 3}})
+    nan_rate = [r for r in res["records"] if np.isnan(r["rate"])]
+    assert nan_rate
+    assert all(np.isnan(r["sinr_analytic"]) for r in nan_rate)
+    assert not any(r["sinr_analytic"] < 0 for r in res["records"])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("detector", [d for d in DETECTORS if d != "none"])
 def test_zero_power_ue_reports_zero_sinr_in_every_family(detector):
@@ -538,13 +550,13 @@ class TestPipelineOutputs:
         """An APMP trial evaluates the closed-form SINRs only inside the
         allocation (twice at ``refine_iterations`` 1), and its analytic
         SINRs are those of the last evaluation, at the emitted powers."""
-        scenes, planning = [], []
+        calls, planning = [], []
         sinr_all, optimize = uplink.uplink_sinr_all, alloc.successive_optimize
 
-        def spy_sinrs(scene):
+        def spy_sinrs(skeleton, eta):
             assert planning, "uplink_sinr_all called outside the allocation"
-            scenes.append(scene)
-            return sinr_all(scene)
+            calls.append((skeleton, eta))
+            return sinr_all(skeleton, eta)
 
         def spy_optimize(*args, **kwargs):
             planning.append(True)
@@ -560,10 +572,11 @@ class TestPipelineOutputs:
             **SMALL, "uplink": {"detector": "apmp", "symbol_draws": 4},
             "allocation": {"demands": [2, 0], "refine_iterations": 1}})
         for trial in range(4):
-            scenes.clear()
+            calls.clear()
             records = run_trial(scenario, trial)
-            assert len(scenes) == 2
-            want = sinr_all(scenes[-1])
+            assert len(calls) == 2
+            skeleton, eta = calls[-1]
+            want = skeleton.split(sinr_all(skeleton, eta))
             assert records[0]["sinr_analytic"] == np.mean(want[0])
             assert records[0]["rate"] == ue_rates(want)[0]
             assert np.isnan(records[1]["sinr_analytic"])

@@ -6,6 +6,7 @@ moves the CSV, the README's schema is the defaults, and every public
 function or class of the package has a caller outside the unit tests."""
 
 import ast
+import functools
 import importlib
 import inspect
 import json
@@ -285,9 +286,10 @@ def test_readme_schema_is_the_default_scenario():
 
 
 def test_every_public_name_is_used_outside_the_unit_tests():
-    """Each public function or class of every ``uccfsim`` module serves the
-    package, a demo or an acceptance criterion; reference copies that only
-    tests read belong in ``tests/dense_oracles.py`` or in their test."""
+    """Each public function or class of every ``uccfsim`` module, and each
+    public method or property of those classes, serves the package, a demo
+    or an acceptance criterion; reference copies that only tests read
+    belong in ``tests/dense_oracles.py`` or in their test."""
     files = (sorted((ROOT / "src").rglob("*.py"))
              + sorted((ROOT / "demos").glob("*.py"))
              + [ROOT / "tests" / "test_acceptance.py"])
@@ -303,13 +305,25 @@ def test_every_public_name_is_used_outside_the_unit_tests():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     public = []
+    members = (property, functools.cached_property, classmethod, staticmethod)
     for info in pkgutil.iter_modules(uccfsim.__path__):
         module = importlib.import_module(f"uccfsim.{info.name}")
-        public += [(info.name, name) for name, obj in vars(module).items()
-                   if not name.startswith("_")
-                   and (inspect.isfunction(obj) or inspect.isclass(obj))
-                   and obj.__module__ == module.__name__]
+        for name, obj in vars(module).items():
+            if (name.startswith("_") or getattr(obj, "__module__", None)
+                    != module.__name__):
+                continue
+            if inspect.isfunction(obj):
+                public.append((info.name, name))
+            elif inspect.isclass(obj):
+                public.append((info.name, name))
+                public += [(f"{info.name}.{name}", attr)
+                           for attr, member in vars(obj).items()
+                           if not attr.startswith("_")
+                           and (inspect.isfunction(member)
+                                or isinstance(member, members))]
     assert ("uplink", "measure_output") in public
+    assert ("uplink.SinrSkeleton", "split") in public
+    assert ("topology.AssociationMap", "num_aps") in public
     assert [f"{m}.{name}" for m, name in public if name not in used] == []
 
 

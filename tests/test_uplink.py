@@ -26,6 +26,13 @@ def random_scene(rng, M=2, K=2, N=2, gamma_u=100.0, budget=1.0,
     return equal_power_scene(freq, subs, gamma_u, budget)
 
 
+def closed_form(scene):
+    """Per-UE closed-form MMSE SINRs of a scene, on its own skeleton."""
+    skeleton = SinrSkeleton(scene.freq, scene.subcarriers, scene.gamma_u)
+    return skeleton.split(uplink_sinr_all(skeleton,
+                                          np.concatenate(scene.power)))
+
+
 def full_assoc(M, K):
     return AssociationMap.from_ap_sets([list(range(M))] * K, num_aps=M)
 
@@ -88,7 +95,7 @@ class TestSinr:
         scene = UplinkScene(freq=h.reshape(3, 1, 1), subcarriers=[[0]],
                             power=[[0.8]], gamma_u=50.0)
         expect = 0.8 * 50.0 * np.sum(np.abs(h) ** 2)
-        assert uplink_sinr_all(scene)[0][0] == pytest.approx(expect, rel=1e-9)
+        assert closed_form(scene)[0][0] == pytest.approx(expect, rel=1e-9)
 
     def test_identical_ues_get_equal_sinr(self):
         h = np.array([0.9 + 0.1j, -0.2 + 0.5j])
@@ -98,7 +105,7 @@ class TestSinr:
         freq[:, 1, 0] = h
         scene = UplinkScene(freq=freq, subcarriers=[[0], [0]],
                             power=[[0.5], [0.5]], gamma_u=30.0)
-        g = uplink_sinr_all(scene)
+        g = closed_form(scene)
         assert g[0][0] == pytest.approx(g[1][0], rel=1e-12)
 
     def test_analytic_matches_empirical(self):
@@ -117,7 +124,7 @@ class TestSinr:
         W = gmmse_weights(scene)
         for k in range(2):
             a = weight_output_sinr(scene, k, W[k])
-            assert np.allclose(a, uplink_sinr_all(scene)[k], rtol=1e-9)
+            assert np.allclose(a, closed_form(scene)[k], rtol=1e-9)
 
     def test_zero_power_symbol_has_zero_sinr(self):
         # a water-filled symbol can get power 0: its SINR is 0 in every
@@ -128,7 +135,7 @@ class TestSinr:
         scene = UplinkScene(freq=freq, subcarriers=[[0, 1]],
                             power=[[0.7, 0.0]], gamma_u=20.0)
         lambdas = combining_lambdas(scene, full_assoc(2, 1), 0, "equal")
-        for sinrs in (uplink_sinr_all(scene)[0],
+        for sinrs in (closed_form(scene)[0],
                       weight_output_sinr(scene, 0, gmmse_weights(scene)[0]),
                       combined_sinr(scene, full_assoc(2, 1), 0, lambdas)):
             assert sinrs[0] > 0
@@ -143,8 +150,8 @@ class TestSinr:
                              power=[[0.4], [0.6]], gamma_u=25.0)
             hi = UplinkScene(freq=freq, subcarriers=[[0], [0]],
                              power=[[0.9], [0.6]], gamma_u=25.0)
-            assert (uplink_sinr_all(hi)[0][0]
-                    >= uplink_sinr_all(lo)[0][0] - 1e-12)
+            assert (closed_form(hi)[0][0]
+                    >= closed_form(lo)[0][0] - 1e-12)
 
 
 @st.composite
@@ -183,14 +190,15 @@ class TestSinrSkeleton:
         for power in powers:
             scene = UplinkScene(freq=freq, subcarriers=subs, power=power,
                                 gamma_u=gamma_u)
+            flat = np.concatenate(power)
             try:
                 want = dense_oracles.batched_uplink_sinr_all(scene)
             except np.linalg.LinAlgError:
                 with pytest.raises(np.linalg.LinAlgError):
-                    skeleton.sinrs(np.concatenate(power))
+                    uplink_sinr_all(skeleton, flat)
                 continue
-            for got in (skeleton.split(skeleton.sinrs(np.concatenate(power))),
-                        uplink_sinr_all(scene)):
+            for got in (skeleton.split(uplink_sinr_all(skeleton, flat)),
+                        closed_form(scene)):
                 assert len(got) == len(want) == len(subs)
                 assert all(np.array_equal(g, w, equal_nan=True)
                            for g, w in zip(got, want))
@@ -210,7 +218,7 @@ class TestSinrSkeleton:
         subs = [[0, 1], [], [2, 3]]
         skeleton = SinrSkeleton(freq, subs, 10.0)
         with pytest.raises(ValueError, match=message):
-            skeleton.sinrs(np.array(flat))
+            uplink_sinr_all(skeleton, np.array(flat))
         # the scene's per-UE checks name the same UE
         with pytest.raises(ValueError, match=message):
             UplinkScene(freq=freq, subcarriers=subs, gamma_u=10.0,
@@ -222,8 +230,8 @@ class TestSinrSkeleton:
             SinrSkeleton(freq, [[0], [1]], 0.0)
         skeleton = SinrSkeleton(freq, [[0], [1]], 1.0)
         with pytest.raises(ValueError, match="does not match"):
-            skeleton.sinrs(np.array([0.5, 0.5, 0.5]))
-        assert np.all(skeleton.sinrs(np.array([0.5, 0.0])) >= 0)
+            uplink_sinr_all(skeleton, np.array([0.5, 0.5, 0.5]))
+        assert np.all(uplink_sinr_all(skeleton, np.array([0.5, 0.0])) >= 0)
 
 
 class TestSumRate:
@@ -236,7 +244,7 @@ class TestSumRate:
                 + 1j * rng.standard_normal((2, 1, 2)))
         scene = UplinkScene(freq=freq, subcarriers=[[0, 1]],
                             power=[[0.0, 0.0]], gamma_u=10.0)
-        assert sum_rate(uplink_sinr_all(scene)) == pytest.approx(0.0)
+        assert sum_rate(closed_form(scene)) == pytest.approx(0.0)
 
     def test_additive_over_independent_components(self):
         rng = np.random.default_rng(9)
@@ -251,9 +259,9 @@ class TestSumRate:
                              power=[[1.0]], gamma_u=15.0)
         alone1 = UplinkScene(freq=freq[1:, 1:], subcarriers=[[0]],
                              power=[[1.0]], gamma_u=15.0)
-        assert sum_rate(uplink_sinr_all(joint)) == pytest.approx(
-            sum_rate(uplink_sinr_all(alone0))
-            + sum_rate(uplink_sinr_all(alone1)), rel=1e-9)
+        assert sum_rate(closed_form(joint)) == pytest.approx(
+            sum_rate(closed_form(alone0))
+            + sum_rate(closed_form(alone1)), rel=1e-9)
 
 
 class TestColumnSliced:
@@ -281,7 +289,7 @@ class TestColumnSliced:
             sliced = lmmse_column_sliced(scene, assoc)
             r_sliced = sum(np.sum(np.log2(1 + weight_output_sinr(scene, k, W)))
                            for k, W in enumerate(sliced))
-            r_full = sum_rate(uplink_sinr_all(scene))
+            r_full = sum_rate(closed_form(scene))
             if r_full >= r_sliced - 1e-9:
                 wins += 1
         assert wins == trials
