@@ -7,8 +7,9 @@
 import numpy as np
 
 from uccfsim.topology import associate_large_scale
-from uccfsim.uplink import (SinrSkeleton, combined_sinr, combining_lambdas,
-                            equal_power_scene, gmmse_per_subcarrier,
+from uccfsim.uplink import (SinrSkeleton, combined_sinr, combined_weights,
+                            combining_lambdas, equal_power_scene,
+                            gmmse_per_subcarrier,
                             gmmse_weights, lmmse_column_sliced, lmmse_reduced,
                             solve_flop_estimate, uplink_sinr_all,
                             weight_output_sinr)
@@ -58,9 +59,10 @@ print(f"  one ({M * N}x{M * N}) solve: {joint:10.0f} flops")
 print(f"  {N} parallel ({M}x{M}) solves: {split:10.0f} flops")
 
 print("\n=== per-AP detection + CPU combining for UE 0 ===")
+# each AP's local MMSE estimate, fused at the CPU: one per-AP weight (M, N_k)
 for mode in ("equal", "mrc"):
-    lam = combining_lambdas(scene, assoc, 0, mode)
-    sinr = combined_sinr(scene, assoc, 0, lam)
+    V = combined_weights(scene, 0, combining_lambdas(scene, assoc, 0, mode))
+    sinr = combined_sinr(scene, 0, V)
     print(f"  {mode:6s} combining: mean symbol SINR {sinr.mean():8.3f}")
 print("MRC weighs the stronger AP more and never loses to equal weights on")
 print("interference-free branches.")

@@ -272,9 +272,11 @@ def _detect_uplink(scenario, scene, assoc, gains, plan_sinrs, rng):
     """Analytic/empirical SINR, per-UE rates, and SER for the configured
     detector; rates always come from the analytic symbol SINRs.
 
-    Every linear detector gives one stacked weight per UE with subcarriers
-    (local detection with CPU fusion as its fused weight); with symbol
-    draws, ``uplink.measure_output`` measures each weight's output and
+    Every linear detector gives one per-AP weight (M, N_k) per UE (local
+    detection with CPU fusion as its fused weight), and one pass over them
+    evaluates each: the MMSE family with ``uplink.weight_output_sinr``,
+    the local family with ``uplink.combined_sinr``.  With symbol draws,
+    ``uplink.measure_output`` also measures each weight's output and
     decides its symbols.  A UE whose signal is zero reports SINR 0, not
     NaN.  ``plan_sinrs`` are the allocation's closed-form MMSE symbol
     SINRs at the scene's powers, which APMP reports as its rate proxy."""
@@ -294,6 +296,7 @@ def _detect_uplink(scenario, scene, assoc, gains, plan_sinrs, rng):
     weights = None
     if name in ("gmmse", "gmmse_per_subcarrier", "lmmse_sliced",
                 "lmmse_reduced"):
+        evaluate = uplink.weight_output_sinr
         try:
             if name == "gmmse":
                 weights = uplink.gmmse_weights(scene)
@@ -309,24 +312,15 @@ def _detect_uplink(scenario, scene, assoc, gains, plan_sinrs, rng):
             weights = [None] * K
             out["analytic"] = [np.full(len(s), np.nan)
                                for s in scene.subcarriers]
-        weights = [W if W is not None and len(scene.subcarriers[k])
-                   else None for k, W in enumerate(weights)]
-        for k, W in enumerate(weights):
-            if W is not None:
-                out["analytic"][k] = uplink.weight_output_sinr(scene, k, W)
 
     elif name.startswith("local_"):
         mode = {"local_equal": "equal", "local_mrc": "mrc",
                 "local_ls_linear": "large_scale_linear",
                 "local_ls_sqrt": "large_scale_sqrt"}[name]
-        weights = [None] * K
-        for k in range(K):
-            if not assoc.ap_sets[k] or not len(scene.subcarriers[k]):
-                continue
-            lambdas = uplink.combining_lambdas(scene, assoc, k, mode,
-                                               gains=gains[:, k])
-            weights[k] = uplink.combined_weights(scene, k, lambdas)
-            out["analytic"][k] = uplink.combined_sinr(scene, assoc, k, lambdas)
+        evaluate = uplink.combined_sinr
+        weights = [uplink.combined_weights(scene, k, uplink.combining_lambdas(
+                       scene, assoc, k, mode, gains=gains[:, k]))
+                   if assoc.ap_sets[k] else None for k in range(K)]
 
     elif name == "apmp":
         acfg = cfg["apmp"]
@@ -335,10 +329,9 @@ def _detect_uplink(scenario, scene, assoc, gains, plan_sinrs, rng):
                                  points=points_name,
                                  llr_clamp=acfg["llr_clamp"])
         ser_draws = max(draws, 1)
-        M, N = scene.num_aps, scene.num_subcarriers
-        indices, ys = uplink.simulate_uplink(scene, ser_draws, rng, points_name)
-        res = apmp.apmp_detect(scene, assoc, ys.reshape(ser_draws, M, N),
-                               config, apmp.EdgeIndex(scene, assoc, points_name))
+        indices, y = uplink.simulate_uplink(scene, ser_draws, rng, points_name)
+        res = apmp.apmp_detect(scene, assoc, y, config,
+                               apmp.EdgeIndex(scene, assoc, points_name))
         # per-draw SERs summed in draw order: the CSV pins this rounding;
         # a UE with no detected symbol keeps SER NaN
         out["ser"] = [np.nan if d is None else
@@ -352,16 +345,19 @@ def _detect_uplink(scenario, scene, assoc, gains, plan_sinrs, rng):
     else:
         raise ValueError(f"unknown detector {name!r}")
 
-    if weights is not None and draws > 0:
-        indices, y = uplink.simulate_uplink(scene, draws, rng, points_name)
-        for k, W in enumerate(weights):
-            if W is None:
+    if weights is not None:
+        if draws > 0:
+            indices, y = uplink.simulate_uplink(scene, draws, rng, points_name)
+        for k, V in enumerate(weights):
+            if V is None or not len(scene.subcarriers[k]):
                 continue
-            sinrs, decided = uplink.measure_output(
-                scene, k, W, y, indices[k], points_name,
-                measured=name.startswith("local_"))
-            out["empirical"][k] = float(np.mean(sinrs))
-            out["ser"][k] = symbol_error_rate(decided, indices[k])
+            out["analytic"][k] = evaluate(scene, k, V)
+            if draws > 0:
+                sinrs, decided = uplink.measure_output(
+                    scene, k, V, y, indices[k], points_name,
+                    measured=name.startswith("local_"))
+                out["empirical"][k] = float(np.mean(sinrs))
+                out["ser"][k] = symbol_error_rate(decided, indices[k])
 
     out["rates"] = ue_rates(out["analytic"])
     return out

@@ -1,26 +1,25 @@
 """Uplink multiuser detection: global MMSE and its local approximations.
 
 A scene holds the per-subcarrier channel gains every detector works from,
-the subcarrier assignment, and the per-symbol power coefficients.  Weights
-are stored per UE as (M*N, N_k) matrices over the stacked observation
-y = [y_1; ...; y_M]; local detectors simply leave the rows of APs they do
-not use at zero, so every detector can be evaluated against the same
-physical scene (interference from unmodeled UEs stays present).
+the subcarrier assignment, and the per-symbol power coefficients.  Each
+linear detector gives UE k per-AP coefficients V (M, N_k), column i its
+combiner on its i-th symbol's subcarrier; local detectors leave the rows
+of APs they do not use at zero, so every detector is evaluated against
+the same physical scene (interference from unmodeled UEs stays present).
 
-The stacked (M*N, .) layout is storage only.  Each link has one complex
-gain per subcarrier and subcarriers do not couple, so the stacked
-covariance is N independent M x M blocks R_n.  The SINR evaluator and the
-per-subcarrier, column-sliced and reduced MMSE detectors solve those
-blocks as (N, M, M) batches, the reduced one restricted to the associated
-APs.  A local detector only sees the diagonals [R_n]_mm, so local MMSE
-at each AP followed by CPU fusion is one stacked weight per UE:
-``combining_lambdas`` gives the fusion weights of a mode, and
-``combined_weights`` and ``combined_sinr`` the fused weight and its SINR,
-evaluated per subcarrier in closed form.
+Each link has one complex gain per subcarrier and subcarriers do not
+couple, so the stacked covariance is N independent M x M blocks R_n.  The
+SINR evaluator and the per-subcarrier, column-sliced and reduced MMSE
+detectors solve those blocks as (N, M, M) batches, the reduced one
+restricted to the associated APs.  A local detector only sees the
+diagonals [R_n]_mm, so local MMSE at each AP followed by CPU fusion is one
+per-AP weight per UE: ``combining_lambdas`` gives the fusion weights of a
+mode, ``combined_weights`` the fused weight, and ``combined_sinr`` the
+closed-form SINR of any per-AP weight.
 
-Symbol draws come from ``simulate_uplink``, and ``measure_output`` is the
-one path from any detector's weights to its output amplitude, empirical
-SINR and hard decisions.
+Symbol draws come from ``simulate_uplink`` as per-AP observations
+(draws, M, N), and ``measure_output`` is the one path from any detector's
+weights to its output amplitude, empirical SINR and hard decisions.
 
 The closed-form MMSE SINR has one kernel, ``uplink_sinr_all``, from flat
 symbol powers to flat symbol SINRs.  It evaluates on a
@@ -31,14 +30,14 @@ R_n, one (S, M, M) solve and the products.  A single scene is one plan:
 ``SinrSkeleton(scene.freq, scene.subcarriers, scene.gamma_u)`` evaluated at
 ``np.concatenate(scene.power)``.
 
-Two paths stay dense: ``gmmse_weights`` solves the (M*N, M*N) covariance,
-built once per scene, and ``weight_output_sinr`` evaluates
-w^H R w - eta |w^H b|^2 on it.  That difference cancels at high SINR, so
-the SINRs it reports depend on the last bits of W and R, and the
-benchmark's reference outputs pin those bits; both move to the batched
-core together with a cancellation-free SINR.  R is built on each UE's
-own rows m*N + n, over the full column range, which keeps the bits of the
-full stacked products; restricting the columns as well rounds differently.
+The stacked (M*N, .) layout is left only at the dense edge whose bits the
+benchmark's references pin: ``gmmse_weights`` solves the (M*N, M*N)
+covariance, built once per scene, and reads V off it without loss;
+``weight_output_sinr`` restacks V to evaluate w^H R w - eta |w^H b|^2 on
+it, which cancels at high SINR; and ``simulate_uplink`` draws y with one
+stacked product per UE.  R is built on each UE's own rows m*N + n, over
+the full column range, which keeps the bits of the full stacked products;
+restricting the columns as well rounds differently.
 """
 
 from __future__ import annotations
@@ -104,9 +103,9 @@ class UplinkScene:
         return R
 
 
-def equal_power_scene(freq, subcarriers, gamma_u, budget=1.0) -> UplinkScene:
-    """Scene with each UE's budget split evenly over its subcarriers."""
-    power = tuple(np.full(len(s), budget / max(len(s), 1)) for s in subcarriers)
+def equal_power_scene(freq, subcarriers, gamma_u) -> UplinkScene:
+    """Scene with each UE's unit budget split evenly over its subcarriers."""
+    power = tuple(np.full(len(s), 1.0 / max(len(s), 1)) for s in subcarriers)
     return UplinkScene(freq=freq, subcarriers=subcarriers, power=power,
                        gamma_u=gamma_u)
 
@@ -151,16 +150,19 @@ def subcarrier_covariances(scene: UplinkScene) -> np.ndarray:
 
 
 def gmmse_weights(scene: UplinkScene):
-    """Global MMSE weights per UE, solved jointly on the (MN, MN) system
-    with every UE's right-hand side in one factorization."""
+    """Global MMSE weights V (M, N_k) per UE, solved jointly on the
+    (MN, MN) system with every UE's right-hand side in one factorization."""
     # Kept dense: weight_output_sinr's w^H R w - eta |w^H b|^2 cancels at
     # high SINR, so reported SINRs there depend on the last bits of W.
     R = scene_covariance(scene)
     rhs = [stacked_channel(scene, k) * np.sqrt(scene.power[k])
            for k in range(scene.num_ues)]
     X = np.linalg.solve(R, np.hstack(rhs))
-    cuts = np.cumsum([B.shape[1] for B in rhs])[:-1]
-    return np.split(X, cuts, axis=1)
+    sub = np.concatenate(scene.subcarriers)
+    V = X.reshape(scene.num_aps, scene.num_subcarriers, -1)[
+        :, sub, np.arange(len(sub))]
+    return np.split(V, np.cumsum([len(s) for s in scene.subcarriers])[:-1],
+                    axis=1)
 
 
 def _subcarrier_mmse(scene: UplinkScene, zeta=1.0):
@@ -170,8 +172,7 @@ def _subcarrier_mmse(scene: UplinkScene, zeta=1.0):
     H = scene.freq.transpose(2, 0, 1)                    # (N, M, K)
     rhs = H * zeta * np.sqrt(_power_grid(scene).T)[:, None, :]
     X = np.linalg.solve(subcarrier_covariances(scene), rhs)
-    return [_stacked(scene, k, X[sub, :, k].T)
-            for k, sub in enumerate(scene.subcarriers)]
+    return [X[sub, :, k].T for k, sub in enumerate(scene.subcarriers)]
 
 
 def gmmse_per_subcarrier(scene: UplinkScene):
@@ -260,8 +261,7 @@ def lmmse_reduced(scene: UplinkScene, assoc, k: int) -> np.ndarray:
     """GMMSE restricted to the observations of UE k's associated APs.
 
     Each of UE k's subcarriers solves R_n restricted to those APs, all in
-    one batch.  Returns full-size (M*N, N_k) weights with zero rows at
-    excluded APs.
+    one batch.  Returns (M, N_k) weights with zero rows at excluded APs.
     """
     aps = np.asarray(assoc.ap_sets[k], dtype=int)
     if not aps.size:
@@ -271,14 +271,22 @@ def lmmse_reduced(scene: UplinkScene, assoc, k: int) -> np.ndarray:
     b = scene.freq[aps][:, k, sub] * np.sqrt(scene.power[k])    # (|A|, N_k)
     V = np.zeros((scene.num_aps, len(sub)), dtype=complex)
     V[aps] = np.linalg.solve(R, b.T[:, :, None])[:, :, 0].T
-    return _stacked(scene, k, V)
+    return V
 
 
-def weight_output_sinr(scene: UplinkScene, k: int, W: np.ndarray) -> np.ndarray:
-    """Analytic output SINR of arbitrary stacked weights for UE k; a symbol
-    whose signal is zero (zero power or zero weights) has SINR 0."""
+def weight_output_sinr(scene: UplinkScene, k: int, V: np.ndarray) -> np.ndarray:
+    """Analytic output SINR of arbitrary per-AP weights V (M, N_k) for UE k;
+    a symbol whose signal is zero (zero power or zero weights) has SINR 0."""
     R = scene_covariance(scene)
     B = stacked_channel(scene, k)
+    # UE k's columns of the joint (M*N, S) layout gmmse_weights solves in:
+    # BLAS rounds a unit-stride column differently, so the pinned SINR bits
+    # need the stride of that solve
+    first, nk = sum(map(len, scene.subcarriers[:k])), B.shape[1]
+    W = np.zeros((scene.num_aps, scene.num_subcarriers,
+                  sum(map(len, scene.subcarriers))), dtype=complex)
+    W[:, scene.subcarriers[k], first + np.arange(nk)] = V
+    W = W.reshape(B.shape[0], -1)[:, first:first + nk]
     sinrs = np.empty(B.shape[1])
     for i in range(B.shape[1]):
         w = W[:, i]
@@ -303,73 +311,67 @@ def _local_terms(scene: UplinkScene, k: int):
     return scene.freq[:, k, sub] * np.sqrt(scene.power[k]), d, r
 
 
-def _fused(scene: UplinkScene, k: int, lambdas: dict) -> np.ndarray:
-    """Per-AP coefficients (M, N_k) of local detection fused with the
-    diagonal ``lambdas``: conj(lambda_m) w_m, zero at the other APs."""
+def combined_weights(scene: UplinkScene, k: int,
+                     lambdas: np.ndarray) -> np.ndarray:
+    """Per-AP weights V (M, N_k) of the CPU's fusion sum_m lambda_m z_mk of
+    the local MMSE estimates z_mk = (b / d)^* y_m: conj(lambda) b / d."""
     b, d, _ = _local_terms(scene, k)
-    V = np.zeros_like(b)
-    for m, lam in lambdas.items():
-        V[m] = np.conj(lam) * b[m] / d[m]
-    return V
+    return np.conj(lambdas) * b / d
 
 
-def combined_weights(scene: UplinkScene, k: int, lambdas: dict) -> np.ndarray:
-    """Stacked (M*N, N_k) weights W with W^H y equal to the CPU's fusion
-    sum_m lambda_m z_mk of the local estimates."""
-    return _stacked(scene, k, _fused(scene, k, lambdas))
+def combined_sinr(scene: UplinkScene, k: int, V: np.ndarray) -> np.ndarray:
+    """Analytic output SINR of per-AP weights V (M, N_k) for UE k, in closed
+    form per subcarrier.
 
-
-def combined_sinr(scene: UplinkScene, assoc, k: int, lambdas: dict) -> np.ndarray:
-    """Analytic post-combining SINR for per-AP diagonal combining weights.
-
-    ``lambdas`` maps AP -> (N_k,) per-symbol weights.  Interference is
-    correlated across APs (same transmitted symbols), which the variance
-    below accounts for exactly: on symbol i's subcarrier n the fused
+    Interference is correlated across APs (same transmitted symbols), which
+    the variance below accounts for exactly: on symbol i's subcarrier n the
     weight v passes UE l with gain v^H h_ln sqrt(eta_ln).  A symbol whose
     signal is zero has SINR 0.
     """
     sub = scene.subcarriers[k]
-    v = _fused(scene, k, lambdas)
-    g = np.einsum("mi,mli->il", v.conj(),
+    g = np.einsum("mi,mli->il", V.conj(),
                   scene.freq[:, :, sub] * np.sqrt(_power_grid(scene)[:, sub]))
     signal = np.abs(g[:, k]) ** 2
     g[:, k] = 0.0            # zeroed, not subtracted: nothing cancels
-    noise = np.sum(np.abs(v) ** 2, axis=0) / scene.gamma_u
+    noise = np.sum(np.abs(V) ** 2, axis=0) / scene.gamma_u
     return np.divide(signal, np.sum(np.abs(g) ** 2, axis=1) + noise,
                      out=np.zeros_like(signal), where=signal > 0)
 
 
 def combining_lambdas(scene: UplinkScene, assoc, k: int, mode: str,
-                      gains=None) -> dict:
-    """Per-AP diagonal combining weights {m: (N_k,)} of the CPU fusion
-    modes; the large-scale modes need per-AP ``gains`` indexed by AP."""
+                      gains=None) -> np.ndarray:
+    """Per-AP diagonal combining weights (M, N_k) of the CPU fusion modes,
+    zero at the APs outside UE k's association; the large-scale modes need
+    per-AP ``gains`` indexed by AP."""
     aps = list(assoc.ap_sets[k])
-    nk = len(scene.subcarriers[k])
-    count = len(aps)
+    lambdas = np.zeros_like(scene.freq[:, k, scene.subcarriers[k]])
     if mode == "equal":
-        return {m: np.ones(nk, dtype=complex) / count for m in aps}
-    if mode == "mrc":
+        lambdas[aps] = 1.0
+        lambdas[aps] /= len(aps)
+    elif mode == "mrc":
         # conj(A_mk) / C_mk per symbol, with A = |b|^2 / d, C = |b|^2 r / d^2
         _, d, r = _local_terms(scene, k)
-        return {m: (d[m] / r[m]).astype(complex) / count for m in aps}
-    if mode in ("large_scale_linear", "large_scale_sqrt"):
+        lambdas[aps] = d[aps] / r[aps]
+        lambdas[aps] /= len(aps)
+    elif mode in ("large_scale_linear", "large_scale_sqrt"):
         # shares proportional to the gains, or to their square roots
         if gains is None:
             raise ValueError("large-scale combining needs per-AP gains")
-        g = np.array([gains[m] for m in aps], dtype=float)
+        g = np.asarray(gains, dtype=float)[aps]
         if mode == "large_scale_sqrt":
             g = np.sqrt(g)
-        return {m: np.full(nk, s, dtype=complex)
-                for m, s in zip(aps, g / g.sum())}
-    raise ValueError(f"unknown combining mode {mode!r}")
+        lambdas[aps] = (g / g.sum())[:, None]
+    else:
+        raise ValueError(f"unknown combining mode {mode!r}")
+    return lambdas
 
 
 def simulate_uplink(scene: UplinkScene, num_draws: int, rng,
                     points="qpsk"):
-    """Draw symbols and stacked observations from the scene model.
+    """Draw symbols and per-AP observations from the scene model.
 
     Returns (symbol index arrays per UE, y) with y of shape
-    (num_draws, M*N).
+    (num_draws, M, N).
     """
     rng = np.random.default_rng(rng)
     pts = constellation(points)
@@ -382,16 +384,16 @@ def simulate_uplink(scene: UplinkScene, num_draws: int, rng,
         idx = random_symbol_indices(pts, (num_draws, len(scene.subcarriers[k])), rng)
         indices.append(idx)
         y += (pts[idx] * np.sqrt(scene.power[k])) @ stacked_channel(scene, k).T
-    return indices, y
+    return indices, y.reshape(num_draws, M, N)
 
 
-def measure_output(scene: UplinkScene, k: int, W: np.ndarray, y: np.ndarray,
+def measure_output(scene: UplinkScene, k: int, V: np.ndarray, y: np.ndarray,
                    sent: np.ndarray, points="qpsk", measured: bool = False):
     """Empirical per-symbol SINRs and hard decisions of UE k's output
-    z = W^H y over draws y (draws, M*N) that sent the point indices
-    ``sent`` (draws, N_k).
+    z = sum_m V_m^* y_m over draws y (draws, M, N) that sent the point
+    indices ``sent`` (draws, N_k).
 
-    The output amplitude is w^H b sqrt(eta), or, when ``measured``, the
+    The output amplitude is v^H h sqrt(eta), or, when ``measured``, the
     one a local detector's CPU fits to the draws, mean(z x^*).  A symbol
     with amplitude zero has SINR 0, not 0/0, and is decided on z itself.
     A fitted amplitude matches a single draw exactly and leaves no error
@@ -400,12 +402,13 @@ def measure_output(scene: UplinkScene, k: int, W: np.ndarray, y: np.ndarray,
     """
     pts = constellation(points)
     x = pts[sent]
-    z = y @ W.conj()
+    sub = scene.subcarriers[k]
+    z = np.einsum("dmi,mi->di", y[:, :, sub], V.conj())
     if measured:
         amp = np.mean(z * x.conj(), axis=0)
     else:
         amp = np.sqrt(scene.power[k]) * np.einsum(
-            "ni,ni->i", W.conj(), stacked_channel(scene, k))
+            "mi,mi->i", V.conj(), scene.freq[:, k, sub])
     signal = np.abs(amp) ** 2
     if measured and len(y) == 1:
         sinrs = np.full(signal.shape, np.nan)

@@ -38,6 +38,13 @@ whose global MMSE SINRs come from ``batched_uplink_sinr_all``.  Its
 ``allocate_power_waterfill`` gathers the kept inverse gains through the
 sort order on every pass, as the library did before it sorted them once.
 
+The uplink detectors give per-AP weights (M, N_k); ``stacked_weights``
+puts them in the stacked (M*N, N_k) layout the library used before, one
+symbol at a time.  ``weight_output_sinr`` and ``measure_output`` are the
+library's evaluators as they were on that layout: the analytic SINR on
+the dense covariance, and the output y W^* with y flattened to
+(draws, M*N).  ``stacked_output`` is that output of per-AP weights.
+
 ``stacked_covariance`` adds every UE's full (M*N) x (M*N) outer products,
 zero rows included, as the library did before it built only each UE's
 own rows.  ``dist_transmit`` forms the distributed downlink's per-AP
@@ -58,7 +65,7 @@ from uccfsim.alloc import (MAX_FIXED_POINT, AllocationPlan, MaxMinResult,
 from uccfsim.apmp import ApmpConfig, ApmpResult
 from uccfsim.channel import (ChannelRealization, sample_large_scale,
                              sample_small_scale, subcarrier_gains)
-from uccfsim.modulation import constellation, ue_rates
+from uccfsim.modulation import constellation, nearest_point, ue_rates
 from uccfsim.training import (PilotObservation, PilotPlan, _dft_columns,
                               _guarded_inverse)
 from uccfsim.uplink import (UplinkScene, scene_covariance, stacked_channel,
@@ -177,6 +184,62 @@ def dist_transmit(dirs, powers, symbols) -> np.ndarray:
     return np.einsum("muk,mk,k->mu", dirs, np.sqrt(powers), x)
 
 
+def stacked_weights(scene: UplinkScene, k: int, V) -> np.ndarray:
+    """Per-AP weights V (M, N_k) of UE k in the stacked (M*N, N_k) layout:
+    symbol i's column holds V[m, i] in row m*N + n on its subcarrier n."""
+    M, N = scene.num_aps, scene.num_subcarriers
+    W = np.zeros((M * N, len(scene.subcarriers[k])), dtype=complex)
+    for i, n in enumerate(scene.subcarriers[k]):
+        W[np.arange(M) * N + n, i] = V[:, i]
+    return W
+
+
+def weight_output_sinr(scene: UplinkScene, k: int, W: np.ndarray) -> np.ndarray:
+    """Analytic output SINR of stacked weights W (M*N, N_k) for UE k; a
+    symbol whose signal is zero (zero power or zero weights) has SINR 0."""
+    R = scene_covariance(scene)
+    B = stacked_channel(scene, k)
+    sinrs = np.empty(B.shape[1])
+    for i in range(B.shape[1]):
+        w = W[:, i]
+        b = B[:, i]
+        eta = scene.power[k][i]
+        signal = eta * np.abs(w.conj() @ b) ** 2
+        total = np.real(w.conj() @ R @ w)
+        denom = total - signal
+        sinrs[i] = signal / denom if denom > 0 else np.inf if signal else 0.0
+    return sinrs
+
+
+def stacked_output(scene: UplinkScene, k: int, V, y) -> np.ndarray:
+    """UE k's outputs y W^* (draws, N_k) of per-AP weights V over per-AP
+    draws y (draws, M, N), on the stacked layout."""
+    return y.reshape(len(y), -1) @ stacked_weights(scene, k, V).conj()
+
+
+def measure_output(scene: UplinkScene, k: int, W: np.ndarray, y: np.ndarray,
+                   sent: np.ndarray, points="qpsk", measured: bool = False):
+    """Empirical SINRs and decisions of the output z = y W^* of stacked
+    weights W over flat draws y (draws, M*N), as ``uplink.measure_output``
+    defines them."""
+    pts = constellation(points)
+    x = pts[sent]
+    z = y @ W.conj()
+    if measured:
+        amp = np.mean(z * x.conj(), axis=0)
+    else:
+        amp = np.sqrt(scene.power[k]) * np.einsum(
+            "ni,ni->i", W.conj(), stacked_channel(scene, k))
+    signal = np.abs(amp) ** 2
+    if measured and len(y) == 1:
+        sinrs = np.full(signal.shape, np.nan)
+    else:
+        sinrs = np.divide(signal, np.mean(np.abs(z - x * amp) ** 2, axis=0),
+                          out=np.zeros_like(signal), where=signal > 0)
+    decided = nearest_point(z / np.where(np.abs(amp) > 0, amp, 1.0), pts)
+    return sinrs, decided
+
+
 def _ap_rows(scene: UplinkScene, aps) -> np.ndarray:
     N = scene.num_subcarriers
     return (np.asarray(list(aps), dtype=int)[:, None] * N
@@ -261,9 +324,10 @@ def mrc_lambdas(scene: UplinkScene, assoc, k: int) -> dict:
             for m, (A, C) in stats.items()}
 
 
-def combined_sinr(scene: UplinkScene, k: int, lambdas: dict) -> np.ndarray:
-    """Post-combining SINR, one interfering symbol at a time."""
-    aps = sorted(lambdas)
+def combined_sinr(scene: UplinkScene, k: int, lambdas) -> np.ndarray:
+    """Post-combining SINR of the per-AP fusion weights ``lambdas``
+    (M, N_k), one interfering symbol at a time."""
+    aps = range(scene.num_aps)
     weights = {m: local_ap_weights(scene, m, k) for m in aps}
     nk = len(scene.subcarriers[k])
     sinrs = np.empty(nk)
@@ -287,16 +351,14 @@ def combined_sinr(scene: UplinkScene, k: int, lambdas: dict) -> np.ndarray:
     return sinrs
 
 
-def fused_estimates(scene: UplinkScene, k: int, lambdas: dict,
+def fused_estimates(scene: UplinkScene, k: int, lambdas,
                     y: np.ndarray) -> np.ndarray:
-    """CPU fusion sum_m lambda_m (W_m^H y_m) of the local estimates, draw by
-    draw; y is (draws, M*N)."""
-    N = scene.num_subcarriers
+    """CPU fusion sum_m lambda_m (W_m^H y_m) of the local estimates with
+    per-AP weights ``lambdas`` (M, N_k), draw by draw; y is (draws, M, N)."""
     z = np.zeros((y.shape[0], len(scene.subcarriers[k])), dtype=complex)
     for u in range(y.shape[0]):
-        for m, lam in lambdas.items():
-            z[u] += lam * (local_ap_weights(scene, m, k).conj().T
-                           @ y[u, m * N:(m + 1) * N])
+        for m, lam in enumerate(lambdas):
+            z[u] += lam * (local_ap_weights(scene, m, k).conj().T @ y[u, m])
     return z
 
 
@@ -811,7 +873,7 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
 
 
 def apmp_draw_loop(scene, assoc, ys, indices, config: ApmpConfig, index):
-    """Per-UE SER and mean iteration count over (D, M*N) draws ``ys``,
+    """Per-UE SER and mean iteration count over (D, M, N) draws ``ys``,
     detecting one draw per ``apmp_detect`` call; a UE with no detected
     symbol has SER NaN."""
     M, N = scene.num_aps, scene.num_subcarriers

@@ -11,6 +11,8 @@ import sys
 import numpy as np
 import pytest
 
+import dense_oracles
+
 from uccfsim.alloc import (allocate_power_waterfill, successive_optimize,
                            ul_rates)
 from uccfsim.apmp import ApmpConfig, apmp_detect, map_oracle
@@ -27,8 +29,9 @@ from uccfsim.engine import results_to_csv, run_scenario
 from uccfsim.modulation import CONSTELLATIONS
 from uccfsim.topology import AssociationMap, associate_large_scale, \
     build_factor_graph
-from uccfsim.uplink import (SinrSkeleton, combined_sinr, combining_lambdas,
-                            equal_power_scene, gmmse_per_subcarrier,
+from uccfsim.uplink import (SinrSkeleton, combined_sinr, combined_weights,
+                            combining_lambdas, equal_power_scene,
+                            gmmse_per_subcarrier,
                             gmmse_weights, lmmse_column_sliced, lmmse_reduced,
                             scene_covariance, simulate_uplink,
                             stacked_channel, uplink_sinr_all,
@@ -62,7 +65,8 @@ def test_criterion_1_identities():
     for _ in range(100):
         scene = random_ul_scene(rng, M=3, K=2, N=2)
         R = scene_covariance(scene)
-        for k, W in enumerate(gmmse_weights(scene)):
+        for k, V in enumerate(gmmse_weights(scene)):
+            W = dense_oracles.stacked_weights(scene, k, V)
             rhs = stacked_channel(scene, k) * np.sqrt(scene.power[k])
             worst = max(worst, np.linalg.norm(R @ W - rhs)
                         / np.linalg.norm(rhs))
@@ -189,9 +193,11 @@ def test_criterion_4_sinr_match():
         pts = CONSTELLATIONS["qpsk"]
         for k in range(2):
             analytic = weight_output_sinr(scene, k, weights[k])
-            z = y @ weights[k].conj()
+            # each AP's observation on the symbol's subcarrier, weighted
+            sub = scene.subcarriers[k]
+            z = np.einsum("dmi,mi->di", y[:, :, sub], weights[k].conj())
             amp = np.sqrt(scene.power[k]) * np.einsum(
-                "ni,ni->i", weights[k].conj(), stacked_channel(scene, k))
+                "mi,mi->i", weights[k].conj(), scene.freq[:, k, sub])
             err = z - pts[indices[k]] * amp
             emp = np.abs(amp) ** 2 / np.mean(np.abs(err) ** 2, axis=0)
             assert np.all(np.abs(emp - analytic) / analytic <= 0.05)
@@ -299,10 +305,10 @@ def test_criterion_7_orderings():
                 + 1j * rng.standard_normal((2, 2, 1)))
         scene = equal_power_scene(freq, [np.arange(1)] * 2, 20.0)
         assoc = AssociationMap.from_ap_sets([[0, 1]] * 2, num_aps=2)
-        g_m = combined_sinr(scene, assoc, 0,
-                            combining_lambdas(scene, assoc, 0, "mrc"))
-        g_e = combined_sinr(scene, assoc, 0,
-                            combining_lambdas(scene, assoc, 0, "equal"))
+        g_m = combined_sinr(scene, 0, combined_weights(
+            scene, 0, combining_lambdas(scene, assoc, 0, "mrc")))
+        g_e = combined_sinr(scene, 0, combined_weights(
+            scene, 0, combining_lambdas(scene, assoc, 0, "equal")))
         adv[t] = g_m.mean() - g_e.mean()
     assert adv.mean() >= 0.0
 

@@ -116,10 +116,11 @@ def test_gmmse_multi_rhs_equals_per_ue_solves():
         # both sides use the same LU factors; only the triangular solves
         # may order their sums differently
         atol_scale = SAFETY * R.shape[0] * np.linalg.cond(R) * EPS
-        for k, W in enumerate(gmmse_weights(scene)):
+        for k, V in enumerate(gmmse_weights(scene)):
             B = stacked_channel(scene, k) * np.sqrt(scene.power[k])
             want = np.linalg.solve(R, B)
-            assert W.shape == want.shape
+            assert V.shape == (M, B.shape[1])
+            W = dense.stacked_weights(scene, k, V)
             np.testing.assert_allclose(
                 W, want, rtol=0,
                 atol=atol_scale * np.abs(want).max(initial=0.0))
@@ -303,8 +304,9 @@ def test_lmmse_column_sliced_matches_dense_inverse(M, K, N, gamma_u, shared,
         tol = SAFETY * M * N * np.linalg.cond(scene_covariance(scene)) * EPS
         got = lmmse_column_sliced(scene, assoc)
         want = dense.lmmse_column_sliced(scene, assoc)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert g.shape == (M, w.shape[1])
+            g = dense.stacked_weights(scene, k, g)
             assert np.all(g[w == 0] == 0)
             assert np.linalg.norm(g - w) <= tol * np.linalg.norm(w)
 
@@ -321,7 +323,8 @@ def test_lmmse_reduced_matches_dense_restricted_solve(M, K, N, gamma_u, shared,
             tol = SAFETY * R.shape[0] * np.linalg.cond(R) * EPS
             got = lmmse_reduced(scene, assoc, k)
             want = dense.lmmse_reduced(scene, assoc, k)
-            assert got.shape == want.shape
+            assert got.shape == (M, want.shape[1])
+            got = dense.stacked_weights(scene, k, got)
             # rows of unassociated APs stay exactly zero
             assert np.all(got[want == 0] == 0)
             assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
@@ -330,7 +333,10 @@ def test_lmmse_reduced_matches_dense_restricted_solve(M, K, N, gamma_u, shared,
 def single_ap_lambdas(scene, m, k):
     """Unit fusion weights at AP m alone: the fused weight is AP m's local
     MMSE weight and the fused output its local estimate."""
-    return {m: np.ones(len(scene.subcarriers[k]), dtype=complex)}
+    lambdas = np.zeros((scene.num_aps, len(scene.subcarriers[k])),
+                       dtype=complex)
+    lambdas[m] = 1.0
+    return lambdas
 
 
 @pytest.mark.parametrize("M,K,N,gamma_u,shared,empty_ue", CASES)
@@ -345,7 +351,8 @@ def test_local_ap_weights_match_per_ap_model(M, K, N, gamma_u, shared,
         for k in range(K):
             got = combined_weights(scene, k, single_ap_lambdas(scene, m, k))
             want = dense.local_ap_weights(scene, m, k)
-            assert got.shape == (M * N, want.shape[1])
+            assert got.shape == (M, want.shape[1])
+            got = dense.stacked_weights(scene, k, got)
             assert np.all(np.delete(got.reshape(M, N, -1), m, axis=0) == 0)
             got = got[m * N:(m + 1) * N]
             assert np.all(np.abs(got - want) <= rtol * np.abs(want))
@@ -366,7 +373,8 @@ def test_local_stats_and_mrc_match_matrix_forms(M, K, N, gamma_u, shared,
             want = dense.local_combining_stats(scene, assoc, k)
             lam = combining_lambdas(scene, assoc, k, "mrc")
             lam_want = dense.mrc_lambdas(scene, assoc, k)
-            assert sorted(lam) == sorted(want)
+            assert lam.shape == (M, len(scene.subcarriers[k]))
+            assert np.all(np.delete(lam, list(want), axis=0) == 0)
             for m, (A, C) in want.items():
                 a, c = np.diag(A), np.diag(C)
                 # the matrix form subtracts the own term from [R_n]_mm,
@@ -374,12 +382,13 @@ def test_local_stats_and_mrc_match_matrix_forms(M, K, N, gamma_u, shared,
                 amplify = np.abs(a / c)
                 assert np.all(np.abs(lam[m] - lam_want[m])
                               <= rtol * amplify * np.abs(lam_want[m]))
-                alone = single_ap_lambdas(scene, m, k)
+                alone = combined_weights(scene, k,
+                                         single_ap_lambdas(scene, m, k))
                 B = stacked_channel(scene, k) * np.sqrt(scene.power[k])
-                gain = np.einsum("ni,ni->i",
-                                 combined_weights(scene, k, alone).conj(), B)
+                gain = np.einsum("ni,ni->i", dense.stacked_weights(
+                    scene, k, alone).conj(), B)
                 assert np.all(np.abs(gain - a) <= rtol * np.abs(a))
-                sinr = combined_sinr(scene, assoc, k, alone)
+                sinr = combined_sinr(scene, k, alone)
                 sinr_want = np.abs(a) ** 2 / np.real(c)
                 assert np.all(np.abs(sinr - sinr_want)
                               <= rtol * (2 + amplify) * sinr_want)
@@ -389,7 +398,7 @@ def fused_oracle_weights(scene, k, lambdas):
     """Stacked conj(lambda_m) W_m from the per-AP oracle weights."""
     N = scene.num_subcarriers
     W = np.zeros((scene.num_aps * N, len(scene.subcarriers[k])), dtype=complex)
-    for m, lam in lambdas.items():
+    for m, lam in enumerate(lambdas):
         W[m * N:(m + 1) * N] = np.conj(lam) * dense.local_ap_weights(scene, m, k)
     return W
 
@@ -400,9 +409,11 @@ def all_lambdas(rng, scene, assoc, k):
     out = [combining_lambdas(scene, assoc, k, mode, gains=gains)
            for mode in ("equal", "mrc", "large_scale_linear",
                         "large_scale_sqrt")]
-    nk = len(scene.subcarriers[k])
-    out.append({m: rng.standard_normal(nk) + 1j * rng.standard_normal(nk)
-                for m in assoc.ap_sets[k]})
+    aps = list(assoc.ap_sets[k])
+    shape = (len(aps), len(scene.subcarriers[k]))
+    arbitrary = np.zeros((scene.num_aps, shape[1]), dtype=complex)
+    arbitrary[aps] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out.append(arbitrary)
     return out
 
 
@@ -445,7 +456,8 @@ def test_combined_sinr_matches_symbol_loop(M, K, N, gamma_u, shared,
         assoc = random_assoc(rng, M, K)
         for k in range(K):
             for lambdas in all_lambdas(rng, scene, assoc, k):
-                got = combined_sinr(scene, assoc, k, lambdas)
+                got = combined_sinr(scene, k,
+                                    combined_weights(scene, k, lambdas))
                 want = dense.combined_sinr(scene, k, lambdas)
                 bound = combined_sinr_tolerance(scene, k, lambdas)
                 assert got.shape == want.shape
@@ -458,13 +470,16 @@ def test_combined_weights_equal_per_draw_fusion(M, K, N, gamma_u, shared,
     rng = np.random.default_rng([46, M, K, N])
     scene = random_scene(rng, M, K, N, gamma_u, shared, empty_ue)
     assoc = random_assoc(rng, M, K)
-    y = rng.standard_normal((20, M * N)) + 1j * rng.standard_normal((20, M * N))
+    y = (rng.standard_normal((20, M, N))
+         + 1j * rng.standard_normal((20, M, N)))
     for k in range(K):
         for lambdas in all_lambdas(rng, scene, assoc, k):
-            got = y @ combined_weights(scene, k, lambdas).conj()
+            got = dense.stacked_output(scene, k,
+                                       combined_weights(scene, k, lambdas), y)
             want = dense.fused_estimates(scene, k, lambdas, y)
             # at most M products per entry, each factor off by (K + 1) eps
-            scale = np.abs(y) @ np.abs(fused_oracle_weights(scene, k, lambdas))
+            scale = (np.abs(y.reshape(20, -1))
+                     @ np.abs(fused_oracle_weights(scene, k, lambdas)))
             assert got.shape == want.shape
             assert np.all(np.abs(got - want)
                           <= SAFETY * (M + K + 1) * EPS * scale)

@@ -15,15 +15,14 @@ from uccfsim.uplink import (SinrSkeleton, UplinkScene, combined_sinr,
                             uplink_sinr_all, weight_output_sinr)
 
 
-def random_scene(rng, M=2, K=2, N=2, gamma_u=100.0, budget=1.0,
-                 shared_band=True):
+def random_scene(rng, M=2, K=2, N=2, gamma_u=100.0, shared_band=True):
     freq = (rng.standard_normal((M, K, N)) + 1j * rng.standard_normal((M, K, N)))
     if shared_band:
         subs = [np.arange(N) for _ in range(K)]
     else:
         split = np.array_split(np.arange(N), K)
         subs = [np.asarray(s) for s in split]
-    return equal_power_scene(freq, subs, gamma_u, budget)
+    return equal_power_scene(freq, subs, gamma_u)
 
 
 def closed_form(scene):
@@ -35,6 +34,32 @@ def closed_form(scene):
 
 def full_assoc(M, K):
     return AssociationMap.from_ap_sets([list(range(M))] * K, num_aps=M)
+
+
+@st.composite
+def dense_cases(draw, log_gammas=(0.0, 2.0, 6.0, 10.0, 14.0)):
+    """UplinkScene fields of a random scene: M <= 8, K <= 5, N <= 16,
+    shared or exclusive subcarriers, maybe a UE without any, zeroed links,
+    zero-power symbols and gamma_u from 10 ** ``log_gammas``."""
+    M, K, N = (draw(st.integers(1, 8)), draw(st.integers(1, 5)),
+               draw(st.integers(1, 16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    freq = rng.standard_normal((M, K, N)) + 1j * rng.standard_normal((M, K, N))
+    if draw(st.booleans()):
+        freq *= rng.random((M, K, 1)) > 0.3
+    if draw(st.booleans()):
+        subs = [np.sort(rng.choice(N, size=rng.integers(1, N + 1),
+                                   replace=False)) for _ in range(K)]
+    else:
+        owner = rng.integers(0, K, N)
+        subs = [np.flatnonzero(owner == k) for k in range(K)]
+    if draw(st.booleans()):
+        subs[draw(st.integers(0, K - 1))] = np.array([], dtype=int)
+    p = [rng.uniform(0.0, 1.0, len(s)) * (rng.random(len(s)) > 0.2)
+         for s in subs]
+    power = [q / max(q.sum(), 1.0) for q in p]
+    gamma_u = 10.0 ** draw(st.sampled_from(log_gammas))
+    return freq, subs, power, gamma_u
 
 
 class TestGmmse:
@@ -50,7 +75,8 @@ class TestGmmse:
         for _ in range(20):
             scene = random_scene(rng, M=3, K=2, N=4)
             R = scene_covariance(scene)
-            for k, W in enumerate(gmmse_weights(scene)):
+            for k, V in enumerate(gmmse_weights(scene)):
+                W = dense_oracles.stacked_weights(scene, k, V)
                 rhs = stacked_channel(scene, k) * np.sqrt(scene.power[k])
                 rel = (np.linalg.norm(R @ W - rhs)
                        / max(np.linalg.norm(rhs), 1e-30))
@@ -60,7 +86,9 @@ class TestGmmse:
         rng = np.random.default_rng(1)
         scene = random_scene(rng, M=2, K=2, N=1, gamma_u=20.0)
         indices, y = simulate_uplink(scene, 10**5, rng)
-        for k, W in enumerate(gmmse_weights(scene)):
+        y = y.reshape(len(y), -1)
+        for k, V in enumerate(gmmse_weights(scene)):
+            W = dense_oracles.stacked_weights(scene, k, V)
             x = CONSTELLATIONS["qpsk"][indices[k]]
             Ry = y.T @ y.conj() / y.shape[0]
             Ryx = y.T @ x.conj() / y.shape[0]
@@ -76,13 +104,33 @@ class TestGmmse:
             for Wj, Ws in zip(joint, split):
                 assert np.allclose(Wj, Ws, atol=1e-12)
 
-    def test_unassigned_subcarrier_leaves_zero_rows(self):
-        rng = np.random.default_rng(3)
-        scene = random_scene(rng, M=2, K=2, N=4, shared_band=False)
-        for k, W in enumerate(gmmse_per_subcarrier(scene)):
-            others = np.setdiff1d(np.arange(4), scene.subcarriers[k])
-            for n in others:
-                assert np.all(W[np.arange(2) * 4 + n] == 0)
+    @settings(max_examples=300, deadline=None)
+    @given(case=dense_cases())
+    def test_per_ap_weights_are_the_dense_solve_bit_for_bit(self, case):
+        # the joint solve keeps the block pattern, so V holds every nonzero
+        # of it: restacked, it is the solve, and its SINRs are the stacked
+        # evaluation of the solve itself, NaN and inf included
+        scene = UplinkScene(*case)
+        R = scene_covariance(scene)
+        rhs = [stacked_channel(scene, k) * np.sqrt(scene.power[k])
+               for k in range(scene.num_ues)]
+        try:
+            X = np.linalg.solve(R, np.hstack(rhs))
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                gmmse_weights(scene)
+            return
+        solved = np.split(X, np.cumsum([B.shape[1] for B in rhs])[:-1],
+                          axis=1)
+        weights = gmmse_weights(scene)
+        assert len(weights) == scene.num_ues
+        for k, (V, W) in enumerate(zip(weights, solved)):
+            assert V.shape == (scene.num_aps, W.shape[1])
+            assert np.array_equal(dense_oracles.stacked_weights(scene, k, V),
+                                  W)
+            assert np.array_equal(
+                weight_output_sinr(scene, k, V),
+                dense_oracles.weight_output_sinr(scene, k, W), equal_nan=True)
 
     def test_parallel_solves_cost_less(self):
         assert solve_flop_estimate(4, 8, joint=False) < solve_flop_estimate(4, 8, joint=True)
@@ -137,7 +185,8 @@ class TestSinr:
         lambdas = combining_lambdas(scene, full_assoc(2, 1), 0, "equal")
         for sinrs in (closed_form(scene)[0],
                       weight_output_sinr(scene, 0, gmmse_weights(scene)[0]),
-                      combined_sinr(scene, full_assoc(2, 1), 0, lambdas)):
+                      combined_sinr(scene, 0,
+                                    combined_weights(scene, 0, lambdas))):
             assert sinrs[0] > 0
             assert sinrs[1] == 0.0
 
@@ -308,7 +357,8 @@ class TestReduced:
         rng = np.random.default_rng(14)
         scene = random_scene(rng, M=3, K=2, N=2)
         assoc = AssociationMap.from_ap_sets([[1], [0, 1, 2]], num_aps=3)
-        W = lmmse_reduced(scene, assoc, 0)
+        W = dense_oracles.stacked_weights(scene, 0,
+                                          lmmse_reduced(scene, assoc, 0))
         local = dense_oracles.local_ap_weights(scene, 1, 0)
         assert np.allclose(W[1 * 2:2 * 2], local, atol=1e-12)
         assert np.all(W[0:2] == 0) and np.all(W[4:6] == 0)
@@ -349,7 +399,10 @@ class TestReduced:
 def unit_lambdas(scene, m, k):
     """Fusion weights 1 at AP m alone: the fused weight is AP m's local
     MMSE weight."""
-    return {m: np.ones(len(scene.subcarriers[k]), dtype=complex)}
+    lambdas = np.zeros((scene.num_aps, len(scene.subcarriers[k])),
+                       dtype=complex)
+    lambdas[m] = 1.0
+    return lambdas
 
 
 class TestLocalDetection:
@@ -358,7 +411,9 @@ class TestLocalDetection:
         scene = random_scene(rng, M=2, K=2, N=3)
         for m in range(2):
             for k in range(2):
-                W = combined_weights(scene, k, unit_lambdas(scene, m, k))
+                W = dense_oracles.stacked_weights(
+                    scene, k, combined_weights(scene, k,
+                                               unit_lambdas(scene, m, k)))
                 assert np.all(W[(1 - m) * 3:(2 - m) * 3] == 0)
                 W = W[m * 3:(m + 1) * 3]
                 diag = np.full(3, 1.0 / scene.gamma_u)
@@ -374,9 +429,16 @@ class TestLocalDetection:
         scene = UplinkScene(freq=h, subcarriers=[[0]], power=[[1.0]],
                             gamma_u=1e12)
         x = 0.6 + 0.8j
-        y = np.array([[h[0, 0, 0] * x]])
-        z = y @ combined_weights(scene, 0, unit_lambdas(scene, 0, 0)).conj()
+        y = np.array([[[h[0, 0, 0] * x]]])
+        z = dense_oracles.stacked_output(
+            scene, 0, combined_weights(scene, 0, unit_lambdas(scene, 0, 0)), y)
         assert z[0, 0] == pytest.approx(x, rel=1e-6)
+
+
+def fused_sinr(scene, assoc, mode):
+    """UE 0's SINRs after local detection fused in ``mode``."""
+    lambdas = combining_lambdas(scene, assoc, 0, mode)
+    return combined_sinr(scene, 0, combined_weights(scene, 0, lambdas))
 
 
 class TestCombining:
@@ -391,13 +453,15 @@ class TestCombining:
         rng = np.random.default_rng(19)
         scene = random_scene(rng, M=1, K=1, N=2)
         assoc = AssociationMap.from_ap_sets([[0]], num_aps=1)
-        y = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-        local = y @ combined_weights(scene, 0,
-                                     unit_lambdas(scene, 0, 0)).conj()
+        y = (rng.standard_normal((5, 1, 2))
+             + 1j * rng.standard_normal((5, 1, 2)))
+        local = dense_oracles.stacked_output(
+            scene, 0, combined_weights(scene, 0, unit_lambdas(scene, 0, 0)), y)
         for mode in ("equal", "mrc", "large_scale_linear",
                      "large_scale_sqrt"):
             lam = combining_lambdas(scene, assoc, 0, mode, gains=[0.5])
-            out = y @ combined_weights(scene, 0, lam).conj()
+            out = dense_oracles.stacked_output(
+                scene, 0, combined_weights(scene, 0, lam), y)
             ratio = out / local
             assert np.allclose(ratio.imag, 0.0, atol=1e-10)
             assert np.all(ratio.real > 0)
@@ -413,8 +477,7 @@ class TestCombining:
         for mode in ("large_scale_linear", "large_scale_sqrt"):
             lam = combining_lambdas(scene, assoc, 0, mode,
                                     gains=[0.3, 0.3, 0.3])
-            assert sorted(lam) == sorted(eq)
-            assert all(np.allclose(lam[m], eq[m]) for m in eq)
+            assert np.allclose(lam, eq)
 
     def test_mrc_beats_equal_on_unbalanced_branches(self):
         # single UE, one strong and one weak AP: MRC is the optimal
@@ -426,10 +489,8 @@ class TestCombining:
             freq[1] *= 0.3
             scene = equal_power_scene(freq, [np.arange(1)], 20.0)
             assoc = AssociationMap.from_ap_sets([[0, 1]], num_aps=1 + 1)
-            g_mrc = combined_sinr(scene, assoc, 0,
-                                  combining_lambdas(scene, assoc, 0, "mrc"))
-            g_eq = combined_sinr(scene, assoc, 0,
-                                 combining_lambdas(scene, assoc, 0, "equal"))
+            g_mrc = fused_sinr(scene, assoc, "mrc")
+            g_eq = fused_sinr(scene, assoc, "equal")
             assert g_mrc.mean() >= g_eq.mean() - 1e-12
 
     def test_mrc_beats_equal_on_average_with_interference(self):
@@ -439,10 +500,8 @@ class TestCombining:
         adv = 0.0
         for _ in range(100):
             scene, assoc = self.make_two_ap_scene(rng)
-            g_mrc = combined_sinr(scene, assoc, 0,
-                                  combining_lambdas(scene, assoc, 0, "mrc"))
-            g_eq = combined_sinr(scene, assoc, 0,
-                                 combining_lambdas(scene, assoc, 0, "equal"))
+            g_mrc = fused_sinr(scene, assoc, "mrc")
+            g_eq = fused_sinr(scene, assoc, "equal")
             adv += g_mrc.mean() - g_eq.mean()
         assert adv > 0
 
@@ -481,6 +540,7 @@ class TestSampleCovariance:
             reps = []
             for r in range(5):
                 _, y = simulate_uplink(scene, U, np.random.default_rng(100 + r))
+                y = y.reshape(U, -1)
                 sample = y.T @ y.conj() / U
                 reps.append(np.linalg.norm(sample - R) / np.linalg.norm(R))
             errs.append(np.mean(reps))
@@ -490,6 +550,42 @@ class TestSampleCovariance:
 
 
 class TestMeasuredOutput:
+    @settings(max_examples=100, deadline=None)
+    @given(case=dense_cases(log_gammas=(0.0, 1.0, 2.0, 3.0)),
+           draws=st.sampled_from([1, 3, 50]), measured=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_per_ap_output_is_the_stacked_output(self, case, draws, measured,
+                                                 seed):
+        # every detector's weights, measured per AP and as y W^* on the
+        # stacked layout: only the rounding of the sums may differ
+        scene = UplinkScene(*case)
+        M, K = scene.num_aps, scene.num_ues
+        rng = np.random.default_rng(seed)
+        assoc = AssociationMap.from_ap_sets(
+            [sorted(rng.choice(M, size=rng.integers(1, M + 1),
+                               replace=False).tolist()) for _ in range(K)],
+            num_aps=M)
+        detectors = [
+            gmmse_weights(scene), gmmse_per_subcarrier(scene),
+            lmmse_column_sliced(scene, assoc),
+            [lmmse_reduced(scene, assoc, k) for k in range(K)],
+            [combined_weights(scene, k,
+                              combining_lambdas(scene, assoc, k, "mrc"))
+             for k in range(K)]]
+        indices, y = simulate_uplink(scene, draws, rng)
+        assert y.shape == (draws, M, scene.num_subcarriers)
+        for k in range(K):
+            for weights in detectors:
+                V = weights[k]
+                sinrs, decided = measure_output(scene, k, V, y, indices[k],
+                                                measured=measured)
+                want_sinrs, want_decided = dense_oracles.measure_output(
+                    scene, k, dense_oracles.stacked_weights(scene, k, V),
+                    y.reshape(draws, -1), indices[k], measured=measured)
+                np.testing.assert_allclose(sinrs, want_sinrs, rtol=1e-12,
+                                           atol=0)
+                assert np.array_equal(decided, want_decided)
+
     def test_measured_decisions_recover_clean_transmissions(self):
         rng = np.random.default_rng(25)
         scene = random_scene(rng, M=3, K=2, N=2, gamma_u=1e6)
