@@ -25,8 +25,15 @@ MMSE uplink plan, of either objective, builds one
 it through :func:`~uccfsim.uplink.uplink_sinr_all`.  Max-min power control
 runs Yates' fixed-point iteration inside the bisection and never evaluates
 the same powers twice in a row; the closing evaluation of the chosen
-powers reuses the last one when they match.  Only the ``reduced``
-detector builds a scene per evaluation, through :func:`ul_sinrs`.
+powers reuses the last one when they match.  Its bound on the common
+target is each UE's SINR alone at its full budget.  On a global MMSE
+uplink plan whose symbols all sit on distinct subcarriers (every
+``exclusive`` plan) a symbol's R_n holds its own UE only, so a UE's SINRs
+do not depend on the others' powers, bit for bit, and one evaluation at
+the full budgets gives every bound; shared plans with co-channel symbols,
+the downlink (where A0 couples the UEs) and the ``reduced`` detector
+evaluate each UE alone.  Only the ``reduced`` detector builds a scene per
+evaluation, through :func:`ul_sinrs`.
 """
 
 from __future__ import annotations
@@ -137,7 +144,8 @@ class MaxMinResult:
     noise_limited: bool           # the floor binds at a UE's zero-interference bound
 
 
-def maxmin_power_control(evaluator, budgets, tol=1e-3) -> MaxMinResult:
+def maxmin_power_control(evaluator, budgets, tol=1e-3,
+                         separable=False) -> MaxMinResult:
     """Bisection on a common SINR target with per-UE power budgets.
 
     ``evaluator(powers) -> per-UE SINR array``; it must be monotone
@@ -145,10 +153,12 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3) -> MaxMinResult:
     holds for the MMSE detectors and precoders used here.  It must also be
     deterministic: the SINRs of powers already evaluated are reused, and
     the same powers are never evaluated twice in a row.  A UE's SINR alone
-    at its full budget bounds every common target.  When that bound is not
-    positive, no target is, and the full budgets are returned; a negative
-    or NaN bound is a numerical failure of the evaluator, which the
-    caller's checks flag.
+    at its full budget bounds every common target.  ``separable`` declares
+    that each UE's SINR depends on its own power only, bit for bit, so one
+    evaluation at the full budgets gives every UE's bound; otherwise each
+    UE is evaluated alone.  When the bound is not positive, no target is,
+    and the full budgets are returned; a negative or NaN bound is a
+    numerical failure of the evaluator, which the caller's checks flag.
     """
     budgets = np.asarray(budgets, dtype=float)
     K = budgets.size
@@ -168,11 +178,14 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3) -> MaxMinResult:
         return np.all(g >= target * (1 - 1e-6)), p, g
 
     # interference-free upper bound per UE caps any common target
-    alone = np.empty(K)
-    for k in range(K):
-        solo = np.zeros(K)
-        solo[k] = budgets[k]
-        alone[k] = evaluator(solo)[k]
+    if separable:
+        alone = evaluator(budgets)
+    else:
+        alone = np.empty(K)
+        for k in range(K):
+            solo = np.zeros(K)
+            solo[k] = budgets[k]
+            alone[k] = evaluator(solo)[k]
     hi = float(alone.min())
     if not hi > 0:
         return MaxMinResult(powers=budgets, target=hi,
@@ -409,7 +422,12 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
             return mins
 
         if len(ns):
-            x = spread(maxmin_power_control(evaluator, np.ones(K)).powers)
+            # on distinct subcarriers a global MMSE symbol's R_n holds its
+            # own UE alone, so a UE's SINRs ignore the others' powers
+            separable = (direction == "ul" and detector == "gmmse"
+                         and len(set(ns.tolist())) == len(ns))
+            x = spread(maxmin_power_control(evaluator, np.ones(K),
+                                            separable=separable).powers)
         achieved = evaluate(x)
     else:
         raise ValueError(f"unknown objective {objective!r}")

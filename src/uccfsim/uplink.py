@@ -32,7 +32,8 @@ R_n, one (S, M, M) solve and the products.  A single scene is one plan:
 
 The stacked (M*N, .) layout is left only at the dense edge whose bits the
 benchmark's references pin: ``gmmse_weights`` solves the (M*N, M*N)
-covariance, built once per scene, and reads V off it without loss;
+covariance, built once per scene like each UE's stacked channel block
+H_k Phi_k, and reads V off it without loss;
 ``weight_output_sinr`` restacks V to evaluate w^H R w - eta |w^H b|^2 on
 it, which cancels at high SINR; and ``simulate_uplink`` draws y with one
 stacked product per UE.  R is built on each UE's own rows m*N + n, over
@@ -102,6 +103,16 @@ class UplinkScene:
         R.setflags(write=False)
         return R
 
+    @cached_property
+    def _channel_blocks(self) -> tuple:
+        # built once per scene for the covariance, the dense weights, their
+        # SINRs and the symbol draws, and read-only like the covariance
+        blocks = tuple(_stacked(self, k, self.freq[:, k, sub])
+                       for k, sub in enumerate(self.subcarriers))
+        for B in blocks:
+            B.setflags(write=False)
+        return blocks
+
 
 def equal_power_scene(freq, subcarriers, gamma_u) -> UplinkScene:
     """Scene with each UE's unit budget split evenly over its subcarriers."""
@@ -121,8 +132,9 @@ def _stacked(scene: UplinkScene, k: int, V) -> np.ndarray:
 
 
 def stacked_channel(scene: UplinkScene, k: int) -> np.ndarray:
-    """Channel-times-mapping block H_k Phi_k, shape (M*N, N_k)."""
-    return _stacked(scene, k, scene.freq[:, k, scene.subcarriers[k]])
+    """Channel-times-mapping block H_k Phi_k, shape (M*N, N_k), built once
+    per scene and returned read-only."""
+    return scene._channel_blocks[k]
 
 
 def scene_covariance(scene: UplinkScene) -> np.ndarray:

@@ -215,6 +215,37 @@ class TestMaxMin:
         assert len(new_calls) < len(old_calls)
 
 
+    @pytest.mark.parametrize("gains,noise,tol", [
+        ([1.0, 1.0], 0.5, 1e-4), ([2.0], 0.4, 1e-5),
+        (np.random.default_rng(3).uniform(0.5, 2.0, size=3), 0.7, 1e-3),
+        ([1.0, 3.0, 0.7], 1.0, 1e-4), ([1.0, 3.0, 0.7, 0.2], 0.01, 1e-3)])
+    def test_separable_bound_is_one_evaluation_bit_for_bit(self, gains,
+                                                           noise, tol):
+        # every UE's SINR depends on its own power only
+        g = np.asarray(gains, dtype=float)
+        K = g.size
+
+        def run(control, **kwargs):
+            calls = []
+
+            def evaluator(p):
+                calls.append(np.array(p))
+                return g * p / noise
+            return control(evaluator, np.ones(K), tol=tol, **kwargs), calls
+
+        new, new_calls = run(maxmin_power_control, separable=True)
+        solo, solo_calls = run(maxmin_power_control)
+        old, _ = run(oracle.maxmin_power_control)
+        for res in (solo, old):
+            assert np.array_equal(new.powers, res.powers)
+            assert new.target == res.target
+            assert np.array_equal(new.achieved, res.achieved)
+            assert new.noise_limited == res.noise_limited
+        assert np.array_equal(new_calls[0], np.ones(K))
+        assert same_arrays(solo_calls[:K], list(np.eye(K)))
+        assert same_arrays(new_calls[1:], solo_calls[K:])
+
+
 class TestFeasibility:
     def test_disconnected_ue_rate_zero(self):
         rng = np.random.default_rng(4)
@@ -466,9 +497,11 @@ def test_uplink_plan_on_one_skeleton_is_the_oracle_bit_for_bit(seed,
                                                                refine):
     """A global MMSE uplink plan of either objective builds one skeleton,
     no scene, and calls ``uplink_sinr_all`` once per distinct evaluation
-    of the oracle, which evaluates every candidate on a fresh scene; its
-    powers, SINRs, objective and audit are the oracle's, bit for bit.
-    The scenes cover exclusive and shared mode, zero demands and
+    of the oracle, which evaluates every candidate on a fresh scene; on a
+    max-min plan whose symbols sit on distinct subcarriers, the oracle's
+    solo evaluations of the bound are one at the full budgets.  The
+    plan's powers, SINRs, objective and audit are the oracle's, bit for
+    bit.  The scenes cover exclusive and shared mode, zero demands and
     disconnected UEs."""
     freq, assoc, kwargs = random_allocation_scene(np.random.default_rng(seed))
     kwargs["refine_iterations"] = refine
@@ -497,19 +530,36 @@ def test_uplink_plan_on_one_skeleton_is_the_oracle_bit_for_bit(seed,
             super().__post_init__()
 
     def recording(skeleton, eta):
-        calls.append(np.array(eta))
-        return kernel(skeleton, eta)
+        calls.append((np.array(eta), kernel(skeleton, eta)))
+        return calls[-1][1]
 
     with mock.patch.object(alloc, "SinrSkeleton", Skeleton), \
             mock.patch.object(alloc, "UplinkScene", Scene), \
             mock.patch.object(alloc, "uplink_sinr_all", recording):
         new = successive_optimize(freq, assoc, objective=objective, **kwargs)
     assert len(built) == 1 and not scenes
+    K = len(old.subcarriers)
+    ue = np.repeat(np.arange(K), [len(s) for s in old.subcarriers])
+    ns = np.concatenate(old.subcarriers)
+    separable = (objective == "max_min" and ns.size > 0
+                 and len(set(ns.tolist())) == ns.size)
+    expected = evaluations
+    if separable:
+        # no subcarrier carries two symbols: the oracle's K solo evaluations
+        # of the max-min bound are one evaluation at the full budgets
+        solos, full = evaluations[:K], np.concatenate(
+            [np.full(len(s), 1.0 / max(len(s), 1)) for s in old.subcarriers])
+        expected = [(full, None)] + evaluations[K:]
     # the oracle's evaluations with repeats in a row dropped
-    distinct = [e for i, e in enumerate(evaluations)
-                if not i or not np.array_equal(e[0], evaluations[i - 1][0])]
+    distinct = [e for i, e in enumerate(expected)
+                if not i or not np.array_equal(e[0], expected[i - 1][0])]
     assert len(calls) == len(distinct)
-    assert all(map(np.array_equal, calls, (eta for eta, _ in distinct)))
+    assert all(map(np.array_equal, (eta for eta, _ in calls),
+                   (eta for eta, _ in distinct)))
+    if separable:
+        # each UE's SINRs alone are its SINRs at the full budgets
+        for k, (_, alone) in enumerate(solos):
+            assert np.array_equal(alone[ue == k], calls[0][1][ue == k])
     # the oracle's last evaluation is at the powers it emits
     sinrs = evaluations[-1][1]
     assert same_arrays(new.subcarriers, old.subcarriers)
@@ -520,6 +570,56 @@ def test_uplink_plan_on_one_skeleton_is_the_oracle_bit_for_bit(seed,
     else:
         assert new.objective == (sinrs.min() if sinrs.size else 0.0)
     assert new.audit == old.audit
+
+
+@pytest.mark.parametrize("direction,mode", [
+    ("ul", "shared"), ("dl", "exclusive"), ("dl", "shared")])
+def test_coupled_maxmin_plans_keep_the_oracle_call_sequence(direction, mode):
+    """Where UEs couple, through co-channel symbols on the uplink and
+    through A0 on every downlink plan, max-min evaluates each UE alone for
+    its bound: the power control sees the oracle's calls, less the repeats
+    the library reuses, and returns the oracle's result bit for bit."""
+    rng = np.random.default_rng(31)
+    freq = (rng.standard_normal((3, 3, 6))
+            + 1j * rng.standard_normal((3, 3, 6))) / np.sqrt(2)
+    freq[:, :, :2] *= 10        # every UE's best subcarriers are 0 and 1
+    assoc = AssociationMap.from_ap_sets([[0], [1], [1, 2]], num_aps=3)
+    real, runs = alloc.maxmin_power_control, []
+
+    def compared(evaluator, budgets, **kwargs):
+        def recording(calls):
+            def record(p):
+                calls.append(np.array(p))
+                return evaluator(p)
+            return record
+
+        old_calls, new_calls = [], []
+        old = oracle.maxmin_power_control(recording(old_calls), budgets)
+        new = real(recording(new_calls), budgets, **kwargs)
+        runs.append((kwargs, old, new, old_calls, new_calls))
+        return new
+
+    with mock.patch.object(alloc, "maxmin_power_control", compared):
+        plan = successive_optimize(
+            freq, assoc, demands=2, objective="max_min", direction=direction,
+            gamma_u=10.0, noise_var=0.1, mode=mode,
+            components=(build_factor_graph(assoc).components
+                        if mode == "shared" else None))
+    ns = np.concatenate(plan.subcarriers)
+    assert (len(set(ns.tolist())) < ns.size) == (mode == "shared")
+    (kwargs, old, new, old_calls, new_calls), = runs
+    assert not kwargs["separable"]
+    assert same_arrays(new_calls[:3], list(np.eye(3)))
+    # the oracle evaluates the powers a bisection returns once more
+    if not old.noise_limited and old.powers.any():
+        old_calls = old_calls[:-1]
+    distinct = [p for i, p in enumerate(old_calls)
+                if not i or not np.array_equal(p, old_calls[i - 1])]
+    assert same_arrays(new_calls, distinct)
+    assert np.array_equal(new.powers, old.powers)
+    assert new.target == old.target
+    assert np.array_equal(new.achieved, old.achieved)
+    assert new.noise_limited == old.noise_limited
 
 
 class TestSinglePowerStage:

@@ -204,15 +204,15 @@ class TestSinr:
 
 
 @st.composite
-def skeleton_cases(draw):
-    """A random plan with three symbol-power vectors on it: shared or
-    exclusive subcarriers, maybe a UE without any, zero-power symbols and
-    gamma_u up to 1e23."""
+def skeleton_cases(draw, shared=True):
+    """A random plan with three symbol-power vectors on it: shared (unless
+    not ``shared``) or exclusive subcarriers, maybe a UE without any,
+    zero-power symbols and gamma_u up to 1e23."""
     M, K, N = (draw(st.integers(1, 4)), draw(st.integers(1, 4)),
                draw(st.integers(1, 6)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     freq = rng.standard_normal((M, K, N)) + 1j * rng.standard_normal((M, K, N))
-    if draw(st.booleans()):
+    if shared and draw(st.booleans()):
         subs = [np.sort(rng.choice(N, size=rng.integers(1, N + 1),
                                    replace=False)) for _ in range(K)]
     else:
@@ -251,6 +251,36 @@ class TestSinrSkeleton:
                 assert len(got) == len(want) == len(subs)
                 assert all(np.array_equal(g, w, equal_nan=True)
                            for g, w in zip(got, want))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=skeleton_cases(shared=False))
+    def test_on_distinct_subcarriers_each_ue_sees_only_its_own_power(self,
+                                                                     case):
+        # what lets max-min power control read every UE's bound off one
+        # evaluation at the full budgets: R_n of a subcarrier that only
+        # UE k uses is the same whatever the others' powers
+        freq, subs, gamma_u, powers = case
+        skeleton = SinrSkeleton(freq, subs, gamma_u)
+
+        def sinrs(flat):
+            try:
+                return uplink_sinr_all(skeleton, flat)
+            except np.linalg.LinAlgError:
+                return None
+
+        for power in powers:
+            flat = np.concatenate(power)
+            together = sinrs(flat)
+            alone = [sinrs(np.where(skeleton.ue == k, flat, 0.0))
+                     for k in range(len(subs))]
+            if together is None:
+                # a singular system is one UE's own, in both evaluations
+                assert any(g is None for g in alone)
+                continue
+            for k, g in enumerate(alone):
+                own = skeleton.ue == k
+                assert np.array_equal(g[own], together[own], equal_nan=True)
+                assert not g[~own].any()
 
     @pytest.mark.parametrize("flat,message", [
         ([0.6, 0.5, 0.5, 0.5], "UE 0: power budget exceeded"),
