@@ -9,8 +9,8 @@ import numpy as np
 
 from uccfsim.channel import DoubleSlope, LargeScaleModel, realize_channels
 from uccfsim.topology import associate_large_scale, generate_topology
-from uccfsim.training import (estimate_all, make_pilot_plan, simulate_pilot_rx,
-                              tap_prior, mmse_estimate)
+from uccfsim.training import (estimate_all, make_pilot_plan, mmse_estimate,
+                              nmse, simulate_pilot_rx, tap_prior)
 
 topo = generate_topology(num_aps=3, num_ues=2, area_size=150.0, rng=3)
 model = LargeScaleModel(DoubleSlope(2.0, 2.0, 100.0), shadowing_std_db=3.0)
@@ -23,15 +23,10 @@ def run(roots, mode, bands=None):
     plan = make_pilot_plan(2, 8, num_symbols=2, num_taps=2,
                            pilot_power=1.0, roots=roots,
                            subcarrier_sets=bands)
-    obs = simulate_pilot_rx(plan, real, assoc, noise_var, rng=11,
-                            interference_var=0.0)
-    est = estimate_all(obs, plan, assoc, real, mode=mode)
-    err = num = 0.0
-    for (m, k), taps in est.items():
-        truth = np.sqrt(real.gains[m, k]) * real.taps[m, k]
-        err += np.sum(np.abs(taps - truth) ** 2)
-        num += np.sum(np.abs(truth) ** 2)
-    return err / num
+    Y, level = simulate_pilot_rx(plan, real, assoc, noise_var, rng=11,
+                                 interference_var=0.0)
+    est = estimate_all(Y, level, plan, assoc, real.gains, mode=mode)
+    return nmse(est, real, assoc)
 
 
 print("=== orthogonal-ish pilots (distinct roots) ===")
@@ -55,13 +50,12 @@ print(f"  MUI-suppressing NMSE     : {run([0, 0], 'mui_suppress'):.3e}")
 print("no estimator separates UEs whose observation matrices coincide")
 
 print("\n=== pilot power sweep (distinct roots, joint estimator) ===")
-plan = make_pilot_plan(2, 8, 2, 2, pilot_power=1.0, roots=[0, 3])
 for power in (1e-2, 1e0, 1e2, 1e4):
     plan_p = make_pilot_plan(2, 8, 2, 2, pilot_power=power, roots=[0, 3])
-    obs = simulate_pilot_rx(plan_p, real, assoc, noise_var, rng=5,
-                            interference_var=0.0)
+    Y, level = simulate_pilot_rx(plan_p, real, assoc, noise_var, rng=5,
+                                 interference_var=0.0)
     priors = {k: tap_prior(real.gains[0, k], 2) for k in range(2)}
-    est = mmse_estimate(obs[0], plan_p, [0, 1], priors,
+    est = mmse_estimate(Y[0], level[0], plan_p, [0, 1], priors,
                         mode="mui_suppress")[0]
     truth = np.sqrt(real.gains[0, 0]) * real.taps[0, 0]
     nmse = np.sum(np.abs(est - truth) ** 2) / np.sum(np.abs(truth) ** 2)

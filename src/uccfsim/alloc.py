@@ -197,6 +197,8 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3,
     lo, p_best, g_best = 0.0, np.zeros(K), None
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break       # lo and hi are adjacent doubles: nothing can move
         ok, p, g = feasible(mid)
         if ok:
             lo, p_best, g_best = mid, p, g

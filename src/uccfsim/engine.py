@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import alloc, apmp, channel, downlink, topology, training, uplink
+from . import alloc, apmp, channel, topology, training, uplink
 from .modulation import CONSTELLATIONS, symbol_error_rate, ue_rates
 
 DEFAULT_SCENARIO = {
@@ -50,7 +50,7 @@ DEFAULT_SCENARIO = {
                "apmp": {"max_iterations": 8, "damping": 0.0, "tol": 1e-4,
                         "llr_clamp": 50.0}},
     "downlink": {"enabled": False, "p_max": 1.0, "p_max_element": None,
-                 "precoder": "tmmse_ofdm", "reg": None, "secrecy": False},
+                 "precoder": "tmmse_ofdm", "reg": None},
 }
 
 DETECTORS = ("gmmse", "gmmse_per_subcarrier", "lmmse_sliced", "lmmse_reduced",
@@ -121,7 +121,7 @@ RULES = {
     **dict.fromkeys(("channel.shadowing_std_db", "channel.pdp_decay",
                      "uplink.apmp.tol"), Rule(float, 0)),
     **dict.fromkeys(("training.enabled", "training.mui_suppression",
-                     "downlink.enabled", "downlink.secrecy"), Rule(bool)),
+                     "downlink.enabled"), Rule(bool)),
     "topology.layout": Rule(str, names=("uniform", "grid")),
     "channel.pathloss": Rule(str, names=("double_slope", "triple_slope")),
     "channel.a": Rule(float, 1.5, 3.0), "channel.b": Rule(float, 2.0, 6.0),
@@ -147,7 +147,7 @@ RULES = {
 CSV_COLUMNS = ["scenario", "hash", "seed", "trial", "ue", "detector",
                "precoder", "rate", "effective_rate", "sinr_analytic",
                "sinr_empirical", "ser", "nmse", "sum_rate", "dl_rate",
-               "dl_sinr", "secrecy_leakage", "apmp_iterations", "audit_pass"]
+               "dl_sinr", "apmp_iterations", "audit_pass"]
 
 
 def merge_scenario(overrides=None) -> dict:
@@ -249,23 +249,17 @@ def _associate(scenario, topo, gains):
 def _estimate_channels(scenario, real, assoc, rng):
     cfg = scenario["training"]
     N = real.num_subcarriers
-    taps = int(np.max(real.num_taps))
     plan = training.make_pilot_plan(
-        real.gains.shape[1], N, cfg["num_symbols"], taps,
+        real.gains.shape[1], N, cfg["num_symbols"], int(np.max(real.num_taps)),
         pilot_power=cfg["pilot_power"])
-    noise_var = scenario["topology"]["noise_variance"]
-    obs = training.simulate_pilot_rx(plan, real, assoc, noise_var, rng)
+    Y, level = training.simulate_pilot_rx(
+        plan, real, assoc, scenario["topology"]["noise_variance"], rng)
     mode = "mui_suppress" if cfg["mui_suppression"] else "single"
-    estimates = training.estimate_all(obs, plan, assoc, real, mode=mode,
-                                      decay=scenario["channel"]["pdp_decay"])
-    hf = training.estimated_subcarrier_gains(estimates, real)
-    err = num = 0.0
-    for (m, k), est in estimates.items():
-        truth = np.sqrt(real.gains[m, k]) * real.taps[m, k, :len(est)]
-        err += float(np.sum(np.abs(est - truth) ** 2))
-        num += float(np.sum(np.abs(truth) ** 2))
-    nmse = err / num if num > 0 else np.nan
-    return hf, nmse
+    estimates = training.estimate_all(Y, level, plan, assoc, real.gains,
+                                      mode, scenario["channel"]["pdp_decay"])
+    # the estimated taps already carry sqrt(g)
+    return (channel.subcarrier_gains(estimates, 1.0, N),
+            training.nmse(estimates, real, assoc))
 
 
 def _detect_uplink(scenario, scene, assoc, gains, plan_sinrs, rng):
@@ -363,10 +357,9 @@ def _detect_uplink(scenario, scene, assoc, gains, plan_sinrs, rng):
     return out
 
 
-def _run_downlink(scenario, real, assoc, components, rng):
+def _run_downlink(scenario, real, assoc, components):
     """The per-UE rates and mean symbol SINRs of the configured precoder's
-    downlink plan, whether that plan passes its audit, and the
-    subcarrier-0 artificial-noise leakage."""
+    downlink plan, and whether that plan passes its audit."""
     cfg, alloc_cfg = scenario["downlink"], scenario["allocation"]
     K = real.freq.shape[1]
     try:
@@ -380,19 +373,12 @@ def _run_downlink(scenario, real, assoc, components, rng):
             refine_iterations=alloc_cfg["refine_iterations"])
     except np.linalg.LinAlgError:
         # a numerically singular precoder bracket: every SINR is unknown
-        dl = {"dl_rate": np.full(K, np.nan), "dl_sinr": np.full(K, np.nan),
-              "audit_pass": False}
-    else:
-        dl = {"dl_rate": ue_rates(plan.dl_sinrs),
-              "dl_sinr": np.array([np.mean(s) if len(s) else 0.0
-                                   for s in plan.dl_sinrs]),
-              "audit_pass": plan.audit.get("pass", False)}
-    dl["leakage"] = np.nan
-    h0 = real.freq[:, :, 0]
-    if cfg["secrecy"] and h0.shape[0] > h0.shape[1]:
-        p_i = downlink.artificial_noise_direction(h0, rng)
-        dl["leakage"] = float(np.max(np.abs(h0.T @ p_i)))
-    return dl
+        return {"dl_rate": np.full(K, np.nan), "dl_sinr": np.full(K, np.nan),
+                "audit_pass": False}
+    return {"dl_rate": ue_rates(plan.dl_sinrs),
+            "dl_sinr": np.array([np.mean(s) if len(s) else 0.0
+                                 for s in plan.dl_sinrs]),
+            "audit_pass": plan.audit.get("pass", False)}
 
 
 def run_trial(scenario, trial: int, digest=None) -> list:
@@ -436,11 +422,11 @@ def run_trial(scenario, trial: int, digest=None) -> list:
                          rng)
 
     dl = {"dl_rate": np.full(topo.num_ues, np.nan),
-          "dl_sinr": np.full(topo.num_ues, np.nan), "leakage": np.nan}
+          "dl_sinr": np.full(topo.num_ues, np.nan)}
     audit_pass = (plan.audit.get("pass", False)
                   and bool(np.all(np.isfinite(det["rates"]))))
     if scenario["downlink"]["enabled"]:
-        dl = _run_downlink(scenario, real, assoc, components, rng)
+        dl = _run_downlink(scenario, real, assoc, components)
         audit_pass = audit_pass and dl["audit_pass"]
 
     overhead = 0.0
@@ -474,7 +460,6 @@ def run_trial(scenario, trial: int, digest=None) -> list:
             "sum_rate": sum_rate,
             "dl_rate": float(dl["dl_rate"][k]),
             "dl_sinr": float(dl["dl_sinr"][k]),
-            "secrecy_leakage": float(dl["leakage"]),
             "apmp_iterations": float(det["apmp_iterations"]),
             "audit_pass": bool(audit_pass),
             "wall_time": wall,

@@ -2,11 +2,16 @@
 
 UEs send unit-modulus pilot blocks over their assigned subcarriers for
 ``num_symbols`` OFDM symbols.  Each AP sees the superposition of its
-associated UEs through the frequency-domain observation model.  Estimation
-runs per AP observation: one call estimates the time-domain CIR taps of
-every UE the AP serves with an unbiased (diagonally renormalized) MMSE
-estimator.  With multiuser-interference suppression all of them form one
-estimation group; without it each UE is its own group.
+associated UEs through the frequency-domain observation model.
+``simulate_pilot_rx`` returns every AP's column-stacked observation as one
+row of Y (M, N tau_p), with its noise plus interference level (M,).
+Estimation runs per AP: one ``mmse_estimate`` call estimates the
+time-domain CIR taps of every UE the AP serves with an unbiased
+(diagonally renormalized) MMSE estimator.  With multiuser-interference
+suppression all of them form one estimation group; without it each UE is
+its own group.  ``estimate_all`` gathers the estimates into one
+(M, K, max L) tap array, zero off the association, which
+``channel.subcarrier_gains`` maps to subcarriers and ``nmse`` scores.
 
 A group's estimator is solved in its Gram form: with the stacked
 observation matrix A (N tau_p x sum L) and the diagonal prior Q = diag(s^2),
@@ -119,61 +124,40 @@ def build_observation_matrix(plan: PilotPlan, ue: int) -> np.ndarray:
     return np.sqrt(plan.pilot_power[ue]) * A
 
 
-@dataclass(frozen=True)
-class PilotObservation:
-    """One AP's received pilot block and its noise/interference levels."""
-
-    matrix: np.ndarray          # (N, tau_p)
-    noise_var: float
-    interference_var: float
-
-    @property
-    def vec(self) -> np.ndarray:
-        """Column-stacked observation (N * tau_p,)."""
-        return self.matrix.reshape(-1, order="F")
-
-
-def default_interference_var(gains, plan: PilotPlan, assoc, ap: int) -> float:
-    """Mean per-element rx power from UEs not associated with ``ap``."""
-    N = plan.num_subcarriers
-    total = 0.0
-    for k in range(plan.num_ues):
-        if ap in assoc.ap_sets[k]:
-            continue
-        total += plan.pilot_power[k] * gains[ap, k] * len(plan.subcarrier_sets[k]) / N
-    return total
-
-
 def simulate_pilot_rx(plan: PilotPlan, channels, assoc, noise_var, rng,
                       interference_var=None):
-    """Received pilot blocks at every AP.
+    """Received pilots at every AP: ``(Y, level)``.
 
-    ``interference_var`` may be a scalar, a per-AP sequence, or None to use
-    the aggregate mean power of non-associated UEs at each AP.
+    ``Y`` (M, N * tau_p) holds each AP's column-stacked observation and
+    ``level`` (M,) its noise plus interference variance.
+    ``interference_var`` may be a scalar, a per-AP sequence, or None for
+    the mean per-element rx power of the UEs each AP does not serve.
     """
     rng = np.random.default_rng(rng)
     N, tau_p = plan.num_subcarriers, plan.num_symbols
     M = channels.gains.shape[0]
-    out = []
-    for m in range(M):
-        if interference_var is None:
-            sj2 = default_interference_var(channels.gains, plan, assoc, m)
-        else:
-            sj2 = float(np.broadcast_to(interference_var, (M,))[m])
-        Y = np.zeros((N, tau_p), dtype=complex)
-        for k in assoc.ue_sets[m]:
-            sub = plan.subcarrier_sets[k]
-            hf = channels.freq[m, k]          # sqrt(g) already applied
-            scattered = np.zeros((N, tau_p), dtype=complex)
-            scattered[sub] = plan.pilot_blocks[k]
-            Y += np.sqrt(plan.pilot_power[k]) * hf[:, None] * scattered
-        level = noise_var + sj2
-        if level > 0:
-            Y += np.sqrt(level / 2.0) * (rng.standard_normal((N, tau_p))
-                                         + 1j * rng.standard_normal((N, tau_p)))
-        out.append(PilotObservation(matrix=Y, noise_var=noise_var,
-                                    interference_var=sj2))
-    return out
+    served = assoc.zeta().astype(bool)
+    Y = np.zeros((M, tau_p, N), dtype=complex)
+    interference = np.zeros(M)
+    # UE by UE, so every AP adds its UEs in ascending order
+    for k in range(plan.num_ues):
+        sub = plan.subcarrier_sets[k]
+        scattered = np.zeros((tau_p, N), dtype=complex)
+        scattered[:, sub] = plan.pilot_blocks[k].T
+        aps = served[:, k]
+        Y[aps] += (np.sqrt(plan.pilot_power[k])
+                   * channels.freq[aps, k][:, None, :] * scattered)
+        interference += np.where(aps, 0.0, plan.pilot_power[k]
+                                 * channels.gains[:, k] * len(sub) / N)
+    if interference_var is not None:
+        interference = np.broadcast_to(interference_var, (M,)).astype(float)
+    level = noise_var + interference
+    live = level > 0
+    # one draw: each AP's real then imaginary (N, tau_p) block, AP by AP
+    z = rng.standard_normal((np.count_nonzero(live), 2, N, tau_p))
+    noise = np.sqrt(level[live] / 2.0)[:, None, None] * (z[:, 0] + 1j * z[:, 1])
+    Y[live] += noise.transpose(0, 2, 1)
+    return Y.reshape(M, tau_p * N), level
 
 
 def tap_prior(gain, num_taps, decay=0.0) -> np.ndarray:
@@ -212,9 +196,10 @@ def _prior_diagonal(prior, ue, num_taps) -> np.ndarray:
                      f"{num_taps}x{num_taps} matrix")
 
 
-def mmse_estimate(obs: PilotObservation, plan: PilotPlan, ues, priors,
+def mmse_estimate(y, level, plan: PilotPlan, ues, priors,
                   mode="single") -> dict:
-    """Unbiased MMSE estimates {k: taps} of UEs ``ues`` from one AP observation.
+    """Unbiased MMSE estimates {k: taps} of UEs ``ues`` from one AP's
+    observation ``y`` (N * tau_p,) at noise plus interference ``level``.
 
     ``priors`` maps UE index -> diagonal tap covariance (a non-diagonal or
     negative one raises ValueError).  In ``single`` mode each UE is its own
@@ -230,7 +215,6 @@ def mmse_estimate(obs: PilotObservation, plan: PilotPlan, ues, priors,
     if mode not in ("single", "mui_suppress"):
         raise ValueError(f"unknown mode {mode!r}")
     q = {k: _prior_diagonal(priors[k], k, plan.num_taps[k]) for k in ues}
-    level = obs.noise_var + obs.interference_var
     joint = mode == "mui_suppress"
     out = {}
     for group in [sorted(ues)] if joint and len(ues) else [[k] for k in ues]:
@@ -248,48 +232,41 @@ def mmse_estimate(obs: PilotObservation, plan: PilotPlan, ues, priors,
         c = np.einsum("ij,ji->i", G, A)
         if np.any(np.abs(c) < 1e-300):
             raise ValueError("ill-conditioned training: degenerate prior")
-        est = (G @ obs.vec) / c
+        est = (G @ y) / c
         offsets = np.cumsum([0] + [plan.num_taps[k] for k in group])
         for k, lo, hi in zip(group, offsets[:-1], offsets[1:]):
             out[k] = est[lo:hi]
     return {k: out[k] for k in ues}
 
 
-def estimate_all(observations, plan: PilotPlan, assoc, channels,
-                 mode="single", decay=0.0):
-    """Estimate every associated link, one call per AP; returns dict
-    (ap, ue) -> tap vector.
+def estimate_all(Y, level, plan: PilotPlan, assoc, gains, mode="single",
+                 decay=0.0) -> np.ndarray:
+    """Estimate every associated link, one call per AP, from the output of
+    ``simulate_pilot_rx``; returns the taps (M, K, max L), zero off the
+    association and past a UE's own L.
 
     The priors are the genie ones: the generator's true PDP scaled by the
-    realized large-scale gain of each link.
+    realized large-scale gain ``gains`` (M, K) of each link.
     """
     unit = {L: tap_prior(1.0, L, decay) for L in set(plan.num_taps)}
-    out = {}
-    for m, obs in enumerate(observations):
-        ues = assoc.ue_sets[m]
-        priors = {k: channels.gains[m, k] * unit[plan.num_taps[k]]
-                  for k in ues}
-        for k, taps in mmse_estimate(obs, plan, ues, priors, mode).items():
-            out[(m, k)] = taps
+    out = np.zeros((len(Y), plan.num_ues, max(plan.num_taps)), dtype=complex)
+    for m, ues in enumerate(assoc.ue_sets):
+        priors = {k: gains[m, k] * unit[plan.num_taps[k]] for k in ues}
+        for k, taps in mmse_estimate(Y[m], level[m], plan, ues, priors,
+                                     mode).items():
+            out[m, k, :len(taps)] = taps
     return out
 
 
-def estimated_subcarrier_gains(estimates, channels) -> np.ndarray:
-    """Per-subcarrier gains from estimated taps; unestimated links are zero.
-
-    Mirrors the tap-to-frequency map of the generator so that, in the
-    noiseless limit, estimated and true subcarrier gains coincide on the
-    associated links.  All links go through one FFT, their taps zero-padded
-    to the longest estimate.
-    """
-    from .channel import subcarrier_gains as taps_to_freq
-    M, K, N = channels.freq.shape
-    hf = np.zeros((M, K, N), dtype=complex)
-    if estimates:
-        taps = np.zeros((len(estimates), max(map(len, estimates.values()))),
-                        dtype=complex)
-        for row, est in zip(taps, estimates.values()):
-            row[:len(est)] = est
-        m, k = np.array(list(estimates)).T
-        hf[m, k] = taps_to_freq(taps, 1.0, N)   # estimates carry sqrt(g)
-    return hf
+def nmse(estimates, channels, assoc) -> float:
+    """Normalized squared error of ``estimate_all``'s taps over the
+    associated links against the true sqrt(g)-scaled taps; NaN when the
+    true links carry no power.  The per-link sums are added one link at a
+    time in (AP, UE) order."""
+    truth = (np.sqrt(channels.gains)[..., None]
+             * channels.taps[..., :estimates.shape[-1]])
+    served = assoc.zeta().astype(bool)
+    err = np.sum(np.abs(estimates - truth) ** 2, axis=-1)[served]
+    power = np.sum(np.abs(truth) ** 2, axis=-1)[served]
+    err, power = (float(np.cumsum(np.append(0.0, x))[-1]) for x in (err, power))
+    return err / power if power > 0 else np.nan

@@ -21,8 +21,11 @@ Q A^H (A Q A^H + sigma^2 I)^-1, with an N tau_p-sized guarded inverse:
 ``mmse_estimate`` once per (AP, UE) link, building its own observation
 matrices with the other UEs of the AP named in ``coestimated``, and
 ``bracket_mmse_estimate`` once per AP observation, as the library did
-before it moved to the sum L-sized Gram form.  ``realize_channels`` draws
-the small-scale taps one link at a time.
+before it moved to the sum L-sized Gram form.  ``simulate_pilot_rx``
+receives the pilots one AP at a time, each AP drawing its own noise, and
+``nmse`` adds the estimation error one link at a time, as the library did
+before both moved onto arrays.  ``realize_channels`` draws the small-scale
+taps one link at a time.
 
 Three oracles are not dense but pin bit-identical refactors:
 ``batched_uplink_sinr_all`` rebuilds every power-independent array of the
@@ -66,8 +69,7 @@ from uccfsim.apmp import ApmpConfig, ApmpResult
 from uccfsim.channel import (ChannelRealization, sample_large_scale,
                              sample_small_scale, subcarrier_gains)
 from uccfsim.modulation import constellation, nearest_point, ue_rates
-from uccfsim.training import (PilotObservation, PilotPlan, _dft_columns,
-                              _guarded_inverse)
+from uccfsim.training import PilotPlan, _dft_columns, _guarded_inverse
 from uccfsim.uplink import (UplinkScene, scene_covariance, stacked_channel,
                             subcarrier_covariances)
 
@@ -582,13 +584,46 @@ def observation_matrix(plan: PilotPlan, ue: int) -> np.ndarray:
     return np.sqrt(plan.pilot_power[ue]) * A
 
 
-def mmse_estimate(obs: PilotObservation, plan: PilotPlan, ue: int, priors,
+def simulate_pilot_rx(plan: PilotPlan, channels, assoc, noise_var, rng,
+                      interference_var=None):
+    """Received pilots ``(Y, level)`` built one AP at a time: the AP's
+    served UEs added in ascending order, the default interference summed
+    over the UEs it does not serve, and, when its level is positive, its
+    own real then imaginary noise draw."""
+    rng = np.random.default_rng(rng)
+    N, tau_p = plan.num_subcarriers, plan.num_symbols
+    M = channels.gains.shape[0]
+    Y, level = np.zeros((M, N * tau_p), dtype=complex), np.zeros(M)
+    for m in range(M):
+        if interference_var is None:
+            sj2 = 0.0
+            for k in range(plan.num_ues):
+                if m not in assoc.ap_sets[k]:
+                    sj2 += (plan.pilot_power[k] * channels.gains[m, k]
+                            * len(plan.subcarrier_sets[k]) / N)
+        else:
+            sj2 = float(np.broadcast_to(interference_var, (M,))[m])
+        rx = np.zeros((N, tau_p), dtype=complex)
+        for k in assoc.ue_sets[m]:
+            scattered = np.zeros((N, tau_p), dtype=complex)
+            scattered[plan.subcarrier_sets[k]] = plan.pilot_blocks[k]
+            rx += (np.sqrt(plan.pilot_power[k])
+                   * channels.freq[m, k][:, None] * scattered)
+        level[m] = noise_var + sj2
+        if level[m] > 0:
+            rx += np.sqrt(level[m] / 2.0) * (
+                rng.standard_normal((N, tau_p))
+                + 1j * rng.standard_normal((N, tau_p)))
+        Y[m] = rx.reshape(-1, order="F")
+    return Y, level
+
+
+def mmse_estimate(y, level, plan: PilotPlan, ue: int, priors,
                   mode="single", coestimated=()):
     """Unbiased MMSE estimate of UE ``ue``'s taps, rebuilding the bracket
     and its inverse for this one link."""
     A = observation_matrix(plan, ue)
     Q = np.asarray(priors[ue], dtype=complex)
-    level = obs.noise_var + obs.interference_var
     n = A.shape[0]
 
     if mode == "single":
@@ -606,11 +641,11 @@ def mmse_estimate(obs: PilotObservation, plan: PilotPlan, ue: int, priors,
     c = np.diag(G @ A)
     if np.any(np.abs(c) < 1e-300):
         raise ValueError("ill-conditioned training: degenerate prior")
-    return (G @ obs.vec) / c
+    return (G @ y) / c
 
 
-def bracket_mmse_estimate(obs: PilotObservation, plan: PilotPlan, ues,
-                          priors, mode="single") -> dict:
+def bracket_mmse_estimate(y, level, plan: PilotPlan, ues, priors,
+                          mode="single") -> dict:
     """Unbiased MMSE estimates {k: taps} of UEs ``ues`` from one AP
     observation, through the N tau_p-sized bracket: one bracket and one
     guarded inverse per estimation group."""
@@ -618,11 +653,10 @@ def bracket_mmse_estimate(obs: PilotObservation, plan: PilotPlan, ues,
         raise ValueError(f"unknown mode {mode!r}")
     A = {k: observation_matrix(plan, k) for k in ues}
     Q = {k: np.asarray(priors[k], dtype=complex) for k in ues}
-    level = obs.noise_var + obs.interference_var
     joint = mode == "mui_suppress"
     out = {}
     for group in [sorted(ues)] if joint and len(ues) else [[k] for k in ues]:
-        bracket = level * np.eye(obs.matrix.size).astype(complex)
+        bracket = level * np.eye(len(y)).astype(complex)
         for l in group:
             bracket += A[l] @ Q[l] @ A[l].conj().T
         inverse = _guarded_inverse(bracket)
@@ -631,7 +665,7 @@ def bracket_mmse_estimate(obs: PilotObservation, plan: PilotPlan, ues,
             c = np.diag(G @ A[k])
             if np.any(np.abs(c) < 1e-300):
                 raise ValueError("ill-conditioned training: degenerate prior")
-            out[k] = (G @ obs.vec) / c
+            out[k] = (G @ y) / c
     return out
 
 
@@ -658,14 +692,27 @@ def realize_channels(topology, model, num_subcarriers: int, num_taps=2,
                               num_taps=np.array(taps_mk))
 
 
-def estimated_subcarrier_gains(estimates, channels) -> np.ndarray:
-    """Per-subcarrier gains of estimated taps, one FFT per (AP, UE) link;
-    links without an estimate stay zero."""
-    M, K, N = channels.freq.shape
-    hf = np.zeros((M, K, N), dtype=complex)
-    for (m, k), taps in estimates.items():
-        hf[m, k] = subcarrier_gains(taps, 1.0, N)
+def estimated_subcarrier_gains(estimates, num_subcarriers) -> np.ndarray:
+    """Per-subcarrier gains of estimated taps (M, K, L), one FFT per
+    (AP, UE) link."""
+    M, K, _ = estimates.shape
+    hf = np.zeros((M, K, num_subcarriers), dtype=complex)
+    for m, k in product(range(M), range(K)):
+        hf[m, k] = subcarrier_gains(estimates[m, k], 1.0, num_subcarriers)
     return hf
+
+
+def nmse(estimates, channels, assoc) -> float:
+    """Estimation NMSE over the associated links, one link at a time in
+    (AP, UE) order."""
+    err = num = 0.0
+    for m, ues in enumerate(assoc.ue_sets):
+        for k in ues:
+            est = estimates[m, k]
+            truth = np.sqrt(channels.gains[m, k]) * channels.taps[m, k, :len(est)]
+            err += float(np.sum(np.abs(est - truth) ** 2))
+            num += float(np.sum(np.abs(truth) ** 2))
+    return err / num if num > 0 else np.nan
 
 
 # ---------------------------------------------------------------------------

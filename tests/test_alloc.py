@@ -11,6 +11,7 @@ from uccfsim.alloc import (AllocationPlan, allocate_power_waterfill,
                            allocate_subcarriers_greedy, audit_plan,
                            maxmin_power_control, subcarrier_metric,
                            successive_optimize, ul_rates)
+from uccfsim.engine import merge_scenario, run_trial
 from uccfsim.modulation import ue_rates
 from uccfsim.topology import AssociationMap, build_factor_graph
 from uccfsim.uplink import SinrSkeleton, UplinkScene, uplink_sinr_all
@@ -446,23 +447,85 @@ class TestPlanSkeletons:
 def random_allocation_scene(rng):
     """A small random scene and the keyword arguments of one optimizer call:
     some UEs disconnected, exclusive or shared mode, 1 to 3 refinement
-    passes, with or without an element power cap."""
+    passes, with or without an element power cap.  Most shared scenes
+    split the APs and UEs into two or more disjoint blocks, each UE served
+    inside its own block; every block's UEs demand more than half the band
+    together, so the blocks' components reuse subcarriers and carry
+    co-channel symbols."""
     M, K, N = rng.integers(1, 5), rng.integers(1, 4), rng.integers(2, 7)
+    mode = "shared" if rng.random() < 0.5 else "exclusive"
+    blocks = mode == "shared" and rng.random() < 0.7
+    if blocks:
+        M, K = max(M, 2), max(K, 2)
     freq = (rng.standard_normal((M, K, N))
             + 1j * rng.standard_normal((M, K, N))) / np.sqrt(2)
-    ap_sets = [sorted(rng.choice(M, size=rng.integers(
-        0 if rng.random() < 0.15 else 1, M + 1), replace=False).tolist())
-        for _ in range(K)]
+    if blocks:
+        B = rng.integers(2, min(M, K) + 1)
+        ap_block = rng.permutation(np.arange(M) % B)
+        ue_block = rng.permutation(np.arange(K) % B)
+        ap_sets = []
+        for b in ue_block:
+            aps = np.flatnonzero(ap_block == b)
+            ap_sets.append(sorted(rng.choice(aps, size=rng.integers(
+                1, len(aps) + 1), replace=False).tolist()))
+        demands = N // np.bincount(ue_block)[ue_block]
+    else:
+        ap_sets = [sorted(rng.choice(M, size=rng.integers(
+            0 if rng.random() < 0.15 else 1, M + 1), replace=False).tolist())
+            for _ in range(K)]
+        demands = rng.integers(0, N // K + 1, size=K)
     assoc = AssociationMap.from_ap_sets(ap_sets, num_aps=M)
-    mode = "shared" if rng.random() < 0.5 else "exclusive"
     kwargs = dict(
-        demands=rng.integers(0, N // K + 1, size=K), mode=mode,
+        demands=demands, mode=mode,
         components=(build_factor_graph(assoc).components
                     if mode == "shared" else None),
         refine_iterations=int(rng.integers(1, 4)),
         p_max_element=None if rng.random() < 0.5 else rng.uniform(0.05, 1.0),
         gamma_u=10 ** rng.uniform(0, 2), noise_var=10 ** rng.uniform(-2, 0))
     return freq, assoc, kwargs
+
+
+def test_random_scenes_reach_the_coupled_maxmin_path():
+    """At least a quarter of the random scenes give an uplink max-min plan
+    whose UEs couple through co-channel symbols."""
+    real, separable = alloc.maxmin_power_control, []
+
+    def recording(evaluator, budgets, **kwargs):
+        separable.append(kwargs["separable"])
+        return real(evaluator, budgets, **kwargs)
+
+    with mock.patch.object(alloc, "maxmin_power_control", recording):
+        for seed in range(400):
+            freq, assoc, kwargs = random_allocation_scene(
+                np.random.default_rng(seed))
+            successive_optimize(freq, assoc, objective="max_min",
+                                direction="ul", **kwargs)
+    assert separable.count(False) >= 100
+
+
+def test_maxmin_bisection_ends_between_adjacent_doubles():
+    """At noise 1e-18 trial 12 of this scenario has a max-min bound of
+    2.9e13, where adjacent doubles lie 0.0039 apart, farther than the
+    bisection's tolerance: the bisection must stop once its midpoint
+    rounds to an end instead of spinning.  A cap on the evaluations turns
+    a regression into a failure rather than a hang."""
+    real, calls = alloc.maxmin_power_control, []
+
+    def capped(evaluator, budgets, **kwargs):
+        def counted(p):
+            calls.append(None)
+            if len(calls) > 10_000:
+                raise RuntimeError("max-min bisection does not end")
+            return evaluator(p)
+        return real(counted, budgets, **kwargs)
+
+    scenario = merge_scenario({"seed": 18,
+                               "topology": {"noise_variance": 1e-18},
+                               "allocation": {"objective": "max_min"}})
+    with mock.patch.object(alloc, "maxmin_power_control", capped):
+        records = run_trial(scenario, 12)
+    assert 0 < len(calls) <= 10_000
+    assert all(np.isfinite(r["rate"]) for r in records)
 
 
 def same_arrays(a, b):

@@ -40,8 +40,8 @@ class TestValidation:
         ({"ofdm": {"num_subcarriers": None}}, "ofdm.num_subcarriers"),
         ({"topology": {"noise_variance": True}}, "topology.noise_variance"),
         ({"allocation": {"demands": ["2", 2]}}, "allocation.demands"),
-        ({"downlink": {"enabled": True, "secrecy": "0.5"}},
-         "downlink.secrecy"),
+        ({"training": {"enabled": True, "mui_suppression": "0.5"}},
+         "training.mui_suppression"),
     ])
     def test_non_numeric_value_is_a_diagnostic(self, overrides, field):
         errors = validate_scenario(merge_scenario(overrides))
@@ -91,8 +91,8 @@ class TestValidation:
          "is not a known key"),
         ({"association": {"max_aps": "2"}}, "association.max_aps",
          "must be a number or null"),
-        ({"downlink": {"secrecy_rho": 0.5}}, "downlink.secrecy_rho",
-         "did you mean downlink.secrecy?"),
+        ({"training": {"mui_supression": True}},
+         "training.mui_supression", "did you mean training.mui_suppression?"),
     ])
     def test_malformed_scenario_is_a_diagnostic(self, overrides, field, hint,
                                                 monkeypatch):
@@ -114,14 +114,13 @@ class TestValidation:
     def test_list_and_null_leaves_stay_valid(self, overrides):
         assert validate_scenario(merge_scenario(overrides)) == []
 
-    def test_secrecy_is_a_boolean(self):
-        # a split in [0, 1] and null were the values of the old secrecy_rho
+    def test_mui_suppression_is_a_boolean(self):
         for value in (0.5, 1, None, "true"):
             bad = merge_scenario({**SMALL,
-                                  "downlink": {"enabled": True,
-                                               "secrecy": value}})
+                                  "training": {"enabled": True,
+                                               "mui_suppression": value}})
             assert validate_scenario(bad) == [
-                f"downlink.secrecy must be a boolean, not {value!r}"]
+                f"training.mui_suppression must be a boolean, not {value!r}"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -364,13 +363,6 @@ class TestPipelineOutputs:
         for rec in res["records"]:
             assert np.isfinite(rec["dl_rate"])
             assert rec["audit_pass"]
-
-    def test_secrecy_leakage_recorded_small(self):
-        cfg = {**SMALL,
-               "downlink": {"enabled": True, "secrecy": True}}
-        res = run_scenario(cfg)
-        for rec in res["records"]:
-            assert rec["secrecy_leakage"] < 1e-10
 
     def test_distributed_precoders_run(self):
         for precoder in ("dist_mf", "dist_tzf", "dist_regmmse"):

@@ -2,12 +2,14 @@
 inside the rows' ranges validates and runs a trial, and pushing any one
 leaf outside its row gives a diagnostic under that leaf's path before any
 trial runs.  Nothing is unreachable: every leaf but the listed dead ones
-moves the CSV, the README's schema is the defaults, and every public
-function or class of the package has a caller outside the unit tests."""
+moves the CSV by more than round-off, the README's schema is the defaults
+and its CSV header the columns, and every public function or class of the
+package has a caller outside the unit tests."""
 
 import ast
 import functools
 import importlib
+import importlib.util
 import inspect
 import json
 import math
@@ -177,7 +179,7 @@ def test_a_leaf_outside_its_rule_is_a_diagnostic(sc, path, data):
 
 # Every leaf is live: each row names a small context scenario and an
 # in-rule value, other than the context's, that changes the CSV outside
-# its hash column.
+# its hash column by more than round-off.
 TRIPLE = {"channel": {"pathloss": "triple_slope"}}
 LARGE_SCALE = {"association": {"method": "large_scale", "max_aps": 4}}
 TRAINING = {"training": {"enabled": True}}
@@ -207,11 +209,10 @@ LIVE = {
     "association.min_gain": (LARGE_SCALE, 1e-4),
     "training.enabled": ({}, True), "training.num_symbols": (TRAINING, 1),
     "training.pilot_power": (TRAINING, 0.01),
-    "training.mui_suppression": (TRAINING, False),
     "training.coherence_symbols": (TRAINING, 10),
     "allocation.objective": ({}, "max_min"), "allocation.demands": ({}, 1),
     "allocation.mode": (SHARED, "shared"),
-    "allocation.refine_iterations": ({}, 0),
+    "allocation.refine_iterations": (NOISY, 0),
     "uplink.detector": ({}, "local_mrc"), "uplink.symbol_draws": ({}, 10),
     "uplink.constellation": (NOISY, "bpsk"),
     "uplink.apmp.max_iterations": (APMP, 0),
@@ -223,12 +224,17 @@ LIVE = {
     "downlink.precoder": (DOWNLINK, "dist_mf"),
     "downlink.reg": ({"downlink": {"enabled": True,
                                    "precoder": "dist_regmmse"}}, 1e-9),
-    "downlink.secrecy": (DOWNLINK, True),
 }
 # leaves that validate but cannot reach the CSV, and why
 DEAD = {
     "uplink.apmp.damping": "every factor the engine builds has degree 1, "
                            "so damping mixes equal messages",
+    "training.mui_suppression": "the engine's full-band pilots with "
+                                "staggered roots make any two UEs' tap "
+                                "columns identical or orthogonal, so the "
+                                "unbiased estimate of both modes is the "
+                                "matched filter; the modes differ only in "
+                                "round-off",
 }
 # a nullable number is read for its value, not only for being set: a
 # context and two different non-null values of it that give different CSVs
@@ -239,6 +245,34 @@ NULLABLE = {
     "downlink.reg": ({"downlink": {"enabled": True,
                                    "precoder": "dist_regmmse"}}, 1e-9, 1e-6),
 }
+
+
+def gate_module():
+    """The benchmark's correctness gate, for its tolerances."""
+    spec = importlib.util.spec_from_file_location("gate",
+                                                  ROOT / "bench" / "gate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GATE = gate_module()
+
+
+def moved_beyond_round_off(first, second) -> bool:
+    """Whether two runs differ in more than round-off: a float column by
+    more than the benchmark gate's tolerance, or a non-float column other
+    than the hash."""
+    def moved(x, y):
+        if isinstance(x, float):
+            return not ((math.isnan(x) and math.isnan(y)) or math.isclose(
+                x, y, rel_tol=GATE.RTOL, abs_tol=GATE.ATOL))
+        return x != y
+
+    a, b = (run_scenario(s)["records"] for s in (first, second))
+    return len(a) != len(b) or any(
+        moved(ra[col], rb[col]) for ra, rb in zip(a, b)
+        for col in engine.CSV_COLUMNS if col != "hash")
 
 
 def csv_without_hash(scenario):
@@ -261,7 +295,7 @@ def test_every_live_leaf_moves_the_csv(path):
     other = merge_scenario(base)
     set_leaf(other, path, value)
     assert validate_scenario(other) == []
-    assert csv_without_hash(other) != csv_without_hash(base)
+    assert moved_beyond_round_off(base, other)
 
 
 @pytest.mark.parametrize("path", sorted(NULLABLE))
@@ -283,6 +317,13 @@ def test_readme_schema_is_the_default_scenario():
     schema = readme.split("## Scenario schema", 1)[1]
     block = schema.split("```jsonc\n", 1)[1].split("```", 1)[0]
     assert json.loads(re.sub(r"//.*", "", block)) == DEFAULT_SCENARIO
+
+
+def test_readme_csv_header_is_the_csv_columns():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## CSV schema", 1)[1].split("```\n", 1)[1]
+    header = block.split("```", 1)[0].replace("\n", "")
+    assert header.split(",") == engine.CSV_COLUMNS
 
 
 def test_every_public_name_is_used_outside_the_unit_tests():

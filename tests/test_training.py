@@ -7,9 +7,8 @@ import dense_oracles
 from uccfsim import training
 from uccfsim.channel import ChannelRealization, subcarrier_gains
 from uccfsim.topology import AssociationMap
-from uccfsim.training import (PilotObservation, build_observation_matrix,
-                              estimate_all, estimated_subcarrier_gains,
-                              make_pilot_plan, mmse_estimate,
+from uccfsim.training import (build_observation_matrix, estimate_all,
+                              make_pilot_plan, mmse_estimate, nmse,
                               simulate_pilot_rx, tap_prior)
 
 
@@ -42,12 +41,11 @@ def solve_cond(matrix):
     return kept.max() / kept.min()
 
 
-def estimation_cond(obs, plan, group, priors):
+def estimation_cond(level, plan, group, priors):
     """The larger condition number of a group's N tau_p bracket and its
     sum L Gram system."""
     A = np.hstack([build_observation_matrix(plan, k) for k in group])
     s = np.sqrt(np.concatenate([np.diag(priors[k]).real for k in group]))
-    level = obs.noise_var + obs.interference_var
     B = A * s
     return max(solve_cond(B @ B.conj().T + level * np.eye(len(B))),
                solve_cond(B.conj().T @ B + level * np.eye(len(s))))
@@ -58,13 +56,10 @@ def assert_within_cond(got, want, cond):
     assert err <= COND_FACTOR * cond * EPS * np.linalg.norm(want), (err, cond)
 
 
-def scaled(obs, gain):
+def scaled(y, level, gain):
     """The observation received through a complex gain: its samples scale
-    by the gain and its noise and interference levels by |gain|^2."""
-    return PilotObservation(matrix=gain * obs.matrix,
-                            noise_var=abs(gain) ** 2 * obs.noise_var,
-                            interference_var=abs(gain) ** 2
-                            * obs.interference_var)
+    by the gain and its noise plus interference level by |gain|^2."""
+    return gain * y, abs(gain) ** 2 * level
 
 
 def make_channels(gains, taps, num_subcarriers):
@@ -116,10 +111,11 @@ class TestPilotReception:
         plan = make_pilot_plan(1, 8, 2, 2)
         ch = make_channels([[1.0]], [[[0.8 + 0.1j, -0.3j]]], 8)
         assoc = AssociationMap.from_ap_sets([[0]], num_aps=1)
-        obs = simulate_pilot_rx(plan, ch, assoc, noise_var=0.0, rng=0,
-                                interference_var=0.0)
+        Y, level = simulate_pilot_rx(plan, ch, assoc, noise_var=0.0, rng=0,
+                                     interference_var=0.0)
         expect = ch.freq[0, 0][:, None] * plan.pilot_blocks[0]
-        assert np.allclose(obs[0].matrix, expect)
+        assert np.allclose(Y[0], expect.reshape(-1, order="F"))
+        assert np.array_equal(level, [0.0])
 
     def test_vectorization_identity(self):
         plan = make_pilot_plan(2, 8, 2, 2, pilot_power=[1.0, 2.0])
@@ -127,29 +123,86 @@ class TestPilotReception:
         taps = (rng.standard_normal((1, 2, 2)) + 1j * rng.standard_normal((1, 2, 2)))
         ch = make_channels([[0.5, 1.5]], taps, 8)
         assoc = AssociationMap.from_ap_sets([[0], [0]], num_aps=1)
-        obs = simulate_pilot_rx(plan, ch, assoc, noise_var=0.0, rng=0,
-                                interference_var=0.0)
+        Y, _ = simulate_pilot_rx(plan, ch, assoc, noise_var=0.0, rng=0,
+                                 interference_var=0.0)
         total = sum(build_observation_matrix(plan, k)
                     @ (np.sqrt(ch.gains[0, k]) * ch.taps[0, k])
                     for k in range(2))
-        assert np.allclose(obs[0].vec, total)
+        assert np.allclose(Y[0], total)
 
     def test_empty_ap_sees_configured_noise(self):
         plan = make_pilot_plan(1, 8, 64, 1)
         ch = make_channels([[1.0], [1.0]], np.zeros((2, 1, 1)) + 1j * 0, 8)
         assoc = AssociationMap.from_ap_sets([[0]], num_aps=2)
-        obs = simulate_pilot_rx(plan, ch, assoc, noise_var=0.3, rng=5,
-                                interference_var=0.2)
-        var = np.mean(np.abs(obs[1].matrix) ** 2)
+        Y, level = simulate_pilot_rx(plan, ch, assoc, noise_var=0.3, rng=5,
+                                     interference_var=0.2)
+        assert np.array_equal(level, [0.5, 0.5])
+        var = np.mean(np.abs(Y[1]) ** 2)
         assert var == pytest.approx(0.5, rel=0.1)
 
     def test_default_interference_is_nonassociated_power(self):
         plan = make_pilot_plan(2, 8, 1, 1, pilot_power=[2.0, 4.0])
         ch = make_channels([[0.5, 0.25]], np.ones((1, 2, 1)), 8)
         assoc = AssociationMap.from_ap_sets([[0], []], num_aps=1)
-        obs = simulate_pilot_rx(plan, ch, assoc, noise_var=0.0, rng=0)
+        _, level = simulate_pilot_rx(plan, ch, assoc, noise_var=0.0, rng=0)
         # UE 1 not associated: sigma_J^2 = P_1 * g_01 * N_1 / N = 4 * 0.25 * 1
-        assert obs[0].interference_var == pytest.approx(1.0)
+        assert level[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("noise_var, interference_var", [
+        (0.05, None),           # default interference at every AP
+        (0.0, None),            # AP 2 serves every UE: level 0, no draw
+        (0.0, [0.0, 0.2, 0.0, 1e-3]),   # mixed zero and positive levels
+    ])
+    def test_bit_equal_to_the_per_ap_reference(self, noise_var,
+                                               interference_var):
+        rng = np.random.default_rng(23)
+        sets = [np.arange(8), np.sort(rng.choice(8, size=5, replace=False)),
+                np.arange(8)]
+        plan = make_pilot_plan(3, 8, 2, num_taps=[2, 3, 2],
+                               pilot_power=[1.0, 0.6, 1.4],
+                               subcarrier_sets=sets, roots=[0, 3, 5])
+        taps = (rng.standard_normal((4, 3, 3))
+                + 1j * rng.standard_normal((4, 3, 3)))
+        ch = make_channels(rng.uniform(0.2, 2.0, (4, 3)), taps, 8)
+        # AP 0 serves UE 1, AP 1 nobody, AP 2 every UE, AP 3 UEs 0 and 2
+        assoc = AssociationMap.from_ap_sets([[2, 3], [0, 2], [2, 3]],
+                                            num_aps=4)
+        got_rng, want_rng = (np.random.default_rng(7) for _ in range(2))
+        Y, level = simulate_pilot_rx(plan, ch, assoc, noise_var, got_rng,
+                                     interference_var)
+        want_Y, want_level = dense_oracles.simulate_pilot_rx(
+            plan, ch, assoc, noise_var, want_rng, interference_var)
+        assert np.array_equal(Y, want_Y)
+        assert np.array_equal(level, want_level)
+        if interference_var is None:
+            assert level[2] == noise_var
+        # the same number of draws was taken from the stream
+        assert got_rng.random() == want_rng.random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), M=st.integers(1, 5), K=st.integers(1, 4),
+       N=st.sampled_from([1, 3, 8, 16]), tau_p=st.integers(1, 3),
+       noise_var=st.sampled_from([0.0, 1e-9, 0.1]), seed=st.integers(0, 99))
+def test_pilot_rx_is_the_per_ap_reference_bit_for_bit(data, M, K, N, tau_p,
+                                                      noise_var, seed):
+    rng = np.random.default_rng(seed)
+    L = int(rng.integers(1, N + 1))
+    plan = make_pilot_plan(K, N, tau_p, L,
+                           pilot_power=rng.uniform(0.1, 2.0, K))
+    taps = rng.standard_normal((M, K, L)) + 1j * rng.standard_normal((M, K, L))
+    ch = make_channels(rng.uniform(0.0, 2.0, (M, K)), taps, N)
+    assoc = AssociationMap.from_ap_sets(
+        [np.flatnonzero(rng.random(M) < 0.6) for _ in range(K)], num_aps=M)
+    interference_var = data.draw(st.sampled_from(
+        [None, 0.0, list(rng.choice([0.0, 1e-3], M))]))
+    got_rng, want_rng = (np.random.default_rng(seed + 1) for _ in range(2))
+    got = simulate_pilot_rx(plan, ch, assoc, noise_var, got_rng,
+                            interference_var)
+    want = dense_oracles.simulate_pilot_rx(plan, ch, assoc, noise_var,
+                                           want_rng, interference_var)
+    assert all(map(np.array_equal, got, want))
+    assert got_rng.random() == want_rng.random()
 
 
 class TestMmseEstimate:
@@ -159,18 +212,17 @@ class TestMmseEstimate:
         taps = (rng.standard_normal((1, 1, 3)) + 1j * rng.standard_normal((1, 1, 3)))
         ch = make_channels([[0.8]], taps, 8)
         assoc = AssociationMap.from_ap_sets([[0]], num_aps=1)
-        obs = simulate_pilot_rx(plan, ch, assoc, noise_var=0.0, rng=0,
-                                interference_var=0.0)
+        Y, level = simulate_pilot_rx(plan, ch, assoc, noise_var=0.0, rng=0,
+                                     interference_var=0.0)
         priors = {0: tap_prior(0.8, 3)}
-        est = mmse_estimate(obs[0], plan, [0], priors)[0]
+        est = mmse_estimate(Y[0], level[0], plan, [0], priors)[0]
         assert np.allclose(est, np.sqrt(0.8) * ch.taps[0, 0], atol=1e-8)
 
     def test_zero_prior_raises(self):
         plan = make_pilot_plan(1, 8, 1, 2)
-        obs = PilotObservation(matrix=np.ones((8, 1), dtype=complex),
-                               noise_var=0.1, interference_var=0.0)
         with pytest.raises(ValueError, match="ill-conditioned"):
-            mmse_estimate(obs, plan, [0], {0: np.zeros((2, 2))})
+            mmse_estimate(np.ones(8, dtype=complex), 0.1, plan, [0],
+                          {0: np.zeros((2, 2))})
 
     def test_unbiased_at_fixed_channel(self):
         plan = make_pilot_plan(1, 8, 2, 2, pilot_power=1.0)
@@ -182,9 +234,9 @@ class TestMmseEstimate:
         noise_var = 0.5
         draws = np.empty((10**4, 2), dtype=complex)
         for i in range(draws.shape[0]):
-            obs = simulate_pilot_rx(plan, ch, assoc, noise_var=noise_var,
-                                    rng=rng, interference_var=0.0)
-            draws[i] = mmse_estimate(obs[0], plan, [0], priors)[0]
+            Y, level = simulate_pilot_rx(plan, ch, assoc, noise_var=noise_var,
+                                         rng=rng, interference_var=0.0)
+            draws[i] = mmse_estimate(Y[0], level[0], plan, [0], priors)[0]
         true = ch.taps[0, 0]
         # per-tap estimator noise std, then a 3-sigma band on the mean
         std = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
@@ -204,14 +256,14 @@ class TestMmseEstimate:
             taps = (rng.standard_normal((1, 2, 2))
                     + 1j * rng.standard_normal((1, 2, 2))) / np.sqrt(2 * 2)
             ch = make_channels([[1.0, 1.0]], taps, 8)
-            obs = simulate_pilot_rx(plan, ch, assoc, noise_var=0.05, rng=rng,
-                                    interference_var=0.0)
+            Y, level = simulate_pilot_rx(plan, ch, assoc, noise_var=0.05,
+                                         rng=rng, interference_var=0.0)
             priors = {k: tap_prior(1.0, 2) for k in range(2)}
             for k in range(2):
                 truth = np.sqrt(ch.gains[0, k]) * ch.taps[0, k]
-                e_s = mmse_estimate(obs[0], plan, [k], priors,
+                e_s = mmse_estimate(Y[0], level[0], plan, [k], priors,
                                     mode="single")[k]
-                e_m = mmse_estimate(obs[0], plan, [0, 1], priors,
+                e_m = mmse_estimate(Y[0], level[0], plan, [0, 1], priors,
                                     mode="mui_suppress")[k]
                 err_single += np.sum(np.abs(e_s - truth) ** 2)
                 err_mui += np.sum(np.abs(e_m - truth) ** 2)
@@ -227,13 +279,16 @@ class TestMmseEstimate:
         taps = (rng.standard_normal((1, 2, 2))
                 + 1j * rng.standard_normal((1, 2, 2))) / 2.0
         ch = make_channels([[1.0, 1.0]], taps, 8)
-        obs = simulate_pilot_rx(plan, ch, assoc, noise_var=0.05, rng=rng,
-                                interference_var=0.0)[0]
+        Y, level = simulate_pilot_rx(plan, ch, assoc, noise_var=0.05,
+                                     rng=rng, interference_var=0.0)
+        y, level = Y[0], level[0]
         priors = {k: tap_prior(1.0, 2) for k in range(2)}
-        joint = mmse_estimate(obs, plan, [0, 1], priors, mode="mui_suppress")
-        cond = estimation_cond(obs, plan, [0, 1], priors)
+        joint = mmse_estimate(y, level, plan, [0, 1], priors,
+                              mode="mui_suppress")
+        cond = estimation_cond(level, plan, [0, 1], priors)
         for k in range(2):
-            alone = mmse_estimate(obs, plan, [k], priors, mode="single")[k]
+            alone = mmse_estimate(y, level, plan, [k], priors,
+                                  mode="single")[k]
             assert_within_cond(joint[k], alone, cond)
 
     @pytest.mark.parametrize("power", [1.0, 1e2, 1e4, 1e6])
@@ -249,23 +304,22 @@ class TestMmseEstimate:
         # bracket's noise eigenvalues stay above the truncation floor
         ch = make_channels([[1e-4, 5e-5]], taps, 8)
         assoc = AssociationMap.from_ap_sets([[0], [0]], num_aps=1)
-        obs = simulate_pilot_rx(plan, ch, assoc, noise_var=1e-9, rng=rng,
-                                interference_var=0.0)[0]
+        Y, level = simulate_pilot_rx(plan, ch, assoc, noise_var=1e-9,
+                                     rng=rng, interference_var=0.0)
         priors = {k: tap_prior(ch.gains[0, k], 2) for k in range(2)}
-        got = mmse_estimate(obs, plan, [0, 1], priors, mode=mode)
+        got = mmse_estimate(Y[0], level[0], plan, [0, 1], priors, mode=mode)
         for k in range(2):
             A = build_observation_matrix(plan, k)
-            exact = A.conj().T @ obs.vec / np.sum(np.abs(A) ** 2, axis=0)
+            exact = A.conj().T @ Y[0] / np.sum(np.abs(A) ** 2, axis=0)
             err = np.linalg.norm(got[k] - exact) / np.linalg.norm(exact)
             assert err <= 1e-12
 
     def test_non_diagonal_prior_raises(self):
         plan = make_pilot_plan(1, 8, 1, 2)
-        obs = PilotObservation(matrix=np.ones((8, 1), dtype=complex),
-                               noise_var=0.1, interference_var=0.0)
         prior = np.array([[0.5, 0.1], [0.1, 0.5]])
         with pytest.raises(ValueError, match="diagonal"):
-            mmse_estimate(obs, plan, [0], {0: prior})
+            mmse_estimate(np.ones(8, dtype=complex), 0.1, plan, [0],
+                          {0: prior})
 
     def test_noiseless_contamination_is_the_pseudo_inverse_solution(self):
         # noiseless and rank-deficient: G = diag(s) B^+ with B = A diag(s)
@@ -275,14 +329,15 @@ class TestMmseEstimate:
                 + 1j * rng.standard_normal((1, 2, 2)))
         ch = make_channels([[1.0, 0.5]], taps, 8)
         assoc = AssociationMap.from_ap_sets([[0], [0]], num_aps=1)
-        obs = simulate_pilot_rx(plan, ch, assoc, noise_var=0.0, rng=0,
-                                interference_var=0.0)[0]
+        Y, level = simulate_pilot_rx(plan, ch, assoc, noise_var=0.0, rng=0,
+                                     interference_var=0.0)
         priors = {k: tap_prior(ch.gains[0, k], 2, 0.3) for k in range(2)}
-        got = mmse_estimate(obs, plan, [0, 1], priors, mode="mui_suppress")
+        got = mmse_estimate(Y[0], level[0], plan, [0, 1], priors,
+                            mode="mui_suppress")
         A = np.hstack([build_observation_matrix(plan, k) for k in range(2)])
         s = np.sqrt(np.concatenate([np.diag(priors[k]) for k in range(2)]))
         G = s[:, None] * np.linalg.pinv(A * s)
-        want = (G @ obs.vec) / np.einsum("ij,ji->i", G, A)
+        want = (G @ Y[0]) / np.einsum("ij,ji->i", G, A)
         assert np.allclose(np.concatenate([got[0], got[1]]), want,
                            rtol=1e-10, atol=0)
 
@@ -294,10 +349,10 @@ class TestMmseEstimate:
         ch = make_channels([[1.0, 1.0]], taps, 16)
         errs = []
         for nv in (1e-2, 1e-6, 1e-10):
-            obs = simulate_pilot_rx(plan, ch, assoc, noise_var=nv, rng=rng,
-                                    interference_var=0.0)
+            Y, level = simulate_pilot_rx(plan, ch, assoc, noise_var=nv,
+                                         rng=rng, interference_var=0.0)
             priors = {k: tap_prior(1.0, 2) for k in range(2)}
-            est = mmse_estimate(obs[0], plan, [0, 1], priors,
+            est = mmse_estimate(Y[0], level[0], plan, [0, 1], priors,
                                 mode="mui_suppress")[0]
             errs.append(np.linalg.norm(est - np.sqrt(1.0) * ch.taps[0, 0]))
         assert errs[2] < errs[1] < errs[0]
@@ -309,10 +364,12 @@ class TestMmseEstimate:
         taps = (rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2)))
         ch = make_channels([[1.0, 0.5], [0.25, 2.0]], taps, 8)
         assoc = AssociationMap.from_ap_sets([[0, 1], [0, 1]], num_aps=2)
-        obs = simulate_pilot_rx(plan, ch, assoc, noise_var=0.0, rng=0,
-                                interference_var=0.0)
-        est = estimate_all(obs, plan, assoc, ch, mode="mui_suppress")
-        hf = estimated_subcarrier_gains(est, ch)
+        Y, level = simulate_pilot_rx(plan, ch, assoc, noise_var=0.0, rng=0,
+                                     interference_var=0.0)
+        est = estimate_all(Y, level, plan, assoc, ch.gains,
+                           mode="mui_suppress")
+        assert nmse(est, ch, assoc) < 1e-14
+        hf = subcarrier_gains(est, 1.0, 8)
         assert np.allclose(hf, ch.freq, atol=1e-7)
 
 
@@ -337,87 +394,104 @@ class TestAgainstPerLinkOracle:
                 + 1j * rng.standard_normal((3, 3, 3)))
         ch = make_channels(rng.uniform(0.2, 2.0, (3, 3)), taps, 8)
         assoc = AssociationMap.from_ap_sets([[2], [1, 2], [2]], num_aps=3)
-        obs = simulate_pilot_rx(plan, ch, assoc, noise_var=0.05, rng=rng)
-        return plan, ch, assoc, obs, rng
+        rx = simulate_pilot_rx(plan, ch, assoc, noise_var=0.05, rng=rng)
+        return plan, ch, assoc, rx, rng
 
     @pytest.mark.parametrize("roots", [[0, 3, 5], [0, 0, 3], [1, 1, 1]])
     @pytest.mark.parametrize("mode", ["single", "mui_suppress"])
     @pytest.mark.parametrize("gain", [1.0, 0.3 - 1.1j])
     def test_bit_equal_per_ap(self, roots, mode, gain):
-        plan, ch, assoc, obs, rng = self.scene(roots, seed=sum(roots) + 40)
+        plan, ch, assoc, (Y, level), rng = self.scene(roots,
+                                                      seed=sum(roots) + 40)
         for k in range(plan.num_ues):
             want = dense_oracles.observation_matrix(plan, k)
             assert np.array_equal(build_observation_matrix(plan, k), want)
             assert np.array_equal(plan.observation_matrices[k], want)
         for m, ues in enumerate(assoc.ue_sets):
-            rx = scaled(obs[m], gain) if gain != 1.0 else obs[m]
+            y, lvl = (scaled(Y[m], level[m], gain) if gain != 1.0
+                      else (Y[m], level[m]))
             priors = {k: tap_prior(ch.gains[m, k], plan.num_taps[k], 0.3)
                       for k in ues}
-            got = mmse_estimate(rx, plan, ues, priors, mode=mode)
+            got = mmse_estimate(y, lvl, plan, ues, priors, mode=mode)
             assert list(got) == list(ues)
-            per_ap = dense_oracles.bracket_mmse_estimate(rx, plan, ues,
+            per_ap = dense_oracles.bracket_mmse_estimate(y, lvl, plan, ues,
                                                          priors, mode=mode)
             for k in ues:
                 per_link = dense_oracles.mmse_estimate(
-                    rx, plan, k, priors, mode=mode, coestimated=ues)
+                    y, lvl, plan, k, priors, mode=mode, coestimated=ues)
                 assert np.array_equal(per_ap[k], per_link)
                 cond = estimation_cond(
-                    rx, plan, ues if mode == "mui_suppress" else [k], priors)
+                    lvl, plan, ues if mode == "mui_suppress" else [k], priors)
                 assert_within_cond(got[k], per_link, cond)
 
     @pytest.mark.parametrize("mode", ["single", "mui_suppress"])
     def test_estimate_all_bit_equal_and_link_ordered(self, mode):
-        plan, ch, assoc, obs, _ = self.scene([0, 0, 3], seed=9)
-        got = estimate_all(obs, plan, assoc, ch, mode=mode, decay=0.2)
-        links = [(m, k) for m, ues in enumerate(assoc.ue_sets) for k in ues]
-        assert list(got) == links
-        for m, k in links:
-            ues = assoc.ue_sets[m]
+        plan, ch, assoc, (Y, level), _ = self.scene([0, 0, 3], seed=9)
+        got = estimate_all(Y, level, plan, assoc, ch.gains, mode=mode,
+                           decay=0.2)
+        assert got.shape == (3, 3, 3)
+        served = assoc.zeta().astype(bool)
+        assert not got[~served].any()
+        for m, ues in enumerate(assoc.ue_sets):
             priors = {l: tap_prior(ch.gains[m, l], plan.num_taps[l], 0.2)
                       for l in ues}
-            want = dense_oracles.bracket_mmse_estimate(obs[m], plan, ues,
-                                                       priors, mode=mode)
-            group = ues if mode == "mui_suppress" else [k]
-            cond = estimation_cond(obs[m], plan, group, priors)
-            assert_within_cond(got[(m, k)], want[k], cond)
+            per_ap = mmse_estimate(Y[m], level[m], plan, ues, priors, mode)
+            want = dense_oracles.bracket_mmse_estimate(Y[m], level[m], plan,
+                                                       ues, priors, mode=mode)
+            for k in ues:
+                L = plan.num_taps[k]
+                assert np.array_equal(got[m, k, :L], per_ap[k])
+                assert not got[m, k, L:].any()
+                group = ues if mode == "mui_suppress" else [k]
+                cond = estimation_cond(level[m], plan, group, priors)
+                assert_within_cond(got[m, k, :L], want[k], cond)
 
     @pytest.mark.parametrize("mode", ["single", "mui_suppress"])
     def test_subcarrier_gains_bit_equal_per_link_fft(self, mode):
         # UEs 0 and 2 carry 2 taps and UE 1 carries 3
-        plan, ch, assoc, obs, _ = self.scene([0, 3, 5], seed=13)
-        est = estimate_all(obs, plan, assoc, ch, mode=mode)
-        assert sorted({len(t) for t in est.values()}) == [2, 3]
-        want = dense_oracles.estimated_subcarrier_gains(est, ch)
-        assert np.array_equal(estimated_subcarrier_gains(est, ch),
-                              want)
+        plan, ch, assoc, (Y, level), _ = self.scene([0, 3, 5], seed=13)
+        est = estimate_all(Y, level, plan, assoc, ch.gains, mode=mode)
+        assert est[:, 1, 2].any() and not est[:, [0, 2], 2].any()
+        want = dense_oracles.estimated_subcarrier_gains(est, 8)
+        assert np.array_equal(subcarrier_gains(est, 1.0, 8), want)
         assert not want[0].any()            # AP 0 estimates no link
 
     def test_subcarrier_gains_of_random_tap_counts(self):
         rng = np.random.default_rng(31)
         for M, K, N in [(3, 4, 8), (5, 2, 1), (2, 6, 64)]:
-            ch = make_channels(np.ones((M, K)), np.zeros((M, K, 1)), N)
-            est = {}
+            est = np.zeros((M, K, N), dtype=complex)
             for m, k in zip(*np.nonzero(rng.random((M, K)) < 0.7)):
                 L = rng.integers(1, N + 1)
-                est[(int(m), int(k))] = (rng.standard_normal(L) + 1j
-                                         * rng.standard_normal(L))
+                est[m, k, :L] = (rng.standard_normal(L) + 1j
+                                 * rng.standard_normal(L))
             assert np.array_equal(
-                estimated_subcarrier_gains(est, ch),
-                dense_oracles.estimated_subcarrier_gains(est, ch))
-        est[(0, 0)] = np.ones(N + 1)
+                subcarrier_gains(est, 1.0, N),
+                dense_oracles.estimated_subcarrier_gains(est, N))
         with pytest.raises(ValueError, match="longer than symbol"):
-            estimated_subcarrier_gains(est, ch)
+            subcarrier_gains(np.ones((M, K, N + 1)), 1.0, N)
 
     def test_subcarrier_gains_of_no_estimates_are_zero(self):
-        _, ch, _, _, _ = self.scene([0, 3, 5], seed=2)
-        hf = estimated_subcarrier_gains({}, ch)
+        plan, ch, _, (Y, level), _ = self.scene([0, 3, 5], seed=2)
+        nobody = AssociationMap.from_ap_sets([[]] * 3, num_aps=3)
+        est = estimate_all(Y, level, plan, nobody, ch.gains)
+        hf = subcarrier_gains(est, 1.0, 8)
         assert np.array_equal(hf, dense_oracles.estimated_subcarrier_gains(
-            {}, ch))
+            est, 8))
         assert hf.shape == ch.freq.shape and hf.dtype == complex
         assert not hf.any()
+        assert np.isnan(nmse(est, ch, nobody))
+
+    @pytest.mark.parametrize("mode", ["single", "mui_suppress"])
+    @pytest.mark.parametrize("seed", [5, 9, 13])
+    def test_nmse_bit_equal_to_the_per_link_sum(self, mode, seed):
+        # UEs 0 and 2 model 2 of their channel's 3 taps: the third is error
+        plan, ch, assoc, (Y, level), _ = self.scene([0, 0, 3], seed=seed)
+        est = estimate_all(Y, level, plan, assoc, ch.gains, mode=mode)
+        got = nmse(est, ch, assoc)
+        assert got == dense_oracles.nmse(est, ch, assoc) and got > 0
 
     def test_observation_matrices_built_once_per_ue(self, monkeypatch):
-        plan, ch, assoc, obs, _ = self.scene([0, 3, 5], seed=5)
+        plan, ch, assoc, (Y, level), _ = self.scene([0, 3, 5], seed=5)
         calls = []
         real = training.build_observation_matrix
 
@@ -427,16 +501,17 @@ class TestAgainstPerLinkOracle:
 
         monkeypatch.setattr(training, "build_observation_matrix", spy)
         for mode in ("mui_suppress", "single"):
-            estimate_all(obs, plan, assoc, ch, mode=mode)
+            estimate_all(Y, level, plan, assoc, ch.gains, mode=mode)
         assert sorted(calls) == [0, 1, 2]
         assert not plan.observation_matrices[0].flags.writeable
 
     def test_no_ues_no_estimates(self):
-        plan, _, _, obs, _ = self.scene([0, 3, 5], seed=2)
-        assert mmse_estimate(obs[0], plan, [], {}, mode="mui_suppress") == {}
+        plan, _, _, (Y, level), _ = self.scene([0, 3, 5], seed=2)
+        assert mmse_estimate(Y[0], level[0], plan, [], {},
+                             mode="mui_suppress") == {}
 
     def test_one_inverse_per_ap_when_suppressing(self, monkeypatch):
-        plan, ch, assoc, obs, _ = self.scene([0, 3, 5], seed=5)
+        plan, ch, assoc, (Y, level), _ = self.scene([0, 3, 5], seed=5)
         calls = []
         real = training._guarded_inverse
 
@@ -448,7 +523,7 @@ class TestAgainstPerLinkOracle:
         counts = {}
         for mode in ("mui_suppress", "single"):
             calls.clear()
-            estimate_all(obs, plan, assoc, ch, mode=mode)
+            estimate_all(Y, level, plan, assoc, ch.gains, mode=mode)
             counts[mode] = len(calls)
         # two APs serve UEs, over four links
         assert counts == {"mui_suppress": 2, "single": 4}
@@ -472,21 +547,23 @@ def test_more_taps_than_pilot_observations_solve_the_bracket(monkeypatch):
         return real(matrix)
 
     for noise_var in (1e-3, 1.0):
-        obs = simulate_pilot_rx(plan, ch, assoc, noise_var, rng,
-                                interference_var=0.0)[0]
+        Y, level = simulate_pilot_rx(plan, ch, assoc, noise_var, rng,
+                                     interference_var=0.0)
+        y, level = Y[0], level[0]
         for mode in ("single", "mui_suppress"):
             sizes.clear()
             monkeypatch.setattr(training, "_guarded_inverse", recording)
-            got = mmse_estimate(obs, plan, [0, 1, 2], priors, mode=mode)
+            got = mmse_estimate(y, level, plan, [0, 1, 2], priors, mode=mode)
             monkeypatch.undo()
             # one 3 x 3 Gram system per UE alone, the 8 x 8 bracket jointly
             assert sizes == ([3, 3, 3] if mode == "single" else [8])
-            want = dense_oracles.bracket_mmse_estimate(obs, plan, [0, 1, 2],
-                                                       priors, mode=mode)
+            want = dense_oracles.bracket_mmse_estimate(y, level, plan,
+                                                       [0, 1, 2], priors,
+                                                       mode=mode)
             for k in range(3):
                 group = [0, 1, 2] if mode == "mui_suppress" else [k]
                 assert_within_cond(got[k], want[k],
-                                   estimation_cond(obs, plan, group, priors))
+                                   estimation_cond(level, plan, group, priors))
 
 
 @st.composite
@@ -512,14 +589,16 @@ def estimation_cases(draw):
         taps[0, k, L:] = 0.0
     ch = make_channels(gains, taps, N)
     assoc = AssociationMap.from_ap_sets([[0]] * K, num_aps=1)
-    obs = simulate_pilot_rx(plan, ch, assoc, rng=rng, interference_var=0.0,
-                            noise_var=draw(st.sampled_from([0.0, 1e-3, 1.0])))
+    Y, level = simulate_pilot_rx(
+        plan, ch, assoc, rng=rng, interference_var=0.0,
+        noise_var=draw(st.sampled_from([0.0, 1e-3, 1.0])))
     gain = draw(st.sampled_from([1.0, 0.3 - 1.1j]))
-    obs = scaled(obs[0], gain) if gain != 1.0 else obs[0]
+    y, level = (scaled(Y[0], level[0], gain) if gain != 1.0
+                else (Y[0], level[0]))
     decay = draw(st.floats(0.0, 1.0))
     priors = {k: tap_prior(gains[0, k], L, decay)
               for k, L in enumerate(num_taps)}
-    return plan, obs, priors
+    return plan, y, level, priors
 
 
 @settings(max_examples=80, deadline=None,
@@ -527,12 +606,12 @@ def estimation_cases(draw):
 @given(case=estimation_cases(),
        mode=st.sampled_from(["single", "mui_suppress"]))
 def test_gram_form_matches_the_bracket_oracle(case, mode):
-    plan, obs, priors = case
+    plan, y, level, priors = case
     ues = list(range(plan.num_ues))
-    got = mmse_estimate(obs, plan, ues, priors, mode=mode)
-    want = dense_oracles.bracket_mmse_estimate(obs, plan, ues, priors,
+    got = mmse_estimate(y, level, plan, ues, priors, mode=mode)
+    want = dense_oracles.bracket_mmse_estimate(y, level, plan, ues, priors,
                                                mode=mode)
     for k in ues:
         group = ues if mode == "mui_suppress" else [k]
         assert_within_cond(got[k], want[k],
-                           estimation_cond(obs, plan, group, priors))
+                           estimation_cond(level, plan, group, priors))
