@@ -58,5 +58,5 @@ for power in (1e-2, 1e0, 1e2, 1e4):
     est = mmse_estimate(Y[0], level[0], plan_p, [0, 1], priors,
                         mode="mui_suppress")[0]
     truth = np.sqrt(real.gains[0, 0]) * real.taps[0, 0]
-    nmse = np.sum(np.abs(est - truth) ** 2) / np.sum(np.abs(truth) ** 2)
-    print(f"  pilot power {power:8.2g}  ->  AP0/UE0 NMSE {nmse:.3e}")
+    err = np.sum(np.abs(est - truth) ** 2) / np.sum(np.abs(truth) ** 2)
+    print(f"  pilot power {power:8.2g}  ->  AP0/UE0 NMSE {err:.3e}")
