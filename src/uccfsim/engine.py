@@ -42,7 +42,7 @@ DEFAULT_SCENARIO = {
     "association": {"method": "distance", "radius": 150.0, "max_aps": 2,
                     "min_gain": None},
     "training": {"enabled": False, "num_symbols": 2, "pilot_power": 1.0,
-                 "mui_suppression": True, "coherence_symbols": 0},
+                 "coherence_symbols": 0},
     "allocation": {"objective": "sum_rate", "demands": 2,
                    "mode": "exclusive", "refine_iterations": 1},
     "uplink": {"detector": "gmmse", "symbol_draws": 0,
@@ -120,8 +120,7 @@ RULES = {
                     Rule(float, 0, ends="(]")),
     **dict.fromkeys(("channel.shadowing_std_db", "channel.pdp_decay",
                      "uplink.apmp.tol"), Rule(float, 0)),
-    **dict.fromkeys(("training.enabled", "training.mui_suppression",
-                     "downlink.enabled"), Rule(bool)),
+    **dict.fromkeys(("training.enabled", "downlink.enabled"), Rule(bool)),
     "topology.layout": Rule(str, names=("uniform", "grid")),
     "channel.pathloss": Rule(str, names=("double_slope", "triple_slope")),
     "channel.a": Rule(float, 1.5, 3.0), "channel.b": Rule(float, 2.0, 6.0),
@@ -252,11 +251,9 @@ def _estimate_channels(scenario, real, assoc, rng):
     plan = training.make_pilot_plan(
         real.gains.shape[1], N, cfg["num_symbols"], int(np.max(real.num_taps)),
         pilot_power=cfg["pilot_power"])
-    Y, level = training.simulate_pilot_rx(
+    Y, _ = training.simulate_pilot_rx(
         plan, real, assoc, scenario["topology"]["noise_variance"], rng)
-    mode = "mui_suppress" if cfg["mui_suppression"] else "single"
-    estimates = training.estimate_all(Y, level, plan, assoc, real.gains,
-                                      mode, scenario["channel"]["pdp_decay"])
+    estimates = training.estimate_all(Y, plan, assoc)
     # the estimated taps already carry sqrt(g)
     return (channel.subcarrier_gains(estimates, 1.0, N),
             training.nmse(estimates, real, assoc))

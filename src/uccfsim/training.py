@@ -1,32 +1,22 @@
-"""Pilot training and MMSE channel estimation.
+"""Pilot training and channel estimation.
 
 UEs send unit-modulus pilot blocks over their assigned subcarriers for
 ``num_symbols`` OFDM symbols.  Each AP sees the superposition of its
 associated UEs through the frequency-domain observation model.
 ``simulate_pilot_rx`` returns every AP's column-stacked observation as one
 row of Y (M, N tau_p), with its noise plus interference level (M,).
-Estimation runs per AP: one ``mmse_estimate`` call estimates the
-time-domain CIR taps of every UE the AP serves with an unbiased
-(diagonally renormalized) MMSE estimator.  With multiuser-interference
-suppression all of them form one estimation group; without it each UE is
-its own group.  ``estimate_all`` gathers the estimates into one
-(M, K, max L) tap array, zero off the association, which
-``channel.subcarrier_gains`` maps to subcarriers and ``nmse`` scores.
-
-A group's estimator is solved in its Gram form: with the stacked
-observation matrix A (N tau_p x sum L) and the diagonal prior Q = diag(s^2),
-Q A^H (A Q A^H + sigma^2 I)^-1 = diag(s) (B^H B + sigma^2 I)^-1 B^H with
-B = A diag(s), so the inverse is sum L x sum L instead of N tau_p x N tau_p.
-Both sides equal diag(s) B^+ in the noiseless, rank-deficient limit, which
-eigenvalue truncation in the small system keeps exact.  When a group has
-more taps than pilot observations (sum L > N tau_p) the bracket is the
-smaller system, and the group solves it instead.
+Both estimators give the unbiased (diagonally renormalized) MMSE tap
+estimate.  ``estimate_all`` serves plans whose stacked tap columns are
+pairwise orthogonal or parallel, as the engine's full-band staggered-root
+plans are: each column is then an eigenvector of A Q A^H + sigma^2 I, so in
+both modes and for any priors a tap's estimate is its matched filter
+a^H y / ||a||^2.  ``mmse_estimate`` serves any plan, one AP at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -68,6 +58,24 @@ class PilotPlan:
             A.flags.writeable = False
         return mats
 
+    @cached_property
+    def matched_filter(self) -> np.ndarray:
+        """Every tap's matched filter conj(a) / ||a||^2, (N tau_p, K, max L)
+        and zero past a UE's own L, built once per plan, read-only; raises
+        ValueError unless any two tap columns are orthogonal or parallel,
+        their |cosine| within 1e-9 of 0 or 1 (engine plans: 3e-14)."""
+        A = np.hstack(self.observation_matrices)
+        power = np.sum(np.abs(A) ** 2, axis=0)
+        cos = np.abs(A.conj().T @ A) / np.sqrt(np.outer(power, power))
+        if np.any((cos > 1e-9) & (cos < 1.0 - 1e-9)):
+            raise ValueError("pilot tap columns are neither orthogonal nor "
+                             "parallel: estimate each AP with mmse_estimate")
+        F = np.zeros((len(A), self.num_ues, max(self.num_taps)), dtype=complex)
+        F[:, np.arange(F.shape[2]) < np.array(self.num_taps)[:, None]] = (
+            A.conj() / power)
+        F.flags.writeable = False
+        return F
+
 
 def make_pilot_plan(num_ues, num_subcarriers, num_symbols, num_taps,
                     pilot_power=1.0, subcarrier_sets=None, roots=None) -> PilotPlan:
@@ -105,9 +113,11 @@ def make_pilot_plan(num_ues, num_subcarriers, num_symbols, num_taps,
                      num_symbols=num_symbols)
 
 
+@lru_cache(maxsize=32)
 def _dft_columns(n, L):
-    grid = np.arange(n)[:, None] * np.arange(L)[None, :]
-    return np.exp(-2j * np.pi * grid / n)
+    F = np.exp(-2j * np.pi * (np.arange(n)[:, None] * np.arange(L)) / n)
+    F.flags.writeable = False
+    return F
 
 
 def build_observation_matrix(plan: PilotPlan, ue: int) -> np.ndarray:
@@ -199,7 +209,8 @@ def _prior_diagonal(prior, ue, num_taps) -> np.ndarray:
 def mmse_estimate(y, level, plan: PilotPlan, ues, priors,
                   mode="single") -> dict:
     """Unbiased MMSE estimates {k: taps} of UEs ``ues`` from one AP's
-    observation ``y`` (N * tau_p,) at noise plus interference ``level``.
+    observation ``y`` (N * tau_p,) at noise plus interference ``level``,
+    on any pilot plan (``estimate_all`` serves the orthogonal ones).
 
     ``priors`` maps UE index -> diagonal tap covariance (a non-diagonal or
     negative one raises ValueError).  In ``single`` mode each UE is its own
@@ -239,23 +250,14 @@ def mmse_estimate(y, level, plan: PilotPlan, ues, priors,
     return {k: out[k] for k in ues}
 
 
-def estimate_all(Y, level, plan: PilotPlan, assoc, gains, mode="single",
-                 decay=0.0) -> np.ndarray:
-    """Estimate every associated link, one call per AP, from the output of
-    ``simulate_pilot_rx``; returns the taps (M, K, max L), zero off the
-    association and past a UE's own L.
-
-    The priors are the genie ones: the generator's true PDP scaled by the
-    realized large-scale gain ``gains`` (M, K) of each link.
-    """
-    unit = {L: tap_prior(1.0, L, decay) for L in set(plan.num_taps)}
-    out = np.zeros((len(Y), plan.num_ues, max(plan.num_taps)), dtype=complex)
-    for m, ues in enumerate(assoc.ue_sets):
-        priors = {k: gains[m, k] * unit[plan.num_taps[k]] for k in ues}
-        for k, taps in mmse_estimate(Y[m], level[m], plan, ues, priors,
-                                     mode).items():
-            out[m, k, :len(taps)] = taps
-    return out
+def estimate_all(Y, plan: PilotPlan, assoc) -> np.ndarray:
+    """Every associated link's taps (M, K, max L), zero off the association
+    and past a UE's own L, from ``simulate_pilot_rx``'s Y in one product
+    with ``plan.matched_filter`` (see the module docstring)."""
+    F = plan.matched_filter
+    est = (Y @ F.reshape(len(F), -1)).reshape(len(Y), *F.shape[1:])
+    est[~assoc.zeta().astype(bool)] = 0.0
+    return est
 
 
 def nmse(estimates, channels, assoc) -> float:

@@ -21,11 +21,13 @@ Q A^H (A Q A^H + sigma^2 I)^-1, with an N tau_p-sized guarded inverse:
 ``mmse_estimate`` once per (AP, UE) link, building its own observation
 matrices with the other UEs of the AP named in ``coestimated``, and
 ``bracket_mmse_estimate`` once per AP observation, as the library did
-before it moved to the sum L-sized Gram form.  ``simulate_pilot_rx``
-receives the pilots one AP at a time, each AP drawing its own noise, and
-``nmse`` adds the estimation error one link at a time, as the library did
-before both moved onto arrays.  ``realize_channels`` draws the small-scale
-taps one link at a time.
+before it moved to the sum L-sized Gram form.  ``matched_filter_estimate``
+gives one link's taps a^H y / ||a||^2 one tap column at a time, the
+unbiased estimate ``estimate_all`` takes for every link in one product.
+``simulate_pilot_rx`` receives the pilots one AP at a time, each AP
+drawing its own noise, and ``nmse`` adds the estimation error one link at
+a time, as the library did before both moved onto arrays.
+``realize_channels`` draws the small-scale taps one link at a time.
 
 Three oracles are not dense but pin bit-identical refactors:
 ``batched_uplink_sinr_all`` rebuilds every power-independent array of the
@@ -642,6 +644,13 @@ def mmse_estimate(y, level, plan: PilotPlan, ue: int, priors,
     if np.any(np.abs(c) < 1e-300):
         raise ValueError("ill-conditioned training: degenerate prior")
     return (G @ y) / c
+
+
+def matched_filter_estimate(y, plan: PilotPlan, ue: int) -> np.ndarray:
+    """UE ``ue``'s taps from one AP observation, each tap its column's
+    a^H y / ||a||^2 on the oracle's own observation matrix."""
+    A = observation_matrix(plan, ue)
+    return np.array([np.vdot(a, y) / np.vdot(a, a).real for a in A.T])
 
 
 def bracket_mmse_estimate(y, level, plan: PilotPlan, ues, priors,

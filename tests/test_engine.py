@@ -40,8 +40,7 @@ class TestValidation:
         ({"ofdm": {"num_subcarriers": None}}, "ofdm.num_subcarriers"),
         ({"topology": {"noise_variance": True}}, "topology.noise_variance"),
         ({"allocation": {"demands": ["2", 2]}}, "allocation.demands"),
-        ({"training": {"enabled": True, "mui_suppression": "0.5"}},
-         "training.mui_suppression"),
+        ({"downlink": {"enabled": "0.5"}}, "downlink.enabled"),
     ])
     def test_non_numeric_value_is_a_diagnostic(self, overrides, field):
         errors = validate_scenario(merge_scenario(overrides))
@@ -91,8 +90,10 @@ class TestValidation:
          "is not a known key"),
         ({"association": {"max_aps": "2"}}, "association.max_aps",
          "must be a number or null"),
-        ({"training": {"mui_supression": True}},
-         "training.mui_supression", "did you mean training.mui_suppression?"),
+        ({"training": {"num_symbol": 2}},
+         "training.num_symbol", "did you mean training.num_symbols?"),
+        ({"training": {"mui_suppression": True}}, "training.mui_suppression",
+         "is not a known key"),
     ])
     def test_malformed_scenario_is_a_diagnostic(self, overrides, field, hint,
                                                 monkeypatch):
@@ -114,13 +115,11 @@ class TestValidation:
     def test_list_and_null_leaves_stay_valid(self, overrides):
         assert validate_scenario(merge_scenario(overrides)) == []
 
-    def test_mui_suppression_is_a_boolean(self):
+    def test_downlink_enabled_is_a_boolean(self):
         for value in (0.5, 1, None, "true"):
-            bad = merge_scenario({**SMALL,
-                                  "training": {"enabled": True,
-                                               "mui_suppression": value}})
+            bad = merge_scenario({**SMALL, "downlink": {"enabled": value}})
             assert validate_scenario(bad) == [
-                f"training.mui_suppression must be a boolean, not {value!r}"]
+                f"downlink.enabled must be a boolean, not {value!r}"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -188,13 +188,6 @@ NOISY = {"topology": {"noise_variance": 1e-5},
          "uplink": {"symbol_draws": 20}}
 APMP = {"uplink": {"detector": "apmp", "symbol_draws": 20}}
 DOWNLINK = {"downlink": {"enabled": True}}
-# a weak link at high pilot SNR, where the joint MUI-suppressing solve
-# loses accuracy against the single-UE estimate and moves nmse
-WEAK_LINK = {"seed": 96, "topology": {"num_aps": 5, "num_ues": 5,
-                                      "noise_variance": 1e-12},
-             "channel": {"num_taps": 6, "pdp_decay": 0.7},
-             "ofdm": {"num_subcarriers": 16}, "association": {"radius": 400.0},
-             **TRAINING}
 SHARED = {"topology": {"num_aps": 16, "num_ues": 8, "area_size": 800.0},
           "ofdm": {"num_subcarriers": 16}, "association": {"radius": 150.0}}
 LIVE = {
@@ -216,7 +209,6 @@ LIVE = {
     "association.min_gain": (LARGE_SCALE, 1e-4),
     "training.enabled": ({}, True), "training.num_symbols": (TRAINING, 1),
     "training.pilot_power": (TRAINING, 0.01),
-    "training.mui_suppression": (WEAK_LINK, False),
     "training.coherence_symbols": (TRAINING, 10),
     "allocation.objective": ({}, "max_min"), "allocation.demands": ({}, 1),
     "allocation.mode": (SHARED, "shared"),

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dense_oracles
-from uccfsim import training
+from uccfsim import engine, training
 from uccfsim.channel import ChannelRealization, subcarrier_gains
 from uccfsim.topology import AssociationMap
 from uccfsim.training import (build_observation_matrix, estimate_all,
@@ -366,8 +366,7 @@ class TestMmseEstimate:
         assoc = AssociationMap.from_ap_sets([[0, 1], [0, 1]], num_aps=2)
         Y, level = simulate_pilot_rx(plan, ch, assoc, noise_var=0.0, rng=0,
                                      interference_var=0.0)
-        est = estimate_all(Y, level, plan, assoc, ch.gains,
-                           mode="mui_suppress")
+        est = estimate_all(Y, plan, assoc)
         assert nmse(est, ch, assoc) < 1e-14
         hf = subcarrier_gains(est, 1.0, 8)
         assert np.allclose(hf, ch.freq, atol=1e-7)
@@ -379,14 +378,19 @@ class TestAgainstPerLinkOracle:
     ``dense_oracles.bracket_mmse_estimate``, which agree bit for bit.
     Observation matrices are bit-equal; estimates agree within a
     cond * eps bound, since at high pilot SNR the N tau_p bracket is the
-    worse-conditioned side."""
+    worse-conditioned side.  ``estimate_all`` runs on the scene's
+    full-band variant, the engine's plan shape, where it is also held to
+    the per-link ``dense_oracles.matched_filter_estimate``."""
 
     @staticmethod
-    def scene(roots, seed):
-        # AP 0 serves no UE, AP 1 one UE, AP 2 all three
+    def scene(roots, seed, full_band=False):
+        # AP 0 serves no UE, AP 1 one UE, AP 2 all three; UE 1 pilots on a
+        # random 5 of the 8 subcarriers unless ``full_band``
         rng = np.random.default_rng(seed)
         sets = [np.arange(8), np.sort(rng.choice(8, size=5, replace=False)),
                 np.arange(8)]
+        if full_band:
+            sets[1] = np.arange(8)
         plan = make_pilot_plan(3, 8, 2, num_taps=[2, 3, 2],
                                pilot_power=[1.0, 0.6, 1.4],
                                subcarrier_sets=sets, roots=roots)
@@ -425,32 +429,40 @@ class TestAgainstPerLinkOracle:
                 assert_within_cond(got[k], per_link, cond)
 
     @pytest.mark.parametrize("mode", ["single", "mui_suppress"])
-    def test_estimate_all_bit_equal_and_link_ordered(self, mode):
-        plan, ch, assoc, (Y, level), _ = self.scene([0, 0, 3], seed=9)
-        got = estimate_all(Y, level, plan, assoc, ch.gains, mode=mode,
-                           decay=0.2)
+    @pytest.mark.parametrize("roots", [[0, 0, 3], [0, 3, 5]])
+    def test_estimate_all_is_the_matched_filter_and_link_ordered(self, roots,
+                                                                 mode):
+        # roots 0, 0, 3 contaminate UEs 0 and 1; roots 0, 3, 5 make UE 1's
+        # first tap column parallel to UE 2's second
+        plan, ch, assoc, (Y, level), _ = self.scene(roots, seed=9,
+                                                    full_band=True)
+        got = estimate_all(Y, plan, assoc)
         assert got.shape == (3, 3, 3)
         served = assoc.zeta().astype(bool)
         assert not got[~served].any()
         for m, ues in enumerate(assoc.ue_sets):
             priors = {l: tap_prior(ch.gains[m, l], plan.num_taps[l], 0.2)
                       for l in ues}
-            per_ap = mmse_estimate(Y[m], level[m], plan, ues, priors, mode)
             want = dense_oracles.bracket_mmse_estimate(Y[m], level[m], plan,
                                                        ues, priors, mode=mode)
             for k in ues:
                 L = plan.num_taps[k]
-                assert np.array_equal(got[m, k, :L], per_ap[k])
+                # the same length-N tau_p sums in another order: about
+                # N tau_p eps of ||y|| / ||a||, and ||y|| / (||a|| ||taps||)
+                # is below 4 here
+                mf = dense_oracles.matched_filter_estimate(Y[m], plan, k)
+                assert np.linalg.norm(got[m, k, :L] - mf) <= (
+                    1e-13 * np.linalg.norm(mf))
                 assert not got[m, k, L:].any()
                 group = ues if mode == "mui_suppress" else [k]
                 cond = estimation_cond(level[m], plan, group, priors)
                 assert_within_cond(got[m, k, :L], want[k], cond)
 
-    @pytest.mark.parametrize("mode", ["single", "mui_suppress"])
-    def test_subcarrier_gains_bit_equal_per_link_fft(self, mode):
+    def test_subcarrier_gains_bit_equal_per_link_fft(self):
         # UEs 0 and 2 carry 2 taps and UE 1 carries 3
-        plan, ch, assoc, (Y, level), _ = self.scene([0, 3, 5], seed=13)
-        est = estimate_all(Y, level, plan, assoc, ch.gains, mode=mode)
+        plan, ch, assoc, (Y, level), _ = self.scene([0, 3, 5], seed=13,
+                                                    full_band=True)
+        est = estimate_all(Y, plan, assoc)
         assert est[:, 1, 2].any() and not est[:, [0, 2], 2].any()
         want = dense_oracles.estimated_subcarrier_gains(est, 8)
         assert np.array_equal(subcarrier_gains(est, 1.0, 8), want)
@@ -471,9 +483,10 @@ class TestAgainstPerLinkOracle:
             subcarrier_gains(np.ones((M, K, N + 1)), 1.0, N)
 
     def test_subcarrier_gains_of_no_estimates_are_zero(self):
-        plan, ch, _, (Y, level), _ = self.scene([0, 3, 5], seed=2)
+        plan, ch, _, (Y, level), _ = self.scene([0, 3, 5], seed=2,
+                                                full_band=True)
         nobody = AssociationMap.from_ap_sets([[]] * 3, num_aps=3)
-        est = estimate_all(Y, level, plan, nobody, ch.gains)
+        est = estimate_all(Y, plan, nobody)
         hf = subcarrier_gains(est, 1.0, 8)
         assert np.array_equal(hf, dense_oracles.estimated_subcarrier_gains(
             est, 8))
@@ -481,17 +494,18 @@ class TestAgainstPerLinkOracle:
         assert not hf.any()
         assert np.isnan(nmse(est, ch, nobody))
 
-    @pytest.mark.parametrize("mode", ["single", "mui_suppress"])
     @pytest.mark.parametrize("seed", [5, 9, 13])
-    def test_nmse_bit_equal_to_the_per_link_sum(self, mode, seed):
+    def test_nmse_bit_equal_to_the_per_link_sum(self, seed):
         # UEs 0 and 2 model 2 of their channel's 3 taps: the third is error
-        plan, ch, assoc, (Y, level), _ = self.scene([0, 0, 3], seed=seed)
-        est = estimate_all(Y, level, plan, assoc, ch.gains, mode=mode)
+        plan, ch, assoc, (Y, level), _ = self.scene([0, 0, 3], seed=seed,
+                                                    full_band=True)
+        est = estimate_all(Y, plan, assoc)
         got = nmse(est, ch, assoc)
         assert got == dense_oracles.nmse(est, ch, assoc) and got > 0
 
     def test_observation_matrices_built_once_per_ue(self, monkeypatch):
-        plan, ch, assoc, (Y, level), _ = self.scene([0, 3, 5], seed=5)
+        plan, ch, assoc, (Y, level), _ = self.scene([0, 3, 5], seed=5,
+                                                    full_band=True)
         calls = []
         real = training.build_observation_matrix
 
@@ -500,10 +514,11 @@ class TestAgainstPerLinkOracle:
             return real(plan, ue)
 
         monkeypatch.setattr(training, "build_observation_matrix", spy)
-        for mode in ("mui_suppress", "single"):
-            estimate_all(Y, level, plan, assoc, ch.gains, mode=mode)
+        for _ in range(2):
+            estimate_all(Y, plan, assoc)
         assert sorted(calls) == [0, 1, 2]
         assert not plan.observation_matrices[0].flags.writeable
+        assert not plan.matched_filter.flags.writeable
 
     def test_no_ues_no_estimates(self):
         plan, _, _, (Y, level), _ = self.scene([0, 3, 5], seed=2)
@@ -523,10 +538,37 @@ class TestAgainstPerLinkOracle:
         counts = {}
         for mode in ("mui_suppress", "single"):
             calls.clear()
-            estimate_all(Y, level, plan, assoc, ch.gains, mode=mode)
+            for m, ues in enumerate(assoc.ue_sets):
+                priors = {k: tap_prior(ch.gains[m, k], plan.num_taps[k])
+                          for k in ues}
+                mmse_estimate(Y[m], level[m], plan, ues, priors, mode)
             counts[mode] = len(calls)
         # two APs serve UEs, over four links
         assert counts == {"mui_suppress": 2, "single": 4}
+
+    def test_estimate_all_takes_no_solve(self, monkeypatch):
+        plan, _, assoc, (Y, _), _ = self.scene([0, 0, 3], seed=5,
+                                               full_band=True)
+
+        def forbidden(*args):
+            raise AssertionError("estimate_all solved a system")
+
+        monkeypatch.setattr(training, "_guarded_inverse", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        assert estimate_all(Y, plan, assoc).any()
+
+    @pytest.mark.parametrize("bands", ["demo 03", "scene"])
+    def test_estimate_all_refuses_partly_overlapping_bands(self, bands):
+        if bands == "scene":
+            plan, _, assoc, (Y, _), _ = self.scene([0, 3, 5], seed=5)
+        else:
+            plan = make_pilot_plan(2, 8, 2, 2, roots=[0, 0], subcarrier_sets=[
+                np.arange(0, 6), np.arange(2, 8)])
+            ch = make_channels(np.ones((1, 2)), np.ones((1, 2, 2)), 8)
+            assoc = AssociationMap.from_ap_sets([[0], [0]], num_aps=1)
+            Y, _ = simulate_pilot_rx(plan, ch, assoc, 0.05, rng=3)
+        with pytest.raises(ValueError, match="mmse_estimate"):
+            estimate_all(Y, plan, assoc)
 
 
 def test_more_taps_than_pilot_observations_solve_the_bracket(monkeypatch):
@@ -615,3 +657,73 @@ def test_gram_form_matches_the_bracket_oracle(case, mode):
         group = ues if mode == "mui_suppress" else [k]
         assert_within_cond(got[k], want[k],
                            estimation_cond(level, plan, group, priors))
+
+
+@st.composite
+def engine_plan_cases(draw):
+    """Pilot reception on an engine-shaped plan (full band, staggered
+    roots, one tap count), contaminated whenever K > N tau_p / L, with a
+    random association and the default interference level."""
+    N = draw(st.integers(1, 64))
+    K, tau_p = draw(st.integers(1, 16)), draw(st.integers(1, 4))
+    power = draw(st.sampled_from([0.01, 1.0, 100.0]))
+    plan = make_pilot_plan(K, N, tau_p, draw(st.integers(1, min(8, N))),
+                           pilot_power=power)
+    M = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    L = plan.num_taps[0]
+    ch = make_channels(rng.uniform(0.2, 2.0, (M, K)),
+                       rng.standard_normal((M, K, L))
+                       + 1j * rng.standard_normal((M, K, L)), N)
+    assoc = AssociationMap.from_ap_sets(
+        [np.flatnonzero(rng.random(M) < 0.6) for _ in range(K)], num_aps=M)
+    Y, level = simulate_pilot_rx(
+        plan, ch, assoc, draw(st.sampled_from([0.0, 1e-3, 1.0])), rng)
+    return plan, ch, assoc, Y, level, draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=engine_plan_cases(),
+       mode=st.sampled_from(["single", "mui_suppress"]))
+def test_estimate_all_is_the_mmse_estimate_on_engine_plans(case, mode):
+    plan, ch, assoc, Y, level, decay = case
+    got = estimate_all(Y, plan, assoc)
+    assert not got[~assoc.zeta().astype(bool)].any()
+    for m, ues in enumerate(assoc.ue_sets):
+        priors = {k: tap_prior(ch.gains[m, k], plan.num_taps[k], decay)
+                  for k in ues}
+        want = dense_oracles.bracket_mmse_estimate(Y[m], level[m], plan, ues,
+                                                   priors, mode=mode)
+        for k in ues:
+            group = ues if mode == "mui_suppress" else [k]
+            assert_within_cond(got[m, k], want[k],
+                               estimation_cond(level[m], plan, group, priors))
+
+
+def test_weak_links_get_the_matched_filter(monkeypatch):
+    """At noise 1e-12 the joint Gram solve of a contaminated pair is as
+    ill-conditioned as the pilot SNR, and on this scenario it put one weak
+    link 5.8e-4 away from the exact unbiased estimate, the matched filter.
+    Every served link of every trial must now be that filter."""
+    weak_link = {"seed": 96, "topology": {"num_aps": 5, "num_ues": 5,
+                                          "noise_variance": 1e-12},
+                 "channel": {"num_taps": 6, "pdp_decay": 0.7},
+                 "ofdm": {"num_subcarriers": 16},
+                 "association": {"radius": 400.0},
+                 "training": {"enabled": True}}
+    calls = []
+
+    def spy(Y, plan, assoc):
+        calls.append((Y, plan, assoc, estimate_all(Y, plan, assoc)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(training, "estimate_all", spy)
+    engine.run_scenario(weak_link)
+    assert len(calls) == engine.merge_scenario(weak_link)["trials"]
+    for Y, plan, assoc, est in calls:
+        for m, ues in enumerate(assoc.ue_sets):
+            for k in ues:
+                want = dense_oracles.matched_filter_estimate(Y[m], plan, k)
+                assert np.linalg.norm(est[m, k] - want) <= (
+                    1e-12 * np.linalg.norm(want))
