@@ -1,18 +1,21 @@
 """Downlink precoding: centralized MMSE, distributed MF/ZF/regularized
 MMSE, the common amplification gain, and artificial-noise secrecy.
 
-Subcarrier-level functions work on an (M, K) channel matrix (one complex
-gain per AP-UE pair).  Subcarriers do not couple, so an OFDM-level
-precoder is one (N, M, K) array: slice n is the subcarrier-level precoder
-of subcarrier n, solved for all N in one batch, and a UE's column is zero
-on every subcarrier it does not transmit on.  The centralized MMSE bracket
+Subcarriers do not couple, so every precoder is one (N, M, K) array: slice
+n holds every UE's precoder on subcarrier n, solved for all N in one
+batch, and a UE's column is zero on every subcarrier it does not transmit
+on.  A single subcarrier is the case N = 1.  The centralized MMSE bracket
 depends on the assignment but not on the powers, so its solve
 (:func:`tmmse_bracket_solve`) and the power scaling (:func:`tmmse_scale`)
 are separate steps that a power loop can run once and many times.
-Distributed precoders use each AP's local channels only (multi-antenna
-APs as an (M, U, K) tensor); :func:`distributed_ofdm_directions` puts
-them in the bracket solve's (X, mask) form, so all precoders share one
-power scaling, amplification gain and SINR.
+Distributed precoders use each AP's local channels only:
+:func:`distributed_directions` takes any stack of local (U, K) channel
+matrices with a mask of the UEs each serves (multi-antenna APs as
+(M, U, K) with ``assoc.zeta() > 0``), and solves every stack in one
+batch.  :func:`distributed_ofdm_directions` runs it on every
+(subcarrier, AP) pair of a plan and returns the bracket solve's
+(X, mask) form, so all precoders share one power scaling, amplification
+gain and SINR.
 """
 
 from __future__ import annotations
@@ -21,36 +24,19 @@ import warnings
 
 import numpy as np
 
-from .topology import AssociationMap
-
 
 # ---------------------------------------------------------------------------
 # centralized precoding
-
-def tmmse_central_subcarrier(channels, noise_var, delta, assoc=None):
-    """Per-UE MMSE precoding vectors, shape (M, K).
-
-    Column k solves (sum_l h_l* h_l^T + noise * I) p = sqrt(delta_k) h_k*.
-    With ``assoc`` given, channel entries of non-associated APs are zeroed
-    first (the CPU only knows the associated links).
-    """
-    if noise_var <= 0:
-        raise ValueError("noise variance must be positive")
-    h = np.array(channels, dtype=complex)
-    M, K = h.shape
-    if assoc is not None:
-        h = h * assoc.zeta()
-    R = h.conj() @ h.T + noise_var * np.eye(M)
-    delta = np.broadcast_to(np.asarray(delta, dtype=float), (K,))
-    return np.linalg.solve(R, h.conj()) * np.sqrt(delta)
-
 
 def tmmse_central_ofdm(freq, subcarrier_sets, noise_var, delta, assoc=None):
     """OFDM-symbol-level MMSE precoders, shape (N, M, K).
 
     ``delta`` is (K, N).  Slice n holds every UE's precoder on subcarrier
-    n; a UE's column is zero on subcarriers outside its set.  Collapses to
-    the subcarrier-level precoder at N = 1.
+    n; a UE's column is zero on subcarriers outside its set.  On each
+    subcarrier column k solves (sum_l h_l* h_l^T + noise * I) p =
+    sqrt(delta_k) h_k*, the sum running over the UEs on it; with ``assoc``
+    given, channel entries of non-associated APs are zeroed first (the CPU
+    only knows the associated links).
     """
     return tmmse_scale(*tmmse_bracket_solve(freq, subcarrier_sets, noise_var,
                                             assoc), delta)
@@ -96,11 +82,6 @@ def tmmse_scale(X, mask, delta):
 # ---------------------------------------------------------------------------
 # common amplification gain
 
-def expected_ap_powers_subcarrier(precoders) -> np.ndarray:
-    """Expected unamplified transmit power per AP for unit-power symbols."""
-    return np.sum(np.abs(np.asarray(precoders)) ** 2, axis=1)
-
-
 def expected_ap_element_powers(precoders) -> np.ndarray:
     """Expected unamplified power of each OFDM output element, (M, N)."""
     powers = np.abs(np.asarray(precoders)) ** 2
@@ -135,15 +116,6 @@ def compute_a0(total_powers, p_max, element_powers=None, element_max=None) -> fl
 # ---------------------------------------------------------------------------
 # downlink SINR and rate
 
-def dl_sinr_subcarrier(channels, precoders, a0, noise_var) -> np.ndarray:
-    """Per-UE SINR of the subcarrier-level transmission, true channels."""
-    h = np.asarray(channels, dtype=complex)
-    gains = np.abs(h.T @ precoders) ** 2          # (K receivers, K streams)
-    desired = np.diag(gains)
-    interference = gains.sum(axis=1) - desired
-    return desired / (interference + noise_var / a0**2)
-
-
 def dl_sinr_ofdm(freq, precoders, subcarrier_sets, a0, noise_var):
     """Per-UE arrays of per-symbol SINR for the OFDM-level transmission."""
     freq = np.asarray(freq, dtype=complex)
@@ -160,106 +132,77 @@ def dl_sinr_ofdm(freq, precoders, subcarrier_sets, a0, noise_var):
 # ---------------------------------------------------------------------------
 # distributed precoding (per-AP local channels, optionally multi-antenna)
 
-def dist_tzf_precode(local_channels) -> np.ndarray:
-    """Zero-forcing precoder of one AP: P = H* (H^T H*)^-1, (U, n) shape.
+def distributed_directions(channels, served, method="mf", reg=None):
+    """Transmit directions from local channels only, shape (..., U, K).
 
-    Satisfies H^T P = I, so every served UE hears its own stream with unit
-    gain and none of the co-served streams.
-    """
-    H = np.atleast_2d(np.asarray(local_channels, dtype=complex))
-    U, n = H.shape
-    if U < n:
-        raise ValueError("TZF infeasible: fewer antennas than served UEs")
-    G = H.T @ H.conj()
-    if np.linalg.matrix_rank(G) < n:
-        raise ValueError("TZF infeasible: rank-deficient local channels")
-    return np.linalg.solve(G.T, H.conj().T).T
-
-
-def dist_regmmse_precode(local_channels, reg) -> np.ndarray:
-    """Regularized variant P = H* (H^T H* + reg I)^-1, (U, n) shape.
-
-    reg = 0 recovers zero forcing, reg = noise variance the MMSE form,
-    reg -> infinity the matched-filter directions.
-    """
-    if reg < 0:
-        raise ValueError("regulation parameter must be nonnegative")
-    H = np.atleast_2d(np.asarray(local_channels, dtype=complex))
-    n = H.shape[1]
-    if reg == 0:
-        return dist_tzf_precode(H)
-    G = H.T @ H.conj() + reg * np.eye(n)
-    return np.linalg.solve(G.T, H.conj().T).T
-
-
-def normalize_columns(P) -> np.ndarray:
-    """Scale precoder columns to unit norm (unit per-stream transmit power)."""
-    P = np.asarray(P, dtype=complex)
-    norms = np.linalg.norm(P, axis=0)
-    out = P.copy()
-    nz = norms > 0
-    out[:, nz] = P[:, nz] / norms[nz]
-    return out
-
-
-def distributed_directions(channels, assoc, method="mf", reg=None,
-                           unit_norm=None) -> np.ndarray:
-    """Per-AP transmit directions for every served UE, shape (M, U, K).
-
-    ``channels`` is (M, U, K) (use U = 1 for single-antenna APs).  Methods:
-    ``mf`` sends h*/|h| per link; ``tzf`` and ``regmmse`` use the local
-    joint precoders, by default unnormalized so each served UE sees unit
-    (tzf) or near-unit effective gain.  ``unit_norm=True`` rescales every
-    column to unit transmit power instead.
+    ``channels`` stacks local channel matrices (..., U, K), one per AP (or
+    per subcarrier and AP) with U antennas; ``served`` (..., K) marks the
+    UEs each one serves.  ``mf`` sends h*/||h|| on every served link;
+    ``tzf`` and ``regmmse`` send the local joint precoder
+    H* (H^T H* + reg I)^-1 of the served columns H (reg = 0 for tzf),
+    unnormalized: under tzf each served UE hears its own stream with unit
+    gain and none of the co-served streams, under regmmse with near-unit
+    gain.  reg = 0 recovers zero forcing, reg = noise variance the MMSE
+    form, reg -> infinity the matched-filter directions.  Unserved columns
+    are zero.
     """
     h = np.asarray(channels, dtype=complex)
-    if h.ndim == 2:
-        h = h[:, None, :]
-    M, U, K = h.shape
-    if unit_norm is None:
-        unit_norm = method == "mf"
-    dirs = np.zeros((M, U, K), dtype=complex)
-    for m in range(M):
-        served = list(assoc.ue_sets[m])
-        if not served:
-            continue
-        H = h[m][:, served]
-        if method == "mf":
-            P = H.conj()
-            dead = np.linalg.norm(H, axis=0) == 0
-            if np.any(dead):
-                warnings.warn(f"AP {m}: zero channel toward served UE(s) "
-                              f"{[served[i] for i in np.flatnonzero(dead)]}; "
-                              "skipping those links")
-        elif method == "tzf":
-            P = dist_tzf_precode(H)
-        elif method == "regmmse":
-            if reg is None:
-                raise ValueError("regmmse needs a regulation parameter")
-            P = dist_regmmse_precode(H, reg)
-        else:
-            raise ValueError(f"unknown distributed method {method!r}")
-        if unit_norm:
-            P = normalize_columns(P)
-        dirs[m][:, served] = P
-    return dirs
+    served = np.asarray(served, dtype=bool)
+    if method not in ("mf", "tzf", "regmmse"):
+        raise ValueError(f"unknown distributed method {method!r}")
+    if method == "regmmse" and reg is None:
+        raise ValueError("regmmse needs a regulation parameter")
+    if method == "regmmse" and reg < 0:
+        raise ValueError("regulation parameter must be nonnegative")
+    h = h * served[..., None, :]
+    if method == "mf":
+        norms = np.linalg.norm(h, axis=-2, keepdims=True)
+        dead = served & (norms[..., 0, :] == 0)
+        if np.any(dead):
+            warnings.warn("zero channel on served link(s) "
+                          f"{[tuple(map(int, i)) for i in np.argwhere(dead)]}"
+                          " (stack index..., UE); skipping those links")
+        return np.divide(h.conj(), norms, out=np.zeros_like(h),
+                         where=norms > 0)
+    reg = 0.0 if method == "tzf" else float(reg)
+    U, K = h.shape[-2:]
+    G = np.swapaxes(h, -1, -2) @ h.conj()                     # (..., K, K)
+    # an unserved UE's row and column of G are zero: its diagonal is
+    # padded with the largest served one, which leaves the largest
+    # singular value, and so the rank tolerance, that of the served block
+    diag = np.where(served, np.diagonal(G, axis1=-2, axis2=-1).real, 0.0)
+    scale = diag.max(axis=-1, initial=0.0, keepdims=True)
+    pad = np.where(served, reg, np.where(scale > 0, scale, 1.0))
+    G = G + pad[..., None] * np.eye(K)
+    if reg == 0:
+        count = served.sum(axis=-1)
+        # matrix_rank of the served block: singular values above
+        # s_max * n * eps, for n served UEs
+        s = np.linalg.svd(G, compute_uv=False)
+        few = count > U
+        bad = few | (np.sum(s > s[..., :1] * count[..., None]
+                            * np.finfo(float).eps, axis=-1) < K)
+        if np.any(bad):
+            first = np.unravel_index(np.argmax(bad), bad.shape)
+            raise ValueError("TZF infeasible: " + (
+                "fewer antennas than served UEs" if few[first]
+                else "rank-deficient local channels"))
+    return np.swapaxes(np.linalg.solve(np.swapaxes(G, -1, -2),
+                                       np.swapaxes(h.conj(), -1, -2)), -1, -2)
 
 
 def distributed_ofdm_directions(freq, subcarrier_sets, assoc, method="mf",
                                 reg=None):
     """Unscaled distributed precoders as :func:`tmmse_bracket_solve`'s
-    (X, mask): X[n] is :func:`distributed_directions` on subcarrier n, each
-    AP serving those of its UEs that transmit on n."""
+    (X, mask): X[n] holds :func:`distributed_directions` of every
+    single-antenna AP on subcarrier n, each serving those of its UEs that
+    transmit on n."""
     freq = np.asarray(freq, dtype=complex)
-    M, K, N = freq.shape
-    mask = _assignment_mask(subcarrier_sets, N)
-    X = np.zeros((N, M, K), dtype=complex)
-    for n in np.flatnonzero(mask.any(axis=1)):
-        on_n = AssociationMap.from_ap_sets(
-            [aps if mask[n, k] else () for k, aps in enumerate(assoc.ap_sets)],
-            M)
-        X[n] = distributed_directions(freq[:, :, n], on_n, method, reg)[:, 0]
-    return X, mask
+    mask = _assignment_mask(subcarrier_sets, freq.shape[2])
+    served = (assoc.zeta() > 0) & (mask[:, None, :] > 0)       # (N, M, K)
+    X = distributed_directions(freq.transpose(2, 0, 1)[:, :, None, :],
+                               served, method, reg)
+    return X[:, :, 0, :], mask
 
 
 def receive_downlink(channels, signals, noise_var=0.0, rng=None) -> np.ndarray:

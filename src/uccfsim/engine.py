@@ -18,6 +18,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,7 +102,7 @@ class Rule:
 
 # every leaf of DEFAULT_SCENARIO by dotted path, with the bounds that the
 # model constructors enforce (DoubleSlope, TripleSlope, pdp_profile,
-# NetworkTopology, ApmpConfig, compute_a0, dist_regmmse_precode)
+# NetworkTopology, ApmpConfig, compute_a0, distributed_directions)
 RULES = {
     "name": Rule(str),
     **dict.fromkeys(("seed", "training.coherence_symbols",
@@ -245,12 +246,19 @@ def _associate(scenario, topo, gains):
                                           cfg.get("min_gain"))
 
 
+@lru_cache(maxsize=8)
+def _pilot_plan(num_ues, num_subcarriers, num_symbols, num_taps, pilot_power):
+    """The pilot plan of a scenario, built once: every trial reuses its
+    observation matrices and matched filter."""
+    return training.make_pilot_plan(num_ues, num_subcarriers, num_symbols,
+                                    num_taps, pilot_power=pilot_power)
+
+
 def _estimate_channels(scenario, real, assoc, rng):
     cfg = scenario["training"]
     N = real.num_subcarriers
-    plan = training.make_pilot_plan(
-        real.gains.shape[1], N, cfg["num_symbols"], int(np.max(real.num_taps)),
-        pilot_power=cfg["pilot_power"])
+    plan = _pilot_plan(real.gains.shape[1], N, cfg["num_symbols"],
+                       int(np.max(real.num_taps)), cfg["pilot_power"])
     Y, _ = training.simulate_pilot_rx(
         plan, real, assoc, scenario["topology"]["noise_variance"], rng)
     estimates = training.estimate_all(Y, plan, assoc)

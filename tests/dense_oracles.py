@@ -55,10 +55,17 @@ zero rows included, as the library did before it built only each UE's
 own rows.  ``dist_transmit`` forms the distributed downlink's per-AP
 signals for given symbols, whose mean received powers
 ``downlink.received_power_split`` gives in closed form.
+
+``distributed_directions`` solves the distributed precoders one stack
+(one AP, or one AP on one subcarrier) at a time on the served columns
+alone, with an SVD rank check of each local Gram matrix and a separate
+column normalization for MF, as the library did before one masked
+batched solve served every stack.
 """
 
 from __future__ import annotations
 
+import warnings
 from itertools import product
 
 import numpy as np
@@ -175,6 +182,68 @@ def dl_sinr_ofdm(freq, precoders, subcarrier_sets, a0, noise_var):
             sinrs[i] = desired / (interf + noise_var / a0**2)
         out.append(sinrs)
     return out
+
+
+def dist_tzf_precode(local_channels) -> np.ndarray:
+    """Zero-forcing precoder of one AP: P = H* (H^T H*)^-1, (U, n) shape."""
+    H = np.atleast_2d(np.asarray(local_channels, dtype=complex))
+    U, n = H.shape
+    if U < n:
+        raise ValueError("TZF infeasible: fewer antennas than served UEs")
+    G = H.T @ H.conj()
+    if np.linalg.matrix_rank(G) < n:
+        raise ValueError("TZF infeasible: rank-deficient local channels")
+    return np.linalg.solve(G.T, H.conj().T).T
+
+
+def dist_regmmse_precode(local_channels, reg) -> np.ndarray:
+    """Regularized variant P = H* (H^T H* + reg I)^-1, (U, n) shape."""
+    if reg < 0:
+        raise ValueError("regulation parameter must be nonnegative")
+    H = np.atleast_2d(np.asarray(local_channels, dtype=complex))
+    n = H.shape[1]
+    if reg == 0:
+        return dist_tzf_precode(H)
+    G = H.T @ H.conj() + reg * np.eye(n)
+    return np.linalg.solve(G.T, H.conj().T).T
+
+
+def normalize_columns(P) -> np.ndarray:
+    """Scale precoder columns to unit norm; zero columns stay zero."""
+    P = np.asarray(P, dtype=complex)
+    norms = np.linalg.norm(P, axis=0)
+    out = P.copy()
+    nz = norms > 0
+    out[:, nz] = P[:, nz] / norms[nz]
+    return out
+
+
+def distributed_directions(channels, served, method="mf", reg=None):
+    """``downlink.distributed_directions`` one (U, K) stack at a time."""
+    h = np.asarray(channels, dtype=complex)
+    served = np.asarray(served, dtype=bool)
+    dirs = np.zeros(h.shape, dtype=complex)
+    for idx in np.ndindex(served.shape[:-1]):
+        ues = list(np.flatnonzero(served[idx]))
+        if not ues:
+            continue
+        H = h[idx][:, ues]
+        if method == "mf":
+            P = normalize_columns(H.conj())
+            dead = np.linalg.norm(H, axis=0) == 0
+            if np.any(dead):
+                warnings.warn(f"stack {idx}: zero channel toward served "
+                              f"UE(s) {[ues[i] for i in np.flatnonzero(dead)]}")
+        elif method == "tzf":
+            P = dist_tzf_precode(H)
+        elif method == "regmmse":
+            if reg is None:
+                raise ValueError("regmmse needs a regulation parameter")
+            P = dist_regmmse_precode(H, reg)
+        else:
+            raise ValueError(f"unknown distributed method {method!r}")
+        dirs[idx][:, ues] = P
+    return dirs
 
 
 def dist_transmit(dirs, powers, symbols) -> np.ndarray:

@@ -20,11 +20,9 @@ from uccfsim.channel import (DoubleSlope, LargeScaleModel,
                              pathloss_triple_slope, sample_large_scale,
                              sample_small_scale)
 from uccfsim.downlink import (artificial_noise_direction, compute_a0,
-                              dist_regmmse_precode, dist_tzf_precode,
-                              distributed_directions, dl_sinr_subcarrier,
-                              expected_ap_powers_subcarrier, receive_downlink,
+                              distributed_directions, receive_downlink,
                               received_power_split, secrecy_transmit,
-                              tmmse_central_ofdm, tmmse_central_subcarrier)
+                              tmmse_central_ofdm)
 from uccfsim.engine import results_to_csv, run_scenario
 from uccfsim.modulation import CONSTELLATIONS
 from uccfsim.topology import AssociationMap, associate_large_scale, \
@@ -36,6 +34,9 @@ from uccfsim.uplink import (SinrSkeleton, combined_sinr, combined_weights,
                             scene_covariance, simulate_uplink,
                             stacked_channel, uplink_sinr_all,
                             weight_output_sinr)
+
+from test_downlink import all_served, flat_ap_powers, flat_precoders, \
+    flat_sinr
 
 
 def criterion(number, label):
@@ -77,7 +78,7 @@ def test_criterion_1_identities():
         h = (rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
         noise = float(rng.uniform(0.05, 1.0))
         delta = rng.uniform(0.1, 0.5, 3)
-        P = tmmse_central_subcarrier(h, noise, delta)
+        P = flat_precoders(h, noise, delta)
         R = h.conj() @ h.T + noise * np.eye(4)
         rhs = h.conj() * np.sqrt(delta)
         worst = max(worst, np.linalg.norm(R @ P - rhs) / np.linalg.norm(rhs))
@@ -86,7 +87,7 @@ def test_criterion_1_identities():
     worst = 0.0
     for _ in range(100):
         H = (rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
-        P = dist_tzf_precode(H)
+        P = distributed_directions(H, all_served(3), "tzf")
         worst = max(worst, np.linalg.norm(H.T @ P - np.eye(3)) / np.sqrt(3))
     assert worst <= 1e-10
 
@@ -108,8 +109,9 @@ def test_criterion_2_reductions():
 
     for _ in range(25):
         H = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
-        assert np.allclose(dist_regmmse_precode(H, 0.0), dist_tzf_precode(H),
-                           atol=1e-12)
+        assert np.allclose(
+            distributed_directions(H, all_served(2), "regmmse", 0.0),
+            distributed_directions(H, all_served(2), "tzf"), atol=1e-12)
 
     for _ in range(25):
         h = (rng.standard_normal((3, 2, 1))
@@ -117,7 +119,9 @@ def test_criterion_2_reductions():
         noise = float(rng.uniform(0.05, 0.5))
         delta = rng.uniform(0.1, 0.4, size=(2, 1))
         P_ofdm = tmmse_central_ofdm(h, [[0], [0]], noise, delta)
-        P_flat = tmmse_central_subcarrier(h[:, :, 0], noise, delta[:, 0])
+        h0 = h[:, :, 0]
+        P_flat = np.linalg.solve(h0.conj() @ h0.T + noise * np.eye(3),
+                                 h0.conj()) * np.sqrt(delta[:, 0])
         for k in range(2):
             assert np.allclose(P_ofdm[0, :, k], P_flat[:, k], atol=1e-12)
 
@@ -205,9 +209,9 @@ def test_criterion_4_sinr_match():
     for _ in range(20):
         h = (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
         noise = 0.2
-        P = tmmse_central_subcarrier(h, noise, [0.5, 0.5])
-        a0 = compute_a0(expected_ap_powers_subcarrier(P), 1.0)
-        analytic = dl_sinr_subcarrier(h, P, a0, noise)
+        P = flat_precoders(h, noise, [0.5, 0.5])
+        a0 = compute_a0(flat_ap_powers(P), 1.0)
+        analytic = flat_sinr(h, P, a0, noise)
         pts = CONSTELLATIONS["qpsk"]
         idx = rng.integers(0, 4, size=(10**5, 2))
         x = pts[idx]
@@ -257,7 +261,7 @@ def test_criterion_6_secrecy():
 
     for _ in range(50):
         h = (rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
-        P = tmmse_central_subcarrier(h, 0.2, [0.3, 0.3, 0.3])
+        P = flat_precoders(h, 0.2, [0.3, 0.3, 0.3])
         p_i = artificial_noise_direction(h, rng)
         x = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / np.sqrt(2)
         rho = float(rng.uniform(0.1, 1.0))
@@ -318,8 +322,8 @@ def test_criterion_7_orderings():
              + 1j * rng.standard_normal((2, 3, 3)))
         assoc = AssociationMap.from_ap_sets([[0], [0], [1]], num_aps=2)
         powers = np.full((2, 3), 0.4)
-        tzf = distributed_directions(h, assoc, method="tzf")
-        mf = distributed_directions(h, assoc, method="mf")
+        tzf = distributed_directions(h, assoc.zeta() > 0, method="tzf")
+        mf = distributed_directions(h, assoc.zeta() > 0, method="mf")
         split_tzf = received_power_split(h, assoc, tzf, powers, 0)
         split_mf = received_power_split(h, assoc, mf, powers, 0)
         assert split_tzf["co_associated"] <= 1e-20 * split_tzf["desired"]

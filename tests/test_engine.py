@@ -287,6 +287,22 @@ class TestDeterminism:
         assert {r["hash"] for r in result["records"]} == {
             real(result["scenario"])}
 
+    def test_pilot_plan_is_built_once_per_scenario(self, monkeypatch):
+        calls = []
+        real = engine.training.make_pilot_plan
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine.training, "make_pilot_plan", spy)
+        engine._pilot_plan.cache_clear()
+        trained = {**SMALL, "trials": 3, "training": {"enabled": True}}
+        for pilot_power in (1.0, 1.0, 2.0):
+            trained["training"]["pilot_power"] = pilot_power
+            run_scenario(trained)
+        assert len(calls) == 2
+
     def test_different_seeds_differ(self):
         a = run_scenario(SMALL)
         b = run_scenario({**SMALL, "seed": 6})
