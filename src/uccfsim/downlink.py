@@ -170,7 +170,7 @@ def distributed_directions(channels, served, method="mf", reg=None):
     # an unserved UE's row and column of G are zero: its diagonal is
     # padded with the largest served one, which leaves the largest
     # singular value, and so the rank tolerance, that of the served block
-    diag = np.where(served, np.diagonal(G, axis1=-2, axis2=-1).real, 0.0)
+    diag = np.diagonal(G, axis1=-2, axis2=-1).real
     scale = diag.max(axis=-1, initial=0.0, keepdims=True)
     pad = np.where(served, reg, np.where(scale > 0, scale, 1.0))
     G = G + pad[..., None] * np.eye(K)
