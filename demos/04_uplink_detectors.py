@@ -11,8 +11,7 @@ from uccfsim.uplink import (SinrSkeleton, combined_sinr, combined_weights,
                             combining_lambdas, equal_power_scene,
                             gmmse_per_subcarrier,
                             gmmse_weights, lmmse_column_sliced, lmmse_reduced,
-                            solve_flop_estimate, uplink_sinr_all,
-                            weight_output_sinr)
+                            uplink_sinr_all, weight_output_sinr)
 
 rng = np.random.default_rng(21)
 M, K, N = 4, 3, 2
@@ -52,11 +51,9 @@ print("\nclosed-form MMSE symbol SINRs per UE:")
 for k, s in enumerate(skeleton.split(closed)):
     print(f"  UE {k}:", np.round(s, 2))
 
-print("\n=== solve cost (flop estimate) ===")
-joint = solve_flop_estimate(M, N, joint=True)
-split = solve_flop_estimate(M, N, joint=False)
-print(f"  one ({M * N}x{M * N}) solve: {joint:10.0f} flops")
-print(f"  {N} parallel ({M}x{M}) solves: {split:10.0f} flops")
+print("\n=== solve cost (cubic-order flop estimate) ===")
+print(f"  one ({M * N}x{M * N}) solve: {(M * N) ** 3:10d} flops")
+print(f"  {N} parallel ({M}x{M}) solves: {N * M ** 3:10d} flops")
 
 print("\n=== per-AP detection + CPU combining for UE 0 ===")
 # each AP's local MMSE estimate, fused at the CPU: one per-AP weight (M, N_k)

@@ -19,21 +19,19 @@ assignments directly.
 Within a plan the channels and the subcarrier assignment are fixed, so
 the evaluators keep what depends on them alone: the downlink computes
 its unscaled precoders (MMSE bracket solve or distributed directions)
-once per plan and rescales them per evaluation under one A0, and a global
-MMSE uplink plan, of either objective, builds one
-:class:`~uccfsim.uplink.SinrSkeleton` and evaluates every power vector on
-it through :func:`~uccfsim.uplink.uplink_sinr_all`.  Max-min power control
-runs Yates' fixed-point iteration inside the bisection and never evaluates
-the same powers twice in a row; the closing evaluation of the chosen
-powers reuses the last one when they match.  Its bound on the common
-target is each UE's SINR alone at its full budget.  On a global MMSE
-uplink plan whose symbols all sit on distinct subcarriers (every
+once per plan and rescales them per evaluation under one A0, and an
+uplink plan, of either objective, plans on the closed-form global MMSE
+SINRs: it builds one :class:`~uccfsim.uplink.SinrSkeleton` and evaluates
+every power vector on it through :func:`~uccfsim.uplink.uplink_sinr_all`.
+Max-min power control runs Yates' fixed-point iteration inside the
+bisection and never evaluates the same powers twice in a row; the closing
+evaluation of the chosen powers reuses the last one when they match.  Its
+bound on the common target is each UE's SINR alone at its full budget.
+On an uplink plan whose symbols all sit on distinct subcarriers (every
 ``exclusive`` plan) a symbol's R_n holds its own UE only, so a UE's SINRs
 do not depend on the others' powers, bit for bit, and one evaluation at
-the full budgets gives every bound; shared plans with co-channel symbols,
-the downlink (where A0 couples the UEs) and the ``reduced`` detector
-evaluate each UE alone.  Only the ``reduced`` detector builds a scene per
-evaluation, through :func:`ul_sinrs`.
+the full budgets gives every bound; shared plans with co-channel symbols
+and the downlink (where A0 couples the UEs) evaluate each UE alone.
 """
 
 from __future__ import annotations
@@ -43,8 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modulation import ue_rates
-from .uplink import (SinrSkeleton, UplinkScene, lmmse_reduced,
-                     uplink_sinr_all, weight_output_sinr)
+from .uplink import SinrSkeleton, uplink_sinr_all
 
 # fixed-point power updates per max-min feasibility test
 MAX_FIXED_POINT = 60
@@ -150,7 +147,7 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3,
 
     ``evaluator(powers) -> per-UE SINR array``; it must be monotone
     increasing in a UE's own power and decreasing in the others', which
-    holds for the MMSE detectors and precoders used here.  It must also be
+    holds for the MMSE SINRs of both directions used here.  It must also be
     deterministic: the SINRs of powers already evaluated are reused, and
     the same powers are never evaluated twice in a row.  A UE's SINR alone
     at its full budget bounds every common target.  ``separable`` declares
@@ -211,9 +208,8 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3,
 
 @dataclass
 class AllocationPlan:
-    """Association, subcarrier, and power decisions plus their audit."""
+    """Subcarrier and power decisions plus their audit."""
 
-    assoc: object
     subcarriers: list                       # per-UE index arrays
     ul_power: list = None                   # per-UE eta_kn arrays
     ul_sinrs: list = None                   # per-UE symbol SINRs at ul_power
@@ -254,36 +250,14 @@ def audit_plan(plan: AllocationPlan, num_subcarriers: int,
     return report
 
 
-def ul_rates(freq, gamma_u, assoc, subcarriers, powers, detector="gmmse"):
-    """Per-UE rates and symbol SINRs for a candidate UL plan (see
-    :func:`ul_sinrs`)."""
-    sinrs = ul_sinrs(freq, gamma_u, assoc, subcarriers, powers, detector)
+def ul_rates(freq, gamma_u, subcarriers, powers):
+    """Rates and closed-form global MMSE symbol SINRs, per UE, of a
+    candidate uplink plan."""
+    if any(len(s) != len(p) for s, p in zip(subcarriers, powers)):
+        raise ValueError("power vector does not match subcarriers")
+    skeleton = SinrSkeleton(freq, subcarriers, gamma_u)
+    sinrs = skeleton.split(uplink_sinr_all(skeleton, np.concatenate(powers)))
     return ue_rates(sinrs), sinrs
-
-
-def ul_sinrs(freq, gamma_u, assoc, subcarriers, powers, detector="gmmse"):
-    """Per-UE symbol SINRs for a candidate UL plan.
-
-    ``detector`` picks the SINR model: the closed-form global MMSE or the
-    reduced local MMSE tied to the association.
-    """
-    scene = UplinkScene(freq=freq, subcarriers=subcarriers, power=powers,
-                        gamma_u=gamma_u)
-    if detector == "gmmse":
-        skeleton = SinrSkeleton(scene.freq, scene.subcarriers, gamma_u)
-        sinrs = skeleton.split(uplink_sinr_all(skeleton,
-                                               np.concatenate(scene.power)))
-    elif detector == "reduced":
-        sinrs = []
-        for k in range(scene.num_ues):
-            if assoc.ap_sets[k] and len(subcarriers[k]):
-                W = lmmse_reduced(scene, assoc, k)
-                sinrs.append(weight_output_sinr(scene, k, W))
-            else:
-                sinrs.append(np.zeros(len(subcarriers[k])))
-    else:
-        raise ValueError(f"unknown detector {detector!r}")
-    return sinrs
 
 
 def _all_positive(g) -> bool:
@@ -293,9 +267,8 @@ def _all_positive(g) -> bool:
 
 def successive_optimize(freq, assoc, demands, objective="sum_rate",
                         direction="ul", gamma_u=None, noise_var=None,
-                        p_max=1.0, p_max_element=None, detector="gmmse",
-                        precoder="tmmse_ofdm", reg=None, mode="exclusive",
-                        components=None,
+                        p_max=1.0, p_max_element=None, precoder="tmmse_ofdm",
+                        reg=None, mode="exclusive", components=None,
                         refine_iterations=1) -> AllocationPlan:
     """Association -> greedy subcarriers -> power, stage by stage.
 
@@ -322,28 +295,18 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
             raise ValueError("uplink allocation needs gamma_u")
         budget_of = np.arange(K)
         groups = np.split(np.arange(len(ns)), cuts)
+        # every evaluation sees the same channels and assignment
+        skeleton = SinrSkeleton(freq, subs, gamma_u)
         checks["ul_sinrs_positive"], seen = True, None
-        if detector == "gmmse":
-            # every evaluation sees the same channels and assignment
-            skeleton = SinrSkeleton(freq, subs, gamma_u)
-
-            def symbol_sinrs(x):
-                return uplink_sinr_all(skeleton, x)
-        else:
-            def symbol_sinrs(x):
-                return np.concatenate(ul_sinrs(freq, gamma_u, assoc, subs,
-                                               np.split(x, cuts), detector))
 
         def evaluate_direction(x):
             # in exact arithmetic a symbol's SINR is positive, or 0 when it
-            # has no power or a channel that the detector does not see
-            # (through every AP for gmmse, the associated ones otherwise)
+            # has no power or a zero channel at every AP
             nonlocal seen
-            g = symbol_sinrs(x)
+            g = uplink_sinr_all(skeleton, x)
             if checks["ul_sinrs_positive"] and not _all_positive(g):
                 if seen is None:
-                    seen = np.any((freq[:, ks, ns] != 0) & (
-                        detector == "gmmse" or assoc.zeta()[:, ks] > 0), axis=0)
+                    seen = np.any(freq[:, ks, ns] != 0, axis=0)
                 checks["ul_sinrs_positive"] = _all_positive(g[seen & (x > 0)])
             return g
 
@@ -424,10 +387,9 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
             return mins
 
         if len(ns):
-            # on distinct subcarriers a global MMSE symbol's R_n holds its
-            # own UE alone, so a UE's SINRs ignore the others' powers
-            separable = (direction == "ul" and detector == "gmmse"
-                         and len(set(ns.tolist())) == len(ns))
+            # on distinct subcarriers an uplink symbol's R_n holds its own
+            # UE alone, so a UE's SINRs ignore the others' powers
+            separable = direction == "ul" and len(set(ns.tolist())) == len(ns)
             x = spread(maxmin_power_control(evaluator, np.ones(K),
                                             separable=separable).powers)
         achieved = evaluate(x)
@@ -439,7 +401,7 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
         fields["ul_power"] = [x[g] for g in groups]
         fields["ul_sinrs"] = sinrs
     plan = AllocationPlan(
-        assoc=assoc, subcarriers=subs, **fields,
+        subcarriers=subs, **fields,
         objective=float(ue_rates(sinrs).sum() if objective == "sum_rate"
                         else achieved.min() if achieved.size else 0.0))
     plan.audit = audit_plan(plan, N, mode, components, checks)

@@ -417,8 +417,8 @@ def run_trial(scenario, trial: int, digest=None) -> list:
     plan = alloc.successive_optimize(
         hf, assoc, scenario["allocation"]["demands"],
         objective=scenario["allocation"]["objective"], direction="ul",
-        gamma_u=gamma_u, detector="gmmse",
-        mode=scenario["allocation"]["mode"], components=components,
+        gamma_u=gamma_u, mode=scenario["allocation"]["mode"],
+        components=components,
         refine_iterations=scenario["allocation"]["refine_iterations"])
 
     scene = uplink.UplinkScene(freq=hf, subcarriers=plan.subcarriers,

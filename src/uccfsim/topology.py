@@ -174,8 +174,6 @@ def associate_large_scale(gains: np.ndarray, max_count=None,
 class FactorGraph:
     """Bipartite AP (function node) / UE (variable node) graph."""
 
-    fn_count: int
-    vn_count: int
     edges: tuple                      # tuple of (ap, ue) pairs
     components: tuple                 # tuple of (frozenset aps, frozenset ues)
     ap_adjacency: dict = field(default_factory=dict)
@@ -224,7 +222,6 @@ def build_factor_graph(assoc: AssociationMap) -> FactorGraph:
         components.append((frozenset(comp_aps), frozenset(comp_ues)))
 
     idle = frozenset(m for m in range(M) if not assoc.ue_sets[m])
-    return FactorGraph(fn_count=M, vn_count=K, edges=edges,
-                       components=tuple(components),
+    return FactorGraph(edges=edges, components=tuple(components),
                        ap_adjacency={m: frozenset(a) for m, a in adjacency.items()},
                        idle_aps=idle)

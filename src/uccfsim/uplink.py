@@ -193,13 +193,6 @@ def gmmse_per_subcarrier(scene: UplinkScene):
     return _subcarrier_mmse(scene)
 
 
-def solve_flop_estimate(num_aps: int, num_subcarriers: int, joint: bool) -> float:
-    """Cubic-order flop count of the covariance solve(s)."""
-    if joint:
-        return float((num_aps * num_subcarriers) ** 3)
-    return float(num_subcarriers * num_aps**3)
-
-
 class SinrSkeleton:
     """The power-independent part of the closed-form MMSE SINRs of a plan.
 

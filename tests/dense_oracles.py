@@ -70,7 +70,7 @@ from itertools import product
 
 import numpy as np
 
-from uccfsim import alloc, apmp, downlink
+from uccfsim import apmp, downlink
 from uccfsim.alloc import (MAX_FIXED_POINT, AllocationPlan, MaxMinResult,
                            _all_positive, allocate_subcarriers_greedy,
                            audit_plan, subcarrier_metric)
@@ -867,12 +867,9 @@ def allocate_power_waterfill(snr_per_unit, budget) -> np.ndarray:
     return powers
 
 
-def ul_rates(freq, gamma_u, assoc, subcarriers, powers, detector="gmmse"):
-    """Per-UE rates and symbol SINRs of a candidate uplink plan, the global
-    MMSE ones from :func:`batched_uplink_sinr_all` on a fresh scene."""
-    if detector != "gmmse":
-        return alloc.ul_rates(freq, gamma_u, assoc, subcarriers, powers,
-                              detector)
+def ul_rates(freq, gamma_u, subcarriers, powers):
+    """Per-UE rates and global MMSE symbol SINRs of a candidate uplink plan,
+    from :func:`batched_uplink_sinr_all` on a fresh scene."""
     sinrs = batched_uplink_sinr_all(UplinkScene(
         freq=freq, subcarriers=subcarriers, power=powers, gamma_u=gamma_u))
     return ue_rates(sinrs), sinrs
@@ -880,9 +877,9 @@ def ul_rates(freq, gamma_u, assoc, subcarriers, powers, detector="gmmse"):
 
 def successive_optimize(freq, assoc, demands, objective="sum_rate",
                         direction="ul", gamma_u=None, noise_var=None,
-                        p_max=1.0, p_max_element=None, detector="gmmse",
-                        mode="exclusive", components=None,
-                        refine_iterations=1, min_refine=1) -> AllocationPlan:
+                        p_max=1.0, p_max_element=None, mode="exclusive",
+                        components=None, refine_iterations=1,
+                        min_refine=1) -> AllocationPlan:
     """Association -> greedy subcarriers -> power, with separate uplink
     and downlink power stages.
 
@@ -903,14 +900,13 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
 
         def evaluate(powers):
             nonlocal healthy, seen
-            rates, sinrs = ul_rates(freq, gamma_u, assoc, subs, powers,
-                                    detector)
+            rates, sinrs = ul_rates(freq, gamma_u, subs, powers)
             g = np.concatenate(sinrs)
             if healthy and not _all_positive(g):
                 if seen is None:
                     ue = np.repeat(np.arange(K), [len(s) for s in subs])
-                    seen = np.any((freq[:, ue, np.concatenate(subs)] != 0) & (
-                        detector == "gmmse" or assoc.zeta()[:, ue] > 0), axis=0)
+                    seen = np.any(freq[:, ue, np.concatenate(subs)] != 0,
+                                  axis=0)
                 healthy = _all_positive(g[seen & (np.concatenate(powers) > 0)])
             return rates, sinrs
 
@@ -938,7 +934,7 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
             else:
                 powers, objective_value = [np.zeros(0)] * K, 0.0
             evaluate(powers)        # the health check sees the final powers
-        plan = AllocationPlan(assoc=assoc, subcarriers=subs, ul_power=powers,
+        plan = AllocationPlan(subcarriers=subs, ul_power=powers,
                               objective=objective_value)
         plan.audit = audit_plan(plan, N, mode, components,
                                 {"ul_sinrs_positive": healthy})
@@ -987,7 +983,7 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
         a0, sinrs = build(delta)
 
     rates = np.array([np.sum(np.log2(1.0 + np.asarray(g))) for g in sinrs])
-    plan = AllocationPlan(assoc=assoc, subcarriers=subs, dl_power=delta,
+    plan = AllocationPlan(subcarriers=subs, dl_power=delta,
                           a0=a0, dl_sinrs=sinrs,
                           objective=float(rates.sum()))
     if objective == "max_min":

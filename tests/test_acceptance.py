@@ -153,22 +153,16 @@ def test_criterion_3_oracles():
         freq = (rng.standard_normal((2, 2, 2))
                 + 1j * rng.standard_normal((2, 2, 2))) / np.sqrt(2)
         best = 0.0
-        choices = [(0,), (1,), (0, 1)]
-        for a0 in choices:
-            for a1 in choices:
-                assoc = AssociationMap.from_ap_sets([list(a0), list(a1)], 2)
-                for n0, n1 in ((0, 1), (1, 0)):
-                    for e0 in np.linspace(0.25, 1.0, 4):
-                        for e1 in np.linspace(0.25, 1.0, 4):
-                            rates, _ = ul_rates(
-                                freq, 10.0, assoc,
-                                [np.array([n0]), np.array([n1])],
-                                [np.array([e0]), np.array([e1])],
-                                detector="reduced")
-                            best = max(best, float(rates.sum()))
+        # subcarrier picks x power grid, full association as in the pipeline
+        for n0, n1 in ((0, 1), (1, 0)):
+            for e0 in np.linspace(0.25, 1.0, 4):
+                for e1 in np.linspace(0.25, 1.0, 4):
+                    rates, _ = ul_rates(freq, 10.0,
+                                        [np.array([n0]), np.array([n1])],
+                                        [np.array([e0]), np.array([e1])])
+                    best = max(best, float(rates.sum()))
         assoc = AssociationMap.from_ap_sets([[0, 1], [0, 1]], 2)
-        plan = successive_optimize(freq, assoc, demands=1, gamma_u=10.0,
-                                   detector="reduced")
+        plan = successive_optimize(freq, assoc, demands=1, gamma_u=10.0)
         ratios.append(plan.objective / best)
     assert np.mean(ratios) >= 0.8
 

@@ -279,26 +279,22 @@ class TestPipeline:
                     + 1j * rng.standard_normal((2, 2, 2))) / np.sqrt(2)
             gamma_u = 10.0
             best = 0.0
-            # exhaustive: associations x subcarrier picks x power grid
-            ap_choices = [(0,), (1,), (0, 1)]
-            for a0 in ap_choices:
-                for a1 in ap_choices:
-                    assoc = AssociationMap.from_ap_sets([list(a0), list(a1)], 2)
-                    for n0 in range(2):
-                        for n1 in range(2):
-                            if n0 == n1:
-                                continue
-                            subs = [np.array([n0]), np.array([n1])]
-                            for e0 in np.linspace(0.25, 1.0, 4):
-                                for e1 in np.linspace(0.25, 1.0, 4):
-                                    rates, _ = ul_rates(
-                                        freq, gamma_u, assoc, subs,
-                                        [np.array([e0]), np.array([e1])],
-                                        detector="reduced")
-                                    best = max(best, float(rates.sum()))
+            # exhaustive: subcarrier picks x power grid, full association
+            # as in the pipeline
+            for n0 in range(2):
+                for n1 in range(2):
+                    if n0 == n1:
+                        continue
+                    subs = [np.array([n0]), np.array([n1])]
+                    for e0 in np.linspace(0.25, 1.0, 4):
+                        for e1 in np.linspace(0.25, 1.0, 4):
+                            rates, _ = ul_rates(
+                                freq, gamma_u, subs,
+                                [np.array([e0]), np.array([e1])])
+                            best = max(best, float(rates.sum()))
             assoc = AssociationMap.from_ap_sets([[0, 1], [0, 1]], 2)
             plan = successive_optimize(freq, assoc, demands=1,
-                                       gamma_u=gamma_u, detector="reduced")
+                                       gamma_u=gamma_u)
             ratios.append(plan.objective / best)
         assert np.mean(ratios) >= 0.8
         assert np.min(ratios) > 0.45
@@ -551,6 +547,16 @@ def test_plan_ul_sinrs_are_the_closed_form_at_its_powers(objective):
     assert empty          # UEs without subcarriers were covered
 
 
+def test_ul_rates_rejects_powers_that_do_not_match_the_assignment():
+    freq = np.ones((1, 2, 2), dtype=complex)
+    subs = [np.array([0]), np.array([1])]
+    rates, _ = ul_rates(freq, 10.0, subs, [np.array([1.0]), np.array([1.0])])
+    assert np.all(rates > 0)
+    # as many powers as symbols, but not per UE
+    with pytest.raises(ValueError, match="does not match subcarriers"):
+        ul_rates(freq, 10.0, subs, [np.array([0.5, 0.5]), np.array([])])
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        objective=st.sampled_from(["sum_rate", "max_min"]),
@@ -558,9 +564,9 @@ def test_plan_ul_sinrs_are_the_closed_form_at_its_powers(objective):
 def test_uplink_plan_on_one_skeleton_is_the_oracle_bit_for_bit(seed,
                                                                objective,
                                                                refine):
-    """A global MMSE uplink plan of either objective builds one skeleton,
-    no scene, and calls ``uplink_sinr_all`` once per distinct evaluation
-    of the oracle, which evaluates every candidate on a fresh scene; on a
+    """An uplink plan of either objective builds one skeleton and calls
+    ``uplink_sinr_all`` once per distinct evaluation of the oracle, which
+    evaluates every candidate on a fresh scene; on a
     max-min plan whose symbols sit on distinct subcarriers, the oracle's
     solo evaluations of the bound are one at the full budgets.  The
     plan's powers, SINRs, objective and audit are the oracle's, bit for
@@ -573,13 +579,13 @@ def test_uplink_plan_on_one_skeleton_is_the_oracle_bit_for_bit(seed,
 
     def record(*args):
         rates, sinrs = oracle_rates(*args)
-        evaluations.append((np.concatenate(args[4]), np.concatenate(sinrs)))
+        evaluations.append((np.concatenate(args[3]), np.concatenate(sinrs)))
         return rates, sinrs
 
     with mock.patch.object(oracle, "ul_rates", record):
         old = oracle.successive_optimize(freq, assoc, objective=objective,
                                          min_refine=0, **kwargs)
-    built, scenes, calls = [], [], []
+    built, calls = [], []
     kernel = alloc.uplink_sinr_all
 
     class Skeleton(alloc.SinrSkeleton):
@@ -587,20 +593,14 @@ def test_uplink_plan_on_one_skeleton_is_the_oracle_bit_for_bit(seed,
             super().__init__(*args)
             built.append(self)
 
-    class Scene(UplinkScene):
-        def __post_init__(self):
-            scenes.append(self)
-            super().__post_init__()
-
     def recording(skeleton, eta):
         calls.append((np.array(eta), kernel(skeleton, eta)))
         return calls[-1][1]
 
     with mock.patch.object(alloc, "SinrSkeleton", Skeleton), \
-            mock.patch.object(alloc, "UplinkScene", Scene), \
             mock.patch.object(alloc, "uplink_sinr_all", recording):
         new = successive_optimize(freq, assoc, objective=objective, **kwargs)
-    assert len(built) == 1 and not scenes
+    assert len(built) == 1
     K = len(old.subcarriers)
     ue = np.repeat(np.arange(K), [len(s) for s in old.subcarriers])
     ns = np.concatenate(old.subcarriers)
@@ -755,8 +755,8 @@ class TestSinglePowerStage:
             freq, assoc, kwargs = random_allocation_scene(rng)
             ul = successive_optimize(freq, assoc, objective="max_min",
                                      **kwargs)
-            _, sinrs = ul_rates(freq, kwargs["gamma_u"], assoc,
-                                ul.subcarriers, ul.ul_power)
+            _, sinrs = ul_rates(freq, kwargs["gamma_u"], ul.subcarriers,
+                                ul.ul_power)
             achieved = np.concatenate(sinrs)
             assert ul.objective == (achieved.min() if achieved.size else 0.0)
             # the oracle reported the bisection's target, which every UE
@@ -772,17 +772,14 @@ class TestSinglePowerStage:
 
 class TestAudit:
     def test_duplicate_subcarriers_fail_exclusive_audit(self):
-        assoc = AssociationMap.from_ap_sets([[0], [0]], num_aps=1)
-        plan = AllocationPlan(assoc=assoc,
-                              subcarriers=[np.array([0]), np.array([0])],
+        plan = AllocationPlan(subcarriers=[np.array([0]), np.array([0])],
                               ul_power=[np.array([1.0]), np.array([1.0])])
         rep = audit_plan(plan, num_subcarriers=2)
         assert not rep["pass"]
         assert not rep["no_subcarrier_reuse"]
 
     def test_over_budget_power_fails(self):
-        assoc = AssociationMap.from_ap_sets([[0]], num_aps=1)
-        plan = AllocationPlan(assoc=assoc, subcarriers=[np.array([0, 1])],
+        plan = AllocationPlan(subcarriers=[np.array([0, 1])],
                               ul_power=[np.array([0.8, 0.8])])
         rep = audit_plan(plan, num_subcarriers=2)
         assert not rep["ul_budgets_ok"]

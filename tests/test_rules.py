@@ -4,9 +4,11 @@ leaf outside its row gives a diagnostic under that leaf's path before any
 trial runs.  Nothing is unreachable: every leaf but the listed dead ones
 moves the CSV by more than round-off, the README's schema is the defaults
 and its CSV header the columns, and every public function or class of the
-package has a caller outside the unit tests."""
+package has a caller outside the unit tests, and every dataclass field a
+reader."""
 
 import ast
+import dataclasses
 import functools
 import importlib
 import importlib.util
@@ -320,26 +322,40 @@ def test_readme_csv_header_is_the_csv_columns():
     assert header.split(",") == engine.CSV_COLUMNS
 
 
+# dataclass fields that only unit tests read, and why they stay
+UNREAD_FIELDS = {
+    "apmp.ApmpResult.belief_trace": "unit tests compare each round's beliefs "
+                                    "with the dict oracle through it",
+}
+
+
 def test_every_public_name_is_used_outside_the_unit_tests():
     """Each public function or class of every ``uccfsim`` module, and each
     public method or property of those classes, serves the package, a demo
     or an acceptance criterion; reference copies that only tests read
-    belong in ``tests/dense_oracles.py`` or in their test."""
+    belong in ``tests/dense_oracles.py`` or in their test.  Each field of
+    those classes that are dataclasses is read there too, or by the
+    benchmark's tracer, but for the listed exemptions."""
     files = (sorted((ROOT / "src").rglob("*.py"))
              + sorted((ROOT / "demos").glob("*.py"))
              + [ROOT / "tests" / "test_acceptance.py"])
-    used = set()
-    for path in files:
+    used, read = set(), set()
+    for path in files + [ROOT / "bench" / "tracer.py"]:
         # names read, attributes and imports; a definition, a docstring or
-        # a comment is not a use
+        # a comment is not a use, and a field is read as an attribute only
         for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+            if path not in files:
+                continue
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    public = []
+    public, fields = [], []
     members = (property, functools.cached_property, classmethod, staticmethod)
     for info in pkgutil.iter_modules(uccfsim.__path__):
         module = importlib.import_module(f"uccfsim.{info.name}")
@@ -351,6 +367,9 @@ def test_every_public_name_is_used_outside_the_unit_tests():
                 public.append((info.name, name))
             elif inspect.isclass(obj):
                 public.append((info.name, name))
+                if dataclasses.is_dataclass(obj):
+                    fields += [f"{info.name}.{name}.{f.name}"
+                               for f in dataclasses.fields(obj)]
                 public += [(f"{info.name}.{name}", attr)
                            for attr, member in vars(obj).items()
                            if not attr.startswith("_")
@@ -360,6 +379,11 @@ def test_every_public_name_is_used_outside_the_unit_tests():
     assert ("uplink.SinrSkeleton", "split") in public
     assert ("topology.AssociationMap", "num_aps") in public
     assert [f"{m}.{name}" for m, name in public if name not in used] == []
+    assert "alloc.MaxMinResult.noise_limited" in fields
+    assert set(UNREAD_FIELDS) <= set(fields)
+    assert [f for f in fields if f.rsplit(".", 1)[1] not in read
+            and f not in UNREAD_FIELDS] == []
+    assert all(f.rsplit(".", 1)[1] not in read for f in UNREAD_FIELDS)
 
 
 @pytest.mark.parametrize("path", ["topology.ap_height", "topology.ue_height",

@@ -11,8 +11,8 @@ from uccfsim.uplink import (SinrSkeleton, UplinkScene, combined_sinr,
                             equal_power_scene, gmmse_per_subcarrier,
                             gmmse_weights, lmmse_column_sliced, lmmse_reduced,
                             measure_output, scene_covariance, simulate_uplink,
-                            solve_flop_estimate, stacked_channel,
-                            uplink_sinr_all, weight_output_sinr)
+                            stacked_channel, uplink_sinr_all,
+                            weight_output_sinr)
 
 
 def random_scene(rng, M=2, K=2, N=2, gamma_u=100.0, shared_band=True):
@@ -131,9 +131,6 @@ class TestGmmse:
             assert np.array_equal(
                 weight_output_sinr(scene, k, V),
                 dense_oracles.weight_output_sinr(scene, k, W), equal_nan=True)
-
-    def test_parallel_solves_cost_less(self):
-        assert solve_flop_estimate(4, 8, joint=False) < solve_flop_estimate(4, 8, joint=True)
 
 
 class TestSinr:
