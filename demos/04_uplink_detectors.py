@@ -7,7 +7,7 @@
 import numpy as np
 
 from uccfsim.topology import associate_large_scale
-from uccfsim.uplink import (SinrSkeleton, combined_sinr, combined_weights,
+from uccfsim.uplink import (combined_sinr, combined_weights,
                             combining_lambdas, equal_power_scene,
                             gmmse_per_subcarrier,
                             gmmse_weights, lmmse_column_sliced, lmmse_reduced,
@@ -43,12 +43,11 @@ print(f"  column-sliced local MMSE    : {rate_of(lmmse_column_sliced(scene, asso
 reduced = [lmmse_reduced(scene, assoc, k) for k in range(K)]
 print(f"  reduced-dimension local MMSE: {rate_of(reduced):7.3f}")
 
-# the closed-form kernel maps flat symbol powers to flat symbol SINRs on
-# the scene's power-independent skeleton
-skeleton = SinrSkeleton(scene.freq, scene.subcarriers, scene.gamma_u)
-closed = uplink_sinr_all(skeleton, np.concatenate(scene.power))
+# the closed-form kernel maps flat symbol powers to flat symbol SINRs of
+# the scene's plan
+closed = uplink_sinr_all(scene, np.concatenate(scene.power))
 print("\nclosed-form MMSE symbol SINRs per UE:")
-for k, s in enumerate(skeleton.split(closed)):
+for k, s in enumerate(scene.split(closed)):
     print(f"  UE {k}:", np.round(s, 2))
 
 print("\n=== solve cost (cubic-order flop estimate) ===")

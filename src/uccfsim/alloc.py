@@ -21,8 +21,9 @@ the evaluators keep what depends on them alone: the downlink computes
 its unscaled precoders (MMSE bracket solve or distributed directions)
 once per plan and rescales them per evaluation under one A0, and an
 uplink plan, of either objective, plans on the closed-form global MMSE
-SINRs: it builds one :class:`~uccfsim.uplink.SinrSkeleton` and evaluates
-every power vector on it through :func:`~uccfsim.uplink.uplink_sinr_all`.
+SINRs: it builds one :func:`~uccfsim.uplink.equal_power_scene`, its
+starting power split, and evaluates every power vector on that scene
+through :func:`~uccfsim.uplink.uplink_sinr_all`.
 Max-min power control runs Yates' fixed-point iteration inside the
 bisection and never evaluates the same powers twice in a row; the closing
 evaluation of the chosen powers reuses the last one when they match.  Its
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modulation import ue_rates
-from .uplink import SinrSkeleton, uplink_sinr_all
+from .uplink import UplinkScene, equal_power_scene, uplink_sinr_all
 
 # fixed-point power updates per max-min feasibility test
 MAX_FIXED_POINT = 60
@@ -105,7 +106,7 @@ def allocate_power_waterfill(snr_per_unit, budget) -> np.ndarray:
 
     ``snr_per_unit[n]`` is the SINR the n-th subcarrier would reach at unit
     power with interference held fixed; maximizes sum log2(1 + p_n s_n)
-    subject to sum p_n = budget, p >= 0.
+    subject to sum p_n = budget, p >= 0; every positive budget is spent.
     """
     if budget <= 0:
         raise ValueError("power budget must be positive")
@@ -120,16 +121,22 @@ def allocate_power_waterfill(snr_per_unit, budget) -> np.ndarray:
         out[usable] = allocate_power_waterfill(s[usable], budget)
         return out
     inv = 1.0 / s
-    order = np.argsort(inv)
-    ranked = inv[order]
-    for active in range(len(s), 0, -1):
-        level = (budget + ranked[:active].sum()) / active
-        if level > ranked[active - 1]:
+    for _ in range(2):
+        order = np.argsort(inv)
+        ranked = inv[order]
+        for active in range(len(s), 0, -1):
+            level = (budget + ranked[:active].sum()) / active
+            if ranked[active - 1] < level < np.inf:
+                break
+        powers = np.maximum(level - inv, 0.0)
+        powers[order[active:]] = 0.0
+        if 0 < (total := powers.sum()) < np.inf:
             break
-    powers = np.maximum(level - inv, 0.0)
-    powers[order[active:]] = 0.0
+        # the budget rounded away against 1 / s_n, or 1 / s_n overflowed:
+        # measure the level from the strongest subcarrier's 1 / s_n instead
+        inv = (s.max() / s - 1.0) / s.max()
     # exact budget despite float accumulation
-    powers *= budget / powers.sum()
+    powers *= budget / total
     return powers
 
 
@@ -253,10 +260,9 @@ def audit_plan(plan: AllocationPlan, num_subcarriers: int,
 def ul_rates(freq, gamma_u, subcarriers, powers):
     """Rates and closed-form global MMSE symbol SINRs, per UE, of a
     candidate uplink plan."""
-    if any(len(s) != len(p) for s, p in zip(subcarriers, powers)):
-        raise ValueError("power vector does not match subcarriers")
-    skeleton = SinrSkeleton(freq, subcarriers, gamma_u)
-    sinrs = skeleton.split(uplink_sinr_all(skeleton, np.concatenate(powers)))
+    scene = UplinkScene(freq=freq, subcarriers=subcarriers, power=powers,
+                        gamma_u=gamma_u)
+    sinrs = scene.split(uplink_sinr_all(scene, np.concatenate(scene.power)))
     return ue_rates(sinrs), sinrs
 
 
@@ -294,16 +300,18 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
         if gamma_u is None:
             raise ValueError("uplink allocation needs gamma_u")
         budget_of = np.arange(K)
-        groups = np.split(np.arange(len(ns)), cuts)
-        # every evaluation sees the same channels and assignment
-        skeleton = SinrSkeleton(freq, subs, gamma_u)
+        # every evaluation sees the same channels and assignment, and the
+        # powers x start from the scene's equal split
+        scene = equal_power_scene(freq, subs, gamma_u)
+        groups = scene.split(np.arange(len(ns)))
+        x = np.concatenate(scene.power)
         checks["ul_sinrs_positive"], seen = True, None
 
         def evaluate_direction(x):
             # in exact arithmetic a symbol's SINR is positive, or 0 when it
             # has no power or a zero channel at every AP
             nonlocal seen
-            g = uplink_sinr_all(skeleton, x)
+            g = uplink_sinr_all(scene, x)
             if checks["ul_sinrs_positive"] and not _all_positive(g):
                 if seen is None:
                     seen = np.any(freq[:, ks, ns] != 0, axis=0)
@@ -318,6 +326,7 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
             raise ValueError("downlink allocation needs noise_var")
         budget_of = np.zeros(K, dtype=int)
         groups = [np.arange(len(ns))]
+        x = np.full(len(ns), 1.0 / max(len(ns), 1))
         # the unscaled precoders depend on the assignment only
         if precoder == "tmmse_ofdm":
             unscaled = tmmse_bracket_solve(freq, subs, noise_var, assoc=assoc)
@@ -356,9 +365,6 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
         return last[1]
 
     # every budget group (its symbols' flat indices) has a budget of 1
-    x = np.empty(len(ns))
-    for g in groups:
-        x[g] = 1.0 / max(len(g), 1)
     if objective == "sum_rate":
         achieved = evaluate(x)
         for _ in range(refine_iterations):

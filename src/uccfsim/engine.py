@@ -531,14 +531,14 @@ def sweep(scenario, path: str, values, common_random: bool = True) -> list:
     """Independent runs per parameter value.
 
     With ``common_random`` every point reuses the master seed (paired
-    comparisons); otherwise each point derives its own seed.
+    comparisons); otherwise each point derives its own unless seed is swept.
     """
     scenario = merge_scenario(scenario)
     out = []
     for i, value in enumerate(values):
         point = json.loads(json.dumps(scenario))
         set_by_path(point, path, value)
-        if not common_random:
+        if not common_random and path != "seed":
             point["seed"] = int(scenario["seed"]) + 7919 * (i + 1)
         out.append({"value": value, "result": run_scenario(point)})
     return out

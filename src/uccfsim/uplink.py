@@ -21,14 +21,13 @@ Symbol draws come from ``simulate_uplink`` as per-AP observations
 (draws, M, N), and ``measure_output`` is the one path from any detector's
 weights to its output amplitude, empirical SINR and hard decisions.
 
-The closed-form MMSE SINR has one kernel, ``uplink_sinr_all``, from flat
-symbol powers to flat symbol SINRs.  It evaluates on a
-:class:`SinrSkeleton`, which keeps everything that does not depend on the
-powers (symbol indices, channels, their outer products) for one plan, so
-that a power-control loop pays per evaluation only for the power checks,
-R_n, one (S, M, M) solve and the products.  A single scene is one plan:
-``SinrSkeleton(scene.freq, scene.subcarriers, scene.gamma_u)`` evaluated at
-``np.concatenate(scene.power)``.
+The closed-form MMSE SINR has one kernel, ``uplink_sinr_all(scene, eta)``,
+from the flat symbol powers eta of a scene's plan (UE-major: ``ue``,
+``sub``, ``split``) to flat symbol SINRs.  The scene keeps on first use
+what does not depend on the powers (each symbol's channel and outer
+product, the per-subcarrier channel view), so a power-control loop pays
+per evaluation only for the power checks, R_n, one (S, M, M) solve and
+the products.
 
 The stacked (M*N, .) layout is left only at the dense edge whose bits the
 benchmark's references pin: ``gmmse_weights`` solves the (M*N, M*N)
@@ -53,7 +52,8 @@ from .modulation import constellation, nearest_point, random_symbol_indices
 
 @dataclass(frozen=True)
 class UplinkScene:
-    """Channels, subcarrier assignment, powers, and the normalized SNR."""
+    """Channels, subcarrier assignment, powers, and the normalized SNR; its
+    symbol s, UE-major, is UE ``ue[s]``'s on subcarrier ``sub[s]``."""
 
     freq: np.ndarray        # (M, K, N) complex subcarrier gains
     subcarriers: tuple      # subcarriers[k]: sorted int array, N_k entries
@@ -68,13 +68,12 @@ class UplinkScene:
         object.__setattr__(self, "power", pows)
         if self.gamma_u <= 0:
             raise ValueError("gamma_u must be positive")
-        for k, (s, p) in enumerate(zip(subs, pows)):
-            if len(s) != len(p):
-                raise ValueError(f"UE {k}: power vector does not match subcarriers")
-            if p.sum() > 1.0 + 1e-9:
-                raise ValueError(f"UE {k}: power budget exceeded")
-            if np.any(p < 0):
-                raise ValueError(f"UE {k}: negative power")
+        object.__setattr__(self, "ue", np.arange(len(subs)).repeat(
+            [len(s) for s in subs]))
+        object.__setattr__(self, "sub", np.concatenate(subs))
+        if [len(p) for p in pows] != [len(s) for s in subs]:
+            raise ValueError("power vector does not match subcarriers")
+        _checked(self, np.concatenate(pows))
 
     @property
     def num_aps(self) -> int:
@@ -87,6 +86,25 @@ class UplinkScene:
     @property
     def num_subcarriers(self) -> int:
         return self.freq.shape[2]
+
+    def split(self, flat, axis=0):
+        """Per-UE arrays of a flat per-symbol array."""
+        cuts = np.cumsum([len(s) for s in self.subcarriers])[:-1]
+        return np.split(flat, cuts, axis=axis)
+
+    @cached_property
+    def _symbols(self) -> tuple:
+        # each symbol's channel b = h_kn (S, M), its conjugate and b b^H
+        b = self.freq[:, self.ue, self.sub].T
+        b_conj = b.conj()
+        return b, b_conj, b[:, :, None] * b_conj[:, None, :]
+
+    @cached_property
+    def _per_subcarrier(self) -> tuple:
+        # the (N, M, K) channel view, its Hermitian and I / gamma_u
+        H = self.freq.transpose(2, 0, 1)
+        return (H, H.conj().transpose(0, 2, 1),
+                (1.0 / self.gamma_u) * np.eye(self.num_aps))
 
     @cached_property
     def _covariance(self) -> np.ndarray:
@@ -116,7 +134,7 @@ class UplinkScene:
 
 def equal_power_scene(freq, subcarriers, gamma_u) -> UplinkScene:
     """Scene with each UE's unit budget split evenly over its subcarriers."""
-    power = tuple(np.full(len(s), 1.0 / max(len(s), 1)) for s in subcarriers)
+    power = tuple([1.0 / max(len(s), 1)] * len(s) for s in subcarriers)
     return UplinkScene(freq=freq, subcarriers=subcarriers, power=power,
                        gamma_u=gamma_u)
 
@@ -143,22 +161,37 @@ def scene_covariance(scene: UplinkScene) -> np.ndarray:
     return scene._covariance
 
 
-def _power_grid(scene: UplinkScene) -> np.ndarray:
-    """Power coefficients eta_kn as a (K, N) grid, zero where unassigned."""
-    eta = np.zeros((scene.num_ues, scene.num_subcarriers))
-    for k, (sub, p) in enumerate(zip(scene.subcarriers, scene.power)):
-        eta[k, sub] = p
+def _checked(scene: UplinkScene, eta) -> np.ndarray:
+    """Flat symbol powers ``eta`` as floats, checked: one per symbol, none
+    negative, each UE within its unit budget; errors name the first UE."""
+    eta = np.asarray(eta, dtype=float)
+    if eta.shape != scene.ue.shape:
+        raise ValueError("power vector does not match subcarriers")
+    K = scene.num_ues
+    over = np.bincount(scene.ue, eta, K) > 1.0 + 1e-9
+    if over.any() or (eta < 0).any():
+        k = int(np.argmax(over | (np.bincount(scene.ue, eta < 0, K) > 0)))
+        raise ValueError(f"UE {k}: power budget exceeded" if over[k]
+                         else f"UE {k}: negative power")
     return eta
 
 
-def subcarrier_covariances(scene: UplinkScene) -> np.ndarray:
-    """Per-subcarrier covariances R_n = I / gamma_u + sum_l eta_ln h_ln h_ln^H.
+def _power_grid(scene: UplinkScene, eta=None) -> np.ndarray:
+    """Flat powers (default: the scene's) as a zero-padded (K, N) grid."""
+    grid = np.zeros(scene.freq.shape[1:])
+    grid[scene.ue, scene.sub] = (np.concatenate(scene.power) if eta is None
+                                 else eta)
+    return grid
+
+
+def subcarrier_covariances(scene: UplinkScene, eta=None) -> np.ndarray:
+    """Per-subcarrier covariances R_n = I / gamma_u + sum_l eta_ln h_ln h_ln^H
+    at the flat symbol powers ``eta``, the scene's by default.
 
     Shape (N, M, M): the diagonal blocks of :func:`scene_covariance`.
     """
-    H = scene.freq.transpose(2, 0, 1)                    # (N, M, K)
-    R = (H * _power_grid(scene).T[:, None, :]) @ H.conj().transpose(0, 2, 1)
-    return R + (1.0 / scene.gamma_u) * np.eye(scene.num_aps)
+    H, H_herm, noise = scene._per_subcarrier
+    return (H * _power_grid(scene, eta).T[:, None, :]) @ H_herm + noise
 
 
 def gmmse_weights(scene: UplinkScene):
@@ -170,18 +203,16 @@ def gmmse_weights(scene: UplinkScene):
     rhs = [stacked_channel(scene, k) * np.sqrt(scene.power[k])
            for k in range(scene.num_ues)]
     X = np.linalg.solve(R, np.hstack(rhs))
-    sub = np.concatenate(scene.subcarriers)
     V = X.reshape(scene.num_aps, scene.num_subcarriers, -1)[
-        :, sub, np.arange(len(sub))]
-    return np.split(V, np.cumsum([len(s) for s in scene.subcarriers])[:-1],
-                    axis=1)
+        :, scene.sub, np.arange(len(scene.sub))]
+    return scene.split(V, axis=1)
 
 
 def _subcarrier_mmse(scene: UplinkScene, zeta=1.0):
     """Weights R_n^-1 (zeta_k * h_kn) sqrt(eta_kn) of every UE, in one
     (N, M, M) solve; an association ``zeta`` (M, K) restricts the
     right-hand sides to each UE's APs."""
-    H = scene.freq.transpose(2, 0, 1)                    # (N, M, K)
+    H = scene._per_subcarrier[0]                         # (N, M, K)
     rhs = H * zeta * np.sqrt(_power_grid(scene).T)[:, None, :]
     X = np.linalg.solve(subcarrier_covariances(scene), rhs)
     return [X[sub, :, k].T for k, sub in enumerate(scene.subcarriers)]
@@ -193,63 +224,18 @@ def gmmse_per_subcarrier(scene: UplinkScene):
     return _subcarrier_mmse(scene)
 
 
-class SinrSkeleton:
-    """The power-independent part of the closed-form MMSE SINRs of a plan.
+def uplink_sinr_all(scene: UplinkScene, eta) -> np.ndarray:
+    """Flat closed-form MMSE symbol SINRs of the scene's plan at the flat
+    symbol powers ``eta``, which must pass the scene's power checks.
 
-    Built once from the channels, the subcarrier assignment and gamma_u,
-    it holds the flat symbol indices, each symbol's channel b = h_kn and
-    its outer product b b^H, and the per-subcarrier channel view, so that
-    :func:`uplink_sinr_all` pays only the power-dependent work.
+    Symbol s of UE k on subcarrier n with power eta has SINR Re(eta b^H x),
+    where (R_n - eta b b^H) x = b and b = h_kn, all in one (S, M, M) solve.
     """
-
-    def __init__(self, freq, subcarriers, gamma_u):
-        if gamma_u <= 0:
-            raise ValueError("gamma_u must be positive")
-        freq = np.asarray(freq, dtype=complex)
-        subs = [np.asarray(s, dtype=int) for s in subcarriers]
-        counts = [len(s) for s in subs]
-        self.num_ues = len(subs)
-        self.ue = np.repeat(np.arange(self.num_ues), counts)    # (S,)
-        self.sub = np.concatenate(subs)                         # (S,)
-        self.cuts = np.cumsum(counts)[:-1]
-        self.b = freq[:, self.ue, self.sub].T                   # (S, M)
-        self.b_conj = self.b.conj()
-        self.outer = self.b[:, :, None] * self.b_conj[:, None, :]
-        self.H = freq.transpose(2, 0, 1)                        # (N, M, K)
-        self.H_herm = self.H.conj().transpose(0, 2, 1)
-        self.noise = (1.0 / gamma_u) * np.eye(freq.shape[0])
-        self.grid_shape = freq.shape[1:]
-
-    def split(self, flat):
-        """Per-UE arrays of a flat per-symbol array."""
-        return np.split(flat, self.cuts)
-
-
-def uplink_sinr_all(skeleton: SinrSkeleton, eta) -> np.ndarray:
-    """Flat closed-form MMSE symbol SINRs at the flat symbol powers ``eta``.
-
-    The powers must pass the checks of :class:`UplinkScene`: no negative
-    power and every UE within its unit budget.  Symbol s of UE k on
-    subcarrier n with power eta has SINR Re(eta b^H x), where
-    (R_n - eta b b^H) x = b and b = h_kn; all symbols are solved in one
-    (S, M, M) batch.
-    """
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != skeleton.ue.shape:
-        raise ValueError("power vector does not match subcarriers")
-    K = skeleton.num_ues
-    over = np.bincount(skeleton.ue, eta, K) > 1.0 + 1e-9
-    if over.any() or (eta < 0).any():
-        # the first offending UE, as the per-UE checks would find it
-        k = int(np.argmax(over | (np.bincount(skeleton.ue, eta < 0, K) > 0)))
-        raise ValueError(f"UE {k}: power budget exceeded" if over[k]
-                         else f"UE {k}: negative power")
-    grid = np.zeros(skeleton.grid_shape)
-    grid[skeleton.ue, skeleton.sub] = eta
-    R = (skeleton.H * grid.T[:, None, :]) @ skeleton.H_herm + skeleton.noise
-    x = np.linalg.solve(R[skeleton.sub] - eta[:, None, None]
-                        * skeleton.outer, skeleton.b[:, :, None])[:, :, 0]
-    return np.real(eta * np.einsum("sm,sm->s", skeleton.b_conj, x))
+    eta = _checked(scene, eta)
+    b, b_conj, outer = scene._symbols
+    x = np.linalg.solve(subcarrier_covariances(scene, eta)[scene.sub]
+                        - eta[:, None, None] * outer, b[:, :, None])[:, :, 0]
+    return np.real(eta * np.einsum("sm,sm->s", b_conj, x))
 
 
 def lmmse_column_sliced(scene: UplinkScene, assoc):

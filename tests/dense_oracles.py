@@ -32,7 +32,7 @@ a time, as the library did before both moved onto arrays.
 Three oracles are not dense but pin bit-identical refactors:
 ``batched_uplink_sinr_all`` rebuilds every power-independent array of the
 closed-form uplink SINR on each call, as the library did before it kept
-them in a per-plan skeleton, ``maxmin_power_control`` evaluates the
+them on the plan's scene, ``maxmin_power_control`` evaluates the
 same powers again after its fixed point and before returning, and
 ``estimated_subcarrier_gains`` takes one FFT per estimated link.
 

@@ -27,7 +27,7 @@ from uccfsim.engine import results_to_csv, run_scenario
 from uccfsim.modulation import CONSTELLATIONS
 from uccfsim.topology import AssociationMap, associate_large_scale, \
     build_factor_graph
-from uccfsim.uplink import (SinrSkeleton, combined_sinr, combined_weights,
+from uccfsim.uplink import (combined_sinr, combined_weights,
                             combining_lambdas, equal_power_scene,
                             gmmse_per_subcarrier,
                             gmmse_weights, lmmse_column_sliced, lmmse_reduced,
@@ -285,9 +285,8 @@ def test_criterion_7_orderings():
         assoc = associate_large_scale(g, max_count=2)
         scene = equal_power_scene(freq, [np.arange(1)] * K, 10.0)
         sliced = lmmse_column_sliced(scene, assoc)
-        skeleton = SinrSkeleton(scene.freq, scene.subcarriers, scene.gamma_u)
-        r_gm[t] = sum(np.log2(1 + s).sum() for s in skeleton.split(
-            uplink_sinr_all(skeleton, np.concatenate(scene.power))))
+        r_gm[t] = sum(np.log2(1 + s).sum() for s in scene.split(
+            uplink_sinr_all(scene, np.concatenate(scene.power))))
         r_sl[t] = sum(np.log2(1 + weight_output_sinr(scene, k, sliced[k])).sum()
                       for k in range(K))
         r_rd[t] = sum(np.log2(1 + weight_output_sinr(

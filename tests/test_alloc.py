@@ -14,7 +14,7 @@ from uccfsim.alloc import (AllocationPlan, allocate_power_waterfill,
 from uccfsim.engine import merge_scenario, run_trial
 from uccfsim.modulation import ue_rates
 from uccfsim.topology import AssociationMap, build_factor_graph
-from uccfsim.uplink import SinrSkeleton, UplinkScene, uplink_sinr_all
+from uccfsim.uplink import UplinkScene, uplink_sinr_all
 
 import dense_oracles as oracle
 
@@ -116,6 +116,36 @@ class TestWaterfilling:
         s = np.array(gains)
         assert np.array_equal(allocate_power_waterfill(s, budget),
                               oracle.allocate_power_waterfill(s, budget))
+
+    @pytest.mark.parametrize("gains,want", [
+        ([1.708e-21] * 4, [0.25] * 4),
+        ([1e-21, 1e-300], [1.0, 0.0])])
+    def test_a_budget_that_rounds_away_against_one_over_s_is_spent(
+            self, gains, want):
+        # the water level 1 / s + budget / n rounds to 1 / s itself
+        p = allocate_power_waterfill(np.array(gains), 1.0)
+        assert np.array_equal(p, want)
+
+    def test_a_sum_of_one_over_s_past_the_largest_double_is_skipped(self):
+        # the three weak subcarriers' 1 / s_n sum to inf, which numpy warns
+        # about; the level that spends the budget leaves them out
+        with np.errstate(over="ignore"):
+            p = allocate_power_waterfill(np.array([1.0, 1e-308, 1e-308,
+                                                   1e-308]), 1.0)
+        assert np.array_equal(p, [1.0, 0.0, 0.0, 0.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(exponents=st.lists(st.floats(-300.0, 300.0), min_size=1,
+                              max_size=12),
+           budget=st.floats(1e-3, 4.0))
+    def test_every_positive_input_spends_the_budget(self, exponents, budget):
+        s = 10.0 ** np.array(exponents)
+        p = allocate_power_waterfill(s, budget)
+        assert np.all(np.isfinite(p)) and np.all(p >= 0)
+        assert p.sum() == pytest.approx(budget, rel=1e-12)
+        # a stronger subcarrier never gets less power
+        ranked = p[np.argsort(-s, kind="stable")]
+        assert np.all(np.diff(ranked) <= 0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -384,24 +414,23 @@ class TestPipeline:
         assert p1.objective == p2.objective
 
 
-class TestPlanSkeletons:
+class TestPlanScenes:
     """Power-independent work is done once per plan."""
 
-    def test_maxmin_builds_one_skeleton_and_repeats_no_evaluation(
+    def test_maxmin_builds_one_scene_and_repeats_no_evaluation(
             self, monkeypatch):
         built, evaluated = [], []
-        kernel = alloc.uplink_sinr_all
+        kernel, build = alloc.uplink_sinr_all, alloc.equal_power_scene
 
-        class Recording(alloc.SinrSkeleton):
-            def __init__(self, *args):
-                super().__init__(*args)
-                built.append(self)
+        def building(*args):
+            built.append(build(*args))
+            return built[-1]
 
-        def recording(skeleton, eta):
+        def recording(scene, eta):
             evaluated.append(np.array(eta))
-            return kernel(skeleton, eta)
+            return kernel(scene, eta)
 
-        monkeypatch.setattr(alloc, "SinrSkeleton", Recording)
+        monkeypatch.setattr(alloc, "equal_power_scene", building)
         monkeypatch.setattr(alloc, "uplink_sinr_all", recording)
         rng = np.random.default_rng(16)
         for _ in range(20):
@@ -540,9 +569,8 @@ def test_plan_ul_sinrs_are_the_closed_form_at_its_powers(objective):
                                    direction="ul", **kwargs)
         scene = UplinkScene(freq=freq, subcarriers=plan.subcarriers,
                             power=plan.ul_power, gamma_u=kwargs["gamma_u"])
-        skeleton = SinrSkeleton(scene.freq, scene.subcarriers, scene.gamma_u)
-        assert same_arrays(plan.ul_sinrs, skeleton.split(uplink_sinr_all(
-            skeleton, np.concatenate(scene.power))))
+        assert same_arrays(plan.ul_sinrs, scene.split(uplink_sinr_all(
+            scene, np.concatenate(scene.power))))
         empty += sum(not len(s) for s in plan.subcarriers)
     assert empty          # UEs without subcarriers were covered
 
@@ -561,10 +589,10 @@ def test_ul_rates_rejects_powers_that_do_not_match_the_assignment():
 @given(seed=st.integers(0, 2**32 - 1),
        objective=st.sampled_from(["sum_rate", "max_min"]),
        refine=st.integers(0, 3))
-def test_uplink_plan_on_one_skeleton_is_the_oracle_bit_for_bit(seed,
-                                                               objective,
-                                                               refine):
-    """An uplink plan of either objective builds one skeleton and calls
+def test_uplink_plan_on_one_scene_is_the_oracle_bit_for_bit(seed,
+                                                            objective,
+                                                            refine):
+    """An uplink plan of either objective builds one scene and calls
     ``uplink_sinr_all`` once per distinct evaluation of the oracle, which
     evaluates every candidate on a fresh scene; on a
     max-min plan whose symbols sit on distinct subcarriers, the oracle's
@@ -586,18 +614,17 @@ def test_uplink_plan_on_one_skeleton_is_the_oracle_bit_for_bit(seed,
         old = oracle.successive_optimize(freq, assoc, objective=objective,
                                          min_refine=0, **kwargs)
     built, calls = [], []
-    kernel = alloc.uplink_sinr_all
+    kernel, build = alloc.uplink_sinr_all, alloc.equal_power_scene
 
-    class Skeleton(alloc.SinrSkeleton):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
+    def building(*args):
+        built.append(build(*args))
+        return built[-1]
 
-    def recording(skeleton, eta):
-        calls.append((np.array(eta), kernel(skeleton, eta)))
+    def recording(scene, eta):
+        calls.append((np.array(eta), kernel(scene, eta)))
         return calls[-1][1]
 
-    with mock.patch.object(alloc, "SinrSkeleton", Skeleton), \
+    with mock.patch.object(alloc, "equal_power_scene", building), \
             mock.patch.object(alloc, "uplink_sinr_all", recording):
         new = successive_optimize(freq, assoc, objective=objective, **kwargs)
     assert len(built) == 1

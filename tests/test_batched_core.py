@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import dense_oracles as dense
 from uccfsim.downlink import dl_sinr_ofdm, tmmse_central_ofdm
 from uccfsim.topology import AssociationMap
-from uccfsim.uplink import (SinrSkeleton, UplinkScene, combined_sinr,
+from uccfsim.uplink import (UplinkScene, combined_sinr,
                             combined_weights, combining_lambdas,
                             gmmse_weights, lmmse_column_sliced, lmmse_reduced,
                             scene_covariance, stacked_channel,
@@ -81,9 +81,7 @@ def test_uplink_sinr_all_matches_dense(M, K, N, gamma_u, shared, empty_ue):
     for _ in range(5):
         scene = random_scene(rng, M, K, N, gamma_u, shared, empty_ue)
         rtol = uplink_tolerance(scene)
-        skeleton = SinrSkeleton(scene.freq, scene.subcarriers, scene.gamma_u)
-        got = skeleton.split(uplink_sinr_all(skeleton,
-                                             np.concatenate(scene.power)))
+        got = scene.split(uplink_sinr_all(scene, np.concatenate(scene.power)))
         want = dense.uplink_sinr_all(scene)
         assert len(got) == len(want) == K
         for k, (g, w) in enumerate(zip(got, want)):

@@ -129,6 +129,16 @@ class TestSweep:
         assert "association.radius = 200.0" in out
 
 
+    def test_independent_seeds_keep_a_swept_seed(self, scenario_file,
+                                                 capsys):
+        code = main(["sweep", str(scenario_file), "--param", "seed",
+                     "--values", "3,4", "--independent-seeds"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "seed 3, trials 2" in out
+        assert "seed 4, trials 2" in out
+
+
 class TestEntryPoint:
     def test_module_invocation(self, scenario_file):
         # the child imports the same uccfsim as this process, however

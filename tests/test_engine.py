@@ -207,6 +207,16 @@ def test_downlink_plan_that_sends_nothing_passes_the_audit():
     assert all(r["audit_pass"] for r in res["records"])
 
 
+@pytest.mark.parametrize("downlink", [{"p_max": 1e-30},
+                                      {"p_max_element": 1e-25}])
+def test_a_tiny_downlink_budget_keeps_every_downlink_metric_finite(downlink):
+    """The water level would round the whole budget away against such
+    small SINRs per unit power; the powers still spend it."""
+    res = run_scenario({"downlink": {"enabled": True, **downlink}})
+    for r in res["records"]:
+        assert np.isfinite(r["dl_rate"]) and np.isfinite(r["dl_sinr"])
+
+
 def test_triple_slope_default_scenario_has_usable_rates():
     """Distances in meters reach the triple-slope formula in km; in meters
     they added 105 dB of loss and every rate was below 1e-7."""
@@ -560,10 +570,10 @@ class TestPipelineOutputs:
         calls, planning = [], []
         sinr_all, optimize = uplink.uplink_sinr_all, alloc.successive_optimize
 
-        def spy_sinrs(skeleton, eta):
+        def spy_sinrs(scene, eta):
             assert planning, "uplink_sinr_all called outside the allocation"
-            calls.append((skeleton, eta))
-            return sinr_all(skeleton, eta)
+            calls.append((scene, eta))
+            return sinr_all(scene, eta)
 
         def spy_optimize(*args, **kwargs):
             planning.append(True)
@@ -582,8 +592,8 @@ class TestPipelineOutputs:
             calls.clear()
             records = run_trial(scenario, trial)
             assert len(calls) == 2
-            skeleton, eta = calls[-1]
-            want = skeleton.split(sinr_all(skeleton, eta))
+            scene, eta = calls[-1]
+            want = scene.split(sinr_all(scene, eta))
             assert records[0]["sinr_analytic"] == np.mean(want[0])
             assert records[0]["rate"] == ue_rates(want)[0]
             assert np.isnan(records[1]["sinr_analytic"])
@@ -673,6 +683,14 @@ class TestSweep:
                          common_random=False)
         assert (unpaired[0]["result"]["aggregate"]["sum_rate"]["mean"]
                 != unpaired[1]["result"]["aggregate"]["sum_rate"]["mean"])
+
+    def test_independent_seeds_keep_a_swept_seed(self):
+        points = sweep({"trials": 2}, "seed", [3, 4], common_random=False)
+        for point, seed in zip(points, [3, 4]):
+            assert point["value"] == seed
+            assert point["result"]["scenario"]["seed"] == seed
+            assert results_to_csv(point["result"]) == results_to_csv(
+                run_scenario({"trials": 2, "seed": seed}))
 
     def test_plot_data_shape(self):
         cfg = {**SMALL, "trials": 2}

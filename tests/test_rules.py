@@ -376,7 +376,7 @@ def test_every_public_name_is_used_outside_the_unit_tests():
                            and (inspect.isfunction(member)
                                 or isinstance(member, members))]
     assert ("uplink", "measure_output") in public
-    assert ("uplink.SinrSkeleton", "split") in public
+    assert ("uplink.UplinkScene", "split") in public
     assert ("topology.AssociationMap", "num_aps") in public
     assert [f"{m}.{name}" for m, name in public if name not in used] == []
     assert "alloc.MaxMinResult.noise_limited" in fields

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import dense_oracles
 from uccfsim.modulation import CONSTELLATIONS, sum_rate
 from uccfsim.topology import AssociationMap
-from uccfsim.uplink import (SinrSkeleton, UplinkScene, combined_sinr,
+from uccfsim.uplink import (UplinkScene, combined_sinr,
                             combined_weights, combining_lambdas,
                             equal_power_scene, gmmse_per_subcarrier,
                             gmmse_weights, lmmse_column_sliced, lmmse_reduced,
@@ -26,10 +26,8 @@ def random_scene(rng, M=2, K=2, N=2, gamma_u=100.0, shared_band=True):
 
 
 def closed_form(scene):
-    """Per-UE closed-form MMSE SINRs of a scene, on its own skeleton."""
-    skeleton = SinrSkeleton(scene.freq, scene.subcarriers, scene.gamma_u)
-    return skeleton.split(uplink_sinr_all(skeleton,
-                                          np.concatenate(scene.power)))
+    """Per-UE closed-form MMSE SINRs of a scene at its own powers."""
+    return scene.split(uplink_sinr_all(scene, np.concatenate(scene.power)))
 
 
 def full_assoc(M, K):
@@ -60,6 +58,26 @@ def dense_cases(draw, log_gammas=(0.0, 2.0, 6.0, 10.0, 14.0)):
     power = [q / max(q.sum(), 1.0) for q in p]
     gamma_u = 10.0 ** draw(st.sampled_from(log_gammas))
     return freq, subs, power, gamma_u
+
+
+@st.composite
+def raised_power_cases(draw):
+    """A shared plan with M, K, N <= 4 and gamma_u <= 1e6, flat powers
+    within the budgets, the same powers with symbol s raised within its
+    UE's budget, and s."""
+    M, K, N = (draw(st.integers(1, 4)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    freq = rng.standard_normal((M, K, N)) + 1j * rng.standard_normal((M, K, N))
+    subs = [np.sort(rng.choice(N, size=rng.integers(1, N + 1), replace=False))
+            for _ in range(K)]
+    plan = equal_power_scene(freq, subs, 10.0 ** draw(st.floats(0.0, 6.0)))
+    q = rng.uniform(0.0, 1.0, plan.ue.size) * (rng.random(plan.ue.size) > 0.25)
+    flat = q / np.bincount(plan.ue, q, K).clip(1.0)[plan.ue] * rng.uniform()
+    s = draw(st.integers(0, plan.ue.size - 1))
+    raised = flat.copy()
+    raised[s] += draw(st.floats(0.0, 1.0)) * (
+        1.0 - flat[plan.ue == plan.ue[s]].sum())
+    return plan, flat, raised, s
 
 
 class TestGmmse:
@@ -187,21 +205,21 @@ class TestSinr:
             assert sinrs[0] > 0
             assert sinrs[1] == 0.0
 
-    def test_monotone_in_own_power(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            freq = (rng.standard_normal((2, 2, 1))
-                    + 1j * rng.standard_normal((2, 2, 1)))
-            lo = UplinkScene(freq=freq, subcarriers=[[0], [0]],
-                             power=[[0.4], [0.6]], gamma_u=25.0)
-            hi = UplinkScene(freq=freq, subcarriers=[[0], [0]],
-                             power=[[0.9], [0.6]], gamma_u=25.0)
-            assert (closed_form(hi)[0][0]
-                    >= closed_form(lo)[0][0] - 1e-12)
+    @settings(max_examples=300, deadline=None)
+    @given(case=raised_power_cases())
+    def test_monotone_in_own_power(self, case):
+        # Yates' standard interference, which max-min power control relies
+        # on: more power never lowers a symbol's own SINR and never raises
+        # another UE's
+        plan, flat, raised, s = case
+        before, after = (uplink_sinr_all(plan, eta) for eta in (flat, raised))
+        assert after[s] >= before[s] * (1 - 1e-12)
+        others = plan.ue != plan.ue[s]
+        assert np.all(after[others] <= before[others] * (1 + 1e-12))
 
 
 @st.composite
-def skeleton_cases(draw, shared=True):
+def plan_cases(draw, shared=True):
     """A random plan with three symbol-power vectors on it: shared (unless
     not ``shared``) or exclusive subcarriers, maybe a UE without any,
     zero-power symbols and gamma_u up to 1e23."""
@@ -226,13 +244,13 @@ def skeleton_cases(draw, shared=True):
     return freq, subs, gamma_u, powers
 
 
-class TestSinrSkeleton:
+class TestPlanEvaluation:
     @settings(max_examples=150, deadline=None)
-    @given(case=skeleton_cases())
+    @given(case=plan_cases())
     def test_bit_identical_to_the_batched_oracle(self, case):
-        # one skeleton serves every power vector of its plan
+        # one scene serves every power vector of its plan
         freq, subs, gamma_u, powers = case
-        skeleton = SinrSkeleton(freq, subs, gamma_u)
+        plan = equal_power_scene(freq, subs, gamma_u)
         for power in powers:
             scene = UplinkScene(freq=freq, subcarriers=subs, power=power,
                                 gamma_u=gamma_u)
@@ -241,41 +259,41 @@ class TestSinrSkeleton:
                 want = dense_oracles.batched_uplink_sinr_all(scene)
             except np.linalg.LinAlgError:
                 with pytest.raises(np.linalg.LinAlgError):
-                    uplink_sinr_all(skeleton, flat)
+                    uplink_sinr_all(plan, flat)
                 continue
-            for got in (skeleton.split(uplink_sinr_all(skeleton, flat)),
+            for got in (plan.split(uplink_sinr_all(plan, flat)),
                         closed_form(scene)):
                 assert len(got) == len(want) == len(subs)
                 assert all(np.array_equal(g, w, equal_nan=True)
                            for g, w in zip(got, want))
 
     @settings(max_examples=150, deadline=None)
-    @given(case=skeleton_cases(shared=False))
+    @given(case=plan_cases(shared=False))
     def test_on_distinct_subcarriers_each_ue_sees_only_its_own_power(self,
                                                                      case):
         # what lets max-min power control read every UE's bound off one
         # evaluation at the full budgets: R_n of a subcarrier that only
         # UE k uses is the same whatever the others' powers
         freq, subs, gamma_u, powers = case
-        skeleton = SinrSkeleton(freq, subs, gamma_u)
+        plan = equal_power_scene(freq, subs, gamma_u)
 
         def sinrs(flat):
             try:
-                return uplink_sinr_all(skeleton, flat)
+                return uplink_sinr_all(plan, flat)
             except np.linalg.LinAlgError:
                 return None
 
         for power in powers:
             flat = np.concatenate(power)
             together = sinrs(flat)
-            alone = [sinrs(np.where(skeleton.ue == k, flat, 0.0))
+            alone = [sinrs(np.where(plan.ue == k, flat, 0.0))
                      for k in range(len(subs))]
             if together is None:
                 # a singular system is one UE's own, in both evaluations
                 assert any(g is None for g in alone)
                 continue
             for k, g in enumerate(alone):
-                own = skeleton.ue == k
+                own = plan.ue == k
                 assert np.array_equal(g[own], together[own], equal_nan=True)
                 assert not g[~own].any()
 
@@ -292,9 +310,9 @@ class TestSinrSkeleton:
         freq = (rng.standard_normal((2, 3, 4))
                 + 1j * rng.standard_normal((2, 3, 4)))
         subs = [[0, 1], [], [2, 3]]
-        skeleton = SinrSkeleton(freq, subs, 10.0)
+        plan = equal_power_scene(freq, subs, 10.0)
         with pytest.raises(ValueError, match=message):
-            uplink_sinr_all(skeleton, np.array(flat))
+            uplink_sinr_all(plan, np.array(flat))
         # the scene's per-UE checks name the same UE
         with pytest.raises(ValueError, match=message):
             UplinkScene(freq=freq, subcarriers=subs, gamma_u=10.0,
@@ -303,11 +321,11 @@ class TestSinrSkeleton:
     def test_bad_plans_raise(self):
         freq = np.ones((1, 2, 2), dtype=complex)
         with pytest.raises(ValueError, match="gamma_u"):
-            SinrSkeleton(freq, [[0], [1]], 0.0)
-        skeleton = SinrSkeleton(freq, [[0], [1]], 1.0)
+            equal_power_scene(freq, [[0], [1]], 0.0)
+        plan = equal_power_scene(freq, [[0], [1]], 1.0)
         with pytest.raises(ValueError, match="does not match"):
-            uplink_sinr_all(skeleton, np.array([0.5, 0.5, 0.5]))
-        assert np.all(uplink_sinr_all(skeleton, np.array([0.5, 0.0])) >= 0)
+            uplink_sinr_all(plan, np.array([0.5, 0.5, 0.5]))
+        assert np.all(uplink_sinr_all(plan, np.array([0.5, 0.0])) >= 0)
 
 
 class TestSumRate:
