@@ -30,8 +30,9 @@ print("association:", [list(a) for a in assoc.ap_sets])
 
 
 def rate_of(weights):
-    return sum(float(np.sum(np.log2(1 + weight_output_sinr(scene, k, W))))
-               for k, W in enumerate(weights))
+    # every detector gives per-AP weights (M, S), column s symbol s's
+    return sum(float(np.sum(np.log2(1 + s)))
+               for s in scene.split(weight_output_sinr(scene, weights)))
 
 
 gm = gmmse_weights(scene)
@@ -40,8 +41,7 @@ print(f"  global MMSE (joint solve)  : {rate_of(gm):7.3f}")
 print(f"  global MMSE (per subcarrier): {rate_of(gmmse_per_subcarrier(scene)):7.3f}"
       "   (identical: subcarriers do not couple)")
 print(f"  column-sliced local MMSE    : {rate_of(lmmse_column_sliced(scene, assoc)):7.3f}")
-reduced = [lmmse_reduced(scene, assoc, k) for k in range(K)]
-print(f"  reduced-dimension local MMSE: {rate_of(reduced):7.3f}")
+print(f"  reduced-dimension local MMSE: {rate_of(lmmse_reduced(scene, assoc)):7.3f}")
 
 # the closed-form kernel maps flat symbol powers to flat symbol SINRs of
 # the scene's plan
@@ -55,10 +55,11 @@ print(f"  one ({M * N}x{M * N}) solve: {(M * N) ** 3:10d} flops")
 print(f"  {N} parallel ({M}x{M}) solves: {N * M ** 3:10d} flops")
 
 print("\n=== per-AP detection + CPU combining for UE 0 ===")
-# each AP's local MMSE estimate, fused at the CPU: one per-AP weight (M, N_k)
+# each AP's local MMSE estimate, fused at the CPU: one per-AP weight per
+# symbol, (M, S); UE 0's symbols are its split's first
 for mode in ("equal", "mrc"):
-    V = combined_weights(scene, 0, combining_lambdas(scene, assoc, 0, mode))
-    sinr = combined_sinr(scene, 0, V)
+    V = combined_weights(scene, combining_lambdas(scene, assoc, mode))
+    sinr = scene.split(combined_sinr(scene, V))[0]
     print(f"  {mode:6s} combining: mean symbol SINR {sinr.mean():8.3f}")
 print("MRC weighs the stronger AP more and never loses to equal weights on")
 print("interference-free branches.")

@@ -42,7 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modulation import ue_rates
-from .uplink import UplinkScene, equal_power_scene, uplink_sinr_all
+from .uplink import (UplinkScene, equal_power_scene, power_breaches,
+                     uplink_sinr_all)
 
 # fixed-point power updates per max-min feasibility test
 MAX_FIXED_POINT = 60
@@ -120,21 +121,23 @@ def allocate_power_waterfill(snr_per_unit, budget) -> np.ndarray:
             return out
         out[usable] = allocate_power_waterfill(s[usable], budget)
         return out
-    inv = 1.0 / s
-    for _ in range(2):
-        order = np.argsort(inv)
-        ranked = inv[order]
-        for active in range(len(s), 0, -1):
-            level = (budget + ranked[:active].sum()) / active
-            if ranked[active - 1] < level < np.inf:
+    # a 1 / s_n, or a sum of them, past the largest double is never reached
+    with np.errstate(over="ignore"):
+        inv = 1.0 / s
+        for _ in range(2):
+            order = np.argsort(inv)
+            ranked = inv[order]
+            powers = np.zeros_like(s)
+            for active in range(len(s), 0, -1):
+                level = (budget + ranked[:active].sum()) / active
+                if ranked[active - 1] < level < np.inf:
+                    powers[order[:active]] = level - ranked[:active]
+                    break
+            if 0 < (total := powers.sum()) < np.inf:
                 break
-        powers = np.maximum(level - inv, 0.0)
-        powers[order[active:]] = 0.0
-        if 0 < (total := powers.sum()) < np.inf:
-            break
-        # the budget rounded away against 1 / s_n, or 1 / s_n overflowed:
-        # measure the level from the strongest subcarrier's 1 / s_n instead
-        inv = (s.max() / s - 1.0) / s.max()
+            # the budget rounded away against 1 / s_n, or every 1 / s_n
+            # overflowed: measure the level from the strongest one instead
+            inv = (s.max() / s - 1.0) / s.max()
     # exact budget despite float accumulation
     powers *= budget / total
     return powers
@@ -243,10 +246,11 @@ def audit_plan(plan: AllocationPlan, num_subcarriers: int,
             ok &= len(seen) == len(set(seen))
         report["no_subcarrier_reuse"] = bool(ok)
     if plan.ul_power is not None:
-        report["ul_budgets_ok"] = bool(all(
-            p.sum() <= 1.0 + 1e-9 and (p >= 0).all() for p in plan.ul_power))
-        report["ul_power_matches_assignment"] = bool(all(
-            len(p) == len(s) for p, s in zip(plan.ul_power, plan.subcarriers)))
+        fits, over, negative = power_breaches(
+            map(len, plan.subcarriers), np.concatenate([[], *plan.ul_power]),
+            map(len, plan.ul_power))
+        report["ul_budgets_ok"] = not (over.any() or negative.any())
+        report["ul_power_matches_assignment"] = fits
     if plan.dl_power is not None:
         report["dl_budget_ok"] = bool(np.sum(plan.dl_power) <= 1.0 + 1e-9
                                       and np.all(np.asarray(plan.dl_power) >= 0))

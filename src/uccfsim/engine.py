@@ -271,14 +271,14 @@ def _detect_uplink(scenario, scene, assoc, gains, plan_sinrs, rng):
     """Analytic/empirical SINR, per-UE rates, and SER for the configured
     detector; rates always come from the analytic symbol SINRs.
 
-    Every linear detector gives one per-AP weight (M, N_k) per UE (local
-    detection with CPU fusion as its fused weight), and one pass over them
-    evaluates each: the MMSE family with ``uplink.weight_output_sinr``,
-    the local family with ``uplink.combined_sinr``.  With symbol draws,
-    ``uplink.measure_output`` also measures each weight's output and
-    decides its symbols.  A UE whose signal is zero reports SINR 0, not
-    NaN.  ``plan_sinrs`` are the allocation's closed-form MMSE symbol
-    SINRs at the scene's powers, which APMP reports as its rate proxy."""
+    A linear detector gives per-AP weights V (M, S) on the scene's flat
+    symbol layout (local detection its CPU-fused weights), evaluated in one
+    call (``uplink.weight_output_sinr``, or ``uplink.combined_sinr`` for
+    the local family) and, with symbol draws, measured in one
+    ``uplink.measure_output`` call; ``scene.split`` reads each UE's part.
+    A UE whose signal is zero reports SINR 0, not NaN; one without symbols
+    keeps empirical SINR and SER NaN.  APMP reports ``plan_sinrs``, the
+    allocation's closed-form MMSE symbol SINRs, as its rate proxy."""
     cfg = scenario["uplink"]
     name = cfg["detector"]
     K = scene.num_ues
@@ -288,45 +288,8 @@ def _detect_uplink(scenario, scene, assoc, gains, plan_sinrs, rng):
            "empirical": [np.nan] * K, "ser": [np.nan] * K,
            "apmp_iterations": np.nan}
 
-    if name == "none":
-        out["rates"] = np.zeros(K)
-        return out
-
-    weights = None
-    if name in ("gmmse", "gmmse_per_subcarrier", "lmmse_sliced",
-                "lmmse_reduced"):
-        evaluate = uplink.weight_output_sinr
-        try:
-            if name == "gmmse":
-                weights = uplink.gmmse_weights(scene)
-            elif name == "gmmse_per_subcarrier":
-                weights = uplink.gmmse_per_subcarrier(scene)
-            elif name == "lmmse_sliced":
-                weights = uplink.lmmse_column_sliced(scene, assoc)
-            else:
-                weights = [uplink.lmmse_reduced(scene, assoc, k)
-                           if assoc.ap_sets[k] else None for k in range(K)]
-        except np.linalg.LinAlgError:
-            # a numerically singular covariance: every SINR is unknown
-            weights = [None] * K
-            out["analytic"] = [np.full(len(s), np.nan)
-                               for s in scene.subcarriers]
-
-    elif name.startswith("local_"):
-        mode = {"local_equal": "equal", "local_mrc": "mrc",
-                "local_ls_linear": "large_scale_linear",
-                "local_ls_sqrt": "large_scale_sqrt"}[name]
-        evaluate = uplink.combined_sinr
-        weights = [uplink.combined_weights(scene, k, uplink.combining_lambdas(
-                       scene, assoc, k, mode, gains=gains[:, k]))
-                   if assoc.ap_sets[k] else None for k in range(K)]
-
-    elif name == "apmp":
-        acfg = cfg["apmp"]
-        config = apmp.ApmpConfig(max_iterations=acfg["max_iterations"],
-                                 tol=acfg["tol"], damping=acfg["damping"],
-                                 points=points_name,
-                                 llr_clamp=acfg["llr_clamp"])
+    if name == "apmp":
+        config = apmp.ApmpConfig(**cfg["apmp"], points=points_name)
         ser_draws = max(draws, 1)
         indices, y = uplink.simulate_uplink(scene, ser_draws, rng, points_name)
         res = apmp.apmp_detect(scene, assoc, y, config,
@@ -338,25 +301,39 @@ def _detect_uplink(scenario, scene, assoc, gains, plan_sinrs, rng):
                       for k, d in enumerate(res.decisions)]
         out["apmp_iterations"] = float(np.mean(res.draw_iterations))
         # the plan's analytic MMSE SINRs are the rate proxy for APMP trials
-        for k in range(K):
-            if len(scene.subcarriers[k]):
-                out["analytic"][k] = plan_sinrs[k]
-    else:
-        raise ValueError(f"unknown detector {name!r}")
-
-    if weights is not None:
-        if draws > 0:
-            indices, y = uplink.simulate_uplink(scene, draws, rng, points_name)
-        for k, V in enumerate(weights):
-            if V is None or not len(scene.subcarriers[k]):
-                continue
-            out["analytic"][k] = evaluate(scene, k, V)
+        out["analytic"] = plan_sinrs
+    elif name != "none":
+        local = name.startswith("local_")
+        try:
+            if name == "gmmse":
+                V = uplink.gmmse_weights(scene)
+            elif name == "gmmse_per_subcarrier":
+                V = uplink.gmmse_per_subcarrier(scene)
+            elif name == "lmmse_sliced":
+                V = uplink.lmmse_column_sliced(scene, assoc)
+            elif name == "lmmse_reduced":
+                V = uplink.lmmse_reduced(scene, assoc)
+            else:   # local_ls_sqrt combines in mode large_scale_sqrt
+                mode = name.removeprefix("local_").replace("ls", "large_scale")
+                V = uplink.combined_weights(scene, uplink.combining_lambdas(
+                    scene, assoc, mode, gains))
+            analytic = (uplink.combined_sinr if local
+                        else uplink.weight_output_sinr)(scene, V)
+            out["analytic"] = scene.split(analytic)
             if draws > 0:
+                indices, y = uplink.simulate_uplink(scene, draws, rng,
+                                                    points_name)
                 sinrs, decided = uplink.measure_output(
-                    scene, k, V, y, indices[k], points_name,
-                    measured=name.startswith("local_"))
-                out["empirical"][k] = float(np.mean(sinrs))
-                out["ser"][k] = symbol_error_rate(decided, indices[k])
+                    scene, V, y, np.concatenate(indices, axis=1),
+                    points_name, measured=local)
+                out["empirical"] = [np.mean(s) if s.size else np.nan
+                                    for s in scene.split(sinrs)]
+                out["ser"] = [symbol_error_rate(d, i) if i.size else np.nan
+                              for d, i in zip(scene.split(decided, axis=1),
+                                              indices)]
+        except np.linalg.LinAlgError:
+            # a numerically singular covariance: every SINR is unknown
+            out["analytic"] = scene.split(np.full(len(scene.sub), np.nan))
 
     out["rates"] = ue_rates(out["analytic"])
     return out

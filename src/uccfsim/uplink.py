@@ -1,30 +1,30 @@
 """Uplink multiuser detection: global MMSE and its local approximations.
 
 A scene holds the per-subcarrier channel gains every detector works from,
-the subcarrier assignment, and the per-symbol power coefficients.  Each
-linear detector gives UE k per-AP coefficients V (M, N_k), column i its
-combiner on its i-th symbol's subcarrier; local detectors leave the rows
-of APs they do not use at zero, so every detector is evaluated against
-the same physical scene (interference from unmodeled UEs stays present).
+the subcarrier assignment, and the per-symbol power coefficients, its S
+symbols flat and UE-major (``ue``, ``sub``, ``split``).  Each linear
+detector gives per-AP weights V (M, S), column s the combiner of symbol
+s; local detectors leave the rows of APs a UE does not use at zero, so
+every detector is evaluated against the same physical scene
+(interference from unmodeled UEs stays present).
 
 Each link has one complex gain per subcarrier and subcarriers do not
 couple, so the stacked covariance is N independent M x M blocks R_n.  The
 SINR evaluator and the per-subcarrier, column-sliced and reduced MMSE
 detectors solve those blocks as (N, M, M) batches, the reduced one
-restricted to the associated APs.  A local detector only sees the
+restricted to each UE's associated APs.  A local detector only sees the
 diagonals [R_n]_mm, so local MMSE at each AP followed by CPU fusion is one
-per-AP weight per UE: ``combining_lambdas`` gives the fusion weights of a
-mode, ``combined_weights`` the fused weight, and ``combined_sinr`` the
-closed-form SINR of any per-AP weight.
+per-AP weight per symbol: ``combining_lambdas`` gives the fusion weights
+of a mode, ``combined_weights`` the fused weights, and ``combined_sinr``
+the closed-form SINRs of any per-AP weights.
 
 Symbol draws come from ``simulate_uplink`` as per-AP observations
 (draws, M, N), and ``measure_output`` is the one path from any detector's
-weights to its output amplitude, empirical SINR and hard decisions.
+weights to its output amplitudes, empirical SINRs and hard decisions.
 
 The closed-form MMSE SINR has one kernel, ``uplink_sinr_all(scene, eta)``,
-from the flat symbol powers eta of a scene's plan (UE-major: ``ue``,
-``sub``, ``split``) to flat symbol SINRs.  The scene keeps on first use
-what does not depend on the powers (each symbol's channel and outer
+from flat symbol powers to flat symbol SINRs.  The scene keeps on first
+use what does not depend on the powers (each symbol's channel and outer
 product, the per-subcarrier channel view), so a power-control loop pays
 per evaluation only for the power checks, R_n, one (S, M, M) solve and
 the products.
@@ -71,9 +71,7 @@ class UplinkScene:
         object.__setattr__(self, "ue", np.arange(len(subs)).repeat(
             [len(s) for s in subs]))
         object.__setattr__(self, "sub", np.concatenate(subs))
-        if [len(p) for p in pows] != [len(s) for s in subs]:
-            raise ValueError("power vector does not match subcarriers")
-        _checked(self, np.concatenate(pows))
+        _checked(self, np.concatenate(pows), map(len, pows))
 
     @property
     def num_aps(self) -> int:
@@ -116,17 +114,17 @@ class UplinkScene:
         np.fill_diagonal(R, 1.0 / self.gamma_u)
         for l, sub in enumerate(self.subcarriers):
             rows = (np.arange(M)[:, None] * N + sub).ravel()
-            B = stacked_channel(self, l)
+            B = self._channel_blocks[l]
             R[rows] += (B[rows] * self.power[l]) @ B.conj().T
         R.setflags(write=False)
         return R
 
     @cached_property
     def _channel_blocks(self) -> tuple:
-        # built once per scene for the covariance, the dense weights, their
-        # SINRs and the symbol draws, and read-only like the covariance
-        blocks = tuple(_stacked(self, k, self.freq[:, k, sub])
-                       for k, sub in enumerate(self.subcarriers))
+        # built once per scene for the covariance, the SINRs of weights and
+        # the symbol draws, each block contiguous and read-only
+        blocks = tuple(map(np.ascontiguousarray, self.split(_stacked(
+            self, self.freq[:, self.ue, self.sub]), axis=1)))
         for B in blocks:
             B.setflags(write=False)
         return blocks
@@ -139,20 +137,19 @@ def equal_power_scene(freq, subcarriers, gamma_u) -> UplinkScene:
                        gamma_u=gamma_u)
 
 
-def _stacked(scene: UplinkScene, k: int, V) -> np.ndarray:
-    """Per-AP coefficients V (M, N_k) of UE k's symbols in the stacked
-    (M*N, N_k) layout: symbol i occupies its own subcarrier only."""
-    M, N = scene.num_aps, scene.num_subcarriers
-    sub = scene.subcarriers[k]
-    W = np.zeros((M, N, len(sub)), dtype=complex)
-    W[:, sub, np.arange(len(sub))] = V
-    return W.reshape(M * N, len(sub))
+def _stacked(scene: UplinkScene, V) -> np.ndarray:
+    """Per-AP coefficients V (M, S) in the stacked (M*N, S) layout: symbol
+    s occupies its own subcarrier only."""
+    M, N, S = scene.num_aps, scene.num_subcarriers, len(scene.sub)
+    W = np.zeros((M, N, S), dtype=complex)
+    W[:, scene.sub, np.arange(S)] = V
+    return W.reshape(M * N, S)
 
 
-def stacked_channel(scene: UplinkScene, k: int) -> np.ndarray:
-    """Channel-times-mapping block H_k Phi_k, shape (M*N, N_k), built once
-    per scene and returned read-only."""
-    return scene._channel_blocks[k]
+def stacked_channel(scene: UplinkScene) -> tuple:
+    """Each UE's channel-times-mapping block H_k Phi_k, shape (M*N, N_k),
+    built once per scene and returned read-only."""
+    return scene._channel_blocks
 
 
 def scene_covariance(scene: UplinkScene) -> np.ndarray:
@@ -161,16 +158,32 @@ def scene_covariance(scene: UplinkScene) -> np.ndarray:
     return scene._covariance
 
 
-def _checked(scene: UplinkScene, eta) -> np.ndarray:
-    """Flat symbol powers ``eta`` as floats, checked: one per symbol, none
-    negative, each UE within its unit budget; errors name the first UE."""
+def power_breaches(counts, eta, lengths=None) -> tuple:
+    """The uplink power rule for a plan whose UE k has ``counts[k]``
+    symbols: the flat powers ``eta``, UE k's ``lengths[k]`` of them (by
+    default, one per symbol), hold one power per symbol, none negative,
+    and each UE's sum is at most 1 + 1e-9.  Returns (one power per symbol,
+    UEs over budget, UEs with a negative power)."""
+    counts = list(counts)
+    lengths = counts if lengths is None else list(lengths)
+    owner = np.arange(len(lengths)).repeat(lengths)
+    if eta.shape != owner.shape:
+        return False, np.zeros(0, bool), np.zeros(0, bool)
+    return (lengths == counts,
+            np.bincount(owner, eta, len(lengths)) > 1.0 + 1e-9,
+            np.bincount(owner, eta < 0, len(lengths)) > 0)
+
+
+def _checked(scene: UplinkScene, eta, lengths=None) -> np.ndarray:
+    """Flat symbol powers ``eta`` as floats, checked against the power rule
+    (``lengths`` as there); errors name the first UE."""
     eta = np.asarray(eta, dtype=float)
-    if eta.shape != scene.ue.shape:
+    fits, over, negative = power_breaches(map(len, scene.subcarriers), eta,
+                                          lengths)
+    if not fits:
         raise ValueError("power vector does not match subcarriers")
-    K = scene.num_ues
-    over = np.bincount(scene.ue, eta, K) > 1.0 + 1e-9
-    if over.any() or (eta < 0).any():
-        k = int(np.argmax(over | (np.bincount(scene.ue, eta < 0, K) > 0)))
+    if over.any() or negative.any():
+        k = int(np.argmax(over | negative))
         raise ValueError(f"UE {k}: power budget exceeded" if over[k]
                          else f"UE {k}: negative power")
     return eta
@@ -194,18 +207,16 @@ def subcarrier_covariances(scene: UplinkScene, eta=None) -> np.ndarray:
     return (H * _power_grid(scene, eta).T[:, None, :]) @ H_herm + noise
 
 
-def gmmse_weights(scene: UplinkScene):
-    """Global MMSE weights V (M, N_k) per UE, solved jointly on the
-    (MN, MN) system with every UE's right-hand side in one factorization."""
+def gmmse_weights(scene: UplinkScene) -> np.ndarray:
+    """Global MMSE weights V (M, S), solved jointly on the (MN, MN) system
+    with every symbol's right-hand side in one factorization."""
     # Kept dense: weight_output_sinr's w^H R w - eta |w^H b|^2 cancels at
     # high SINR, so reported SINRs there depend on the last bits of W.
-    R = scene_covariance(scene)
-    rhs = [stacked_channel(scene, k) * np.sqrt(scene.power[k])
-           for k in range(scene.num_ues)]
-    X = np.linalg.solve(R, np.hstack(rhs))
-    V = X.reshape(scene.num_aps, scene.num_subcarriers, -1)[
-        :, scene.sub, np.arange(len(scene.sub))]
-    return scene.split(V, axis=1)
+    S = len(scene.sub)
+    X = np.linalg.solve(scene_covariance(scene), _stacked(scene, scene.freq[
+        :, scene.ue, scene.sub] * np.sqrt(np.concatenate(scene.power))))
+    return X.reshape(scene.num_aps, scene.num_subcarriers, S)[
+        :, scene.sub, np.arange(S)]
 
 
 def _subcarrier_mmse(scene: UplinkScene, zeta=1.0):
@@ -214,8 +225,8 @@ def _subcarrier_mmse(scene: UplinkScene, zeta=1.0):
     right-hand sides to each UE's APs."""
     H = scene._per_subcarrier[0]                         # (N, M, K)
     rhs = H * zeta * np.sqrt(_power_grid(scene).T)[:, None, :]
-    X = np.linalg.solve(subcarrier_covariances(scene), rhs)
-    return [X[sub, :, k].T for k, sub in enumerate(scene.subcarriers)]
+    return np.linalg.solve(subcarrier_covariances(scene), rhs)[
+        scene.sub, :, scene.ue].T
 
 
 def gmmse_per_subcarrier(scene: UplinkScene):
@@ -248,110 +259,104 @@ def lmmse_column_sliced(scene: UplinkScene, assoc):
     return _subcarrier_mmse(scene, assoc.zeta())
 
 
-def lmmse_reduced(scene: UplinkScene, assoc, k: int) -> np.ndarray:
-    """GMMSE restricted to the observations of UE k's associated APs.
+def lmmse_reduced(scene: UplinkScene, assoc) -> np.ndarray:
+    """GMMSE restricted to the observations of each UE's associated APs.
 
-    Each of UE k's subcarriers solves R_n restricted to those APs, all in
-    one batch.  Returns (M, N_k) weights with zero rows at excluded APs.
+    A UE's subcarriers solve R_n restricted to its APs, in one batch per
+    UE.  Returns (M, S) weights with zero rows at each UE's excluded APs.
     """
-    aps = np.asarray(assoc.ap_sets[k], dtype=int)
-    if not aps.size:
-        raise ValueError("unassociated UE")
-    sub = scene.subcarriers[k]
-    R = subcarrier_covariances(scene)[np.ix_(sub, aps, aps)]
-    b = scene.freq[aps][:, k, sub] * np.sqrt(scene.power[k])    # (|A|, N_k)
-    V = np.zeros((scene.num_aps, len(sub)), dtype=complex)
-    V[aps] = np.linalg.solve(R, b.T[:, :, None])[:, :, 0].T
+    R = subcarrier_covariances(scene)
+    V = np.zeros((scene.num_aps, len(scene.sub)), dtype=complex)
+    for k, cols in enumerate(scene.split(np.arange(len(scene.sub)))):
+        aps = np.asarray(assoc.ap_sets[k], dtype=int)
+        if cols.size and not aps.size:
+            raise ValueError("unassociated UE")
+        sub = scene.subcarriers[k]
+        b = scene.freq[aps][:, k, sub] * np.sqrt(scene.power[k])  # (|A|, N_k)
+        V[np.ix_(aps, cols)] = np.linalg.solve(
+            R[np.ix_(sub, aps, aps)], b.T[:, :, None])[:, :, 0].T
     return V
 
 
-def weight_output_sinr(scene: UplinkScene, k: int, V: np.ndarray) -> np.ndarray:
-    """Analytic output SINR of arbitrary per-AP weights V (M, N_k) for UE k;
-    a symbol whose signal is zero (zero power or zero weights) has SINR 0."""
+def weight_output_sinr(scene: UplinkScene, V: np.ndarray) -> np.ndarray:
+    """Analytic output SINRs (S,) of arbitrary per-AP weights V (M, S); a
+    symbol whose signal is zero (zero power or zero weights) has SINR 0."""
     R = scene_covariance(scene)
-    B = stacked_channel(scene, k)
-    # UE k's columns of the joint (M*N, S) layout gmmse_weights solves in:
-    # BLAS rounds a unit-stride column differently, so the pinned SINR bits
-    # need the stride of that solve
-    first, nk = sum(map(len, scene.subcarriers[:k])), B.shape[1]
-    W = np.zeros((scene.num_aps, scene.num_subcarriers,
-                  sum(map(len, scene.subcarriers))), dtype=complex)
-    W[:, scene.subcarriers[k], first + np.arange(nk)] = V
-    W = W.reshape(B.shape[0], -1)[:, first:first + nk]
-    sinrs = np.empty(B.shape[1])
-    for i in range(B.shape[1]):
+    # w is a column of the stacked (M*N, S) layout gmmse_weights solves in
+    # and b one of its UE's own block: BLAS rounds unit-stride and strided
+    # dots differently, so the pinned SINR bits need those strides
+    W = _stacked(scene, V)
+    b = [B[:, i] for B in stacked_channel(scene) for i in range(B.shape[1])]
+    sinrs = np.empty(len(b))
+    for i, eta in enumerate(np.concatenate(scene.power)):
         w = W[:, i]
-        b = B[:, i]
-        eta = scene.power[k][i]
-        signal = eta * np.abs(w.conj() @ b) ** 2
-        total = np.real(w.conj() @ R @ w)
-        denom = total - signal
+        signal = eta * np.abs(w.conj() @ b[i]) ** 2
+        denom = np.real(w.conj() @ R @ w) - signal
         sinrs[i] = signal / denom if denom > 0 else np.inf if signal else 0.0
     return sinrs
 
 
-def _local_terms(scene: UplinkScene, k: int):
-    """AP-local model of UE k's symbols, each (M, N_k): the channel
+def _local_terms(scene: UplinkScene):
+    """AP-local model of every symbol, each (M, S): the channel
     b = sqrt(eta) h, the diagonal d = [R_n]_mm an AP sees, and the
     interference-plus-noise r of d, summed without the own term."""
-    sub = scene.subcarriers[k]
+    ue, sub = scene.ue, scene.sub
     load = np.abs(scene.freq[:, :, sub]) ** 2 * _power_grid(scene)[:, sub]
     d = load.sum(axis=1) + 1.0 / scene.gamma_u
-    load[:, k] = 0.0
+    load[:, ue, np.arange(len(sub))] = 0.0
     r = load.sum(axis=1) + 1.0 / scene.gamma_u
-    return scene.freq[:, k, sub] * np.sqrt(scene.power[k]), d, r
+    return scene.freq[:, ue, sub] * np.sqrt(np.concatenate(scene.power)), d, r
 
 
-def combined_weights(scene: UplinkScene, k: int,
-                     lambdas: np.ndarray) -> np.ndarray:
-    """Per-AP weights V (M, N_k) of the CPU's fusion sum_m lambda_m z_mk of
-    the local MMSE estimates z_mk = (b / d)^* y_m: conj(lambda) b / d."""
-    b, d, _ = _local_terms(scene, k)
+def combined_weights(scene: UplinkScene, lambdas: np.ndarray) -> np.ndarray:
+    """Per-AP weights V (M, S) of the CPU's fusion sum_m lambda_m z_m of
+    the local MMSE estimates z_m = (b / d)^* y_m: conj(lambda) b / d."""
+    b, d, _ = _local_terms(scene)
     return np.conj(lambdas) * b / d
 
 
-def combined_sinr(scene: UplinkScene, k: int, V: np.ndarray) -> np.ndarray:
-    """Analytic output SINR of per-AP weights V (M, N_k) for UE k, in closed
+def combined_sinr(scene: UplinkScene, V: np.ndarray) -> np.ndarray:
+    """Analytic output SINRs (S,) of per-AP weights V (M, S), in closed
     form per subcarrier.
 
     Interference is correlated across APs (same transmitted symbols), which
-    the variance below accounts for exactly: on symbol i's subcarrier n the
+    the variance below accounts for exactly: on symbol s's subcarrier n the
     weight v passes UE l with gain v^H h_ln sqrt(eta_ln).  A symbol whose
     signal is zero has SINR 0.
     """
-    sub = scene.subcarriers[k]
-    g = np.einsum("mi,mli->il", V.conj(),
-                  scene.freq[:, :, sub] * np.sqrt(_power_grid(scene)[:, sub]))
-    signal = np.abs(g[:, k]) ** 2
-    g[:, k] = 0.0            # zeroed, not subtracted: nothing cancels
+    own = (np.arange(len(scene.sub)), scene.ue)
+    g = np.einsum("ms,mls->sl", V.conj(), scene.freq[:, :, scene.sub]
+                  * np.sqrt(_power_grid(scene)[:, scene.sub]))
+    signal = np.abs(g[own]) ** 2
+    g[own] = 0.0             # zeroed, not subtracted: nothing cancels
     noise = np.sum(np.abs(V) ** 2, axis=0) / scene.gamma_u
     return np.divide(signal, np.sum(np.abs(g) ** 2, axis=1) + noise,
                      out=np.zeros_like(signal), where=signal > 0)
 
 
-def combining_lambdas(scene: UplinkScene, assoc, k: int, mode: str,
+def combining_lambdas(scene: UplinkScene, assoc, mode: str,
                       gains=None) -> np.ndarray:
-    """Per-AP diagonal combining weights (M, N_k) of the CPU fusion modes,
-    zero at the APs outside UE k's association; the large-scale modes need
-    per-AP ``gains`` indexed by AP."""
-    aps = list(assoc.ap_sets[k])
-    lambdas = np.zeros_like(scene.freq[:, k, scene.subcarriers[k]])
-    if mode == "equal":
-        lambdas[aps] = 1.0
-        lambdas[aps] /= len(aps)
-    elif mode == "mrc":
-        # conj(A_mk) / C_mk per symbol, with A = |b|^2 / d, C = |b|^2 r / d^2
-        _, d, r = _local_terms(scene, k)
-        lambdas[aps] = d[aps] / r[aps]
-        lambdas[aps] /= len(aps)
+    """Per-AP diagonal combining weights (M, S) of the CPU fusion modes,
+    zero at the APs outside each symbol's UE's association; the
+    large-scale modes need per-link ``gains`` (M, K)."""
+    served = assoc.zeta()[:, scene.ue] > 0
+    # column-major like the channels: combined_sinr sums a column pairwise
+    lambdas = np.zeros(served.shape, dtype=complex, order="F")
+    if mode in ("equal", "mrc"):
+        # mrc: conj(A_m) / C_m, with A = |b|^2 / d and C = |b|^2 r / d^2
+        lambdas[served] = 1.0 if mode == "equal" else np.divide(
+            *_local_terms(scene)[1:])[served]
+        lambdas /= np.maximum(served.sum(axis=0), 1)
     elif mode in ("large_scale_linear", "large_scale_sqrt"):
         # shares proportional to the gains, or to their square roots
         if gains is None:
             raise ValueError("large-scale combining needs per-AP gains")
-        g = np.asarray(gains, dtype=float)[aps]
+        g = np.asarray(gains, dtype=float)
         if mode == "large_scale_sqrt":
             g = np.sqrt(g)
-        lambdas[aps] = (g / g.sum())[:, None]
+        total = np.array([g[list(aps), k].sum()
+                          for k, aps in enumerate(assoc.ap_sets)])
+        lambdas[served] = (g[:, scene.ue] / total[scene.ue])[served]
     else:
         raise ValueError(f"unknown combining mode {mode!r}")
     return lambdas
@@ -374,32 +379,31 @@ def simulate_uplink(scene: UplinkScene, num_draws: int, rng,
     for k in range(scene.num_ues):
         idx = random_symbol_indices(pts, (num_draws, len(scene.subcarriers[k])), rng)
         indices.append(idx)
-        y += (pts[idx] * np.sqrt(scene.power[k])) @ stacked_channel(scene, k).T
+        y += (pts[idx] * np.sqrt(scene.power[k])) @ stacked_channel(scene)[k].T
     return indices, y.reshape(num_draws, M, N)
 
 
-def measure_output(scene: UplinkScene, k: int, V: np.ndarray, y: np.ndarray,
+def measure_output(scene: UplinkScene, V: np.ndarray, y: np.ndarray,
                    sent: np.ndarray, points="qpsk", measured: bool = False):
-    """Empirical per-symbol SINRs and hard decisions of UE k's output
-    z = sum_m V_m^* y_m over draws y (draws, M, N) that sent the point
-    indices ``sent`` (draws, N_k).
+    """Empirical symbol SINRs and hard decisions of the outputs
+    z = sum_m V_m^* y_m of per-AP weights V (M, S) over draws y
+    (draws, M, N) that sent the point indices ``sent`` (draws, S).
 
     The output amplitude is v^H h sqrt(eta), or, when ``measured``, the
     one a local detector's CPU fits to the draws, mean(z x^*).  A symbol
     with amplitude zero has SINR 0, not 0/0, and is decided on z itself.
     A fitted amplitude matches a single draw exactly and leaves no error
     to measure, so from one draw the measured SINRs are NaN.  Returns
-    (SINRs (N_k,), decided point indices (draws, N_k)).
+    (SINRs (S,), decided point indices (draws, S)).
     """
     pts = constellation(points)
     x = pts[sent]
-    sub = scene.subcarriers[k]
-    z = np.einsum("dmi,mi->di", y[:, :, sub], V.conj())
+    z = np.einsum("dms,ms->ds", y[:, :, scene.sub], V.conj())
     if measured:
         amp = np.mean(z * x.conj(), axis=0)
     else:
-        amp = np.sqrt(scene.power[k]) * np.einsum(
-            "mi,mi->i", V.conj(), scene.freq[:, k, sub])
+        amp = np.sqrt(np.concatenate(scene.power)) * np.einsum(
+            "ms,ms->s", V.conj(), scene.freq[:, scene.ue, scene.sub])
     signal = np.abs(amp) ** 2
     if measured and len(y) == 1:
         sinrs = np.full(signal.shape, np.nan)

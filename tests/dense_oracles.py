@@ -43,8 +43,9 @@ whose global MMSE SINRs come from ``batched_uplink_sinr_all``.  Its
 ``allocate_power_waterfill`` gathers the kept inverse gains through the
 sort order on every pass, as the library did before it sorted them once.
 
-The uplink detectors give per-AP weights (M, N_k); ``stacked_weights``
-puts them in the stacked (M*N, N_k) layout the library used before, one
+The oracles take one UE at a time: UE k's per-AP weights (M, N_k) are
+its columns of a detector's (M, S) weights, and ``stacked_weights`` puts
+them in the stacked (M*N, N_k) layout the library used before, one
 symbol at a time.  ``weight_output_sinr`` and ``measure_output`` are the
 library's evaluators as they were on that layout: the analytic SINR on
 the dense covariance, and the output y W^* with y flattened to
@@ -88,7 +89,7 @@ def uplink_sinr_all(scene: UplinkScene):
     R = scene_covariance(scene)
     out = []
     for k in range(scene.num_ues):
-        B = stacked_channel(scene, k)
+        B = stacked_channel(scene)[k]
         sinrs = np.empty(B.shape[1])
         for i in range(B.shape[1]):
             b = B[:, i]
@@ -271,7 +272,7 @@ def weight_output_sinr(scene: UplinkScene, k: int, W: np.ndarray) -> np.ndarray:
     """Analytic output SINR of stacked weights W (M*N, N_k) for UE k; a
     symbol whose signal is zero (zero power or zero weights) has SINR 0."""
     R = scene_covariance(scene)
-    B = stacked_channel(scene, k)
+    B = stacked_channel(scene)[k]
     sinrs = np.empty(B.shape[1])
     for i in range(B.shape[1]):
         w = W[:, i]
@@ -302,7 +303,7 @@ def measure_output(scene: UplinkScene, k: int, W: np.ndarray, y: np.ndarray,
         amp = np.mean(z * x.conj(), axis=0)
     else:
         amp = np.sqrt(scene.power[k]) * np.einsum(
-            "ni,ni->i", W.conj(), stacked_channel(scene, k))
+            "ni,ni->i", W.conj(), stacked_channel(scene)[k])
     signal = np.abs(amp) ** 2
     if measured and len(y) == 1:
         sinrs = np.full(signal.shape, np.nan)
@@ -324,7 +325,7 @@ def stacked_covariance(scene: UplinkScene, aps) -> np.ndarray:
     rows = _ap_rows(scene, aps)
     R = (1.0 / scene.gamma_u) * np.eye(len(rows), dtype=complex)
     for l in range(scene.num_ues):
-        B = stacked_channel(scene, l)[rows]
+        B = stacked_channel(scene)[l][rows]
         R += (B * scene.power[l]) @ B.conj().T
     return R
 
@@ -349,7 +350,7 @@ def lmmse_column_sliced(scene: UplinkScene, assoc):
 def lmmse_reduced(scene: UplinkScene, assoc, k: int) -> np.ndarray:
     """Reduced MMSE weights from one dense solve over the associated APs."""
     rows = _ap_rows(scene, assoc.ap_sets[k])
-    B = stacked_channel(scene, k)[rows]
+    B = stacked_channel(scene)[k][rows]
     W = np.zeros((scene.num_aps * scene.num_subcarriers, B.shape[1]),
                  dtype=complex)
     W[rows] = np.linalg.solve(stacked_covariance(scene, assoc.ap_sets[k]),

@@ -66,9 +66,9 @@ def test_criterion_1_identities():
     for _ in range(100):
         scene = random_ul_scene(rng, M=3, K=2, N=2)
         R = scene_covariance(scene)
-        for k, V in enumerate(gmmse_weights(scene)):
+        for k, V in enumerate(scene.split(gmmse_weights(scene), axis=1)):
             W = dense_oracles.stacked_weights(scene, k, V)
-            rhs = stacked_channel(scene, k) * np.sqrt(scene.power[k])
+            rhs = stacked_channel(scene)[k] * np.sqrt(scene.power[k])
             worst = max(worst, np.linalg.norm(R @ W - rhs)
                         / np.linalg.norm(rhs))
     assert worst <= 1e-10
@@ -99,13 +99,9 @@ def test_criterion_2_reductions():
         scene = random_ul_scene(rng, M=3, K=2, N=3)
         assoc = AssociationMap.from_ap_sets([[0, 1, 2]] * 2, num_aps=3)
         gm = gmmse_weights(scene)
-        for Ws, Wg in zip(lmmse_column_sliced(scene, assoc), gm):
-            assert np.allclose(Ws, Wg, atol=1e-12)
-        for Wp, Wg in zip(gmmse_per_subcarrier(scene), gm):
-            assert np.allclose(Wp, Wg, atol=1e-12)
-        for k in range(2):
-            assert np.allclose(lmmse_reduced(scene, assoc, k), gm[k],
-                               atol=1e-12)
+        assert np.allclose(lmmse_column_sliced(scene, assoc), gm, atol=1e-12)
+        assert np.allclose(gmmse_per_subcarrier(scene), gm, atol=1e-12)
+        assert np.allclose(lmmse_reduced(scene, assoc), gm, atol=1e-12)
 
     for _ in range(25):
         H = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
@@ -186,11 +182,12 @@ def test_criterion_4_sinr_match():
     rng = np.random.default_rng(404)
     for _ in range(20):
         scene = random_ul_scene(rng, M=2, K=2, N=2, gamma_u=20.0)
-        weights = gmmse_weights(scene)
+        flat = gmmse_weights(scene)
         indices, y = simulate_uplink(scene, 10**5, rng)
         pts = CONSTELLATIONS["qpsk"]
-        for k in range(2):
-            analytic = weight_output_sinr(scene, k, weights[k])
+        weights = scene.split(flat, axis=1)
+        for k, analytic in enumerate(scene.split(
+                weight_output_sinr(scene, flat))):
             # each AP's observation on the symbol's subcarrier, weighted
             sub = scene.subcarriers[k]
             z = np.einsum("dmi,mi->di", y[:, :, sub], weights[k].conj())
@@ -287,10 +284,10 @@ def test_criterion_7_orderings():
         sliced = lmmse_column_sliced(scene, assoc)
         r_gm[t] = sum(np.log2(1 + s).sum() for s in scene.split(
             uplink_sinr_all(scene, np.concatenate(scene.power))))
-        r_sl[t] = sum(np.log2(1 + weight_output_sinr(scene, k, sliced[k])).sum()
-                      for k in range(K))
-        r_rd[t] = sum(np.log2(1 + weight_output_sinr(
-            scene, k, lmmse_reduced(scene, assoc, k))).sum() for k in range(K))
+        r_sl[t] = sum(np.log2(1 + s).sum() for s in scene.split(
+            weight_output_sinr(scene, sliced)))
+        r_rd[t] = sum(np.log2(1 + s).sum() for s in scene.split(
+            weight_output_sinr(scene, lmmse_reduced(scene, assoc))))
     assert r_gm.mean() >= r_sl.mean()
     assert r_sl.mean() >= r_rd.mean()
     assert np.all(r_gm >= r_sl - 1e-9)
@@ -302,10 +299,9 @@ def test_criterion_7_orderings():
                 + 1j * rng.standard_normal((2, 2, 1)))
         scene = equal_power_scene(freq, [np.arange(1)] * 2, 20.0)
         assoc = AssociationMap.from_ap_sets([[0, 1]] * 2, num_aps=2)
-        g_m = combined_sinr(scene, 0, combined_weights(
-            scene, 0, combining_lambdas(scene, assoc, 0, "mrc")))
-        g_e = combined_sinr(scene, 0, combined_weights(
-            scene, 0, combining_lambdas(scene, assoc, 0, "equal")))
+        g_m, g_e = (scene.split(combined_sinr(scene, combined_weights(
+            scene, combining_lambdas(scene, assoc, mode))))[0]
+            for mode in ("mrc", "equal"))
         adv[t] = g_m.mean() - g_e.mean()
     assert adv.mean() >= 0.0
 

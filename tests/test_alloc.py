@@ -127,19 +127,32 @@ class TestWaterfilling:
         assert np.array_equal(p, want)
 
     def test_a_sum_of_one_over_s_past_the_largest_double_is_skipped(self):
-        # the three weak subcarriers' 1 / s_n sum to inf, which numpy warns
-        # about; the level that spends the budget leaves them out
-        with np.errstate(over="ignore"):
-            p = allocate_power_waterfill(np.array([1.0, 1e-308, 1e-308,
-                                                   1e-308]), 1.0)
+        # the three weak subcarriers' 1 / s_n sum past the largest double,
+        # without a warning; the level that spends the budget leaves them out
+        p = allocate_power_waterfill(np.array([1.0, 1e-308, 1e-308, 1e-308]),
+                                     1.0)
         assert np.array_equal(p, [1.0, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("gains,want", [
+        ([1e-320, 1e-320], [0.5, 0.5]),
+        ([5e-309, 1.0], [0.0, 1.0]),
+        ([1e-310], [1.0]),
+        ([1e-320, 2e-320], [0.0, 1.0])])
+    def test_a_one_over_s_past_the_largest_double_is_never_reached(
+            self, gains, want):
+        # 1 / s_n overflows for subnormal s_n: such a subcarrier stays dry
+        # unless every one overflows, and no warning escapes
+        p = allocate_power_waterfill(np.array(gains), 1.0)
+        assert np.array_equal(p, want)
+
     @settings(max_examples=300, deadline=None)
-    @given(exponents=st.lists(st.floats(-300.0, 300.0), min_size=1,
-                              max_size=12),
+    @given(gains=st.lists(st.one_of(
+               st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+               # subnormals, down to the smallest positive double
+               st.floats(5e-324, 2.3e-308)), min_size=1, max_size=12),
            budget=st.floats(1e-3, 4.0))
-    def test_every_positive_input_spends_the_budget(self, exponents, budget):
-        s = 10.0 ** np.array(exponents)
+    def test_every_positive_input_spends_the_budget(self, gains, budget):
+        s = np.array(gains)
         p = allocate_power_waterfill(s, budget)
         assert np.all(np.isfinite(p)) and np.all(p >= 0)
         assert p.sum() == pytest.approx(budget, rel=1e-12)
@@ -811,6 +824,32 @@ class TestAudit:
         rep = audit_plan(plan, num_subcarriers=2)
         assert not rep["ul_budgets_ok"]
         assert not rep["pass"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_budgets_pass_the_audit_exactly_when_the_scene_accepts_them(
+            self, data):
+        # one rule in both: sums within a few ulps of 1 + 1e-9 included,
+        # where the order of summation over 8 or more powers decides
+        power = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            p = np.array(data.draw(st.lists(st.one_of(
+                st.floats(0.0, 1.0), st.sampled_from([0.0, -1e-300, -0.1])),
+                max_size=12)))
+            if p.sum() > 1e-3 and data.draw(st.booleans()):
+                p *= (1.0 + 1e-9 + data.draw(st.integers(-4, 4))
+                      * np.spacing(1.0)) / p.sum()
+            power.append(p)
+        cuts = np.cumsum([0] + [len(p) for p in power])
+        subs = [np.arange(a, b) for a, b in zip(cuts, cuts[1:])]
+        plan = AllocationPlan(subcarriers=subs, ul_power=power)
+        try:
+            UplinkScene(freq=np.ones((1, len(power), cuts[-1])),
+                        subcarriers=subs, power=power, gamma_u=10.0)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert audit_plan(plan, cuts[-1])["ul_budgets_ok"] == accepted
 
     @pytest.mark.parametrize("objective", ["sum_rate", "max_min"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")

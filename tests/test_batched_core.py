@@ -66,8 +66,7 @@ def uplink_tolerance(scene):
     """SAFETY * MN * cond * eps over the exclude-self systems of the scene."""
     R = np.array(scene_covariance(scene))
     worst = 1.0
-    for k in range(scene.num_ues):
-        B = stacked_channel(scene, k)
+    for k, B in enumerate(stacked_channel(scene)):
         for i in range(B.shape[1]):
             b = B[:, i]
             A = R - scene.power[k][i] * np.outer(b, b.conj())
@@ -114,8 +113,8 @@ def test_gmmse_multi_rhs_equals_per_ue_solves():
         # both sides use the same LU factors; only the triangular solves
         # may order their sums differently
         atol_scale = SAFETY * R.shape[0] * np.linalg.cond(R) * EPS
-        for k, V in enumerate(gmmse_weights(scene)):
-            B = stacked_channel(scene, k) * np.sqrt(scene.power[k])
+        for k, V in enumerate(scene.split(gmmse_weights(scene), axis=1)):
+            B = stacked_channel(scene)[k] * np.sqrt(scene.power[k])
             want = np.linalg.solve(R, B)
             assert V.shape == (M, B.shape[1])
             W = dense.stacked_weights(scene, k, V)
@@ -300,7 +299,7 @@ def test_lmmse_column_sliced_matches_dense_inverse(M, K, N, gamma_u, shared,
         assoc = random_assoc(rng, M, K)
         # the dense inverse and the batched solve each err by n * cond * eps
         tol = SAFETY * M * N * np.linalg.cond(scene_covariance(scene)) * EPS
-        got = lmmse_column_sliced(scene, assoc)
+        got = scene.split(lmmse_column_sliced(scene, assoc), axis=1)
         want = dense.lmmse_column_sliced(scene, assoc)
         for k, (g, w) in enumerate(zip(got, want)):
             assert g.shape == (M, w.shape[1])
@@ -316,10 +315,11 @@ def test_lmmse_reduced_matches_dense_restricted_solve(M, K, N, gamma_u, shared,
     for _ in range(3):
         scene = random_scene(rng, M, K, N, gamma_u, shared, empty_ue)
         assoc = random_assoc(rng, M, K)
+        reduced = scene.split(lmmse_reduced(scene, assoc), axis=1)
         for k in range(K):
             R = dense.stacked_covariance(scene, assoc.ap_sets[k])
             tol = SAFETY * R.shape[0] * np.linalg.cond(R) * EPS
-            got = lmmse_reduced(scene, assoc, k)
+            got = reduced[k]
             want = dense.lmmse_reduced(scene, assoc, k)
             assert got.shape == (M, want.shape[1])
             got = dense.stacked_weights(scene, k, got)
@@ -337,6 +337,25 @@ def single_ap_lambdas(scene, m, k):
     return lambdas
 
 
+def on_flat_layout(scene, k, per_ue):
+    """UE k's per-AP array (M, N_k) on the scene's flat (M, S) layout,
+    zero at every other UE's symbols."""
+    flat = np.zeros((scene.num_aps, len(scene.sub)), dtype=complex)
+    flat[:, scene.ue == k] = per_ue
+    return flat
+
+
+def ue_combined_weights(scene, k, lambdas):
+    """UE k's columns of the fused weights of its fusion weights."""
+    return combined_weights(scene, on_flat_layout(scene, k, lambdas))[
+        :, scene.ue == k]
+
+
+def ue_combined_sinr(scene, k, V):
+    """UE k's symbol SINRs of its per-AP weights V (M, N_k)."""
+    return combined_sinr(scene, on_flat_layout(scene, k, V))[scene.ue == k]
+
+
 @pytest.mark.parametrize("M,K,N,gamma_u,shared,empty_ue", CASES)
 def test_local_ap_weights_match_per_ap_model(M, K, N, gamma_u, shared,
                                              empty_ue):
@@ -347,7 +366,8 @@ def test_local_ap_weights_match_per_ap_model(M, K, N, gamma_u, shared,
     rtol = SAFETY * (K + 1) * EPS
     for m in range(M):
         for k in range(K):
-            got = combined_weights(scene, k, single_ap_lambdas(scene, m, k))
+            got = ue_combined_weights(scene, k,
+                                      single_ap_lambdas(scene, m, k))
             want = dense.local_ap_weights(scene, m, k)
             assert got.shape == (M, want.shape[1])
             got = dense.stacked_weights(scene, k, got)
@@ -367,9 +387,10 @@ def test_local_stats_and_mrc_match_matrix_forms(M, K, N, gamma_u, shared,
     for _ in range(3):
         scene = random_scene(rng, M, K, N, gamma_u, shared, empty_ue)
         assoc = random_assoc(rng, M, K)
+        mrc = scene.split(combining_lambdas(scene, assoc, "mrc"), axis=1)
         for k in range(K):
             want = dense.local_combining_stats(scene, assoc, k)
-            lam = combining_lambdas(scene, assoc, k, "mrc")
+            lam = mrc[k]
             lam_want = dense.mrc_lambdas(scene, assoc, k)
             assert lam.shape == (M, len(scene.subcarriers[k]))
             assert np.all(np.delete(lam, list(want), axis=0) == 0)
@@ -380,13 +401,13 @@ def test_local_stats_and_mrc_match_matrix_forms(M, K, N, gamma_u, shared,
                 amplify = np.abs(a / c)
                 assert np.all(np.abs(lam[m] - lam_want[m])
                               <= rtol * amplify * np.abs(lam_want[m]))
-                alone = combined_weights(scene, k,
-                                         single_ap_lambdas(scene, m, k))
-                B = stacked_channel(scene, k) * np.sqrt(scene.power[k])
+                alone = ue_combined_weights(scene, k,
+                                            single_ap_lambdas(scene, m, k))
+                B = stacked_channel(scene)[k] * np.sqrt(scene.power[k])
                 gain = np.einsum("ni,ni->i", dense.stacked_weights(
                     scene, k, alone).conj(), B)
                 assert np.all(np.abs(gain - a) <= rtol * np.abs(a))
-                sinr = combined_sinr(scene, k, alone)
+                sinr = ue_combined_sinr(scene, k, alone)
                 sinr_want = np.abs(a) ** 2 / np.real(c)
                 assert np.all(np.abs(sinr - sinr_want)
                               <= rtol * (2 + amplify) * sinr_want)
@@ -403,8 +424,11 @@ def fused_oracle_weights(scene, k, lambdas):
 
 def all_lambdas(rng, scene, assoc, k):
     """Every fusion mode's weights plus arbitrary complex per-AP weights."""
-    gains = rng.uniform(0.1, 1.0, scene.num_aps)
-    out = [combining_lambdas(scene, assoc, k, mode, gains=gains)
+    # the same per-AP gains towards every UE
+    gains = rng.uniform(0.1, 1.0, scene.num_aps)[:, None].repeat(
+        scene.num_ues, axis=1)
+    out = [scene.split(combining_lambdas(scene, assoc, mode, gains=gains),
+                       axis=1)[k]
            for mode in ("equal", "mrc", "large_scale_linear",
                         "large_scale_sqrt")]
     aps = list(assoc.ap_sets[k])
@@ -431,7 +455,7 @@ def combined_sinr_tolerance(scene, k, lambdas):
     i = np.arange(W.shape[1])
     exact, upper = [], []
     for l in range(K):
-        B = stacked_channel(scene, l) * np.sqrt(scene.power[l])
+        B = stacked_channel(scene)[l] * np.sqrt(scene.power[l])
         exact.append(np.abs(W.conj().T @ B) ** 2)
         upper.append((np.abs(W).T @ np.abs(B)) ** 2)
     desired, desired_up = exact[k][i, i], upper[k][i, i]
@@ -454,8 +478,8 @@ def test_combined_sinr_matches_symbol_loop(M, K, N, gamma_u, shared,
         assoc = random_assoc(rng, M, K)
         for k in range(K):
             for lambdas in all_lambdas(rng, scene, assoc, k):
-                got = combined_sinr(scene, k,
-                                    combined_weights(scene, k, lambdas))
+                got = ue_combined_sinr(
+                    scene, k, ue_combined_weights(scene, k, lambdas))
                 want = dense.combined_sinr(scene, k, lambdas)
                 bound = combined_sinr_tolerance(scene, k, lambdas)
                 assert got.shape == want.shape
@@ -472,8 +496,8 @@ def test_combined_weights_equal_per_draw_fusion(M, K, N, gamma_u, shared,
          + 1j * rng.standard_normal((20, M, N)))
     for k in range(K):
         for lambdas in all_lambdas(rng, scene, assoc, k):
-            got = dense.stacked_output(scene, k,
-                                       combined_weights(scene, k, lambdas), y)
+            got = dense.stacked_output(
+                scene, k, ue_combined_weights(scene, k, lambdas), y)
             want = dense.fused_estimates(scene, k, lambdas, y)
             # at most M products per entry, each factor off by (K + 1) eps
             scale = (np.abs(y.reshape(20, -1))

@@ -507,10 +507,9 @@ class TestPipelineOutputs:
                                                              monkeypatch):
         evaluate = uplink.weight_output_sinr
 
-        def broken(scene, k, W):
-            sinrs = evaluate(scene, k, W)
-            if k == 0:
-                sinrs[0] = np.inf
+        def broken(scene, V):
+            sinrs = evaluate(scene, V)
+            sinrs[0] = np.inf            # UE 0's first symbol
             return sinrs
 
         monkeypatch.setattr(uplink, "weight_output_sinr", broken)
@@ -599,12 +598,16 @@ class TestPipelineOutputs:
             assert np.isnan(records[1]["sinr_analytic"])
             assert records[1]["rate"] == 0.0
 
+    @pytest.mark.parametrize("detector", DETECTORS)
     @pytest.mark.parametrize("overrides", [
         {"allocation": {"demands": [2, 0]}},
-        {"association": {"method": "large_scale", "min_gain": 1e9}}])
-    def test_apmp_leaves_ser_nan_without_detected_symbols(self, overrides):
+        {"association": {"method": "large_scale", "min_gain": 1e9}},
+        {"allocation": {"demands": 0}}])
+    def test_apmp_leaves_ser_nan_without_detected_symbols(self, overrides,
+                                                          detector):
         """A UE with no subcarriers or no association has no SER under
-        ``apmp``, as under every other detector."""
+        ``apmp``, as under every other detector, and ``none`` detects no
+        symbol at all; a plan without any symbol runs too."""
         def ser(detector):
             res = run_scenario({**overrides, "trials": 2,
                                 "uplink": {"detector": detector,
@@ -612,7 +615,8 @@ class TestPipelineOutputs:
             return np.isnan([r["ser"] for r in res["records"]])
 
         assert ser("apmp").any()
-        np.testing.assert_array_equal(ser("apmp"), ser("gmmse"))
+        np.testing.assert_array_equal(
+            ser(detector), True if detector == "none" else ser("apmp"))
 
 
 class TestExport:

@@ -85,7 +85,7 @@ class TestGmmse:
         h = 0.7 - 0.4j
         scene = UplinkScene(freq=np.array([[[h]]]), subcarriers=[[0]],
                             power=[[1.0]], gamma_u=10.0)
-        W = gmmse_weights(scene)[0]
+        W = gmmse_weights(scene)
         assert W[0, 0] == pytest.approx(h / (abs(h) ** 2 + 0.1))
 
     def test_normal_equation_identity(self):
@@ -93,9 +93,9 @@ class TestGmmse:
         for _ in range(20):
             scene = random_scene(rng, M=3, K=2, N=4)
             R = scene_covariance(scene)
-            for k, V in enumerate(gmmse_weights(scene)):
+            for k, V in enumerate(scene.split(gmmse_weights(scene), axis=1)):
                 W = dense_oracles.stacked_weights(scene, k, V)
-                rhs = stacked_channel(scene, k) * np.sqrt(scene.power[k])
+                rhs = stacked_channel(scene)[k] * np.sqrt(scene.power[k])
                 rel = (np.linalg.norm(R @ W - rhs)
                        / max(np.linalg.norm(rhs), 1e-30))
                 assert rel < 1e-10
@@ -105,7 +105,7 @@ class TestGmmse:
         scene = random_scene(rng, M=2, K=2, N=1, gamma_u=20.0)
         indices, y = simulate_uplink(scene, 10**5, rng)
         y = y.reshape(len(y), -1)
-        for k, V in enumerate(gmmse_weights(scene)):
+        for k, V in enumerate(scene.split(gmmse_weights(scene), axis=1)):
             W = dense_oracles.stacked_weights(scene, k, V)
             x = CONSTELLATIONS["qpsk"][indices[k]]
             Ry = y.T @ y.conj() / y.shape[0]
@@ -119,8 +119,8 @@ class TestGmmse:
             scene = random_scene(rng, M=3, K=2, N=4)
             joint = gmmse_weights(scene)
             split = gmmse_per_subcarrier(scene)
-            for Wj, Ws in zip(joint, split):
-                assert np.allclose(Wj, Ws, atol=1e-12)
+            assert joint.shape == split.shape == (3, len(scene.sub))
+            assert np.allclose(joint, split, atol=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(case=dense_cases())
@@ -130,8 +130,8 @@ class TestGmmse:
         # evaluation of the solve itself, NaN and inf included
         scene = UplinkScene(*case)
         R = scene_covariance(scene)
-        rhs = [stacked_channel(scene, k) * np.sqrt(scene.power[k])
-               for k in range(scene.num_ues)]
+        rhs = [B * np.sqrt(p)
+               for B, p in zip(stacked_channel(scene), scene.power)]
         try:
             X = np.linalg.solve(R, np.hstack(rhs))
         except np.linalg.LinAlgError:
@@ -140,15 +140,17 @@ class TestGmmse:
             return
         solved = np.split(X, np.cumsum([B.shape[1] for B in rhs])[:-1],
                           axis=1)
-        weights = gmmse_weights(scene)
-        assert len(weights) == scene.num_ues
+        flat = gmmse_weights(scene)
+        assert flat.shape == (scene.num_aps, len(scene.sub))
+        weights = scene.split(flat, axis=1)
+        sinrs = scene.split(weight_output_sinr(scene, flat))
         for k, (V, W) in enumerate(zip(weights, solved)):
             assert V.shape == (scene.num_aps, W.shape[1])
             assert np.array_equal(dense_oracles.stacked_weights(scene, k, V),
                                   W)
             assert np.array_equal(
-                weight_output_sinr(scene, k, V),
-                dense_oracles.weight_output_sinr(scene, k, W), equal_nan=True)
+                sinrs[k], dense_oracles.weight_output_sinr(scene, k, W),
+                equal_nan=True)
 
 
 class TestSinr:
@@ -176,18 +178,17 @@ class TestSinr:
         scene = random_scene(rng, M=2, K=2, N=2, gamma_u=30.0)
         W = gmmse_weights(scene)
         indices, y = simulate_uplink(scene, 10**5, rng)
-        for k in range(2):
-            analytic = weight_output_sinr(scene, k, W[k])
-            measured, _ = measure_output(scene, k, W[k], y, indices[k])
-            assert np.all(np.abs(measured - analytic) / analytic < 0.05)
+        analytic = weight_output_sinr(scene, W)
+        measured, _ = measure_output(scene, W, y,
+                                     np.concatenate(indices, axis=1))
+        assert np.all(np.abs(measured - analytic) / analytic < 0.05)
 
     def test_weight_output_sinr_agrees_with_closed_form(self):
         rng = np.random.default_rng(6)
         scene = random_scene(rng, M=3, K=2, N=2, gamma_u=40.0)
-        W = gmmse_weights(scene)
-        for k in range(2):
-            a = weight_output_sinr(scene, k, W[k])
-            assert np.allclose(a, closed_form(scene)[k], rtol=1e-9)
+        a = weight_output_sinr(scene, gmmse_weights(scene))
+        assert np.allclose(a, uplink_sinr_all(scene, np.concatenate(
+            scene.power)), rtol=1e-9)
 
     def test_zero_power_symbol_has_zero_sinr(self):
         # a water-filled symbol can get power 0: its SINR is 0 in every
@@ -197,11 +198,10 @@ class TestSinr:
                 + 1j * rng.standard_normal((2, 1, 2)))
         scene = UplinkScene(freq=freq, subcarriers=[[0, 1]],
                             power=[[0.7, 0.0]], gamma_u=20.0)
-        lambdas = combining_lambdas(scene, full_assoc(2, 1), 0, "equal")
+        lambdas = combining_lambdas(scene, full_assoc(2, 1), "equal")
         for sinrs in (closed_form(scene)[0],
-                      weight_output_sinr(scene, 0, gmmse_weights(scene)[0]),
-                      combined_sinr(scene, 0,
-                                    combined_weights(scene, 0, lambdas))):
+                      weight_output_sinr(scene, gmmse_weights(scene)),
+                      combined_sinr(scene, combined_weights(scene, lambdas))):
             assert sinrs[0] > 0
             assert sinrs[1] == 0.0
 
@@ -363,15 +363,14 @@ class TestColumnSliced:
         rng = np.random.default_rng(10)
         scene = random_scene(rng, M=3, K=2, N=2)
         assoc = full_assoc(3, 2)
-        sliced = lmmse_column_sliced(scene, assoc)
-        for Ws, Wg in zip(sliced, gmmse_weights(scene)):
-            assert np.allclose(Ws, Wg, atol=1e-12)
+        assert np.allclose(lmmse_column_sliced(scene, assoc),
+                           gmmse_weights(scene), atol=1e-12)
 
     def test_no_association_gives_zero_weights(self):
         rng = np.random.default_rng(11)
         scene = random_scene(rng, M=2, K=1, N=2)
         assoc = AssociationMap.from_ap_sets([[]], num_aps=2)
-        assert np.all(lmmse_column_sliced(scene, assoc)[0] == 0)
+        assert np.all(lmmse_column_sliced(scene, assoc) == 0)
 
     def test_partial_association_loses_rate_on_average(self):
         rng = np.random.default_rng(12)
@@ -381,8 +380,7 @@ class TestColumnSliced:
             scene = random_scene(rng, M=3, K=2, N=1, gamma_u=50.0)
             assoc = AssociationMap.from_ap_sets([[0, 1], [1, 2]], num_aps=3)
             sliced = lmmse_column_sliced(scene, assoc)
-            r_sliced = sum(np.sum(np.log2(1 + weight_output_sinr(scene, k, W)))
-                           for k, W in enumerate(sliced))
+            r_sliced = np.sum(np.log2(1 + weight_output_sinr(scene, sliced)))
             r_full = sum_rate(closed_form(scene))
             if r_full >= r_sliced - 1e-9:
                 wins += 1
@@ -394,16 +392,15 @@ class TestReduced:
         rng = np.random.default_rng(13)
         scene = random_scene(rng, M=3, K=2, N=2)
         assoc = full_assoc(3, 2)
-        for k in range(2):
-            assert np.allclose(lmmse_reduced(scene, assoc, k),
-                               gmmse_weights(scene)[k], atol=1e-12)
+        assert np.allclose(lmmse_reduced(scene, assoc), gmmse_weights(scene),
+                           atol=1e-12)
 
     def test_single_ap_reduces_to_local(self):
         rng = np.random.default_rng(14)
         scene = random_scene(rng, M=3, K=2, N=2)
         assoc = AssociationMap.from_ap_sets([[1], [0, 1, 2]], num_aps=3)
-        W = dense_oracles.stacked_weights(scene, 0,
-                                          lmmse_reduced(scene, assoc, 0))
+        W = dense_oracles.stacked_weights(
+            scene, 0, scene.split(lmmse_reduced(scene, assoc), axis=1)[0])
         local = dense_oracles.local_ap_weights(scene, 1, 0)
         assert np.allclose(W[1 * 2:2 * 2], local, atol=1e-12)
         assert np.all(W[0:2] == 0) and np.all(W[4:6] == 0)
@@ -413,7 +410,7 @@ class TestReduced:
         scene = random_scene(rng, M=2, K=1, N=1)
         assoc = AssociationMap.from_ap_sets([[]], num_aps=2)
         with pytest.raises(ValueError, match="unassociated UE"):
-            lmmse_reduced(scene, assoc, 0)
+            lmmse_reduced(scene, assoc)
 
     def test_reduced_below_sliced_on_average(self):
         # regime matching the locality premise: channels at excluded APs sit
@@ -432,20 +429,17 @@ class TestReduced:
                 + 1j * rng.standard_normal((M, K, 1))) / np.sqrt(2)
             assoc = associate_large_scale(g, max_count=2)
             scene = equal_power_scene(freq, [np.arange(1)] * K, 10.0)
-            sliced = lmmse_column_sliced(scene, assoc)
-            for k in range(K):
-                g_sliced = weight_output_sinr(scene, k, sliced[k])
-                g_red = weight_output_sinr(scene, k,
-                                           lmmse_reduced(scene, assoc, k))
-                adv += np.sum(np.log2(1 + g_sliced)) - np.sum(np.log2(1 + g_red))
+            g_sliced = weight_output_sinr(scene,
+                                          lmmse_column_sliced(scene, assoc))
+            g_red = weight_output_sinr(scene, lmmse_reduced(scene, assoc))
+            adv += np.sum(np.log2(1 + g_sliced)) - np.sum(np.log2(1 + g_red))
         assert adv > 0
 
 
-def unit_lambdas(scene, m, k):
-    """Fusion weights 1 at AP m alone: the fused weight is AP m's local
-    MMSE weight."""
-    lambdas = np.zeros((scene.num_aps, len(scene.subcarriers[k])),
-                       dtype=complex)
+def unit_lambdas(scene, m):
+    """Fusion weights 1 at AP m alone for every symbol: the fused weight is
+    AP m's local MMSE weight."""
+    lambdas = np.zeros((scene.num_aps, len(scene.sub)), dtype=complex)
     lambdas[m] = 1.0
     return lambdas
 
@@ -455,10 +449,10 @@ class TestLocalDetection:
         rng = np.random.default_rng(17)
         scene = random_scene(rng, M=2, K=2, N=3)
         for m in range(2):
+            fused = scene.split(
+                combined_weights(scene, unit_lambdas(scene, m)), axis=1)
             for k in range(2):
-                W = dense_oracles.stacked_weights(
-                    scene, k, combined_weights(scene, k,
-                                               unit_lambdas(scene, m, k)))
+                W = dense_oracles.stacked_weights(scene, k, fused[k])
                 assert np.all(W[(1 - m) * 3:(2 - m) * 3] == 0)
                 W = W[m * 3:(m + 1) * 3]
                 diag = np.full(3, 1.0 / scene.gamma_u)
@@ -476,14 +470,15 @@ class TestLocalDetection:
         x = 0.6 + 0.8j
         y = np.array([[[h[0, 0, 0] * x]]])
         z = dense_oracles.stacked_output(
-            scene, 0, combined_weights(scene, 0, unit_lambdas(scene, 0, 0)), y)
+            scene, 0, combined_weights(scene, unit_lambdas(scene, 0)), y)
         assert z[0, 0] == pytest.approx(x, rel=1e-6)
 
 
 def fused_sinr(scene, assoc, mode):
     """UE 0's SINRs after local detection fused in ``mode``."""
-    lambdas = combining_lambdas(scene, assoc, 0, mode)
-    return combined_sinr(scene, 0, combined_weights(scene, 0, lambdas))
+    lambdas = combining_lambdas(scene, assoc, mode)
+    return combined_sinr(scene, combined_weights(scene, lambdas))[
+        scene.ue == 0]
 
 
 class TestCombining:
@@ -501,12 +496,12 @@ class TestCombining:
         y = (rng.standard_normal((5, 1, 2))
              + 1j * rng.standard_normal((5, 1, 2)))
         local = dense_oracles.stacked_output(
-            scene, 0, combined_weights(scene, 0, unit_lambdas(scene, 0, 0)), y)
+            scene, 0, combined_weights(scene, unit_lambdas(scene, 0)), y)
         for mode in ("equal", "mrc", "large_scale_linear",
                      "large_scale_sqrt"):
-            lam = combining_lambdas(scene, assoc, 0, mode, gains=[0.5])
+            lam = combining_lambdas(scene, assoc, mode, gains=[[0.5]])
             out = dense_oracles.stacked_output(
-                scene, 0, combined_weights(scene, 0, lam), y)
+                scene, 0, combined_weights(scene, lam), y)
             ratio = out / local
             assert np.allclose(ratio.imag, 0.0, atol=1e-10)
             assert np.all(ratio.real > 0)
@@ -518,10 +513,10 @@ class TestCombining:
         rng = np.random.default_rng(26)
         scene = random_scene(rng, M=3, K=1, N=2)
         assoc = full_assoc(3, 1)
-        eq = combining_lambdas(scene, assoc, 0, "equal")
+        eq = combining_lambdas(scene, assoc, "equal")
         for mode in ("large_scale_linear", "large_scale_sqrt"):
-            lam = combining_lambdas(scene, assoc, 0, mode,
-                                    gains=[0.3, 0.3, 0.3])
+            lam = combining_lambdas(scene, assoc, mode,
+                                    gains=[[0.3], [0.3], [0.3]])
             assert np.allclose(lam, eq)
 
     def test_mrc_beats_equal_on_unbalanced_branches(self):
@@ -559,9 +554,8 @@ class TestCombining:
 
         def meas(mode):
             # the CPU measures the fused output's amplitude from the draws
-            W = combined_weights(scene, 0,
-                                 combining_lambdas(scene, assoc, 0, mode))
-            return measure_output(scene, 0, W, y, indices[0],
+            W = combined_weights(scene, combining_lambdas(scene, assoc, mode))
+            return measure_output(scene, W, y, indices[0],
                                   measured=True)[0][0]
         assert meas("mrc") >= meas("equal")
 
@@ -570,9 +564,9 @@ class TestCombining:
         scene, assoc = self.make_two_ap_scene(rng)
         for mode in ("large_scale_linear", "large_scale_sqrt"):
             with pytest.raises(ValueError, match="per-AP gains"):
-                combining_lambdas(scene, assoc, 0, mode)
+                combining_lambdas(scene, assoc, mode)
         with pytest.raises(ValueError, match="unknown combining mode"):
-            combining_lambdas(scene, assoc, 0, "median")
+            combining_lambdas(scene, assoc, "median")
 
 
 class TestSampleCovariance:
@@ -612,44 +606,42 @@ class TestMeasuredOutput:
             num_aps=M)
         detectors = [
             gmmse_weights(scene), gmmse_per_subcarrier(scene),
-            lmmse_column_sliced(scene, assoc),
-            [lmmse_reduced(scene, assoc, k) for k in range(K)],
-            [combined_weights(scene, k,
-                              combining_lambdas(scene, assoc, k, "mrc"))
-             for k in range(K)]]
+            lmmse_column_sliced(scene, assoc), lmmse_reduced(scene, assoc),
+            combined_weights(scene, combining_lambdas(scene, assoc, "mrc"))]
         indices, y = simulate_uplink(scene, draws, rng)
         assert y.shape == (draws, M, scene.num_subcarriers)
-        for k in range(K):
-            for weights in detectors:
-                V = weights[k]
-                sinrs, decided = measure_output(scene, k, V, y, indices[k],
-                                                measured=measured)
+        for flat in detectors:
+            sinrs, decided = measure_output(scene, flat, y,
+                                            np.concatenate(indices, axis=1),
+                                            measured=measured)
+            for k, V in enumerate(scene.split(flat, axis=1)):
                 want_sinrs, want_decided = dense_oracles.measure_output(
                     scene, k, dense_oracles.stacked_weights(scene, k, V),
                     y.reshape(draws, -1), indices[k], measured=measured)
-                np.testing.assert_allclose(sinrs, want_sinrs, rtol=1e-12,
-                                           atol=0)
-                assert np.array_equal(decided, want_decided)
+                np.testing.assert_allclose(scene.split(sinrs)[k], want_sinrs,
+                                           rtol=1e-12, atol=0)
+                assert np.array_equal(scene.split(decided, axis=1)[k],
+                                      want_decided)
 
     def test_measured_decisions_recover_clean_transmissions(self):
         rng = np.random.default_rng(25)
         scene = random_scene(rng, M=3, K=2, N=2, gamma_u=1e6)
-        weights = gmmse_weights(scene)
         indices, y = simulate_uplink(scene, 200, rng)
-        for k in range(2):
-            # MMSE output is biased toward zero but decision-region safe
-            # at this SNR for QPSK
-            _, decided = measure_output(scene, k, weights[k], y, indices[k])
-            assert decided.shape == indices[k].shape
-            assert np.mean(decided != indices[k]) < 0.01
+        sent = np.concatenate(indices, axis=1)
+        # MMSE output is biased toward zero but decision-region safe at
+        # this SNR for QPSK
+        _, decided = measure_output(scene, gmmse_weights(scene), y, sent)
+        assert decided.shape == sent.shape
+        for k, d in enumerate(scene.split(decided, axis=1)):
+            assert np.mean(d != indices[k]) < 0.01
 
     def test_both_amplitudes_decide_noiseless_draws_exactly(self):
         rng = np.random.default_rng(28)
         scene = random_scene(rng, M=2, K=1, N=2, gamma_u=1e30)
-        W = gmmse_weights(scene)[0]
+        W = gmmse_weights(scene)
         indices, y = simulate_uplink(scene, 50, rng, "bpsk")
         for measured in (False, True):
-            sinrs, decided = measure_output(scene, 0, W, y, indices[0],
+            sinrs, decided = measure_output(scene, W, y, indices[0],
                                             "bpsk", measured)
             assert np.all(sinrs > 1e20)
             assert np.array_equal(decided, indices[0])
