@@ -30,9 +30,10 @@ evaluation of the chosen powers reuses the last one when they match.  Its
 bound on the common target is each UE's SINR alone at its full budget.
 On an uplink plan whose symbols all sit on distinct subcarriers (every
 ``exclusive`` plan) a symbol's R_n holds its own UE only, so a UE's SINRs
-do not depend on the others' powers, bit for bit, and one evaluation at
-the full budgets gives every bound; shared plans with co-channel symbols
-and the downlink (where A0 couples the UEs) evaluate each UE alone.
+do not depend on the others' powers, bit for bit: one evaluation at the
+full budgets gives every bound, and one more, at each budget scaled to
+the weakest bound, the optimum; shared plans with co-channel symbols and
+the downlink (where A0 couples the UEs) evaluate each UE alone.
 """
 
 from __future__ import annotations
@@ -128,7 +129,10 @@ def allocate_power_waterfill(snr_per_unit, budget) -> np.ndarray:
             order = np.argsort(inv)
             ranked = inv[order]
             powers = np.zeros_like(s)
-            for active in range(len(s), 0, -1):
+            # a budget that rounds away against every 1 / s_n leaves the
+            # levels to rounding, which can split equal subcarriers
+            swamped = budget + ranked[0] == ranked[0]
+            for active in range(0 if swamped else len(s), 0, -1):
                 level = (budget + ranked[:active].sum()) / active
                 if ranked[active - 1] < level < np.inf:
                     powers[order[:active]] = level - ranked[:active]
@@ -161,11 +165,14 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3,
     deterministic: the SINRs of powers already evaluated are reused, and
     the same powers are never evaluated twice in a row.  A UE's SINR alone
     at its full budget bounds every common target.  ``separable`` declares
-    that each UE's SINR depends on its own power only, bit for bit, so one
-    evaluation at the full budgets gives every UE's bound; otherwise each
-    UE is evaluated alone.  When the bound is not positive, no target is,
-    and the full budgets are returned; a negative or NaN bound is a
-    numerical failure of the evaluator, which the caller's checks flag.
+    that each UE's SINR depends on its own power only, bit for bit: one
+    evaluation at the full budgets then gives every UE's bound, and each
+    budget scaled to the weakest bound meets it when the SINRs are linear
+    in own power, which one more evaluation confirms.  Otherwise, and
+    without ``separable`` (each UE evaluated alone), the fixed point runs.
+    When the bound is not positive, no target is, and the full budgets are
+    returned; a negative or NaN bound is a numerical failure of the
+    evaluator, which the caller's checks flag.
     """
     budgets = np.asarray(budgets, dtype=float)
     K = budgets.size
@@ -185,18 +192,20 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3,
         return np.all(g >= target * (1 - 1e-6)), p, g
 
     # interference-free upper bound per UE caps any common target
-    if separable:
-        alone = evaluator(budgets)
-    else:
-        alone = np.empty(K)
-        for k in range(K):
-            solo = np.zeros(K)
-            solo[k] = budgets[k]
-            alone[k] = evaluator(solo)[k]
+    alone = evaluator(budgets) if separable else np.array(
+        [evaluator(solo)[k] for k, solo in enumerate(np.diag(budgets))])
     hi = float(alone.min())
     if not hi > 0:
         return MaxMinResult(powers=budgets, target=hi,
                             achieved=evaluator(budgets), noise_limited=False)
+    if separable:
+        # Yates' interference function is constant: each UE scales its
+        # budget to the weakest bound (a UE at its bound, inf too, keeps it)
+        p = budgets * np.divide(hi, alone, out=np.ones(K), where=alone > hi)
+        g = alone if np.array_equal(p, budgets) else evaluator(p)
+        if np.all(g >= hi * (1 - 1e-6)):
+            return MaxMinResult(powers=p, target=hi, achieved=g,
+                                noise_limited=True)
     ok_hi, p_hi, g_hi = feasible(hi)
     if ok_hi:
         return MaxMinResult(powers=p_hi, target=hi, achieved=g_hi,

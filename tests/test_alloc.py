@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -105,6 +106,15 @@ class TestWaterfilling:
             if np.any(~active):
                 water = levels.mean()
                 assert np.all(1.0 / s[~active] >= water - 1e-9)
+
+    def test_a_level_rounded_past_an_equal_one_over_s_is_not_taken(self):
+        # the budget rounds away against 1 / s for four equal subcarriers
+        # (two more overflow), but the level of three of them rounds above
+        # it: equal subcarriers get equal power
+        a = 10.0 ** -292.75
+        p = allocate_power_waterfill(np.array([a, a, 5e-324, 5e-324, a, a]),
+                                     1.0)
+        assert np.array_equal(p, [0.25, 0.25, 0.0, 0.0, 0.25, 0.25])
 
     @settings(max_examples=300, deadline=None)
     @given(gains=st.lists(st.one_of(
@@ -265,7 +275,10 @@ class TestMaxMin:
         ([1.0, 3.0, 0.7], 1.0, 1e-4), ([1.0, 3.0, 0.7, 0.2], 0.01, 1e-3)])
     def test_separable_bound_is_one_evaluation_bit_for_bit(self, gains,
                                                            noise, tol):
-        # every UE's SINR depends on its own power only
+        # every UE's SINR depends on its own power only, so after the one
+        # evaluation of the bound each UE scales its budget to the weakest
+        # bound and a second evaluation, unless every UE keeps its budget,
+        # confirms it
         g = np.asarray(gains, dtype=float)
         K = g.size
 
@@ -280,14 +293,67 @@ class TestMaxMin:
         new, new_calls = run(maxmin_power_control, separable=True)
         solo, solo_calls = run(maxmin_power_control)
         old, _ = run(oracle.maxmin_power_control)
+        alone = g * np.ones(K) / noise
+        hi = alone.min()
+        closed = np.ones(K) * np.minimum(hi / alone, 1)
+        assert same_arrays(new_calls, [np.ones(K)] + [closed] * (
+            not np.array_equal(closed, np.ones(K))))
+        assert same_arrays(solo_calls[:K], list(np.eye(K)))
+        for res in (solo, old):
+            assert new.target == res.target
+            assert new.noise_limited == res.noise_limited
+            np.testing.assert_allclose(new.powers, res.powers, rtol=1e-12)
+        assert new.target == hi and new.noise_limited
+        assert np.array_equal(new.powers, closed)
+        assert np.array_equal(new.achieved, g * closed / noise)
+
+    def test_a_separable_evaluator_off_the_closed_form_falls_through(self):
+        # g = a p^2 is separable and increasing in a UE's own power, but the
+        # budgets scaled by bound / alone miss the bound, so the fixed point
+        # and the bisection run as without ``separable``
+        a = np.array([1.0, 3.0, 0.7])
+        K = a.size
+
+        def run(control, **kwargs):
+            calls = []
+
+            def evaluator(p):
+                calls.append(np.array(p))
+                return a * p ** 2
+            return control(evaluator, np.ones(K), **kwargs), calls
+
+        new, new_calls = run(maxmin_power_control, separable=True)
+        solo, solo_calls = run(maxmin_power_control)
+        old, _ = run(oracle.maxmin_power_control)
+        hi = a.min()
+        assert same_arrays(new_calls[:2], [np.ones(K), hi / a])
+        assert same_arrays(new_calls[2:], solo_calls[K:])
         for res in (solo, old):
             assert np.array_equal(new.powers, res.powers)
             assert new.target == res.target
             assert np.array_equal(new.achieved, res.achieved)
             assert new.noise_limited == res.noise_limited
-        assert np.array_equal(new_calls[0], np.ones(K))
-        assert same_arrays(solo_calls[:K], list(np.eye(K)))
-        assert same_arrays(new_calls[1:], solo_calls[K:])
+
+    @pytest.mark.parametrize("live", [[True, False, True], [False] * 3])
+    def test_infinite_separable_bounds_warn_nothing(self, live):
+        # a UE without symbols has bound inf: it keeps no power unless
+        # every bound is inf, when every UE keeps its budget
+        live = np.array(live)
+        g = np.array([1.0, 2.0, 4.0])
+
+        def evaluator(p):
+            return np.where(live, g * p, np.inf)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = maxmin_power_control(evaluator, np.ones(3), separable=True)
+        assert res.noise_limited
+        if live.any():
+            assert res.target == 1.0
+            assert np.array_equal(res.powers, [1.0, 0.0, 0.25])
+        else:
+            assert res.target == np.inf
+            assert np.array_equal(res.powers, np.ones(3))
 
 
 class TestFeasibility:
@@ -607,12 +673,14 @@ def test_uplink_plan_on_one_scene_is_the_oracle_bit_for_bit(seed,
                                                             refine):
     """An uplink plan of either objective builds one scene and calls
     ``uplink_sinr_all`` once per distinct evaluation of the oracle, which
-    evaluates every candidate on a fresh scene; on a
-    max-min plan whose symbols sit on distinct subcarriers, the oracle's
-    solo evaluations of the bound are one at the full budgets.  The
-    plan's powers, SINRs, objective and audit are the oracle's, bit for
-    bit.  The scenes cover exclusive and shared mode, zero demands and
-    disconnected UEs."""
+    evaluates every candidate on a fresh scene, and its powers, SINRs,
+    objective and audit are the oracle's, bit for bit.  A max-min plan
+    whose symbols sit on distinct subcarriers instead evaluates at most
+    twice: the oracle's solo evaluations of the bound are one at the full
+    budgets, and the closed-form powers, unless they are the full budgets,
+    are evaluated once; its audit is the oracle's and its powers, SINRs
+    and objective agree within 1e-12.  The scenes cover exclusive and
+    shared mode, zero demands and disconnected UEs."""
     freq, assoc, kwargs = random_allocation_scene(np.random.default_rng(seed))
     kwargs["refine_iterations"] = refine
     evaluations = []
@@ -646,26 +714,35 @@ def test_uplink_plan_on_one_scene_is_the_oracle_bit_for_bit(seed,
     ns = np.concatenate(old.subcarriers)
     separable = (objective == "max_min" and ns.size > 0
                  and len(set(ns.tolist())) == ns.size)
-    expected = evaluations
-    if separable:
-        # no subcarrier carries two symbols: the oracle's K solo evaluations
-        # of the max-min bound are one evaluation at the full budgets
-        solos, full = evaluations[:K], np.concatenate(
-            [np.full(len(s), 1.0 / max(len(s), 1)) for s in old.subcarriers])
-        expected = [(full, None)] + evaluations[K:]
-    # the oracle's evaluations with repeats in a row dropped
-    distinct = [e for i, e in enumerate(expected)
-                if not i or not np.array_equal(e[0], expected[i - 1][0])]
-    assert len(calls) == len(distinct)
-    assert all(map(np.array_equal, (eta for eta, _ in calls),
-                   (eta for eta, _ in distinct)))
-    if separable:
-        # each UE's SINRs alone are its SINRs at the full budgets
-        for k, (_, alone) in enumerate(solos):
-            assert np.array_equal(alone[ue == k], calls[0][1][ue == k])
     # the oracle's last evaluation is at the powers it emits
     sinrs = evaluations[-1][1]
     assert same_arrays(new.subcarriers, old.subcarriers)
+    if separable:
+        # no subcarrier carries two symbols: the oracle's K solo evaluations
+        # of the max-min bound are one evaluation at the full budgets, and
+        # the closed-form powers are the plan's, evaluated once unless they
+        # are the full budgets
+        full = np.concatenate(
+            [np.full(len(s), 1.0 / max(len(s), 1)) for s in old.subcarriers])
+        x = np.concatenate(new.ul_power)
+        assert same_arrays([eta for eta, _ in calls],
+                           [full] + [x] * (not np.array_equal(x, full)))
+        # each UE's SINRs alone are its SINRs at the full budgets
+        for k, (_, alone) in enumerate(evaluations[:K]):
+            assert np.array_equal(alone[ue == k], calls[0][1][ue == k])
+        assert np.array_equal(np.concatenate(new.ul_sinrs), calls[-1][1])
+        np.testing.assert_allclose(x, np.concatenate(old.ul_power),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(calls[-1][1], sinrs, rtol=1e-12)
+        assert new.objective == pytest.approx(sinrs.min(), rel=1e-12)
+        assert new.audit == old.audit
+        return
+    # the oracle's evaluations with repeats in a row dropped
+    distinct = [e for i, e in enumerate(evaluations)
+                if not i or not np.array_equal(e[0], evaluations[i - 1][0])]
+    assert len(calls) == len(distinct)
+    assert all(map(np.array_equal, (eta for eta, _ in calls),
+                   (eta for eta, _ in distinct)))
     assert same_arrays(new.ul_power, old.ul_power)
     assert np.array_equal(np.concatenate(new.ul_sinrs), sinrs)
     if objective == "sum_rate":
@@ -733,15 +810,39 @@ class TestSinglePowerStage:
     def test_matches_the_two_branch_oracle_bit_for_bit(self, direction,
                                                        objective):
         rng = np.random.default_rng(2024)
+        kernel, calls = alloc.uplink_sinr_all, []
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
         for _ in range(200):
             freq, assoc, kwargs = random_allocation_scene(rng)
-            new = successive_optimize(freq, assoc, objective=objective,
-                                      direction=direction, **kwargs)
+            calls.clear()
+            with mock.patch.object(alloc, "uplink_sinr_all", counting):
+                new = successive_optimize(freq, assoc, objective=objective,
+                                          direction=direction, **kwargs)
             old = oracle.successive_optimize(freq, assoc, objective=objective,
                                              direction=direction, **kwargs)
             assert same_arrays(new.subcarriers, old.subcarriers)
             assert new.audit == old.audit
-            if direction == "ul":
+            ns = np.concatenate(new.subcarriers)
+            if (direction, objective) == ("ul", "max_min") and ns.size and \
+                    len(set(ns.tolist())) == ns.size:
+                # a separable max-min plan takes the closed form: the bound
+                # at the full budgets and the emitted powers, when they
+                # differ, are the only evaluations
+                x = np.concatenate(new.ul_power)
+                assert len(calls) == 2 - np.array_equal(x, calls[0][1])
+                _, sinrs = oracle.ul_rates(freq, kwargs["gamma_u"],
+                                           old.subcarriers, old.ul_power)
+                np.testing.assert_allclose(x, np.concatenate(old.ul_power),
+                                           rtol=1e-12)
+                np.testing.assert_allclose(np.concatenate(new.ul_sinrs),
+                                           np.concatenate(sinrs), rtol=1e-12)
+                assert new.objective == pytest.approx(
+                    np.concatenate(sinrs).min(), rel=1e-12)
+            elif direction == "ul":
                 assert same_arrays(new.ul_power, old.ul_power)
             else:
                 assert np.array_equal(new.dl_power, old.dl_power)

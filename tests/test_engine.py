@@ -598,6 +598,38 @@ class TestPipelineOutputs:
             assert np.isnan(records[1]["sinr_analytic"])
             assert records[1]["rate"] == 0.0
 
+    def test_noise_limited_maxmin_trial_evaluates_the_kernel_twice(
+            self, monkeypatch):
+        """On exclusive max-min plans (M8 K4 N8) every UE's SINR depends on
+        its own power only: the bound at the full budgets and the
+        closed-form powers are a trial's only ``uplink_sinr_all`` calls,
+        and every power control ends noise-limited."""
+        calls, results = [], []
+        sinr_all, control = alloc.uplink_sinr_all, alloc.maxmin_power_control
+
+        def spy_sinrs(scene, eta):
+            calls.append(eta)
+            return sinr_all(scene, eta)
+
+        def spy_control(*args, **kwargs):
+            results.append(control(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(alloc, "uplink_sinr_all", spy_sinrs)
+        monkeypatch.setattr(alloc, "maxmin_power_control", spy_control)
+        scenario = merge_scenario({
+            "seed": 1, "topology": {"num_aps": 8, "num_ues": 4,
+                                    "area_size": 300.0},
+            "ofdm": {"num_subcarriers": 8}, "channel": {"num_taps": 4},
+            "association": {"radius": 200.0},
+            "allocation": {"objective": "max_min", "demands": 2}})
+        for trial in range(4):
+            calls.clear()
+            run_trial(scenario, trial)
+            assert len(calls) == 2
+        assert len(results) == 4
+        assert all(r.noise_limited for r in results)
+
     @pytest.mark.parametrize("detector", DETECTORS)
     @pytest.mark.parametrize("overrides", [
         {"allocation": {"demands": [2, 0]}},
