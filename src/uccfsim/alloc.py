@@ -20,20 +20,26 @@ Within a plan the channels and the subcarrier assignment are fixed, so
 the evaluators keep what depends on them alone: the downlink computes
 its unscaled precoders (MMSE bracket solve or distributed directions)
 once per plan and rescales them per evaluation under one A0, and an
-uplink plan, of either objective, plans on the closed-form global MMSE
-SINRs: it builds one :func:`~uccfsim.uplink.equal_power_scene`, its
-starting power split, and evaluates every power vector on that scene
-through :func:`~uccfsim.uplink.uplink_sinr_all`.
+uplink plan plans on the global MMSE SINRs.  A sum-rate plan, or a
+max-min plan with co-channel symbols, builds one
+:func:`~uccfsim.uplink.equal_power_scene`, its starting power split, and
+evaluates every power vector on that scene through
+:func:`~uccfsim.uplink.uplink_sinr_all`.
 Max-min power control runs Yates' fixed-point iteration inside the
 bisection and never evaluates the same powers twice in a row; the closing
 evaluation of the chosen powers reuses the last one when they match.  Its
 bound on the common target is each UE's SINR alone at its full budget.
-On an uplink plan whose symbols all sit on distinct subcarriers (every
-``exclusive`` plan) a symbol's R_n holds its own UE only, so a UE's SINRs
-do not depend on the others' powers, bit for bit: one evaluation at the
-full budgets gives every bound, and one more, at each budget scaled to
-the weakest bound, the optimum; shared plans with co-channel symbols and
-the downlink (where A0 couples the UEs) evaluate each UE alone.
+Alone, each of an uplink UE's symbols has its subcarrier to itself, where
+its exact SINR is its power times
+:func:`~uccfsim.uplink.solo_unit_sinrs` (gamma_u ||h_kn||^2), so every
+uplink bound comes from the channel energies.  On an uplink plan whose
+symbols all sit on distinct subcarriers (every ``exclusive`` plan) that
+holds at any powers: the evaluator is powers times energies, exact and
+linear, no scene is built, and each budget scaled to the weakest bound is
+the optimum.  The downlink, where A0 couples the UEs, evaluates each UE
+alone.  Exact SINRs cannot fail where the kernel's cancellation would, so
+an uplink max-min plan's audit checks that every R_n at its powers is
+resolved (``ul_covariance_resolved``).
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import numpy as np
 
 from .modulation import ue_rates
 from .uplink import (UplinkScene, equal_power_scene, power_breaches,
-                     uplink_sinr_all)
+                     solo_unit_sinrs, uplink_sinr_all)
 
 # fixed-point power updates per max-min feasibility test
 MAX_FIXED_POINT = 60
@@ -155,8 +161,8 @@ class MaxMinResult:
     noise_limited: bool           # the floor binds at a UE's zero-interference bound
 
 
-def maxmin_power_control(evaluator, budgets, tol=1e-3,
-                         separable=False) -> MaxMinResult:
+def maxmin_power_control(evaluator, budgets, tol=1e-3, separable=False,
+                         bounds=None) -> MaxMinResult:
     """Bisection on a common SINR target with per-UE power budgets.
 
     ``evaluator(powers) -> per-UE SINR array``; it must be monotone
@@ -164,15 +170,15 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3,
     holds for the MMSE SINRs of both directions used here.  It must also be
     deterministic: the SINRs of powers already evaluated are reused, and
     the same powers are never evaluated twice in a row.  A UE's SINR alone
-    at its full budget bounds every common target.  ``separable`` declares
-    that each UE's SINR depends on its own power only, bit for bit: one
-    evaluation at the full budgets then gives every UE's bound, and each
-    budget scaled to the weakest bound meets it when the SINRs are linear
-    in own power, which one more evaluation confirms.  Otherwise, and
-    without ``separable`` (each UE evaluated alone), the fixed point runs.
-    When the bound is not positive, no target is, and the full budgets are
-    returned; a negative or NaN bound is a numerical failure of the
-    evaluator, which the caller's checks flag.
+    at its full budget bounds every common target; ``bounds`` gives these
+    when the caller knows them.  ``separable`` declares that each UE's SINR
+    depends on its own power only, bit for bit: one evaluation at the full
+    budgets then gives every bound (without it, each UE is evaluated
+    alone), and each budget scaled to the weakest bound meets it when the
+    SINRs are linear in own power, which one more evaluation confirms.
+    Otherwise the fixed point runs.  When the bound is not positive, no
+    target is, and the full budgets are returned; a negative or NaN bound
+    is a numerical failure, which the caller's checks flag.
     """
     budgets = np.asarray(budgets, dtype=float)
     K = budgets.size
@@ -192,8 +198,13 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3,
         return np.all(g >= target * (1 - 1e-6)), p, g
 
     # interference-free upper bound per UE caps any common target
-    alone = evaluator(budgets) if separable else np.array(
-        [evaluator(solo)[k] for k, solo in enumerate(np.diag(budgets))])
+    if bounds is not None:
+        alone = np.asarray(bounds, dtype=float)
+    elif separable:
+        alone = evaluator(budgets)
+    else:
+        alone = np.array([evaluator(solo)[k]
+                          for k, solo in enumerate(np.diag(budgets))])
     hi = float(alone.min())
     if not hi > 0:
         return MaxMinResult(powers=budgets, target=hi,
@@ -293,7 +304,12 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
 
     The association is taken as given (computed by the topology module);
     a UE without an AP receives no resources and gets rate 0.
-    ``dist_regmmse``'s ``reg`` defaults to ``noise_var``.
+    ``dist_regmmse``'s ``reg`` defaults to ``noise_var``.  An uplink
+    max-min plan takes every UE's bound from the channel energies and, if
+    no subcarrier carries two of its symbols, every SINR as well; its
+    audit adds ``ul_covariance_resolved``: numpy's ``matrix_rank`` rule on
+    each R_n at the emitted powers, 1 + sum over the subcarrier's symbols
+    of gamma_u eta ||h||^2 < 1 / (M eps).
     """
     freq = np.asarray(freq, dtype=complex)
     M, K, N = freq.shape
@@ -305,6 +321,10 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
     counts = np.array([len(s) for s in subs])
     ks, ns = np.repeat(np.arange(K), counts), np.concatenate(subs)
     cuts = np.cumsum(counts)[:-1]
+    # an uplink max-min plan whose symbols all sit on distinct subcarriers
+    # (every exclusive plan): no UE's SINRs depend on another's powers
+    separable = (objective == "max_min" and direction == "ul"
+                 and 0 < len(ns) == len(set(ns.tolist())))
     # an evaluation maps flat symbol powers to flat symbol SINRs; a
     # downlink one also records its plan fields, and the plan keeps the last
     fields, checks = {}, {}
@@ -312,19 +332,32 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
     if direction == "ul":
         if gamma_u is None:
             raise ValueError("uplink allocation needs gamma_u")
+        if not gamma_u > 0:
+            raise ValueError("gamma_u must be positive")
         budget_of = np.arange(K)
-        # every evaluation sees the same channels and assignment, and the
-        # powers x start from the scene's equal split
-        scene = equal_power_scene(freq, subs, gamma_u)
-        groups = scene.split(np.arange(len(ns)))
-        x = np.concatenate(scene.power)
+        groups = np.split(np.arange(len(ns)), cuts)
+        if objective == "max_min":
+            energy = solo_unit_sinrs(freq, ks, ns, gamma_u)
+        if separable:
+            # each symbol alone on its subcarrier: its SINR is exact and
+            # linear in its own power (the spread below sets x)
+            def sinrs_at(x):
+                return x * energy
+        else:
+            # every evaluation sees the same channels and assignment, and
+            # the powers x start from the scene's equal split
+            scene = equal_power_scene(freq, subs, gamma_u)
+            x = np.concatenate(scene.power)
+
+            def sinrs_at(x):
+                return uplink_sinr_all(scene, x)
         checks["ul_sinrs_positive"], seen = True, None
 
         def evaluate_direction(x):
             # in exact arithmetic a symbol's SINR is positive, or 0 when it
             # has no power or a zero channel at every AP
             nonlocal seen
-            g = uplink_sinr_all(scene, x)
+            g = sinrs_at(x)
             if checks["ul_sinrs_positive"] and not _all_positive(g):
                 if seen is None:
                     seen = np.any(freq[:, ks, ns] != 0, axis=0)
@@ -399,19 +432,28 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
         live = counts > 0
         starts = np.r_[0, cuts][live]
 
-        def evaluator(p):
+        def ue_min(g):
             """Each UE's smallest symbol SINR; inf for a UE without any."""
             mins = np.full(K, np.inf)
-            mins[live] = np.minimum.reduceat(evaluate(spread(p)), starts)
+            mins[live] = np.minimum.reduceat(g, starts)
             return mins
 
         if len(ns):
-            # on distinct subcarriers an uplink symbol's R_n holds its own
-            # UE alone, so a UE's SINRs ignore the others' powers
-            separable = direction == "ul" and len(set(ns.tolist())) == len(ns)
-            x = spread(maxmin_power_control(evaluator, np.ones(K),
-                                            separable=separable).powers)
+            # a UE alone at its full budget has every symbol alone on its
+            # subcarrier, so no uplink bound needs an evaluation
+            bounds = (ue_min(spread(np.ones(K)) * energy) if direction == "ul"
+                      else None)
+            x = spread(maxmin_power_control(
+                lambda p: ue_min(evaluate(spread(p))), np.ones(K),
+                separable=separable, bounds=bounds).powers)
         achieved = evaluate(x)
+        if direction == "ul":
+            # numpy's matrix_rank rule on each R_n at the emitted powers:
+            # 1 + load bounds cond(R_n), and is it on a separable plan
+            # with M > 1
+            load = np.bincount(ns, x * energy, N)
+            checks["ul_covariance_resolved"] = bool(
+                np.all(1.0 + load < 1.0 / (M * np.finfo(float).eps)))
     else:
         raise ValueError(f"unknown objective {objective!r}")
 

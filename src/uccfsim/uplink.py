@@ -27,7 +27,8 @@ from flat symbol powers to flat symbol SINRs.  The scene keeps on first
 use what does not depend on the powers (each symbol's channel and outer
 product, the per-subcarrier channel view), so a power-control loop pays
 per evaluation only for the power checks, R_n, one (S, M, M) solve and
-the products.
+the products.  A symbol alone on its subcarrier needs none of that: its
+SINR is its power times ``solo_unit_sinrs``, gamma_u ||h_kn||^2.
 
 The stacked (M*N, .) layout is left only at the dense edge whose bits the
 benchmark's references pin: ``gmmse_weights`` solves the (M*N, M*N)
@@ -247,6 +248,17 @@ def uplink_sinr_all(scene: UplinkScene, eta) -> np.ndarray:
     x = np.linalg.solve(subcarrier_covariances(scene, eta)[scene.sub]
                         - eta[:, None, None] * outer, b[:, :, None])[:, :, 0]
     return np.real(eta * np.einsum("sm,sm->s", b_conj, x))
+
+
+def solo_unit_sinrs(freq, ue, sub, gamma_u) -> np.ndarray:
+    """SINR per unit power of each symbol s, UE ``ue[s]``'s on subcarrier
+    ``sub[s]``, alone on its subcarrier: gamma_u ||h_kn||^2 over all M APs.
+
+    There R_n = I / gamma_u + eta b b^H, so the exact MMSE SINR at power
+    eta is eta gamma_u ||b||^2: no solve, and nothing cancels.
+    """
+    h = freq[:, ue, sub]
+    return gamma_u * np.sum(h.real ** 2 + h.imag ** 2, axis=0)
 
 
 def lmmse_column_sliced(scene: UplinkScene, assoc):

@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,8 @@ from uccfsim.alloc import (AllocationPlan, allocate_power_waterfill,
 from uccfsim.engine import merge_scenario, run_trial
 from uccfsim.modulation import ue_rates
 from uccfsim.topology import AssociationMap, build_factor_graph
-from uccfsim.uplink import UplinkScene, uplink_sinr_all
+from uccfsim.uplink import (UplinkScene, solo_unit_sinrs,
+                            subcarrier_covariances, uplink_sinr_all)
 
 import dense_oracles as oracle
 
@@ -496,8 +498,11 @@ class TestPipeline:
 class TestPlanScenes:
     """Power-independent work is done once per plan."""
 
-    def test_maxmin_builds_one_scene_and_repeats_no_evaluation(
+    def test_maxmin_builds_a_scene_only_for_cochannel_plans(
             self, monkeypatch):
+        """A separable max-min plan builds no scene and calls no kernel;
+        any other builds one scene and never evaluates the same powers
+        twice in a row."""
         built, evaluated = [], []
         kernel, build = alloc.uplink_sinr_all, alloc.equal_power_scene
 
@@ -512,12 +517,17 @@ class TestPlanScenes:
         monkeypatch.setattr(alloc, "equal_power_scene", building)
         monkeypatch.setattr(alloc, "uplink_sinr_all", recording)
         rng = np.random.default_rng(16)
+        kinds = set()
         for _ in range(20):
             freq, assoc, kwargs = random_allocation_scene(rng)
             built.clear()
             evaluated.clear()
             plan = successive_optimize(freq, assoc, objective="max_min",
                                        **kwargs)
+            kinds.add(separable(plan))
+            if separable(plan):
+                assert not built and not evaluated
+                continue
             assert len(built) == 1
             assert evaluated
             assert not any(np.array_equal(a, b)
@@ -525,6 +535,7 @@ class TestPlanScenes:
             # the plan keeps the powers of the last evaluation
             assert np.array_equal(np.concatenate(plan.ul_power),
                                   evaluated[-1])
+        assert kinds == {True, False}
 
     @pytest.mark.parametrize("objective", ["sum_rate", "max_min"])
     def test_dl_plan_solves_the_precoder_bracket_once(self, objective,
@@ -636,22 +647,59 @@ def same_arrays(a, b):
     return len(a) == len(b) and all(map(np.array_equal, a, b))
 
 
+def separable(plan):
+    """Whether the plan's symbols, at least one, sit on distinct
+    subcarriers, so that each is alone on its subcarrier."""
+    ns = np.concatenate(plan.subcarriers)
+    return 0 < ns.size == len(set(ns.tolist()))
+
+
+def resolved_rest(audit):
+    """The ``ul_covariance_resolved`` flag of an uplink max-min audit, and
+    the audit without it."""
+    rest = dict(audit)
+    return rest.pop("ul_covariance_resolved"), rest
+
+
+# the max-min plans' tolerance against the oracle: its bounds come from K
+# solo kernel evaluations, and the plan's from the channel energies, which
+# differ in the last bits.  The fixed point stops once a step moves the
+# powers by at most 1e-9 relative, so such a difference can at worst add
+# or drop one step of that size.  Measured on the plans of
+# random_allocation_scene seeds 0 to 19,999: at most 8.0e-14 relative on
+# the powers and 8.1e-14 on the objective
+MAXMIN_RTOL = 1e-8
+
+
 @pytest.mark.parametrize("objective", ["sum_rate", "max_min"])
 def test_plan_ul_sinrs_are_the_closed_form_at_its_powers(objective):
-    """``plan.ul_sinrs`` is what ``uplink_sinr_all`` gives on the plan's
-    scene, bit for bit, so a consumer need not evaluate it again."""
+    """``plan.ul_sinrs`` are the SINRs of the plan's powers, so a consumer
+    need not evaluate them again.  On a separable max-min plan they are
+    each power times ``solo_unit_sinrs``, bit for bit, and
+    ``uplink_sinr_all``, which cancels, agrees within 1e-13 relative (at
+    most 1.4e-14 on these 150 scenes, whose SINRs stay below 530);
+    on every other plan they are ``uplink_sinr_all``'s, bit for bit."""
     rng = np.random.default_rng(2025)
-    empty = 0
+    empty = solo = 0
     for _ in range(150):
         freq, assoc, kwargs = random_allocation_scene(rng)
         plan = successive_optimize(freq, assoc, objective=objective,
                                    direction="ul", **kwargs)
         scene = UplinkScene(freq=freq, subcarriers=plan.subcarriers,
                             power=plan.ul_power, gamma_u=kwargs["gamma_u"])
-        assert same_arrays(plan.ul_sinrs, scene.split(uplink_sinr_all(
-            scene, np.concatenate(scene.power))))
+        eta = np.concatenate(scene.power)
+        kernel = uplink_sinr_all(scene, eta)
+        if objective == "max_min" and separable(plan):
+            closed = eta * solo_unit_sinrs(scene.freq, scene.ue, scene.sub,
+                                           scene.gamma_u)
+            assert np.array_equal(np.concatenate(plan.ul_sinrs), closed)
+            np.testing.assert_allclose(kernel, closed, rtol=1e-13, atol=0)
+            solo += 1
+        else:
+            assert same_arrays(plan.ul_sinrs, scene.split(kernel))
         empty += sum(not len(s) for s in plan.subcarriers)
     assert empty          # UEs without subcarriers were covered
+    assert solo or objective == "sum_rate"
 
 
 def test_ul_rates_rejects_powers_that_do_not_match_the_assignment():
@@ -671,16 +719,17 @@ def test_ul_rates_rejects_powers_that_do_not_match_the_assignment():
 def test_uplink_plan_on_one_scene_is_the_oracle_bit_for_bit(seed,
                                                             objective,
                                                             refine):
-    """An uplink plan of either objective builds one scene and calls
-    ``uplink_sinr_all`` once per distinct evaluation of the oracle, which
-    evaluates every candidate on a fresh scene, and its powers, SINRs,
-    objective and audit are the oracle's, bit for bit.  A max-min plan
-    whose symbols sit on distinct subcarriers instead evaluates at most
-    twice: the oracle's solo evaluations of the bound are one at the full
-    budgets, and the closed-form powers, unless they are the full budgets,
-    are evaluated once; its audit is the oracle's and its powers, SINRs
-    and objective agree within 1e-12.  The scenes cover exclusive and
-    shared mode, zero demands and disconnected UEs."""
+    """A sum-rate plan builds one scene and calls ``uplink_sinr_all`` once
+    per distinct evaluation of the oracle, which evaluates every candidate
+    on a fresh scene, and its powers, SINRs, objective and audit are the
+    oracle's, bit for bit.  A max-min plan takes its bounds from the
+    channel energies instead of the oracle's K solo evaluations: a
+    separable one builds no scene and calls no kernel, any other builds
+    one scene and keeps the SINRs of its last call; the powers and the
+    objective are the oracle's within ``MAXMIN_RTOL``, and the audit is
+    the oracle's plus ``ul_covariance_resolved``, which holds at these
+    SNRs.  The scenes cover exclusive and shared mode, zero demands and
+    disconnected UEs."""
     freq, assoc, kwargs = random_allocation_scene(np.random.default_rng(seed))
     kwargs["refine_iterations"] = refine
     evaluations = []
@@ -708,35 +757,25 @@ def test_uplink_plan_on_one_scene_is_the_oracle_bit_for_bit(seed,
     with mock.patch.object(alloc, "equal_power_scene", building), \
             mock.patch.object(alloc, "uplink_sinr_all", recording):
         new = successive_optimize(freq, assoc, objective=objective, **kwargs)
-    assert len(built) == 1
-    K = len(old.subcarriers)
-    ue = np.repeat(np.arange(K), [len(s) for s in old.subcarriers])
-    ns = np.concatenate(old.subcarriers)
-    separable = (objective == "max_min" and ns.size > 0
-                 and len(set(ns.tolist())) == ns.size)
     # the oracle's last evaluation is at the powers it emits
     sinrs = evaluations[-1][1]
     assert same_arrays(new.subcarriers, old.subcarriers)
-    if separable:
-        # no subcarrier carries two symbols: the oracle's K solo evaluations
-        # of the max-min bound are one evaluation at the full budgets, and
-        # the closed-form powers are the plan's, evaluated once unless they
-        # are the full budgets
-        full = np.concatenate(
-            [np.full(len(s), 1.0 / max(len(s), 1)) for s in old.subcarriers])
-        x = np.concatenate(new.ul_power)
-        assert same_arrays([eta for eta, _ in calls],
-                           [full] + [x] * (not np.array_equal(x, full)))
-        # each UE's SINRs alone are its SINRs at the full budgets
-        for k, (_, alone) in enumerate(evaluations[:K]):
-            assert np.array_equal(alone[ue == k], calls[0][1][ue == k])
-        assert np.array_equal(np.concatenate(new.ul_sinrs), calls[-1][1])
-        np.testing.assert_allclose(x, np.concatenate(old.ul_power),
-                                   rtol=1e-12)
-        np.testing.assert_allclose(calls[-1][1], sinrs, rtol=1e-12)
-        assert new.objective == pytest.approx(sinrs.min(), rel=1e-12)
-        assert new.audit == old.audit
+    if objective == "max_min":
+        if separable(new):
+            assert not built and not calls
+        else:
+            assert len(built) == 1
+            assert np.array_equal(np.concatenate(new.ul_sinrs), calls[-1][1])
+        np.testing.assert_allclose(np.concatenate(new.ul_power),
+                                   np.concatenate(old.ul_power),
+                                   rtol=MAXMIN_RTOL, atol=0)
+        assert new.objective == pytest.approx(
+            sinrs.min() if sinrs.size else 0.0, rel=MAXMIN_RTOL, abs=0)
+        resolved, rest = resolved_rest(new.audit)
+        assert resolved is True
+        assert rest == old.audit
         return
+    assert len(built) == 1
     # the oracle's evaluations with repeats in a row dropped
     distinct = [e for i, e in enumerate(evaluations)
                 if not i or not np.array_equal(e[0], evaluations[i - 1][0])]
@@ -745,10 +784,7 @@ def test_uplink_plan_on_one_scene_is_the_oracle_bit_for_bit(seed,
                    (eta for eta, _ in distinct)))
     assert same_arrays(new.ul_power, old.ul_power)
     assert np.array_equal(np.concatenate(new.ul_sinrs), sinrs)
-    if objective == "sum_rate":
-        assert new.objective == old.objective
-    else:
-        assert new.objective == (sinrs.min() if sinrs.size else 0.0)
+    assert new.objective == old.objective
     assert new.audit == old.audit
 
 
@@ -756,9 +792,13 @@ def test_uplink_plan_on_one_scene_is_the_oracle_bit_for_bit(seed,
     ("ul", "shared"), ("dl", "exclusive"), ("dl", "shared")])
 def test_coupled_maxmin_plans_keep_the_oracle_call_sequence(direction, mode):
     """Where UEs couple, through co-channel symbols on the uplink and
-    through A0 on every downlink plan, max-min evaluates each UE alone for
-    its bound: the power control sees the oracle's calls, less the repeats
-    the library reuses, and returns the oracle's result bit for bit."""
+    through A0 on every downlink plan, max-min runs the oracle's fixed
+    point and bisection.  The downlink evaluates each UE alone for its
+    bound: the power control sees the oracle's calls, less the repeats the
+    library reuses, and returns the oracle's result bit for bit.  The
+    uplink takes its bounds from the channel energies, which are the
+    oracle's solo SINRs to rounding; it evaluates no UE alone, and its
+    target lies within the bisection's tolerance of the oracle's."""
     rng = np.random.default_rng(31)
     freq = (rng.standard_normal((3, 3, 6))
             + 1j * rng.standard_normal((3, 3, 6))) / np.sqrt(2)
@@ -776,7 +816,8 @@ def test_coupled_maxmin_plans_keep_the_oracle_call_sequence(direction, mode):
         old_calls, new_calls = [], []
         old = oracle.maxmin_power_control(recording(old_calls), budgets)
         new = real(recording(new_calls), budgets, **kwargs)
-        runs.append((kwargs, old, new, old_calls, new_calls))
+        alone = [evaluator(solo)[k] for k, solo in enumerate(np.diag(budgets))]
+        runs.append((kwargs, old, new, old_calls, new_calls, alone))
         return new
 
     with mock.patch.object(alloc, "maxmin_power_control", compared):
@@ -787,8 +828,15 @@ def test_coupled_maxmin_plans_keep_the_oracle_call_sequence(direction, mode):
                         if mode == "shared" else None))
     ns = np.concatenate(plan.subcarriers)
     assert (len(set(ns.tolist())) < ns.size) == (mode == "shared")
-    (kwargs, old, new, old_calls, new_calls), = runs
+    (kwargs, old, new, old_calls, new_calls, alone), = runs
     assert not kwargs["separable"]
+    if direction == "ul":
+        np.testing.assert_allclose(kwargs["bounds"], alone, rtol=1e-12)
+        assert not any(np.count_nonzero(p) == 1 for p in new_calls)
+        assert abs(new.target - old.target) <= 1e-3
+        assert new.noise_limited == old.noise_limited
+        return
+    assert kwargs["bounds"] is None
     assert same_arrays(new_calls[:3], list(np.eye(3)))
     # the oracle evaluates the powers a bisection returns once more
     if not old.noise_limited and old.powers.any():
@@ -825,24 +873,26 @@ class TestSinglePowerStage:
             old = oracle.successive_optimize(freq, assoc, objective=objective,
                                              direction=direction, **kwargs)
             assert same_arrays(new.subcarriers, old.subcarriers)
-            assert new.audit == old.audit
-            ns = np.concatenate(new.subcarriers)
-            if (direction, objective) == ("ul", "max_min") and ns.size and \
-                    len(set(ns.tolist())) == ns.size:
-                # a separable max-min plan takes the closed form: the bound
-                # at the full budgets and the emitted powers, when they
-                # differ, are the only evaluations
-                x = np.concatenate(new.ul_power)
-                assert len(calls) == 2 - np.array_equal(x, calls[0][1])
+            if (direction, objective) == ("ul", "max_min"):
+                # max-min bounds come from the channel energies, and a
+                # separable plan is evaluated in closed form alone
+                if separable(new):
+                    assert not calls
+                resolved, rest = resolved_rest(new.audit)
+                assert resolved is True
+                assert rest == old.audit
                 _, sinrs = oracle.ul_rates(freq, kwargs["gamma_u"],
                                            old.subcarriers, old.ul_power)
-                np.testing.assert_allclose(x, np.concatenate(old.ul_power),
-                                           rtol=1e-12)
-                np.testing.assert_allclose(np.concatenate(new.ul_sinrs),
-                                           np.concatenate(sinrs), rtol=1e-12)
+                sinrs = np.concatenate(sinrs)
+                np.testing.assert_allclose(np.concatenate(new.ul_power),
+                                           np.concatenate(old.ul_power),
+                                           rtol=MAXMIN_RTOL, atol=0)
                 assert new.objective == pytest.approx(
-                    np.concatenate(sinrs).min(), rel=1e-12)
-            elif direction == "ul":
+                    sinrs.min() if sinrs.size else 0.0, rel=MAXMIN_RTOL,
+                    abs=0)
+                continue
+            assert new.audit == old.audit
+            if direction == "ul":
                 assert same_arrays(new.ul_power, old.ul_power)
             else:
                 assert np.array_equal(new.dl_power, old.dl_power)
@@ -896,10 +946,13 @@ class TestSinglePowerStage:
             freq, assoc, kwargs = random_allocation_scene(rng)
             ul = successive_optimize(freq, assoc, objective="max_min",
                                      **kwargs)
+            achieved = np.concatenate(ul.ul_sinrs)
+            assert ul.objective == (achieved.min() if achieved.size else 0.0)
+            # the kernel's SINRs at the plan's powers, up to its rounding
             _, sinrs = ul_rates(freq, kwargs["gamma_u"], ul.subcarriers,
                                 ul.ul_power)
-            achieved = np.concatenate(sinrs)
-            assert ul.objective == (achieved.min() if achieved.size else 0.0)
+            np.testing.assert_allclose(achieved, np.concatenate(sinrs),
+                                       rtol=1e-12, atol=0)
             # the oracle reported the bisection's target, which every UE
             # meets up to the feasibility test's 1e-6
             old = oracle.successive_optimize(freq, assoc, objective="max_min",
@@ -952,7 +1005,7 @@ class TestAudit:
             accepted = False
         assert audit_plan(plan, cuts[-1])["ul_budgets_ok"] == accepted
 
-    @pytest.mark.parametrize("objective", ["sum_rate", "max_min"])
+    @pytest.mark.parametrize("objective", ["sum_rate"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonpositive_uplink_sinr_fails_the_audit(self, objective):
         # one AP, one UE: the exact SINR of a symbol at power eta is
@@ -967,6 +1020,90 @@ class TestAudit:
                                         gamma_u=1e23)
         assert not collapsed.audit["ul_sinrs_positive"]
         assert not collapsed.audit["pass"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_maxmin_sinrs_at_gamma_1e23_are_exact_but_unresolved(self):
+        """The probe above on a max-min plan: each symbol is alone on its
+        subcarrier, so its SINR is exactly gamma_u eta |h|^2 (3.0e22 at
+        power 1) and positive.  But 1 + 1.5e22, R_n's load at the plan's
+        power 1/2, is past numpy's rank threshold 1 / eps = 4.5e15, so no
+        receiver resolves R_n and the plan fails its audit."""
+        h = -0.019 + 0.549j
+        freq = np.full((1, 1, 2), h)
+        assoc = AssociationMap.from_ap_sets([[0]], num_aps=1)
+        healthy = successive_optimize(freq, assoc, 2, "max_min", gamma_u=1e3)
+        assert healthy.audit["ul_sinrs_positive"]
+        assert healthy.audit["ul_covariance_resolved"]
+        assert healthy.audit["pass"]
+        plan = successive_optimize(freq, assoc, 2, "max_min", gamma_u=1e23)
+        eta = np.concatenate(plan.ul_power)
+        assert np.array_equal(eta, [0.5, 0.5])
+        exact = [float(Fraction(1e23) * Fraction(e) * (
+            Fraction(h.real) ** 2 + Fraction(h.imag) ** 2)) for e in eta]
+        assert exact[0] == pytest.approx(1.5e22, rel=1e-2)
+        np.testing.assert_allclose(np.concatenate(plan.ul_sinrs), exact,
+                                   rtol=1e-15, atol=0)
+        assert plan.objective == min(np.concatenate(plan.ul_sinrs))
+        assert plan.audit["ul_sinrs_positive"]
+        assert not plan.audit["ul_covariance_resolved"]
+        assert not plan.audit["pass"]
+
+    @pytest.mark.parametrize("mode", ["exclusive", "shared"])
+    @pytest.mark.parametrize("M", [1, 2, 4])
+    def test_covariance_resolved_flags_exactly_past_the_rank_threshold(
+            self, M, mode):
+        """``ul_covariance_resolved`` is False exactly where some R_n at the
+        plan's powers has 1 + sum over its symbols of gamma_u eta ||h||^2
+        at or past 1 / (M eps), numpy's ``matrix_rank`` rule.  On a
+        separable plan that left side is cond(gamma_u R_n); for M > 1,
+        100 times below the threshold ``matrix_rank`` finds R_n full, and
+        100 times past it R_n's noise directions are lost.  A co-channel
+        plan runs the kernel's fixed point, which near the threshold
+        overflows its power update or meets a singular solve; that failure
+        is not this test's subject, so those plans are skipped and the
+        update's overflow is ignored."""
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(M)
+        K, N = 2, 4
+        freq = (rng.standard_normal((M, K, N))
+                + 1j * rng.standard_normal((M, K, N))) / np.sqrt(2)
+        aps = [list(range(M))] * K if mode == "exclusive" else [[0], [M - 1]]
+        assoc = AssociationMap.from_ap_sets(aps, num_aps=M)
+        components = (build_factor_graph(assoc).components
+                      if mode == "shared" else None)
+        flags = set()
+        steps = 29 if mode == "exclusive" else 8
+        for gamma_u in 10.0 ** np.linspace(12, 19, steps):
+            try:
+                with np.errstate(over="ignore"):
+                    plan = successive_optimize(freq, assoc, 2, "max_min",
+                                               gamma_u=gamma_u, mode=mode,
+                                               components=components)
+            except np.linalg.LinAlgError:
+                assert mode == "shared"
+                continue
+            ue = np.repeat(np.arange(K), [len(s) for s in plan.subcarriers])
+            sub = np.concatenate(plan.subcarriers)
+            load = np.bincount(sub, np.concatenate(plan.ul_power)
+                               * solo_unit_sinrs(freq, ue, sub, gamma_u), N)
+            resolved = plan.audit["ul_covariance_resolved"]
+            assert resolved == bool(np.all(1 + load < 1 / (M * eps)))
+            flags.add(resolved)
+            if M == 1 or not separable(plan):
+                continue
+            R = subcarrier_covariances(UplinkScene(
+                freq=freq, subcarriers=plan.subcarriers,
+                power=plan.ul_power, gamma_u=gamma_u))
+            for n in set(sub.tolist()):
+                if 1 + load[n] < 1e8:
+                    assert np.linalg.cond(gamma_u * R[n]) == pytest.approx(
+                        1 + load[n], rel=1e-6)
+                if 100 * (1 + load[n]) < 1 / (M * eps):
+                    assert np.linalg.matrix_rank(R[n]) == M
+                elif 1 + load[n] > 100 / (M * eps):
+                    assert np.linalg.matrix_rank(R[n]) < M
+        # a co-channel plan past the threshold need not complete
+        assert True in flags and (False in flags or mode == "shared")
 
     def test_metric_counts_only_associated_aps(self):
         freq = np.ones((2, 1, 3), dtype=complex)

@@ -163,6 +163,34 @@ def test_extreme_snr_trials_finish_and_fail_the_audit(detector, objective,
             assert np.isnan(rec["dl_rate"]) or 0 <= rec["dl_rate"] < np.inf
 
 
+@pytest.mark.parametrize("seed", [1, 97])
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"topology": {"num_aps": 8, "num_ues": 4, "area_size": 300.0},
+     "ofdm": {"num_subcarriers": 8}, "channel": {"num_taps": 4},
+     "association": {"radius": 200.0}, "allocation": {"demands": 2}}],
+    ids=["M4", "M8"])
+def test_default_noise_maxmin_plans_resolve_their_covariances(
+        overrides, seed, monkeypatch):
+    """At the default noise no max-min plan of the default (M4 K2 N8) or
+    the M8 K4 N8 scenario comes near numpy's rank threshold, so
+    ``ul_covariance_resolved`` never fails a record there."""
+    optimize, audits = alloc.successive_optimize, []
+
+    def spy_optimize(*args, **kwargs):
+        plan = optimize(*args, **kwargs)
+        audits.append(plan.audit)
+        return plan
+
+    monkeypatch.setattr(alloc, "successive_optimize", spy_optimize)
+    scenario = {**overrides, "seed": seed, "trials": 250,
+                "allocation": {**overrides.get("allocation", {}),
+                               "objective": "max_min"}}
+    run_scenario(scenario)
+    assert len(audits) == 250
+    assert all(audit["ul_covariance_resolved"] for audit in audits)
+
+
 def test_a_nan_rate_exports_a_nan_analytic_sinr():
     """At noise 1e-22 some of the plan's closed-form SINRs, which ``apmp``
     reports, come out negative, so their UE's rate is NaN.  Their mean is
@@ -598,24 +626,30 @@ class TestPipelineOutputs:
             assert np.isnan(records[1]["sinr_analytic"])
             assert records[1]["rate"] == 0.0
 
-    def test_noise_limited_maxmin_trial_evaluates_the_kernel_twice(
+    def test_noise_limited_maxmin_trial_never_calls_the_kernel(
             self, monkeypatch):
-        """On exclusive max-min plans (M8 K4 N8) every UE's SINR depends on
-        its own power only: the bound at the full budgets and the
-        closed-form powers are a trial's only ``uplink_sinr_all`` calls,
-        and every power control ends noise-limited."""
-        calls, results = [], []
-        sinr_all, control = alloc.uplink_sinr_all, alloc.maxmin_power_control
+        """On exclusive max-min plans (M8 K4 N8) every symbol is alone on
+        its subcarrier, so its SINR is its power times the channel energy:
+        the allocation builds no scene and makes no ``uplink_sinr_all``
+        call, and every power control ends noise-limited."""
+        calls, built, results = [], [], []
+        control = alloc.maxmin_power_control
 
         def spy_sinrs(scene, eta):
             calls.append(eta)
-            return sinr_all(scene, eta)
+            raise AssertionError("uplink_sinr_all called")
+
+        def spy_build(*args):
+            built.append(args)
+            raise AssertionError("equal_power_scene called")
 
         def spy_control(*args, **kwargs):
             results.append(control(*args, **kwargs))
             return results[-1]
 
-        monkeypatch.setattr(alloc, "uplink_sinr_all", spy_sinrs)
+        for module in (uplink, alloc):
+            monkeypatch.setattr(module, "uplink_sinr_all", spy_sinrs)
+        monkeypatch.setattr(alloc, "equal_power_scene", spy_build)
         monkeypatch.setattr(alloc, "maxmin_power_control", spy_control)
         scenario = merge_scenario({
             "seed": 1, "topology": {"num_aps": 8, "num_ues": 4,
@@ -624,9 +658,8 @@ class TestPipelineOutputs:
             "association": {"radius": 200.0},
             "allocation": {"objective": "max_min", "demands": 2}})
         for trial in range(4):
-            calls.clear()
             run_trial(scenario, trial)
-            assert len(calls) == 2
+        assert not calls and not built
         assert len(results) == 4
         assert all(r.noise_limited for r in results)
 
