@@ -29,17 +29,16 @@ Max-min power control runs Yates' fixed-point iteration inside the
 bisection and never evaluates the same powers twice in a row; the closing
 evaluation of the chosen powers reuses the last one when they match.  Its
 bound on the common target is each UE's SINR alone at its full budget.
-Alone, each of an uplink UE's symbols has its subcarrier to itself, where
-its exact SINR is its power times
-:func:`~uccfsim.uplink.solo_unit_sinrs` (gamma_u ||h_kn||^2), so every
-uplink bound comes from the channel energies.  On an uplink plan whose
-symbols all sit on distinct subcarriers (every ``exclusive`` plan) that
-holds at any powers: the evaluator is powers times energies, exact and
-linear, no scene is built, and each budget scaled to the weakest bound is
-the optimum.  The downlink, where A0 couples the UEs, evaluates each UE
-alone.  Exact SINRs cannot fail where the kernel's cancellation would, so
-an uplink max-min plan's audit checks that every R_n at its powers is
-resolved (``ul_covariance_resolved``).
+On an uplink plan whose symbols all sit on distinct subcarriers (every
+``exclusive`` plan) a symbol's R_n holds its own UE only, so its exact
+SINR is its power times :func:`~uccfsim.uplink.solo_unit_sinrs`
+(gamma_u ||h_kn||^2): a max-min plan then builds no scene, its evaluator
+is powers times energies, one evaluation at the full budgets gives every
+bound, and each budget scaled to the weakest bound is the optimum.
+Shared plans with co-channel symbols and the downlink (where A0 couples
+the UEs) evaluate each UE alone.  Exact SINRs cannot fail where the
+kernel's cancellation would, so an uplink max-min plan's audit checks
+that every R_n at its powers is resolved (``ul_covariance_resolved``).
 """
 
 from __future__ import annotations
@@ -161,8 +160,8 @@ class MaxMinResult:
     noise_limited: bool           # the floor binds at a UE's zero-interference bound
 
 
-def maxmin_power_control(evaluator, budgets, tol=1e-3, separable=False,
-                         bounds=None) -> MaxMinResult:
+def maxmin_power_control(evaluator, budgets, tol=1e-3,
+                         separable=False) -> MaxMinResult:
     """Bisection on a common SINR target with per-UE power budgets.
 
     ``evaluator(powers) -> per-UE SINR array``; it must be monotone
@@ -170,15 +169,15 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3, separable=False,
     holds for the MMSE SINRs of both directions used here.  It must also be
     deterministic: the SINRs of powers already evaluated are reused, and
     the same powers are never evaluated twice in a row.  A UE's SINR alone
-    at its full budget bounds every common target; ``bounds`` gives these
-    when the caller knows them.  ``separable`` declares that each UE's SINR
-    depends on its own power only, bit for bit: one evaluation at the full
-    budgets then gives every bound (without it, each UE is evaluated
-    alone), and each budget scaled to the weakest bound meets it when the
-    SINRs are linear in own power, which one more evaluation confirms.
-    Otherwise the fixed point runs.  When the bound is not positive, no
-    target is, and the full budgets are returned; a negative or NaN bound
-    is a numerical failure, which the caller's checks flag.
+    at its full budget bounds every common target.  ``separable`` declares
+    that each UE's SINR depends on its own power only, bit for bit: one
+    evaluation at the full budgets then gives every UE's bound, and each
+    budget scaled to the weakest bound meets it when the SINRs are linear
+    in own power, which one more evaluation confirms.  Otherwise, and
+    without ``separable`` (each UE evaluated alone), the fixed point runs.
+    When the bound is not positive, no target is, and the full budgets are
+    returned; a negative or NaN bound is a numerical failure of the
+    evaluator, which the caller's checks flag.
     """
     budgets = np.asarray(budgets, dtype=float)
     K = budgets.size
@@ -198,13 +197,8 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3, separable=False,
         return np.all(g >= target * (1 - 1e-6)), p, g
 
     # interference-free upper bound per UE caps any common target
-    if bounds is not None:
-        alone = np.asarray(bounds, dtype=float)
-    elif separable:
-        alone = evaluator(budgets)
-    else:
-        alone = np.array([evaluator(solo)[k]
-                          for k, solo in enumerate(np.diag(budgets))])
+    alone = evaluator(budgets) if separable else np.array(
+        [evaluator(solo)[k] for k, solo in enumerate(np.diag(budgets))])
     hi = float(alone.min())
     if not hi > 0:
         return MaxMinResult(powers=budgets, target=hi,
@@ -305,11 +299,13 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
     The association is taken as given (computed by the topology module);
     a UE without an AP receives no resources and gets rate 0.
     ``dist_regmmse``'s ``reg`` defaults to ``noise_var``.  An uplink
-    max-min plan takes every UE's bound from the channel energies and, if
-    no subcarrier carries two of its symbols, every SINR as well; its
-    audit adds ``ul_covariance_resolved``: numpy's ``matrix_rank`` rule on
-    each R_n at the emitted powers, 1 + sum over the subcarrier's symbols
-    of gamma_u eta ||h||^2 < 1 / (M eps).
+    max-min plan on which no subcarrier carries two symbols takes every
+    SINR from the channel energies.  Every uplink max-min plan's audit
+    adds ``ul_covariance_resolved``: 1 + sum over each used subcarrier's
+    symbols of gamma_u eta ||h||^2 < 1 / (M eps) at the emitted powers.
+    For M > 1 that is numpy's ``matrix_rank`` rule on R_n; for M = 1,
+    where ``matrix_rank`` never flags a positive scalar, it is the point
+    where the kernel's cancellation loses the noise floor.
     """
     freq = np.asarray(freq, dtype=complex)
     M, K, N = freq.shape
@@ -432,25 +428,22 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
         live = counts > 0
         starts = np.r_[0, cuts][live]
 
-        def ue_min(g):
+        def evaluator(p):
             """Each UE's smallest symbol SINR; inf for a UE without any."""
             mins = np.full(K, np.inf)
-            mins[live] = np.minimum.reduceat(g, starts)
+            mins[live] = np.minimum.reduceat(evaluate(spread(p)), starts)
             return mins
 
         if len(ns):
-            # a UE alone at its full budget has every symbol alone on its
-            # subcarrier, so no uplink bound needs an evaluation
-            bounds = (ue_min(spread(np.ones(K)) * energy) if direction == "ul"
-                      else None)
-            x = spread(maxmin_power_control(
-                lambda p: ue_min(evaluate(spread(p))), np.ones(K),
-                separable=separable, bounds=bounds).powers)
+            x = spread(maxmin_power_control(evaluator, np.ones(K),
+                                            separable=separable).powers)
         achieved = evaluate(x)
         if direction == "ul":
-            # numpy's matrix_rank rule on each R_n at the emitted powers:
-            # 1 + load bounds cond(R_n), and is it on a separable plan
-            # with M > 1
+            # for M > 1 numpy's matrix_rank rule on each R_n at the emitted
+            # powers (1 + load is cond(gamma_u R_n) on a separable plan and
+            # bounds it otherwise); for M = 1, where matrix_rank never
+            # flags, the point where the kernel's cancellation loses the
+            # noise floor
             load = np.bincount(ns, x * energy, N)
             checks["ul_covariance_resolved"] = bool(
                 np.all(1.0 + load < 1.0 / (M * np.finfo(float).eps)))

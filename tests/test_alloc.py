@@ -654,23 +654,6 @@ def separable(plan):
     return 0 < ns.size == len(set(ns.tolist()))
 
 
-def resolved_rest(audit):
-    """The ``ul_covariance_resolved`` flag of an uplink max-min audit, and
-    the audit without it."""
-    rest = dict(audit)
-    return rest.pop("ul_covariance_resolved"), rest
-
-
-# the max-min plans' tolerance against the oracle: its bounds come from K
-# solo kernel evaluations, and the plan's from the channel energies, which
-# differ in the last bits.  The fixed point stops once a step moves the
-# powers by at most 1e-9 relative, so such a difference can at worst add
-# or drop one step of that size.  Measured on the plans of
-# random_allocation_scene seeds 0 to 19,999: at most 8.0e-14 relative on
-# the powers and 8.1e-14 on the objective
-MAXMIN_RTOL = 1e-8
-
-
 @pytest.mark.parametrize("objective", ["sum_rate", "max_min"])
 def test_plan_ul_sinrs_are_the_closed_form_at_its_powers(objective):
     """``plan.ul_sinrs`` are the SINRs of the plan's powers, so a consumer
@@ -719,17 +702,17 @@ def test_ul_rates_rejects_powers_that_do_not_match_the_assignment():
 def test_uplink_plan_on_one_scene_is_the_oracle_bit_for_bit(seed,
                                                             objective,
                                                             refine):
-    """A sum-rate plan builds one scene and calls ``uplink_sinr_all`` once
+    """An uplink plan builds one scene and calls ``uplink_sinr_all`` once
     per distinct evaluation of the oracle, which evaluates every candidate
     on a fresh scene, and its powers, SINRs, objective and audit are the
-    oracle's, bit for bit.  A max-min plan takes its bounds from the
-    channel energies instead of the oracle's K solo evaluations: a
-    separable one builds no scene and calls no kernel, any other builds
-    one scene and keeps the SINRs of its last call; the powers and the
-    objective are the oracle's within ``MAXMIN_RTOL``, and the audit is
-    the oracle's plus ``ul_covariance_resolved``, which holds at these
-    SNRs.  The scenes cover exclusive and shared mode, zero demands and
-    disconnected UEs."""
+    oracle's, bit for bit.  A max-min plan whose symbols sit on distinct
+    subcarriers instead builds no scene and calls no kernel: its SINRs are
+    its powers times the channel energies, the oracle's solo evaluations
+    of each UE are its energies at the full budget within 1e-12, and its
+    powers, SINRs and objective are the oracle's within 1e-12.  A max-min
+    plan's audit is the oracle's plus ``ul_covariance_resolved``, which
+    holds at these SNRs.  The scenes cover exclusive and shared mode, zero
+    demands and disconnected UEs."""
     freq, assoc, kwargs = random_allocation_scene(np.random.default_rng(seed))
     kwargs["refine_iterations"] = refine
     evaluations = []
@@ -757,23 +740,33 @@ def test_uplink_plan_on_one_scene_is_the_oracle_bit_for_bit(seed,
     with mock.patch.object(alloc, "equal_power_scene", building), \
             mock.patch.object(alloc, "uplink_sinr_all", recording):
         new = successive_optimize(freq, assoc, objective=objective, **kwargs)
+    K = len(old.subcarriers)
+    ue = np.repeat(np.arange(K), [len(s) for s in old.subcarriers])
     # the oracle's last evaluation is at the powers it emits
     sinrs = evaluations[-1][1]
     assert same_arrays(new.subcarriers, old.subcarriers)
+    audit = dict(new.audit)
     if objective == "max_min":
-        if separable(new):
-            assert not built and not calls
-        else:
-            assert len(built) == 1
-            assert np.array_equal(np.concatenate(new.ul_sinrs), calls[-1][1])
-        np.testing.assert_allclose(np.concatenate(new.ul_power),
-                                   np.concatenate(old.ul_power),
-                                   rtol=MAXMIN_RTOL, atol=0)
-        assert new.objective == pytest.approx(
-            sinrs.min() if sinrs.size else 0.0, rel=MAXMIN_RTOL, abs=0)
-        resolved, rest = resolved_rest(new.audit)
-        assert resolved is True
-        assert rest == old.audit
+        assert audit.pop("ul_covariance_resolved") is True
+    assert audit == old.audit
+    if objective == "max_min" and separable(new):
+        assert not built and not calls
+        x = np.concatenate(new.ul_power)
+        energy = solo_unit_sinrs(freq, ue, np.concatenate(new.subcarriers),
+                                 kwargs["gamma_u"])
+        assert np.array_equal(np.concatenate(new.ul_sinrs), x * energy)
+        # the oracle's K solo evaluations of the max-min bound: each UE's
+        # full budget spread over its symbols, times their energies
+        full = np.concatenate(
+            [np.full(len(s), 1.0 / max(len(s), 1)) for s in old.subcarriers])
+        for k, (_, alone) in enumerate(evaluations[:K]):
+            np.testing.assert_allclose(alone[ue == k],
+                                       (full * energy)[ue == k], rtol=1e-12)
+        np.testing.assert_allclose(x, np.concatenate(old.ul_power),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(np.concatenate(new.ul_sinrs), sinrs,
+                                   rtol=1e-12)
+        assert new.objective == pytest.approx(sinrs.min(), rel=1e-12)
         return
     assert len(built) == 1
     # the oracle's evaluations with repeats in a row dropped
@@ -784,21 +777,19 @@ def test_uplink_plan_on_one_scene_is_the_oracle_bit_for_bit(seed,
                    (eta for eta, _ in distinct)))
     assert same_arrays(new.ul_power, old.ul_power)
     assert np.array_equal(np.concatenate(new.ul_sinrs), sinrs)
-    assert new.objective == old.objective
-    assert new.audit == old.audit
+    if objective == "sum_rate":
+        assert new.objective == old.objective
+    else:
+        assert new.objective == (sinrs.min() if sinrs.size else 0.0)
 
 
 @pytest.mark.parametrize("direction,mode", [
     ("ul", "shared"), ("dl", "exclusive"), ("dl", "shared")])
 def test_coupled_maxmin_plans_keep_the_oracle_call_sequence(direction, mode):
     """Where UEs couple, through co-channel symbols on the uplink and
-    through A0 on every downlink plan, max-min runs the oracle's fixed
-    point and bisection.  The downlink evaluates each UE alone for its
-    bound: the power control sees the oracle's calls, less the repeats the
-    library reuses, and returns the oracle's result bit for bit.  The
-    uplink takes its bounds from the channel energies, which are the
-    oracle's solo SINRs to rounding; it evaluates no UE alone, and its
-    target lies within the bisection's tolerance of the oracle's."""
+    through A0 on every downlink plan, max-min evaluates each UE alone for
+    its bound: the power control sees the oracle's calls, less the repeats
+    the library reuses, and returns the oracle's result bit for bit."""
     rng = np.random.default_rng(31)
     freq = (rng.standard_normal((3, 3, 6))
             + 1j * rng.standard_normal((3, 3, 6))) / np.sqrt(2)
@@ -816,8 +807,7 @@ def test_coupled_maxmin_plans_keep_the_oracle_call_sequence(direction, mode):
         old_calls, new_calls = [], []
         old = oracle.maxmin_power_control(recording(old_calls), budgets)
         new = real(recording(new_calls), budgets, **kwargs)
-        alone = [evaluator(solo)[k] for k, solo in enumerate(np.diag(budgets))]
-        runs.append((kwargs, old, new, old_calls, new_calls, alone))
+        runs.append((kwargs, old, new, old_calls, new_calls))
         return new
 
     with mock.patch.object(alloc, "maxmin_power_control", compared):
@@ -828,15 +818,8 @@ def test_coupled_maxmin_plans_keep_the_oracle_call_sequence(direction, mode):
                         if mode == "shared" else None))
     ns = np.concatenate(plan.subcarriers)
     assert (len(set(ns.tolist())) < ns.size) == (mode == "shared")
-    (kwargs, old, new, old_calls, new_calls, alone), = runs
+    (kwargs, old, new, old_calls, new_calls), = runs
     assert not kwargs["separable"]
-    if direction == "ul":
-        np.testing.assert_allclose(kwargs["bounds"], alone, rtol=1e-12)
-        assert not any(np.count_nonzero(p) == 1 for p in new_calls)
-        assert abs(new.target - old.target) <= 1e-3
-        assert new.noise_limited == old.noise_limited
-        return
-    assert kwargs["bounds"] is None
     assert same_arrays(new_calls[:3], list(np.eye(3)))
     # the oracle evaluates the powers a bisection returns once more
     if not old.noise_limited and old.powers.any():
@@ -873,26 +856,25 @@ class TestSinglePowerStage:
             old = oracle.successive_optimize(freq, assoc, objective=objective,
                                              direction=direction, **kwargs)
             assert same_arrays(new.subcarriers, old.subcarriers)
+            audit = dict(new.audit)
             if (direction, objective) == ("ul", "max_min"):
-                # max-min bounds come from the channel energies, and a
-                # separable plan is evaluated in closed form alone
-                if separable(new):
-                    assert not calls
-                resolved, rest = resolved_rest(new.audit)
-                assert resolved is True
-                assert rest == old.audit
+                assert audit.pop("ul_covariance_resolved") is True
+            assert audit == old.audit
+            if (direction, objective) == ("ul", "max_min") and \
+                    separable(new):
+                # a separable max-min plan takes its SINRs from the channel
+                # energies and calls no kernel
+                assert not calls
                 _, sinrs = oracle.ul_rates(freq, kwargs["gamma_u"],
                                            old.subcarriers, old.ul_power)
-                sinrs = np.concatenate(sinrs)
                 np.testing.assert_allclose(np.concatenate(new.ul_power),
                                            np.concatenate(old.ul_power),
-                                           rtol=MAXMIN_RTOL, atol=0)
+                                           rtol=1e-12)
+                np.testing.assert_allclose(np.concatenate(new.ul_sinrs),
+                                           np.concatenate(sinrs), rtol=1e-12)
                 assert new.objective == pytest.approx(
-                    sinrs.min() if sinrs.size else 0.0, rel=MAXMIN_RTOL,
-                    abs=0)
-                continue
-            assert new.audit == old.audit
-            if direction == "ul":
+                    np.concatenate(sinrs).min(), rel=1e-12)
+            elif direction == "ul":
                 assert same_arrays(new.ul_power, old.ul_power)
             else:
                 assert np.array_equal(new.dl_power, old.dl_power)
@@ -1026,8 +1008,10 @@ class TestAudit:
         """The probe above on a max-min plan: each symbol is alone on its
         subcarrier, so its SINR is exactly gamma_u eta |h|^2 (3.0e22 at
         power 1) and positive.  But 1 + 1.5e22, R_n's load at the plan's
-        power 1/2, is past numpy's rank threshold 1 / eps = 4.5e15, so no
-        receiver resolves R_n and the plan fails its audit."""
+        power 1/2, is past 1 / eps = 4.5e15: at M = 1, where
+        ``matrix_rank`` never flags the positive scalar R_n, that is where
+        the kernel's R_n - eta |h|^2 loses the noise floor 1 / gamma_u (the
+        kernel gave -4 here), so the plan fails its audit."""
         h = -0.019 + 0.549j
         freq = np.full((1, 1, 2), h)
         assoc = AssociationMap.from_ap_sets([[0]], num_aps=1)
@@ -1054,8 +1038,10 @@ class TestAudit:
             self, M, mode):
         """``ul_covariance_resolved`` is False exactly where some R_n at the
         plan's powers has 1 + sum over its symbols of gamma_u eta ||h||^2
-        at or past 1 / (M eps), numpy's ``matrix_rank`` rule.  On a
-        separable plan that left side is cond(gamma_u R_n); for M > 1,
+        at or past 1 / (M eps): numpy's ``matrix_rank`` rule for M > 1,
+        and for M = 1 the point where the kernel's cancellation loses the
+        noise floor.  On a separable plan that left side is
+        cond(gamma_u R_n); for M > 1,
         100 times below the threshold ``matrix_rank`` finds R_n full, and
         100 times past it R_n's noise directions are lost.  A co-channel
         plan runs the kernel's fixed point, which near the threshold
