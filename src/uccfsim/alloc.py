@@ -187,8 +187,11 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3,
         p = budgets * 1e-6
         for _ in range(MAX_FIXED_POINT):
             g = evaluator(p)
-            p, p_last = np.minimum(p * target / np.maximum(g, 1e-300),
-                                   budgets), p
+            # an update past the largest double overflows to inf, which
+            # the budget caps as it caps any update above it
+            with np.errstate(over="ignore"):
+                p, p_last = np.minimum(p * target / np.maximum(g, 1e-300),
+                                       budgets), p
             # np.allclose(p, p_last, rtol=1e-9, atol=1e-15) for finite budgets
             if np.all(np.abs(p - p_last) <= 1e-15 + 1e-9 * np.abs(p_last)):
                 break

@@ -41,9 +41,8 @@ class ApmpConfig:
     max_iterations: int = 20
     tol: float = 1e-4            # stop when total LLRs move less than this
     damping: float = 0.0         # 0 = undamped flooding
-    points: object = "bpsk"
+    points: str = "bpsk"
     llr_clamp: float = 50.0
-    record_trace: bool = False   # keep per-round belief snapshots
 
     def __post_init__(self):
         if (not isinstance(self.max_iterations, (int, np.integer))
@@ -69,8 +68,6 @@ class ApmpResult:
     #                                     for one (M, N) observation)
     trace: list = field(default_factory=list)   # per-round max belief change
     #                                             over the draws still running
-    belief_trace: list = field(default_factory=list)  # per-round snapshots,
-    #                                   {(ue, slot): (Q,) / (D, Q) belief}
     undetected: frozenset = frozenset()
 
 
@@ -202,20 +199,17 @@ def _beliefs(index, messages):
     return belief
 
 
-def apmp_detect(scene, assoc, y, config: ApmpConfig = ApmpConfig(),
-                index: EdgeIndex | None = None) -> ApmpResult:
+def apmp_detect(scene, assoc, y, config: ApmpConfig = ApmpConfig()) -> ApmpResult:
     """Run flooding message passing and decide every UE's symbols.
 
     ``y`` is the (M, N) per-AP, per-subcarrier observation, or a (D, M, N)
-    stack of D observations detected together; each draw runs until it
-    converges or ``config.max_iterations`` rounds have passed, exactly as
-    it would alone.  Decisions for UE k are taken at its lowest-index
-    associated AP; UEs with no association are reported in ``undetected``.
-    ``index`` is the scene's :class:`EdgeIndex` for ``config.points``,
-    built here when not given.
+    stack of D observations detected together on one :class:`EdgeIndex`
+    of the scene for ``config.points``; each draw runs until it converges
+    or ``config.max_iterations`` rounds have passed, exactly as it would
+    alone.  Decisions for UE k are taken at its lowest-index associated AP;
+    UEs with no association are reported in ``undetected``.
     """
-    if index is None:
-        index = EdgeIndex(scene, assoc, config.points)
+    index = EdgeIndex(scene, assoc, config.points)
     y = np.asarray(y)
     single = y.ndim == 2
     ys = y[None] if single else y
@@ -225,14 +219,9 @@ def apmp_detect(scene, assoc, y, config: ApmpConfig = ApmpConfig(),
         """Drop the draw axis again for a single observation."""
         return a[0] if single else a
 
-    def snapshot(belief):
-        return dict(zip(index.slots, np.moveaxis(draws(belief), -2, 0).copy()))
-
     messages = message_round(index, ys, None, config)
     belief = _beliefs(index, messages)
-    trace, belief_trace = [], []
-    if config.record_trace:
-        belief_trace.append(snapshot(belief))
+    trace = []
     rounds = np.zeros(D, dtype=int)
     converged = np.full(D, config.max_iterations == 0)
     active = np.arange(D)
@@ -247,8 +236,6 @@ def apmp_detect(scene, assoc, y, config: ApmpConfig = ApmpConfig(),
         messages[active] = new_messages
         belief[active] = new
         rounds[active] = it
-        if config.record_trace:
-            belief_trace.append(snapshot(belief))
         done = delta < config.tol
         converged[active[done]] = True
         active = active[~done]
@@ -266,7 +253,7 @@ def apmp_detect(scene, assoc, y, config: ApmpConfig = ApmpConfig(),
                    for r in index.ue_rows],
         iterations=int(rounds.max(initial=0)),
         converged=bool(converged.all()), draw_iterations=rounds,
-        trace=trace, belief_trace=belief_trace, undetected=index.undetected)
+        trace=trace, undetected=index.undetected)
 
 
 def map_oracle(scene, assoc, component, y, points="bpsk"):

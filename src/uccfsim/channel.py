@@ -133,15 +133,13 @@ class ChannelRealization:
     """One draw of all AP-UE links.
 
     ``gains`` holds linear large-scale power gains (M, K); ``taps`` the
-    small-scale CIRs zero-padded to the longest link (M, K, Lmax); and
-    ``freq`` the per-subcarrier complex gains sqrt(g) * FFT(taps) with
-    shape (M, K, N).
+    small-scale CIRs (M, K, L), one length L for every link; and ``freq``
+    the per-subcarrier complex gains sqrt(g) * FFT(taps), (M, K, N).
     """
 
     gains: np.ndarray
     taps: np.ndarray
     freq: np.ndarray
-    num_taps: np.ndarray    # (M, K) ints
 
     @property
     def num_subcarriers(self) -> int:
@@ -152,33 +150,18 @@ def realize_channels(topology, model: LargeScaleModel, num_subcarriers: int,
                      num_taps=2, rng=None, decay: float = 0.0) -> ChannelRealization:
     """Draw a full (M, K) channel realization for one coherence block.
 
-    ``num_taps`` is a single CIR length or an (M, K) per-link override.
+    Every link has ``num_taps`` taps, drawn in one call in the order that
+    ``sample_small_scale`` reads them link by link in row-major (m, k).
     """
     rng = np.random.default_rng(rng)
     d = topology.distances()
     M, K = d.shape
-    taps_mk = np.broadcast_to(np.asarray(num_taps, dtype=int), (M, K))
-    lmax = int(taps_mk.max())
-    if lmax > num_subcarriers:
+    if num_taps > num_subcarriers:
         raise ValueError("CIR longer than symbol")
 
     gains = sample_large_scale(d, model, rng)
-    # row L of both tables describes a link with L taps; table lookups and
-    # Python's sum stand in for integer comparisons and reductions, whose
-    # first use in a process maps another 128 kB of numpy code each
-    profile = np.zeros((lmax + 1, lmax))
-    filled = np.zeros((lmax + 1, lmax), dtype=bool)
-    lengths = taps_mk.ravel()
-    for L in set(lengths.tolist()):
-        profile[L, :L] = np.sqrt(pdp_profile(L, decay) / 2.0)
-        filled[L, :L] = True
-    # one draw for every link, laid out as sample_small_scale would read it
-    # per link in row-major (m, k) order: L real parts, then L imaginary
-    # parts, each zero-padded to lmax
-    z = np.zeros((M * K, 2, lmax))
-    z[np.broadcast_to(filled[lengths][:, None], z.shape)] = rng.standard_normal(
-        2 * sum(lengths.tolist()))
-    taps = (profile[lengths] * (z[:, 0] + 1j * z[:, 1])).reshape(M, K, lmax)
+    z = rng.standard_normal((M * K, 2, num_taps))
+    taps = (np.sqrt(pdp_profile(num_taps, decay) / 2.0)
+            * (z[:, 0] + 1j * z[:, 1])).reshape(M, K, num_taps)
     freq = subcarrier_gains(taps, gains[..., None], num_subcarriers)
-    return ChannelRealization(gains=gains, taps=taps, freq=freq,
-                              num_taps=np.array(taps_mk))
+    return ChannelRealization(gains=gains, taps=taps, freq=freq)

@@ -48,8 +48,7 @@ DEFAULT_SCENARIO = {
                    "mode": "exclusive", "refine_iterations": 1},
     "uplink": {"detector": "gmmse", "symbol_draws": 0,
                "constellation": "qpsk",
-               "apmp": {"max_iterations": 8, "damping": 0.0, "tol": 1e-4,
-                        "llr_clamp": 50.0}},
+               "apmp": {"max_iterations": 8, "tol": 1e-4, "llr_clamp": 50.0}},
     "downlink": {"enabled": False, "p_max": 1.0, "p_max_element": None,
                  "precoder": "tmmse_ofdm", "reg": None},
 }
@@ -62,9 +61,10 @@ DETECTORS = ("gmmse", "gmmse_per_subcarrier", "lmmse_sliced", "lmmse_reduced",
 @dataclass(frozen=True)
 class Rule:
     """The valid values of one scenario leaf: a finite int or float of
-    ``kind`` (an int for int, never a bool) from ``lo`` to ``hi``, with the
-    interval's ``ends`` open or closed; a bool; or a str, one of ``names``
-    if given. ``null`` admits None too, ``per_ue`` a list of numbers."""
+    ``kind`` (an int for int, never a bool) from ``lo`` to ``hi``, the
+    interval closed (``ends`` "[]") or open at ``lo`` ("(]"); a bool; or a
+    str, one of ``names`` if given. ``null`` admits None too, ``per_ue`` a
+    list of numbers."""
     kind: type
     lo: float = -math.inf
     hi: float = math.inf
@@ -78,7 +78,7 @@ class Rule:
             return type(v) is self.kind and v in (self.names or (v,))
         return (type(v) in (int, self.kind) and abs(v) <= sys.float_info.max
                 and (self.lo < v if self.ends[0] == "(" else self.lo <= v)
-                and (v < self.hi if self.ends[1] == ")" else v <= self.hi))
+                and v <= self.hi)
 
     def accepts(self, v) -> bool:
         return ((self.null and v is None) or self._scalar(v)
@@ -93,7 +93,7 @@ class Rule:
                 f" and must be one of {self.names}" if self.names else "")
         kinds = ("a number" + " or null" * self.null
                  + " or a list of numbers" * self.per_ue)
-        bound = (f"in {self.ends[0]}{self.lo:g}, {self.hi:g}{self.ends[1]}"
+        bound = (f"in {self.ends[0]}{self.lo:g}, {self.hi:g}]"
                  if self.hi < math.inf else
                  f"{'>' if self.ends[0] == '(' else '>='} {self.lo:g}")
         return f"{kinds} (integer {bound})" if self.kind is int \
@@ -134,7 +134,6 @@ RULES = {
     "allocation.refine_iterations": Rule(int, 0, 10),
     "uplink.detector": Rule(str, names=DETECTORS),
     "uplink.constellation": Rule(str, names=tuple(CONSTELLATIONS)),
-    "uplink.apmp.damping": Rule(float, 0.0, 1.0, ends="[)"),
     "downlink.p_max_element": Rule(float, 0, ends="(]", null=True),
     "downlink.precoder": Rule(str, names=("tmmse_ofdm", "dist_mf",
                                           "dist_tzf", "dist_regmmse")),
@@ -258,7 +257,7 @@ def _estimate_channels(scenario, real, assoc, rng):
     cfg = scenario["training"]
     N = real.num_subcarriers
     plan = _pilot_plan(real.gains.shape[1], N, cfg["num_symbols"],
-                       int(np.max(real.num_taps)), cfg["pilot_power"])
+                       scenario["channel"]["num_taps"], cfg["pilot_power"])
     Y, _ = training.simulate_pilot_rx(
         plan, real, assoc, scenario["topology"]["noise_variance"], rng)
     estimates = training.estimate_all(Y, plan, assoc)
@@ -292,8 +291,7 @@ def _detect_uplink(scenario, scene, assoc, gains, plan_sinrs, rng):
         config = apmp.ApmpConfig(**cfg["apmp"], points=points_name)
         ser_draws = max(draws, 1)
         indices, y = uplink.simulate_uplink(scene, ser_draws, rng, points_name)
-        res = apmp.apmp_detect(scene, assoc, y, config,
-                               apmp.EdgeIndex(scene, assoc, points_name))
+        res = apmp.apmp_detect(scene, assoc, y, config)
         # per-draw SERs summed in draw order: the CSV pins this rounding;
         # a UE with no detected symbol keeps SER NaN
         out["ser"] = [np.nan if d is None else
@@ -391,21 +389,29 @@ def run_trial(scenario, trial: int, digest=None) -> list:
     # plan with the global evaluator regardless of detector, so that
     # detector comparisons on a shared seed run identical allocations
     gamma_u = topo.max_ue_power / topo.noise_variance
-    plan = alloc.successive_optimize(
-        hf, assoc, scenario["allocation"]["demands"],
-        objective=scenario["allocation"]["objective"], direction="ul",
-        gamma_u=gamma_u, mode=scenario["allocation"]["mode"],
-        components=components,
-        refine_iterations=scenario["allocation"]["refine_iterations"])
+    K = topo.num_ues
+    try:
+        plan = alloc.successive_optimize(
+            hf, assoc, scenario["allocation"]["demands"],
+            objective=scenario["allocation"]["objective"], direction="ul",
+            gamma_u=gamma_u, mode=scenario["allocation"]["mode"],
+            components=components,
+            refine_iterations=scenario["allocation"]["refine_iterations"])
+    except np.linalg.LinAlgError:
+        # a numerically singular covariance while planning: every uplink
+        # SINR and rate is unknown, and the trial fails its audit
+        plan = None
+        det = {"analytic": [np.empty(0)] * K, "empirical": [np.nan] * K,
+               "ser": [np.nan] * K, "apmp_iterations": np.nan,
+               "rates": np.full(K, np.nan)}
+    else:
+        scene = uplink.UplinkScene(freq=hf, subcarriers=plan.subcarriers,
+                                   power=plan.ul_power, gamma_u=gamma_u)
+        det = _detect_uplink(scenario, scene, assoc, real.gains,
+                             plan.ul_sinrs, rng)
 
-    scene = uplink.UplinkScene(freq=hf, subcarriers=plan.subcarriers,
-                               power=plan.ul_power, gamma_u=gamma_u)
-    det = _detect_uplink(scenario, scene, assoc, real.gains, plan.ul_sinrs,
-                         rng)
-
-    dl = {"dl_rate": np.full(topo.num_ues, np.nan),
-          "dl_sinr": np.full(topo.num_ues, np.nan)}
-    audit_pass = (plan.audit.get("pass", False)
+    dl = {"dl_rate": np.full(K, np.nan), "dl_sinr": np.full(K, np.nan)}
+    audit_pass = (plan is not None and plan.audit.get("pass", False)
                   and bool(np.all(np.isfinite(det["rates"]))))
     if scenario["downlink"]["enabled"]:
         dl = _run_downlink(scenario, real, assoc, components)

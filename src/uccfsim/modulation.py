@@ -13,13 +13,12 @@ CONSTELLATIONS = {
 }
 
 
-def constellation(name_or_points):
-    if isinstance(name_or_points, str):
-        try:
-            return CONSTELLATIONS[name_or_points]
-        except KeyError:
-            raise ValueError(f"unknown constellation {name_or_points!r}") from None
-    return np.asarray(name_or_points, dtype=complex)
+def constellation(name: str) -> np.ndarray:
+    """The points of a named constellation, a key of ``CONSTELLATIONS``."""
+    try:
+        return CONSTELLATIONS[name]
+    except KeyError:
+        raise ValueError(f"unknown constellation {name!r}") from None
 
 
 def random_symbol_indices(points, size, rng):

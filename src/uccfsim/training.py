@@ -27,22 +27,22 @@ _JITTER = 1e-12
 
 @dataclass(frozen=True)
 class PilotPlan:
-    """Per-UE pilot blocks, subcarrier maps, tap counts, and powers."""
+    """Per-UE pilot blocks and subcarrier maps; one tap count and power."""
 
     pilot_blocks: tuple          # pilot_blocks[k]: (N_k, tau_p) complex
     subcarrier_sets: tuple       # subcarrier_sets[k]: sorted int array (N_k,)
-    num_taps: tuple              # modeled CIR length per UE
-    pilot_power: tuple           # watts per active subcarrier, per UE
+    num_taps: int                # modeled CIR length L
+    pilot_power: float           # watts per active subcarrier
     num_subcarriers: int
     num_symbols: int             # tau_p
 
     def __post_init__(self):
-        for k, (s, sub, L) in enumerate(zip(self.pilot_blocks,
-                                            self.subcarrier_sets, self.num_taps)):
+        for k, (s, sub) in enumerate(zip(self.pilot_blocks,
+                                         self.subcarrier_sets)):
             nk = len(sub)
             if s.shape != (nk, self.num_symbols):
                 raise ValueError(f"pilot block of UE {k} has wrong shape")
-            if not L <= nk <= self.num_subcarriers:
+            if not self.num_taps <= nk <= self.num_subcarriers:
                 raise ValueError(f"UE {k} needs L <= N_k <= N")
 
     @property
@@ -60,26 +60,24 @@ class PilotPlan:
 
     @cached_property
     def matched_filter(self) -> np.ndarray:
-        """Every tap's matched filter conj(a) / ||a||^2, (N tau_p, K, max L)
-        and zero past a UE's own L, built once per plan, read-only; raises
-        ValueError unless any two tap columns are orthogonal or parallel,
-        their |cosine| within 1e-9 of 0 or 1 (engine plans: 3e-14)."""
+        """Every tap's matched filter conj(a) / ||a||^2, (N tau_p, K, L),
+        built once per plan, read-only; raises ValueError unless any two
+        tap columns are orthogonal or parallel, their |cosine| within 1e-9
+        of 0 or 1 (engine plans: 3e-14)."""
         A = np.hstack(self.observation_matrices)
         power = np.sum(np.abs(A) ** 2, axis=0)
         cos = np.abs(A.conj().T @ A) / np.sqrt(np.outer(power, power))
         if np.any((cos > 1e-9) & (cos < 1.0 - 1e-9)):
             raise ValueError("pilot tap columns are neither orthogonal nor "
                              "parallel: estimate each AP with mmse_estimate")
-        F = np.zeros((len(A), self.num_ues, max(self.num_taps)), dtype=complex)
-        F[:, np.arange(F.shape[2]) < np.array(self.num_taps)[:, None]] = (
-            A.conj() / power)
+        F = (A.conj() / power).reshape(len(A), self.num_ues, self.num_taps)
         F.flags.writeable = False
         return F
 
 
 def make_pilot_plan(num_ues, num_subcarriers, num_symbols, num_taps,
                     pilot_power=1.0, subcarrier_sets=None, roots=None) -> PilotPlan:
-    """Build a DFT-family pilot plan.
+    """Build a DFT-family pilot plan: one tap count and power for all UEs.
 
     UE k repeats the unit-modulus sequence exp(j 2 pi r_k t / (N_k tau_p))
     over its pilot resource grid; distinct roots make the observation
@@ -89,15 +87,12 @@ def make_pilot_plan(num_ues, num_subcarriers, num_symbols, num_taps,
     if subcarrier_sets is None:
         subcarrier_sets = [np.arange(num_subcarriers)] * num_ues
     subcarrier_sets = [np.sort(np.asarray(s, dtype=int)) for s in subcarrier_sets]
-    num_taps = np.broadcast_to(np.asarray(num_taps, dtype=int), (num_ues,))
     if roots is None:
         # stagger the roots: a time offset inside tau_p plus hops of
         # tau_p * L keeps both the symbol dimension and the tap subspaces
         # of different UEs orthogonal (up to N * tau_p / L users)
-        lmax = int(num_taps.max())
-        roots = [(k % num_symbols) + num_symbols * lmax * (k // num_symbols)
+        roots = [(k % num_symbols) + num_symbols * num_taps * (k // num_symbols)
                  for k in range(num_ues)]
-    pilot_power = np.broadcast_to(np.asarray(pilot_power, dtype=float), (num_ues,))
 
     blocks = []
     for k in range(num_ues):
@@ -107,8 +102,7 @@ def make_pilot_plan(num_ues, num_subcarriers, num_symbols, num_taps,
         blocks.append(seq.reshape(num_symbols, nk).T.copy())
     return PilotPlan(pilot_blocks=tuple(blocks),
                      subcarrier_sets=tuple(subcarrier_sets),
-                     num_taps=tuple(int(x) for x in num_taps),
-                     pilot_power=tuple(float(x) for x in pilot_power),
+                     num_taps=int(num_taps), pilot_power=float(pilot_power),
                      num_subcarriers=num_subcarriers,
                      num_symbols=num_symbols)
 
@@ -123,15 +117,14 @@ def _dft_columns(n, L):
 def build_observation_matrix(plan: PilotPlan, ue: int) -> np.ndarray:
     """Observation matrix mapping UE ``ue``'s taps into the stacked pilot rx.
 
-    Shape (N * tau_p, L_k): symbol block i equals
-    sqrt(P_k) * diag(scattered pilot column i) * F[:, :L_k].
+    Shape (N * tau_p, L): symbol block i equals
+    sqrt(P) * diag(scattered pilot column i) * F[:, :L].
     """
-    N, tau_p = plan.num_subcarriers, plan.num_symbols
-    L = plan.num_taps[ue]
+    N, tau_p, L = plan.num_subcarriers, plan.num_symbols, plan.num_taps
     scattered = np.zeros((tau_p, N, 1), dtype=complex)
     scattered[:, plan.subcarrier_sets[ue], 0] = plan.pilot_blocks[ue].T
     A = (scattered * _dft_columns(N, L)).reshape(N * tau_p, L)
-    return np.sqrt(plan.pilot_power[ue]) * A
+    return np.sqrt(plan.pilot_power) * A
 
 
 def simulate_pilot_rx(plan: PilotPlan, channels, assoc, noise_var, rng,
@@ -155,9 +148,9 @@ def simulate_pilot_rx(plan: PilotPlan, channels, assoc, noise_var, rng,
         scattered = np.zeros((tau_p, N), dtype=complex)
         scattered[:, sub] = plan.pilot_blocks[k].T
         aps = served[:, k]
-        Y[aps] += (np.sqrt(plan.pilot_power[k])
+        Y[aps] += (np.sqrt(plan.pilot_power)
                    * channels.freq[aps, k][:, None, :] * scattered)
-        interference += np.where(aps, 0.0, plan.pilot_power[k]
+        interference += np.where(aps, 0.0, plan.pilot_power
                                  * channels.gains[:, k] * len(sub) / N)
     if interference_var is not None:
         interference = np.broadcast_to(interference_var, (M,)).astype(float)
@@ -225,7 +218,7 @@ def mmse_estimate(y, level, plan: PilotPlan, ues, priors,
     """
     if mode not in ("single", "mui_suppress"):
         raise ValueError(f"unknown mode {mode!r}")
-    q = {k: _prior_diagonal(priors[k], k, plan.num_taps[k]) for k in ues}
+    q = {k: _prior_diagonal(priors[k], k, plan.num_taps) for k in ues}
     joint = mode == "mui_suppress"
     out = {}
     for group in [sorted(ues)] if joint and len(ues) else [[k] for k in ues]:
@@ -244,15 +237,13 @@ def mmse_estimate(y, level, plan: PilotPlan, ues, priors,
         if np.any(np.abs(c) < 1e-300):
             raise ValueError("ill-conditioned training: degenerate prior")
         est = (G @ y) / c
-        offsets = np.cumsum([0] + [plan.num_taps[k] for k in group])
-        for k, lo, hi in zip(group, offsets[:-1], offsets[1:]):
-            out[k] = est[lo:hi]
+        out.update(zip(group, est.reshape(len(group), plan.num_taps)))
     return {k: out[k] for k in ues}
 
 
 def estimate_all(Y, plan: PilotPlan, assoc) -> np.ndarray:
-    """Every associated link's taps (M, K, max L), zero off the association
-    and past a UE's own L, from ``simulate_pilot_rx``'s Y in one product
+    """Every associated link's taps (M, K, L), zero off the association,
+    from ``simulate_pilot_rx``'s Y in one product
     with ``plan.matched_filter`` (see the module docstring)."""
     F = plan.matched_filter
     est = (Y @ F.reshape(len(F), -1)).reshape(len(Y), *F.shape[1:])

@@ -541,11 +541,8 @@ def apmp_detect(scene, assoc, y, config: ApmpConfig = ApmpConfig()) -> ApmpResul
 
     messages = apmp_message_round(scene, assoc, y, {}, config, layout)
     trace = []
-    belief_trace = []
     iterations = 0
     converged = config.max_iterations == 0
-    if config.record_trace:
-        belief_trace.append(_apmp_beliefs(messages, Q))
     if config.max_iterations > 0:
         prev_belief = _apmp_beliefs(messages, Q)
         for it in range(1, config.max_iterations + 1):
@@ -555,8 +552,6 @@ def apmp_detect(scene, assoc, y, config: ApmpConfig = ApmpConfig()) -> ApmpResul
             delta = max((np.max(np.abs(belief[key] - prev_belief[key]))
                          for key in belief), default=0.0)
             trace.append(delta)
-            if config.record_trace:
-                belief_trace.append(belief)
             iterations = it
             prev_belief = belief
             if delta < config.tol:
@@ -586,8 +581,7 @@ def apmp_detect(scene, assoc, y, config: ApmpConfig = ApmpConfig()) -> ApmpResul
         marginals.append(marg)
     return ApmpResult(decisions=decisions, marginals=marginals,
                       iterations=iterations, converged=converged,
-                      trace=trace, belief_trace=belief_trace,
-                      undetected=undetected)
+                      trace=trace, undetected=undetected)
 
 
 
@@ -642,10 +636,9 @@ class EdgeIndex:
                                 table))
 
 def observation_matrix(plan: PilotPlan, ue: int) -> np.ndarray:
-    """UE ``ue``'s (N * tau_p, L_k) observation matrix, one symbol block at
+    """UE ``ue``'s (N * tau_p, L) observation matrix, one symbol block at
     a time."""
-    N, tau_p = plan.num_subcarriers, plan.num_symbols
-    L = plan.num_taps[ue]
+    N, tau_p, L = plan.num_subcarriers, plan.num_symbols, plan.num_taps
     sub = plan.subcarrier_sets[ue]
     F_L = _dft_columns(N, L)
     A = np.zeros((N * tau_p, L), dtype=complex)
@@ -653,7 +646,7 @@ def observation_matrix(plan: PilotPlan, ue: int) -> np.ndarray:
         scattered = np.zeros(N, dtype=complex)
         scattered[sub] = plan.pilot_blocks[ue][:, i]
         A[i * N:(i + 1) * N] = scattered[:, None] * F_L
-    return np.sqrt(plan.pilot_power[ue]) * A
+    return np.sqrt(plan.pilot_power) * A
 
 
 def simulate_pilot_rx(plan: PilotPlan, channels, assoc, noise_var, rng,
@@ -671,7 +664,7 @@ def simulate_pilot_rx(plan: PilotPlan, channels, assoc, noise_var, rng,
             sj2 = 0.0
             for k in range(plan.num_ues):
                 if m not in assoc.ap_sets[k]:
-                    sj2 += (plan.pilot_power[k] * channels.gains[m, k]
+                    sj2 += (plan.pilot_power * channels.gains[m, k]
                             * len(plan.subcarrier_sets[k]) / N)
         else:
             sj2 = float(np.broadcast_to(interference_var, (M,))[m])
@@ -679,7 +672,7 @@ def simulate_pilot_rx(plan: PilotPlan, channels, assoc, noise_var, rng,
         for k in assoc.ue_sets[m]:
             scattered = np.zeros((N, tau_p), dtype=complex)
             scattered[plan.subcarrier_sets[k]] = plan.pilot_blocks[k]
-            rx += (np.sqrt(plan.pilot_power[k])
+            rx += (np.sqrt(plan.pilot_power)
                    * channels.freq[m, k][:, None] * scattered)
         level[m] = noise_var + sj2
         if level[m] > 0:
@@ -755,20 +748,16 @@ def realize_channels(topology, model, num_subcarriers: int, num_taps=2,
     rng = np.random.default_rng(rng)
     d = topology.distances()
     M, K = d.shape
-    taps_mk = np.broadcast_to(np.asarray(num_taps, dtype=int), (M, K))
-    lmax = int(taps_mk.max())
-    if lmax > num_subcarriers:
+    if num_taps > num_subcarriers:
         raise ValueError("CIR longer than symbol")
 
     gains = sample_large_scale(d, model, rng)
-    taps = np.zeros((M, K, lmax), dtype=complex)
+    taps = np.zeros((M, K, num_taps), dtype=complex)
     for m in range(M):
         for k in range(K):
-            L = taps_mk[m, k]
-            taps[m, k, :L] = sample_small_scale(L, rng, decay)
+            taps[m, k] = sample_small_scale(num_taps, rng, decay)
     freq = subcarrier_gains(taps, gains[..., None], num_subcarriers)
-    return ChannelRealization(gains=gains, taps=taps, freq=freq,
-                              num_taps=np.array(taps_mk))
+    return ChannelRealization(gains=gains, taps=taps, freq=freq)
 
 
 def estimated_subcarrier_gains(estimates, num_subcarriers) -> np.ndarray:
@@ -994,13 +983,13 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
     return plan
 
 
-def apmp_draw_loop(scene, assoc, ys, indices, config: ApmpConfig, index):
+def apmp_draw_loop(scene, assoc, ys, indices, config: ApmpConfig):
     """Per-UE SER and mean iteration count over (D, M, N) draws ``ys``,
     detecting one draw per ``apmp_detect`` call; a UE with no detected
     symbol has SER NaN."""
     M, N = scene.num_aps, scene.num_subcarriers
-    results = [apmp.apmp_detect(scene, assoc, y.reshape(M, N), config,
-                                index) for y in ys]
+    results = [apmp.apmp_detect(scene, assoc, y.reshape(M, N), config)
+               for y in ys]
     ser = np.full(scene.num_ues, np.nan)
     for k in range(scene.num_ues):
         if results[0].decisions[k] is None:

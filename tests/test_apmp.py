@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -103,28 +105,26 @@ def random_case(assoc, rng, points, N=1):
 
 def assert_matches_oracle(scene, assoc, y, cfg, bit_identical=False):
     """Same decisions, iterations and convergence as the dict-keyed
-    oracle; marginals and belief snapshots within the rounding bound."""
-    got = apmp_detect(scene, assoc, y, cfg)
-    want = dense_oracles.apmp_detect(scene, assoc, y, cfg)
-    assert (got.iterations, got.converged) == (want.iterations, want.converged)
-    assert got.undetected == want.undetected
-    assert len(got.trace) == len(want.trace)
-    for a, b in zip(got.decisions, want.decisions):
-        assert (a is None and b is None) or np.array_equal(a, b)
-    pairs = [(a, b) for a, b in zip(got.marginals, want.marginals)
-             if a is not None or b is not None]
-    pairs += [(a[key], b[key]) for a, b in zip(got.belief_trace,
-                                                want.belief_trace)
-              for key in b]
-    for a, b in pairs:
-        if bit_identical:
-            assert np.array_equal(a, b)
-        else:
-            # belief snapshots are LLR sums: the bound scales with them
-            assert np.max(np.abs(a - b)) <= MARGINAL_BOUND * max(
-                1.0, np.max(np.abs(b)))
-    assert all(a.keys() == b.keys()
-               for a, b in zip(got.belief_trace, want.belief_trace))
+    oracle, and marginals within the rounding bound, for every round
+    bound r from 0 to ``cfg.max_iterations``: the run stopped at round r
+    checks that round's beliefs."""
+    for r in range(cfg.max_iterations + 1):
+        bounded = dataclasses.replace(cfg, max_iterations=r)
+        got = apmp_detect(scene, assoc, y, bounded)
+        want = dense_oracles.apmp_detect(scene, assoc, y, bounded)
+        assert ((got.iterations, got.converged)
+                == (want.iterations, want.converged))
+        assert got.undetected == want.undetected
+        assert len(got.trace) == len(want.trace)
+        for a, b in zip(got.decisions, want.decisions):
+            assert (a is None and b is None) or np.array_equal(a, b)
+        for a, b in zip(got.marginals, want.marginals):
+            if a is None and b is None:
+                continue
+            if bit_identical:
+                assert np.array_equal(a, b)
+            else:
+                assert np.max(np.abs(a - b)) <= MARGINAL_BOUND
 
 
 def llr_vector(marginal):
@@ -393,29 +393,6 @@ class TestOracle:
                        np.zeros((1, 1), dtype=complex), points="qpsk")
 
 
-class TestTrace:
-    def test_belief_snapshots_recorded(self):
-        rng = np.random.default_rng(30)
-        assoc = AssociationMap.from_ap_sets([[0, 1], [0, 1]], num_aps=2)
-        scene = scene_on_association(assoc, rng, gamma_u=2.0)
-        y = transmit(scene, [np.array([0]), np.array([1])], rng)
-        cfg = ApmpConfig(max_iterations=5, tol=0.0, record_trace=True)
-        res = apmp_detect(scene, assoc, y, cfg)
-        # intrinsic round plus one snapshot per exchange round
-        assert len(res.belief_trace) == res.iterations + 1
-        for snap in res.belief_trace:
-            assert (0, 0) in snap and (1, 0) in snap
-            assert snap[(0, 0)].shape == (2,)
-
-    def test_trace_off_by_default(self):
-        rng = np.random.default_rng(31)
-        assoc = AssociationMap.from_ap_sets([[0]], num_aps=1)
-        scene = scene_on_association(assoc, rng)
-        y = transmit(scene, [np.array([0])], rng)
-        res = apmp_detect(scene, assoc, y, ApmpConfig(max_iterations=3))
-        assert res.belief_trace == []
-
-
 class TestDegenerateGraphs:
     def test_empty_graph_gives_empty_result(self):
         freq = np.ones((2, 2, 1), dtype=complex)
@@ -475,8 +452,7 @@ class TestAgainstDictOracle:
         for it in (0, 0, 3, 8):
             assoc = random_loopy(3, 3, rng)
             scene, y = random_case(assoc, rng, "bpsk", N=2)
-            cfg = ApmpConfig(max_iterations=it, tol=0.0, damping=0.2,
-                             record_trace=True)
+            cfg = ApmpConfig(max_iterations=it, tol=0.0, damping=0.2)
             assert_matches_oracle(scene, assoc, y, cfg)
 
     @pytest.mark.parametrize("points", ["bpsk", "qpsk"])
@@ -496,7 +472,7 @@ class TestAgainstDictOracle:
                          rng, points)
             cfg = ApmpConfig(max_iterations=int(rng.integers(0, 10)),
                              damping=float(rng.choice([0.0, 0.3])),
-                             points=points, record_trace=True)
+                             points=points)
             assert_matches_oracle(scene, assoc, y, cfg, bit_identical=True)
 
     def test_empty_and_disconnected_graphs(self):
@@ -506,8 +482,7 @@ class TestAgainstDictOracle:
             scene, y = random_case(assoc, rng, "bpsk")
             for it in (0, 4):
                 assert_matches_oracle(scene, assoc, y,
-                                      ApmpConfig(max_iterations=it,
-                                                 record_trace=True))
+                                      ApmpConfig(max_iterations=it))
 
 
 def random_assignment(assoc, rng, N):
@@ -684,27 +659,7 @@ class TestDrawBatch:
         rng = np.random.default_rng(63)
         assoc = random_loopy(3, 2, rng)
         scene, y = random_case(assoc, rng, "qpsk", N=2)
-        res = apmp_detect(scene, assoc, y, ApmpConfig(points="qpsk",
-                                                      record_trace=True))
+        res = apmp_detect(scene, assoc, y, ApmpConfig(points="qpsk"))
         assert [d.shape for d in res.decisions] == [(2,), (2,)]
         assert [p.shape for p in res.marginals] == [(2, 4), (2, 4)]
         assert res.draw_iterations.tolist() == [res.iterations]
-        assert all(v.shape == (4,) for snap in res.belief_trace
-                   for v in snap.values())
-
-    def test_batch_trace_snapshots_hold_every_draw(self):
-        rng = np.random.default_rng(64)
-        assoc = AssociationMap.from_ap_sets([[0, 1], [0, 1]], num_aps=2)
-        scene = scene_on_association(assoc, rng, gamma_u=2.0)
-        ys = np.stack([transmit(scene, [rng.integers(2, size=1)
-                                        for _ in range(2)], rng)
-                       for _ in range(3)])
-        cfg = ApmpConfig(max_iterations=5, tol=0.0, record_trace=True)
-        res = apmp_detect(scene, assoc, ys, cfg)
-        assert len(res.belief_trace) == res.iterations + 1
-        for r, y in enumerate(ys):
-            alone = apmp_detect(scene, assoc, y, cfg)
-            for snap, want in zip(res.belief_trace, alone.belief_trace):
-                for key, value in want.items():
-                    assert snap[key].shape == (3, 2)
-                    assert np.array_equal(snap[key][r], value)

@@ -151,16 +151,6 @@ class TestRealization:
         assert np.array_equal(c1.taps, c2.taps)
         assert np.array_equal(c1.freq, c2.freq)
 
-    def test_per_link_tap_override(self):
-        topo = generate_topology(2, 2, rng=1)
-        model = LargeScaleModel(DoubleSlope(), shadowing_std_db=0.0)
-        taps_mk = np.array([[1, 2], [3, 1]])
-        real = realize_channels(topo, model, num_subcarriers=8,
-                                num_taps=taps_mk, rng=5)
-        assert real.taps.shape == (2, 2, 3)
-        assert real.taps[0, 0, 1] == 0  # padded beyond the link's own length
-        assert real.taps[1, 0, 2] != 0
-
     def test_freq_consistent_with_taps(self):
         topo = generate_topology(3, 2, rng=2)
         model = LargeScaleModel(DoubleSlope(), shadowing_std_db=2.0)
@@ -169,13 +159,12 @@ class TestRealization:
         expect = np.fft.fft(np.sqrt(real.gains[m, k]) * real.taps[m, k], n=16)
         assert np.allclose(real.freq[m, k], expect)
 
-    @pytest.mark.parametrize("num_taps", [3, [[1, 3, 2], [4, 1, 1]]])
-    def test_one_draw_matches_per_link_draws(self, num_taps, monkeypatch):
+    def test_one_draw_matches_per_link_draws(self, monkeypatch):
         topo = generate_topology(2, 3, rng=6)
         model = LargeScaleModel(TripleSlope(), shadowing_std_db=3.0)
         rng, oracle_rng = np.random.default_rng(41), np.random.default_rng(41)
-        want = dense_oracles.realize_channels(topo, model, 8, num_taps,
-                                              oracle_rng, decay=0.4)
+        want = dense_oracles.realize_channels(topo, model, 8, 3, oracle_rng,
+                                              decay=0.4)
         profiles = []
         real_profile = channel.pdp_profile
 
@@ -184,9 +173,9 @@ class TestRealization:
             return real_profile(L, decay)
 
         monkeypatch.setattr(channel, "pdp_profile", spy)
-        got = realize_channels(topo, model, 8, num_taps, rng, decay=0.4)
-        assert sorted(profiles) == sorted(set(np.ravel(num_taps)))
-        for field in ("gains", "taps", "freq", "num_taps"):
+        got = realize_channels(topo, model, 8, 3, rng, decay=0.4)
+        assert profiles == [3]
+        for field in ("gains", "taps", "freq"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
         assert rng.standard_normal() == oracle_rng.standard_normal()
 

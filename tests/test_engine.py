@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -54,8 +57,8 @@ class TestValidation:
         ({"topologyy": {"num_aps": 4}}, "topologyy", "did you mean topology?"),
         ({"uplink": {"detectr": "gmmse"}}, "uplink.detectr",
          "did you mean uplink.detector?"),
-        ({"uplink": {"apmp": {"dampng": 0.1}}}, "uplink.apmp.dampng",
-         "did you mean uplink.apmp.damping?"),
+        ({"uplink": {"apmp": {"llr_clmp": 0.1}}}, "uplink.apmp.llr_clmp",
+         "did you mean uplink.apmp.llr_clamp?"),
         ({"uplink": {"constellation": "bogus"}}, "uplink.constellation",
          "must be one of"),
         ({"uplink": {"symbol_draws": "abc"}}, "uplink.symbol_draws",
@@ -71,11 +74,9 @@ class TestValidation:
          "must be one of"),
         ({"allocation": {"mode": "shared", "demands": 5}},
          "allocation.demands", "exceed"),
-        ({"uplink": {"apmp": {"damping": 1.5}}}, "uplink.apmp.damping",
-         "in [0, 1)"),
         ({"uplink": {"apmp": {"max_iterations": 2.5}}},
          "uplink.apmp.max_iterations", "integer >= 0"),
-        ({"uplink": {"apmp": {"damping": "x"}}}, "uplink.apmp.damping",
+        ({"uplink": {"apmp": {"llr_clamp": "x"}}}, "uplink.apmp.llr_clamp",
          "must be a number"),
         ({"uplink": {"apmp": {"tol": "x"}}}, "uplink.apmp.tol",
          "must be a number"),
@@ -87,6 +88,8 @@ class TestValidation:
         ({"downlink": {"precoder": 3}}, "downlink.precoder",
          "must be a string"),
         ({"allocation": {"min_rates": 0.0}}, "allocation.min_rates",
+         "is not a known key"),
+        ({"uplink": {"apmp": {"damping": 0.1}}}, "uplink.apmp.damping",
          "is not a known key"),
         ({"association": {"max_aps": "2"}}, "association.max_aps",
          "must be a number or null"),
@@ -161,6 +164,73 @@ def test_extreme_snr_trials_finish_and_fail_the_audit(detector, objective,
         assert np.isnan(rec["rate"]) or 0 <= rec["rate"] < np.inf
         if downlink:
             assert np.isnan(rec["dl_rate"]) or 0 <= rec["dl_rate"] < np.inf
+
+
+# small networks at noise where the uplink planner's covariances are
+# singular to working precision, in both modes and for both objectives;
+# the detector rotates over DETECTORS and odd seeds run the downlink
+EXTREME_SNR_GRID = {
+    f"{noise:g}-M{M}K{K}-{mode}-{objective}-seed{seed}": {
+        "seed": seed, "trials": 2,
+        "topology": {"num_aps": M, "num_ues": K, "noise_variance": noise},
+        "association": {"radius": 60.0 if K == 4 else 150.0},
+        "allocation": {"objective": objective, "demands": 1, "mode": mode},
+        "uplink": {"detector": DETECTORS[i % len(DETECTORS)],
+                   "symbol_draws": 2},
+        "downlink": {"enabled": seed % 2 == 1}}
+    for i, (noise, (M, K), mode, objective, seed) in enumerate(
+        itertools.product((1e-22, 1e-24),
+                          ((1, 1), (2, 1), (2, 2), (4, 2), (4, 4)),
+                          ("exclusive", "shared"), ("sum_rate", "max_min"),
+                          (0, 1)))}
+# a singular covariance inside the uplink planner (LinAlgError)
+EXTREME_SNR_GRID["planner-singular"] = {
+    "topology": {"num_aps": 2, "noise_variance": 1e-22}, "trials": 2}
+# a shared max-min fixed-point update past the largest double
+EXTREME_SNR_GRID["maxmin-overflow"] = {
+    "topology": {"num_aps": 4, "num_ues": 4, "noise_variance": 1e-21},
+    "association": {"radius": 60.0},
+    "allocation": {"objective": "max_min", "demands": 1, "mode": "shared"},
+    "trials": 2, "seed": 9}
+
+
+@pytest.mark.parametrize("scenario", EXTREME_SNR_GRID.values(),
+                         ids=EXTREME_SNR_GRID.keys())
+def test_extreme_snr_scenarios_return_and_flag_unknown_rates(scenario):
+    """A valid scenario returns under warnings as errors, whatever its
+    numerics, and a record whose rate is unknown fails its audit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = run_scenario(scenario)["records"]
+    assert records
+    assert not any(r["audit_pass"] for r in records
+                   if not np.isfinite(r["rate"]))
+
+
+def test_planner_failure_flags_only_its_trial(monkeypatch):
+    """A LinAlgError in the uplink planner makes its trial's uplink rates
+    and SINRs NaN and fails the trial's audit; the other trial is not
+    touched, and the downlink, which does not use the uplink plan, is
+    still planned."""
+    directions = []
+    optimize = alloc.successive_optimize
+
+    def spy(*args, direction, **kwargs):
+        directions.append(direction)
+        return optimize(*args, direction=direction, **kwargs)
+
+    monkeypatch.setattr(alloc, "successive_optimize", spy)
+    records = run_scenario({**EXTREME_SNR_GRID["planner-singular"],
+                            "downlink": {"enabled": True}})["records"]
+    assert directions == ["ul", "dl", "ul", "dl"]
+    fine, flagged = records[:2], records[2:]
+    assert [r["trial"] for r in flagged] == [1, 1]
+    assert all(np.isfinite(r["rate"]) for r in fine)
+    for r in flagged:
+        assert not r["audit_pass"]
+        for key in ("rate", "effective_rate", "sinr_analytic",
+                    "sinr_empirical", "ser", "sum_rate"):
+            assert np.isnan(r[key])
 
 
 @pytest.mark.parametrize("seed", [1, 97])
@@ -577,16 +647,15 @@ class TestPipelineOutputs:
             **SMALL, "topology": {"num_aps": 4, "num_ues": 3},
             "ofdm": {"num_subcarriers": 8},
             "uplink": {"detector": "apmp", "symbol_draws": 12,
-                       "apmp": {"damping": 0.3,
-                                "max_iterations": max_iterations}}})
+                       "apmp": {"max_iterations": max_iterations}}})
         trials = [run_trial(scenario, t) for t in range(6)]
         monkeypatch.undo()
         assert len(calls) == len(drawn) == len(trials)
-        for records, (scene, assoc, ys, config, index), (indices, y) \
+        for records, (scene, assoc, ys, config), (indices, y) \
                 in zip(trials, calls, drawn):
             assert ys.shape == (12, scene.num_aps, scene.num_subcarriers)
             ser, iterations = dense_oracles.apmp_draw_loop(
-                scene, assoc, y, indices, config, index)
+                scene, assoc, y, indices, config)
             np.testing.assert_array_equal([r["ser"] for r in records], ser)
             assert all(r["apmp_iterations"] == iterations for r in records)
 

@@ -11,10 +11,8 @@ class TestConstellations:
         for name, pts in CONSTELLATIONS.items():
             assert np.mean(np.abs(pts) ** 2) == pytest.approx(1.0)
 
-    def test_lookup_by_name_and_passthrough(self):
+    def test_lookup_by_name(self):
         assert np.array_equal(constellation("bpsk"), CONSTELLATIONS["bpsk"])
-        custom = np.array([1.0, 1j, -1.0, -1j])
-        assert np.array_equal(constellation(custom), custom)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown constellation"):

@@ -1,11 +1,10 @@
 """Property tests over the validator's rule table: every scenario drawn
 inside the rows' ranges validates and runs a trial, and pushing any one
 leaf outside its row gives a diagnostic under that leaf's path before any
-trial runs.  Nothing is unreachable: every leaf but the listed dead ones
-moves the CSV by more than round-off, the README's schema is the defaults
-and its CSV header the columns, and every public function or class of the
-package has a caller outside the unit tests, and every dataclass field a
-reader."""
+trial runs.  Nothing is unreachable: every leaf moves the CSV by more
+than round-off, the README's schema is the defaults and its CSV header
+the columns, and every public function or class of the package has a
+caller outside the unit tests, and every dataclass field a reader."""
 
 import ast
 import dataclasses
@@ -84,8 +83,7 @@ def inside(path):
         lo, hi = SIZES.get(path, (rule.lo, min(rule.hi, rule.lo + 10)))
         values = st.integers(lo, hi)
     elif math.isfinite(rule.hi):
-        values = st.floats(rule.lo, rule.hi, exclude_min=rule.ends[0] == "(",
-                           exclude_max=rule.ends[1] == ")")
+        values = st.floats(rule.lo, rule.hi, exclude_min=rule.ends[0] == "(")
     elif path in SPREADS:
         values = st.floats(0.0, SPREADS[path],
                            exclude_min=rule.ends[0] == "(")
@@ -138,7 +136,7 @@ def outside(rule, value):
     if math.isfinite(rule.lo):
         bad.append(low)
     if math.isfinite(rule.hi):
-        bad.append(rule.hi if rule.ends[1] == ")" else rule.hi + 1)
+        bad.append(rule.hi + 1)
     bad.append(rule.lo + 0.5 if rule.kind is int else math.inf)
     if rule.per_ue and isinstance(value, list):
         bad.append([*value[:-1], low])
@@ -153,6 +151,7 @@ def test_rules_cover_every_leaf():
     assert set(RULES) == set(leaf_paths(DEFAULT_SCENARIO))
     for path in RULES:
         assert RULES[path].accepts(get_leaf(DEFAULT_SCENARIO, path)), path
+        assert RULES[path].ends in ("[]", "(]"), path
 
 
 @settings(max_examples=60, deadline=None,
@@ -227,11 +226,6 @@ LIVE = {
     "downlink.reg": ({"downlink": {"enabled": True,
                                    "precoder": "dist_regmmse"}}, 1e-9),
 }
-# leaves that validate but cannot reach the CSV, and why
-DEAD = {
-    "uplink.apmp.damping": "every factor the engine builds has degree 1, "
-                           "so damping mixes equal messages",
-}
 # a nullable number is read for its value, not only for being set: a
 # context and two different non-null values of it that give different CSVs
 NULLABLE = {
@@ -279,8 +273,7 @@ def csv_without_hash(scenario):
 
 
 def test_live_and_dead_leaves_cover_the_rules():
-    assert set(LIVE) | set(DEAD) == set(RULES)
-    assert not set(LIVE) & set(DEAD)
+    assert set(LIVE) == set(RULES)
 
 
 @pytest.mark.parametrize("path", sorted(LIVE))
@@ -322,20 +315,13 @@ def test_readme_csv_header_is_the_csv_columns():
     assert header.split(",") == engine.CSV_COLUMNS
 
 
-# dataclass fields that only unit tests read, and why they stay
-UNREAD_FIELDS = {
-    "apmp.ApmpResult.belief_trace": "unit tests compare each round's beliefs "
-                                    "with the dict oracle through it",
-}
-
-
 def test_every_public_name_is_used_outside_the_unit_tests():
     """Each public function or class of every ``uccfsim`` module, and each
     public method or property of those classes, serves the package, a demo
     or an acceptance criterion; reference copies that only tests read
     belong in ``tests/dense_oracles.py`` or in their test.  Each field of
     those classes that are dataclasses is read there too, or by the
-    benchmark's tracer, but for the listed exemptions."""
+    benchmark's tracer."""
     files = (sorted((ROOT / "src").rglob("*.py"))
              + sorted((ROOT / "demos").glob("*.py"))
              + [ROOT / "tests" / "test_acceptance.py"])
@@ -380,10 +366,7 @@ def test_every_public_name_is_used_outside_the_unit_tests():
     assert ("topology.AssociationMap", "num_aps") in public
     assert [f"{m}.{name}" for m, name in public if name not in used] == []
     assert "alloc.MaxMinResult.noise_limited" in fields
-    assert set(UNREAD_FIELDS) <= set(fields)
-    assert [f for f in fields if f.rsplit(".", 1)[1] not in read
-            and f not in UNREAD_FIELDS] == []
-    assert all(f.rsplit(".", 1)[1] not in read for f in UNREAD_FIELDS)
+    assert [f for f in fields if f.rsplit(".", 1)[1] not in read] == []
 
 
 @pytest.mark.parametrize("path", ["topology.ap_height", "topology.ue_height",
