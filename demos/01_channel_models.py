@@ -7,7 +7,7 @@ import numpy as np
 
 from uccfsim.channel import (DoubleSlope, LargeScaleModel,
                              pathloss_double_slope, pathloss_triple_slope,
-                             sample_large_scale, sample_small_scale,
+                             pdp_profile, sample_large_scale,
                              subcarrier_gains)
 
 print("=== pathloss models ===")
@@ -31,7 +31,10 @@ print(f"mean dB gain {db.mean():8.3f}  (pathloss mean {model.pathloss.mean_db(10
 print(f"std dB gain  {db.std(ddof=1):8.3f}  (configured       {6.0:8.3f})")
 
 print("\n=== small-scale taps and subcarrier gains ===")
-taps = sample_small_scale(4, rng, decay=0.5)
+# circularly-symmetric Gaussian taps under a unit-power delay profile
+profile = pdp_profile(4, decay=0.5)
+taps = np.sqrt(profile / 2) * (rng.standard_normal(4)
+                               + 1j * rng.standard_normal(4))
 hf = subcarrier_gains(taps, gain=1.0, num_subcarriers=8)
 print("tap powers         :", np.round(np.abs(taps) ** 2, 4))
 print("per-subcarrier |h|²:", np.round(np.abs(hf) ** 2, 4))

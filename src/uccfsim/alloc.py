@@ -37,8 +37,11 @@ is powers times energies, one evaluation at the full budgets gives every
 bound, and each budget scaled to the weakest bound is the optimum.
 Shared plans with co-channel symbols and the downlink (where A0 couples
 the UEs) evaluate each UE alone.  Exact SINRs cannot fail where the
-kernel's cancellation would, so an uplink max-min plan's audit checks
+kernel's cancellation would, and kernel SINRs can be finite and positive
+where R_n has lost its noise floor, so every uplink plan's audit checks
 that every R_n at its powers is resolved (``ul_covariance_resolved``).
+A centralized MMSE downlink plan checks the same of every bracket it
+solves (``dl_bracket_resolved``).
 """
 
 from __future__ import annotations
@@ -303,12 +306,17 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
     a UE without an AP receives no resources and gets rate 0.
     ``dist_regmmse``'s ``reg`` defaults to ``noise_var``.  An uplink
     max-min plan on which no subcarrier carries two symbols takes every
-    SINR from the channel energies.  Every uplink max-min plan's audit
-    adds ``ul_covariance_resolved``: 1 + sum over each used subcarrier's
+    SINR from the channel energies.  Every uplink plan's audit adds
+    ``ul_covariance_resolved``: 1 + sum over each used subcarrier's
     symbols of gamma_u eta ||h||^2 < 1 / (M eps) at the emitted powers.
     For M > 1 that is numpy's ``matrix_rank`` rule on R_n; for M = 1,
     where ``matrix_rank`` never flags a positive scalar, it is the point
-    where the kernel's cancellation loses the noise floor.
+    where the kernel's cancellation loses the noise floor.  A
+    ``tmmse_ofdm`` downlink plan's audit adds ``dl_bracket_resolved``:
+    1 + sum over the UEs on each used subcarrier n of
+    ||zeta_l o h_ln||^2 / noise_var < 1 / (M eps), a bound on the
+    condition number of the bracket it solves; the distributed precoders
+    keep their own rank checks.
     """
     freq = np.asarray(freq, dtype=complex)
     M, K, N = freq.shape
@@ -335,8 +343,7 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
             raise ValueError("gamma_u must be positive")
         budget_of = np.arange(K)
         groups = np.split(np.arange(len(ns)), cuts)
-        if objective == "max_min":
-            energy = solo_unit_sinrs(freq, ks, ns, gamma_u)
+        energy = solo_unit_sinrs(freq, ks, ns, gamma_u)
         if separable:
             # each symbol alone on its subcarrier: its SINR is exact and
             # linear in its own power (the spread below sets x)
@@ -375,6 +382,13 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
         # the unscaled precoders depend on the assignment only
         if precoder == "tmmse_ofdm":
             unscaled = tmmse_bracket_solve(freq, subs, noise_var, assoc=assoc)
+            # cond(bracket_n) <= 1 + sum over the UEs on n of
+            # ||zeta_l o h_ln||^2 / noise_var, here times noise_var
+            seen = freq[:, ks, ns] * assoc.zeta()[:, ks]
+            load = np.bincount(ns, np.sum(seen.real ** 2 + seen.imag ** 2,
+                                          axis=0), N)
+            checks["dl_bracket_resolved"] = bool(np.all(
+                noise_var + load < noise_var / (M * np.finfo(float).eps)))
         elif precoder in ("dist_mf", "dist_tzf", "dist_regmmse"):
             unscaled = distributed_ofdm_directions(
                 freq, subs, assoc, precoder.removeprefix("dist_"),
@@ -441,17 +455,16 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
             x = spread(maxmin_power_control(evaluator, np.ones(K),
                                             separable=separable).powers)
         achieved = evaluate(x)
-        if direction == "ul":
-            # for M > 1 numpy's matrix_rank rule on each R_n at the emitted
-            # powers (1 + load is cond(gamma_u R_n) on a separable plan and
-            # bounds it otherwise); for M = 1, where matrix_rank never
-            # flags, the point where the kernel's cancellation loses the
-            # noise floor
-            load = np.bincount(ns, x * energy, N)
-            checks["ul_covariance_resolved"] = bool(
-                np.all(1.0 + load < 1.0 / (M * np.finfo(float).eps)))
     else:
         raise ValueError(f"unknown objective {objective!r}")
+    if direction == "ul":
+        # for M > 1 numpy's matrix_rank rule on each R_n at the emitted
+        # powers (1 + load is cond(gamma_u R_n) on a separable plan and
+        # bounds it otherwise); for M = 1, where matrix_rank never flags,
+        # the point where the kernel's cancellation loses the noise floor
+        load = np.bincount(ns, x * energy, N)
+        checks["ul_covariance_resolved"] = bool(
+            np.all(1.0 + load < 1.0 / (M * np.finfo(float).eps)))
 
     sinrs = np.split(achieved, cuts)
     if direction == "ul":

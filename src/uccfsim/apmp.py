@@ -32,8 +32,6 @@ from .modulation import constellation
 
 # largest local enumeration: |constellation| ** participants <= 2 ** 8
 _LOCAL_GUARD = 256
-# largest joint enumeration allowed in the exact oracle
-_ORACLE_GUARD = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -255,40 +253,3 @@ def apmp_detect(scene, assoc, y, config: ApmpConfig = ApmpConfig()) -> ApmpResul
         converged=bool(converged.all()), draw_iterations=rounds,
         trace=trace, undetected=index.undetected)
 
-
-def map_oracle(scene, assoc, component, y, points="bpsk"):
-    """Exact posterior marginals by joint enumeration inside one component.
-
-    ``component`` is an (AP set, UE set) pair from the factor graph.  The
-    joint likelihood factorizes over subcarriers, so each subcarrier's
-    active UEs are enumerated separately; the guard caps that enumeration.
-    Returns {(ue, slot): (Q,) posterior} for every symbol in the component.
-    """
-    aps, ues = component
-    pts = constellation(points)
-    Q = len(pts)
-    slot_of = [{int(n): i for i, n in enumerate(s)} for s in scene.subcarriers]
-    out = {}
-    for n in range(scene.num_subcarriers):
-        active = sorted(k for k in ues if n in slot_of[k])
-        if not active:
-            continue
-        if Q ** len(active) > _ORACLE_GUARD:
-            raise ValueError("oracle state space too large")
-        combos = _joint_table(Q, len(active))
-        loglik = np.zeros(len(combos))
-        for m in sorted(aps):
-            who = [k for k in assoc.ue_sets[m] if n in slot_of[k]]
-            if not who:
-                continue
-            amp = np.array([[np.sqrt(scene.power[k][slot_of[k][n]])
-                             * scene.freq[m, k, n] for k in who]])
-            cols = [active.index(k) for k in who]
-            mean = _joint_means(amp, pts, combos[:, cols])[0]
-            loglik = loglik - scene.gamma_u * np.abs(y[m, n] - mean) ** 2
-        joint = loglik.reshape((1,) + (Q,) * len(active))
-        for col, k in enumerate(active):
-            post = _marginalize(joint, col, len(active))[0]
-            p = np.exp(post - post.max())
-            out[(k, slot_of[k][n])] = p / p.sum()
-    return out

@@ -109,14 +109,6 @@ def pdp_profile(num_taps: int, decay: float = 0.0) -> np.ndarray:
     return p / p.sum()
 
 
-def sample_small_scale(num_taps: int, rng, decay: float = 0.0) -> np.ndarray:
-    """I.i.d. circularly-symmetric Gaussian taps with E[sum |h|^2] = 1."""
-    rng = np.random.default_rng(rng)
-    p = pdp_profile(num_taps, decay)
-    z = rng.standard_normal(num_taps) + 1j * rng.standard_normal(num_taps)
-    return np.sqrt(p / 2.0) * z
-
-
 def subcarrier_gains(taps, gain, num_subcarriers: int) -> np.ndarray:
     """Frequency response on N subcarriers of sqrt(gain)-scaled taps.
 
@@ -151,7 +143,8 @@ def realize_channels(topology, model: LargeScaleModel, num_subcarriers: int,
     """Draw a full (M, K) channel realization for one coherence block.
 
     Every link has ``num_taps`` taps, drawn in one call in the order that
-    ``sample_small_scale`` reads them link by link in row-major (m, k).
+    the link-by-link oracle ``realize_channels`` of
+    ``tests/dense_oracles.py`` reads them, row-major in (m, k).
     """
     rng = np.random.default_rng(rng)
     d = topology.distances()

@@ -222,34 +222,6 @@ def receive_downlink(channels, signals, noise_var=0.0, rng=None) -> np.ndarray:
     return y
 
 
-def received_power_split(channels, assoc, dirs, powers, k) -> dict:
-    """Desired / co-associated / cross-AP mean received powers at UE k.
-
-    ``powers`` is (M, K), the per-AP power of each stream.  Expectation
-    over unit-power independent symbols.  Stream l reaches UE k with the
-    coherent amplitude sum_m sqrt(P_ml) h_mk^T dir_ml over its serving APs,
-    which is what :func:`receive_downlink` adds up for the per-AP signals
-    s_m = sum_l sqrt(P_ml) dir_ml x_l when, as
-    :func:`distributed_directions` makes them, the directions vanish off
-    the association.  A stream l != k is co-associated when it shares an
-    AP with UE k and cross-AP otherwise.  Used to check the interference
-    structure of the distributed precoders.
-    """
-    h = np.asarray(channels, dtype=complex)
-    if h.ndim == 2:
-        h = h[:, None, :]
-    amp = np.zeros(len(assoc.ap_sets), dtype=complex)
-    for m, l in zip(*np.nonzero(assoc.zeta())):
-        amp[l] += np.sqrt(powers[m, l]) * (h[m, :, k] @ dirs[m, :, l])
-    power = np.abs(amp) ** 2
-    others = np.arange(len(amp)) != k
-    mine = set(assoc.ap_sets[k])
-    co = others & [not mine.isdisjoint(aps) for aps in assoc.ap_sets]
-    return {"desired_amplitude": amp[k], "desired": power[k],
-            "co_associated": float(power[co].sum()),
-            "cross_ap": float(power[others & ~co].sum())}
-
-
 # ---------------------------------------------------------------------------
 # artificial-noise secrecy
 

@@ -471,17 +471,26 @@ def run_scenario(scenario=None, workers: int = 1) -> dict:
 
 
 def aggregate(records) -> dict:
-    """Mean and 95% confidence interval of the headline metrics."""
-    out = {}
-    per_trial_sum = {}
-    for r in records:
-        per_trial_sum.setdefault(r["trial"], r["sum_rate"])
-    out["sum_rate"] = _mean_ci([per_trial_sum[t] for t in sorted(per_trial_sum)])
+    """Mean and 95% confidence interval of the headline metrics, by trial.
+
+    The UEs of one trial share its topology and allocation, so they are
+    not independent draws.  A per-UE metric is first averaged over each
+    trial's finite values; its mean and CI are those of these per-trial
+    means (batch means), and its ``count`` is the number of trials with a
+    finite value.  ``sum_rate`` is one value per trial already.
+    """
+    # each record's trial as an index into the sorted distinct trials
+    _, first, trial = np.unique([r["trial"] for r in records],
+                                return_index=True, return_inverse=True)
+    out = {"sum_rate": _mean_ci([records[i]["sum_rate"] for i in first])}
     for key in ("rate", "ser", "sinr_analytic", "sinr_empirical", "nmse",
                 "dl_rate"):
-        vals = [r[key] for r in records if np.isfinite(r[key])]
-        if vals:
-            out[key] = _mean_ci(vals)
+        vals = np.array([r[key] for r in records], dtype=float)
+        finite = np.isfinite(vals)
+        counts = np.bincount(trial, finite, len(first))
+        if counts.any():
+            sums = np.bincount(trial, np.where(finite, vals, 0.0), len(first))
+            out[key] = _mean_ci(sums[counts > 0] / counts[counts > 0])
     out["audit_pass_fraction"] = float(np.mean([r["audit_pass"]
                                                 for r in records]))
     return out

@@ -49,7 +49,3 @@ def ue_rates(sinrs) -> np.ndarray:
                       else np.nan for s in map(np.asarray, sinrs)])
     return np.where(np.isfinite(rates), rates, np.nan)
 
-
-def sum_rate(sinrs) -> float:
-    """Sum over UEs and symbols of log2(1 + SINR), bits/s/Hz."""
-    return float(np.sum(ue_rates(sinrs)))

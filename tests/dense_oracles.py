@@ -55,7 +55,18 @@ the dense covariance, and the output y W^* with y flattened to
 zero rows included, as the library did before it built only each UE's
 own rows.  ``dist_transmit`` forms the distributed downlink's per-AP
 signals for given symbols, whose mean received powers
-``downlink.received_power_split`` gives in closed form.
+``received_power_split`` gives in closed form.
+
+``exact_uplink_sinrs`` is the MMSE SINR of every uplink symbol, co-channel
+ones included, in exact rational arithmetic: a float converts exactly to
+a ``Fraction``, so it is the true SINR of the float inputs.
+
+Reference copies that no trial runs live here too: ``map_oracle``, the
+brute-force exact posterior marginals that message passing is checked
+against (Kschischang, Frey & Loeliger, IEEE Trans. IT 2001);
+``received_power_split``, the desired / co-associated / cross-AP split of
+a distributed downlink's received power; and ``sample_small_scale``, one
+link's taps, which the link-by-link ``realize_channels`` draws.
 
 ``distributed_directions`` solves the distributed precoders one stack
 (one AP, or one AP on one subcarrier) at a time on the served columns
@@ -67,6 +78,7 @@ batched solve served every stack.
 from __future__ import annotations
 
 import warnings
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -76,8 +88,8 @@ from uccfsim.alloc import (MAX_FIXED_POINT, AllocationPlan, MaxMinResult,
                            _all_positive, allocate_subcarriers_greedy,
                            audit_plan, subcarrier_metric)
 from uccfsim.apmp import ApmpConfig, ApmpResult
-from uccfsim.channel import (ChannelRealization, sample_large_scale,
-                             sample_small_scale, subcarrier_gains)
+from uccfsim.channel import (ChannelRealization, pdp_profile,
+                             sample_large_scale, subcarrier_gains)
 from uccfsim.modulation import constellation, nearest_point, ue_rates
 from uccfsim.training import PilotPlan, _dft_columns, _guarded_inverse
 from uccfsim.uplink import (UplinkScene, scene_covariance, stacked_channel,
@@ -97,6 +109,54 @@ def uplink_sinr_all(scene: UplinkScene):
             Rki = R - eta * np.outer(b, b.conj())
             sinrs[i] = np.real(eta * b.conj() @ np.linalg.solve(Rki, b))
         out.append(sinrs)
+    return out
+
+
+def _quadratic_inverse(A, u) -> Fraction:
+    """u^T A^-1 u for a symmetric positive definite A, exactly: forward
+    elimination of [A | u] leaves A = L D L^T and c = L^-1 u, and the form
+    is the sum of c_i^2 / d_i."""
+    n = len(u)
+    rows = [row[:] + [ui] for row, ui in zip(A, u)]
+    total = Fraction(0)
+    for i in range(n):
+        pivot = rows[i][i]
+        total += rows[i][n] ** 2 / pivot
+        for r in range(i + 1, n):
+            f = rows[r][i] / pivot
+            if f:
+                for c in range(i + 1, n + 1):
+                    rows[r][c] -= f * rows[i][c]
+    return total
+
+
+def exact_uplink_sinrs(scene: UplinkScene, eta) -> list:
+    """Flat MMSE symbol SINRs eta_s b_s^H A_s^-1 b_s as Fractions, where
+    A_s = I / gamma_u + sum over the other symbols j on s's subcarrier of
+    eta_j b_j b_j^H, in exact arithmetic over the float inputs.  Hermitian
+    A_s is taken in its real form [[Re, -Im], [Im, Re]], in which b b^H is
+    u u^T + w w^T for u = [Re b; Im b] and w = [-Im b; Re b], and
+    b^H A^-1 b is u^T A^-1 u."""
+    M = scene.num_aps
+    noise = 1 / Fraction(scene.gamma_u)
+    eta = [Fraction(e) for e in eta]
+    u, w = [], []
+    for k, n in zip(scene.ue, scene.sub):
+        re = [Fraction(h.real) for h in scene.freq[:, k, n]]
+        im = [Fraction(h.imag) for h in scene.freq[:, k, n]]
+        u.append(re + im)
+        w.append([-v for v in im] + re)
+    out = []
+    for s, n in enumerate(scene.sub):
+        A = [[noise if i == j else Fraction(0) for j in range(2 * M)]
+             for i in range(2 * M)]
+        for j in np.flatnonzero(scene.sub == n):
+            if j == s or not eta[j]:
+                continue
+            for i in range(2 * M):
+                for c in range(2 * M):
+                    A[i][c] += eta[j] * (u[j][i] * u[j][c] + w[j][i] * w[j][c])
+        out.append(eta[s] * _quadratic_inverse(A, u[s]))
     return out
 
 
@@ -251,11 +311,38 @@ def dist_transmit(dirs, powers, symbols) -> np.ndarray:
     """Per-AP signals s_m = sum_k sqrt(P_mk) dir_mk x_k, shape (M, U), from
     (M, U, K) directions and (M, K) powers: what
     ``downlink.receive_downlink`` hears, sample by sample, and what
-    ``downlink.received_power_split`` takes the expectation of."""
+    ``received_power_split`` takes the expectation of."""
     dirs = np.asarray(dirs, dtype=complex)
     powers = np.asarray(powers, dtype=float)
     x = np.asarray(symbols, dtype=complex)
     return np.einsum("muk,mk,k->mu", dirs, np.sqrt(powers), x)
+
+
+def received_power_split(channels, assoc, dirs, powers, k) -> dict:
+    """Desired / co-associated / cross-AP mean received powers at UE k.
+
+    ``powers`` is (M, K), the per-AP power of each stream.  Expectation
+    over unit-power independent symbols.  Stream l reaches UE k with the
+    coherent amplitude sum_m sqrt(P_ml) h_mk^T dir_ml over its serving APs,
+    which is what ``downlink.receive_downlink`` adds up for the per-AP
+    signals of :func:`dist_transmit` when, as
+    ``downlink.distributed_directions`` makes them, the directions vanish
+    off the association.  A stream l != k is co-associated when it shares
+    an AP with UE k and cross-AP otherwise.
+    """
+    h = np.asarray(channels, dtype=complex)
+    if h.ndim == 2:
+        h = h[:, None, :]
+    amp = np.zeros(len(assoc.ap_sets), dtype=complex)
+    for m, l in zip(*np.nonzero(assoc.zeta())):
+        amp[l] += np.sqrt(powers[m, l]) * (h[m, :, k] @ dirs[m, :, l])
+    power = np.abs(amp) ** 2
+    others = np.arange(len(amp)) != k
+    mine = set(assoc.ap_sets[k])
+    co = others & [not mine.isdisjoint(aps) for aps in assoc.ap_sets]
+    return {"desired_amplitude": amp[k], "desired": power[k],
+            "co_associated": float(power[co].sum()),
+            "cross_ap": float(power[others & ~co].sum())}
 
 
 def stacked_weights(scene: UplinkScene, k: int, V) -> np.ndarray:
@@ -584,6 +671,47 @@ def apmp_detect(scene, assoc, y, config: ApmpConfig = ApmpConfig()) -> ApmpResul
                       trace=trace, undetected=undetected)
 
 
+# largest joint enumeration allowed in the exact oracle
+_ORACLE_GUARD = 2 ** 20
+
+
+def map_oracle(scene, assoc, component, y, points="bpsk"):
+    """Exact posterior marginals by joint enumeration inside one component.
+
+    ``component`` is an (AP set, UE set) pair from the factor graph.  The
+    joint likelihood factorizes over subcarriers, so each subcarrier's
+    active UEs are enumerated separately; the guard caps that enumeration.
+    Returns {(ue, slot): (Q,) posterior} for every symbol in the component.
+    """
+    aps, ues = component
+    pts = constellation(points)
+    Q = len(pts)
+    slot_of = [{int(n): i for i, n in enumerate(s)} for s in scene.subcarriers]
+    out = {}
+    for n in range(scene.num_subcarriers):
+        active = sorted(k for k in ues if n in slot_of[k])
+        if not active:
+            continue
+        if Q ** len(active) > _ORACLE_GUARD:
+            raise ValueError("oracle state space too large")
+        combos = apmp._joint_table(Q, len(active))
+        loglik = np.zeros(len(combos))
+        for m in sorted(aps):
+            who = [k for k in assoc.ue_sets[m] if n in slot_of[k]]
+            if not who:
+                continue
+            amp = np.array([[np.sqrt(scene.power[k][slot_of[k][n]])
+                             * scene.freq[m, k, n] for k in who]])
+            cols = [active.index(k) for k in who]
+            mean = apmp._joint_means(amp, pts, combos[:, cols])[0]
+            loglik = loglik - scene.gamma_u * np.abs(y[m, n] - mean) ** 2
+        joint = loglik.reshape((1,) + (Q,) * len(active))
+        for col, k in enumerate(active):
+            post = apmp._marginalize(joint, col, len(active))[0]
+            p = np.exp(post - post.max())
+            out[(k, slot_of[k][n])] = p / p.sum()
+    return out
+
 
 class EdgeIndex:
     """``apmp.EdgeIndex`` built as it was before it read the graph off the
@@ -739,6 +867,14 @@ def bracket_mmse_estimate(y, level, plan: PilotPlan, ues, priors,
                 raise ValueError("ill-conditioned training: degenerate prior")
             out[k] = (G @ y) / c
     return out
+
+
+def sample_small_scale(num_taps: int, rng, decay: float = 0.0) -> np.ndarray:
+    """I.i.d. circularly-symmetric Gaussian taps with E[sum |h|^2] = 1."""
+    rng = np.random.default_rng(rng)
+    p = pdp_profile(num_taps, decay)
+    z = rng.standard_normal(num_taps) + 1j * rng.standard_normal(num_taps)
+    return np.sqrt(p / 2.0) * z
 
 
 def realize_channels(topology, model, num_subcarriers: int, num_taps=2,

@@ -12,17 +12,17 @@ import numpy as np
 import pytest
 
 import dense_oracles
+from dense_oracles import (map_oracle, received_power_split,
+                           sample_small_scale)
 
 from uccfsim.alloc import (allocate_power_waterfill, successive_optimize,
                            ul_rates)
-from uccfsim.apmp import ApmpConfig, apmp_detect, map_oracle
+from uccfsim.apmp import ApmpConfig, apmp_detect
 from uccfsim.channel import (DoubleSlope, LargeScaleModel,
-                             pathloss_triple_slope, sample_large_scale,
-                             sample_small_scale)
+                             pathloss_triple_slope, sample_large_scale)
 from uccfsim.downlink import (artificial_noise_direction, compute_a0,
                               distributed_directions, receive_downlink,
-                              received_power_split, secrecy_transmit,
-                              tmmse_central_ofdm)
+                              secrecy_transmit, tmmse_central_ofdm)
 from uccfsim.engine import results_to_csv, run_scenario
 from uccfsim.modulation import CONSTELLATIONS
 from uccfsim.topology import AssociationMap, associate_large_scale, \

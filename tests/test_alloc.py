@@ -709,9 +709,9 @@ def test_uplink_plan_on_one_scene_is_the_oracle_bit_for_bit(seed,
     subcarriers instead builds no scene and calls no kernel: its SINRs are
     its powers times the channel energies, the oracle's solo evaluations
     of each UE are its energies at the full budget within 1e-12, and its
-    powers, SINRs and objective are the oracle's within 1e-12.  A max-min
-    plan's audit is the oracle's plus ``ul_covariance_resolved``, which
-    holds at these SNRs.  The scenes cover exclusive and shared mode, zero
+    powers, SINRs and objective are the oracle's within 1e-12.  The plan's
+    audit is the oracle's plus ``ul_covariance_resolved``, which holds at
+    these SNRs.  The scenes cover exclusive and shared mode, zero
     demands and disconnected UEs."""
     freq, assoc, kwargs = random_allocation_scene(np.random.default_rng(seed))
     kwargs["refine_iterations"] = refine
@@ -746,8 +746,7 @@ def test_uplink_plan_on_one_scene_is_the_oracle_bit_for_bit(seed,
     sinrs = evaluations[-1][1]
     assert same_arrays(new.subcarriers, old.subcarriers)
     audit = dict(new.audit)
-    if objective == "max_min":
-        assert audit.pop("ul_covariance_resolved") is True
+    assert audit.pop("ul_covariance_resolved") is True
     assert audit == old.audit
     if objective == "max_min" and separable(new):
         assert not built and not calls
@@ -857,8 +856,8 @@ class TestSinglePowerStage:
                                              direction=direction, **kwargs)
             assert same_arrays(new.subcarriers, old.subcarriers)
             audit = dict(new.audit)
-            if (direction, objective) == ("ul", "max_min"):
-                assert audit.pop("ul_covariance_resolved") is True
+            assert audit.pop({"ul": "ul_covariance_resolved",
+                              "dl": "dl_bracket_resolved"}[direction]) is True
             assert audit == old.audit
             if (direction, objective) == ("ul", "max_min") and \
                     separable(new):
@@ -895,7 +894,9 @@ class TestSinglePowerStage:
             old = oracle.successive_optimize(freq, assoc, objective="max_min",
                                              direction="dl", **kwargs)
             assert same_arrays(new.subcarriers, old.subcarriers)
-            assert new.audit == old.audit
+            audit = dict(new.audit)
+            assert audit.pop("dl_bracket_resolved") is True
+            assert audit == old.audit
             np.testing.assert_allclose(new.dl_power, old.dl_power,
                                        rtol=1e-12, atol=1e-15)
             assert new.objective == pytest.approx(old.objective, rel=1e-9)
@@ -1090,6 +1091,77 @@ class TestAudit:
                     assert np.linalg.matrix_rank(R[n]) < M
         # a co-channel plan past the threshold need not complete
         assert True in flags and (False in flags or mode == "shared")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sum_rate_plan_at_noise_1e22_fails_on_its_covariance(
+            self, monkeypatch):
+        """Trial 0 of the M2 K2 scenario at noise 1e-22: every symbol is
+        alone on its subcarrier, so gamma_u eta ||h||^2 is its exact SINR.
+        The kernel's SINRs are positive and finite, so
+        ``ul_sinrs_positive`` holds, but they are up to 18% off the exact
+        ones, because R_n's load is past 1 / (M eps).  The sum-rate plan
+        fails its audit on ``ul_covariance_resolved``; the trial's rates
+        stay finite."""
+        plans = []
+        optimize = alloc.successive_optimize
+
+        def spy(*args, **kwargs):
+            plans.append((args[0], kwargs["gamma_u"], optimize(*args,
+                                                               **kwargs)))
+            return plans[-1][2]
+
+        monkeypatch.setattr(alloc, "successive_optimize", spy)
+        records = run_trial(merge_scenario(
+            {"topology": {"num_aps": 2, "noise_variance": 1e-22}}), 0)
+        (freq, gamma_u, plan), = plans
+        ue = np.repeat(np.arange(2), [len(s) for s in plan.subcarriers])
+        exact = np.concatenate(plan.ul_power) * solo_unit_sinrs(
+            freq, ue, np.concatenate(plan.subcarriers), gamma_u)
+        assert np.max(np.abs(np.concatenate(plan.ul_sinrs) / exact - 1)) > 0.1
+        assert plan.audit["ul_sinrs_positive"]
+        assert not plan.audit["ul_covariance_resolved"]
+        assert not plan.audit["pass"]
+        assert all(np.isfinite(r["rate"]) and not r["audit_pass"]
+                   for r in records)
+
+    @pytest.mark.parametrize("M", [1, 2, 4])
+    def test_bracket_resolved_flags_exactly_past_the_condition_bound(self, M):
+        """``dl_bracket_resolved`` is False exactly where some used
+        subcarrier n has 1 + sum over its UEs of ||zeta_l o h_ln||^2 /
+        noise_var at or past 1 / (M eps).  That bounds the condition number
+        of the bracket noise_var I + sum h_ln^* h_ln^T the ``tmmse_ofdm``
+        plan solves: below 1e6 the bound holds, and the distributed
+        precoders, which solve no bracket, get no such key."""
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(M)
+        K, N = 2, 4
+        freq = (rng.standard_normal((M, K, N))
+                + 1j * rng.standard_normal((M, K, N))) / np.sqrt(2)
+        assoc = AssociationMap.from_ap_sets([[0], list(range(M))], num_aps=M)
+        flags = set()
+        for noise_var in 10.0 ** -np.linspace(0, 20, 21):
+            plan = successive_optimize(freq, assoc, 1, direction="dl",
+                                       noise_var=noise_var)
+            seen = freq * assoc.zeta()[:, :, None]
+            load = np.zeros(N)
+            for k, sub in enumerate(plan.subcarriers):
+                load[sub] += np.sum(np.abs(seen[:, k, sub]) ** 2, axis=0)
+            resolved = plan.audit["dl_bracket_resolved"]
+            assert resolved == bool(np.all(
+                1 + load / noise_var < 1 / (M * eps)))
+            flags.add(resolved)
+            for n in np.flatnonzero(load):
+                bound = 1 + load[n] / noise_var
+                if bound < 1e6:
+                    on = [k for k, sub in enumerate(plan.subcarriers)
+                          if n in sub]
+                    H = seen[:, on, n]
+                    bracket = noise_var * np.eye(M) + H.conj() @ H.T
+                    assert np.linalg.cond(bracket) <= bound * (1 + 1e-9)
+        assert flags == {True, False}
+        plan = successive_optimize(freq, assoc, 1, direction="dl",
+                                   noise_var=1e-20, precoder="dist_mf")
+        assert "dl_bracket_resolved" not in plan.audit
 
     def test_metric_counts_only_associated_aps(self):
         freq = np.ones((2, 1, 3), dtype=complex)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import dense_oracles
-from uccfsim.apmp import (ApmpConfig, EdgeIndex, apmp_detect, map_oracle,
-                          message_round)
+from dense_oracles import map_oracle
+from uccfsim.apmp import ApmpConfig, EdgeIndex, apmp_detect, message_round
 from uccfsim.modulation import CONSTELLATIONS
 from uccfsim.topology import AssociationMap, build_factor_graph
 from uccfsim.uplink import UplinkScene, equal_power_scene

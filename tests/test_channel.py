@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import dense_oracles
+from dense_oracles import sample_small_scale
 from uccfsim import channel
 from uccfsim.channel import (DoubleSlope, LargeScaleModel, TripleSlope,
                              pathloss_double_slope, pathloss_triple_slope,
                              pdp_profile, realize_channels, sample_large_scale,
-                             sample_small_scale, subcarrier_gains,
-                             triple_slope_offset_db)
+                             subcarrier_gains, triple_slope_offset_db)
 from uccfsim.topology import generate_topology
 
 # frozen independent evaluations (computed by hand / high-precision arithmetic)

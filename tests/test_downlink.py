@@ -11,15 +11,14 @@ from uccfsim.downlink import (artificial_noise_direction, compute_a0,
                               distributed_directions,
                               distributed_ofdm_directions, dl_sinr_ofdm,
                               expected_ap_element_powers, receive_downlink,
-                              received_power_split, secrecy_transmit,
-                              tmmse_bracket_solve, tmmse_central_ofdm,
-                              tmmse_scale)
-from uccfsim.modulation import sum_rate
+                              secrecy_transmit, tmmse_bracket_solve,
+                              tmmse_central_ofdm, tmmse_scale)
+from uccfsim.modulation import ue_rates
 from uccfsim.topology import AssociationMap
 
 import dense_oracles
-from dense_oracles import (dist_transmit, stacked_dl_channel,
-                           stacked_precoders)
+from dense_oracles import (dist_transmit, received_power_split,
+                           stacked_dl_channel, stacked_precoders)
 
 
 def random_channels(rng, M, K):
@@ -232,8 +231,8 @@ class TestDlSinr:
             assert abs(measured - g[k]) / g[k] < 0.05
 
     def test_sum_rate_values(self):
-        assert sum_rate([np.array([3.0])]) == pytest.approx(2.0)
-        assert sum_rate([np.array([0.0]), np.array([0.0])]) == 0.0
+        assert ue_rates([np.array([3.0])]).sum() == pytest.approx(2.0)
+        assert ue_rates([np.array([0.0]), np.array([0.0])]).sum() == 0.0
 
     def test_ofdm_equals_subcarrier_rate_for_single_symbol_ues(self):
         rng = np.random.default_rng(10)
@@ -245,7 +244,8 @@ class TestDlSinr:
         flat = dense_oracles.tmmse_central_ofdm(freq, sets, 0.2, delta)
         g_ofdm = dl_sinr_ofdm(freq, P, sets, 1.5, 0.2)
         g_flat = dense_oracles.dl_sinr_ofdm(freq, flat, sets, 1.5, 0.2)
-        assert sum_rate(g_ofdm) == pytest.approx(sum_rate(g_flat), rel=1e-10)
+        assert ue_rates(g_ofdm).sum() == pytest.approx(
+            ue_rates(g_flat).sum(), rel=1e-10)
 
 
 class TestDistributed:

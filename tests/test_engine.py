@@ -6,9 +6,9 @@ import pytest
 
 import dense_oracles
 from uccfsim import alloc, apmp, engine, uplink
-from uccfsim.engine import (DETECTORS, merge_scenario, results_to_csv,
-                            results_to_table, run_scenario, run_trial,
-                            scenario_hash, set_by_path, sweep,
+from uccfsim.engine import (DETECTORS, aggregate, merge_scenario,
+                            results_to_csv, results_to_table, run_scenario,
+                            run_trial, scenario_hash, set_by_path, sweep,
                             sweep_to_plot_data, trial_rng, validate_scenario)
 from uccfsim.modulation import ue_rates
 
@@ -259,6 +259,38 @@ def test_default_noise_maxmin_plans_resolve_their_covariances(
     run_scenario(scenario)
     assert len(audits) == 250
     assert all(audit["ul_covariance_resolved"] for audit in audits)
+
+
+@pytest.mark.parametrize("noise_variance", [1e-12, 1e-22])
+def test_tmmse_downlink_plans_flag_an_unresolved_bracket(noise_variance,
+                                                         monkeypatch):
+    """The default scenario with max-min, the downlink on and no
+    detector, seed 0.  At noise 1e-22 trial 1's downlink plan reports
+    SINRs of about 1.1e12, where SNR scaling from the 6.3e13 at noise 1e-18
+    predicts about 6e17: its bracket is past 1 / (M eps), and the plan
+    fails its audit on ``dl_bracket_resolved``.  At the default noise
+    every downlink plan resolves its bracket."""
+    optimize, plans = alloc.successive_optimize, []
+
+    def spy_optimize(*args, **kwargs):
+        plans.append(optimize(*args, **kwargs))
+        return plans[-1]
+
+    monkeypatch.setattr(alloc, "successive_optimize", spy_optimize)
+    run_scenario({"seed": 0, "trials": 2,
+                  "topology": {"noise_variance": noise_variance},
+                  "allocation": {"objective": "max_min"},
+                  "uplink": {"detector": "none"},
+                  "downlink": {"enabled": True}})
+    downlink_plans = [plan for plan in plans if plan.dl_sinrs is not None]
+    assert len(downlink_plans) == 2
+    if noise_variance == 1e-12:
+        assert all(plan.audit["dl_bracket_resolved"] and plan.audit["pass"]
+                   for plan in downlink_plans)
+    else:
+        audit = downlink_plans[1].audit
+        assert not audit["dl_bracket_resolved"] and not audit["pass"]
+        assert np.concatenate(downlink_plans[1].dl_sinrs).max() < 1e13
 
 
 def test_a_nan_rate_exports_a_nan_analytic_sinr():
@@ -865,3 +897,33 @@ class TestAggregation:
     def test_audit_fraction_is_one(self):
         res = run_scenario({**SMALL, "trials": 5})
         assert res["aggregate"]["audit_pass_fraction"] == 1.0
+
+    def test_per_ue_cis_come_from_per_trial_means(self):
+        """The UEs of a trial are one batch: a per-UE metric's mean and CI
+        are those of its per-trial means over the finite values, in any
+        record order, and its count is the number of trials that have
+        one.  A metric no trial has is left out."""
+        rates = {0: [1.0, 3.0], 1: [2.0, np.nan], 2: [np.nan, np.nan],
+                 3: [5.0, 9.0]}
+        records = [{"trial": t, "ue": k, "rate": v, "sum_rate": 10.0 * t,
+                    "ser": np.nan, "sinr_analytic": np.nan,
+                    "sinr_empirical": np.nan, "nmse": np.nan,
+                    "dl_rate": np.nan, "audit_pass": t != 2}
+                   for t, row in rates.items() for k, v in enumerate(row)]
+        agg = aggregate(records[::-1])
+        means = [2.0, 2.0, 7.0]
+        half = 1.96 * np.std(means, ddof=1) / np.sqrt(3)
+        assert agg["rate"]["count"] == 3
+        assert agg["rate"]["mean"] == pytest.approx(np.mean(means))
+        assert agg["rate"]["ci_hi"] - agg["rate"]["mean"] == pytest.approx(half)
+        assert agg["rate"]["mean"] - agg["rate"]["ci_lo"] == pytest.approx(half)
+        assert agg["sum_rate"]["count"] == 4
+        assert agg["sum_rate"]["mean"] == pytest.approx(15.0)
+        assert "ser" not in agg
+        assert agg["audit_pass_fraction"] == 0.75
+
+    def test_counts_are_trials(self):
+        res = run_scenario({**SMALL, "trials": 5})
+        assert len(res["records"]) == 10
+        assert all(stat["count"] == 5 for stat in res["aggregate"].values()
+                   if isinstance(stat, dict))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracles
-from uccfsim.modulation import CONSTELLATIONS, sum_rate
+from uccfsim.modulation import CONSTELLATIONS, ue_rates
 from uccfsim.topology import AssociationMap
 from uccfsim.uplink import (UplinkScene, combined_sinr,
                             combined_weights, combining_lambdas,
@@ -388,9 +388,61 @@ class TestSoloSinr:
                     Fraction(4 * eps) * (1 + want) * want)
 
 
+@st.composite
+def cochannel_cases(draw):
+    """An uplink plan in which every subcarrier carries 2 to 4 symbols: M
+    <= 4 APs, K = 4 UEs, N <= 3 subcarriers, channel components as in
+    ``solo_cases``, each UE's budget split over its symbols and gamma_u
+    from 1 to 1e14."""
+    M, K, N = draw(st.integers(1, 4)), 4, draw(st.integers(1, 3))
+    parts = np.array(draw(st.lists(_components, min_size=2 * M * K * N,
+                                   max_size=2 * M * K * N)))
+    freq = (parts[::2] + 1j * parts[1::2]).reshape(M, K, N)
+    on = [draw(st.sets(st.integers(0, K - 1), min_size=2, max_size=4))
+          for _ in range(N)]
+    subs = [[n for n in range(N) if k in on[n]] for k in range(K)]
+    power = [[draw(st.floats(1e-6, 1.0)) / len(s) for _ in s] for s in subs]
+    gamma_u = 10.0 ** draw(st.floats(0, 14))
+    return UplinkScene(freq=freq, subcarriers=subs, power=power,
+                       gamma_u=gamma_u)
+
+
+class TestCochannelSinr:
+    @settings(max_examples=100, deadline=None)
+    @given(scene=cochannel_cases())
+    def test_is_the_exact_sinr_where_the_covariance_is_resolved(self, scene):
+        """``uplink_sinr_all`` against the exact rational MMSE SINRs of
+        ``dense_oracles.exact_uplink_sinrs``, symbol by symbol, wherever
+        1 + load <= 1e8, with load the sum over the subcarrier's symbols of
+        gamma_u eta ||h||^2 as ``ul_covariance_resolved`` defines it.  The
+        kernel cancels eta b b^H out of R_n, whose entries are up to
+        (1 + load) / gamma_u, and solves a system whose condition number
+        is up to 1 + load, so it is held to 32 eps (1 + load) relative.
+        Measured on 14,300 random co-channel scenes (M <= 4, 2 to 4 symbols
+        per subcarrier, gamma_u from 1 to 1e14, 84,000 symbols): at most
+        2.1 eps (1 + load) where 1 + load <= 1e8, or 1.9e-8 relative; past
+        it the error reached 1.97 relative."""
+        eps = np.finfo(float).eps
+        eta = np.concatenate(scene.power)
+        load = np.bincount(scene.sub, eta * solo_unit_sinrs(
+            scene.freq, scene.ue, scene.sub, scene.gamma_u),
+            scene.num_subcarriers)
+        try:
+            got = uplink_sinr_all(scene, eta)
+        except np.linalg.LinAlgError:
+            # a subcarrier whose R_n - eta b b^H rounds to singular
+            assert 1 + load.max() > 1e8
+            return
+        exact = dense_oracles.exact_uplink_sinrs(scene, eta)
+        for g, want, n in zip(got, exact, scene.sub):
+            if 1 + load[n] <= 1e8:
+                assert abs(Fraction(g) - want) <= (
+                    Fraction(32 * eps) * Fraction(1 + load[n]) * want)
+
+
 class TestSumRate:
     def test_unit_sinr_single_symbol(self):
-        assert sum_rate([np.array([1.0])]) == pytest.approx(1.0)
+        assert ue_rates([np.array([1.0])]).sum() == pytest.approx(1.0)
 
     def test_zero_power_gives_zero(self):
         rng = np.random.default_rng(8)
@@ -398,7 +450,7 @@ class TestSumRate:
                 + 1j * rng.standard_normal((2, 1, 2)))
         scene = UplinkScene(freq=freq, subcarriers=[[0, 1]],
                             power=[[0.0, 0.0]], gamma_u=10.0)
-        assert sum_rate(closed_form(scene)) == pytest.approx(0.0)
+        assert ue_rates(closed_form(scene)).sum() == pytest.approx(0.0)
 
     def test_additive_over_independent_components(self):
         rng = np.random.default_rng(9)
@@ -413,9 +465,9 @@ class TestSumRate:
                              power=[[1.0]], gamma_u=15.0)
         alone1 = UplinkScene(freq=freq[1:, 1:], subcarriers=[[0]],
                              power=[[1.0]], gamma_u=15.0)
-        assert sum_rate(closed_form(joint)) == pytest.approx(
-            sum_rate(closed_form(alone0))
-            + sum_rate(closed_form(alone1)), rel=1e-9)
+        assert ue_rates(closed_form(joint)).sum() == pytest.approx(
+            ue_rates(closed_form(alone0)).sum()
+            + ue_rates(closed_form(alone1)).sum(), rel=1e-9)
 
 
 class TestColumnSliced:
@@ -441,7 +493,7 @@ class TestColumnSliced:
             assoc = AssociationMap.from_ap_sets([[0, 1], [1, 2]], num_aps=3)
             sliced = lmmse_column_sliced(scene, assoc)
             r_sliced = np.sum(np.log2(1 + weight_output_sinr(scene, sliced)))
-            r_full = sum_rate(closed_form(scene))
+            r_full = ue_rates(closed_form(scene)).sum()
             if r_full >= r_sliced - 1e-9:
                 wins += 1
         assert wins == trials
