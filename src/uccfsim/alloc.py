@@ -29,17 +29,16 @@ Max-min power control runs Yates' fixed-point iteration inside the
 bisection and never evaluates the same powers twice in a row; the closing
 evaluation of the chosen powers reuses the last one when they match.  Its
 bound on the common target is each UE's SINR alone at its full budget.
-On an uplink plan whose symbols all sit on distinct subcarriers (every
-``exclusive`` plan) a symbol's R_n holds its own UE only, so its exact
-SINR is its power times :func:`~uccfsim.uplink.solo_unit_sinrs`
-(gamma_u ||h_kn||^2): a max-min plan then builds no scene, its evaluator
-is powers times energies, one evaluation at the full budgets gives every
-bound, and each budget scaled to the weakest bound is the optimum.
-Shared plans with co-channel symbols and the downlink (where A0 couples
-the UEs) evaluate each UE alone.  Exact SINRs cannot fail where the
-kernel's cancellation would, and kernel SINRs can be finite and positive
-where R_n has lost its noise floor, so every uplink plan's audit checks
-that every R_n at its powers is resolved (``ul_covariance_resolved``).
+A max-min plan whose symbols all sit on distinct subcarriers takes its
+closed form from two evaluations; on the uplink it builds no scene, as
+its exact SINRs are its powers times
+:func:`~uccfsim.uplink.solo_unit_sinrs` (gamma_u ||h_kn||^2).  Plans
+with co-channel symbols, in either direction, evaluate each UE alone for
+the bound and run the fixed point and the bisection.  Exact SINRs cannot
+fail where the kernel's cancellation would, and kernel SINRs can be
+finite and positive where R_n has lost its noise floor, so every uplink
+plan's audit checks that every R_n at its powers is resolved
+(``ul_covariance_resolved``).
 A centralized MMSE downlink plan checks the same of every bracket it
 solves (``dl_bracket_resolved``).
 """
@@ -69,30 +68,22 @@ def subcarrier_metric(freq, assoc) -> np.ndarray:
     return out
 
 
-def allocate_subcarriers_greedy(metric, demands, mode="exclusive",
-                                components=None):
+def allocate_subcarriers_greedy(metric, demands, ue_groups=None):
     """Greedy subcarrier assignment, weakest UE first.
 
-    UEs are served in ascending order of their best subcarrier metric (ties
-    to the lower UE index); each takes its ``demands[k]`` best unclaimed
-    subcarriers.  ``exclusive`` mode claims globally; ``shared`` mode claims
-    per factor-graph component so separated components reuse the band.
-    Returns one sorted index array per UE.
+    ``ue_groups`` lists the UE sets whose members may not share a
+    subcarrier (None: one set of every UE); each set claims the band on
+    its own, so separate sets reuse it, and a UE in no set gets nothing.
+    Within a set, UEs are served in ascending order of their best
+    subcarrier metric (ties to the lower UE index); each takes its
+    ``demands[k]`` best unclaimed subcarriers.  Returns one sorted index
+    array per UE.
     """
     metric = np.asarray(metric, dtype=float)
     K, N = metric.shape
     demands = np.broadcast_to(np.asarray(demands, dtype=int), (K,))
-    if mode == "exclusive":
-        groups = {0: list(range(K))}
-    elif mode == "shared":
-        if components is None:
-            raise ValueError("shared mode needs factor-graph components")
-        groups = {i: sorted(c[1]) for i, c in enumerate(components)}
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
     chosen = [np.array([], dtype=int) for _ in range(K)]
-    for gid, members in groups.items():
+    for members in [range(K)] if ue_groups is None else ue_groups:
         need = int(sum(demands[k] for k in members))
         if need > N:
             raise ValueError(
@@ -158,7 +149,9 @@ def allocate_power_waterfill(snr_per_unit, budget) -> np.ndarray:
 @dataclass
 class MaxMinResult:
     powers: np.ndarray
-    target: float                 # achieved common SINR floor
+    # achieved common SINR floor; on a downlink closed form the weakest
+    # SINR at full budgets, below the achieved floor (``plan.objective``)
+    target: float
     achieved: np.ndarray          # per-UE SINRs at the returned powers
     noise_limited: bool           # the floor binds at a UE's zero-interference bound
 
@@ -173,11 +166,12 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3,
     deterministic: the SINRs of powers already evaluated are reused, and
     the same powers are never evaluated twice in a row.  A UE's SINR alone
     at its full budget bounds every common target.  ``separable`` declares
-    that each UE's SINR depends on its own power only, bit for bit: one
-    evaluation at the full budgets then gives every UE's bound, and each
-    budget scaled to the weakest bound meets it when the SINRs are linear
-    in own power, which one more evaluation confirms.  Otherwise, and
-    without ``separable`` (each UE evaluated alone), the fixed point runs.
+    that each UE's SINR is its own power times a constant over one common
+    factor that does not fall when a power rises (1 on the uplink,
+    noise_var / A0^2 on the downlink): budgets scaled to the weakest SINR
+    at full budgets, the returned ``target``, meet it and equalize every
+    UE, which one more evaluation confirms.  Otherwise the fixed point
+    runs.
     When the bound is not positive, no target is, and the full budgets are
     returned; a negative or NaN bound is a numerical failure of the
     evaluator, which the caller's checks flag.
@@ -202,7 +196,7 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3,
             g = evaluator(p)
         return np.all(g >= target * (1 - 1e-6)), p, g
 
-    # interference-free upper bound per UE caps any common target
+    # each UE alone at its full budget caps any common target
     alone = evaluator(budgets) if separable else np.array(
         [evaluator(solo)[k] for k, solo in enumerate(np.diag(budgets))])
     hi = float(alone.min())
@@ -210,8 +204,8 @@ def maxmin_power_control(evaluator, budgets, tol=1e-3,
         return MaxMinResult(powers=budgets, target=hi,
                             achieved=evaluator(budgets), noise_limited=False)
     if separable:
-        # Yates' interference function is constant: each UE scales its
-        # budget to the weakest bound (a UE at its bound, inf too, keeps it)
+        # each UE scales its budget to the weakest bound (a UE at its
+        # bound, inf too, keeps it); the common factor cannot rise
         p = budgets * np.divide(hi, alone, out=np.ones(K), where=alone > hi)
         g = alone if np.array_equal(p, budgets) else evaluator(p)
         if np.all(g >= hi * (1 - 1e-6)):
@@ -251,20 +245,16 @@ class AllocationPlan:
 
 
 def audit_plan(plan: AllocationPlan, num_subcarriers: int,
-               mode="exclusive", components=None, checks=None) -> dict:
-    """Constraint audit: budgets, assignment and the named ``checks``."""
+               ue_groups=None, checks=None) -> dict:
+    """Constraint audit: budgets, assignment (no subcarrier twice in one of
+    ``ue_groups``; None: every UE) and the named ``checks``."""
     seen = np.concatenate([np.asarray(s) for s in plan.subcarriers]) \
         if plan.subcarriers else np.array([])
     report = {"subcarriers_in_range":
               bool(((seen >= 0) & (seen < num_subcarriers)).all())}
-    if mode == "exclusive":
-        report["no_subcarrier_reuse"] = len(seen) == len(set(seen.tolist()))
-    else:
-        ok = True
-        for comp in components or []:
-            seen = [n for k in comp[1] for n in plan.subcarriers[k]]
-            ok &= len(seen) == len(set(seen))
-        report["no_subcarrier_reuse"] = bool(ok)
+    groups = [range(len(plan.subcarriers))] if ue_groups is None else ue_groups
+    used = [[n for k in g for n in plan.subcarriers[k]] for g in groups]
+    report["no_subcarrier_reuse"] = all(len(u) == len(set(u)) for u in used)
     if plan.ul_power is not None:
         fits, over, negative = power_breaches(
             map(len, plan.subcarriers), np.concatenate([[], *plan.ul_power]),
@@ -298,16 +288,17 @@ def _all_positive(g) -> bool:
 def successive_optimize(freq, assoc, demands, objective="sum_rate",
                         direction="ul", gamma_u=None, noise_var=None,
                         p_max=1.0, p_max_element=None, precoder="tmmse_ofdm",
-                        reg=None, mode="exclusive", components=None,
+                        reg=None, ue_groups=None,
                         refine_iterations=1) -> AllocationPlan:
     """Association -> greedy subcarriers -> power, stage by stage.
 
     The association is taken as given (computed by the topology module);
     a UE without an AP receives no resources and gets rate 0.
-    ``dist_regmmse``'s ``reg`` defaults to ``noise_var``.  An uplink
-    max-min plan on which no subcarrier carries two symbols takes every
-    SINR from the channel energies.  Every uplink plan's audit adds
-    ``ul_covariance_resolved``: 1 + sum over each used subcarrier's
+    ``ue_groups`` is as in :func:`allocate_subcarriers_greedy`.
+    ``dist_regmmse``'s ``reg`` defaults to ``noise_var``.  A max-min plan
+    on which no subcarrier carries two symbols is separable; on the uplink
+    it takes every SINR from the channel energies.  Every uplink plan's
+    audit adds ``ul_covariance_resolved``: 1 + sum over each used subcarrier's
     symbols of gamma_u eta ||h||^2 < 1 / (M eps) at the emitted powers.
     For M > 1 that is numpy's ``matrix_rank`` rule on R_n; for M = 1,
     where ``matrix_rank`` never flags a positive scalar, it is the point
@@ -323,14 +314,14 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
     demands = np.broadcast_to(np.asarray(demands, dtype=int), (K,)).copy()
     demands[[not assoc.ap_sets[k] for k in range(K)]] = 0
     metric = subcarrier_metric(freq, assoc)
-    subs = allocate_subcarriers_greedy(metric, demands, mode, components)
+    subs = allocate_subcarriers_greedy(metric, demands, ue_groups)
     # every transmitted symbol as a (UE, subcarrier) index pair
     counts = np.array([len(s) for s in subs])
     ks, ns = np.repeat(np.arange(K), counts), np.concatenate(subs)
     cuts = np.cumsum(counts)[:-1]
-    # an uplink max-min plan whose symbols all sit on distinct subcarriers
-    # (every exclusive plan): no UE's SINRs depend on another's powers
-    separable = (objective == "max_min" and direction == "ul"
+    # a max-min plan whose symbols all sit on distinct subcarriers: each
+    # UE's SINRs are its own power times constants over a common factor
+    separable = (objective == "max_min"
                  and 0 < len(ns) == len(set(ns.tolist())))
     # an evaluation maps flat symbol powers to flat symbol SINRs; a
     # downlink one also records its plan fields, and the plan keeps the last
@@ -474,5 +465,5 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
         subcarriers=subs, **fields,
         objective=float(ue_rates(sinrs).sum() if objective == "sum_rate"
                         else achieved.min() if achieved.size else 0.0))
-    plan.audit = audit_plan(plan, N, mode, components, checks)
+    plan.audit = audit_plan(plan, N, ue_groups, checks)
     return plan

@@ -337,7 +337,7 @@ def _detect_uplink(scenario, scene, assoc, gains, plan_sinrs, rng):
     return out
 
 
-def _run_downlink(scenario, real, assoc, components):
+def _run_downlink(scenario, real, assoc, ue_groups):
     """The per-UE rates and mean symbol SINRs of the configured precoder's
     downlink plan, and whether that plan passes its audit."""
     cfg, alloc_cfg = scenario["downlink"], scenario["allocation"]
@@ -348,8 +348,7 @@ def _run_downlink(scenario, real, assoc, components):
             objective=alloc_cfg["objective"], direction="dl",
             noise_var=scenario["topology"]["noise_variance"],
             p_max=cfg["p_max"], p_max_element=cfg["p_max_element"],
-            precoder=cfg["precoder"], reg=cfg["reg"], mode=alloc_cfg["mode"],
-            components=components,
+            precoder=cfg["precoder"], reg=cfg["reg"], ue_groups=ue_groups,
             refine_iterations=alloc_cfg["refine_iterations"])
     except np.linalg.LinAlgError:
         # a numerically singular precoder bracket: every SINR is unknown
@@ -383,8 +382,9 @@ def run_trial(scenario, trial: int, digest=None) -> list:
     if scenario["training"]["enabled"]:
         hf, nmse = _estimate_channels(scenario, real, assoc, rng)
 
-    components = (topology.build_factor_graph(assoc).components
-                  if scenario["allocation"]["mode"] == "shared" else None)
+    ue_groups = ([sorted(ues) for _, ues
+                  in topology.build_factor_graph(assoc).components]
+                 if scenario["allocation"]["mode"] == "shared" else None)
 
     # plan with the global evaluator regardless of detector, so that
     # detector comparisons on a shared seed run identical allocations
@@ -394,8 +394,7 @@ def run_trial(scenario, trial: int, digest=None) -> list:
         plan = alloc.successive_optimize(
             hf, assoc, scenario["allocation"]["demands"],
             objective=scenario["allocation"]["objective"], direction="ul",
-            gamma_u=gamma_u, mode=scenario["allocation"]["mode"],
-            components=components,
+            gamma_u=gamma_u, ue_groups=ue_groups,
             refine_iterations=scenario["allocation"]["refine_iterations"])
     except np.linalg.LinAlgError:
         # a numerically singular covariance while planning: every uplink
@@ -414,7 +413,7 @@ def run_trial(scenario, trial: int, digest=None) -> list:
     audit_pass = (plan is not None and plan.audit.get("pass", False)
                   and bool(np.all(np.isfinite(det["rates"]))))
     if scenario["downlink"]["enabled"]:
-        dl = _run_downlink(scenario, real, assoc, components)
+        dl = _run_downlink(scenario, real, assoc, ue_groups)
         audit_pass = audit_pass and dl["audit_pass"]
 
     overhead = 0.0

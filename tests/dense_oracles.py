@@ -1003,9 +1003,8 @@ def ul_rates(freq, gamma_u, subcarriers, powers):
 
 def successive_optimize(freq, assoc, demands, objective="sum_rate",
                         direction="ul", gamma_u=None, noise_var=None,
-                        p_max=1.0, p_max_element=None, mode="exclusive",
-                        components=None, refine_iterations=1,
-                        min_refine=1) -> AllocationPlan:
+                        p_max=1.0, p_max_element=None, ue_groups=None,
+                        refine_iterations=1, min_refine=1) -> AllocationPlan:
     """Association -> greedy subcarriers -> power, with separate uplink
     and downlink power stages.
 
@@ -1019,7 +1018,7 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
     demands = np.broadcast_to(np.asarray(demands, dtype=int), (K,)).copy()
     demands[[not assoc.ap_sets[k] for k in range(K)]] = 0
     metric = subcarrier_metric(freq, assoc)
-    subs = allocate_subcarriers_greedy(metric, demands, mode, components)
+    subs = allocate_subcarriers_greedy(metric, demands, ue_groups)
 
     if direction == "ul":
         healthy, seen = True, None
@@ -1062,7 +1061,7 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
             evaluate(powers)        # the health check sees the final powers
         plan = AllocationPlan(subcarriers=subs, ul_power=powers,
                               objective=objective_value)
-        plan.audit = audit_plan(plan, N, mode, components,
+        plan.audit = audit_plan(plan, N, ue_groups,
                                 {"ul_sinrs_positive": healthy})
         return plan
 
@@ -1115,7 +1114,7 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
     if objective == "max_min":
         plan.objective = float(min((np.min(g) for g in sinrs
                                     if len(g)), default=0.0))
-    plan.audit = audit_plan(plan, N, mode, components)
+    plan.audit = audit_plan(plan, N, ue_groups)
     return plan
 
 

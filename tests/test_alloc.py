@@ -61,10 +61,9 @@ class TestGreedySubcarriers:
 
     def test_shared_mode_reuses_across_components(self):
         assoc = AssociationMap.from_ap_sets([[0], [1]], num_aps=2)
-        graph = build_factor_graph(assoc)
         metric = np.ones((2, 2))
-        subs = allocate_subcarriers_greedy(metric, demands=2, mode="shared",
-                                           components=graph.components)
+        subs = allocate_subcarriers_greedy(metric, demands=2,
+                                           ue_groups=component_groups(assoc))
         assert np.array_equal(subs[0], [0, 1])
         assert np.array_equal(subs[1], [0, 1])
 
@@ -559,6 +558,11 @@ class TestPlanScenes:
         assert len(solves) == 1
 
 
+def component_groups(assoc):
+    """The UE sets of shared mode: each factor-graph component's UEs."""
+    return [sorted(ues) for _, ues in build_factor_graph(assoc).components]
+
+
 def random_allocation_scene(rng):
     """A small random scene and the keyword arguments of one optimizer call:
     some UEs disconnected, exclusive or shared mode, 1 to 3 refinement
@@ -591,9 +595,8 @@ def random_allocation_scene(rng):
         demands = rng.integers(0, N // K + 1, size=K)
     assoc = AssociationMap.from_ap_sets(ap_sets, num_aps=M)
     kwargs = dict(
-        demands=demands, mode=mode,
-        components=(build_factor_graph(assoc).components
-                    if mode == "shared" else None),
+        demands=demands,
+        ue_groups=component_groups(assoc) if mode == "shared" else None,
         refine_iterations=int(rng.integers(1, 4)),
         p_max_element=None if rng.random() < 0.5 else rng.uniform(0.05, 1.0),
         gamma_u=10 ** rng.uniform(0, 2), noise_var=10 ** rng.uniform(-2, 0))
@@ -782,13 +785,13 @@ def test_uplink_plan_on_one_scene_is_the_oracle_bit_for_bit(seed,
         assert new.objective == (sinrs.min() if sinrs.size else 0.0)
 
 
-@pytest.mark.parametrize("direction,mode", [
-    ("ul", "shared"), ("dl", "exclusive"), ("dl", "shared")])
+@pytest.mark.parametrize("direction,mode", [("ul", "shared"),
+                                            ("dl", "shared")])
 def test_coupled_maxmin_plans_keep_the_oracle_call_sequence(direction, mode):
-    """Where UEs couple, through co-channel symbols on the uplink and
-    through A0 on every downlink plan, max-min evaluates each UE alone for
-    its bound: the power control sees the oracle's calls, less the repeats
-    the library reuses, and returns the oracle's result bit for bit."""
+    """Where UEs couple through co-channel symbols, in either direction,
+    max-min evaluates each UE alone for its bound: the power control sees
+    the oracle's calls, less the repeats the library reuses, and returns
+    the oracle's result bit for bit."""
     rng = np.random.default_rng(31)
     freq = (rng.standard_normal((3, 3, 6))
             + 1j * rng.standard_normal((3, 3, 6))) / np.sqrt(2)
@@ -812,9 +815,8 @@ def test_coupled_maxmin_plans_keep_the_oracle_call_sequence(direction, mode):
     with mock.patch.object(alloc, "maxmin_power_control", compared):
         plan = successive_optimize(
             freq, assoc, demands=2, objective="max_min", direction=direction,
-            gamma_u=10.0, noise_var=0.1, mode=mode,
-            components=(build_factor_graph(assoc).components
-                        if mode == "shared" else None))
+            gamma_u=10.0, noise_var=0.1,
+            ue_groups=component_groups(assoc) if mode == "shared" else None)
     ns = np.concatenate(plan.subcarriers)
     assert (len(set(ns.tolist())) < ns.size) == (mode == "shared")
     (kwargs, old, new, old_calls, new_calls), = runs
@@ -830,6 +832,47 @@ def test_coupled_maxmin_plans_keep_the_oracle_call_sequence(direction, mode):
     assert new.target == old.target
     assert np.array_equal(new.achieved, old.achieved)
     assert new.noise_limited == old.noise_limited
+
+
+def test_separable_dl_maxmin_plans_take_the_closed_form():
+    """A downlink max-min plan whose symbols sit on distinct subcarriers
+    couples its UEs only through A0, which scales every SINR by one
+    factor: the closed form makes at most 2 ``dl_sinr_ofdm`` calls, passes
+    its audit exactly when the bisection's plan does and reaches at least
+    the bisection's objective.  The bisection is the library's own, on the
+    same evaluator, with ``separable`` forced off."""
+    real, calls = alloc.maxmin_power_control, []
+    sinr = downlink.dl_sinr_ofdm
+
+    def bisection(evaluator, budgets, **kwargs):
+        return real(evaluator, budgets, **{**kwargs, "separable": False})
+
+    def counting(*args):
+        calls.append(None)
+        return sinr(*args)
+
+    rng = np.random.default_rng(34)
+    seen = set()
+    for _ in range(20):
+        freq, assoc, kwargs = random_allocation_scene(rng)
+        for precoder in ("tmmse_ofdm", "dist_mf", "dist_tzf", "dist_regmmse"):
+            calls.clear()
+            with mock.patch.object(downlink, "dl_sinr_ofdm", counting):
+                plan = successive_optimize(freq, assoc, objective="max_min",
+                                           direction="dl", precoder=precoder,
+                                           **kwargs)
+            if not separable(plan):
+                continue
+            seen.add(kwargs["ue_groups"] is None)
+            assert len(calls) <= 2
+            with mock.patch.object(alloc, "maxmin_power_control", bisection):
+                old = successive_optimize(freq, assoc, objective="max_min",
+                                          direction="dl", precoder=precoder,
+                                          **kwargs)
+            assert same_arrays(plan.subcarriers, old.subcarriers)
+            assert plan.audit["pass"] == old.audit["pass"]
+            assert plan.objective >= old.objective * (1 - 1e-12)
+    assert seen == {True, False}      # exclusive and shared plans
 
 
 class TestSinglePowerStage:
@@ -885,8 +928,13 @@ class TestSinglePowerStage:
     def test_dl_maxmin_spread_differs_from_the_oracle_only_in_rounding(self):
         # the spread is p_k * (1 / N_k) as on the uplink, where the oracle
         # divides p_k / N_k, and the budget is checked on the sum of the UE
-        # powers instead of the sum of the spread symbol powers
+        # powers instead of the sum of the spread symbol powers.  A plan
+        # whose symbols sit on distinct subcarriers takes the closed form
+        # instead: the oracle's fixed point starts from 1e-6 of the budget
+        # and, as A0 makes every SINR scale-invariant, never grows from
+        # there, so only the SINRs compare
         rng = np.random.default_rng(2025)
+        closed = 0
         for _ in range(40):
             freq, assoc, kwargs = random_allocation_scene(rng)
             new = successive_optimize(freq, assoc, objective="max_min",
@@ -897,9 +945,25 @@ class TestSinglePowerStage:
             audit = dict(new.audit)
             assert audit.pop("dl_bracket_resolved") is True
             assert audit == old.audit
+            if separable(new):
+                closed += 1
+                # not below the oracle's but for rounding: its SINRs come
+                # through another precoder path (3.1 eps below at most on
+                # these 40 scenes)
+                assert new.objective >= old.objective * (
+                    1 - 8 * np.finfo(float).eps)
+                assert new.objective == pytest.approx(old.objective,
+                                                      rel=1e-12)
+                # the closed form equalizes every UE's smallest SINR
+                for g in new.dl_sinrs:
+                    if len(g):
+                        assert g.min() == pytest.approx(new.objective,
+                                                        rel=1e-12)
+                continue
             np.testing.assert_allclose(new.dl_power, old.dl_power,
                                        rtol=1e-12, atol=1e-15)
             assert new.objective == pytest.approx(old.objective, rel=1e-9)
+        assert 0 < closed < 40
 
     def test_zero_refinement_keeps_the_equal_split_in_both_directions(self):
         rng = np.random.default_rng(14)
@@ -1056,16 +1120,15 @@ class TestAudit:
                 + 1j * rng.standard_normal((M, K, N))) / np.sqrt(2)
         aps = [list(range(M))] * K if mode == "exclusive" else [[0], [M - 1]]
         assoc = AssociationMap.from_ap_sets(aps, num_aps=M)
-        components = (build_factor_graph(assoc).components
-                      if mode == "shared" else None)
+        ue_groups = component_groups(assoc) if mode == "shared" else None
         flags = set()
         steps = 29 if mode == "exclusive" else 8
         for gamma_u in 10.0 ** np.linspace(12, 19, steps):
             try:
                 with np.errstate(over="ignore"):
                     plan = successive_optimize(freq, assoc, 2, "max_min",
-                                               gamma_u=gamma_u, mode=mode,
-                                               components=components)
+                                               gamma_u=gamma_u,
+                                               ue_groups=ue_groups)
             except np.linalg.LinAlgError:
                 assert mode == "shared"
                 continue

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import dense_oracles
-from uccfsim import alloc, apmp, engine, uplink
+from uccfsim import alloc, apmp, downlink, engine, uplink
 from uccfsim.engine import (DETECTORS, aggregate, merge_scenario,
                             results_to_csv, results_to_table, run_scenario,
                             run_trial, scenario_hash, set_by_path, sweep,
@@ -347,6 +347,34 @@ def test_a_tiny_downlink_budget_keeps_every_downlink_metric_finite(downlink):
         assert np.isfinite(r["dl_rate"]) and np.isfinite(r["dl_sinr"])
 
 
+@pytest.mark.parametrize("precoder", ["tmmse_ofdm", "dist_mf", "dist_tzf",
+                                      "dist_regmmse"])
+def test_exclusive_dl_maxmin_plans_take_two_evaluations(monkeypatch,
+                                                        precoder):
+    """An exclusive downlink max-min plan couples its UEs only through A0,
+    so it is solved in closed form: at M16 K8 N32 at most 2
+    ``dl_sinr_ofdm`` calls per plan (a bisection makes about 2,100), and
+    every record passes its audit."""
+    sinr, calls = downlink.dl_sinr_ofdm, []
+
+    def counting(*args):
+        calls.append(None)
+        return sinr(*args)
+
+    monkeypatch.setattr(downlink, "dl_sinr_ofdm", counting)
+    scenario = merge_scenario({
+        "seed": 5, "topology": {"num_aps": 16, "num_ues": 8,
+                                "area_size": 400.0},
+        "ofdm": {"num_subcarriers": 32}, "channel": {"num_taps": 4},
+        "association": {"radius": 200.0},
+        "allocation": {"objective": "max_min", "demands": 4},
+        "uplink": {"detector": "local_mrc"},
+        "downlink": {"enabled": True, "precoder": precoder}})
+    records = run_trial(scenario, 0)
+    assert 0 < len(calls) <= 2
+    assert all(r["audit_pass"] for r in records)
+
+
 def test_triple_slope_default_scenario_has_usable_rates():
     """Distances in meters reach the triple-slope formula in km; in meters
     they added 105 dB of loss and every rate was below 1e-7."""
@@ -583,7 +611,7 @@ class TestPipelineOutputs:
         optimize = alloc.successive_optimize
 
         def spy(*args, **kwargs):
-            seen.append((kwargs.get("direction"), kwargs["components"]))
+            seen.append((kwargs.get("direction"), kwargs["ue_groups"]))
             return optimize(*args, **kwargs)
 
         monkeypatch.setattr(alloc, "successive_optimize", spy)
