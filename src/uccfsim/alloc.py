@@ -32,7 +32,8 @@ bound on the common target is each UE's SINR alone at its full budget.
 A max-min plan whose symbols all sit on distinct subcarriers takes its
 closed form from two evaluations; on the uplink it builds no scene, as
 its exact SINRs are its powers times
-:func:`~uccfsim.uplink.solo_unit_sinrs` (gamma_u ||h_kn||^2).  Plans
+:func:`~uccfsim.uplink.solo_unit_sinrs` (gamma_u ||h_kn||^2), and it sets
+``ul_sinrs_exact``, so the engine reports them for global MMSE.  Plans
 with co-channel symbols, in either direction, evaluate each UE alone for
 the bound and run the fixed point and the bisection.  Exact SINRs cannot
 fail where the kernel's cancellation would, and kernel SINRs can be
@@ -237,6 +238,7 @@ class AllocationPlan:
     subcarriers: list                       # per-UE index arrays
     ul_power: list = None                   # per-UE eta_kn arrays
     ul_sinrs: list = None                   # per-UE symbol SINRs at ul_power
+    ul_sinrs_exact: bool = False            # ul_sinrs are gamma_u eta ||h||^2
     dl_power: np.ndarray = None             # per-(UE, subcarrier) Delta
     a0: float = None
     dl_sinrs: list = None                   # per-UE symbol SINRs at dl_power
@@ -340,6 +342,7 @@ def successive_optimize(freq, assoc, demands, objective="sum_rate",
             # linear in its own power (the spread below sets x)
             def sinrs_at(x):
                 return x * energy
+            fields["ul_sinrs_exact"] = True
         else:
             # every evaluation sees the same channels and assignment, and
             # the powers x start from the scene's equal split

@@ -266,7 +266,7 @@ def _estimate_channels(scenario, real, assoc, rng):
             training.nmse(estimates, real, assoc))
 
 
-def _detect_uplink(scenario, scene, assoc, gains, plan_sinrs, rng):
+def _detect_uplink(scenario, scene, assoc, gains, plan, rng):
     """Analytic/empirical SINR, per-UE rates, and SER for the configured
     detector; rates always come from the analytic symbol SINRs.
 
@@ -275,9 +275,13 @@ def _detect_uplink(scenario, scene, assoc, gains, plan_sinrs, rng):
     call (``uplink.weight_output_sinr``, or ``uplink.combined_sinr`` for
     the local family) and, with symbol draws, measured in one
     ``uplink.measure_output`` call; ``scene.split`` reads each UE's part.
-    A UE whose signal is zero reports SINR 0, not NaN; one without symbols
-    keeps empirical SINR and SER NaN.  APMP reports ``plan_sinrs``, the
-    allocation's closed-form MMSE symbol SINRs, as its rate proxy."""
+    When the plan's ``ul_sinrs_exact`` is set, ``gmmse`` and
+    ``gmmse_per_subcarrier`` report ``plan.ul_sinrs``, which are their
+    output SINRs exactly, evaluate no weights, and build their weights only
+    for symbol draws.  A UE whose signal is zero reports SINR 0, not NaN;
+    one without symbols keeps empirical SINR and SER NaN.  APMP reports
+    ``plan.ul_sinrs``, the allocation's closed-form MMSE symbol SINRs, as
+    its rate proxy."""
     cfg = scenario["uplink"]
     name = cfg["detector"]
     K = scene.num_ues
@@ -299,11 +303,17 @@ def _detect_uplink(scenario, scene, assoc, gains, plan_sinrs, rng):
                       for k, d in enumerate(res.decisions)]
         out["apmp_iterations"] = float(np.mean(res.draw_iterations))
         # the plan's analytic MMSE SINRs are the rate proxy for APMP trials
-        out["analytic"] = plan_sinrs
+        out["analytic"] = plan.ul_sinrs
     elif name != "none":
         local = name.startswith("local_")
+        # a plan that took its SINRs from the channel energies holds the
+        # exact global MMSE SINRs; sum-rate and co-channel plans keep the
+        # dense path, and deleting it re-pins the benchmark references
+        exact = plan.ul_sinrs_exact and name.startswith("gmmse")
         try:
-            if name == "gmmse":
+            if exact and not draws:
+                V = None
+            elif name == "gmmse":
                 V = uplink.gmmse_weights(scene)
             elif name == "gmmse_per_subcarrier":
                 V = uplink.gmmse_per_subcarrier(scene)
@@ -315,9 +325,9 @@ def _detect_uplink(scenario, scene, assoc, gains, plan_sinrs, rng):
                 mode = name.removeprefix("local_").replace("ls", "large_scale")
                 V = uplink.combined_weights(scene, uplink.combining_lambdas(
                     scene, assoc, mode, gains))
-            analytic = (uplink.combined_sinr if local
-                        else uplink.weight_output_sinr)(scene, V)
-            out["analytic"] = scene.split(analytic)
+            out["analytic"] = plan.ul_sinrs if exact else scene.split(
+                (uplink.combined_sinr if local
+                 else uplink.weight_output_sinr)(scene, V))
             if draws > 0:
                 indices, y = uplink.simulate_uplink(scene, draws, rng,
                                                     points_name)
@@ -406,8 +416,7 @@ def run_trial(scenario, trial: int, digest=None) -> list:
     else:
         scene = uplink.UplinkScene(freq=hf, subcarriers=plan.subcarriers,
                                    power=plan.ul_power, gamma_u=gamma_u)
-        det = _detect_uplink(scenario, scene, assoc, real.gains,
-                             plan.ul_sinrs, rng)
+        det = _detect_uplink(scenario, scene, assoc, real.gains, plan, rng)
 
     dl = {"dl_rate": np.full(K, np.nan), "dl_sinr": np.full(K, np.nan)}
     audit_pass = (plan is not None and plan.audit.get("pass", False)

@@ -31,14 +31,16 @@ the products.  A symbol alone on its subcarrier needs none of that: its
 SINR is its power times ``solo_unit_sinrs``, gamma_u ||h_kn||^2.
 
 The stacked (M*N, .) layout is left only at the dense edge whose bits the
-benchmark's references pin: ``gmmse_weights`` solves the (M*N, M*N)
-covariance, built once per scene like each UE's stacked channel block
-H_k Phi_k, and reads V off it without loss;
-``weight_output_sinr`` restacks V to evaluate w^H R w - eta |w^H b|^2 on
-it, which cancels at high SINR; and ``simulate_uplink`` draws y with one
-stacked product per UE.  R is built on each UE's own rows m*N + n, over
-the full column range, which keeps the bits of the full stacked products;
-restricting the columns as well rounds differently.
+benchmark's references pin, and the engine scores global MMSE weights there
+only on sum-rate plans and plans with co-channel symbols; a max-min plan
+without them carries its exact SINRs.  ``gmmse_weights`` solves the
+(M*N, M*N) covariance, built once per scene like each UE's stacked channel
+block H_k Phi_k, and reads V off it without loss; ``weight_output_sinr``
+restacks V to evaluate w^H R w - eta |w^H b|^2 on it, which cancels at
+high SINR; and ``simulate_uplink`` draws y with one stacked product per
+UE.  R is built on each UE's own rows m*N + n, over the full column range,
+which keeps the bits of the full stacked products; restricting the
+columns as well rounds differently.
 """
 
 from __future__ import annotations

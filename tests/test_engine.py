@@ -1,5 +1,8 @@
+import collections
+import dataclasses
 import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -373,6 +376,152 @@ def test_exclusive_dl_maxmin_plans_take_two_evaluations(monkeypatch,
     records = run_trial(scenario, 0)
     assert 0 < len(calls) <= 2
     assert all(r["audit_pass"] for r in records)
+
+
+# the maxmin_alloc benchmark geometry: every max-min plan is separable
+MAXMIN_M8 = {"topology": {"num_aps": 8, "num_ues": 4, "area_size": 300.0},
+             "ofdm": {"num_subcarriers": 8}, "channel": {"num_taps": 4},
+             "association": {"radius": 200.0},
+             "allocation": {"objective": "max_min", "demands": 2}}
+GMMSE_DETECTORS = ["gmmse", "gmmse_per_subcarrier"]
+
+
+@pytest.mark.parametrize("noise_variance", [1e-9, 1e-12, 1e-15])
+@pytest.mark.parametrize("detector", GMMSE_DETECTORS)
+def test_separable_maxmin_gmmse_reports_the_exact_sinrs(detector,
+                                                        noise_variance,
+                                                        monkeypatch):
+    """On a separable max-min plan both global MMSE detectors report the
+    exact mean of gamma_u eta ||h||^2 over each UE's symbols, within
+    4 eps relative (the worst seen is 1.65 eps; the dense path was off by
+    up to 2.4e-5 here, at SINRs up to 7.7e10).  The dense evaluation of
+    the joint weights reports the same quantity within its cancellation,
+    16 eps (1 + SINR) relative (the worst seen is 4.8)."""
+    optimize, plans = alloc.successive_optimize, []
+
+    def spy(freq, *args, **kwargs):
+        plans.append((freq, kwargs["gamma_u"],
+                      optimize(freq, *args, **kwargs)))
+        return plans[-1][2]
+
+    monkeypatch.setattr(alloc, "successive_optimize", spy)
+    eps = np.finfo(float).eps
+    for seed in (1, 2, 3):
+        plans.clear()
+        records = run_scenario({
+            **MAXMIN_M8, "seed": seed, "trials": 4,
+            "topology": {**MAXMIN_M8["topology"],
+                         "noise_variance": noise_variance},
+            "uplink": {"detector": detector}})["records"]
+        assert len(plans) == 4
+        for trial, (freq, gamma_u, plan) in enumerate(plans):
+            scene = uplink.UplinkScene(freq=freq, subcarriers=plan.subcarriers,
+                                       power=plan.ul_power, gamma_u=gamma_u)
+            dense = scene.split(uplink.weight_output_sinr(
+                scene, uplink.gmmse_weights(scene)))
+            for k, rec in enumerate(records[4 * trial:4 * trial + 4]):
+                exact = [Fraction(gamma_u) * Fraction(eta) * sum(
+                    Fraction(h.real) ** 2 + Fraction(h.imag) ** 2
+                    for h in freq[:, k, n])
+                    for eta, n in zip(plan.ul_power[k], plan.subcarriers[k])]
+                assert exact
+                mean = sum(exact) / len(exact)
+                assert abs(Fraction(rec["sinr_analytic"]) - mean) <= (
+                    Fraction(4 * eps) * mean)
+                for got, want in zip(dense[k], exact):
+                    assert abs(Fraction(got) - want) <= (
+                        Fraction(16 * eps) * (1 + want) * want)
+            assert plan.ul_sinrs_exact and plan.audit["pass"]
+
+
+UPLINK_WEIGHT_CALLS = ("gmmse_weights", "gmmse_per_subcarrier",
+                       "scene_covariance", "weight_output_sinr")
+
+
+def count_uplink_calls(monkeypatch):
+    """A counter of the calls of ``UPLINK_WEIGHT_CALLS`` and
+    ``measure_output``, made through the ``uplink`` module."""
+    calls = collections.Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name in (*UPLINK_WEIGHT_CALLS, "measure_output"):
+        monkeypatch.setattr(uplink, name,
+                            counted(name, getattr(uplink, name)))
+    return calls
+
+
+@pytest.mark.parametrize("detector", GMMSE_DETECTORS)
+def test_separable_maxmin_gmmse_builds_weights_only_for_draws(detector,
+                                                              monkeypatch):
+    """Without symbol draws a separable max-min trial builds and evaluates
+    no weights.  With draws it builds the detector's own weights once and
+    measures them once, and never evaluates them; its empirical SINRs and
+    SERs keep the bits of the dense path, which a plan without the
+    ``ul_sinrs_exact`` flag takes."""
+    optimize = alloc.successive_optimize
+    calls = count_uplink_calls(monkeypatch)
+    scenario = merge_scenario({**MAXMIN_M8, "seed": 1,
+                               "uplink": {"detector": detector}})
+    for trial in range(3):
+        run_trial(scenario, trial)
+    assert not calls
+
+    scenario["uplink"]["symbol_draws"] = 3
+    built = ({"gmmse_weights": 1, "scene_covariance": 1}
+             if detector == "gmmse" else {"gmmse_per_subcarrier": 1})
+    records = []
+    for trial in range(3):
+        calls.clear()
+        records += run_trial(scenario, trial)
+        assert calls == {**built, "measure_output": 1}
+
+    monkeypatch.setattr(alloc, "successive_optimize",
+                        lambda *args, **kwargs: dataclasses.replace(
+                            optimize(*args, **kwargs), ul_sinrs_exact=False))
+    calls.clear()
+    dense = [r for trial in range(3) for r in run_trial(scenario, trial)]
+    assert calls["weight_output_sinr"] == 3
+    for key in ("sinr_empirical", "ser"):
+        got, want = ([r[key] for r in recs] for recs in (records, dense))
+        assert np.isfinite(got).all()
+        assert got == want
+
+
+@pytest.mark.parametrize("overrides", [
+    {**MAXMIN_M8, "allocation": {"objective": "sum_rate", "demands": 2}},
+    {"seed": 7, "topology": {"num_aps": 8, "num_ues": 4,
+                             "area_size": 800.0},
+     "association": {"radius": 150.0},
+     "allocation": {"objective": "max_min", "mode": "shared"}}],
+    ids=["sum_rate", "shared_cochannel_maxmin"])
+@pytest.mark.parametrize("detector", GMMSE_DETECTORS)
+def test_kernel_planned_trials_keep_the_dense_evaluation(overrides, detector,
+                                                         monkeypatch):
+    """A sum-rate plan, and a shared-mode max-min plan with co-channel
+    symbols, take their SINRs from the kernel, not the channel energies:
+    their global MMSE trials still evaluate the weights in one
+    ``weight_output_sinr`` call."""
+    optimize, plans = alloc.successive_optimize, []
+
+    def spy(*args, **kwargs):
+        plans.append(optimize(*args, **kwargs))
+        return plans[-1]
+
+    monkeypatch.setattr(alloc, "successive_optimize", spy)
+    calls = count_uplink_calls(monkeypatch)
+    run_trial(merge_scenario({**overrides,
+                              "uplink": {"detector": detector}}), 0)
+    (plan,) = plans
+    assert not plan.ul_sinrs_exact
+    if overrides["allocation"]["objective"] == "max_min":
+        used = np.concatenate(plan.subcarriers)
+        assert len(set(used.tolist())) < len(used)
+    assert calls["weight_output_sinr"] == 1
 
 
 def test_triple_slope_default_scenario_has_usable_rates():
